@@ -291,12 +291,15 @@ def augment_batch(
     n = x.shape[0]
     imgs = x.reshape(n, h, w, ch)
     flips = rng.random(n) < spec.horizontal_flip_prob
-    imgs = np.where(flips[:, None, None, None], imgs[:, :, ::-1, :], imgs)
     pad = spec.pad_pixels
+    # one zero-padded buffer, with the flipped images written in mirrored
+    out = np.zeros((n, h + 2 * pad, w + 2 * pad, ch), dtype=x.dtype)
+    inner = out[:, pad : pad + h, pad : pad + w]
+    inner[~flips] = imgs[~flips]
+    inner[flips] = imgs[flips, :, ::-1]
     if pad > 0:
-        offsets = rng.integers(0, 2 * pad + 1, size=(n, 2))
-        imgs = pad_crop(imgs, pad, offsets)
-    return imgs.reshape(n, h * w * ch)
+        out = _crop(out, (h, w, ch), rng.integers(0, 2 * pad + 1, size=(n, 2)))
+    return out.reshape(n, h * w * ch)
 
 
 def pad_crop(images: np.ndarray, pad: int, offsets: np.ndarray) -> np.ndarray:
@@ -305,12 +308,15 @@ def pad_crop(images: np.ndarray, pad: int, offsets: np.ndarray) -> np.ndarray:
     Offset (pad, pad) is the centered cut: it returns the image unchanged.
     """
     n, h, w, ch = images.shape
-    padded = np.pad(images, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    out = np.empty_like(images)
-    for i in range(n):
-        r, c = int(offsets[i, 0]), int(offsets[i, 1])
-        out[i] = padded[i, r : r + h, c : c + w, :]
-    return out
+    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, ch), dtype=images.dtype)
+    padded[:, pad : pad + h, pad : pad + w] = images
+    return _crop(padded, (h, w, ch), offsets)
+
+
+def _crop(padded: np.ndarray, shape: tuple[int, int, int], offsets: np.ndarray) -> np.ndarray:
+    """Each image's window of the given shape at its (row, col) offset, in one gather."""
+    windows = np.lib.stride_tricks.sliding_window_view(padded, shape, axis=(1, 2, 3))
+    return windows[np.arange(padded.shape[0]), offsets[:, 0], offsets[:, 1], 0]
 
 
 def subset(ds: Dataset, indices: np.ndarray) -> Dataset:

@@ -350,6 +350,10 @@ def run_experiment(
     aug_spec = cfg.augment
 
     opt = OptimState.fresh(params, cfg.momentum, cfg.effective_weight_decay)
+    # the loop owns the gradient and a spare parameter vector; sgd_step writes
+    # each update into the spare, so a failed step leaves params intact
+    grad = np.empty_like(params.values)
+    spare = params.copy()
     frozen_norm: FrozenNormLayer | None = None
     teacher: TeacherCache | None = None
     records: list[MetricsRecord] = []
@@ -417,11 +421,12 @@ def run_experiment(
                     if lr_first is None:
                         lr_first = lr
                     loss, grad, logits = loss_grad_logits(
-                        network, params, x, y, rows, beta, frozen_norm
+                        network, params, x, y, rows, beta, frozen_norm, grad_out=grad
                     )
                     if not np.isfinite(loss):
                         raise NumericalError(f"non-finite loss at step {global_step}")
-                    params, opt = sgd_step(params, grad, opt, lr, step=global_step)
+                    spare, opt = sgd_step(params, grad, opt, lr, step=global_step, out=spare)
+                    params, spare = spare, params
                     counters["optimizer_steps"] += 1
                     global_step += 1
                     epoch_loss += loss * len(idx)
@@ -563,7 +568,9 @@ def grid_search(base_cfg: RunConfig, lr_grid, wd_grid, out_dir=None) -> GridResu
     if not lrs or not wds:
         raise ConfigurationError("lr and wd grids must be nonempty")
     bundle = prepare_data(base_cfg)
-    cfgs = {(lr, wd): replace(base_cfg, lr=lr, weight_decay=wd) for lr in lrs for wd in wds}
+    cfgs = {
+        (lr, wd): _cell_config(base_cfg, f"lr{lr}-wd{wd}", lr=lr, weight_decay=wd) for lr in lrs for wd in wds
+    }
 
     results = {}
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
@@ -621,7 +628,7 @@ def stage_sweep(base_cfg: RunConfig, t_values, out_dir=None) -> list[dict]:
             raise ConfigurationError(
                 f"stage count {t} does not divide {base_cfg.epochs} epochs; compute parity breaks"
             )
-        cfg = replace(base_cfg, stages=t, reinit=_reinit_for_stages(base_cfg.reinit, base_cfg, t))
+        cfg = _cell_config(base_cfg, f"T{t}", stages=t, reinit=_reinit_for_stages(base_cfg.reinit, base_cfg, t))
         res = run_experiment(cfg, out_dir=out_dir)
         step_counts.add(res.total_steps)
         rows.append(
@@ -642,6 +649,15 @@ def stage_sweep(base_cfg: RunConfig, t_values, out_dir=None) -> list[dict]:
         with open(out / "stage_sweep.json", "w") as fh:
             json.dump(rows, fh, sort_keys=True, indent=2)
     return rows
+
+
+def _cell_config(base_cfg: RunConfig, cell: str, **changes) -> RunConfig:
+    """A study cell's config. A named base run gets the cell appended to its
+    name, so no two cells share a run directory; unnamed cells already have
+    distinct content-addressed ids."""
+    if base_cfg.run_name:
+        changes["run_name"] = f"{base_cfg.run_name}-{cell}"
+    return replace(base_cfg, **changes)
 
 
 def _reinit_for_stages(rspec: ReinitSpec, cfg: RunConfig, t: int) -> ReinitSpec:
@@ -689,7 +705,8 @@ def noise_study(base_cfg: RunConfig, q_values, methods, out_dir=None, budget_fra
         q_cfg = replace(base_cfg, noise_q=q)
         bundle = prepare_data(q_cfg)
         for method in methods:
-            cfg = _method_config(q_cfg, method)
+            method_cfg = _method_config(q_cfg, method)
+            cfg = _cell_config(method_cfg, f"q{q}-{method}")
             res = run_experiment(cfg, bundle, out_dir)
             rows.append(_noise_row(q, method, cfg.epochs, res, bundle))
             if method == "standard":
@@ -697,9 +714,10 @@ def noise_study(base_cfg: RunConfig, q_values, methods, out_dir=None, budget_fra
                     epochs = max(1, int(cfg.epochs * frac))
                     if epochs == cfg.epochs:
                         continue
-                    short = replace(cfg, epochs=epochs, stages=1)
+                    arm = f"standard@{epochs}ep"
+                    short = _cell_config(method_cfg, f"q{q}-{arm}", epochs=epochs, stages=1)
                     res_short = run_experiment(short, bundle, out_dir)
-                    rows.append(_noise_row(q, f"standard@{epochs}ep", epochs, res_short, bundle))
+                    rows.append(_noise_row(q, arm, epochs, res_short, bundle))
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -2,16 +2,17 @@
 
 Dense ReLU networks whose parameters live in a single flat array with an
 explicit layer/block layout. Forward passes, losses and exact gradients are
-plain numpy. Everything here is a pure function of its inputs: identical
-inputs give bit-identical outputs, so callers may share these freely across
-workers. Computation runs in the dtype of the parameter vector — float32 in
-normal training, float64 when a caller needs oracle-grade precision.
+plain numpy. Everything here is a pure function of its inputs (apart from a
+gradient buffer the caller passes in): identical inputs give bit-identical
+outputs, so callers may share these freely across workers. Computation runs
+in the dtype of the parameter vector — float32 in normal training, float64
+when a caller needs oracle-grade precision.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -106,7 +107,7 @@ class LayerLayout:
 
 @dataclass
 class ParamVector:
-    """Flat parameter store tied to a layout. Treat as immutable."""
+    """Flat parameter store tied to a layout, checked when built; only sgd_step writes into one."""
 
     values: np.ndarray
     layout: LayerLayout
@@ -267,30 +268,18 @@ def _check_forward_args(spec: NetworkSpec, params: ParamVector, inputs: np.ndarr
     return x.astype(params.dtype, copy=False)
 
 
-def _layer_views(spec: NetworkSpec, params: ParamVector):
-    """(W, b) views per layer, W shaped (fan_in, fan_out)."""
-    out = []
-    segs = params.layout.segments
-    for layer_id in range(spec.num_layers):
-        wseg, bseg = segs[2 * layer_id], segs[2 * layer_id + 1]
-        w = params.values[wseg.offset : wseg.offset + wseg.length].reshape(wseg.fan_in, wseg.fan_out)
-        b = params.values[bseg.offset : bseg.offset + bseg.length]
-        out.append((w, b))
-    return out
+def _layer_views(values: np.ndarray, layout: LayerLayout) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views per layer into a flat vector, W shaped (fan_in, fan_out)."""
+    segs = layout.segments
+    flat = [values[s.offset : s.offset + s.length] for s in segs]
+    return [(flat[i].reshape(segs[i].fan_in, segs[i].fan_out), flat[i + 1]) for i in range(0, len(segs), 2)]
 
 
-def _norm_insertion_layer(spec: NetworkSpec, frozen_norm: FrozenNormLayer | None) -> int:
-    """Layer index after whose activation the frozen norm applies, or -1."""
-    if frozen_norm is None:
-        return -1
-    block = frozen_norm.insert_after_block
+def _last_layer(spec: NetworkSpec, block: int) -> int:
+    """Index of the last layer of a block, which must lie in 1..num_blocks."""
     if not 1 <= block <= spec.num_blocks:
-        raise ConfigurationError(f"frozen norm block {block} outside 1..{spec.num_blocks}")
-    last = -1
-    for layer_id in range(spec.num_layers):
-        if spec.block_of_layer(layer_id) == block:
-            last = layer_id
-    return last
+        raise ConfigurationError(f"block {block} outside 1..{spec.num_blocks}")
+    return build_layout(spec).last_layer_of_block(block)
 
 
 def forward(
@@ -298,19 +287,28 @@ def forward(
     params: ParamVector,
     inputs: np.ndarray,
     frozen_norm: FrozenNormLayer | None = None,
+    stop_block: int | None = None,
+    saved: list | None = None,
 ) -> np.ndarray:
-    """Logits for a batch of inputs, (batch, num_classes)."""
-    x = _check_forward_args(spec, params, inputs)
-    norm_layer = _norm_insertion_layer(spec, frozen_norm)
-    h = x
+    """Logits (batch, num_classes), or with ``stop_block`` the output of that
+    block's last layer. ``saved`` receives (layer input, output before any
+    frozen norm) per layer, for the backward pass."""
+    h = _check_forward_args(spec, params, inputs)
+    norm_layer = -1 if frozen_norm is None else _last_layer(spec, frozen_norm.insert_after_block)
+    stop = -1 if stop_block is None else _last_layer(spec, stop_block)
     last = spec.num_layers - 1
-    for layer_id, (w, b) in enumerate(_layer_views(spec, params)):
-        z = h @ w + b
-        h = np.maximum(z, 0) if layer_id != last else z
+    for layer_id, (w, b) in enumerate(_layer_views(params.values, params.layout)):
+        z = h @ w
+        z += b
+        if layer_id != last:
+            np.maximum(z, 0, out=z)
+        if saved is not None:
+            saved.append((h, z))
+        h = z
         if layer_id == norm_layer:
-            mean = frozen_norm.mean.astype(h.dtype, copy=False)
-            std = frozen_norm.std.astype(h.dtype, copy=False)
-            h = (h - mean) / std
+            h = (z - frozen_norm.mean.astype(z.dtype, copy=False)) / frozen_norm.std.astype(z.dtype, copy=False)
+        if layer_id == stop:
+            break
     return h
 
 
@@ -322,35 +320,25 @@ def activations_after_block(
     frozen_norm: FrozenNormLayer | None = None,
 ) -> np.ndarray:
     """Post-activation output of the last layer of the given block."""
-    if not 1 <= block <= spec.num_blocks:
-        raise ConfigurationError(f"block {block} outside 1..{spec.num_blocks}")
-    x = _check_forward_args(spec, params, inputs)
-    norm_layer = _norm_insertion_layer(spec, frozen_norm)
-    h = x
-    last = spec.num_layers - 1
-    stop = max(lid for lid in range(spec.num_layers) if spec.block_of_layer(lid) == block)
-    for layer_id, (w, b) in enumerate(_layer_views(spec, params)):
-        z = h @ w + b
-        h = np.maximum(z, 0) if layer_id != last else z
-        if layer_id == norm_layer:
-            h = (h - frozen_norm.mean.astype(h.dtype)) / frozen_norm.std.astype(h.dtype)
-        if layer_id == stop:
-            return h
-    raise ConfigurationError(f"block {block} not reached")  # pragma: no cover
+    return forward(spec, params, inputs, frozen_norm, stop_block=block)
+
+
+def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row max m, exp(z - m) and its row sums; m shifts the rows so exp never overflows."""
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    return m, e, e.sum(axis=1, keepdims=True)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits)
-    # shift by the row max so exp never overflows
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    _, e, sums = _shifted_exp(np.asarray(logits))
+    return e / sums
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits)
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    m, _, sums = _shifted_exp(z)
+    return (z - m) - np.log(sums)
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -362,15 +350,19 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return y.astype(np.int64, copy=False)
 
 
+def _cross_entropy(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean cross-entropy, plus exp(z - rowmax) and its row sums for reuse."""
+    m, e, sums = _shifted_exp(z)
+    return float(np.mean(m[:, 0] + np.log(sums[:, 0]) - z[np.arange(z.shape[0]), y])), e, sums
+
+
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log softmax probability of the true class."""
     z = np.asarray(logits)
     y = _check_labels(labels, z.shape[1])
     if y.shape[0] != z.shape[0]:
         raise ShapeError(f"{z.shape[0]} logit rows vs {y.shape[0]} labels")
-    m = z.max(axis=1)
-    lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
-    return float(np.mean(lse - z[np.arange(z.shape[0]), y]))
+    return _cross_entropy(z, y)[0]
 
 
 def _check_teacher(teacher: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -387,15 +379,16 @@ def _check_teacher(teacher: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return p
 
 
+def _kl(p: np.ndarray, q: np.ndarray) -> float:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
+    return max(float(np.mean(terms.sum(axis=1))), 0.0)
+
+
 def kl_divergence(teacher_probs: np.ndarray, student_logits: np.ndarray) -> float:
     """Mean KL(teacher || softmax(student_logits)); zero-probability teacher terms contribute 0."""
     z = np.asarray(student_logits)
-    p = _check_teacher(teacher_probs, z.shape)
-    q = softmax(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
-    kl = float(np.mean(terms.sum(axis=1)))
-    return max(kl, 0.0)
+    return _kl(_check_teacher(teacher_probs, z.shape), softmax(z))
 
 
 def loss_grad_logits(
@@ -406,62 +399,57 @@ def loss_grad_logits(
     teacher: np.ndarray | None = None,
     beta_distill: float = 0.0,
     frozen_norm: FrozenNormLayer | None = None,
+    grad_out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss, exact parameter gradient, and the logits of the forward pass.
 
     The loss is cross-entropy plus ``beta_distill`` times the KL term against
     the fixed teacher rows; gradients flow only through the student. With no
-    teacher or beta 0 this is the plain cross-entropy gradient.
+    teacher or beta 0 this is the plain cross-entropy gradient. The gradient
+    overwrites all of ``grad_out`` when given, else fills a new array.
     """
     if beta_distill < 0:
         raise ConfigurationError(f"beta_distill must be >= 0, got {beta_distill}")
-    x = _check_forward_args(spec, params, inputs)
     y = _check_labels(labels, spec.num_classes)
-    if y.shape[0] != x.shape[0]:
-        raise ShapeError(f"{x.shape[0]} inputs vs {y.shape[0]} labels")
-    norm_layer = _norm_insertion_layer(spec, frozen_norm)
-    layers = _layer_views(spec, params)
+    if grad_out is None:
+        grad_out = np.empty_like(params.values)
+    elif (grad_out.shape, grad_out.dtype, grad_out.flags.c_contiguous) != (params.values.shape, params.dtype, True):
+        raise ShapeError("grad_out must be a contiguous vector of the parameters' shape and dtype")
+    norm_layer = -1 if frozen_norm is None else _last_layer(spec, frozen_norm.insert_after_block)
     last = spec.num_layers - 1
-    batch = x.shape[0]
-
-    # forward, keeping the input of each layer and the pre-activations
-    layer_inputs, preacts = [], []
-    h = x
-    for layer_id, (w, b) in enumerate(layers):
-        layer_inputs.append(h)
-        z = h @ w + b
-        preacts.append(z)
-        h = np.maximum(z, 0) if layer_id != last else z
-        if layer_id == norm_layer:
-            h = (h - frozen_norm.mean.astype(h.dtype)) / frozen_norm.std.astype(h.dtype)
-    logits = h
-
-    loss = softmax_cross_entropy(logits, y)
-    probs = softmax(logits)
-    dlogits = probs.copy()
-    dlogits[np.arange(batch), y] -= 1.0
-    dlogits /= batch
+    saved = []
+    logits = forward(spec, params, inputs, frozen_norm, saved=saved)
+    batch = logits.shape[0]
+    if y.shape[0] != batch:
+        raise ShapeError(f"{batch} inputs vs {y.shape[0]} labels")
+    # one softmax shared by the cross-entropy, the KL term and the gradient
+    loss, d, sums = _cross_entropy(logits, y)
+    d /= sums  # the softmax rows, turned into dlogits in place below
+    pull = None
     if teacher is not None and beta_distill != 0.0:
         p = _check_teacher(teacher, logits.shape)
-        loss = loss + beta_distill * kl_divergence(p, logits)
-        dlogits = dlogits + (beta_distill / batch) * (probs - p)
+        loss = loss + beta_distill * _kl(p, d)
+        pull = (beta_distill / batch) * (d - p)
+    d[np.arange(batch), y] -= 1.0
+    d /= batch
+    if pull is not None:
+        d += pull
 
-    grad = np.zeros_like(params.values)
-    segs = params.layout.segments
-    d = dlogits
+    layers = _layer_views(params.values, params.layout)
+    grads = _layer_views(grad_out, params.layout)
     for layer_id in range(last, -1, -1):
+        h_in, act = saved[layer_id]
         if layer_id == norm_layer:
-            d = d / frozen_norm.std.astype(d.dtype)
-        z = preacts[layer_id]
-        dz = d if layer_id == last else d * (z > 0)
-        h_in = layer_inputs[layer_id]
-        wseg, bseg = segs[2 * layer_id], segs[2 * layer_id + 1]
-        grad[wseg.offset : wseg.offset + wseg.length] = (h_in.T @ dz).ravel()
-        grad[bseg.offset : bseg.offset + bseg.length] = dz.sum(axis=0)
+            d /= frozen_norm.std.astype(d.dtype, copy=False)
+        if layer_id != last:
+            # ReLU backward; the layer above has already used act as its input
+            d *= np.greater(act, 0, out=act)
+        gw, gb = grads[layer_id]
+        np.matmul(h_in.T, d, out=gw)
+        np.sum(d, axis=0, out=gb)
         if layer_id > 0:
-            w, _ = layers[layer_id]
-            d = dz @ w.T
-    return float(loss), grad, logits
+            d = d @ layers[layer_id][0].T
+    return float(loss), grad_out, logits
 
 
 def loss_and_grad(

@@ -39,26 +39,37 @@ def sgd_step(
     state: OptimState,
     lr: float,
     step: int | None = None,
+    out: ParamVector | None = None,
 ) -> tuple[ParamVector, OptimState]:
-    """One optimizer update; returns the new parameters and mutated state.
-
-    With lr == 0 the parameters come back unchanged (the momentum buffer
-    still accumulates, matching a paused-but-running optimizer).
+    """One optimizer update, written into ``out`` (a spare vector other than
+    ``params``; a new one when None) and returned with the in-place-updated
+    state. A non-finite update raises NumericalError naming the step and
+    leaves ``params`` intact. lr == 0 leaves the parameters unchanged while
+    the momentum buffer still accumulates (a paused-but-running optimizer).
     """
     if lr < 0.0:
         raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
     g = np.asarray(grads)
     if g.shape != params.values.shape:
         raise ConfigurationError(f"gradient shape {g.shape} != parameter shape {params.values.shape}")
-    if not np.all(np.isfinite(g)):
-        where = f" at step {step}" if step is not None else ""
-        raise NumericalError(f"non-finite gradient{where}")
+    if out is None:
+        out = params.copy()
+    elif out is params or out.values.shape != g.shape or out.dtype != params.dtype:
+        raise ConfigurationError("out must be a spare parameter vector shaped like params")
+    new, buf = out.values, state.momentum_buffer
+    buf *= state.momentum
     if state.weight_decay:
-        g = g + state.weight_decay * params.values
-    state.momentum_buffer *= state.momentum
-    state.momentum_buffer += g
-    new_values = params.values - lr * state.momentum_buffer.astype(params.dtype, copy=False)
-    return ParamVector(new_values, params.layout), state
+        np.multiply(params.values, state.weight_decay, out=new)
+        new += g
+        buf += new
+    else:
+        buf += g
+    np.multiply(buf, lr, out=new)
+    np.subtract(params.values, new, out=new)
+    if not np.isfinite(new).all():
+        what = "gradient" if not np.isfinite(g).all() else "parameters after the update"
+        raise NumericalError(f"non-finite {what}" + (f" at step {step}" if step is not None else ""))
+    return out, state
 
 
 @dataclass(frozen=True)

@@ -133,10 +133,16 @@ def load_checkpoint(path) -> tuple[ParamVector, dict, FrozenNormLayer | None]:
         try:
             header = json.loads(raw)
             network = NetworkSpec.from_dict(header["network"])
+            recorded = (header["layout"]["total_len"], header["layout"]["num_blocks"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: bad checkpoint header: {exc}") from exc
         body = fh.read()
     layout = build_layout(network)
+    if recorded != (layout.total_len, layout.num_blocks):
+        raise FormatError(
+            f"{path}: header layout (total_len, num_blocks) = {recorded} does not match "
+            f"{(layout.total_len, layout.num_blocks)} from its network"
+        )
     want = layout.total_len * 4
     if len(body) != want:
         raise FormatError(f"{path}: expected {want} parameter bytes, found {len(body)}")

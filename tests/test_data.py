@@ -222,6 +222,41 @@ def test_augment_is_deterministic_given_rng_state():
     np.testing.assert_array_equal(a, b)
 
 
+def reference_augment(x, image_shape, spec, rng):
+    """Per-image flip, then np.pad, then crop, drawing the generator in the same order."""
+    h, w, ch = image_shape
+    n, pad = x.shape[0], spec.pad_pixels
+    imgs = x.reshape(n, h, w, ch)
+    flips = rng.random(n) < spec.horizontal_flip_prob
+    offsets = rng.integers(0, 2 * pad + 1, size=(n, 2)) if pad > 0 else np.full((n, 2), 0)
+    out = np.empty_like(imgs)
+    for i in range(n):
+        img = imgs[i, :, ::-1] if flips[i] else imgs[i]
+        padded = np.pad(img, ((pad, pad), (pad, pad), (0, 0)))
+        r, c = offsets[i]
+        out[i] = padded[r : r + h, c : c + w]
+    return out.reshape(n, h * w * ch)
+
+
+@pytest.mark.parametrize("h, w, ch", [(5, 5, 1), (4, 7, 3), (28, 28, 1)])
+@pytest.mark.parametrize("pad", [0, 1, 4])
+@pytest.mark.parametrize("flip_prob", [0.0, 0.5, 1.0])
+def test_augment_matches_per_image_reference(h, w, ch, pad, flip_prob):
+    rng = np.random.Generator(np.random.PCG64(h * w * ch + pad))
+    x = rng.random((17, h * w * ch)).astype(np.float32)
+    spec = AugmentSpec(horizontal_flip_prob=flip_prob, pad_pixels=pad)
+    got_rng = np.random.Generator(np.random.PCG64(9))
+    want_rng = np.random.Generator(np.random.PCG64(9))
+    x_before = x.copy()
+    got = augment_batch(x, (h, w, ch), spec, got_rng)
+    want = reference_augment(x, (h, w, ch), spec, want_rng)
+    assert got.dtype == x.dtype and got.shape == x.shape
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert np.array_equal(x, x_before)
+    assert not np.shares_memory(got, x)
+
+
 def test_split_sizes_and_exhaustive_indices():
     labels = np.repeat(np.arange(10), 100)
     train_idx, val_idx = split_indices(labels, 0.1, seed=1)

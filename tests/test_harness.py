@@ -288,6 +288,18 @@ class TestRunExperiment:
         assert res.failed
         assert "step" in res.failure
         assert res.best_params is None
+        # the last good step's parameters, not a half-written update buffer
+        assert np.isfinite(res.final_params.values).all()
+
+    def test_overflowing_update_keeps_last_good_params(self):
+        # an lr beyond float32's range overflows the first update itself, so
+        # sgd_step (not the loss check) stops the run at step 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run_experiment(tiny_cfg(lr=1e39))
+        assert res.failed and res.total_steps == 0
+        assert res.failure == "non-finite parameters after the update at step 0"
+        init = harness.init_params(tiny_net(), harness.InitDistribution(1))
+        assert np.array_equal(res.final_params.values, init.values)
 
 
 def stub_result(cfg, val, failed=False):
@@ -372,6 +384,40 @@ class TestGridSearch:
             harness._max_workers()
         monkeypatch.delenv("REINIT_LAB_THREADS")
         assert harness._max_workers() >= 1
+
+
+class TestStudyRunDirectories:
+    """A named base run must not make the cells of a study share one run directory."""
+
+    def run_dirs(self, root):
+        return sorted(p.name for p in root.iterdir() if (p / "config.json").exists())
+
+    def test_grid_cells_get_their_own_directories(self, tmp_path):
+        grid = grid_search(tiny_cfg(epochs=2, run_name="exp"), [0.01, 0.05], [0.0], out_dir=tmp_path)
+        ids = [cell["run_id"] for cell in grid.cells.values()]
+        assert len(set(ids)) == 2
+        assert self.run_dirs(tmp_path) == sorted(ids)
+        for cell in grid.cells.values():
+            saved = json.loads((tmp_path / cell["run_id"] / "config.json").read_text())
+            assert saved["lr"] == cell["lr"]
+
+    def test_stage_sweep_arms_get_their_own_directories(self, tmp_path):
+        base = tiny_cfg(epochs=4, stages=2, reinit=ReinitSpec("shrink_perturb"), run_name="exp")
+        rows = stage_sweep(base, (1, 2, 4), out_dir=tmp_path)
+        assert len({r["run_id"] for r in rows}) == 3
+        assert self.run_dirs(tmp_path) == sorted(r["run_id"] for r in rows)
+
+    def test_noise_study_cells_get_their_own_directories(self, tmp_path):
+        base = tiny_cfg(epochs=4, stages=2, run_name="exp")
+        rows = noise_study(base, (0.0, 0.3), ("standard", "sp"), out_dir=tmp_path)
+        assert len(rows) == 6  # 2 q values x (standard, its half-budget arm, sp)
+        assert len({r["run_id"] for r in rows}) == 6
+        assert self.run_dirs(tmp_path) == sorted(r["run_id"] for r in rows)
+
+    def test_unnamed_cells_keep_content_addressed_ids(self):
+        base = tiny_cfg(epochs=4, stages=2, reinit=ReinitSpec("shrink_perturb"))
+        rows = stage_sweep(base, (2,))
+        assert rows[0]["run_id"] == base.run_id
 
 
 class TestStageSweep:

@@ -305,3 +305,98 @@ def test_block_norms_partition_total_norm():
     norms = block_norms(params)
     assert norms.shape == (3,)
     assert math.sqrt(float((norms**2).sum())) == pytest.approx(weight_norm(params), rel=1e-12)
+
+
+def reference_loss_grad(spec, params, x, y, teacher=None, beta=0.0, frozen_norm=None):
+    """Allocating reference step: the float32 operation order loss_grad_logits must keep."""
+    segs = params.layout.segments
+    layers = []
+    for lid in range(spec.num_layers):
+        wseg, bseg = segs[2 * lid], segs[2 * lid + 1]
+        w = params.values[wseg.offset : wseg.offset + wseg.length].reshape(wseg.fan_in, wseg.fan_out)
+        layers.append((w, params.values[bseg.offset : bseg.offset + bseg.length]))
+    last = spec.num_layers - 1
+    norm_layer = -1
+    for lid in range(spec.num_layers):
+        if frozen_norm is not None and spec.block_of_layer(lid) == frozen_norm.insert_after_block:
+            norm_layer = lid
+    inputs, preacts, h = [], [], x
+    for lid, (w, b) in enumerate(layers):
+        inputs.append(h)
+        z = h @ w + b
+        preacts.append(z)
+        h = np.maximum(z, 0) if lid != last else z
+        if lid == norm_layer:
+            h = (h - frozen_norm.mean.astype(h.dtype)) / frozen_norm.std.astype(h.dtype)
+    logits, n = h, x.shape[0]
+    m = logits.max(axis=1)
+    loss = float(np.mean(m + np.log(np.exp(logits - m[:, None]).sum(axis=1)) - logits[np.arange(n), y]))
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    d = probs.copy()
+    d[np.arange(n), y] -= 1.0
+    d /= n
+    if teacher is not None and beta != 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(teacher > 0, teacher * (np.log(teacher) - np.log(probs)), 0.0)
+        loss = loss + beta * max(float(np.mean(terms.sum(axis=1))), 0.0)
+        d = d + (beta / n) * (probs - teacher)
+    grad = np.zeros_like(params.values)
+    for lid in range(last, -1, -1):
+        if lid == norm_layer:
+            d = d / frozen_norm.std.astype(d.dtype)
+        dz = d if lid == last else d * (preacts[lid] > 0)
+        wseg, bseg = segs[2 * lid], segs[2 * lid + 1]
+        grad[wseg.offset : wseg.offset + wseg.length] = (inputs[lid].T @ dz).ravel()
+        grad[bseg.offset : bseg.offset + bseg.length] = dz.sum(axis=0)
+        d = dz @ layers[lid][0].T
+    return loss, grad, logits
+
+
+def float32_step_case(seed, batch=12, with_teacher=False, with_norm=False):
+    spec = NetworkSpec(input_dim=7, hidden_dims=(9, 6), num_classes=4, block_boundaries=(1, 2))
+    params = init_params(spec, InitDistribution(seed=seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.normal(size=(batch, 7)).astype(np.float32)
+    y = rng.integers(0, 4, size=batch)
+    teacher = rng.dirichlet(np.ones(4), size=batch).astype(np.float32) if with_teacher else None
+    fn = FrozenNormLayer(2, rng.normal(size=6), rng.uniform(0.5, 2.0, size=6)) if with_norm else None
+    return spec, params, x, y, teacher, (1.5 if with_teacher else 0.0), fn
+
+
+STEP_CASES = [(0, False, False), (1, True, False), (2, False, True), (3, True, True)]
+
+
+@pytest.mark.parametrize("seed, with_teacher, with_norm", STEP_CASES)
+def test_loss_grad_matches_allocating_reference_bitwise(seed, with_teacher, with_norm):
+    spec, params, x, y, teacher, beta, fn = float32_step_case(seed, with_teacher=with_teacher, with_norm=with_norm)
+    x_before, p_before = x.copy(), params.values.copy()
+    loss, grad, logits = loss_grad_logits(spec, params, x, y, teacher, beta, fn)
+    want_loss, want_grad, want_logits = reference_loss_grad(spec, params, x, y, teacher, beta, fn)
+    assert loss == want_loss
+    assert grad.dtype == np.float32
+    assert np.array_equal(grad, want_grad)
+    assert np.array_equal(logits, want_logits)
+    # the in-place forward and ReLU backward touch neither the inputs nor the parameters
+    assert np.array_equal(x, x_before) and np.array_equal(params.values, p_before)
+
+
+def test_loss_grad_into_reused_buffer_equals_fresh_calls():
+    buf = np.full(float32_step_case(0)[1].values.shape, np.nan, dtype=np.float32)
+    # one buffer across calls that differ in batch size, teacher and frozen norm
+    for i, (seed, with_teacher, with_norm) in enumerate(STEP_CASES * 2):
+        case = float32_step_case(seed, batch=5 + 3 * i, with_teacher=with_teacher, with_norm=with_norm)
+        fresh_loss, fresh_grad, fresh_logits = loss_grad_logits(*case)
+        loss, grad, logits = loss_grad_logits(*case, grad_out=buf)
+        assert grad is buf
+        assert loss == fresh_loss
+        assert np.array_equal(buf, fresh_grad)
+        assert np.array_equal(logits, fresh_logits)
+
+
+def test_loss_grad_rejects_unusable_grad_buffers():
+    spec, params, x, y, *_ = float32_step_case(0)
+    n = params.values.shape[0]
+    for bad in (np.zeros(n - 1, np.float32), np.zeros(n, np.float64), np.zeros(2 * n, np.float32)[::2]):
+        with pytest.raises(ShapeError, match="grad_out"):
+            loss_grad_logits(spec, params, x, y, grad_out=bad)

@@ -71,6 +71,57 @@ def test_sgd_rejects_nonfinite_gradients_with_step_context():
         sgd_step(params, g, state, lr=0.1, step=17)
 
 
+def reference_sgd_float32(values, grads, lr, momentum, wd):
+    """The allocating float32 update whose operation order sgd_step keeps."""
+    theta, buf = values.copy(), np.zeros_like(values)
+    for g in grads:
+        if wd:
+            g = g + wd * theta
+        buf *= momentum
+        buf += g
+        theta = theta - lr * buf
+    return theta, buf
+
+
+@pytest.mark.parametrize("wd", [0.0, 5e-4])
+def test_sgd_into_spare_buffers_matches_float32_reference_bitwise(wd):
+    params = small_params(dtype=np.float32)
+    rng = np.random.Generator(np.random.PCG64(5))
+    grads = [rng.normal(size=params.values.shape).astype(np.float32) for _ in range(6)]
+    state = OptimState.fresh(params, momentum=0.9, weight_decay=wd)
+    p, spare = params.copy(), params.copy()
+    for step, g in enumerate(grads):
+        new, state = sgd_step(p, g, state, lr=0.05, step=step, out=spare)
+        assert new is spare
+        p, spare = new, p
+    want_theta, want_buf = reference_sgd_float32(params.values, grads, 0.05, 0.9, wd)
+    assert np.array_equal(p.values, want_theta)
+    assert np.array_equal(state.momentum_buffer, want_buf)
+
+
+@pytest.mark.parametrize(
+    "bad, lr, what",
+    [(np.inf, 0.1, "gradient"), (np.nan, 0.0, "gradient"), (1.0, 1e39, "parameters after the update")],
+)
+def test_non_finite_update_names_step_and_leaves_params_intact(bad, lr, what):
+    params = small_params(dtype=np.float32)
+    before = params.values.copy()
+    g = np.zeros_like(params.values)
+    g[2] = bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match=f"non-finite {what} at step 4"):
+            sgd_step(params, g, OptimState.fresh(params), lr=lr, step=4, out=params.copy())
+    assert np.array_equal(params.values, before)
+
+
+def test_sgd_rejects_unusable_out_vectors():
+    params = small_params()
+    g = np.zeros_like(params.values)
+    for out in (params, small_params(dtype=np.float32)):
+        with pytest.raises(ConfigurationError, match="out"):
+            sgd_step(params, g, OptimState.fresh(params), lr=0.1, out=out)
+
+
 def test_sgd_rejects_negative_lr_and_bad_shapes():
     params = small_params()
     state = OptimState.fresh(params)

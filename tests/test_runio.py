@@ -156,3 +156,24 @@ class TestCheckpoint:
         layout = build_layout(self.net)
         assert header["layout"]["total_len"] == layout.total_len
         assert header["layout"]["num_blocks"] == layout.num_blocks
+
+    @pytest.mark.parametrize("field, delta", [("total_len", 1), ("num_blocks", 1), ("num_blocks", -1)])
+    def test_header_layout_must_match_network(self, tmp_path, field, delta):
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, self.net, self.params, 11, 1, 1)
+        raw, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(raw)
+        header["layout"][field] += delta
+        path.write_bytes(json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + body)
+        with pytest.raises(FormatError, match="layout"):
+            load_checkpoint(path)
+
+    def test_header_without_layout_is_rejected(self, tmp_path):
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, self.net, self.params, 11, 1, 1)
+        raw, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(raw)
+        del header["layout"]
+        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)
+        with pytest.raises(FormatError, match="header"):
+            load_checkpoint(path)
