@@ -20,6 +20,8 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 STD_FLOOR = 1e-8
+# rows normalized per float64 pass, so the float64 buffer stays small
+NORM_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,8 @@ def load_idx(images_path, labels_path) -> Dataset:
 
     pixels = np.frombuffer(img_buf, dtype=np.uint8, offset=16).reshape(n, rows * cols)
     labels = np.frombuffer(lbl_buf, dtype=np.uint8, offset=8).astype(np.int64)
-    inputs = (pixels.astype(np.float32) / 255.0).reshape(n, rows * cols)
+    inputs = pixels.astype(np.float32)
+    inputs /= 255.0
     return Dataset(inputs, labels, int(labels.max()) + 1, image_shape=(rows, cols, 1))
 
 
@@ -251,9 +254,14 @@ def make_synthetic(
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     means = raw / norms * class_separation
     labels = np.repeat(np.arange(num_classes), per_class)
-    inputs = means[labels] + rng.normal(size=(labels.size, dim))
+    noise = rng.normal(size=(labels.size, dim))
+    # labels run in per_class blocks, so a block view adds each class mean in place
+    blocks = noise.reshape(num_classes, per_class, dim)
+    blocks += means[:, None]
+    inputs = noise.astype(np.float32)
+    del noise, blocks
     order = rng.permutation(labels.size)
-    return Dataset(inputs[order].astype(np.float32), labels[order], num_classes, image_shape=image_shape)
+    return Dataset(inputs[order], labels[order], num_classes, image_shape=image_shape)
 
 
 def inject_label_noise(ds: Dataset, q: float, seed: int) -> NoisyDataset:
@@ -388,24 +396,40 @@ def make_chunks(ds: Dataset, num_chunks: int, seed: int) -> ChunkStream:
 
 
 def compute_normalization(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and std per channel (images) or per feature (tabular), float64."""
+    """Mean and std per channel (images) or per feature (tabular), float64.
+
+    Bit-identical to ``np.mean`` and ``np.std`` on a float64 copy of the
+    inputs: the std repeats numpy's own steps, in place on that one copy.
+    """
     x = ds.inputs.astype(np.float64)
     if ds.image_shape is not None:
-        h, w, ch = ds.image_shape
-        per_channel = x.reshape(ds.n, h * w, ch)
-        mean = per_channel.mean(axis=(0, 1))
-        std = per_channel.std(axis=(0, 1))
+        x = x.reshape(ds.n, -1, ds.image_shape[2])
+        axis = (0, 1)
     else:
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
-    return mean, np.maximum(std, STD_FLOOR)
+        axis = 0
+    mean = x.mean(axis=axis)
+    count = x.size // mean.size
+    shift = x.sum(axis=axis, keepdims=True)
+    shift /= count
+    x -= shift
+    np.square(x, out=x)
+    var = x.sum(axis=axis)
+    var /= count
+    return mean, np.maximum(np.sqrt(var, out=var), STD_FLOOR)
 
 
 def apply_normalization(ds: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:
-    x = ds.inputs.astype(np.float64)
-    if ds.image_shape is not None:
-        h, w, ch = ds.image_shape
-        x = ((x.reshape(ds.n, h * w, ch) - mean) / std).reshape(ds.n, ds.dim)
-    else:
-        x = (x - mean) / std
-    return replace(ds, inputs=x.astype(np.float32), normalization=(mean, std))
+    """(x - mean) / std in float64, stored as float32, NORM_CHUNK_ROWS rows at a time."""
+    out = np.empty(ds.inputs.shape, dtype=np.float32)
+    buf = np.empty((min(ds.n, NORM_CHUNK_ROWS), ds.dim))
+    # per channel for images: channels are the last axis of each row
+    cols = ds.image_shape[2] if ds.image_shape is not None else ds.dim
+    for start in range(0, ds.n, NORM_CHUNK_ROWS):
+        chunk = ds.inputs[start : start + NORM_CHUNK_ROWS]
+        x = buf[: chunk.shape[0]]
+        x[...] = chunk
+        block = x.reshape(-1, cols)
+        block -= mean
+        block /= std
+        out[start : start + chunk.shape[0]] = x
+    return replace(ds, inputs=out, normalization=(mean, std))

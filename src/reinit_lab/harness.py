@@ -14,7 +14,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +122,8 @@ class DataConfig:
             raise ConfigurationError("idx source needs images_path and labels_path")
         if self.source == "csv" and self.csv_path is None:
             raise ConfigurationError("csv source needs csv_path")
+        if (self.test_images_path is None) != (self.test_labels_path is None):
+            raise ConfigurationError("test_images_path and test_labels_path must be given together")
 
 
 @dataclass(frozen=True)
@@ -186,21 +188,18 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        d = dict(d)
+        d = _known_keys(RunConfig, d, "run config")
         d["network"] = NetworkSpec.from_dict(d["network"])
         if "data" in d:
-            data = dict(d["data"])
+            data = _known_keys(DataConfig, d["data"], "data")
             if data.get("image_hw") is not None:
                 data["image_hw"] = tuple(data["image_hw"])
             d["data"] = DataConfig(**data)
-        if "reinit" in d:
-            d["reinit"] = ReinitSpec(**d["reinit"])
-        if "distill" in d:
-            d["distill"] = DistillConfig(**d["distill"])
-        if "seeds" in d:
-            d["seeds"] = Seeds(**d["seeds"])
-        if "augment" in d:
-            d["augment"] = AugmentSpec(**d["augment"])
+        for key, cls in (
+            ("reinit", ReinitSpec), ("distill", DistillConfig), ("seeds", Seeds), ("augment", AugmentSpec)
+        ):
+            if key in d:
+                d[key] = cls(**_known_keys(cls, d[key], key))
         return RunConfig(**d)
 
     @property
@@ -209,6 +208,14 @@ class RunConfig:
             return self.run_name
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
+
+
+def _known_keys(cls, d: dict, what: str) -> dict:
+    """A copy of d, after checking that every key names a field of cls."""
+    unknown = sorted(map(str, set(d) - {f.name for f in fields(cls)}))
+    if unknown:
+        raise ConfigurationError(f"unknown {what} keys: {', '.join(unknown)}")
+    return dict(d)
 
 
 @dataclass
@@ -251,6 +258,7 @@ def prepare_data(cfg: RunConfig) -> DataBundle:
     if test is None:
         full, test = split(full, dc.test_fraction, stage_seed(cfg.seeds.data, TEST_SPLIT_TAG))
     train, val = split(full, dc.val_fraction, stage_seed(cfg.seeds.data, VAL_SPLIT_TAG))
+    del full  # train and val are copies; keep only them
     mean, std = compute_normalization(train)
     train = apply_normalization(train, mean, std)
     val = apply_normalization(val, mean, std)

@@ -111,6 +111,14 @@ class TestMain:
         assert payload["error"] == "ConfigurationError"
         assert "divisible" in payload["message"]
 
+    def test_unknown_config_key_reports_configuration_error(self, tmp_path, capsys):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"epoch": 3}))
+        code, payload = run_main(["train", "--config", str(path)], capsys)
+        assert code == 2
+        assert payload["error"] == "ConfigurationError"
+        assert "epoch" in payload["message"]
+
     def test_inspect_round_trip(self, tiny_config_file, tmp_path, capsys):
         out = str(tmp_path / "runs")
         code, payload = run_main(

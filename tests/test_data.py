@@ -1,10 +1,13 @@
-"""Loaders, synthetic data, noise injection, augmentation, splits, chunks."""
+"""Loaders, synthetic data, noise injection, augmentation, splits, chunks, normalization."""
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reinit_lab.data import (
+    NORM_CHUNK_ROWS,
     AugmentSpec,
     ChunkStream,
     Dataset,
@@ -24,6 +27,9 @@ from reinit_lab.data import (
     subset,
 )
 from reinit_lab.errors import ConfigurationError, DataError, FormatError
+from reinit_lab.harness import TEST_SPLIT_TAG, VAL_SPLIT_TAG, DataConfig, RunConfig, Seeds, prepare_data
+from reinit_lab.nn import NetworkSpec
+from reinit_lab.reinit import stage_seed
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -340,3 +346,138 @@ def test_subset_keeps_metadata():
     assert sub.n == 3
     assert sub.image_shape == (6, 6, 1)
     np.testing.assert_array_equal(sub.inputs[1], ds.inputs[3])
+
+
+# --- the data path against today's formulas, bit for bit ---------------------
+# prepare_data keeps one float64 copy of the training split; these references
+# write each step the direct, allocating way and must agree to the last bit.
+
+
+def reference_load_idx(images_path, labels_path):
+    raw = Path(images_path).read_bytes()
+    n, rows, cols = struct.unpack(">III", raw[4:16])
+    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(n, rows * cols)
+    labels = np.frombuffer(Path(labels_path).read_bytes(), dtype=np.uint8, offset=8).astype(np.int64)
+    return Dataset(pixels.astype(np.float32) / 255.0, labels, int(labels.max()) + 1, image_shape=(rows, cols, 1))
+
+
+def reference_make_synthetic(num_classes, dim, per_class, class_separation, seed, image_hw=None):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    raw = rng.normal(size=(num_classes, dim))
+    means = raw / np.linalg.norm(raw, axis=1, keepdims=True) * class_separation
+    labels = np.repeat(np.arange(num_classes), per_class)
+    inputs = means[labels] + rng.normal(size=(labels.size, dim))
+    order = rng.permutation(labels.size)
+    image_shape = None if image_hw is None else (*image_hw, 1)
+    return Dataset(inputs[order].astype(np.float32), labels[order], num_classes, image_shape=image_shape)
+
+
+def _reference_view(ds):
+    x = ds.inputs.astype(np.float64)
+    if ds.image_shape is None:
+        return x, 0
+    return x.reshape(ds.n, -1, ds.image_shape[2]), (0, 1)
+
+
+def reference_normalization(ds):
+    x, axis = _reference_view(ds)
+    return x.mean(axis=axis), np.maximum(x.std(axis=axis), 1e-8)
+
+
+def reference_normalize(ds, mean, std):
+    x, _ = _reference_view(ds)
+    return ((x - mean) / std).reshape(ds.n, ds.dim).astype(np.float32)
+
+
+def reference_prepare(cfg):
+    dc = cfg.data
+    if dc.source == "idx":
+        full = reference_load_idx(dc.images_path, dc.labels_path)
+    else:
+        full = reference_make_synthetic(
+            dc.num_classes, dc.dim, dc.per_class, dc.class_separation, cfg.seeds.data, dc.image_hw
+        )
+    full, test = split(full, dc.test_fraction, stage_seed(cfg.seeds.data, TEST_SPLIT_TAG))
+    train, val = split(full, dc.val_fraction, stage_seed(cfg.seeds.data, VAL_SPLIT_TAG))
+    mean, std = reference_normalization(train)
+    parts = {"train": train, "val": val, "test": test}
+    parts = {name: reference_normalize(ds, mean, std) for name, ds in parts.items()}
+    noisy = inject_label_noise(train, cfg.noise_q, cfg.seeds.noise)
+    return parts, (train.labels, val.labels, test.labels), (mean, std), noisy
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_prepare_matches_reference(cfg):
+    bundle = prepare_data(cfg)
+    parts, labels, (mean, std), noisy = reference_prepare(cfg)
+    for ds, name, want_labels in zip((bundle.train, bundle.val, bundle.test), parts, labels):
+        assert_bits_equal(ds.inputs, parts[name])
+        assert_bits_equal(ds.labels, want_labels)
+        assert_bits_equal(ds.normalization[0], mean)
+        assert_bits_equal(ds.normalization[1], std)
+    assert_bits_equal(bundle.train_labels, noisy.noisy_labels)
+    assert_bits_equal(bundle.noise_mask, noisy.noise_mask)
+    return bundle
+
+
+def run_config(data):
+    network = NetworkSpec(data.dim, (8,), data.num_classes)
+    return RunConfig(network=network, data=data, noise_q=0.2, seeds=Seeds(5, 6, 7, 8))
+
+
+def test_prepare_data_idx_matches_reference_across_chunks(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(12))
+    n = 1600  # test 400, val 120, train 1080: two full chunks and a partial one
+    images = rng.integers(0, 256, size=(n, 6, 5), dtype=np.uint8)
+    img_path, lbl_path = write_idx_pair(tmp_path, images, list(rng.permutation(np.arange(n) % 7)))
+    data = DataConfig(source="idx", images_path=str(img_path), labels_path=str(lbl_path), num_classes=7, dim=30)
+    bundle = assert_prepare_matches_reference(run_config(data))
+    assert bundle.train.n > NORM_CHUNK_ROWS and bundle.train.n % NORM_CHUNK_ROWS != 0
+
+
+@pytest.mark.parametrize("image_hw", [None, (5, 7)])
+def test_prepare_data_synthetic_matches_reference(image_hw):
+    data = DataConfig(num_classes=3, dim=35, per_class=400, class_separation=1.5, image_hw=image_hw)
+    assert_prepare_matches_reference(run_config(data))
+
+
+def test_normalization_matches_reference_on_three_channels():
+    rng = np.random.Generator(np.random.PCG64(4))
+    # 1,100 rows of 4x5 RGB: not a multiple of the normalization chunk
+    pixels = rng.random((1100, 4 * 5, 3)) * np.array([1.0, 5.0, 0.25]) + np.array([0.0, 2.0, -1.0])
+    inputs = pixels.reshape(1100, 4 * 5 * 3).astype(np.float32)
+    ds = Dataset(inputs, rng.integers(0, 2, size=1100), 2, image_shape=(4, 5, 3))
+    mean, std = compute_normalization(ds)
+    want_mean, want_std = reference_normalization(ds)
+    assert mean.shape == (3,)
+    assert_bits_equal(mean, want_mean)
+    assert_bits_equal(std, want_std)
+    assert_bits_equal(apply_normalization(ds, mean, std).inputs, reference_normalize(ds, mean, std))
+
+
+def test_prepare_data_peak_memory_is_one_float64_training_copy(tmp_path):
+    """Peak traced allocations stay under 3x the float32 inputs prepare_data keeps.
+
+    Kept inputs plus one float64 copy of the training split (0.675 of the
+    data at the default fractions, at twice the bytes) is about 2.35x.
+    """
+    rng = np.random.Generator(np.random.PCG64(9))
+    n = 2000
+    images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+    img_path, lbl_path = write_idx_pair(tmp_path, images, list(rng.permutation(np.arange(n) % 10)))
+    cfg = run_config(DataConfig(source="idx", images_path=str(img_path), labels_path=str(lbl_path), dim=784))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        bundle = prepare_data(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    kept = sum(ds.inputs.nbytes for ds in (bundle.train, bundle.val, bundle.test))
+    assert peak <= 3 * kept, f"peak {peak} bytes is {peak / kept:.2f}x the {kept} bytes kept"

@@ -100,6 +100,18 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             tiny_cfg(stages=7)  # stages > epochs is fine, 7 > 6
 
+    @pytest.mark.parametrize("where", [None, "data", "reinit", "distill", "seeds", "augment"])
+    def test_from_dict_names_unknown_keys(self, where):
+        d = json.loads(json.dumps(tiny_cfg().to_dict()))
+        (d if where is None else d[where])["epoch"] = 3
+        with pytest.raises(ConfigurationError, match="unknown .*keys: epoch"):
+            RunConfig.from_dict(d)
+
+    @pytest.mark.parametrize("given", ["test_images_path", "test_labels_path"])
+    def test_test_files_come_in_pairs(self, given):
+        with pytest.raises(ConfigurationError, match="together"):
+            DataConfig(source="idx", images_path="a.idx", labels_path="b.idx", **{given: "t.idx"})
+
     def test_layer_wise_stage_consistency(self):
         # tiny_net has boundaries after layers 1 and 2, so three blocks
         ok = tiny_cfg(stages=3, reinit=ReinitSpec("layer_wise", blocks=3))
