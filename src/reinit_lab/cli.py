@@ -25,7 +25,7 @@ from .harness import (
     stage_sweep,
 )
 from .nn import NetworkSpec
-from .reinit import ReinitSpec
+from .reinit import ReinitSpec, restage
 from .runio import read_metrics
 
 DEFAULT_LR_GRID = (0.005, 0.01, 0.03, 0.05, 0.1)
@@ -81,7 +81,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.noise_q is not None:
         cfg = replace(cfg, noise_q=args.noise_q)
     if args.stages is not None:
-        cfg = replace(cfg, stages=args.stages, reinit=_restage(cfg.reinit, cfg.network, args.stages))
+        cfg = replace(cfg, stages=args.stages, reinit=restage(cfg.reinit, cfg.network, args.stages))
     if args.distill_beta is not None:
         cfg = replace(
             cfg, distill=DistillConfig(enabled=args.distill_beta > 0, beta=args.distill_beta)
@@ -91,12 +91,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if kind == "shrink_perturb":
             rspec = ReinitSpec(kind, lam=args.lam, gamma=args.gamma)
         elif kind == "layer_wise":
-            k = cfg.network.num_blocks
-            if cfg.stages % k != 0:
-                raise ConfigurationError(
-                    f"layerwise needs stages divisible by the {k} network blocks, got {cfg.stages}"
-                )
-            rspec = ReinitSpec(kind, blocks=k, repeats=cfg.stages // k)
+            rspec = restage(ReinitSpec(kind, blocks=cfg.network.num_blocks), cfg.network, cfg.stages)
         else:
             rspec = ReinitSpec(kind)
         cfg = replace(cfg, reinit=rspec)
@@ -105,16 +100,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigurationError("--lambda/--gamma require --reinit sp")
         cfg = replace(cfg, reinit=ReinitSpec("shrink_perturb", lam=args.lam, gamma=args.gamma))
     return cfg
-
-
-def _restage(rspec: ReinitSpec, network: NetworkSpec, stages: int) -> ReinitSpec:
-    """Keep a layer_wise spec consistent when the stage count changes."""
-    if rspec.kind != "layer_wise":
-        return rspec
-    k = network.num_blocks
-    if stages % k != 0:
-        raise ConfigurationError(f"stages {stages} not divisible by {k} blocks")
-    return ReinitSpec("layer_wise", blocks=k, repeats=stages // k)
 
 
 def _floats(text: str) -> list[float]:

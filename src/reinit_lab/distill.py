@@ -7,13 +7,13 @@ cache, which ``distill_rows`` enforces when told the current stage.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, FormatError
+from .errors import ConfigurationError, DataError
 from .nn import FrozenNormLayer, NetworkSpec, ParamVector, forward, softmax
+from .runio import read_framed, write_framed
 
 
 @dataclass
@@ -101,23 +101,15 @@ def save_teacher_cache(cache: TeacherCache, path) -> None:
         "source_stage": cache.source_stage,
         "beta": cache.beta,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        fh.write(np.ascontiguousarray(cache.probs, dtype="<f4").tobytes())
+    write_framed(path, header, cache.probs)
 
 
 def load_teacher_cache(path) -> TeacherCache:
-    with open(path, "rb") as fh:
-        raw = fh.readline()
-        try:
-            header = json.loads(raw)
-            rows, cols = int(header["rows"]), int(header["cols"])
-            source_stage, beta = int(header["source_stage"]), float(header["beta"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise FormatError(f"{path}: bad teacher cache header: {exc}") from exc
-        body = fh.read()
-    want = rows * cols * 4
-    if len(body) != want:
-        raise FormatError(f"{path}: expected {want} payload bytes after header, found {len(body)}")
-    probs = np.frombuffer(body, dtype="<f4").reshape(rows, cols)
-    return TeacherCache(probs, source_stage, beta)
+    def parse(header):
+        rows, cols = int(header["rows"]), int(header["cols"])
+        return (rows, cols, int(header["source_stage"]), float(header["beta"])), rows * cols
+
+    _, (rows, cols, source_stage, beta), values = read_framed(
+        path, "teacher cache", parse, "payload bytes after header"
+    )
+    return TeacherCache(values.reshape(rows, cols), source_stage, beta)

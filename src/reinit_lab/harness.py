@@ -11,10 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +33,7 @@ from .data import (
     subset,
 )
 from .distill import TeacherCache, distill_rows, save_teacher_cache, snapshot_teacher
-from .errors import ConfigurationError, HarnessError, NumericalError
+from .errors import ConfigurationError, HarnessError, NumericalError, checked_keys
 from .nn import (
     FrozenNormLayer,
     InitDistribution,
@@ -53,10 +51,11 @@ from .reinit import (
     ReinitSpec,
     apply_reinit,
     make_stage_plan,
+    restage,
     shrink_perturb,
     stage_seed,
 )
-from .runio import MetricsRecord, emit_metrics, save_checkpoint, write_summary_csv
+from .runio import MetricsRecord, emit_metrics, save_checkpoint, write_json, write_summary_csv
 
 SETTINGS = ("none", "d", "dc", "dcw")
 
@@ -188,10 +187,10 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        d = _known_keys(RunConfig, d, "run config")
+        d = checked_keys(RunConfig, d, "run config")
         d["network"] = NetworkSpec.from_dict(d["network"])
         if "data" in d:
-            data = _known_keys(DataConfig, d["data"], "data")
+            data = checked_keys(DataConfig, d["data"], "data")
             if data.get("image_hw") is not None:
                 data["image_hw"] = tuple(data["image_hw"])
             d["data"] = DataConfig(**data)
@@ -199,7 +198,7 @@ class RunConfig:
             ("reinit", ReinitSpec), ("distill", DistillConfig), ("seeds", Seeds), ("augment", AugmentSpec)
         ):
             if key in d:
-                d[key] = cls(**_known_keys(cls, d[key], key))
+                d[key] = cls(**checked_keys(cls, d[key], key))
         return RunConfig(**d)
 
     @property
@@ -208,14 +207,6 @@ class RunConfig:
             return self.run_name
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def _known_keys(cls, d: dict, what: str) -> dict:
-    """A copy of d, after checking that every key names a field of cls."""
-    unknown = sorted(map(str, set(d) - {f.name for f in fields(cls)}))
-    if unknown:
-        raise ConfigurationError(f"unknown {what} keys: {', '.join(unknown)}")
-    return dict(d)
 
 
 @dataclass
@@ -327,6 +318,8 @@ def run_experiment(
     """
     if bundle is None:
         bundle = prepare_data(cfg)
+    if cfg.augment_enabled and bundle.train.image_shape is None:
+        raise ConfigurationError("augmentation needs image geometry; this data has none")
     plan = make_stage_plan(cfg.epochs, cfg.stages)
     run_id = cfg.run_id
     network = cfg.network
@@ -382,9 +375,7 @@ def run_experiment(
     run_dir = None
     if out_dir is not None:
         run_dir = Path(out_dir) / run_id
-        run_dir.mkdir(parents=True, exist_ok=True)
-        with open(run_dir / "config.json", "w") as fh:
-            json.dump(cfg.to_dict(), fh, sort_keys=True, indent=2)
+        write_json(cfg.to_dict(), run_dir / "config.json")
 
     try:
         for stage in range(1, cfg.stages + 1):
@@ -555,18 +546,8 @@ class GridResult:
     robustness: float
 
 
-def _max_workers() -> int:
-    cap = os.environ.get("REINIT_LAB_THREADS")
-    if cap:
-        try:
-            return max(1, int(cap))
-        except ValueError:
-            raise ConfigurationError(f"REINIT_LAB_THREADS must be an integer, got {cap!r}") from None
-    return min(4, os.cpu_count() or 1)
-
-
 def grid_search(base_cfg: RunConfig, lr_grid, wd_grid, out_dir=None) -> GridResult:
-    """One run per (lr, wd) cell over shared data; winner by validation accuracy.
+    """One run per (lr, wd) cell, in order, over shared data; winner by validation accuracy.
 
     Ties prefer the smaller lr, then the smaller wd. Failed (diverged) cells
     stay in the output table but never win; a grid with no surviving cell is
@@ -580,16 +561,9 @@ def grid_search(base_cfg: RunConfig, lr_grid, wd_grid, out_dir=None) -> GridResu
         (lr, wd): _cell_config(base_cfg, f"lr{lr}-wd{wd}", lr=lr, weight_decay=wd) for lr in lrs for wd in wds
     }
 
-    results = {}
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        futures = {
-            key: pool.submit(run_experiment, cfg, bundle, out_dir) for key, cfg in cfgs.items()
-        }
-        for key, fut in futures.items():
-            results[key] = fut.result()
-
     cells = {}
-    for (lr, wd), res in results.items():
+    for (lr, wd), cfg in cfgs.items():
+        res = run_experiment(cfg, bundle, out_dir)
         cells[(lr, wd)] = {
             "lr": lr,
             "wd": wd,
@@ -611,37 +585,36 @@ def grid_search(base_cfg: RunConfig, lr_grid, wd_grid, out_dir=None) -> GridResu
         robustness=max(accs) - min(accs),
     )
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "grid.json", "w") as fh:
-            json.dump(
-                {
-                    "cells": [v for _, v in sorted(cells.items())],
-                    "chosen": {"lr": chosen[0], "wd": chosen[1]},
-                    "robustness": grid.robustness,
-                },
-                fh,
-                sort_keys=True,
-                indent=2,
-            )
+        write_json(
+            {
+                "cells": [v for _, v in sorted(cells.items())],
+                "chosen": {"lr": chosen[0], "wd": chosen[1]},
+                "robustness": grid.robustness,
+            },
+            Path(out_dir) / "grid.json",
+        )
     return grid
 
 
 def stage_sweep(base_cfg: RunConfig, t_values, out_dir=None) -> list[dict]:
-    """Equal-compute comparison across stage counts; T=1 is the baseline."""
-    rows = []
-    step_counts = set()
+    """Equal-compute comparison across stage counts over shared data; T=1 is the baseline."""
+    cfgs = []
     for t in t_values:
         if base_cfg.epochs % t != 0:
             raise ConfigurationError(
                 f"stage count {t} does not divide {base_cfg.epochs} epochs; compute parity breaks"
             )
-        cfg = _cell_config(base_cfg, f"T{t}", stages=t, reinit=_reinit_for_stages(base_cfg.reinit, base_cfg, t))
-        res = run_experiment(cfg, out_dir=out_dir)
+        reinit = ReinitSpec("none") if t == 1 else restage(base_cfg.reinit, base_cfg.network, t)
+        cfgs.append(_cell_config(base_cfg, f"T{t}", stages=t, reinit=reinit))
+    bundle = prepare_data(base_cfg)
+    rows = []
+    step_counts = set()
+    for cfg in cfgs:
+        res = run_experiment(cfg, bundle, out_dir)
         step_counts.add(res.total_steps)
         rows.append(
             {
-                "stages": t,
+                "stages": cfg.stages,
                 "test_acc": res.best_test_acc,
                 "val_acc": res.best_val_acc,
                 "total_steps": res.total_steps,
@@ -652,10 +625,7 @@ def stage_sweep(base_cfg: RunConfig, t_values, out_dir=None) -> list[dict]:
     if len(step_counts) > 1:
         raise HarnessError(f"step counts diverged across the sweep: {sorted(step_counts)}")
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "stage_sweep.json", "w") as fh:
-            json.dump(rows, fh, sort_keys=True, indent=2)
+        write_json(rows, Path(out_dir) / "stage_sweep.json")
     return rows
 
 
@@ -666,17 +636,6 @@ def _cell_config(base_cfg: RunConfig, cell: str, **changes) -> RunConfig:
     if base_cfg.run_name:
         changes["run_name"] = f"{base_cfg.run_name}-{cell}"
     return replace(base_cfg, **changes)
-
-
-def _reinit_for_stages(rspec: ReinitSpec, cfg: RunConfig, t: int) -> ReinitSpec:
-    if t == 1:
-        return ReinitSpec("none")
-    if rspec.kind == "layer_wise":
-        k = cfg.network.num_blocks
-        if t % k != 0:
-            raise ConfigurationError(f"stage count {t} is not a multiple of {k} blocks")
-        return ReinitSpec("layer_wise", blocks=k, repeats=t // k)
-    return rspec
 
 
 METHOD_TABLE = {
@@ -727,10 +686,7 @@ def noise_study(base_cfg: RunConfig, q_values, methods, out_dir=None, budget_fra
                     res_short = run_experiment(short, bundle, out_dir)
                     rows.append(_noise_row(q, arm, epochs, res_short, bundle))
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "noise_study.json", "w") as fh:
-            json.dump(rows, fh, sort_keys=True, indent=2)
+        write_json(rows, Path(out_dir) / "noise_study.json")
     return rows
 
 
@@ -823,8 +779,5 @@ def online_sim(base_cfg: RunConfig, num_chunks: int, methods=ONLINE_METHODS, out
             )
         curves[method] = curve
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "online_sim.json", "w") as fh:
-            json.dump(curves, fh, sort_keys=True, indent=2)
+        write_json(curves, Path(out_dir) / "online_sim.json")
     return curves

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, NumericalError, ShapeError
+from .errors import ConfigurationError, DataError, NumericalError, ShapeError, checked_keys
 
 ROLE_WEIGHT = "weight"
 ROLE_BIAS = "bias"
@@ -188,6 +188,7 @@ class NetworkSpec:
 
     @staticmethod
     def from_dict(d: Mapping) -> "NetworkSpec":
+        d = checked_keys(NetworkSpec, d, "network")
         return NetworkSpec(
             input_dim=int(d["input_dim"]),
             hidden_dims=tuple(d["hidden_dims"]),

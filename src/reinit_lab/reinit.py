@@ -30,6 +30,7 @@ __all__ = [
     "ReinitContext",
     "FrozenNormLayer",
     "make_stage_plan",
+    "restage",
     "stage_seed",
     "shrink_perturb",
     "block_mask",
@@ -105,6 +106,22 @@ class ReinitSpec:
         if self.kind == "layer_wise":
             return self.blocks * self.repeats
         return None
+
+
+def restage(rspec: ReinitSpec, network: NetworkSpec, stages: int) -> ReinitSpec:
+    """rspec for a run of ``stages`` stages on ``network``.
+
+    A layer_wise rule is resized to the network's K blocks and stages / K
+    repeats, so stages must be divisible by K; other rules are returned as is.
+    """
+    if rspec.kind != "layer_wise":
+        return rspec
+    k = network.num_blocks
+    if stages % k != 0:
+        raise ConfigurationError(
+            f"layer_wise needs stages divisible by the {k} network blocks: {stages} is not a multiple of {k}"
+        )
+    return ReinitSpec("layer_wise", blocks=k, repeats=stages // k)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
-"""Metrics logging and checkpoint files for training runs.
+"""Metrics logging, JSON files and checkpoint files for training runs.
 
 metrics.jsonl carries one record per epoch. Wall-clock time is kept on the
 in-memory records only and never serialized there, so identical runs produce
 byte-identical files; per-stage wall time goes to summary.csv instead, which
-makes no byte-level promises.
+makes no byte-level promises. Binary files (checkpoints, teacher caches) are
+one JSON header line followed by a little-endian float32 payload.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigurationError, FormatError
 from .nn import FrozenNormLayer, NetworkSpec, ParamVector, build_layout
 
 METRICS_FIELDS = (
@@ -97,6 +98,42 @@ def write_summary_csv(rows: list[dict], path) -> None:
             writer.writerow({k: row.get(k, "") for k in SUMMARY_FIELDS})
 
 
+def write_json(obj, path) -> None:
+    """obj as sorted, indented JSON; creates the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+
+
+def write_framed(path, header: dict, values: np.ndarray) -> None:
+    """One JSON header line, then values as little-endian float32."""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+        fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+
+
+def read_framed(path, what: str, parse, payload: str) -> tuple[dict, object, np.ndarray]:
+    """Read a write_framed file as (header, parse's result, read-only float32 values).
+
+    parse(header) returns what the caller needs from the header and the
+    number of values it promises. A header parse cannot read raises
+    FormatError "bad <what> header"; a payload of another length raises
+    FormatError "expected N <payload>".
+    """
+    with open(path, "rb") as fh:
+        raw = fh.readline()
+        try:
+            header = json.loads(raw)
+            meta, count = parse(header)
+        except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: bad {what} header: {exc}") from exc
+        body = fh.read()
+    if len(body) != count * 4:
+        raise FormatError(f"{path}: expected {count * 4} {payload}, found {len(body)}")
+    return header, meta, np.frombuffer(body, dtype="<f4")
+
+
 def save_checkpoint(
     path,
     network: NetworkSpec,
@@ -122,33 +159,22 @@ def save_checkpoint(
             "std": [float(v) for v in frozen_norm.std],
         },
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        fh.write(np.ascontiguousarray(params.values, dtype="<f4").tobytes())
+    write_framed(path, header, params.values)
 
 
 def load_checkpoint(path) -> tuple[ParamVector, dict, FrozenNormLayer | None]:
-    with open(path, "rb") as fh:
-        raw = fh.readline()
-        try:
-            header = json.loads(raw)
-            network = NetworkSpec.from_dict(header["network"])
-            recorded = (header["layout"]["total_len"], header["layout"]["num_blocks"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: bad checkpoint header: {exc}") from exc
-        body = fh.read()
-    layout = build_layout(network)
-    if recorded != (layout.total_len, layout.num_blocks):
-        raise FormatError(
-            f"{path}: header layout (total_len, num_blocks) = {recorded} does not match "
-            f"{(layout.total_len, layout.num_blocks)} from its network"
-        )
-    want = layout.total_len * 4
-    if len(body) != want:
-        raise FormatError(f"{path}: expected {want} parameter bytes, found {len(body)}")
-    values = np.frombuffer(body, dtype="<f4").copy()
-    fn = None
-    if header.get("frozen_norm"):
-        f = header["frozen_norm"]
-        fn = FrozenNormLayer(int(f["insert_after_block"]), np.array(f["mean"]), np.array(f["std"]))
-    return ParamVector(values, layout), header, fn
+    def parse(header):
+        network = NetworkSpec.from_dict(header["network"])
+        recorded = (header["layout"]["total_len"], header["layout"]["num_blocks"])
+        layout = build_layout(network)
+        if recorded != (layout.total_len, layout.num_blocks):
+            raise FormatError(
+                f"{path}: header layout (total_len, num_blocks) = {recorded} does not match "
+                f"{(layout.total_len, layout.num_blocks)} from its network"
+            )
+        f = header.get("frozen_norm")
+        fn = FrozenNormLayer(int(f["insert_after_block"]), np.array(f["mean"]), np.array(f["std"])) if f else None
+        return (layout, fn), layout.total_len
+
+    header, (layout, fn), values = read_framed(path, "checkpoint", parse, "parameter bytes")
+    return ParamVector(values.copy(), layout), header, fn

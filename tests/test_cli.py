@@ -119,6 +119,34 @@ class TestMain:
         assert payload["error"] == "ConfigurationError"
         assert "epoch" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "config, names",
+        [
+            ({}, ["missing run config keys: network"]),
+            (
+                {"network": {"input_dim": 8, "hidden_dim": [10], "num_classes": 4}},
+                ["unknown network keys: hidden_dim", "missing network keys: hidden_dims"],
+            ),
+        ],
+    )
+    def test_missing_network_keys_report_configuration_error(self, tmp_path, capsys, config, names):
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(config))
+        code, payload = run_main(["train", "--config", str(path), "--out", str(tmp_path / "runs")], capsys)
+        assert code == 2
+        assert payload["error"] == "ConfigurationError"
+        for name in names:
+            assert name in payload["message"]
+        assert not (tmp_path / "runs").exists()
+
+    def test_augmentation_without_image_geometry_leaves_no_run_directory(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        code, payload = run_main(["train", "--setting", "d", "--epochs", "1", "--out", str(out)], capsys)
+        assert code == 2
+        assert payload["error"] == "ConfigurationError"
+        assert "image geometry" in payload["message"]
+        assert not out.exists()
+
     def test_inspect_round_trip(self, tiny_config_file, tmp_path, capsys):
         out = str(tmp_path / "runs")
         code, payload = run_main(

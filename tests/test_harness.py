@@ -4,8 +4,12 @@ Everything here uses a deliberately tiny task (160 samples, 8 features,
 4 classes) so full runs take milliseconds; the point is wiring, counters,
 and determinism, not accuracy.
 """
+import ast
+import csv
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,14 +392,67 @@ class TestGridSearch:
         with pytest.raises(ConfigurationError):
             grid_search(tiny_cfg(), [], [0.0])
 
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("REINIT_LAB_THREADS", "2")
-        assert harness._max_workers() == 2
-        monkeypatch.setenv("REINIT_LAB_THREADS", "zero")
-        with pytest.raises(ConfigurationError):
-            harness._max_workers()
-        monkeypatch.delenv("REINIT_LAB_THREADS")
-        assert harness._max_workers() >= 1
+    def test_grid_writes_what_its_cells_write_run_in_order(self, tmp_path):
+        base = tiny_cfg(epochs=2)
+        lrs, wds = [0.01, 0.05], [0.0, 0.001]
+        grid_search(base, lrs, wds, out_dir=tmp_path / "grid")
+        rows = []
+        for lr in lrs:
+            for wd in wds:
+                res = run_experiment(replace(base, lr=lr, weight_decay=wd), out_dir=tmp_path / "cells")
+                rows.append(
+                    {
+                        "lr": lr,
+                        "wd": wd,
+                        "val_acc": res.best_val_acc,
+                        "test_acc": res.best_test_acc,
+                        "failed": res.failed,
+                        "run_id": res.run_id,
+                    }
+                )
+        chosen = min(rows, key=lambda r: (-r["val_acc"], r["lr"], r["wd"]))
+        accs = [r["test_acc"] for r in rows]
+        table = {
+            "cells": rows,
+            "chosen": {"lr": chosen["lr"], "wd": chosen["wd"]},
+            "robustness": max(accs) - min(accs),
+        }
+        (tmp_path / "cells" / "grid.json").write_text(json.dumps(table, sort_keys=True, indent=2))
+        assert tree_contents(tmp_path / "grid") == tree_contents(tmp_path / "cells")
+
+
+def tree_contents(root):
+    """Every file under root by relative path; summary.csv without its wall_ms column."""
+    out = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        if path.name == "summary.csv":
+            out[path.relative_to(root)] = [
+                {k: v for k, v in row.items() if k != "wall_ms"} for row in csv.DictReader(path.open())
+            ]
+        else:
+            out[path.relative_to(root)] = path.read_bytes()
+    return out
+
+
+def test_library_reads_no_environment_and_starts_no_threads():
+    """Studies run their cells in order: no worker-count knob, no pool."""
+    found = []
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                if node.module == "os":
+                    modules += [f"os.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+                modules = [f"os.{node.attr}"]
+            else:
+                continue
+            for name in modules:
+                if name.split(".")[0] in ("concurrent", "threading") or name in ("os.environ", "os.getenv"):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
 
 
 class TestStudyRunDirectories:
@@ -439,6 +496,19 @@ class TestStageSweep:
         assert [r["stages"] for r in rows] == [1, 2, 4]
         assert len({r["total_steps"] for r in rows}) == 1
         assert (tmp_path / "stage_sweep.json").exists()
+
+    def test_stage_sweep_prepares_data_once(self, monkeypatch):
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg)
+            return prepare_data(cfg)
+
+        monkeypatch.setattr(harness, "prepare_data", counting)
+        base = tiny_cfg(epochs=4, stages=2, reinit=ReinitSpec("shrink_perturb"))
+        rows = stage_sweep(base, (1, 2, 4))
+        assert len(rows) == 3
+        assert len(calls) == 1
 
     def test_non_dividing_stage_count_rejected(self):
         with pytest.raises(ConfigurationError, match="parity"):

@@ -168,6 +168,18 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="layout"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("section, key", [("network", "hidden_dims"), ("frozen_norm", "std")])
+    def test_header_section_missing_a_key_is_rejected(self, tmp_path, section, key):
+        fn = FrozenNormLayer(1, np.array([0.5, -1.0]), np.array([2.0, 3.0]))
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, self.net, self.params, 11, 1, 1, frozen_norm=fn)
+        raw, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(raw)
+        del header[section][key]
+        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)
+        with pytest.raises(FormatError, match=f"bad checkpoint header: .*{key}"):
+            load_checkpoint(path)
+
     def test_header_without_layout_is_rejected(self, tmp_path):
         path = tmp_path / "best.ckpt"
         save_checkpoint(path, self.net, self.params, 11, 1, 1)
