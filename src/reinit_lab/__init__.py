@@ -46,12 +46,8 @@ from .nn import (
     build_layout,
     forward,
     init_params,
-    kl_divergence,
-    log_softmax,
-    loss_and_grad,
     loss_grad_logits,
     softmax,
-    softmax_cross_entropy,
     weight_norm,
 )
 from .optim import LrSchedule, OptimState, lr_at, sgd_step

@@ -89,10 +89,6 @@ class NoisyDataset:
         if y.min() < 0 or y.max() >= self.base.num_classes:
             raise DataError("noisy labels out of class range")
 
-    @property
-    def num_flipped(self) -> int:
-        return int(self.noise_mask.sum())
-
 
 @dataclass(frozen=True)
 class AugmentSpec:
@@ -216,14 +212,6 @@ def _is_float(cell: str) -> bool:
         return False
 
 
-def save_csv(ds: Dataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{i}" for i in range(ds.dim)])
-        for label, row in zip(ds.labels, ds.inputs):
-            writer.writerow([int(label)] + [repr(float(v)) for v in row])
-
-
 def make_synthetic(
     num_classes: int,
     dim: int,
@@ -306,25 +294,11 @@ def augment_batch(
     inner[~flips] = imgs[~flips]
     inner[flips] = imgs[flips, :, ::-1]
     if pad > 0:
-        out = _crop(out, (h, w, ch), rng.integers(0, 2 * pad + 1, size=(n, 2)))
+        # each image's (h, w) window at its random (row, col) offset, in one gather
+        offsets = rng.integers(0, 2 * pad + 1, size=(n, 2))
+        windows = np.lib.stride_tricks.sliding_window_view(out, (h, w, ch), axis=(1, 2, 3))
+        out = windows[np.arange(n), offsets[:, 0], offsets[:, 1], 0]
     return out.reshape(n, h * w * ch)
-
-
-def pad_crop(images: np.ndarray, pad: int, offsets: np.ndarray) -> np.ndarray:
-    """Zero-pad each side, then cut the original size at per-image offsets.
-
-    Offset (pad, pad) is the centered cut: it returns the image unchanged.
-    """
-    n, h, w, ch = images.shape
-    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, ch), dtype=images.dtype)
-    padded[:, pad : pad + h, pad : pad + w] = images
-    return _crop(padded, (h, w, ch), offsets)
-
-
-def _crop(padded: np.ndarray, shape: tuple[int, int, int], offsets: np.ndarray) -> np.ndarray:
-    """Each image's window of the given shape at its (row, col) offset, in one gather."""
-    windows = np.lib.stride_tricks.sliding_window_view(padded, shape, axis=(1, 2, 3))
-    return windows[np.arange(padded.shape[0]), offsets[:, 0], offsets[:, 1], 0]
 
 
 def subset(ds: Dataset, indices: np.ndarray) -> Dataset:

@@ -47,12 +47,12 @@ from .nn import (
 )
 from .optim import LrSchedule, OptimState, lr_at, sgd_step
 from .reinit import (
+    RESCALE_MODES,
     ReinitContext,
     ReinitSpec,
     apply_reinit,
     make_stage_plan,
     restage,
-    shrink_perturb,
     stage_seed,
 )
 from .runio import MetricsRecord, emit_metrics, save_checkpoint, write_json, write_summary_csv
@@ -155,6 +155,8 @@ class RunConfig:
             raise ConfigurationError(f"lr must be > 0, got {self.lr}")
         if not 0.0 <= self.noise_q <= 1.0:
             raise ConfigurationError(f"noise_q must lie in [0, 1], got {self.noise_q}")
+        if self.rescale_mode not in RESCALE_MODES:
+            raise ConfigurationError(f"rescale_mode must be one of {RESCALE_MODES}, got {self.rescale_mode!r}")
         make_stage_plan(self.epochs, self.stages)
         required = self.reinit.required_stages()
         if required is not None and required != self.stages:
@@ -720,10 +722,12 @@ ONLINE_METHODS = ("scratch", "warm_start", "shrink_perturb")
 def online_sim(base_cfg: RunConfig, num_chunks: int, methods=ONLINE_METHODS, out_dir=None) -> dict:
     """Data arrives in equal chunks; each method trains on all data so far.
 
-    Every method gets epochs // num_chunks epochs per chunk. scratch draws
-    fresh parameters each chunk, warm_start continues from the previous
-    chunk's final parameters, shrink_perturb shrinks them toward a fresh
-    draw. Chunk 1 is identical for all methods by construction.
+    Every method gets epochs // num_chunks epochs per chunk. Before chunk k
+    > 1, apply_reinit at boundary k maps the previous chunk's final
+    parameters to the next start: scratch is the ``full`` rule, warm_start
+    ``none``, shrink_perturb the base config's shrink_perturb spec or the
+    default one. Chunk 1 is identical for all methods by construction. With
+    out_dir, each chunk's run gets the directory <run_id>-<method>-chunk<k>.
     """
     if num_chunks < 2:
         raise ConfigurationError(f"need at least 2 chunks, got {num_chunks}")
@@ -736,24 +740,23 @@ def online_sim(base_cfg: RunConfig, num_chunks: int, methods=ONLINE_METHODS, out
     bundle = prepare_data(base_cfg)
     stream = make_chunks(bundle.train, num_chunks, stage_seed(base_cfg.seeds.data, CHUNK_TAG))
 
+    transitions = {
+        "scratch": ReinitSpec("full"),
+        "warm_start": ReinitSpec("none"),
+        "shrink_perturb": base_cfg.reinit
+        if base_cfg.reinit.kind == "shrink_perturb"
+        else ReinitSpec("shrink_perturb"),
+    }
+    dist = InitDistribution(base_cfg.seeds.init)
+    ctx = ReinitContext(network=base_cfg.network)
+
     curves = {}
     for method in methods:
-        params = init_params(base_cfg.network, InitDistribution(base_cfg.seeds.init))
+        params = init_params(base_cfg.network, dist)
         curve = []
         for k in range(1, num_chunks + 1):
             if k > 1:
-                fresh = init_params(
-                    base_cfg.network, InitDistribution(stage_seed(base_cfg.seeds.init, k))
-                )
-                if method == "scratch":
-                    params = fresh
-                elif method == "shrink_perturb":
-                    rspec = (
-                        base_cfg.reinit
-                        if base_cfg.reinit.kind == "shrink_perturb"
-                        else ReinitSpec("shrink_perturb")
-                    )
-                    params = shrink_perturb(params, fresh, rspec.lam, rspec.gamma)
+                params, _ = apply_reinit(transitions[method], params, dist, k, ctx)
             chunk_bundle = bundle.take_train(stream.cumulative_union(k))
             cfg = replace(
                 base_cfg,
@@ -764,7 +767,7 @@ def online_sim(base_cfg: RunConfig, num_chunks: int, methods=ONLINE_METHODS, out
                 run_name=f"{base_cfg.run_id}-{method}-chunk{k}",
                 seeds=replace(base_cfg.seeds, shuffle=stage_seed(base_cfg.seeds.shuffle, k)),
             )
-            res = run_experiment(cfg, chunk_bundle, initial_params=params)
+            res = run_experiment(cfg, chunk_bundle, out_dir, initial_params=params)
             if res.failed:
                 raise HarnessError(f"online chunk {k} diverged for method {method}: {res.failure}")
             params = res.final_params

@@ -4,9 +4,8 @@ Dense ReLU networks whose parameters live in a single flat array with an
 explicit layer/block layout. Forward passes, losses and exact gradients are
 plain numpy. Everything here is a pure function of its inputs (apart from a
 gradient buffer the caller passes in): identical inputs give bit-identical
-outputs, so callers may share these freely across workers. Computation runs
-in the dtype of the parameter vector — float32 in normal training, float64
-when a caller needs oracle-grade precision.
+outputs. Computation runs in the dtype of the parameter vector — float32 in
+normal training, float64 when a caller needs oracle-grade precision.
 """
 from __future__ import annotations
 
@@ -38,39 +37,14 @@ class Segment:
 class LayerLayout:
     """Placement of each layer in the flat vector plus block ownership.
 
-    ``block_assignment`` maps layer_id to a 1-based block index. Blocks must
-    be contiguous in depth: a layer's block index never decreases as depth
-    increases, and every block in 1..K is non-empty.
+    ``block_assignment`` maps layer_id to a 1-based block index. Only
+    build_layout makes layouts, from a validated NetworkSpec, so the segments
+    tile the vector and every block in 1..K is non-empty and contiguous in
+    depth.
     """
 
     segments: tuple[Segment, ...]
     block_assignment: Mapping[int, int]
-
-    def __post_init__(self):
-        offset = 0
-        for seg in self.segments:
-            if seg.role not in (ROLE_WEIGHT, ROLE_BIAS):
-                raise ConfigurationError(f"unknown segment role {seg.role!r}")
-            if seg.offset != offset:
-                raise ConfigurationError(
-                    f"segments must tile the vector: segment at offset {seg.offset}, expected {offset}"
-                )
-            if seg.length < 1:
-                raise ConfigurationError("empty parameter segment")
-            offset += seg.length
-        layer_ids = {seg.layer_id for seg in self.segments}
-        missing = layer_ids - set(self.block_assignment)
-        if missing:
-            raise ConfigurationError(f"layers missing a block assignment: {sorted(missing)}")
-        blocks = sorted(set(self.block_assignment[i] for i in layer_ids))
-        if blocks != list(range(1, len(blocks) + 1)):
-            raise ConfigurationError(f"block indices must form 1..K, got {blocks}")
-        prev = 0
-        for lid in sorted(layer_ids):
-            b = self.block_assignment[lid]
-            if b < prev:
-                raise ConfigurationError("blocks must be contiguous in depth order")
-            prev = b
 
     @property
     def total_len(self) -> int:
@@ -80,12 +54,6 @@ class LayerLayout:
     @property
     def num_blocks(self) -> int:
         return max(self.block_assignment.values())
-
-    def layer_ids(self) -> list[int]:
-        return sorted({seg.layer_id for seg in self.segments})
-
-    def block_of(self, layer_id: int) -> int:
-        return self.block_assignment[layer_id]
 
     def last_layer_of_block(self, block: int) -> int:
         layers = [lid for lid, b in self.block_assignment.items() if b == block]
@@ -204,11 +172,6 @@ class InitDistribution:
     for weights, zeros for biases. The seed fully determines the draw."""
 
     seed: int
-    scheme: str = "uniform_fan_in"
-
-    def __post_init__(self):
-        if self.scheme != "uniform_fan_in":
-            raise ConfigurationError(f"unsupported init scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -313,17 +276,6 @@ def forward(
     return h
 
 
-def activations_after_block(
-    spec: NetworkSpec,
-    params: ParamVector,
-    inputs: np.ndarray,
-    block: int,
-    frozen_norm: FrozenNormLayer | None = None,
-) -> np.ndarray:
-    """Post-activation output of the last layer of the given block."""
-    return forward(spec, params, inputs, frozen_norm, stop_block=block)
-
-
 def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row max m, exp(z - m) and its row sums; m shifts the rows so exp never overflows."""
     m = z.max(axis=1, keepdims=True)
@@ -334,12 +286,6 @@ def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def softmax(logits: np.ndarray) -> np.ndarray:
     _, e, sums = _shifted_exp(np.asarray(logits))
     return e / sums
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits)
-    m, _, sums = _shifted_exp(z)
-    return (z - m) - np.log(sums)
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -357,39 +303,10 @@ def _cross_entropy(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.
     return float(np.mean(m[:, 0] + np.log(sums[:, 0]) - z[np.arange(z.shape[0]), y])), e, sums
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log softmax probability of the true class."""
-    z = np.asarray(logits)
-    y = _check_labels(labels, z.shape[1])
-    if y.shape[0] != z.shape[0]:
-        raise ShapeError(f"{z.shape[0]} logit rows vs {y.shape[0]} labels")
-    return _cross_entropy(z, y)[0]
-
-
-def _check_teacher(teacher: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    p = np.asarray(teacher)
-    if p.shape != shape:
-        raise ShapeError(f"teacher rows {p.shape} do not align with logits {shape}")
-    if not np.all(np.isfinite(p)) or np.any(p < 0):
-        raise DataError("teacher probabilities must be finite and non-negative")
-    sums = p.sum(axis=1)
-    bad = np.abs(sums - 1.0) > 1e-6
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise DataError(f"teacher row {i} sums to {sums[i]!r}, expected 1 within 1e-6")
-    return p
-
-
 def _kl(p: np.ndarray, q: np.ndarray) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
     return max(float(np.mean(terms.sum(axis=1))), 0.0)
-
-
-def kl_divergence(teacher_probs: np.ndarray, student_logits: np.ndarray) -> float:
-    """Mean KL(teacher || softmax(student_logits)); zero-probability teacher terms contribute 0."""
-    z = np.asarray(student_logits)
-    return _kl(_check_teacher(teacher_probs, z.shape), softmax(z))
 
 
 def loss_grad_logits(
@@ -404,10 +321,14 @@ def loss_grad_logits(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss, exact parameter gradient, and the logits of the forward pass.
 
-    The loss is cross-entropy plus ``beta_distill`` times the KL term against
-    the fixed teacher rows; gradients flow only through the student. With no
-    teacher or beta 0 this is the plain cross-entropy gradient. The gradient
-    overwrites all of ``grad_out`` when given, else fills a new array.
+    The loss is cross-entropy plus ``beta_distill`` times the mean
+    KL(teacher || softmax(logits)) against the fixed teacher rows, with
+    zero-probability teacher entries contributing 0; gradients flow only
+    through the student. With no teacher or beta 0 this is the plain
+    cross-entropy gradient. Teacher rows come from a TeacherCache, whose
+    construction checks them when a cache is built and when one is loaded;
+    only their shape is checked here. The gradient overwrites all of
+    ``grad_out`` when given, else fills a new array.
     """
     if beta_distill < 0:
         raise ConfigurationError(f"beta_distill must be >= 0, got {beta_distill}")
@@ -428,7 +349,9 @@ def loss_grad_logits(
     d /= sums  # the softmax rows, turned into dlogits in place below
     pull = None
     if teacher is not None and beta_distill != 0.0:
-        p = _check_teacher(teacher, logits.shape)
+        p = np.asarray(teacher)
+        if p.shape != logits.shape:
+            raise ShapeError(f"teacher rows {p.shape} do not align with logits {logits.shape}")
         loss = loss + beta_distill * _kl(p, d)
         pull = (beta_distill / batch) * (d - p)
     d[np.arange(batch), y] -= 1.0
@@ -451,19 +374,6 @@ def loss_grad_logits(
         if layer_id > 0:
             d = d @ layers[layer_id][0].T
     return float(loss), grad_out, logits
-
-
-def loss_and_grad(
-    spec: NetworkSpec,
-    params: ParamVector,
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    teacher: np.ndarray | None = None,
-    beta_distill: float = 0.0,
-    frozen_norm: FrozenNormLayer | None = None,
-) -> tuple[float, np.ndarray]:
-    loss, grad, _ = loss_grad_logits(spec, params, inputs, labels, teacher, beta_distill, frozen_norm)
-    return loss, grad
 
 
 def weight_norm(params: ParamVector) -> float:

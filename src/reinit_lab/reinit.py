@@ -20,7 +20,7 @@ from .nn import (
     LayerLayout,
     NetworkSpec,
     ParamVector,
-    activations_after_block,
+    forward,
     init_params,
 )
 
@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 KINDS = ("none", "shrink_perturb", "layer_wise", "full")
+# how layer_wise restores the kept blocks' norms: each block to its own, or the prefix as a whole
+RESCALE_MODES = ("per_block", "aggregate")
 
 FROZEN_NORM_STD_FLOOR = 1e-5
 
@@ -50,10 +52,6 @@ class StagePlan:
     total_epochs: int
     num_stages: int
     epochs_per_stage: int
-
-    @property
-    def trained_epochs(self) -> int:
-        return self.num_stages * self.epochs_per_stage
 
 
 def make_stage_plan(total_epochs: int, num_stages: int) -> StagePlan:
@@ -183,7 +181,7 @@ def _rescale_kept_blocks(
     init_block_norms: Sequence[float],
     mode: str,
 ) -> np.ndarray:
-    if mode not in ("per_block", "aggregate"):
+    if mode not in RESCALE_MODES:
         raise ConfigurationError(f"unknown rescale mode {mode!r}")
     if len(init_block_norms) < kept_blocks:
         raise ConfigurationError(
@@ -233,7 +231,7 @@ def layerwise_reinit(
     merged = np.where(mask, theta.values, theta_init.values.astype(theta.dtype, copy=False))
     merged = _rescale_kept_blocks(merged, layout, kept_blocks, init_block_norms, rescale_mode)
     new_params = ParamVector(merged, layout)
-    acts = activations_after_block(spec, new_params, stats, kept_blocks)
+    acts = forward(spec, new_params, stats, stop_block=kept_blocks)
     mean = acts.mean(axis=0).astype(np.float64)
     std = np.maximum(acts.std(axis=0).astype(np.float64), FROZEN_NORM_STD_FLOOR)
     return new_params, FrozenNormLayer(kept_blocks, mean, std)
@@ -257,8 +255,7 @@ def apply_reinit(
         raise ConfigurationError(f"stage index must be >= 1, got {t}")
     if rspec.kind == "none":
         return theta_end.copy(), None
-    fresh_dist = InitDistribution(seed=stage_seed(dist.seed, t), scheme=dist.scheme)
-    fresh = init_params(context.network, fresh_dist, dtype=theta_end.dtype)
+    fresh = init_params(context.network, InitDistribution(stage_seed(dist.seed, t)), dtype=theta_end.dtype)
     if rspec.kind == "full":
         return fresh, None
     if rspec.kind == "shrink_perturb":

@@ -35,8 +35,7 @@ from reinit_lab.nn import (
     build_layout,
     forward,
     init_params,
-    kl_divergence,
-    loss_and_grad,
+    loss_grad_logits,
 )
 from reinit_lab.optim import LrSchedule, lr_at
 from reinit_lab.reinit import (
@@ -48,7 +47,7 @@ from reinit_lab.reinit import (
     stage_seed,
 )
 
-from conftest import fd_check
+from conftest import fd_check, kl_oracle
 
 
 @contextmanager
@@ -176,10 +175,10 @@ def test_03_distill_additivity():
             y = rng.integers(0, 3, 8)
             raw = rng.uniform(0.05, 1.0, (8, 3))
             teacher = raw / raw.sum(axis=1, keepdims=True)
-            base, _ = loss_and_grad(spec, params, x, y)
-            kl = kl_divergence(teacher, forward(spec, params, x))
+            base, _, _ = loss_grad_logits(spec, params, x, y)
+            kl = kl_oracle(teacher, forward(spec, params, x))
             for beta in (0.25, 1.0, 3.0):
-                combined, _ = loss_and_grad(spec, params, x, y, teacher=teacher, beta_distill=beta)
+                combined, _, _ = loss_grad_logits(spec, params, x, y, teacher=teacher, beta_distill=beta)
                 assert abs(combined - base - beta * kl) < 1e-10
 
 

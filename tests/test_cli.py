@@ -4,14 +4,16 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import reinit_lab
 from reinit_lab.cli import build_config, main, make_parser
-from reinit_lab.harness import DataConfig, RunConfig, Seeds
+from reinit_lab.harness import DataConfig, RunConfig, Seeds, online_sim
 from reinit_lab.nn import NetworkSpec
+from reinit_lab.runio import write_json
 
 
 @pytest.fixture
@@ -139,6 +141,18 @@ class TestMain:
             assert name in payload["message"]
         assert not (tmp_path / "runs").exists()
 
+    def test_unknown_rescale_mode_leaves_no_run_directory(self, tiny_config_file, tmp_path, capsys):
+        config = json.loads(Path(tiny_config_file).read_text())
+        config.update(stages=2, reinit={"kind": "shrink_perturb"}, rescale_mode="bogus")
+        path = tmp_path / "bogus.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        code, payload = run_main(["train", "--config", str(path), "--out", str(out)], capsys)
+        assert code == 2
+        assert payload["error"] == "ConfigurationError"
+        assert "rescale_mode" in payload["message"]
+        assert not out.exists()
+
     def test_augmentation_without_image_geometry_leaves_no_run_directory(self, tmp_path, capsys):
         out = tmp_path / "runs"
         code, payload = run_main(["train", "--setting", "d", "--epochs", "1", "--out", str(out)], capsys)
@@ -205,6 +219,23 @@ class TestMain:
         assert code == 0
         assert set(payload["curves"]) == {"scratch", "warm_start"}
         assert len(payload["curves"]["scratch"]) == 2
+
+    def test_online_chunk_runs_can_be_inspected(self, tiny_config_file, tmp_path, capsys):
+        out = tmp_path / "runs"
+        argv = ["online", "--config", tiny_config_file, "--epochs", "4", "--chunks", "2", "--out", str(out)]
+        code, payload = run_main(argv, capsys)
+        assert code == 0
+        cfg = replace(RunConfig.from_dict(json.loads(Path(tiny_config_file).read_text())), epochs=4)
+        for method, curve in payload["curves"].items():
+            for row in curve:
+                run_id = f"{cfg.run_id}-{method}-chunk{row['chunk']}"
+                code, info = run_main(["inspect", run_id, "--out", str(out)], capsys)
+                assert code == 0
+                assert info["epochs_logged"] == 2
+                assert info["best"]["test_acc"] == row["test_acc"]
+        # the study file is the one a simulation without run directories writes
+        write_json(online_sim(cfg, 2), tmp_path / "no_dirs.json")
+        assert (out / "online_sim.json").read_bytes() == (tmp_path / "no_dirs.json").read_bytes()
 
     def test_bad_grid_values_report_error(self, tiny_config_file, capsys):
         code, payload = run_main(

@@ -1,4 +1,5 @@
 """Loaders, synthetic data, noise injection, augmentation, splits, chunks, normalization."""
+import csv
 import struct
 import tracemalloc
 from pathlib import Path
@@ -20,8 +21,6 @@ from reinit_lab.data import (
     load_idx,
     make_chunks,
     make_synthetic,
-    pad_crop,
-    save_csv,
     split,
     split_indices,
     subset,
@@ -81,7 +80,10 @@ def test_load_idx_rejects_count_mismatch_and_empty(tmp_path):
 def test_csv_round_trip(tmp_path):
     ds = make_synthetic(3, 4, per_class=5, class_separation=2.0, seed=9)
     path = tmp_path / "data.csv"
-    save_csv(ds, path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["label"] + [f"f{i}" for i in range(ds.dim)])
+        writer.writerows([int(label)] + [repr(float(v)) for v in row] for label, row in zip(ds.labels, ds.inputs))
     back = load_csv(path)
     np.testing.assert_array_equal(back.inputs, ds.inputs)
     np.testing.assert_array_equal(back.labels, ds.labels)
@@ -149,17 +151,17 @@ def test_make_synthetic_image_tagging():
 def test_inject_noise_exact_count_and_identity():
     ds = make_synthetic(10, 4, per_class=10, class_separation=1.0, seed=2)
     noisy = inject_label_noise(ds, 0.2, seed=3)
-    assert noisy.num_flipped == 20
+    assert noisy.noise_mask.sum() == 20
     np.testing.assert_array_equal(noisy.noisy_labels[~noisy.noise_mask], ds.labels[~noisy.noise_mask])
     clean = inject_label_noise(ds, 0.0, seed=3)
-    assert clean.num_flipped == 0
+    assert clean.noise_mask.sum() == 0
     np.testing.assert_array_equal(clean.noisy_labels, ds.labels)
 
 
 def test_inject_noise_floor_count():
     ds = make_synthetic(2, 3, per_class=5, class_separation=1.0, seed=2)
-    assert inject_label_noise(ds, 0.25, seed=1).num_flipped == 2  # floor(0.25 * 10)
-    assert inject_label_noise(ds, 1.0, seed=1).num_flipped == 10
+    assert inject_label_noise(ds, 0.25, seed=1).noise_mask.sum() == 2  # floor(0.25 * 10)
+    assert inject_label_noise(ds, 1.0, seed=1).noise_mask.sum() == 10
 
 
 def test_inject_noise_deterministic():
@@ -206,11 +208,20 @@ def test_augment_preserves_pixel_multiset_under_flip():
     np.testing.assert_array_equal(np.sort(out, axis=1), np.sort(x, axis=1))
 
 
+class CenterDraws:
+    """Stands in for the generator: no image flips, and every crop offset at the center."""
+
+    def random(self, n):
+        return np.ones(n)
+
+    def integers(self, low, high, size):
+        return np.full(size, (high - 1) // 2)
+
+
 def test_center_crop_is_identity():
-    x, (h, w, ch) = make_image_batch()
-    imgs = x.reshape(-1, h, w, ch)
-    offsets = np.full((imgs.shape[0], 2), 4)
-    np.testing.assert_array_equal(pad_crop(imgs, 4, offsets), imgs)
+    x, shape = make_image_batch()
+    out = augment_batch(x, shape, AugmentSpec(horizontal_flip_prob=0.5, pad_pixels=4), CenterDraws())
+    np.testing.assert_array_equal(out, x)
 
 
 def test_augment_keeps_shape_and_needs_geometry():

@@ -17,6 +17,7 @@ from reinit_lab.nn import (
     build_layout,
     forward,
     init_params,
+    loss_grad_logits,
     softmax,
 )
 
@@ -67,6 +68,29 @@ def test_cache_rejects_bad_tables():
         TeacherCache(np.array([[0.5, 0.5]]), 1, -1.0)
     with pytest.raises(ConfigurationError):
         TeacherCache(np.array([[0.5, 0.5]]), 0, 1.0)
+
+
+# a float32 row whose float64 sum is 1 - 9.5e-7, inside the cache's 1e-6 rule,
+# while numpy's float32 row sum reads 0.999999, outside it
+EDGE_ROW = [
+    0.00436408631503582, 0.015963705256581306, 0.12152279913425446, 0.09136617928743362, 0.2049776166677475,
+    0.04879677668213844, 0.0528712160885334, 0.21847395598888397, 0.20350725948810577, 0.0381554551422596,
+]
+
+
+def test_rows_the_cache_accepts_train_through_the_step():
+    probs = np.tile(np.array(EDGE_ROW, dtype=np.float32), (12, 1))
+    assert np.all(np.abs(probs.sum(axis=1, dtype=np.float64) - 1.0) <= 1e-6)
+    assert np.all(np.abs(probs.sum(axis=1) - 1.0) > 1e-6)
+    cache = TeacherCache(probs, 1, 1.0)
+    spec = NetworkSpec(input_dim=5, hidden_dims=(6,), num_classes=10)
+    params = init_params(spec, InitDistribution(seed=3))
+    x = fixture_inputs(12).astype(np.float32)
+    y = np.arange(12) % 10
+    for idx in (np.arange(6), np.arange(6, 12)):
+        rows = distill_rows(cache, idx, stage=2)
+        loss, grad, _ = loss_grad_logits(spec, params, x[idx], y[idx], rows, cache.beta)
+        assert np.isfinite(loss) and np.isfinite(grad).all()
 
 
 def test_distill_rows_gathers_and_counts():

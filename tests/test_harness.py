@@ -30,8 +30,8 @@ from reinit_lab.harness import (
     run_experiment,
     stage_sweep,
 )
-from reinit_lab.nn import NetworkSpec
-from reinit_lab.reinit import ReinitSpec
+from reinit_lab.nn import InitDistribution, NetworkSpec, init_params
+from reinit_lab.reinit import ReinitSpec, stage_seed
 
 
 def tiny_net():
@@ -455,6 +455,26 @@ def test_library_reads_no_environment_and_starts_no_threads():
     assert found == []
 
 
+def test_tracer_hooks_name_harness_attributes():
+    """bench/tracer.py wraps the reinit_lab.harness attributes named by its HOOKS keys."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "tracer.py").read_text())
+    hooks = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["HOOKS"]
+    )
+    keys = ast.literal_eval(hooks)
+    assert "OptimState.fresh" in keys
+    missing = []
+    for key in keys:
+        obj = harness
+        for part in key.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(key)
+    assert missing == []
+
+
 class TestStudyRunDirectories:
     """A named base run must not make the cells of a study share one run directory."""
 
@@ -564,6 +584,26 @@ class TestOnlineSim:
         sizes = [row["train_size"] for row in curves["scratch"]]
         assert sizes == [36, 72, 108]
         assert (tmp_path / "online_sim.json").exists()
+
+    def test_chunk_starts_follow_the_transition_rules(self, monkeypatch):
+        calls = []
+
+        def recording(cfg, bundle, out_dir=None, initial_params=None):
+            res = run_experiment(cfg, bundle, out_dir, initial_params=initial_params)
+            calls.append((initial_params.values.copy(), res.final_params.values.copy()))
+            return res
+
+        monkeypatch.setattr(harness, "run_experiment", recording)
+        sp = ReinitSpec("shrink_perturb", lam=0.3, gamma=0.2)
+        cfg = tiny_cfg(epochs=6, reinit=sp)
+        online_sim(cfg, num_chunks=3)
+        starts = dict(zip(harness.ONLINE_METHODS, [calls[i : i + 3] for i in (0, 3, 6)]))
+        for k in (2, 3):
+            fresh = init_params(cfg.network, InitDistribution(stage_seed(cfg.seeds.init, k))).values
+            assert np.array_equal(starts["scratch"][k - 1][0], fresh)
+            assert np.array_equal(starts["warm_start"][k - 1][0], starts["warm_start"][k - 2][1])
+            previous = starts["shrink_perturb"][k - 2][1]
+            assert np.array_equal(starts["shrink_perturb"][k - 1][0], (0.3 * previous + 0.2 * fresh).astype(np.float32))
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

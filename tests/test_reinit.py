@@ -11,9 +11,9 @@ from reinit_lab.nn import (
     InitDistribution,
     NetworkSpec,
     ParamVector,
-    activations_after_block,
     block_norms,
     build_layout,
+    forward,
     init_params,
 )
 from reinit_lab.reinit import (
@@ -39,7 +39,7 @@ def test_stage_plan_floor_division():
     assert make_stage_plan(200, 1).epochs_per_stage == 200
     plan = make_stage_plan(200, 3)
     assert plan.epochs_per_stage == 66
-    assert plan.trained_epochs == 198
+    assert plan.num_stages * plan.epochs_per_stage == 198
 
 
 def test_stage_plan_rejects_bad_counts():
@@ -194,7 +194,7 @@ def test_layerwise_full_mask_keeps_everything_rescaled():
 def test_layerwise_frozen_layer_standardizes_stats_batch():
     theta, theta_init, layout, init_norms, stats = layerwise_setup()
     out, fn = layerwise_reinit(theta, theta_init, layout, 2, 1, init_norms, stats, THREE_BLOCK)
-    acts = activations_after_block(THREE_BLOCK, out, stats, 2, frozen_norm=fn)
+    acts = forward(THREE_BLOCK, out, stats, fn, stop_block=2)
     np.testing.assert_allclose(acts.mean(axis=0), 0.0, atol=1e-9)
     # units that vary got unit spread; dead-ReLU units hit the std floor instead
     varying = fn.std > 1e-5
