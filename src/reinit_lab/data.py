@@ -117,7 +117,7 @@ class ChunkStream:
         if max(sizes) - min(sizes) > 1:
             raise ConfigurationError(f"chunk sizes must differ by at most 1, got {sizes}")
         all_idx = np.concatenate(self.chunks)
-        if len(np.unique(all_idx)) != len(all_idx):
+        if len(_distinct(all_idx)) != len(all_idx):
             raise ConfigurationError("chunks must be disjoint")
 
     @property
@@ -242,14 +242,21 @@ def make_synthetic(
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     means = raw / norms * class_separation
     labels = np.repeat(np.arange(num_classes), per_class)
-    noise = rng.normal(size=(labels.size, dim))
-    # labels run in per_class blocks, so a block view adds each class mean in place
-    blocks = noise.reshape(num_classes, per_class, dim)
-    blocks += means[:, None]
-    inputs = noise.astype(np.float32)
-    del noise, blocks
+    inputs = np.empty((labels.size, dim), dtype=np.float32)
+    # labels run in per_class blocks; drawing the noise one block at a time
+    # gives the stream of one whole draw and holds one class in float64
+    block = np.empty((per_class, dim))
+    for c in range(num_classes):
+        rng.standard_normal(out=block)
+        block += means[c]
+        inputs[c * per_class : (c + 1) * per_class] = block
+    # shuffle makes the swaps permutation(n) makes, so shuffling the rows in
+    # place gives inputs[order] without a second copy of the inputs
+    state = rng.bit_generator.state
     order = rng.permutation(labels.size)
-    return Dataset(inputs[order], labels[order], num_classes, image_shape=image_shape)
+    rng.bit_generator.state = state
+    rng.shuffle(inputs.view(np.dtype((np.void, inputs.strides[0]))).reshape(-1))
+    return Dataset(inputs, labels[order], num_classes, image_shape=image_shape)
 
 
 def inject_label_noise(ds: Dataset, q: float, seed: int) -> NoisyDataset:
@@ -321,7 +328,7 @@ def split_indices(labels: np.ndarray, val_fraction: float, seed: int) -> tuple[n
     if n_val < 1 or n_val >= n:
         raise ConfigurationError(f"fraction {val_fraction} of {n} examples leaves one side empty")
     rng = np.random.Generator(np.random.PCG64(seed))
-    classes = np.unique(y)
+    classes = _distinct(y)
     per_class = {int(c): rng.permutation(np.flatnonzero(y == c)) for c in classes}
     counts = {c: len(idx) for c, idx in per_class.items()}
     # proportional quota with largest-remainder rounding to hit n_val exactly
@@ -353,6 +360,12 @@ def split_indices(labels: np.ndarray, val_fraction: float, seed: int) -> tuple[n
     train_idx = rng.permutation(np.concatenate(train_parts))
     val_idx = rng.permutation(np.concatenate(val_parts))
     return train_idx, val_idx
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a nonempty 1-D array, as np.unique gives them without importing numpy.ma."""
+    s = np.sort(a)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
 def split(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .nn import FrozenNormLayer, NetworkSpec, ParamVector, forward, softmax
+from .nn import NO_GRAD_ROWS, FrozenNormLayer, NetworkSpec, ParamVector, forward, softmax
 from .runio import read_framed, write_framed
 
 
@@ -58,7 +58,7 @@ def snapshot_teacher(
     source_stage: int,
     beta: float,
     frozen_norm: FrozenNormLayer | None = None,
-    batch_size: int = 1024,
+    batch_size: int = NO_GRAD_ROWS,
 ) -> TeacherCache:
     """One forward sweep over the clean training inputs, softmaxed and cached.
 

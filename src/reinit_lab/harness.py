@@ -35,6 +35,7 @@ from .data import (
 from .distill import TeacherCache, distill_rows, save_teacher_cache, snapshot_teacher
 from .errors import ConfigurationError, HarnessError, NumericalError, checked_keys
 from .nn import (
+    NO_GRAD_ROWS,
     FrozenNormLayer,
     InitDistribution,
     NetworkSpec,
@@ -64,8 +65,6 @@ TEST_SPLIT_TAG = 101
 VAL_SPLIT_TAG = 102
 CHUNK_TAG = 103
 AUGMENT_TAG = 104
-
-EVAL_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -268,9 +267,9 @@ def evaluate_accuracy(
     frozen_norm: FrozenNormLayer | None = None,
 ) -> float:
     hits = 0
-    for start in range(0, inputs.shape[0], EVAL_BATCH):
-        logits = forward(network, params, inputs[start : start + EVAL_BATCH], frozen_norm)
-        hits += int((logits.argmax(axis=1) == labels[start : start + EVAL_BATCH]).sum())
+    for start in range(0, inputs.shape[0], NO_GRAD_ROWS):
+        logits = forward(network, params, inputs[start : start + NO_GRAD_ROWS], frozen_norm)
+        hits += int((logits.argmax(axis=1) == labels[start : start + NO_GRAD_ROWS]).sum())
     return hits / inputs.shape[0]
 
 
@@ -383,16 +382,11 @@ def run_experiment(
         for stage in range(1, cfg.stages + 1):
             if stage > 1:
                 norm_before = weight_norm(params)
-                params, new_fn = apply_reinit(
+                params, new_fn, fresh_norm = apply_reinit(
                     cfg.reinit, params, InitDistribution(cfg.seeds.init), stage - 1, reinit_ctx
                 )
-                if cfg.reinit.kind != "none":
-                    fresh = init_params(
-                        network, InitDistribution(stage_seed(cfg.seeds.init, stage - 1))
-                    )
-                    boundary_events.append(
-                        BoundaryEvent(stage, norm_before, weight_norm(params), weight_norm(fresh))
-                    )
+                if fresh_norm is not None:
+                    boundary_events.append(BoundaryEvent(stage, norm_before, weight_norm(params), fresh_norm))
                 if new_fn is not None:
                     frozen_norm = new_fn
                 if cfg.reset_optimizer_on_stage:
@@ -472,7 +466,7 @@ def run_experiment(
                     beta=cfg.distill.beta,
                     frozen_norm=frozen_norm,
                 )
-                counters["teacher_cache_batches"] += math.ceil(n_train / 1024)
+                counters["teacher_cache_batches"] += math.ceil(n_train / NO_GRAD_ROWS)
                 if run_dir is not None:
                     save_teacher_cache(teacher, run_dir / f"teacher_stage{stage}.bin")
     except NumericalError as exc:
@@ -613,7 +607,8 @@ def stage_sweep(base_cfg: RunConfig, t_values, out_dir=None) -> list[dict]:
     step_counts = set()
     for cfg in cfgs:
         res = run_experiment(cfg, bundle, out_dir)
-        step_counts.add(res.total_steps)
+        if not res.failed:  # a diverged arm stays a failed row; parity holds over the completed arms
+            step_counts.add(res.total_steps)
         rows.append(
             {
                 "stages": cfg.stages,
@@ -625,7 +620,7 @@ def stage_sweep(base_cfg: RunConfig, t_values, out_dir=None) -> list[dict]:
             }
         )
     if len(step_counts) > 1:
-        raise HarnessError(f"step counts diverged across the sweep: {sorted(step_counts)}")
+        raise HarnessError(f"step counts diverged across the completed arms: {sorted(step_counts)}")
     if out_dir is not None:
         write_json(rows, Path(out_dir) / "stage_sweep.json")
     return rows
@@ -756,7 +751,7 @@ def online_sim(base_cfg: RunConfig, num_chunks: int, methods=ONLINE_METHODS, out
         curve = []
         for k in range(1, num_chunks + 1):
             if k > 1:
-                params, _ = apply_reinit(transitions[method], params, dist, k, ctx)
+                params, _, _ = apply_reinit(transitions[method], params, dist, k, ctx)
             chunk_bundle = bundle.take_train(stream.cumulative_union(k))
             cfg = replace(
                 base_cfg,

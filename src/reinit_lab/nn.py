@@ -19,6 +19,7 @@ from .errors import ConfigurationError, DataError, NumericalError, ShapeError, c
 
 ROLE_WEIGHT = "weight"
 ROLE_BIAS = "bias"
+NO_GRAD_ROWS = 256  # rows per forward pass that keeps no gradient: evaluation, teacher snapshots
 
 
 @dataclass(frozen=True)
@@ -61,16 +62,12 @@ class LayerLayout:
             raise ConfigurationError(f"block {block} has no layers")
         return max(layers)
 
-    def block_param_indices(self, block: int) -> np.ndarray:
-        """Flat indices of every parameter owned by the given block."""
-        parts = [
-            np.arange(seg.offset, seg.offset + seg.length)
-            for seg in self.segments
-            if self.block_assignment[seg.layer_id] == block
-        ]
-        if not parts:
+    def block_slice(self, block: int) -> slice:
+        """The contiguous run of the flat vector that the given block owns."""
+        segs = [seg for seg in self.segments if self.block_assignment[seg.layer_id] == block]
+        if not segs:
             raise ConfigurationError(f"block {block} has no parameters")
-        return np.concatenate(parts)
+        return slice(segs[0].offset, segs[-1].offset + segs[-1].length)
 
 
 @dataclass
@@ -383,6 +380,5 @@ def weight_norm(params: ParamVector) -> float:
 
 def block_norms(params: ParamVector) -> np.ndarray:
     """Euclidean norm of each block's parameters, float64, index b-1 for block b."""
-    layout = params.layout
-    v = params.values.astype(np.float64)
-    return np.array([np.linalg.norm(v[layout.block_param_indices(b)]) for b in range(1, layout.num_blocks + 1)])
+    slices = map(params.layout.block_slice, range(1, params.layout.num_blocks + 1))
+    return np.array([np.linalg.norm(params.values[s].astype(np.float64)) for s in slices])

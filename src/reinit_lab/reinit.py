@@ -22,6 +22,7 @@ from .nn import (
     ParamVector,
     forward,
     init_params,
+    weight_norm,
 )
 
 __all__ = [
@@ -156,7 +157,8 @@ def shrink_perturb(theta: ParamVector, theta_init: ParamVector, lam: float, gamm
         return theta.copy()
     if lam == 0.0 and gamma == 1.0:
         return theta_init.copy()
-    values = lam * theta.values + gamma * theta_init.values
+    values = lam * theta.values
+    values += gamma * theta_init.values
     return ParamVector(values.astype(theta.dtype, copy=False), theta.layout)
 
 
@@ -167,10 +169,8 @@ def block_mask(layout: LayerLayout, t: int, repeats: int = 1) -> np.ndarray:
     total = layout.num_blocks * repeats
     if not 1 <= t <= total:
         raise ConfigurationError(f"stage index {t} outside 1..{total}")
-    kept_blocks = math.ceil(t / repeats)
     mask = np.zeros(layout.total_len, dtype=bool)
-    for b in range(1, kept_blocks + 1):
-        mask[layout.block_param_indices(b)] = True
+    mask[: layout.block_slice(math.ceil(t / repeats)).stop] = True
     return mask
 
 
@@ -180,29 +180,26 @@ def _rescale_kept_blocks(
     kept_blocks: int,
     init_block_norms: Sequence[float],
     mode: str,
-) -> np.ndarray:
+) -> None:
+    """Scale the kept blocks back to their init norms in place, in float64."""
     if mode not in RESCALE_MODES:
         raise ConfigurationError(f"unknown rescale mode {mode!r}")
     if len(init_block_norms) < kept_blocks:
         raise ConfigurationError(
             f"need init norms for {kept_blocks} blocks, got {len(init_block_norms)}"
         )
-    out = values.copy()
     if mode == "per_block":
-        for b in range(1, kept_blocks + 1):
-            idx = layout.block_param_indices(b)
-            cur = float(np.linalg.norm(out[idx].astype(np.float64)))
-            if cur == 0.0:
-                raise NumericalError(f"block {b} has zero norm; cannot rescale")
-            out[idx] = (out[idx].astype(np.float64) * (init_block_norms[b - 1] / cur)).astype(out.dtype)
+        parts = [(layout.block_slice(b), init_block_norms[b - 1], f"block {b}") for b in range(1, kept_blocks + 1)]
     else:
-        idx = np.concatenate([layout.block_param_indices(b) for b in range(1, kept_blocks + 1)])
-        cur = float(np.linalg.norm(out[idx].astype(np.float64)))
-        if cur == 0.0:
-            raise NumericalError("kept prefix has zero norm; cannot rescale")
         target = math.sqrt(sum(float(n) ** 2 for n in init_block_norms[:kept_blocks]))
-        out[idx] = (out[idx].astype(np.float64) * (target / cur)).astype(out.dtype)
-    return out
+        parts = [(slice(0, layout.block_slice(kept_blocks).stop), target, "kept prefix")]
+    for part, target, what in parts:
+        x = values[part].astype(np.float64)
+        cur = float(np.linalg.norm(x))
+        if cur == 0.0:
+            raise NumericalError(f"{what} has zero norm; cannot rescale")
+        x *= target / cur
+        values[part] = x
 
 
 def layerwise_reinit(
@@ -229,7 +226,7 @@ def layerwise_reinit(
     mask = block_mask(layout, t, repeats)
     kept_blocks = math.ceil(t / repeats)
     merged = np.where(mask, theta.values, theta_init.values.astype(theta.dtype, copy=False))
-    merged = _rescale_kept_blocks(merged, layout, kept_blocks, init_block_norms, rescale_mode)
+    _rescale_kept_blocks(merged, layout, kept_blocks, init_block_norms, rescale_mode)
     new_params = ParamVector(merged, layout)
     acts = forward(spec, new_params, stats, stop_block=kept_blocks)
     mean = acts.mean(axis=0).astype(np.float64)
@@ -243,33 +240,29 @@ def apply_reinit(
     dist: InitDistribution,
     t: int,
     context: ReinitContext,
-) -> tuple[ParamVector, FrozenNormLayer | None]:
+) -> tuple[ParamVector, FrozenNormLayer | None, float | None]:
     """Produce stage t+1's starting parameters from stage t's final ones.
 
     The fresh draw at boundary t comes from ``dist`` reseeded with
     stage_seed(dist.seed, t), so it is independent of theta_end and of every
-    other boundary. Returns the new parameters and, for the layer-wise rule,
-    the frozen normalization layer to install (None otherwise).
+    other boundary. Returns the new parameters, the frozen normalization
+    layer to install for the layer-wise rule (None otherwise), and the
+    Euclidean norm of the fresh draw (None for ``none``, which draws nothing).
     """
     if t < 1:
         raise ConfigurationError(f"stage index must be >= 1, got {t}")
     if rspec.kind == "none":
-        return theta_end.copy(), None
+        return theta_end.copy(), None, None
     fresh = init_params(context.network, InitDistribution(stage_seed(dist.seed, t)), dtype=theta_end.dtype)
+    fresh_norm = weight_norm(fresh)
     if rspec.kind == "full":
-        return fresh, None
+        return fresh, None, fresh_norm
     if rspec.kind == "shrink_perturb":
-        return shrink_perturb(theta_end, fresh, rspec.lam, rspec.gamma), None
+        return shrink_perturb(theta_end, fresh, rspec.lam, rspec.gamma), None, fresh_norm
     if context.init_block_norms is None or context.stats_batch is None:
         raise ConfigurationError("layer_wise reinit needs init block norms and a stats batch")
-    return layerwise_reinit(
-        theta_end,
-        fresh,
-        theta_end.layout,
-        t,
-        rspec.repeats,
-        context.init_block_norms,
-        context.stats_batch,
-        context.network,
-        context.rescale_mode,
+    new_params, frozen = layerwise_reinit(
+        theta_end, fresh, theta_end.layout, t, rspec.repeats,
+        context.init_block_norms, context.stats_batch, context.network, context.rescale_mode,
     )
+    return new_params, frozen, fresh_norm

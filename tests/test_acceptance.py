@@ -253,12 +253,12 @@ def test_06_layer_wise_correctness():
         )
         rspec = ReinitSpec("layer_wise", blocks=3, repeats=2)
         for t in range(1, 6):
-            new, fn = apply_reinit(rspec, theta_end, InitDistribution(9), t, ctx)
+            new, fn, _ = apply_reinit(rspec, theta_end, InitDistribution(9), t, ctx)
             kept = math.ceil(t / 2)
             mask = block_mask(layout, t, repeats=2)
             fresh = init_params(SMALL_NET, InitDistribution(stage_seed(9, t)))
             for b in range(1, kept + 1):
-                idx = layout.block_param_indices(b)
+                idx = layout.block_slice(b)
                 a, o = new.values[idx].astype(np.float64), theta_end.values[idx].astype(np.float64)
                 cos = a @ o / (np.linalg.norm(a) * np.linalg.norm(o))
                 assert abs(cos - 1.0) < 1e-6
@@ -280,8 +280,8 @@ def test_07_full_reinit_ignores_trained_weights():
         end_b = init_params(SMALL_NET, InitDistribution(200))
         for t in (1, 3):
             want = init_params(SMALL_NET, InitDistribution(stage_seed(5, t)))
-            got_a, _ = apply_reinit(ReinitSpec("full"), end_a, InitDistribution(5), t, ctx)
-            got_b, _ = apply_reinit(ReinitSpec("full"), end_b, InitDistribution(5), t, ctx)
+            got_a, _, _ = apply_reinit(ReinitSpec("full"), end_a, InitDistribution(5), t, ctx)
+            got_b, _, _ = apply_reinit(ReinitSpec("full"), end_b, InitDistribution(5), t, ctx)
             assert np.array_equal(got_a.values, want.values)
             assert np.array_equal(got_b.values, got_a.values)
 

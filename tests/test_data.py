@@ -13,6 +13,7 @@ from reinit_lab.data import (
     ChunkStream,
     Dataset,
     NoisyDataset,
+    _distinct,
     apply_normalization,
     augment_batch,
     compute_normalization,
@@ -326,6 +327,9 @@ def test_chunk_stream_validation():
         ChunkStream((np.array([0, 1, 2]), np.array([3])))
     with pytest.raises(ConfigurationError):
         ChunkStream((np.array([0, 1]), np.array([1, 2])))
+    with pytest.raises(ConfigurationError, match="disjoint"):
+        ChunkStream((np.array([-1, 4]), np.array([2, -1])))
+    ChunkStream((np.array([-1, 4]), np.array([2, -3])))
 
 
 def test_normalization_zero_mean_unit_std_tabular():
@@ -492,3 +496,46 @@ def test_prepare_data_peak_memory_is_one_float64_training_copy(tmp_path):
         tracemalloc.stop()
     kept = sum(ds.inputs.nbytes for ds in (bundle.train, bundle.val, bundle.test))
     assert peak <= 3 * kept, f"peak {peak} bytes is {peak / kept:.2f}x the {kept} bytes kept"
+
+
+@pytest.mark.parametrize(
+    "args", [(10, 50, 600, 2.5, 4, None), (2, 7, 1, 1.0, 3, None), (3, 35, 17, 0.0, 9, (5, 7)), (5, 1, 33, 3.0, 11, None)]
+)
+def test_make_synthetic_matches_reference(args):
+    got, want = make_synthetic(*args), reference_make_synthetic(*args)
+    assert_bits_equal(got.inputs, want.inputs)
+    assert_bits_equal(got.labels, want.labels)
+    assert got.image_shape == want.image_shape
+
+
+def test_make_synthetic_peak_memory_is_one_class_block():
+    """The noise is drawn one class at a time, so the peak stays near the float32 inputs it returns."""
+    make_synthetic(10, 50, 10, 2.5, seed=0)  # first-call set-up outside the measurement
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ds = make_synthetic(10, 50, 600, 2.5, seed=4)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    kept = ds.inputs.nbytes
+    assert peak <= 1.5 * kept, f"peak {peak} bytes is {peak / kept:.2f}x the {kept} bytes kept"
+
+
+@pytest.mark.parametrize(
+    "values", [[3, 1, 3, 0, 1], [-2, 5, -2, 0], [7], [0.5, -1.5, 0.5], list(range(9, -1, -1)) * 3]
+)
+def test_distinct_matches_np_unique(values):
+    a = np.array(values)
+    assert_bits_equal(_distinct(a), np.unique(a))
+
+
+def test_split_with_negative_labels_splits_like_shifted_labels():
+    # the classes come out in the same sorted order, so a shift of every label changes nothing
+    rng = np.random.Generator(np.random.PCG64(2))
+    y = rng.integers(-3, 4, size=200)
+    got = split_indices(y, 0.3, seed=5)
+    want = split_indices(y + 3, 0.3, seed=5)
+    for g, w in zip(got, want):
+        assert_bits_equal(g, w)

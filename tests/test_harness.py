@@ -8,13 +8,19 @@ import ast
 import csv
 import json
 import math
+import os
+import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reinit_lab.distill as distill
 import reinit_lab.harness as harness
+import reinit_lab.reinit as reinit
 from reinit_lab.distill import load_teacher_cache
 from reinit_lab.errors import ConfigurationError, HarnessError
 from reinit_lab.harness import (
@@ -30,7 +36,7 @@ from reinit_lab.harness import (
     run_experiment,
     stage_sweep,
 )
-from reinit_lab.nn import InitDistribution, NetworkSpec, init_params
+from reinit_lab.nn import NO_GRAD_ROWS, InitDistribution, NetworkSpec, init_params
 from reinit_lab.reinit import ReinitSpec, stage_seed
 
 
@@ -278,7 +284,7 @@ class TestRunExperiment:
         assert by_stage["2"] == per_stage
         assert by_stage["3"] == per_stage
         assert res.counters["teacher_reads"] == 2 * per_stage
-        assert res.counters["teacher_cache_batches"] == 2 * math.ceil(TRAIN_N / 1024)
+        assert res.counters["teacher_cache_batches"] == 2 * math.ceil(TRAIN_N / NO_GRAD_ROWS)
 
     def test_teacher_file_round_trips(self, tmp_path):
         cfg = tiny_cfg(run_name="tch", stages=2, distill=DistillConfig(enabled=True, beta=0.7))
@@ -475,6 +481,85 @@ def test_tracer_hooks_name_harness_attributes():
     assert missing == []
 
 
+@pytest.mark.parametrize("kind", ["shrink_perturb", "full"])
+def test_each_boundary_draws_fresh_parameters_once(monkeypatch, kind):
+    draws = []
+
+    def counting(*args, **kwargs):
+        draws.append(args)
+        return init_params(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "init_params", counting)
+    monkeypatch.setattr(reinit, "init_params", counting)
+    res = run_experiment(tiny_cfg(stages=3, reinit=ReinitSpec(kind)))
+    assert not res.failed
+    # the initial draw, then one per boundary; the event logs that draw's norm
+    assert len(draws) == 1 + 2
+    for event, t in zip(res.boundary_events, (1, 2)):
+        fresh = init_params(tiny_net(), InitDistribution(stage_seed(1, t)))
+        assert event.fresh_norm == harness.weight_norm(fresh)
+
+
+def test_no_gradient_passes_read_no_grad_rows(monkeypatch):
+    """Evaluation, teacher snapshots and the teacher_cache_batches counter share one row count."""
+    rows = {"evaluate": [], "snapshot": []}
+
+    def spy(key, fn):
+        def wrapped(spec, params, x, *args, **kwargs):
+            rows[key].append(len(x))
+            return fn(spec, params, x, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(harness, "forward", spy("evaluate", harness.forward))
+    monkeypatch.setattr(distill, "forward", spy("snapshot", distill.forward))
+    # 1,600 samples: test 400, val 120, train 1,080
+    data = DataConfig(num_classes=4, dim=8, per_class=400, class_separation=3.0)
+    res = run_experiment(tiny_cfg(data=data, epochs=2, stages=2, distill=DistillConfig(enabled=True)))
+    per_epoch = [120, 256, 144]  # val, then test in NO_GRAD_ROWS blocks
+    assert NO_GRAD_ROWS == 256 and rows["evaluate"] == 2 * per_epoch
+    assert rows["snapshot"] == [256, 256, 256, 256, 56]
+    assert res.counters["teacher_cache_batches"] == len(rows["snapshot"])
+
+
+def test_runs_leave_numpy_ma_unimported(tmp_path):
+    """np.unique imports numpy.ma, a megabyte of modules, on its first call; no run or chunk stream needs them."""
+    rng = np.random.Generator(np.random.PCG64(3))
+    n = 120
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", 0x00000803, n, 6, 6) + rng.integers(0, 256, n * 36, dtype=np.uint8).tobytes())
+    labels.write_bytes(struct.pack(">II", 0x00000801, n) + bytes(list(np.arange(n) % 3)))
+    code = """
+import sys
+from reinit_lab.data import make_chunks
+from reinit_lab.harness import DataConfig, DistillConfig, RunConfig, prepare_data, run_experiment
+from reinit_lab.nn import NetworkSpec
+from reinit_lab.reinit import ReinitSpec
+
+images, labels, out = sys.argv[1:]
+sp = ReinitSpec("shrink_perturb")
+desk = RunConfig(network=NetworkSpec(50, (32, 16), 10), data=DataConfig(per_class=30), epochs=4, stages=2, reinit=sp)
+img = RunConfig(
+    network=NetworkSpec(36, (16,), 3), data=DataConfig(source="idx", images_path=images, labels_path=labels),
+    setting="dcw", epochs=4, stages=2, reinit=sp, distill=DistillConfig(enabled=True), noise_q=0.2,
+)
+for cfg in (desk, img):
+    bundle = prepare_data(cfg)
+    make_chunks(bundle.train, 3, seed=0)
+    assert not run_experiment(cfg, bundle, out).failed
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+"""
+    src_dir = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(images), str(labels), str(tmp_path / "runs")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestStudyRunDirectories:
     """A named base run must not make the cells of a study share one run directory."""
 
@@ -533,6 +618,32 @@ class TestStageSweep:
     def test_non_dividing_stage_count_rejected(self):
         with pytest.raises(ConfigurationError, match="parity"):
             stage_sweep(tiny_cfg(epochs=6), (4,))
+
+    def test_diverged_arm_is_a_failed_row(self, tmp_path):
+        # the T=6 arm hits a non-finite loss at step 37 while T=3 completes its 42 steps
+        base = RunConfig(
+            network=NetworkSpec(50, (64, 32), 10, block_boundaries=(1, 2)),
+            data=DataConfig(per_class=120),
+            epochs=6,
+            stages=3,
+            reinit=ReinitSpec("layer_wise", blocks=3),
+            distill=DistillConfig(enabled=True, beta=1.0),
+            rescale_mode="aggregate",
+            seeds=Seeds(3, 4, 5, 6),
+        )
+        rows = stage_sweep(base, (3, 6), out_dir=tmp_path)
+        assert [(r["stages"], r["failed"], r["total_steps"]) for r in rows] == [(3, False, 42), (6, True, 37)]
+        assert json.loads((tmp_path / "stage_sweep.json").read_text()) == rows
+
+    def test_step_counts_of_completed_arms_must_agree(self, monkeypatch):
+        def short_for_t4(cfg, bundle, out_dir=None):
+            res = run_experiment(cfg, bundle, out_dir)
+            return replace(res, total_steps=res.total_steps - 1) if cfg.stages == 4 else res
+
+        monkeypatch.setattr(harness, "run_experiment", short_for_t4)
+        base = tiny_cfg(epochs=4, stages=2, reinit=ReinitSpec("shrink_perturb"))
+        with pytest.raises(HarnessError, match="diverged across the completed arms"):
+            stage_sweep(base, (1, 4))
 
     def test_layer_wise_repeats_scale_with_stages(self):
         base = tiny_cfg(epochs=6, stages=3, reinit=ReinitSpec("layer_wise", blocks=3))

@@ -48,12 +48,13 @@ def test_layout_tiles_the_vector():
     assert layout.total_len == (4 * 5 + 5) + (5 * 6 + 6) + (6 * 3 + 3)
     assert layout.num_blocks == 3
     assert [layout.block_assignment[i] for i in range(3)] == [1, 2, 3]
-    covered = np.zeros(layout.total_len, dtype=bool)
-    for b in range(1, 4):
-        idx = layout.block_param_indices(b)
-        assert not covered[idx].any()
-        covered[idx] = True
-    assert covered.all()
+    # the block slices tile the vector in order, each holding its block's segments
+    slices = [layout.block_slice(b) for b in range(1, 4)]
+    assert slices[0].start == 0 and slices[-1].stop == layout.total_len
+    assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+    for seg in layout.segments:
+        own = slices[layout.block_assignment[seg.layer_id] - 1]
+        assert own.start <= seg.offset and seg.offset + seg.length <= own.stop
 
 
 def test_layout_single_block_by_default():

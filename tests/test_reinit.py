@@ -15,6 +15,7 @@ from reinit_lab.nn import (
     build_layout,
     forward,
     init_params,
+    weight_norm,
 )
 from reinit_lab.reinit import (
     ReinitContext,
@@ -123,7 +124,7 @@ def test_block_mask_keeps_prefix_blocks():
     m3 = block_mask(layout, 3)
     assert m3.all()
     want = np.zeros(layout.total_len, dtype=bool)
-    want[layout.block_param_indices(1)] = True
+    want[layout.block_slice(1)] = True
     assert np.array_equal(m1, want)
 
 
@@ -132,8 +133,8 @@ def test_block_mask_repeats_use_ceiling():
     # K=3, M=2: t=3 keeps ceil(3/2)=2 blocks
     m = block_mask(layout, 3, repeats=2)
     want = np.zeros(layout.total_len, dtype=bool)
-    want[layout.block_param_indices(1)] = True
-    want[layout.block_param_indices(2)] = True
+    want[layout.block_slice(1)] = True
+    want[layout.block_slice(2)] = True
     assert np.array_equal(m, want)
     assert block_mask(layout, 6, repeats=2).all()
     with pytest.raises(ConfigurationError):
@@ -155,7 +156,7 @@ def layerwise_setup(seed_theta=11, seed_init=12):
     scaled = theta.values.copy()
     layout = theta.layout
     for b, factor in zip(range(1, 4), (1.7, 0.6, 2.3)):
-        idx = layout.block_param_indices(b)
+        idx = layout.block_slice(b)
         scaled[idx] *= factor
     theta = ParamVector(scaled, layout)
     theta_init = three_block_params(seed_init)
@@ -171,13 +172,13 @@ def test_layerwise_keeps_direction_restores_norm_resamples_suffix():
         out, fn = layerwise_reinit(theta, theta_init, layout, t, 1, init_norms, stats, THREE_BLOCK)
         kept = math.ceil(t / 1)
         for b in range(1, kept + 1):
-            idx = layout.block_param_indices(b)
+            idx = layout.block_slice(b)
             a, c = out.values[idx], theta.values[idx]
             cos = float(a @ c / (np.linalg.norm(a) * np.linalg.norm(c)))
             assert abs(cos - 1.0) < 1e-6
             assert abs(np.linalg.norm(a) - init_norms[b - 1]) < 1e-5
         for b in range(kept + 1, 4):
-            idx = layout.block_param_indices(b)
+            idx = layout.block_slice(b)
             assert np.array_equal(out.values[idx], theta_init.values[idx])
         assert fn.insert_after_block == kept
         assert np.all(fn.std >= 1e-5)
@@ -206,7 +207,7 @@ def test_layerwise_aggregate_mode_restores_prefix_norm():
     out, _ = layerwise_reinit(
         theta, theta_init, layout, 2, 1, init_norms, stats, THREE_BLOCK, rescale_mode="aggregate"
     )
-    idx = np.concatenate([layout.block_param_indices(b) for b in (1, 2)])
+    idx = slice(0, layout.block_slice(2).stop)
     want = math.sqrt(init_norms[0] ** 2 + init_norms[1] ** 2)
     assert np.linalg.norm(out.values[idx]) == pytest.approx(want, abs=1e-5)
     # aggregate rescaling preserves within-prefix ratios, not per-block norms
@@ -220,7 +221,7 @@ def test_layerwise_error_cases():
     with pytest.raises(ConfigurationError):
         layerwise_reinit(theta, theta_init, layout, 1, 1, init_norms, np.zeros((0, 6)), THREE_BLOCK)
     zeroed = theta.values.copy()
-    zeroed[layout.block_param_indices(1)] = 0.0
+    zeroed[layout.block_slice(1)] = 0.0
     with pytest.raises(NumericalError):
         layerwise_reinit(ParamVector(zeroed, layout), theta_init, layout, 1, 1, init_norms, stats, THREE_BLOCK)
 
@@ -236,26 +237,27 @@ def ctx(stats=None):
 
 def test_apply_reinit_none_keeps_params():
     theta = three_block_params(20)
-    out, fn = apply_reinit(ReinitSpec("none"), theta, InitDistribution(seed=5), 1, ctx())
+    out, fn, fresh_norm = apply_reinit(ReinitSpec("none"), theta, InitDistribution(seed=5), 1, ctx())
     assert np.array_equal(out.values, theta.values)
-    assert fn is None
+    assert fn is None and fresh_norm is None
 
 
 def test_apply_reinit_full_matches_seeded_fresh_draw():
     dist = InitDistribution(seed=5)
     c = ctx()
     for t in (1, 2):
-        a, _ = apply_reinit(ReinitSpec("full"), three_block_params(20), dist, t, c)
-        b, _ = apply_reinit(ReinitSpec("full"), three_block_params(21), dist, t, c)
+        a, _, fresh_norm = apply_reinit(ReinitSpec("full"), three_block_params(20), dist, t, c)
+        b, _, _ = apply_reinit(ReinitSpec("full"), three_block_params(21), dist, t, c)
         want = init_params(THREE_BLOCK, InitDistribution(seed=stage_seed(5, t)), dtype=np.float64)
         assert np.array_equal(a.values, want.values)
+        assert fresh_norm == weight_norm(want)
         assert np.array_equal(b.values, want.values)
 
 
 def test_apply_reinit_shrink_perturb_triangle_inequality():
     dist = InitDistribution(seed=5)
     theta = three_block_params(20)
-    out, _ = apply_reinit(ReinitSpec("shrink_perturb"), theta, dist, 1, ctx())
+    out, _, _ = apply_reinit(ReinitSpec("shrink_perturb"), theta, dist, 1, ctx())
     fresh = init_params(THREE_BLOCK, InitDistribution(seed=stage_seed(5, 1)), dtype=np.float64)
     lhs = np.linalg.norm(out.values)
     rhs = 0.4 * np.linalg.norm(theta.values) + 0.1 * np.linalg.norm(fresh.values)
@@ -266,10 +268,10 @@ def test_apply_reinit_shrink_perturb_triangle_inequality():
 def test_apply_reinit_dispatches_layerwise():
     dist = InitDistribution(seed=5)
     theta = three_block_params(11)
-    out, fn = apply_reinit(ReinitSpec("layer_wise", blocks=3), theta, dist, 2, ctx())
+    out, fn, _ = apply_reinit(ReinitSpec("layer_wise", blocks=3), theta, dist, 2, ctx())
     assert fn is not None and fn.insert_after_block == 2
     fresh = init_params(THREE_BLOCK, InitDistribution(seed=stage_seed(5, 2)), dtype=np.float64)
-    idx = theta.layout.block_param_indices(3)
+    idx = theta.layout.block_slice(3)
     assert np.array_equal(out.values[idx], fresh.values[idx])
 
 
@@ -284,7 +286,7 @@ def test_apply_reinit_outputs_always_finite():
     theta = three_block_params(20)
     c = ctx()
     for kind, kwargs in (("none", {}), ("full", {}), ("shrink_perturb", {}), ("layer_wise", {"blocks": 3})):
-        out, _ = apply_reinit(ReinitSpec(kind, **kwargs), theta, dist, 1, c)
+        out, _, _ = apply_reinit(ReinitSpec(kind, **kwargs), theta, dist, 1, c)
         assert np.all(np.isfinite(out.values))
 
 
@@ -293,11 +295,71 @@ def test_apply_reinit_outputs_always_finite():
     st.floats(min_value=0.0, max_value=1.0),
     st.floats(min_value=0.0, max_value=1.0),
     st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([np.float32, np.float64]),
 )
-def test_shrink_perturb_property_matches_formula(lam, gamma, seed):
+def test_shrink_perturb_property_matches_formula(lam, gamma, seed, dtype):
     rng = np.random.Generator(np.random.PCG64(seed))
     layout = build_layout(THREE_BLOCK)
-    theta = ParamVector(rng.normal(size=layout.total_len), layout)
-    theta_init = ParamVector(rng.normal(size=layout.total_len), layout)
+    theta = ParamVector(rng.normal(size=layout.total_len).astype(dtype), layout)
+    theta_init = ParamVector(rng.normal(size=layout.total_len).astype(dtype), layout)
     out = shrink_perturb(theta, theta_init, lam, gamma)
-    np.testing.assert_allclose(out.values, lam * theta.values + gamma * theta_init.values, atol=1e-12)
+    want = lam * theta.values + gamma * theta_init.values
+    assert out.values.dtype == want.dtype
+    assert out.values.tobytes() == want.tobytes()
+
+
+# --- block slices against an index-based oracle, bit for bit -----------------
+# blocks are contiguous runs of the flat vector; these references gather each
+# block's parameters through explicit index arrays instead.
+
+
+def oracle_block_indices(layout, b):
+    return np.concatenate(
+        [np.arange(s.offset, s.offset + s.length) for s in layout.segments if layout.block_assignment[s.layer_id] == b]
+    )
+
+
+def oracle_kept_indices(layout, kept):
+    return np.concatenate([oracle_block_indices(layout, b) for b in range(1, kept + 1)])
+
+
+def oracle_layerwise_values(theta, theta_init, t, repeats, init_norms, mode):
+    layout = theta.layout
+    kept = math.ceil(t / repeats)
+    mask = np.zeros(layout.total_len, dtype=bool)
+    mask[oracle_kept_indices(layout, kept)] = True
+    out = np.where(mask, theta.values, theta_init.values.astype(theta.dtype))
+    if mode == "per_block":
+        parts = [(oracle_block_indices(layout, b), init_norms[b - 1]) for b in range(1, kept + 1)]
+    else:
+        parts = [(oracle_kept_indices(layout, kept), math.sqrt(sum(float(n) ** 2 for n in init_norms[:kept])))]
+    for idx, target in parts:
+        cur = float(np.linalg.norm(out[idx].astype(np.float64)))
+        out[idx] = (out[idx].astype(np.float64) * (target / cur)).astype(out.dtype)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_block_norms_and_mask_match_index_oracle(dtype):
+    theta = three_block_params(31, dtype)
+    layout = theta.layout
+    v = theta.values.astype(np.float64)
+    want = np.array([np.linalg.norm(v[oracle_block_indices(layout, b)]) for b in range(1, 4)])
+    assert block_norms(theta).tobytes() == want.tobytes()
+    for t in range(1, 7):
+        want_mask = np.zeros(layout.total_len, dtype=bool)
+        want_mask[oracle_kept_indices(layout, math.ceil(t / 2))] = True
+        assert np.array_equal(block_mask(layout, t, repeats=2), want_mask)
+
+
+@pytest.mark.parametrize("mode", ["per_block", "aggregate"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layerwise_rescale_matches_index_oracle(mode, dtype):
+    theta, theta_init, layout, init_norms, stats = layerwise_setup()
+    theta = ParamVector(theta.values.astype(dtype), layout)
+    for t in range(1, 7):
+        out, _ = layerwise_reinit(theta, theta_init, layout, t, 2, init_norms, stats, THREE_BLOCK, rescale_mode=mode)
+        want = oracle_layerwise_values(theta, theta_init, t, 2, init_norms, mode)
+        assert out.values.dtype == want.dtype
+        assert out.values.tobytes() == want.tobytes()
+
