@@ -7,7 +7,7 @@ cache, which ``distill_rows`` enforces when told the current stage.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +20,12 @@ from .runio import read_framed, write_framed
 class TeacherCache:
     """Per-example probability table from the end of ``source_stage``.
 
-    ``probs`` is read-only after construction. ``reads`` counts distill_rows
-    calls so a run can prove stage 1 never consulted the cache.
+    ``probs`` is read-only after construction.
     """
 
     probs: np.ndarray
     source_stage: int
     beta: float
-    reads: int = field(default=0, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.probs)
@@ -78,7 +76,7 @@ def snapshot_teacher(
 
 
 def distill_rows(cache: TeacherCache, batch_indices: np.ndarray, stage: int | None = None) -> np.ndarray:
-    """Teacher rows aligned with a training batch; counts as one cache read.
+    """Teacher rows aligned with a training batch.
 
     Passing the current stage index turns on the stage-1 guard: the first
     stage optimizes the plain loss and must not look up a teacher.
@@ -90,7 +88,6 @@ def distill_rows(cache: TeacherCache, batch_indices: np.ndarray, stage: int | No
         raise ConfigurationError(
             f"batch indices out of range [0, {cache.num_examples}): [{idx.min()}, {idx.max()}]"
         )
-    cache.reads += 1
     return cache.probs[idx]
 
 

@@ -48,7 +48,6 @@ from .nn import (
 )
 from .optim import LrSchedule, OptimState, lr_at, sgd_step
 from .reinit import (
-    RESCALE_MODES,
     ReinitContext,
     ReinitSpec,
     apply_reinit,
@@ -140,8 +139,6 @@ class RunConfig:
     noise_q: float = 0.0
     seeds: Seeds = Seeds()
     eta_min: float = 0.0
-    reset_optimizer_on_stage: bool = True
-    rescale_mode: str = "per_block"
     augment: AugmentSpec = AugmentSpec()
     run_name: str | None = None
 
@@ -154,8 +151,6 @@ class RunConfig:
             raise ConfigurationError(f"lr must be > 0, got {self.lr}")
         if not 0.0 <= self.noise_q <= 1.0:
             raise ConfigurationError(f"noise_q must lie in [0, 1], got {self.noise_q}")
-        if self.rescale_mode not in RESCALE_MODES:
-            raise ConfigurationError(f"rescale_mode must be one of {RESCALE_MODES}, got {self.rescale_mode!r}")
         make_stage_plan(self.epochs, self.stages)
         required = self.reinit.required_stages()
         if required is not None and required != self.stages:
@@ -321,6 +316,16 @@ def run_experiment(
         bundle = prepare_data(cfg)
     if cfg.augment_enabled and bundle.train.image_shape is None:
         raise ConfigurationError("augmentation needs image geometry; this data has none")
+    width = bundle.train.inputs.shape[1]
+    if width != cfg.network.input_dim:
+        raise ConfigurationError(
+            f"network input_dim {cfg.network.input_dim} does not match the data's {width} features"
+        )
+    classes = 1 + max(int(y.max()) for y in (bundle.train_labels, bundle.val.labels, bundle.test.labels))
+    if classes > cfg.network.num_classes:
+        raise ConfigurationError(
+            f"data labels span {classes} classes but the network has num_classes {cfg.network.num_classes}"
+        )
     plan = make_stage_plan(cfg.epochs, cfg.stages)
     run_id = cfg.run_id
     network = cfg.network
@@ -333,7 +338,6 @@ def run_experiment(
         network=network,
         init_block_norms=init_norms,
         stats_batch=bundle.train.inputs[: min(256, bundle.train.n)],
-        rescale_mode=cfg.rescale_mode,
     )
 
     n_train = bundle.train.n
@@ -389,8 +393,7 @@ def run_experiment(
                     boundary_events.append(BoundaryEvent(stage, norm_before, weight_norm(params), fresh_norm))
                 if new_fn is not None:
                     frozen_norm = new_fn
-                if cfg.reset_optimizer_on_stage:
-                    opt = OptimState.fresh(params, cfg.momentum, cfg.effective_weight_decay)
+                opt = OptimState.fresh(params, cfg.momentum, cfg.effective_weight_decay)
             for epoch_in_stage in range(plan.epochs_per_stage):
                 t0 = time.monotonic()
                 perm = shuffle_rng.permutation(n_train)

@@ -40,8 +40,6 @@ __all__ = [
 ]
 
 KINDS = ("none", "shrink_perturb", "layer_wise", "full")
-# how layer_wise restores the kept blocks' norms: each block to its own, or the prefix as a whole
-RESCALE_MODES = ("per_block", "aggregate")
 
 FROZEN_NORM_STD_FLOOR = 1e-5
 
@@ -130,7 +128,6 @@ class ReinitContext:
     network: NetworkSpec
     init_block_norms: tuple[float, ...] | None = None
     stats_batch: np.ndarray | None = None
-    rescale_mode: str = "per_block"
 
 
 def stage_seed(base_seed: int, stage: int) -> int:
@@ -179,26 +176,19 @@ def _rescale_kept_blocks(
     layout: LayerLayout,
     kept_blocks: int,
     init_block_norms: Sequence[float],
-    mode: str,
 ) -> None:
-    """Scale the kept blocks back to their init norms in place, in float64."""
-    if mode not in RESCALE_MODES:
-        raise ConfigurationError(f"unknown rescale mode {mode!r}")
+    """Scale each kept block back to its own init norm in place, in float64."""
     if len(init_block_norms) < kept_blocks:
         raise ConfigurationError(
             f"need init norms for {kept_blocks} blocks, got {len(init_block_norms)}"
         )
-    if mode == "per_block":
-        parts = [(layout.block_slice(b), init_block_norms[b - 1], f"block {b}") for b in range(1, kept_blocks + 1)]
-    else:
-        target = math.sqrt(sum(float(n) ** 2 for n in init_block_norms[:kept_blocks]))
-        parts = [(slice(0, layout.block_slice(kept_blocks).stop), target, "kept prefix")]
-    for part, target, what in parts:
+    for b in range(1, kept_blocks + 1):
+        part = layout.block_slice(b)
         x = values[part].astype(np.float64)
         cur = float(np.linalg.norm(x))
         if cur == 0.0:
-            raise NumericalError(f"{what} has zero norm; cannot rescale")
-        x *= target / cur
+            raise NumericalError(f"block {b} has zero norm; cannot rescale")
+        x *= init_block_norms[b - 1] / cur
         values[part] = x
 
 
@@ -211,7 +201,6 @@ def layerwise_reinit(
     init_block_norms: Sequence[float],
     stats_batch: np.ndarray,
     spec: NetworkSpec,
-    rescale_mode: str = "per_block",
 ) -> tuple[ParamVector, FrozenNormLayer]:
     """Keep the first ceil(t/repeats) blocks of theta, resample the rest.
 
@@ -226,7 +215,7 @@ def layerwise_reinit(
     mask = block_mask(layout, t, repeats)
     kept_blocks = math.ceil(t / repeats)
     merged = np.where(mask, theta.values, theta_init.values.astype(theta.dtype, copy=False))
-    _rescale_kept_blocks(merged, layout, kept_blocks, init_block_norms, rescale_mode)
+    _rescale_kept_blocks(merged, layout, kept_blocks, init_block_norms)
     new_params = ParamVector(merged, layout)
     acts = forward(spec, new_params, stats, stop_block=kept_blocks)
     mean = acts.mean(axis=0).astype(np.float64)
@@ -263,6 +252,6 @@ def apply_reinit(
         raise ConfigurationError("layer_wise reinit needs init block norms and a stats batch")
     new_params, frozen = layerwise_reinit(
         theta_end, fresh, theta_end.layout, t, rspec.repeats,
-        context.init_block_norms, context.stats_batch, context.network, context.rescale_mode,
+        context.init_block_norms, context.stats_batch, context.network
     )
     return new_params, frozen, fresh_norm

@@ -1,7 +1,16 @@
-"""Shared test helpers."""
-import math
+"""Shared test helpers.
 
-import numpy as np
+BLAS is pinned to one thread before numpy loads, unless the caller set the
+thread count: these networks are too small to gain from a second BLAS thread,
+and on a shared host one that waits on a busy CPU can stall the suite.
+"""
+import math
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (after the BLAS pin)
 import pytest
 
 from reinit_lab.nn import (

@@ -142,15 +142,36 @@ class TestMain:
         assert not (tmp_path / "runs").exists()
 
     def test_unknown_rescale_mode_leaves_no_run_directory(self, tiny_config_file, tmp_path, capsys):
-        config = json.loads(Path(tiny_config_file).read_text())
-        config.update(stages=2, reinit={"kind": "shrink_perturb"}, rescale_mode="bogus")
-        path = tmp_path / "bogus.json"
-        path.write_text(json.dumps(config))
+        # both retired keys, at their old values, now fail the unknown-key check
+        for key, value in (("rescale_mode", "per_block"), ("reset_optimizer_on_stage", True)):
+            config = json.loads(Path(tiny_config_file).read_text())
+            config.update(stages=2, reinit={"kind": "shrink_perturb"}, **{key: value})
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / "runs"
+            code, payload = run_main(["train", "--config", str(path), "--out", str(out)], capsys)
+            assert code == 2
+            assert payload["error"] == "ConfigurationError"
+            assert f"unknown run config keys: {key}" in payload["message"]
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "network, phrases",
+        [
+            ({"input_dim": 40, "hidden_dims": [16], "num_classes": 10}, ("input_dim 40", "50 features")),
+            ({"input_dim": 50, "hidden_dims": [16], "num_classes": 5}, ("span 10 classes", "num_classes 5")),
+        ],
+        ids=["input_width", "label_range"],
+    )
+    def test_network_that_does_not_fit_the_data_leaves_no_run_directory(self, tmp_path, capsys, network, phrases):
+        path = tmp_path / "mismatch.json"
+        path.write_text(json.dumps({"network": network, "epochs": 2}))
         out = tmp_path / "runs"
         code, payload = run_main(["train", "--config", str(path), "--out", str(out)], capsys)
         assert code == 2
         assert payload["error"] == "ConfigurationError"
-        assert "rescale_mode" in payload["message"]
+        for phrase in phrases:
+            assert phrase in payload["message"]
         assert not out.exists()
 
     def test_augmentation_without_image_geometry_leaves_no_run_directory(self, tmp_path, capsys):

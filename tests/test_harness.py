@@ -243,19 +243,30 @@ class TestRunExperiment:
         without = run_experiment(tiny_cfg(setting="dc", **base))
         assert with_wd.records[-1].weight_norm < without.records[-1].weight_norm
 
-    def test_none_reinit_without_optimizer_reset_is_seamless(self):
-        bundle = prepare_data(tiny_cfg())
-        plain = run_experiment(tiny_cfg(), bundle)
-        staged = run_experiment(
-            tiny_cfg(stages=3, reset_optimizer_on_stage=False), bundle
-        )
-        for a, b in zip(plain.records, staged.records):
-            assert (a.train_loss, a.val_acc, a.test_acc, a.weight_norm) == (
-                b.train_loss,
-                b.val_acc,
-                b.test_acc,
-                b.weight_norm,
-            )
+    def test_every_stage_starts_with_zero_momentum(self, monkeypatch):
+        fresh_calls = []
+        buffers = {}
+        real_fresh, real_step = harness.OptimState.fresh, harness.sgd_step
+
+        def counting_fresh(params, momentum, weight_decay):
+            fresh_calls.append(params)
+            return real_fresh(params, momentum, weight_decay)
+
+        def watching_step(params, grad, state, lr, step, out):
+            # the buffer each stage's first and second steps see (2 epochs per stage)
+            if step % (2 * STEPS_PER_EPOCH) in (0, 1):
+                buffers[step] = state.momentum_buffer.copy()
+            return real_step(params, grad, state, lr, step=step, out=out)
+
+        monkeypatch.setattr(harness.OptimState, "fresh", staticmethod(counting_fresh))
+        monkeypatch.setattr(harness, "sgd_step", watching_step)
+        res = run_experiment(tiny_cfg(stages=3))
+        assert not res.failed
+        assert len(fresh_calls) == 3
+        for start in (0, 2 * STEPS_PER_EPOCH, 4 * STEPS_PER_EPOCH):
+            assert not buffers[start].any()
+            # momentum builds up within a stage, so the reset at the boundary is what zeroes it
+            assert buffers[start + 1].any()
 
     def test_shrink_perturb_boundary_norms(self):
         cfg = tiny_cfg(stages=3, reinit=ReinitSpec("shrink_perturb"))
@@ -620,19 +631,19 @@ class TestStageSweep:
             stage_sweep(tiny_cfg(epochs=6), (4,))
 
     def test_diverged_arm_is_a_failed_row(self, tmp_path):
-        # the T=6 arm hits a non-finite loss at step 37 while T=3 completes its 42 steps
+        # the T=6 arm hits a non-finite loss at step 33 while T=3 completes its 42 steps
         base = RunConfig(
             network=NetworkSpec(50, (64, 32), 10, block_boundaries=(1, 2)),
             data=DataConfig(per_class=120),
+            lr=0.1,
             epochs=6,
             stages=3,
             reinit=ReinitSpec("layer_wise", blocks=3),
             distill=DistillConfig(enabled=True, beta=1.0),
-            rescale_mode="aggregate",
             seeds=Seeds(3, 4, 5, 6),
         )
         rows = stage_sweep(base, (3, 6), out_dir=tmp_path)
-        assert [(r["stages"], r["failed"], r["total_steps"]) for r in rows] == [(3, False, 42), (6, True, 37)]
+        assert [(r["stages"], r["failed"], r["total_steps"]) for r in rows] == [(3, False, 42), (6, True, 33)]
         assert json.loads((tmp_path / "stage_sweep.json").read_text()) == rows
 
     def test_step_counts_of_completed_arms_must_agree(self, monkeypatch):

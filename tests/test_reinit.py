@@ -202,20 +202,6 @@ def test_layerwise_frozen_layer_standardizes_stats_batch():
     np.testing.assert_allclose(acts.std(axis=0)[varying], 1.0, atol=1e-9)
 
 
-def test_layerwise_aggregate_mode_restores_prefix_norm():
-    theta, theta_init, layout, init_norms, stats = layerwise_setup()
-    out, _ = layerwise_reinit(
-        theta, theta_init, layout, 2, 1, init_norms, stats, THREE_BLOCK, rescale_mode="aggregate"
-    )
-    idx = slice(0, layout.block_slice(2).stop)
-    want = math.sqrt(init_norms[0] ** 2 + init_norms[1] ** 2)
-    assert np.linalg.norm(out.values[idx]) == pytest.approx(want, abs=1e-5)
-    # aggregate rescaling preserves within-prefix ratios, not per-block norms
-    a, c = out.values[idx], theta.values[idx]
-    cos = float(a @ c / (np.linalg.norm(a) * np.linalg.norm(c)))
-    assert abs(cos - 1.0) < 1e-6
-
-
 def test_layerwise_error_cases():
     theta, theta_init, layout, init_norms, stats = layerwise_setup()
     with pytest.raises(ConfigurationError):
@@ -323,19 +309,16 @@ def oracle_kept_indices(layout, kept):
     return np.concatenate([oracle_block_indices(layout, b) for b in range(1, kept + 1)])
 
 
-def oracle_layerwise_values(theta, theta_init, t, repeats, init_norms, mode):
+def oracle_layerwise_values(theta, theta_init, t, repeats, init_norms):
     layout = theta.layout
     kept = math.ceil(t / repeats)
     mask = np.zeros(layout.total_len, dtype=bool)
     mask[oracle_kept_indices(layout, kept)] = True
     out = np.where(mask, theta.values, theta_init.values.astype(theta.dtype))
-    if mode == "per_block":
-        parts = [(oracle_block_indices(layout, b), init_norms[b - 1]) for b in range(1, kept + 1)]
-    else:
-        parts = [(oracle_kept_indices(layout, kept), math.sqrt(sum(float(n) ** 2 for n in init_norms[:kept])))]
-    for idx, target in parts:
+    for b in range(1, kept + 1):
+        idx = oracle_block_indices(layout, b)
         cur = float(np.linalg.norm(out[idx].astype(np.float64)))
-        out[idx] = (out[idx].astype(np.float64) * (target / cur)).astype(out.dtype)
+        out[idx] = (out[idx].astype(np.float64) * (init_norms[b - 1] / cur)).astype(out.dtype)
     return out
 
 
@@ -352,14 +335,13 @@ def test_block_norms_and_mask_match_index_oracle(dtype):
         assert np.array_equal(block_mask(layout, t, repeats=2), want_mask)
 
 
-@pytest.mark.parametrize("mode", ["per_block", "aggregate"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_layerwise_rescale_matches_index_oracle(mode, dtype):
+def test_layerwise_rescale_matches_index_oracle(dtype):
     theta, theta_init, layout, init_norms, stats = layerwise_setup()
     theta = ParamVector(theta.values.astype(dtype), layout)
     for t in range(1, 7):
-        out, _ = layerwise_reinit(theta, theta_init, layout, t, 2, init_norms, stats, THREE_BLOCK, rescale_mode=mode)
-        want = oracle_layerwise_values(theta, theta_init, t, 2, init_norms, mode)
+        out, _ = layerwise_reinit(theta, theta_init, layout, t, 2, init_norms, stats, THREE_BLOCK)
+        want = oracle_layerwise_values(theta, theta_init, t, 2, init_norms)
         assert out.values.dtype == want.dtype
         assert out.values.tobytes() == want.tobytes()
 
