@@ -2,9 +2,7 @@
 
 from .data import (
     AugmentSpec,
-    ChunkStream,
     Dataset,
-    NoisyDataset,
     inject_label_noise,
     load_csv,
     load_idx,
@@ -38,7 +36,6 @@ from .harness import (
 )
 from .nn import (
     FrozenNormLayer,
-    InitDistribution,
     LayerLayout,
     NetworkSpec,
     ParamVector,
@@ -52,9 +49,7 @@ from .nn import (
 )
 from .optim import LrSchedule, OptimState, lr_at, sgd_step
 from .reinit import (
-    ReinitContext,
     ReinitSpec,
-    StagePlan,
     apply_reinit,
     block_mask,
     layerwise_reinit,

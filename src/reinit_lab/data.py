@@ -62,35 +62,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class NoisyDataset:
-    """A dataset plus a corrupted copy of its training labels.
-
-    noisy_labels agrees with base.labels outside the mask; inside it the
-    label was re-drawn uniformly over all classes, so roughly 1/C of the
-    masked entries keep their true label by chance.
-    """
-
-    base: Dataset
-    noisy_labels: np.ndarray
-    noise_mask: np.ndarray
-    q: float
-    noise_seed: int
-
-    def __post_init__(self):
-        y = np.asarray(self.noisy_labels)
-        mask = np.asarray(self.noise_mask)
-        n = self.base.n
-        if y.shape != (n,) or mask.shape != (n,) or mask.dtype != bool:
-            raise DataError("noisy labels and mask must be 1-D with one entry per example")
-        if int(mask.sum()) != int(self.q * n):
-            raise DataError(f"mask marks {int(mask.sum())} entries, expected floor({self.q}*{n})")
-        if np.any(y[~mask] != self.base.labels[~mask]):
-            raise DataError("labels outside the noise mask must be untouched")
-        if y.min() < 0 or y.max() >= self.base.num_classes:
-            raise DataError("noisy labels out of class range")
-
-
-@dataclass(frozen=True)
 class AugmentSpec:
     """Random horizontal flips plus a size-preserving pad-and-crop."""
 
@@ -102,33 +73,6 @@ class AugmentSpec:
             raise ConfigurationError(f"flip probability must lie in [0, 1], got {self.horizontal_flip_prob}")
         if self.pad_pixels < 0:
             raise ConfigurationError(f"pad_pixels must be >= 0, got {self.pad_pixels}")
-
-
-@dataclass(frozen=True)
-class ChunkStream:
-    """Equal partition of training indices into sequentially arriving chunks."""
-
-    chunks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        sizes = [len(c) for c in self.chunks]
-        if not sizes or min(sizes) < 1:
-            raise ConfigurationError("every chunk must be nonempty")
-        if max(sizes) - min(sizes) > 1:
-            raise ConfigurationError(f"chunk sizes must differ by at most 1, got {sizes}")
-        all_idx = np.concatenate(self.chunks)
-        if len(_distinct(all_idx)) != len(all_idx):
-            raise ConfigurationError("chunks must be disjoint")
-
-    @property
-    def num_chunks(self) -> int:
-        return len(self.chunks)
-
-    def cumulative_union(self, k: int) -> np.ndarray:
-        """Indices of chunks 1..k, in arrival order."""
-        if not 1 <= k <= self.num_chunks:
-            raise ConfigurationError(f"chunk count {k} outside 1..{self.num_chunks}")
-        return np.concatenate(self.chunks[:k])
 
 
 def _read_be_u32(buf: bytes, offset: int, path, what: str) -> int:
@@ -259,11 +203,13 @@ def make_synthetic(
     return Dataset(inputs, labels[order], num_classes, image_shape=image_shape)
 
 
-def inject_label_noise(ds: Dataset, q: float, seed: int) -> NoisyDataset:
+def inject_label_noise(ds: Dataset, q: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Re-draw exactly floor(q*n) labels uniformly over all classes.
 
-    The re-drawn label may coincide with the true one, so the expected
-    fraction actually corrupted is q*(C-1)/C.
+    Returns the noisy labels and the boolean mask of the re-drawn entries;
+    outside the mask the labels are ds.labels. The re-drawn label may
+    coincide with the true one, so the expected fraction actually corrupted
+    is q*(C-1)/C.
     """
     if not 0.0 <= q <= 1.0:
         raise ConfigurationError(f"noise fraction must lie in [0, 1], got {q}")
@@ -275,7 +221,7 @@ def inject_label_noise(ds: Dataset, q: float, seed: int) -> NoisyDataset:
         chosen = rng.choice(ds.n, size=k, replace=False)
         mask[chosen] = True
         noisy[chosen] = rng.integers(0, ds.num_classes, size=k)
-    return NoisyDataset(ds, noisy, mask, q, seed)
+    return noisy, mask
 
 
 def augment_batch(
@@ -373,13 +319,14 @@ def split(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset
     return subset(ds, train_idx), subset(ds, val_idx)
 
 
-def make_chunks(ds: Dataset, num_chunks: int, seed: int) -> ChunkStream:
-    """Seeded equal partition of the index set into arrival-ordered chunks."""
+def make_chunks(ds: Dataset, num_chunks: int, seed: int) -> tuple[np.ndarray, ...]:
+    """Seeded partition of the index set into arrival-ordered chunks whose
+    sizes differ by at most 1."""
     if not 1 <= num_chunks <= ds.n:
         raise ConfigurationError(f"chunk count {num_chunks} outside 1..{ds.n}")
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(ds.n)
-    return ChunkStream(tuple(np.array_split(order, num_chunks)))
+    return tuple(np.array_split(order, num_chunks))
 
 
 def compute_normalization(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,6 @@ from .errors import ConfigurationError, HarnessError, NumericalError, checked_ke
 from .nn import (
     NO_GRAD_ROWS,
     FrozenNormLayer,
-    InitDistribution,
     NetworkSpec,
     ParamVector,
     block_norms,
@@ -47,14 +47,7 @@ from .nn import (
     weight_norm,
 )
 from .optim import LrSchedule, OptimState, lr_at, sgd_step
-from .reinit import (
-    ReinitContext,
-    ReinitSpec,
-    apply_reinit,
-    make_stage_plan,
-    restage,
-    stage_seed,
-)
+from .reinit import ReinitSpec, apply_reinit, make_stage_plan, restage, stage_seed
 from .runio import MetricsRecord, emit_metrics, save_checkpoint, write_json, write_summary_csv
 
 SETTINGS = ("none", "d", "dc", "dcw")
@@ -74,6 +67,17 @@ class Seeds:
     data: int = 1
     noise: int = 2
     shuffle: int = 3
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                seed = operator.index(value)  # ints and numpy ints, not floats
+            except TypeError:
+                seed = None
+            if seed is None or seed < 0:
+                raise ConfigurationError(f"seed {f.name} must be a non-negative integer, got {value!r}")
+            object.__setattr__(self, f.name, seed)
 
 
 @dataclass(frozen=True)
@@ -250,8 +254,8 @@ def prepare_data(cfg: RunConfig) -> DataBundle:
     train = apply_normalization(train, mean, std)
     val = apply_normalization(val, mean, std)
     test = apply_normalization(test, mean, std)
-    noisy = inject_label_noise(train, cfg.noise_q, cfg.seeds.noise)
-    return DataBundle(train, noisy.noisy_labels, noisy.noise_mask, val, test)
+    train_labels, noise_mask = inject_label_noise(train, cfg.noise_q, cfg.seeds.noise)
+    return DataBundle(train, train_labels, noise_mask, val, test)
 
 
 def evaluate_accuracy(
@@ -326,23 +330,18 @@ def run_experiment(
         raise ConfigurationError(
             f"data labels span {classes} classes but the network has num_classes {cfg.network.num_classes}"
         )
-    plan = make_stage_plan(cfg.epochs, cfg.stages)
+    epochs_per_stage = make_stage_plan(cfg.epochs, cfg.stages)
     run_id = cfg.run_id
     network = cfg.network
 
-    params = initial_params.copy() if initial_params is not None else init_params(
-        network, InitDistribution(cfg.seeds.init)
-    )
+    params = initial_params.copy() if initial_params is not None else init_params(network, cfg.seeds.init)
+    # what the layer-wise rule reads at every boundary
     init_norms = tuple(block_norms(params))
-    reinit_ctx = ReinitContext(
-        network=network,
-        init_block_norms=init_norms,
-        stats_batch=bundle.train.inputs[: min(256, bundle.train.n)],
-    )
+    stats_batch = bundle.train.inputs[: min(256, bundle.train.n)]
 
     n_train = bundle.train.n
     steps_per_epoch = math.ceil(n_train / cfg.batch_size)
-    steps_per_stage = plan.epochs_per_stage * steps_per_epoch
+    steps_per_stage = epochs_per_stage * steps_per_epoch
     schedule = LrSchedule(
         "cosine_per_stage" if cfg.cosine_enabled else "constant",
         eta_max=cfg.lr,
@@ -387,14 +386,14 @@ def run_experiment(
             if stage > 1:
                 norm_before = weight_norm(params)
                 params, new_fn, fresh_norm = apply_reinit(
-                    cfg.reinit, params, InitDistribution(cfg.seeds.init), stage - 1, reinit_ctx
+                    cfg.reinit, params, cfg.seeds.init, stage - 1, network, init_norms, stats_batch
                 )
                 if fresh_norm is not None:
                     boundary_events.append(BoundaryEvent(stage, norm_before, weight_norm(params), fresh_norm))
                 if new_fn is not None:
                     frozen_norm = new_fn
                 opt = OptimState.fresh(params, cfg.momentum, cfg.effective_weight_decay)
-            for epoch_in_stage in range(plan.epochs_per_stage):
+            for epoch_in_stage in range(epochs_per_stage):
                 t0 = time.monotonic()
                 perm = shuffle_rng.permutation(n_train)
                 epoch_loss = 0.0
@@ -665,26 +664,29 @@ def noise_study(base_cfg: RunConfig, q_values, methods, out_dir=None, budget_fra
     epoch-budget sweep arm, since shortening training is the classical
     defense against fitting noise.
     """
-    rows = []
+    # every cell config is built, and so checked, before the first cell runs
+    studies = []
     for q in q_values:
-        if not 0.0 <= q <= 1.0:
-            raise ConfigurationError(f"noise fraction must lie in [0, 1], got {q}")
         q_cfg = replace(base_cfg, noise_q=q)
-        bundle = prepare_data(q_cfg)
+        cells = []
         for method in methods:
             method_cfg = _method_config(q_cfg, method)
             cfg = _cell_config(method_cfg, f"q{q}-{method}")
-            res = run_experiment(cfg, bundle, out_dir)
-            rows.append(_noise_row(q, method, cfg.epochs, res, bundle))
+            cells.append((method, cfg))
             if method == "standard":
                 for frac in budget_fractions:
                     epochs = max(1, int(cfg.epochs * frac))
                     if epochs == cfg.epochs:
                         continue
                     arm = f"standard@{epochs}ep"
-                    short = _cell_config(method_cfg, f"q{q}-{arm}", epochs=epochs, stages=1)
-                    res_short = run_experiment(short, bundle, out_dir)
-                    rows.append(_noise_row(q, arm, epochs, res_short, bundle))
+                    cells.append((arm, _cell_config(method_cfg, f"q{q}-{arm}", epochs=epochs, stages=1)))
+        studies.append((q, q_cfg, cells))
+    rows = []
+    for q, q_cfg, cells in studies:
+        bundle = prepare_data(q_cfg)  # one noise fraction's data alive at a time
+        for method, cfg in cells:
+            res = run_experiment(cfg, bundle, out_dir)
+            rows.append(_noise_row(q, method, cfg.epochs, res, bundle))
     if out_dir is not None:
         write_json(rows, Path(out_dir) / "noise_study.json")
     return rows
@@ -736,7 +738,7 @@ def online_sim(base_cfg: RunConfig, num_chunks: int, methods=ONLINE_METHODS, out
     if epochs_per_chunk < 1:
         raise ConfigurationError(f"{base_cfg.epochs} epochs cannot cover {num_chunks} chunks")
     bundle = prepare_data(base_cfg)
-    stream = make_chunks(bundle.train, num_chunks, stage_seed(base_cfg.seeds.data, CHUNK_TAG))
+    chunks = make_chunks(bundle.train, num_chunks, stage_seed(base_cfg.seeds.data, CHUNK_TAG))
 
     transitions = {
         "scratch": ReinitSpec("full"),
@@ -745,17 +747,17 @@ def online_sim(base_cfg: RunConfig, num_chunks: int, methods=ONLINE_METHODS, out
         if base_cfg.reinit.kind == "shrink_perturb"
         else ReinitSpec("shrink_perturb"),
     }
-    dist = InitDistribution(base_cfg.seeds.init)
-    ctx = ReinitContext(network=base_cfg.network)
+    seed = base_cfg.seeds.init
 
     curves = {}
     for method in methods:
-        params = init_params(base_cfg.network, dist)
+        params = init_params(base_cfg.network, seed)
         curve = []
         for k in range(1, num_chunks + 1):
             if k > 1:
-                params, _, _ = apply_reinit(transitions[method], params, dist, k, ctx)
-            chunk_bundle = bundle.take_train(stream.cumulative_union(k))
+                params, _, _ = apply_reinit(transitions[method], params, seed, k, base_cfg.network)
+            seen = np.concatenate(chunks[:k])
+            chunk_bundle = bundle.take_train(seen)
             cfg = replace(
                 base_cfg,
                 epochs=epochs_per_chunk,
@@ -772,7 +774,7 @@ def online_sim(base_cfg: RunConfig, num_chunks: int, methods=ONLINE_METHODS, out
             curve.append(
                 {
                     "chunk": k,
-                    "train_size": int(len(stream.cumulative_union(k))),
+                    "train_size": len(seen),
                     "test_acc": res.best_test_acc,
                     "val_acc": res.best_val_acc,
                     "final_test_acc": res.records[-1].test_acc,

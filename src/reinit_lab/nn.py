@@ -164,14 +164,6 @@ class NetworkSpec:
 
 
 @dataclass(frozen=True)
-class InitDistribution:
-    """Deterministic parameter initializer: uniform(-1/sqrt(fan_in), +1/sqrt(fan_in))
-    for weights, zeros for biases. The seed fully determines the draw."""
-
-    seed: int
-
-
-@dataclass(frozen=True)
 class FrozenNormLayer:
     """Per-unit standardization inserted after a block; has no trainable parameters."""
 
@@ -205,10 +197,11 @@ def build_layout(spec: NetworkSpec) -> LayerLayout:
     return LayerLayout(tuple(segments), assignment)
 
 
-def init_params(spec: NetworkSpec, dist: InitDistribution, dtype=np.float32) -> ParamVector:
-    """Sample fresh parameters. Bit-identical for identical (spec, dist, dtype)."""
+def init_params(spec: NetworkSpec, seed: int, dtype=np.float32) -> ParamVector:
+    """Sample fresh parameters: uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) for
+    weights, zeros for biases. Bit-identical for identical (spec, seed, dtype)."""
     layout = build_layout(spec)
-    rng = np.random.Generator(np.random.PCG64(dist.seed & 0xFFFFFFFFFFFFFFFF))
+    rng = np.random.Generator(np.random.PCG64(seed & 0xFFFFFFFFFFFFFFFF))
     values = np.empty(layout.total_len, dtype=dtype)
     for seg in layout.segments:
         sl = slice(seg.offset, seg.offset + seg.length)

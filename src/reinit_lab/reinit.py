@@ -1,6 +1,6 @@
 """Re-initialization rules applied between training stages, plus the stage plan.
 
-Every rule maps (current parameters, fresh-draw distribution) to the starting
+Every rule maps (current parameters, fresh-draw seed) to the starting
 parameters of the next stage: keep them, shrink-and-perturb them, rebuild a
 suffix of blocks, or discard them entirely. Fresh draws are seeded per stage
 boundary so a run is reproducible while its stages stay independent.
@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .nn import (
     FrozenNormLayer,
-    InitDistribution,
     LayerLayout,
     NetworkSpec,
     ParamVector,
@@ -26,9 +25,7 @@ from .nn import (
 )
 
 __all__ = [
-    "StagePlan",
     "ReinitSpec",
-    "ReinitContext",
     "FrozenNormLayer",
     "make_stage_plan",
     "restage",
@@ -44,22 +41,14 @@ KINDS = ("none", "shrink_perturb", "layer_wise", "full")
 FROZEN_NORM_STD_FLOOR = 1e-5
 
 
-@dataclass(frozen=True)
-class StagePlan:
-    """Equal-compute split of a training budget into stages."""
-
-    total_epochs: int
-    num_stages: int
-    epochs_per_stage: int
-
-
-def make_stage_plan(total_epochs: int, num_stages: int) -> StagePlan:
-    """T stages of floor(N/T) epochs; leftover epochs are dropped."""
+def make_stage_plan(total_epochs: int, num_stages: int) -> int:
+    """Epochs per stage of an equal-compute split: T stages of floor(N/T)
+    epochs; leftover epochs are dropped."""
     if num_stages < 1:
         raise ConfigurationError(f"need at least one stage, got {num_stages}")
     if num_stages > total_epochs:
         raise ConfigurationError(f"{num_stages} stages cannot fit in {total_epochs} epochs")
-    return StagePlan(total_epochs, num_stages, total_epochs // num_stages)
+    return total_epochs // num_stages
 
 
 @dataclass(frozen=True)
@@ -119,15 +108,6 @@ def restage(rspec: ReinitSpec, network: NetworkSpec, stages: int) -> ReinitSpec:
             f"layer_wise needs stages divisible by the {k} network blocks: {stages} is not a multiple of {k}"
         )
     return ReinitSpec("layer_wise", blocks=k, repeats=stages // k)
-
-
-@dataclass(frozen=True)
-class ReinitContext:
-    """Run-owned state the layer-wise rule needs at a boundary."""
-
-    network: NetworkSpec
-    init_block_norms: tuple[float, ...] | None = None
-    stats_batch: np.ndarray | None = None
 
 
 def stage_seed(base_seed: int, stage: int) -> int:
@@ -226,32 +206,34 @@ def layerwise_reinit(
 def apply_reinit(
     rspec: ReinitSpec,
     theta_end: ParamVector,
-    dist: InitDistribution,
+    seed: int,
     t: int,
-    context: ReinitContext,
+    network: NetworkSpec,
+    init_block_norms: Sequence[float] | None = None,
+    stats_batch: np.ndarray | None = None,
 ) -> tuple[ParamVector, FrozenNormLayer | None, float | None]:
     """Produce stage t+1's starting parameters from stage t's final ones.
 
-    The fresh draw at boundary t comes from ``dist`` reseeded with
-    stage_seed(dist.seed, t), so it is independent of theta_end and of every
-    other boundary. Returns the new parameters, the frozen normalization
-    layer to install for the layer-wise rule (None otherwise), and the
-    Euclidean norm of the fresh draw (None for ``none``, which draws nothing).
+    The fresh draw at boundary t is init_params(network, stage_seed(seed, t)),
+    so it is independent of theta_end and of every other boundary. Only the
+    layer-wise rule reads the run's init block norms and stats batch. Returns
+    the new parameters, the frozen normalization layer to install for the
+    layer-wise rule (None otherwise), and the Euclidean norm of the fresh draw
+    (None for ``none``, which draws nothing).
     """
     if t < 1:
         raise ConfigurationError(f"stage index must be >= 1, got {t}")
     if rspec.kind == "none":
         return theta_end.copy(), None, None
-    fresh = init_params(context.network, InitDistribution(stage_seed(dist.seed, t)), dtype=theta_end.dtype)
+    fresh = init_params(network, stage_seed(seed, t), dtype=theta_end.dtype)
     fresh_norm = weight_norm(fresh)
     if rspec.kind == "full":
         return fresh, None, fresh_norm
     if rspec.kind == "shrink_perturb":
         return shrink_perturb(theta_end, fresh, rspec.lam, rspec.gamma), None, fresh_norm
-    if context.init_block_norms is None or context.stats_batch is None:
+    if init_block_norms is None or stats_batch is None:
         raise ConfigurationError("layer_wise reinit needs init block norms and a stats batch")
     new_params, frozen = layerwise_reinit(
-        theta_end, fresh, theta_end.layout, t, rspec.repeats,
-        context.init_block_norms, context.stats_batch, context.network
+        theta_end, fresh, theta_end.layout, t, rspec.repeats, init_block_norms, stats_batch, network
     )
     return new_params, frozen, fresh_norm

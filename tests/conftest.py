@@ -14,7 +14,6 @@ import numpy as np  # noqa: E402  (after the BLAS pin)
 import pytest
 
 from reinit_lab.nn import (
-    InitDistribution,
     NetworkSpec,
     ParamVector,
     init_params,
@@ -65,5 +64,5 @@ def fd_check(spec: NetworkSpec, params: ParamVector, inputs, labels, teacher=Non
 def tiny_net():
     """A 4-5-3 float64 network small enough for exhaustive finite differences."""
     spec = NetworkSpec(input_dim=4, hidden_dims=(5,), num_classes=3)
-    params = init_params(spec, InitDistribution(seed=7), dtype=np.float64)
+    params = init_params(spec, 7, dtype=np.float64)
     return spec, params

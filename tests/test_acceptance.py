@@ -28,7 +28,6 @@ from reinit_lab.harness import (
     run_experiment,
 )
 from reinit_lab.nn import (
-    InitDistribution,
     NetworkSpec,
     ParamVector,
     block_norms,
@@ -39,7 +38,6 @@ from reinit_lab.nn import (
 )
 from reinit_lab.optim import LrSchedule, lr_at
 from reinit_lab.reinit import (
-    ReinitContext,
     ReinitSpec,
     apply_reinit,
     block_mask,
@@ -133,8 +131,8 @@ def test_01_shrink_perturb_oracle():
             assert np.abs(got.values.astype(np.float64) - want).max() < tol
         # exact special cases, in both dtypes
         for dtype in (np.float32, np.float64):
-            a = init_params(SMALL_NET, InitDistribution(3), dtype=dtype)
-            b = init_params(SMALL_NET, InitDistribution(4), dtype=dtype)
+            a = init_params(SMALL_NET, 3, dtype=dtype)
+            b = init_params(SMALL_NET, 4, dtype=dtype)
             assert np.array_equal(shrink_perturb(a, b, 1.0, 0.0).values, a.values)
             assert np.array_equal(shrink_perturb(a, b, 0.0, 1.0).values, b.values)
         elapsed = time.monotonic() - t0
@@ -151,7 +149,7 @@ def test_02_gradient_check():
             spec = NetworkSpec(int(rng.integers(2, 5)), hidden, int(rng.integers(2, 5)))
             layout = build_layout(spec)
             assert layout.total_len <= 200
-            params = init_params(spec, InitDistribution(trial), dtype=np.float64)
+            params = init_params(spec, trial, dtype=np.float64)
             params.values[:] += rng.normal(0, 0.2, layout.total_len)
             n = int(rng.integers(2, 6))
             x = rng.normal(0, 1, (n, spec.input_dim))
@@ -170,7 +168,7 @@ def test_03_distill_additivity():
         rng = np.random.Generator(np.random.PCG64(9))
         for trial in range(10):
             spec = NetworkSpec(5, (7, 6), 3)
-            params = init_params(spec, InitDistribution(trial), dtype=np.float64)
+            params = init_params(spec, trial, dtype=np.float64)
             x = rng.normal(0, 1, (8, 5))
             y = rng.integers(0, 3, 8)
             raw = rng.uniform(0.05, 1.0, (8, 3))
@@ -240,29 +238,26 @@ def test_05_cosine_schedule():
 def test_06_layer_wise_correctness():
     with criterion(6, "layer-wise keep/rescale/resample"):
         layout = build_layout(SMALL_NET)
-        theta0 = init_params(SMALL_NET, InitDistribution(11))
+        theta0 = init_params(SMALL_NET, 11)
         rng = np.random.Generator(np.random.PCG64(42))
         theta_end = theta0.copy()
         theta_end.values[:] = theta_end.values * 1.8 + rng.normal(
             0, 0.1, layout.total_len
         ).astype(np.float32)
-        ctx = ReinitContext(
-            network=SMALL_NET,
-            init_block_norms=tuple(block_norms(theta0)),
-            stats_batch=rng.normal(0, 1, (64, 8)).astype(np.float32),
-        )
+        init_norms = tuple(block_norms(theta0))
+        stats = rng.normal(0, 1, (64, 8)).astype(np.float32)
         rspec = ReinitSpec("layer_wise", blocks=3, repeats=2)
         for t in range(1, 6):
-            new, fn, _ = apply_reinit(rspec, theta_end, InitDistribution(9), t, ctx)
+            new, fn, _ = apply_reinit(rspec, theta_end, 9, t, SMALL_NET, init_norms, stats)
             kept = math.ceil(t / 2)
             mask = block_mask(layout, t, repeats=2)
-            fresh = init_params(SMALL_NET, InitDistribution(stage_seed(9, t)))
+            fresh = init_params(SMALL_NET, stage_seed(9, t))
             for b in range(1, kept + 1):
                 idx = layout.block_slice(b)
                 a, o = new.values[idx].astype(np.float64), theta_end.values[idx].astype(np.float64)
                 cos = a @ o / (np.linalg.norm(a) * np.linalg.norm(o))
                 assert abs(cos - 1.0) < 1e-6
-                assert abs(np.linalg.norm(a) - ctx.init_block_norms[b - 1]) < 1e-5
+                assert abs(np.linalg.norm(a) - init_norms[b - 1]) < 1e-5
             assert np.array_equal(new.values[~mask], fresh.values[~mask])
             assert len(new.values) == layout.total_len
             assert fn.insert_after_block == kept
@@ -271,17 +266,12 @@ def test_06_layer_wise_correctness():
 
 def test_07_full_reinit_ignores_trained_weights():
     with criterion(7, "full re-init reduces to a fresh draw"):
-        ctx = ReinitContext(
-            network=SMALL_NET,
-            init_block_norms=tuple(block_norms(init_params(SMALL_NET, InitDistribution(1)))),
-            stats_batch=np.zeros((4, 8), dtype=np.float32),
-        )
-        end_a = init_params(SMALL_NET, InitDistribution(100))
-        end_b = init_params(SMALL_NET, InitDistribution(200))
+        end_a = init_params(SMALL_NET, 100)
+        end_b = init_params(SMALL_NET, 200)
         for t in (1, 3):
-            want = init_params(SMALL_NET, InitDistribution(stage_seed(5, t)))
-            got_a, _, _ = apply_reinit(ReinitSpec("full"), end_a, InitDistribution(5), t, ctx)
-            got_b, _, _ = apply_reinit(ReinitSpec("full"), end_b, InitDistribution(5), t, ctx)
+            want = init_params(SMALL_NET, stage_seed(5, t))
+            got_a, _, _ = apply_reinit(ReinitSpec("full"), end_a, 5, t, SMALL_NET)
+            got_b, _, _ = apply_reinit(ReinitSpec("full"), end_b, 5, t, SMALL_NET)
             assert np.array_equal(got_a.values, want.values)
             assert np.array_equal(got_b.values, got_a.values)
 
@@ -293,17 +283,17 @@ def test_08_label_noise_exactness():
         labels = rng.integers(0, 10, 109)
         ds = Dataset(inputs, labels, num_classes=10)
         for q, want in ((0.37, 40), (0.5, 54), (1.0, 109)):
-            noisy = inject_label_noise(ds, q, seed=3)
-            assert int(noisy.noise_mask.sum()) == want == int(q * 109)
-        clean = inject_label_noise(ds, 0.0, seed=3)
-        assert np.array_equal(clean.noisy_labels, labels)
-        assert not clean.noise_mask.any()
+            _, mask = inject_label_noise(ds, q, seed=3)
+            assert int(mask.sum()) == want == int(q * 109)
+        clean, mask = inject_label_noise(ds, 0.0, seed=3)
+        assert np.array_equal(clean, labels)
+        assert not mask.any()
 
         small = Dataset(inputs[:50], np.zeros(50, dtype=labels.dtype), num_classes=10)
         counts = np.zeros(10, dtype=np.int64)
         for seed in range(10_000):
-            noisy = inject_label_noise(small, 0.2, seed=seed)
-            counts += np.bincount(noisy.noisy_labels[noisy.noise_mask], minlength=10)
+            noisy, mask = inject_label_noise(small, 0.2, seed=seed)
+            counts += np.bincount(noisy[mask], minlength=10)
         assert counts.sum() == 10 * 10_000
         p = stats.chisquare(counts).pvalue
         assert p > 0.001, f"chi-square p={p}"
@@ -312,7 +302,7 @@ def test_08_label_noise_exactness():
 def test_09_teacher_cache_contract(tmp_path):
     with criterion(9, "teacher cache hygiene"):
         bundle = prepare_data(small_cfg())
-        params = init_params(SMALL_NET, InitDistribution(2))
+        params = init_params(SMALL_NET, 2)
         cache = snapshot_teacher(SMALL_NET, params, bundle.train.inputs, 1, 0.5)
         sums = cache.probs.astype(np.float64).sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-6

@@ -174,6 +174,39 @@ class TestMain:
             assert phrase in payload["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, config, phrase",
+        [
+            (["--seed", "-5"], {}, "seed init must be a non-negative integer, got -5"),
+            ([], {"seeds": {"init": 1.5}}, "seeds key init must be an integer, got 1.5"),
+            ([], {"epochs": "4"}, "run config key epochs must be an integer, got '4'"),
+        ],
+        ids=["negative_seed", "float_seed", "string_epochs"],
+    )
+    def test_bad_seed_or_value_type_leaves_no_run_directory(
+        self, tiny_config_file, tmp_path, capsys, flags, config, phrase
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(json.loads(Path(tiny_config_file).read_text()) | config))
+        out = tmp_path / "runs"
+        code, payload = run_main(["train", "--config", str(path), "--out", str(out), *flags], capsys)
+        assert code == 2
+        assert payload["error"] == "ConfigurationError"
+        assert phrase in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--q-values", "0", "--methods", "standard,bogus"], ["--q-values", "0,1.5"]],
+        ids=["bad_method", "bad_q"],
+    )
+    def test_noise_study_checks_every_cell_before_it_runs_one(self, tmp_path, capsys, flags):
+        out = tmp_path / "runs"
+        code, payload = run_main(["noise", "--epochs", "2", "--out", str(out), *flags], capsys)
+        assert code == 2
+        assert payload["error"] == "ConfigurationError"
+        assert not out.exists()
+
     def test_augmentation_without_image_geometry_leaves_no_run_directory(self, tmp_path, capsys):
         out = tmp_path / "runs"
         code, payload = run_main(["train", "--setting", "d", "--epochs", "1", "--out", str(out)], capsys)

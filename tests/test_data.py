@@ -10,9 +10,7 @@ import pytest
 from reinit_lab.data import (
     NORM_CHUNK_ROWS,
     AugmentSpec,
-    ChunkStream,
     Dataset,
-    NoisyDataset,
     _distinct,
     apply_normalization,
     augment_batch,
@@ -26,7 +24,7 @@ from reinit_lab.data import (
     split_indices,
     subset,
 )
-from reinit_lab.errors import ConfigurationError, DataError, FormatError
+from reinit_lab.errors import ConfigurationError, FormatError
 from reinit_lab.harness import TEST_SPLIT_TAG, VAL_SPLIT_TAG, DataConfig, RunConfig, Seeds, prepare_data
 from reinit_lab.nn import NetworkSpec
 from reinit_lab.reinit import stage_seed
@@ -151,40 +149,28 @@ def test_make_synthetic_image_tagging():
 
 def test_inject_noise_exact_count_and_identity():
     ds = make_synthetic(10, 4, per_class=10, class_separation=1.0, seed=2)
-    noisy = inject_label_noise(ds, 0.2, seed=3)
-    assert noisy.noise_mask.sum() == 20
-    np.testing.assert_array_equal(noisy.noisy_labels[~noisy.noise_mask], ds.labels[~noisy.noise_mask])
-    clean = inject_label_noise(ds, 0.0, seed=3)
-    assert clean.noise_mask.sum() == 0
-    np.testing.assert_array_equal(clean.noisy_labels, ds.labels)
+    noisy, mask = inject_label_noise(ds, 0.2, seed=3)
+    assert mask.sum() == 20
+    np.testing.assert_array_equal(noisy[~mask], ds.labels[~mask])
+    clean, clean_mask = inject_label_noise(ds, 0.0, seed=3)
+    assert clean_mask.sum() == 0
+    np.testing.assert_array_equal(clean, ds.labels)
 
 
 def test_inject_noise_floor_count():
     ds = make_synthetic(2, 3, per_class=5, class_separation=1.0, seed=2)
-    assert inject_label_noise(ds, 0.25, seed=1).noise_mask.sum() == 2  # floor(0.25 * 10)
-    assert inject_label_noise(ds, 1.0, seed=1).noise_mask.sum() == 10
+    assert inject_label_noise(ds, 0.25, seed=1)[1].sum() == 2  # floor(0.25 * 10)
+    assert inject_label_noise(ds, 1.0, seed=1)[1].sum() == 10
 
 
 def test_inject_noise_deterministic():
     ds = make_synthetic(5, 4, per_class=20, class_separation=1.0, seed=2)
-    a = inject_label_noise(ds, 0.4, seed=7)
-    b = inject_label_noise(ds, 0.4, seed=7)
-    np.testing.assert_array_equal(a.noisy_labels, b.noisy_labels)
-    np.testing.assert_array_equal(a.noise_mask, b.noise_mask)
-    c = inject_label_noise(ds, 0.4, seed=8)
-    assert not np.array_equal(a.noise_mask, c.noise_mask)
-
-
-def test_noisy_dataset_validation():
-    ds = make_synthetic(2, 3, per_class=5, class_separation=1.0, seed=2)
-    mask = np.zeros(10, dtype=bool)
-    mask[0] = True
-    tampered = ds.labels.copy()
-    tampered[1] = 1 - tampered[1]
-    with pytest.raises(DataError):
-        NoisyDataset(ds, tampered, mask, 0.1, 0)
-    with pytest.raises(DataError):
-        NoisyDataset(ds, ds.labels.copy(), mask, 0.5, 0)
+    a_labels, a_mask = inject_label_noise(ds, 0.4, seed=7)
+    b_labels, b_mask = inject_label_noise(ds, 0.4, seed=7)
+    np.testing.assert_array_equal(a_labels, b_labels)
+    np.testing.assert_array_equal(a_mask, b_mask)
+    _, c_mask = inject_label_noise(ds, 0.4, seed=8)
+    assert not np.array_equal(a_mask, c_mask)
 
 
 def make_image_batch(n=6, h=5, w=5, seed=0):
@@ -310,26 +296,18 @@ def test_split_rejects_empty_sides():
 
 
 def test_make_chunks_partition():
-    ds = make_synthetic(2, 3, per_class=50, class_separation=1.0, seed=0)
-    stream = make_chunks(ds, 5, seed=4)
-    assert stream.num_chunks == 5
-    assert all(len(c) == 20 for c in stream.chunks)
-    union = stream.cumulative_union(5)
-    assert np.array_equal(np.sort(union), np.arange(100))
-    for i in range(5):
-        for j in range(i + 1, 5):
-            assert not set(stream.chunks[i]) & set(stream.chunks[j])
-    assert len(stream.cumulative_union(2)) == 40
-
-
-def test_chunk_stream_validation():
+    ds = make_synthetic(2, 3, per_class=51, class_separation=1.0, seed=0)
+    for n, k in ((100, 5), (101, 5), (7, 7), (9, 1)):
+        chunks = make_chunks(subset(ds, np.arange(n)), k, seed=4)
+        assert len(chunks) == k
+        sizes = [len(c) for c in chunks]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        # disjoint and covering: the chunks together hold every index exactly once
+        assert np.array_equal(np.sort(np.concatenate(chunks)), np.arange(n))
     with pytest.raises(ConfigurationError):
-        ChunkStream((np.array([0, 1, 2]), np.array([3])))
+        make_chunks(ds, 0, seed=4)
     with pytest.raises(ConfigurationError):
-        ChunkStream((np.array([0, 1]), np.array([1, 2])))
-    with pytest.raises(ConfigurationError, match="disjoint"):
-        ChunkStream((np.array([-1, 4]), np.array([2, -1])))
-    ChunkStream((np.array([-1, 4]), np.array([2, -3])))
+        make_chunks(ds, 103, seed=4)
 
 
 def test_normalization_zero_mean_unit_std_tabular():
@@ -435,8 +413,8 @@ def assert_prepare_matches_reference(cfg):
         assert_bits_equal(ds.labels, want_labels)
         assert_bits_equal(ds.normalization[0], mean)
         assert_bits_equal(ds.normalization[1], std)
-    assert_bits_equal(bundle.train_labels, noisy.noisy_labels)
-    assert_bits_equal(bundle.noise_mask, noisy.noise_mask)
+    assert_bits_equal(bundle.train_labels, noisy[0])
+    assert_bits_equal(bundle.noise_mask, noisy[1])
     return bundle
 
 

@@ -11,7 +11,6 @@ from reinit_lab.distill import (
 )
 from reinit_lab.errors import ConfigurationError, DataError, FormatError
 from reinit_lab.nn import (
-    InitDistribution,
     NetworkSpec,
     ParamVector,
     build_layout,
@@ -30,7 +29,7 @@ def fixture_inputs(n=10, seed=0):
 
 
 def test_snapshot_matches_direct_forward_softmax():
-    params = init_params(SPEC, InitDistribution(seed=3))
+    params = init_params(SPEC, 3)
     x = fixture_inputs(2)
     cache = snapshot_teacher(SPEC, params, x, source_stage=1, beta=1.0)
     want = softmax(forward(SPEC, params, x).astype(np.float64)).astype(np.float32)
@@ -46,13 +45,13 @@ def test_snapshot_zero_params_gives_uniform_rows():
 
 
 def test_snapshot_rows_sum_to_one():
-    params = init_params(SPEC, InitDistribution(seed=8))
+    params = init_params(SPEC, 8)
     cache = snapshot_teacher(SPEC, params, fixture_inputs(50), source_stage=2, beta=2.0)
     np.testing.assert_allclose(cache.probs.sum(axis=1, dtype=np.float64), 1.0, atol=1e-6)
 
 
 def test_snapshot_batching_is_invisible():
-    params = init_params(SPEC, InitDistribution(seed=3))
+    params = init_params(SPEC, 3)
     x = fixture_inputs(23)
     whole = snapshot_teacher(SPEC, params, x, 1, 1.0, batch_size=1024)
     pieces = snapshot_teacher(SPEC, params, x, 1, 1.0, batch_size=7)
@@ -84,7 +83,7 @@ def test_rows_the_cache_accepts_train_through_the_step():
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) > 1e-6)
     cache = TeacherCache(probs, 1, 1.0)
     spec = NetworkSpec(input_dim=5, hidden_dims=(6,), num_classes=10)
-    params = init_params(spec, InitDistribution(seed=3))
+    params = init_params(spec, 3)
     x = fixture_inputs(12).astype(np.float32)
     y = np.arange(12) % 10
     for idx in (np.arange(6), np.arange(6, 12)):
@@ -127,7 +126,7 @@ def test_distill_rows_bounds_check():
 
 
 def test_cache_file_round_trip(tmp_path):
-    params = init_params(SPEC, InitDistribution(seed=3))
+    params = init_params(SPEC, 3)
     cache = snapshot_teacher(SPEC, params, fixture_inputs(9), source_stage=4, beta=2.0)
     path = tmp_path / "teacher_stage4.bin"
     save_teacher_cache(cache, path)
@@ -138,7 +137,7 @@ def test_cache_file_round_trip(tmp_path):
 
 
 def test_cache_file_rejects_truncation(tmp_path):
-    params = init_params(SPEC, InitDistribution(seed=3))
+    params = init_params(SPEC, 3)
     cache = snapshot_teacher(SPEC, params, fixture_inputs(9), source_stage=2, beta=1.0)
     path = tmp_path / "teacher_stage2.bin"
     save_teacher_cache(cache, path)

@@ -36,7 +36,7 @@ from reinit_lab.harness import (
     run_experiment,
     stage_sweep,
 )
-from reinit_lab.nn import NO_GRAD_ROWS, InitDistribution, NetworkSpec, init_params
+from reinit_lab.nn import NO_GRAD_ROWS, NetworkSpec, init_params
 from reinit_lab.reinit import ReinitSpec, stage_seed
 
 
@@ -116,6 +116,41 @@ class TestRunConfig:
         (d if where is None else d[where])["epoch"] = 3
         with pytest.raises(ConfigurationError, match="unknown .*keys: epoch"):
             RunConfig.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "where, key, value, phrase",
+        [
+            (None, "epochs", "4", "run config key epochs must be an integer"),
+            (None, "epochs", 4.0, "run config key epochs must be an integer"),
+            (None, "lr", True, "run config key lr must be a number"),
+            ("data", "val_fraction", "0.1", "data key val_fraction must be a number"),
+            ("network", "input_dim", 8.5, "network key input_dim must be an integer"),
+            ("reinit", "blocks", "3", "reinit key blocks must be an integer"),
+            ("seeds", "init", 1.5, "seeds key init must be an integer"),
+            ("augment", "pad_pixels", None, "augment key pad_pixels must be an integer"),
+        ],
+    )
+    def test_from_dict_rejects_non_numbers_in_numeric_fields(self, where, key, value, phrase):
+        d = json.loads(json.dumps(tiny_cfg().to_dict()))
+        (d if where is None else d[where])[key] = value
+        with pytest.raises(ConfigurationError, match=phrase):
+            RunConfig.from_dict(d)
+
+    def test_from_dict_accepts_an_int_for_a_float_and_none_where_optional(self):
+        d = json.loads(json.dumps(tiny_cfg().to_dict()))
+        d["lr"] = 1
+        assert d["reinit"]["lam"] is None
+        assert RunConfig.from_dict(d) == tiny_cfg(lr=1)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, "3", None])
+    def test_seeds_must_be_non_negative_integers(self, bad):
+        with pytest.raises(ConfigurationError, match="seed noise must be a non-negative integer"):
+            Seeds(noise=bad)
+
+    def test_numpy_int_seeds_pass_as_ints(self):
+        seeds = Seeds(np.int64(5), np.uint32(6))
+        assert seeds == Seeds(5, 6) and type(seeds.init) is int
+        assert tiny_cfg(seeds=seeds).run_id == tiny_cfg(seeds=Seeds(5, 6)).run_id
 
     @pytest.mark.parametrize("given", ["test_images_path", "test_labels_path"])
     def test_test_files_come_in_pairs(self, given):
@@ -331,7 +366,7 @@ class TestRunExperiment:
             res = run_experiment(tiny_cfg(lr=1e39))
         assert res.failed and res.total_steps == 0
         assert res.failure == "non-finite parameters after the update at step 0"
-        init = harness.init_params(tiny_net(), harness.InitDistribution(1))
+        init = harness.init_params(tiny_net(), 1)
         assert np.array_equal(res.final_params.values, init.values)
 
 
@@ -507,7 +542,7 @@ def test_each_boundary_draws_fresh_parameters_once(monkeypatch, kind):
     # the initial draw, then one per boundary; the event logs that draw's norm
     assert len(draws) == 1 + 2
     for event, t in zip(res.boundary_events, (1, 2)):
-        fresh = init_params(tiny_net(), InitDistribution(stage_seed(1, t)))
+        fresh = init_params(tiny_net(), stage_seed(1, t))
         assert event.fresh_norm == harness.weight_norm(fresh)
 
 
@@ -688,6 +723,23 @@ class TestNoiseStudy:
         with pytest.raises(ConfigurationError):
             noise_study(tiny_cfg(), (1.5,), ("standard",))
 
+    def test_each_q_prepares_its_data_just_before_its_cells(self, monkeypatch):
+        events = []
+
+        def preparing(cfg):
+            events.append(("prepare", cfg.noise_q))
+            return prepare_data(cfg)
+
+        def running(cfg, bundle, out_dir=None):
+            events.append(("run", cfg.noise_q))
+            return run_experiment(cfg, bundle, out_dir)
+
+        monkeypatch.setattr(harness, "prepare_data", preparing)
+        monkeypatch.setattr(harness, "run_experiment", running)
+        noise_study(tiny_cfg(epochs=2, stages=2), (0.0, 0.3), ("standard", "sp"))
+        # per q: its data, then standard, its one-epoch arm and sp
+        assert events == [("prepare", 0.0), *[("run", 0.0)] * 3, ("prepare", 0.3), *[("run", 0.3)] * 3]
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigurationError, match="method"):
             noise_study(tiny_cfg(), (0.1,), ("sgd",))
@@ -721,7 +773,7 @@ class TestOnlineSim:
         online_sim(cfg, num_chunks=3)
         starts = dict(zip(harness.ONLINE_METHODS, [calls[i : i + 3] for i in (0, 3, 6)]))
         for k in (2, 3):
-            fresh = init_params(cfg.network, InitDistribution(stage_seed(cfg.seeds.init, k))).values
+            fresh = init_params(cfg.network, stage_seed(cfg.seeds.init, k)).values
             assert np.array_equal(starts["scratch"][k - 1][0], fresh)
             assert np.array_equal(starts["warm_start"][k - 1][0], starts["warm_start"][k - 2][1])
             previous = starts["shrink_perturb"][k - 2][1]

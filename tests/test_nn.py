@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from reinit_lab.errors import ConfigurationError, DataError, NumericalError, ShapeError
 from reinit_lab.nn import (
     FrozenNormLayer,
-    InitDistribution,
     NetworkSpec,
     ParamVector,
     block_norms,
@@ -80,9 +79,9 @@ def test_spec_dict_round_trip():
 
 def test_init_is_deterministic_and_bounded():
     spec = NetworkSpec(input_dim=30, hidden_dims=(40,), num_classes=10)
-    a = init_params(spec, InitDistribution(seed=123))
-    b = init_params(spec, InitDistribution(seed=123))
-    c = init_params(spec, InitDistribution(seed=124))
+    a = init_params(spec, 123)
+    b = init_params(spec, 123)
+    c = init_params(spec, 124)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
     assert a.dtype == np.float32
@@ -99,7 +98,7 @@ def test_init_is_deterministic_and_bounded():
 
 def test_init_weight_distribution_moments():
     spec = NetworkSpec(input_dim=100, hidden_dims=(500,), num_classes=10)
-    params = init_params(spec, InitDistribution(seed=5), dtype=np.float64)
+    params = init_params(spec, 5, dtype=np.float64)
     wseg = params.layout.segments[0]
     w = params.values[wseg.offset : wseg.offset + wseg.length]
     bound = 1.0 / math.sqrt(100)
@@ -121,7 +120,7 @@ def test_param_vector_validation():
 
 def test_forward_matches_manual_oracle():
     spec = NetworkSpec(input_dim=2, hidden_dims=(3,), num_classes=2)
-    params = init_params(spec, InitDistribution(seed=11), dtype=np.float64)
+    params = init_params(spec, 11, dtype=np.float64)
     rng = np.random.Generator(np.random.PCG64(0))
     x = rng.normal(size=(6, 2))
     got = forward(spec, params, x)
@@ -131,7 +130,7 @@ def test_forward_matches_manual_oracle():
 
 def test_forward_shape_errors():
     spec = NetworkSpec(input_dim=4, hidden_dims=(5,), num_classes=3)
-    params = init_params(spec, InitDistribution(seed=1))
+    params = init_params(spec, 1)
     with pytest.raises(ShapeError):
         forward(spec, params, np.zeros((2, 5)))
     with pytest.raises(ShapeError):
@@ -245,7 +244,7 @@ def test_gradient_with_distillation_matches_finite_differences(tiny_net):
 def test_gradient_through_frozen_norm(tiny_net):
     spec, _ = tiny_net
     spec = NetworkSpec(spec.input_dim, spec.hidden_dims, spec.num_classes, block_boundaries=(1,))
-    params = init_params(spec, InitDistribution(seed=7), dtype=np.float64)
+    params = init_params(spec, 7, dtype=np.float64)
     fn = FrozenNormLayer(insert_after_block=1, mean=np.full(5, 0.3), std=np.full(5, 1.7))
     rng = np.random.Generator(np.random.PCG64(23))
     x = rng.normal(size=(6, spec.input_dim))
@@ -280,7 +279,7 @@ def test_zero_beta_ignores_teacher_bitwise(tiny_net):
 
 def test_frozen_norm_forward_standardizes():
     spec = NetworkSpec(input_dim=3, hidden_dims=(4, 4), num_classes=2, block_boundaries=(1,))
-    params = init_params(spec, InitDistribution(seed=2), dtype=np.float64)
+    params = init_params(spec, 2, dtype=np.float64)
     rng = np.random.Generator(np.random.PCG64(4))
     x = rng.normal(size=(50, 3))
     acts = forward(spec, params, x, stop_block=1)
@@ -300,14 +299,14 @@ def test_frozen_norm_rejects_nonpositive_std():
 
 def test_weight_norm_matches_float64_oracle():
     spec = NetworkSpec(input_dim=6, hidden_dims=(8,), num_classes=4)
-    params = init_params(spec, InitDistribution(seed=13))
+    params = init_params(spec, 13)
     want = math.sqrt(sum(float(v) ** 2 for v in params.values))
     assert weight_norm(params) == pytest.approx(want, rel=1e-12)
 
 
 def test_block_norms_partition_total_norm():
     spec = NetworkSpec(input_dim=6, hidden_dims=(8, 8), num_classes=4, block_boundaries=(1, 2))
-    params = init_params(spec, InitDistribution(seed=14))
+    params = init_params(spec, 14)
     norms = block_norms(params)
     assert norms.shape == (3,)
     assert math.sqrt(float((norms**2).sum())) == pytest.approx(weight_norm(params), rel=1e-12)
@@ -361,7 +360,7 @@ def reference_loss_grad(spec, params, x, y, teacher=None, beta=0.0, frozen_norm=
 
 def float32_step_case(seed, batch=12, with_teacher=False, with_norm=False):
     spec = NetworkSpec(input_dim=7, hidden_dims=(9, 6), num_classes=4, block_boundaries=(1, 2))
-    params = init_params(spec, InitDistribution(seed=seed))
+    params = init_params(spec, seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.normal(size=(batch, 7)).astype(np.float32)
     y = rng.integers(0, 4, size=batch)

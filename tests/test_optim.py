@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from reinit_lab.errors import ConfigurationError, NumericalError
-from reinit_lab.nn import InitDistribution, NetworkSpec, init_params
+from reinit_lab.nn import NetworkSpec, init_params
 from reinit_lab.optim import LrSchedule, OptimState, lr_at, sgd_step
 
 
 def small_params(seed=0, dtype=np.float64):
     spec = NetworkSpec(input_dim=3, hidden_dims=(4,), num_classes=2)
-    return init_params(spec, InitDistribution(seed=seed), dtype=dtype)
+    return init_params(spec, seed, dtype=dtype)
 
 
 def manual_sgd(values, grads, lr, momentum, wd, steps):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from reinit_lab.errors import ConfigurationError, NumericalError, ShapeError
 from reinit_lab.nn import (
-    InitDistribution,
     NetworkSpec,
     ParamVector,
     block_norms,
@@ -18,7 +17,6 @@ from reinit_lab.nn import (
     weight_norm,
 )
 from reinit_lab.reinit import (
-    ReinitContext,
     ReinitSpec,
     apply_reinit,
     block_mask,
@@ -32,15 +30,13 @@ THREE_BLOCK = NetworkSpec(input_dim=6, hidden_dims=(8, 7), num_classes=4, block_
 
 
 def three_block_params(seed, dtype=np.float64):
-    return init_params(THREE_BLOCK, InitDistribution(seed=seed), dtype=dtype)
+    return init_params(THREE_BLOCK, seed, dtype=dtype)
 
 
 def test_stage_plan_floor_division():
-    assert make_stage_plan(200, 20).epochs_per_stage == 10
-    assert make_stage_plan(200, 1).epochs_per_stage == 200
-    plan = make_stage_plan(200, 3)
-    assert plan.epochs_per_stage == 66
-    assert plan.num_stages * plan.epochs_per_stage == 198
+    assert make_stage_plan(200, 20) == 10
+    assert make_stage_plan(200, 1) == 200
+    assert make_stage_plan(200, 3) == 66  # 3 * 66 = 198; the 2 leftover epochs are dropped
 
 
 def test_stage_plan_rejects_bad_counts():
@@ -98,7 +94,7 @@ def test_shrink_perturb_scales_homogeneously_when_gamma_zero():
 def test_shrink_perturb_layout_mismatch():
     other = NetworkSpec(input_dim=6, hidden_dims=(9,), num_classes=4)
     theta = three_block_params(1)
-    wrong = init_params(other, InitDistribution(seed=1), dtype=np.float64)
+    wrong = init_params(other, 1, dtype=np.float64)
     with pytest.raises(ShapeError):
         shrink_perturb(theta, wrong, 0.4, 0.1)
 
@@ -212,39 +208,33 @@ def test_layerwise_error_cases():
         layerwise_reinit(ParamVector(zeroed, layout), theta_init, layout, 1, 1, init_norms, stats, THREE_BLOCK)
 
 
-def ctx(stats=None):
+def layerwise_state():
+    """The init block norms and stats batch a run hands the layer-wise rule."""
     rng = np.random.Generator(np.random.PCG64(7))
-    return ReinitContext(
-        network=THREE_BLOCK,
-        init_block_norms=tuple(block_norms(three_block_params(11))),
-        stats_batch=rng.normal(size=(16, 6)) if stats is None else stats,
-    )
+    return tuple(block_norms(three_block_params(11))), rng.normal(size=(16, 6))
 
 
 def test_apply_reinit_none_keeps_params():
     theta = three_block_params(20)
-    out, fn, fresh_norm = apply_reinit(ReinitSpec("none"), theta, InitDistribution(seed=5), 1, ctx())
+    out, fn, fresh_norm = apply_reinit(ReinitSpec("none"), theta, 5, 1, THREE_BLOCK, *layerwise_state())
     assert np.array_equal(out.values, theta.values)
     assert fn is None and fresh_norm is None
 
 
 def test_apply_reinit_full_matches_seeded_fresh_draw():
-    dist = InitDistribution(seed=5)
-    c = ctx()
     for t in (1, 2):
-        a, _, fresh_norm = apply_reinit(ReinitSpec("full"), three_block_params(20), dist, t, c)
-        b, _, _ = apply_reinit(ReinitSpec("full"), three_block_params(21), dist, t, c)
-        want = init_params(THREE_BLOCK, InitDistribution(seed=stage_seed(5, t)), dtype=np.float64)
+        a, _, fresh_norm = apply_reinit(ReinitSpec("full"), three_block_params(20), 5, t, THREE_BLOCK)
+        b, _, _ = apply_reinit(ReinitSpec("full"), three_block_params(21), 5, t, THREE_BLOCK)
+        want = init_params(THREE_BLOCK, stage_seed(5, t), dtype=np.float64)
         assert np.array_equal(a.values, want.values)
         assert fresh_norm == weight_norm(want)
         assert np.array_equal(b.values, want.values)
 
 
 def test_apply_reinit_shrink_perturb_triangle_inequality():
-    dist = InitDistribution(seed=5)
     theta = three_block_params(20)
-    out, _, _ = apply_reinit(ReinitSpec("shrink_perturb"), theta, dist, 1, ctx())
-    fresh = init_params(THREE_BLOCK, InitDistribution(seed=stage_seed(5, 1)), dtype=np.float64)
+    out, _, _ = apply_reinit(ReinitSpec("shrink_perturb"), theta, 5, 1, THREE_BLOCK)
+    fresh = init_params(THREE_BLOCK, stage_seed(5, 1), dtype=np.float64)
     lhs = np.linalg.norm(out.values)
     rhs = 0.4 * np.linalg.norm(theta.values) + 0.1 * np.linalg.norm(fresh.values)
     assert lhs <= rhs + 1e-12
@@ -252,27 +242,27 @@ def test_apply_reinit_shrink_perturb_triangle_inequality():
 
 
 def test_apply_reinit_dispatches_layerwise():
-    dist = InitDistribution(seed=5)
     theta = three_block_params(11)
-    out, fn, _ = apply_reinit(ReinitSpec("layer_wise", blocks=3), theta, dist, 2, ctx())
+    out, fn, _ = apply_reinit(ReinitSpec("layer_wise", blocks=3), theta, 5, 2, THREE_BLOCK, *layerwise_state())
     assert fn is not None and fn.insert_after_block == 2
-    fresh = init_params(THREE_BLOCK, InitDistribution(seed=stage_seed(5, 2)), dtype=np.float64)
+    fresh = init_params(THREE_BLOCK, stage_seed(5, 2), dtype=np.float64)
     idx = theta.layout.block_slice(3)
     assert np.array_equal(out.values[idx], fresh.values[idx])
 
 
 def test_apply_reinit_layerwise_requires_context():
-    bare = ReinitContext(network=THREE_BLOCK)
-    with pytest.raises(ConfigurationError):
-        apply_reinit(ReinitSpec("layer_wise", blocks=3), three_block_params(1), InitDistribution(seed=5), 1, bare)
+    init_norms, stats = layerwise_state()
+    rspec = ReinitSpec("layer_wise", blocks=3)
+    for given in ({}, {"init_block_norms": init_norms}, {"stats_batch": stats}):
+        with pytest.raises(ConfigurationError, match="init block norms and a stats batch"):
+            apply_reinit(rspec, three_block_params(1), 5, 1, THREE_BLOCK, **given)
 
 
 def test_apply_reinit_outputs_always_finite():
-    dist = InitDistribution(seed=5)
     theta = three_block_params(20)
-    c = ctx()
+    state = layerwise_state()
     for kind, kwargs in (("none", {}), ("full", {}), ("shrink_perturb", {}), ("layer_wise", {"blocks": 3})):
-        out, _, _ = apply_reinit(ReinitSpec(kind, **kwargs), theta, dist, 1, c)
+        out, _, _ = apply_reinit(ReinitSpec(kind, **kwargs), theta, 5, 1, THREE_BLOCK, *state)
         assert np.all(np.isfinite(out.values))
 
 

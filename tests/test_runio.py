@@ -7,7 +7,6 @@ import pytest
 from reinit_lab.errors import FormatError
 from reinit_lab.nn import (
     FrozenNormLayer,
-    InitDistribution,
     NetworkSpec,
     build_layout,
     init_params,
@@ -111,7 +110,7 @@ class TestSummaryCsv:
 class TestCheckpoint:
     def setup_method(self):
         self.net = NetworkSpec(6, (5, 4), 3, block_boundaries=(1,))
-        self.params = init_params(self.net, InitDistribution(seed=11))
+        self.params = init_params(self.net, 11)
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         path = tmp_path / "best.ckpt"
