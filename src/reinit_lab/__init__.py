@@ -23,7 +23,6 @@ from .errors import (
 from .harness import (
     DataConfig,
     DistillConfig,
-    GridResult,
     RunConfig,
     RunResult,
     Seeds,
@@ -51,7 +50,6 @@ from .optim import LrSchedule, OptimState, lr_at, sgd_step
 from .reinit import (
     ReinitSpec,
     apply_reinit,
-    block_mask,
     layerwise_reinit,
     make_stage_plan,
     shrink_perturb,

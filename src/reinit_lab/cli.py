@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .errors import ConfigurationError, HarnessError, ReinitLabError
 from .harness import (
-    DataConfig,
     DistillConfig,
     RunConfig,
     Seeds,
@@ -135,15 +134,15 @@ def cmd_train(args) -> dict:
 def cmd_grid(args) -> dict:
     cfg = build_config(args)
     grid = grid_search(cfg, _floats(args.lrs), _floats(args.wds), out_dir=args.out)
+    lr, wd = grid["chosen"]["lr"], grid["chosen"]["wd"]
+    chosen = next(c for c in grid["cells"] if (c["lr"], c["wd"]) == (lr, wd))
     return {
-        "chosen_lr": grid.chosen[0],
-        "chosen_wd": grid.chosen[1],
-        "val_acc": grid.chosen_val_acc,
-        "test_acc": grid.chosen_test_acc,
-        "robustness": grid.robustness,
-        "cells": sorted(
-            (v for v in grid.cells.values()), key=lambda v: (v["lr"], v["wd"])
-        ),
+        "chosen_lr": lr,
+        "chosen_wd": wd,
+        "val_acc": chosen["val_acc"],
+        "test_acc": chosen["test_acc"],
+        "robustness": grid["robustness"],
+        "cells": grid["cells"],
     }
 
 

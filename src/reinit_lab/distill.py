@@ -3,7 +3,7 @@
 At the end of a stage the model's class probabilities on the clean training
 inputs are cached once; later stages read rows out of the cache instead of
 re-running the teacher. Stage 1 has no previous stage and must never touch a
-cache, which ``distill_rows`` enforces when told the current stage.
+cache, which ``distill_rows`` enforces.
 """
 from __future__ import annotations
 
@@ -56,7 +56,6 @@ def snapshot_teacher(
     source_stage: int,
     beta: float,
     frozen_norm: FrozenNormLayer | None = None,
-    batch_size: int = NO_GRAD_ROWS,
 ) -> TeacherCache:
     """One forward sweep over the clean training inputs, softmaxed and cached.
 
@@ -66,22 +65,19 @@ def snapshot_teacher(
     x = np.asarray(train_inputs)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ConfigurationError(f"train inputs must be a nonempty 2-D array, got shape {x.shape}")
-    if batch_size < 1:
-        raise ConfigurationError(f"batch size must be >= 1, got {batch_size}")
     rows = []
-    for start in range(0, x.shape[0], batch_size):
-        logits = forward(spec, params, x[start : start + batch_size], frozen_norm)
+    for start in range(0, x.shape[0], NO_GRAD_ROWS):
+        logits = forward(spec, params, x[start : start + NO_GRAD_ROWS], frozen_norm)
         rows.append(softmax(logits.astype(np.float64)).astype(np.float32))
     return TeacherCache(np.concatenate(rows, axis=0), source_stage, beta)
 
 
-def distill_rows(cache: TeacherCache, batch_indices: np.ndarray, stage: int | None = None) -> np.ndarray:
-    """Teacher rows aligned with a training batch.
+def distill_rows(cache: TeacherCache, batch_indices: np.ndarray, stage: int) -> np.ndarray:
+    """Teacher rows aligned with a training batch of the given stage.
 
-    Passing the current stage index turns on the stage-1 guard: the first
-    stage optimizes the plain loss and must not look up a teacher.
+    The first stage optimizes the plain loss and must not look up a teacher.
     """
-    if stage is not None and stage <= 1:
+    if stage <= 1:
         raise ConfigurationError(f"stage {stage} must train without a teacher cache")
     idx = np.asarray(batch_indices)
     if idx.size and (idx.min() < 0 or idx.max() >= cache.num_examples):

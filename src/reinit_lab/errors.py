@@ -31,24 +31,37 @@ class HarnessError(ReinitLabError):
     """A study-level failure, e.g. every grid cell diverged."""
 
 
-# the types a JSON value may have in an int or a float field; bool, a
-# subclass of int, is rejected on its own
-NUMBER_TYPES = {"int": (int,), "float": (int, float)}
+# what a JSON value must be in a field, by the field's annotation; fields of
+# any other annotation (the nested configs) are checked on their own
+WANTED = {
+    "int": "an integer",
+    "float": "a number",
+    "str": "a string",
+    "bool": "true or false",
+    "tuple[int, ...]": "an array of integers",
+    "tuple[int, int]": "an array of two integers",
+}
 
 
-def _numeric_kind(annotation) -> tuple[str | None, bool]:
-    """("int" or "float", whether None is allowed) for a field annotated int,
-    float or either ``| None``; (None, False) for any other field."""
-    name = annotation if isinstance(annotation, str) else getattr(annotation, "__name__", "")
-    base = name.removesuffix(" | None")
-    return (base if base in NUMBER_TYPES else None), base != name
+def _fits(value, kind: str) -> bool:
+    """Whether a JSON value fits a field of a WANTED kind; bool, a subclass
+    of int, fits a bool field only."""
+    if kind.startswith("tuple"):
+        return (
+            isinstance(value, (list, tuple))
+            and (kind == "tuple[int, ...]" or len(value) == 2)
+            and all(_fits(v, "int") for v in value)
+        )
+    if isinstance(value, bool):
+        return kind == "bool"
+    return isinstance(value, {"int": int, "float": (int, float), "str": str, "bool": bool}[kind])
 
 
 def checked_keys(cls, d, what: str) -> dict:
     """A copy of the JSON object d, after checking that every key names a
     field of the dataclass cls, that every field without a default is given,
-    and that every int or float field holds a number of its kind: an int for
-    an int, an int or a float for a float, never a bool or a string."""
+    and that every field of a WANTED kind holds such a value: never a bool
+    for a number, nor a float or a string for an int."""
     if not isinstance(d, Mapping):
         raise ConfigurationError(f"{what} must be a JSON object, got {type(d).__name__}")
     known = fields(cls)
@@ -61,13 +74,12 @@ def checked_keys(cls, d, what: str) -> dict:
     if missing:
         problems.append(f"missing {what} keys: {', '.join(missing)}")
     for f in known:
-        kind, optional = _numeric_kind(f.type)
-        if kind is None or f.name not in d or (d[f.name] is None and optional):
+        # f.type is the annotation as written: every module defers annotations
+        kind = f.type.removesuffix(" | None")
+        if kind not in WANTED or f.name not in d or (d[f.name] is None and kind != f.type):
             continue
-        value = d[f.name]
-        if isinstance(value, bool) or not isinstance(value, NUMBER_TYPES[kind]):
-            wanted = "an integer" if kind == "int" else "a number"
-            problems.append(f"{what} key {f.name} must be {wanted}, got {value!r}")
+        if not _fits(d[f.name], kind):
+            problems.append(f"{what} key {f.name} must be {WANTED[kind]}, got {d[f.name]!r}")
     if problems:
         raise ConfigurationError("; ".join(problems))
     return dict(d)

@@ -13,7 +13,7 @@ import json
 import math
 import operator
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,6 @@ from .data import (
     make_chunks,
     make_synthetic,
     split,
-    split_indices,
     subset,
 )
 from .distill import TeacherCache, distill_rows, save_teacher_cache, snapshot_teacher
@@ -535,21 +534,14 @@ def _stage_summaries(result: RunResult) -> list[dict]:
     return rows
 
 
-@dataclass
-class GridResult:
-    cells: dict
-    chosen: tuple[float, float]
-    chosen_val_acc: float
-    chosen_test_acc: float
-    robustness: float
-
-
-def grid_search(base_cfg: RunConfig, lr_grid, wd_grid, out_dir=None) -> GridResult:
+def grid_search(base_cfg: RunConfig, lr_grid, wd_grid, out_dir=None) -> dict:
     """One run per (lr, wd) cell, in order, over shared data; winner by validation accuracy.
 
-    Ties prefer the smaller lr, then the smaller wd. Failed (diverged) cells
-    stay in the output table but never win; a grid with no surviving cell is
-    an error.
+    Returns what it writes to grid.json: the cells sorted by (lr, wd), the
+    chosen {lr, wd} and the robustness, the test-accuracy spread over the
+    surviving cells. Ties prefer the smaller lr, then the smaller wd. Failed
+    (diverged) cells stay in the table but never win; a grid with no
+    surviving cell is an error.
     """
     lrs, wds = list(lr_grid), list(wd_grid)
     if not lrs or not wds:
@@ -575,22 +567,13 @@ def grid_search(base_cfg: RunConfig, lr_grid, wd_grid, out_dir=None) -> GridResu
         raise HarnessError("every grid cell diverged")
     chosen = min(alive, key=lambda k: (-alive[k]["val_acc"], k[0], k[1]))
     accs = [v["test_acc"] for v in alive.values()]
-    grid = GridResult(
-        cells=cells,
-        chosen=chosen,
-        chosen_val_acc=alive[chosen]["val_acc"],
-        chosen_test_acc=alive[chosen]["test_acc"],
-        robustness=max(accs) - min(accs),
-    )
+    grid = {
+        "cells": [v for _, v in sorted(cells.items())],
+        "chosen": {"lr": chosen[0], "wd": chosen[1]},
+        "robustness": max(accs) - min(accs),
+    }
     if out_dir is not None:
-        write_json(
-            {
-                "cells": [v for _, v in sorted(cells.items())],
-                "chosen": {"lr": chosen[0], "wd": chosen[1]},
-                "robustness": grid.robustness,
-            },
-            Path(out_dir) / "grid.json",
-        )
+        write_json(grid, Path(out_dir) / "grid.json")
     return grid
 
 
@@ -656,12 +639,12 @@ def _method_config(base_cfg: RunConfig, method: str) -> RunConfig:
     return replace(base_cfg, reinit=rspec, distill=dist, stages=stages)
 
 
-def noise_study(base_cfg: RunConfig, q_values, methods, out_dir=None, budget_fractions=(0.5, 1.0)) -> list[dict]:
+def noise_study(base_cfg: RunConfig, q_values, methods, out_dir=None) -> list[dict]:
     """Per (q, method) accuracy plus memorization of the corrupted subset.
 
     Memorization rate is the best checkpoint's accuracy against the noisy
-    labels on the corrupted indices; the standard method also gets an
-    epoch-budget sweep arm, since shortening training is the classical
+    labels on the corrupted indices; the standard method also gets an arm
+    with half the epochs, since shortening training is the classical
     defense against fitting noise.
     """
     # every cell config is built, and so checked, before the first cell runs
@@ -673,13 +656,10 @@ def noise_study(base_cfg: RunConfig, q_values, methods, out_dir=None, budget_fra
             method_cfg = _method_config(q_cfg, method)
             cfg = _cell_config(method_cfg, f"q{q}-{method}")
             cells.append((method, cfg))
-            if method == "standard":
-                for frac in budget_fractions:
-                    epochs = max(1, int(cfg.epochs * frac))
-                    if epochs == cfg.epochs:
-                        continue
-                    arm = f"standard@{epochs}ep"
-                    cells.append((arm, _cell_config(method_cfg, f"q{q}-{arm}", epochs=epochs, stages=1)))
+            if method == "standard" and cfg.epochs > 1:
+                half = cfg.epochs // 2
+                arm = f"standard@{half}ep"
+                cells.append((arm, _cell_config(method_cfg, f"q{q}-{arm}", epochs=half, stages=1)))
         studies.append((q, q_cfg, cells))
     rows = []
     for q, q_cfg, cells in studies:

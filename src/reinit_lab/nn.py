@@ -153,14 +153,7 @@ class NetworkSpec:
 
     @staticmethod
     def from_dict(d: Mapping) -> "NetworkSpec":
-        d = checked_keys(NetworkSpec, d, "network")
-        return NetworkSpec(
-            input_dim=int(d["input_dim"]),
-            hidden_dims=tuple(d["hidden_dims"]),
-            num_classes=int(d["num_classes"]),
-            activation=d.get("activation", "relu"),
-            block_boundaries=tuple(d.get("block_boundaries", ())),
-        )
+        return NetworkSpec(**checked_keys(NetworkSpec, d, "network"))
 
 
 @dataclass(frozen=True)

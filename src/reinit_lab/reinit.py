@@ -31,7 +31,6 @@ __all__ = [
     "restage",
     "stage_seed",
     "shrink_perturb",
-    "block_mask",
     "layerwise_reinit",
     "apply_reinit",
 ]
@@ -122,33 +121,14 @@ def stage_seed(base_seed: int, stage: int) -> int:
 
 def shrink_perturb(theta: ParamVector, theta_init: ParamVector, lam: float, gamma: float) -> ParamVector:
     """lam*theta + gamma*theta_init, elementwise; inputs untouched."""
+    # equal layouts mean equal lengths: a ParamVector checks its length against its layout
     if theta.layout is not theta_init.layout and theta.layout != theta_init.layout:
         raise ShapeError("theta and theta_init have different layouts")
-    if theta.values.shape != theta_init.values.shape:
-        raise ShapeError(
-            f"parameter lengths differ: {theta.values.shape[0]} vs {theta_init.values.shape[0]}"
-        )
     if not (0.0 <= lam <= 1.0 and 0.0 <= gamma <= 1.0):
         raise ConfigurationError(f"lam and gamma must lie in [0, 1], got {lam}, {gamma}")
-    if lam == 1.0 and gamma == 0.0:
-        return theta.copy()
-    if lam == 0.0 and gamma == 1.0:
-        return theta_init.copy()
     values = lam * theta.values
     values += gamma * theta_init.values
     return ParamVector(values.astype(theta.dtype, copy=False), theta.layout)
-
-
-def block_mask(layout: LayerLayout, t: int, repeats: int = 1) -> np.ndarray:
-    """Boolean keep-mask over the flat vector: the first ceil(t/repeats) blocks."""
-    if repeats < 1:
-        raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-    total = layout.num_blocks * repeats
-    if not 1 <= t <= total:
-        raise ConfigurationError(f"stage index {t} outside 1..{total}")
-    mask = np.zeros(layout.total_len, dtype=bool)
-    mask[: layout.block_slice(math.ceil(t / repeats)).stop] = True
-    return mask
 
 
 def _rescale_kept_blocks(
@@ -175,7 +155,6 @@ def _rescale_kept_blocks(
 def layerwise_reinit(
     theta: ParamVector,
     theta_init: ParamVector,
-    layout: LayerLayout,
     t: int,
     repeats: int,
     init_block_norms: Sequence[float],
@@ -192,9 +171,15 @@ def layerwise_reinit(
     stats = np.asarray(stats_batch)
     if stats.ndim != 2 or stats.shape[0] == 0:
         raise ConfigurationError("stats batch must be a nonempty 2-D array")
-    mask = block_mask(layout, t, repeats)
+    layout = theta.layout
+    total = layout.num_blocks * repeats
+    if not 1 <= t <= total:
+        raise ConfigurationError(f"stage index {t} outside 1..{total}")
     kept_blocks = math.ceil(t / repeats)
-    merged = np.where(mask, theta.values, theta_init.values.astype(theta.dtype, copy=False))
+    # the kept blocks are a prefix of the flat vector; the rest is the fresh draw
+    merged = theta_init.values.astype(theta.dtype)
+    stop = layout.block_slice(kept_blocks).stop
+    merged[:stop] = theta.values[:stop]
     _rescale_kept_blocks(merged, layout, kept_blocks, init_block_norms)
     new_params = ParamVector(merged, layout)
     acts = forward(spec, new_params, stats, stop_block=kept_blocks)
@@ -234,6 +219,6 @@ def apply_reinit(
     if init_block_norms is None or stats_batch is None:
         raise ConfigurationError("layer_wise reinit needs init block norms and a stats batch")
     new_params, frozen = layerwise_reinit(
-        theta_end, fresh, theta_end.layout, t, rspec.repeats, init_block_norms, stats_batch, network
+        theta_end, fresh, t, rspec.repeats, init_block_norms, stats_batch, network
     )
     return new_params, frozen, fresh_norm

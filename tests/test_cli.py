@@ -196,6 +196,45 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "section, change, phrase",
+        [
+            ("network", {"hidden_dims": ["a"]}, "network key hidden_dims must be an array of integers, got ['a']"),
+            ("network", {"hidden_dims": ["16"]}, "network key hidden_dims must be an array of integers, got ['16']"),
+            ("network", {"hidden_dims": [16.7]}, "network key hidden_dims must be an array of integers, got [16.7]"),
+            ("network", {"block_boundaries": [True]}, "block_boundaries must be an array of integers, got [True]"),
+            ("data", {"image_hw": [2.0, 4]}, "data key image_hw must be an array of two integers, got [2.0, 4]"),
+            ("data", {"image_hw": [2, 4, 1]}, "data key image_hw must be an array of two integers, got [2, 4, 1]"),
+            (None, {"run_name": 5}, "run config key run_name must be a string, got 5"),
+            (
+                "data",
+                {"source": "idx", "images_path": 5, "labels_path": "labels.idx"},
+                "data key images_path must be a string, got 5",
+            ),
+            ("distill", {"enabled": "no"}, "distill key enabled must be true or false, got 'no'"),
+        ],
+        ids=[
+            "letter_dim", "string_dim", "float_dim", "bool_boundary", "float_image_hw", "long_image_hw",
+            "int_run_name", "int_images_path", "string_enabled",
+        ],
+    )
+    def test_wrong_typed_config_value_leaves_no_run_directory(
+        self, tiny_config_file, tmp_path, capsys, section, change, phrase
+    ):
+        config = json.loads(Path(tiny_config_file).read_text())
+        if section is None:
+            config.update(change)
+        else:
+            config[section] = config.get(section, {}) | change
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        code, payload = run_main(["train", "--config", str(path), "--out", str(out)], capsys)
+        assert code == 2
+        assert payload["error"] == "ConfigurationError"
+        assert phrase in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags",
         [["--q-values", "0", "--methods", "standard,bogus"], ["--q-values", "0,1.5"]],
         ids=["bad_method", "bad_q"],

@@ -11,6 +11,7 @@ from reinit_lab.distill import (
 )
 from reinit_lab.errors import ConfigurationError, DataError, FormatError
 from reinit_lab.nn import (
+    NO_GRAD_ROWS,
     NetworkSpec,
     ParamVector,
     build_layout,
@@ -52,10 +53,11 @@ def test_snapshot_rows_sum_to_one():
 
 def test_snapshot_batching_is_invisible():
     params = init_params(SPEC, 3)
-    x = fixture_inputs(23)
-    whole = snapshot_teacher(SPEC, params, x, 1, 1.0, batch_size=1024)
-    pieces = snapshot_teacher(SPEC, params, x, 1, 1.0, batch_size=7)
-    np.testing.assert_array_equal(whole.probs, pieces.probs)
+    # more rows than one no-grad forward pass takes, and not a multiple of it
+    x = fixture_inputs(2 * NO_GRAD_ROWS + 23)
+    cache = snapshot_teacher(SPEC, params, x, 1, 1.0)
+    want = softmax(forward(SPEC, params, x).astype(np.float64)).astype(np.float32)
+    np.testing.assert_array_equal(cache.probs, want)
 
 
 def test_cache_rejects_bad_tables():

@@ -405,8 +405,8 @@ class TestGridSearch:
         }
         self.patch_runs(monkeypatch, table)
         grid = grid_search(tiny_cfg(), [0.01, 0.1], [0.0, 0.001])
-        assert grid.chosen == (0.01, 0.0)
-        assert grid.chosen_val_acc == 0.8
+        assert grid["chosen"] == {"lr": 0.01, "wd": 0.0}
+        assert [(c["lr"], c["wd"]) for c in grid["cells"]] == [(0.01, 0.0), (0.01, 0.001), (0.1, 0.0), (0.1, 0.001)]
 
     def test_failed_cells_never_win(self, monkeypatch):
         table = {
@@ -415,8 +415,8 @@ class TestGridSearch:
         }
         self.patch_runs(monkeypatch, table)
         grid = grid_search(tiny_cfg(), [0.01, 0.1], [0.0])
-        assert grid.chosen == (0.1, 0.0)
-        assert grid.cells[(0.01, 0.0)]["failed"]
+        assert grid["chosen"] == {"lr": 0.1, "wd": 0.0}
+        assert [c["failed"] for c in grid["cells"]] == [True, False]
 
     def test_all_failed_is_an_error(self, monkeypatch):
         self.patch_runs(monkeypatch, {(0.01, 0.0): (0.9, True)})
@@ -431,11 +431,11 @@ class TestGridSearch:
         }
         self.patch_runs(monkeypatch, table)
         grid = grid_search(tiny_cfg(), [0.01, 0.05, 0.1], [0.0])
-        assert grid.robustness == pytest.approx((0.8 - 0.01) - (0.6 - 0.01))
+        assert grid["robustness"] == pytest.approx((0.8 - 0.01) - (0.6 - 0.01))
 
     def test_real_grid_writes_table(self, tmp_path):
         grid = grid_search(tiny_cfg(epochs=2), [0.01, 0.05], [0.0], out_dir=tmp_path)
-        assert grid.chosen in grid.cells
+        assert (grid["chosen"]["lr"], grid["chosen"]["wd"]) in [(c["lr"], c["wd"]) for c in grid["cells"]]
         blob = json.load(open(tmp_path / "grid.json"))
         assert len(blob["cells"]) == 2
         assert blob["robustness"] >= 0.0
@@ -614,10 +614,10 @@ class TestStudyRunDirectories:
 
     def test_grid_cells_get_their_own_directories(self, tmp_path):
         grid = grid_search(tiny_cfg(epochs=2, run_name="exp"), [0.01, 0.05], [0.0], out_dir=tmp_path)
-        ids = [cell["run_id"] for cell in grid.cells.values()]
+        ids = [cell["run_id"] for cell in grid["cells"]]
         assert len(set(ids)) == 2
         assert self.run_dirs(tmp_path) == sorted(ids)
-        for cell in grid.cells.values():
+        for cell in grid["cells"]:
             saved = json.loads((tmp_path / cell["run_id"] / "config.json").read_text())
             assert saved["lr"] == cell["lr"]
 
@@ -638,6 +638,21 @@ class TestStudyRunDirectories:
         base = tiny_cfg(epochs=4, stages=2, reinit=ReinitSpec("shrink_perturb"))
         rows = stage_sweep(base, (2,))
         assert rows[0]["run_id"] == base.run_id
+
+
+STUDIES = {
+    "grid.json": lambda base, out: grid_search(base, [0.01, 0.05], [0.0, 0.001], out_dir=out),
+    "stage_sweep.json": lambda base, out: stage_sweep(base, (1, 2), out_dir=out),
+    "noise_study.json": lambda base, out: noise_study(base, (0.0, 0.3), ("standard", "sp"), out_dir=out),
+    "online_sim.json": lambda base, out: online_sim(base, 2, out_dir=out),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STUDIES))
+def test_every_study_returns_what_it_writes(name, tmp_path):
+    base = tiny_cfg(epochs=2, stages=2, reinit=ReinitSpec("shrink_perturb"))
+    result = STUDIES[name](base, tmp_path)
+    assert result == json.loads((tmp_path / name).read_text())
 
 
 class TestStageSweep:

@@ -1,4 +1,4 @@
-"""Stage plans, shrink-and-perturb, block masks, layer-wise rebuilds."""
+"""Stage plans, shrink-and-perturb, layer-wise rebuilds."""
 import math
 
 import numpy as np
@@ -19,7 +19,6 @@ from reinit_lab.nn import (
 from reinit_lab.reinit import (
     ReinitSpec,
     apply_reinit,
-    block_mask,
     layerwise_reinit,
     make_stage_plan,
     shrink_perturb,
@@ -114,31 +113,6 @@ def test_reinit_spec_validation():
         ReinitSpec("rewind")
 
 
-def test_block_mask_keeps_prefix_blocks():
-    layout = build_layout(THREE_BLOCK)
-    m1 = block_mask(layout, 1)
-    m3 = block_mask(layout, 3)
-    assert m3.all()
-    want = np.zeros(layout.total_len, dtype=bool)
-    want[layout.block_slice(1)] = True
-    assert np.array_equal(m1, want)
-
-
-def test_block_mask_repeats_use_ceiling():
-    layout = build_layout(THREE_BLOCK)
-    # K=3, M=2: t=3 keeps ceil(3/2)=2 blocks
-    m = block_mask(layout, 3, repeats=2)
-    want = np.zeros(layout.total_len, dtype=bool)
-    want[layout.block_slice(1)] = True
-    want[layout.block_slice(2)] = True
-    assert np.array_equal(m, want)
-    assert block_mask(layout, 6, repeats=2).all()
-    with pytest.raises(ConfigurationError):
-        block_mask(layout, 7, repeats=2)
-    with pytest.raises(ConfigurationError):
-        block_mask(layout, 0)
-
-
 def test_stage_seed_is_stable_and_spreads():
     assert stage_seed(42, 1) == stage_seed(42, 1)
     seen = {stage_seed(42, t) for t in range(1, 101)}
@@ -165,7 +139,7 @@ def layerwise_setup(seed_theta=11, seed_init=12):
 def test_layerwise_keeps_direction_restores_norm_resamples_suffix():
     theta, theta_init, layout, init_norms, stats = layerwise_setup()
     for t in (1, 2, 3):
-        out, fn = layerwise_reinit(theta, theta_init, layout, t, 1, init_norms, stats, THREE_BLOCK)
+        out, fn = layerwise_reinit(theta, theta_init, t, 1, init_norms, stats, THREE_BLOCK)
         kept = math.ceil(t / 1)
         for b in range(1, kept + 1):
             idx = layout.block_slice(b)
@@ -182,7 +156,7 @@ def test_layerwise_keeps_direction_restores_norm_resamples_suffix():
 
 def test_layerwise_full_mask_keeps_everything_rescaled():
     theta, theta_init, layout, init_norms, stats = layerwise_setup()
-    out, _ = layerwise_reinit(theta, theta_init, layout, 3, 1, init_norms, stats, THREE_BLOCK)
+    out, _ = layerwise_reinit(theta, theta_init, 3, 1, init_norms, stats, THREE_BLOCK)
     norms = block_norms(out)
     np.testing.assert_allclose(norms, init_norms, atol=1e-5)
     assert not np.array_equal(out.values, theta_init.values)
@@ -190,7 +164,7 @@ def test_layerwise_full_mask_keeps_everything_rescaled():
 
 def test_layerwise_frozen_layer_standardizes_stats_batch():
     theta, theta_init, layout, init_norms, stats = layerwise_setup()
-    out, fn = layerwise_reinit(theta, theta_init, layout, 2, 1, init_norms, stats, THREE_BLOCK)
+    out, fn = layerwise_reinit(theta, theta_init, 2, 1, init_norms, stats, THREE_BLOCK)
     acts = forward(THREE_BLOCK, out, stats, fn, stop_block=2)
     np.testing.assert_allclose(acts.mean(axis=0), 0.0, atol=1e-9)
     # units that vary got unit spread; dead-ReLU units hit the std floor instead
@@ -198,14 +172,35 @@ def test_layerwise_frozen_layer_standardizes_stats_batch():
     np.testing.assert_allclose(acts.std(axis=0)[varying], 1.0, atol=1e-9)
 
 
+def test_layerwise_repeats_keep_the_ceiling_of_t_over_repeats_blocks():
+    theta, theta_init, layout, init_norms, stats = layerwise_setup()
+    # K=3, M=2: boundary t keeps ceil(t/2) blocks and resamples the rest
+    for t, kept in ((1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3)):
+        out, fn = layerwise_reinit(theta, theta_init, t, 2, init_norms, stats, THREE_BLOCK)
+        stop = layout.block_slice(kept).stop
+        assert fn.insert_after_block == kept
+        assert np.array_equal(out.values[stop:], theta_init.values[stop:])
+        assert not np.array_equal(out.values[:stop], theta_init.values[:stop])
+
+
+def test_layerwise_rejects_stage_index_outside_its_range():
+    theta, theta_init, _, init_norms, stats = layerwise_setup()
+    for t, repeats in ((0, 1), (4, 1), (7, 2)):
+        with pytest.raises(ConfigurationError, match=f"stage index {t} outside"):
+            layerwise_reinit(theta, theta_init, t, repeats, init_norms, stats, THREE_BLOCK)
+    rspec = ReinitSpec("layer_wise", blocks=3, repeats=2)
+    with pytest.raises(ConfigurationError, match="stage index 7 outside 1..6"):
+        apply_reinit(rspec, theta, 5, 7, THREE_BLOCK, init_norms, stats)
+
+
 def test_layerwise_error_cases():
     theta, theta_init, layout, init_norms, stats = layerwise_setup()
     with pytest.raises(ConfigurationError):
-        layerwise_reinit(theta, theta_init, layout, 1, 1, init_norms, np.zeros((0, 6)), THREE_BLOCK)
+        layerwise_reinit(theta, theta_init, 1, 1, init_norms, np.zeros((0, 6)), THREE_BLOCK)
     zeroed = theta.values.copy()
     zeroed[layout.block_slice(1)] = 0.0
     with pytest.raises(NumericalError):
-        layerwise_reinit(ParamVector(zeroed, layout), theta_init, layout, 1, 1, init_norms, stats, THREE_BLOCK)
+        layerwise_reinit(ParamVector(zeroed, layout), theta_init, 1, 1, init_norms, stats, THREE_BLOCK)
 
 
 def layerwise_state():
@@ -313,16 +308,12 @@ def oracle_layerwise_values(theta, theta_init, t, repeats, init_norms):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_block_norms_and_mask_match_index_oracle(dtype):
+def test_block_norms_match_index_oracle(dtype):
     theta = three_block_params(31, dtype)
     layout = theta.layout
     v = theta.values.astype(np.float64)
     want = np.array([np.linalg.norm(v[oracle_block_indices(layout, b)]) for b in range(1, 4)])
     assert block_norms(theta).tobytes() == want.tobytes()
-    for t in range(1, 7):
-        want_mask = np.zeros(layout.total_len, dtype=bool)
-        want_mask[oracle_kept_indices(layout, math.ceil(t / 2))] = True
-        assert np.array_equal(block_mask(layout, t, repeats=2), want_mask)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -330,7 +321,7 @@ def test_layerwise_rescale_matches_index_oracle(dtype):
     theta, theta_init, layout, init_norms, stats = layerwise_setup()
     theta = ParamVector(theta.values.astype(dtype), layout)
     for t in range(1, 7):
-        out, _ = layerwise_reinit(theta, theta_init, layout, t, 2, init_norms, stats, THREE_BLOCK)
+        out, _ = layerwise_reinit(theta, theta_init, t, 2, init_norms, stats, THREE_BLOCK)
         want = oracle_layerwise_values(theta, theta_init, t, 2, init_norms)
         assert out.values.dtype == want.dtype
         assert out.values.tobytes() == want.tobytes()
