@@ -24,8 +24,8 @@ from .harness import (
     stage_sweep,
 )
 from .nn import NetworkSpec
-from .reinit import ReinitSpec, restage
-from .runio import read_metrics
+from .reinit import ReinitSpec
+from .runio import read_json, read_metrics
 
 DEFAULT_LR_GRID = (0.005, 0.01, 0.03, 0.05, 0.1)
 DEFAULT_WD_GRID = (0.0, 0.0001, 0.0005, 0.001, 0.005)
@@ -61,8 +61,7 @@ def add_common_flags(p: argparse.ArgumentParser) -> None:
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
-        with open(args.config) as fh:
-            cfg = RunConfig.from_dict(json.load(fh))
+        cfg = RunConfig.from_dict(read_json(args.config))
     else:
         cfg = RunConfig(network=default_network())
     if args.seed is not None:
@@ -80,20 +79,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.noise_q is not None:
         cfg = replace(cfg, noise_q=args.noise_q)
     if args.stages is not None:
-        cfg = replace(cfg, stages=args.stages, reinit=restage(cfg.reinit, cfg.network, args.stages))
+        cfg = replace(cfg, stages=args.stages)
     if args.distill_beta is not None:
         cfg = replace(
             cfg, distill=DistillConfig(enabled=args.distill_beta > 0, beta=args.distill_beta)
         )
     if args.reinit is not None:
-        kind = REINIT_TOKENS[args.reinit]
-        if kind == "shrink_perturb":
-            rspec = ReinitSpec(kind, lam=args.lam, gamma=args.gamma)
-        elif kind == "layer_wise":
-            rspec = restage(ReinitSpec(kind, blocks=cfg.network.num_blocks), cfg.network, cfg.stages)
-        else:
-            rspec = ReinitSpec(kind)
-        cfg = replace(cfg, reinit=rspec)
+        # ReinitSpec rejects --lambda/--gamma with any other rule than sp
+        cfg = replace(cfg, reinit=ReinitSpec(REINIT_TOKENS[args.reinit], lam=args.lam, gamma=args.gamma))
     elif args.lam is not None or args.gamma is not None:
         if cfg.reinit.kind != "shrink_perturb":
             raise ConfigurationError("--lambda/--gamma require --reinit sp")
@@ -169,8 +162,7 @@ def cmd_inspect(args) -> dict:
     config_path = run_dir / "config.json"
     if not config_path.exists():
         raise ConfigurationError(f"no run named {args.run_id!r} under {args.out}")
-    with open(config_path) as fh:
-        config = json.load(fh)
+    config = read_json(config_path)
     metrics = read_metrics(run_dir / "metrics.jsonl")
     best = max(metrics, key=lambda m: (m["val_acc"], -m["epoch"])) if metrics else None
     return {

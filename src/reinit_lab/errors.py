@@ -1,4 +1,5 @@
 """Exception types shared across the package, and the config-key check."""
+import math
 from collections.abc import Mapping
 from dataclasses import MISSING, fields
 
@@ -61,7 +62,7 @@ def checked_keys(cls, d, what: str) -> dict:
     """A copy of the JSON object d, after checking that every key names a
     field of the dataclass cls, that every field without a default is given,
     and that every field of a WANTED kind holds such a value: never a bool
-    for a number, nor a float or a string for an int."""
+    for a number, nor a float or a string for an int, nor NaN or an infinity."""
     if not isinstance(d, Mapping):
         raise ConfigurationError(f"{what} must be a JSON object, got {type(d).__name__}")
     known = fields(cls)
@@ -80,6 +81,8 @@ def checked_keys(cls, d, what: str) -> dict:
             continue
         if not _fits(d[f.name], kind):
             problems.append(f"{what} key {f.name} must be {WANTED[kind]}, got {d[f.name]!r}")
+        elif isinstance(d[f.name], float) and not math.isfinite(d[f.name]):  # JSON reads NaN, Infinity
+            problems.append(f"{what} key {f.name} must be a finite number, got {d[f.name]!r}")
     if problems:
         raise ConfigurationError("; ".join(problems))
     return dict(d)

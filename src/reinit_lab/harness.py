@@ -46,7 +46,7 @@ from .nn import (
     weight_norm,
 )
 from .optim import LrSchedule, OptimState, lr_at, sgd_step
-from .reinit import ReinitSpec, apply_reinit, make_stage_plan, restage, stage_seed
+from .reinit import ReinitSpec, apply_reinit, make_stage_plan, stage_seed
 from .runio import MetricsRecord, emit_metrics, save_checkpoint, write_json, write_summary_csv
 
 SETTINGS = ("none", "d", "dc", "dcw")
@@ -152,18 +152,16 @@ class RunConfig:
             raise ConfigurationError(f"batch size must be >= 1, got {self.batch_size}")
         if self.lr <= 0:
             raise ConfigurationError(f"lr must be > 0, got {self.lr}")
+        if not self.weight_decay >= 0:  # NaN too; every setting stores it in the config
+            raise ConfigurationError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 <= self.noise_q <= 1.0:
             raise ConfigurationError(f"noise_q must lie in [0, 1], got {self.noise_q}")
         make_stage_plan(self.epochs, self.stages)
-        required = self.reinit.required_stages()
-        if required is not None and required != self.stages:
+        k = self.network.num_blocks
+        if self.reinit.kind == "layer_wise" and self.stages % k != 0:
             raise ConfigurationError(
-                f"layer_wise with K={self.reinit.blocks}, M={self.reinit.repeats} "
-                f"requires exactly {required} stages, got {self.stages}"
-            )
-        if self.reinit.kind == "layer_wise" and self.reinit.blocks != self.network.num_blocks:
-            raise ConfigurationError(
-                f"reinit expects {self.reinit.blocks} blocks but the network has {self.network.num_blocks}"
+                f"layer_wise needs stages divisible by the {k} network blocks: "
+                f"{self.stages} is not a multiple of {k}"
             )
 
     # setting flags, per the D / C / W composition
@@ -385,7 +383,7 @@ def run_experiment(
             if stage > 1:
                 norm_before = weight_norm(params)
                 params, new_fn, fresh_norm = apply_reinit(
-                    cfg.reinit, params, cfg.seeds.init, stage - 1, network, init_norms, stats_batch
+                    cfg.reinit, params, cfg.seeds.init, stage - 1, network, init_norms, stats_batch, cfg.stages
                 )
                 if fresh_norm is not None:
                     boundary_events.append(BoundaryEvent(stage, norm_before, weight_norm(params), fresh_norm))
@@ -585,7 +583,7 @@ def stage_sweep(base_cfg: RunConfig, t_values, out_dir=None) -> list[dict]:
             raise ConfigurationError(
                 f"stage count {t} does not divide {base_cfg.epochs} epochs; compute parity breaks"
             )
-        reinit = ReinitSpec("none") if t == 1 else restage(base_cfg.reinit, base_cfg.network, t)
+        reinit = ReinitSpec("none") if t == 1 else base_cfg.reinit
         cfgs.append(_cell_config(base_cfg, f"T{t}", stages=t, reinit=reinit))
     bundle = prepare_data(base_cfg)
     rows = []

@@ -9,6 +9,7 @@ normal training, float64 when a caller needs oracle-grade precision.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -112,15 +113,23 @@ class NetworkSpec:
     block_boundaries: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
-        object.__setattr__(self, "block_boundaries", tuple(int(b) for b in self.block_boundaries))
-        dims = (self.input_dim, *self.hidden_dims, self.num_classes)
+        try:  # ints and numpy ints, stored as int; not floats or strings
+            dims = tuple(map(operator.index, (self.input_dim, *self.hidden_dims, self.num_classes)))
+            bounds = tuple(map(operator.index, self.block_boundaries))
+        except TypeError:
+            raise ConfigurationError(
+                f"network dimensions and block boundaries must be integers, got {self.input_dim!r}, "
+                f"{self.hidden_dims!r}, {self.num_classes!r}, {self.block_boundaries!r}"
+            ) from None
+        object.__setattr__(self, "input_dim", dims[0])
+        object.__setattr__(self, "hidden_dims", dims[1:-1])
+        object.__setattr__(self, "num_classes", dims[-1])
+        object.__setattr__(self, "block_boundaries", bounds)
         if any(d < 1 for d in dims):
             raise ConfigurationError(f"all dimensions must be >= 1, got {dims}")
         if self.activation != "relu":
             raise ConfigurationError(f"unsupported activation {self.activation!r}")
         n = self.num_layers
-        bounds = self.block_boundaries
         if list(bounds) != sorted(set(bounds)):
             raise ConfigurationError(f"block boundaries must be strictly increasing, got {bounds}")
         if bounds and (bounds[0] < 1 or bounds[-1] > n - 1):

@@ -28,7 +28,6 @@ __all__ = [
     "ReinitSpec",
     "FrozenNormLayer",
     "make_stage_plan",
-    "restage",
     "stage_seed",
     "shrink_perturb",
     "layerwise_reinit",
@@ -56,15 +55,14 @@ class ReinitSpec:
 
     ``none`` keeps parameters, ``shrink_perturb`` forms lam*theta +
     gamma*fresh, ``layer_wise`` rebuilds a block suffix, ``full`` discards
-    everything. lam/gamma may only be set for shrink_perturb; blocks/repeats
-    only matter for layer_wise.
+    everything. lam/gamma may only be set for shrink_perturb. layer_wise
+    takes its K blocks from the network and its M = stages / K repeats from
+    the run.
     """
 
     kind: str = "none"
     lam: float | None = None
     gamma: float | None = None
-    blocks: int | None = None
-    repeats: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -78,35 +76,6 @@ class ReinitSpec:
             object.__setattr__(self, "gamma", gamma)
         elif self.lam is not None or self.gamma is not None:
             raise ConfigurationError(f"lam/gamma only apply to shrink_perturb, not {self.kind!r}")
-        if self.kind == "layer_wise":
-            if self.blocks is None or self.blocks < 1:
-                raise ConfigurationError("layer_wise needs a positive block count")
-            repeats = 1 if self.repeats is None else self.repeats
-            if repeats < 1:
-                raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-            object.__setattr__(self, "repeats", repeats)
-
-    def required_stages(self) -> int | None:
-        """The stage count this rule pins down, if any (layer_wise: K*M)."""
-        if self.kind == "layer_wise":
-            return self.blocks * self.repeats
-        return None
-
-
-def restage(rspec: ReinitSpec, network: NetworkSpec, stages: int) -> ReinitSpec:
-    """rspec for a run of ``stages`` stages on ``network``.
-
-    A layer_wise rule is resized to the network's K blocks and stages / K
-    repeats, so stages must be divisible by K; other rules are returned as is.
-    """
-    if rspec.kind != "layer_wise":
-        return rspec
-    k = network.num_blocks
-    if stages % k != 0:
-        raise ConfigurationError(
-            f"layer_wise needs stages divisible by the {k} network blocks: {stages} is not a multiple of {k}"
-        )
-    return ReinitSpec("layer_wise", blocks=k, repeats=stages // k)
 
 
 def stage_seed(base_seed: int, stage: int) -> int:
@@ -196,12 +165,14 @@ def apply_reinit(
     network: NetworkSpec,
     init_block_norms: Sequence[float] | None = None,
     stats_batch: np.ndarray | None = None,
+    stages: int | None = None,
 ) -> tuple[ParamVector, FrozenNormLayer | None, float | None]:
     """Produce stage t+1's starting parameters from stage t's final ones.
 
     The fresh draw at boundary t is init_params(network, stage_seed(seed, t)),
     so it is independent of theta_end and of every other boundary. Only the
-    layer-wise rule reads the run's init block norms and stats batch. Returns
+    layer-wise rule reads the run's init block norms, stats batch and stage
+    count; it repeats each of the network's K blocks stages // K times. Returns
     the new parameters, the frozen normalization layer to install for the
     layer-wise rule (None otherwise), and the Euclidean norm of the fresh draw
     (None for ``none``, which draws nothing).
@@ -216,9 +187,9 @@ def apply_reinit(
         return fresh, None, fresh_norm
     if rspec.kind == "shrink_perturb":
         return shrink_perturb(theta_end, fresh, rspec.lam, rspec.gamma), None, fresh_norm
-    if init_block_norms is None or stats_batch is None:
-        raise ConfigurationError("layer_wise reinit needs init block norms and a stats batch")
+    if init_block_norms is None or stats_batch is None or stages is None:
+        raise ConfigurationError("layer_wise reinit needs init block norms, a stats batch and the stage count")
     new_params, frozen = layerwise_reinit(
-        theta_end, fresh, t, rspec.repeats, init_block_norms, stats_batch, network
+        theta_end, fresh, t, stages // network.num_blocks, init_block_norms, stats_batch, network
     )
     return new_params, frozen, fresh_norm

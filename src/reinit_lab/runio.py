@@ -85,9 +85,18 @@ def read_metrics(path) -> list[dict]:
                     out.append(json.loads(line))
                 except json.JSONDecodeError as exc:
                     raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read metrics from {path}: {exc}") from exc
     return out
+
+
+def read_json(path):
+    """The JSON value in the file at path; FormatError naming it if it is not UTF-8 JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}: not a JSON file: {exc}") from exc
 
 
 def write_summary_csv(rows: list[dict], path) -> None:

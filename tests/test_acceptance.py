@@ -244,9 +244,9 @@ def test_06_layer_wise_correctness():
         ).astype(np.float32)
         init_norms = tuple(block_norms(theta0))
         stats = rng.normal(0, 1, (64, 8)).astype(np.float32)
-        rspec = ReinitSpec("layer_wise", blocks=3, repeats=2)
+        # six stages on SMALL_NET's three blocks: each block is kept for two boundaries
         for t in range(1, 6):
-            new, fn, _ = apply_reinit(rspec, theta_end, 9, t, SMALL_NET, init_norms, stats)
+            new, fn, _ = apply_reinit(ReinitSpec("layer_wise"), theta_end, 9, t, SMALL_NET, init_norms, stats, 6)
             kept = math.ceil(t / 2)
             suffix = slice(layout.block_slice(kept).stop, None)
             fresh = init_params(SMALL_NET, stage_seed(9, t))

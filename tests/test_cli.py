@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, JSON output, flag plumbing."""
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import reinit_lab
+import reinit_lab.reinit as reinit
 from reinit_lab.cli import build_config, main, make_parser
 from reinit_lab.harness import DataConfig, RunConfig, Seeds, online_sim
 from reinit_lab.nn import NetworkSpec
+from reinit_lab.reinit import ReinitSpec
 from reinit_lab.runio import write_json
 
 
@@ -63,20 +66,31 @@ class TestBuildConfig:
         cfg = build_config(args)
         assert (cfg.reinit.lam, cfg.reinit.gamma) == (0.3, 0.2)
 
-    def test_layerwise_token_sizes_to_network(self, tiny_config_file):
-        args = parse_args(
-            ["train", "--config", tiny_config_file, "--stages", "6", "--reinit", "layerwise"]
-        )
-        cfg = build_config(args)
-        assert cfg.reinit.kind == "layer_wise"
-        assert cfg.reinit.blocks == 3
-        assert cfg.reinit.repeats == 2
+    def test_layerwise_token_sizes_to_network(self, tiny_config_file, tmp_path, monkeypatch, capsys):
+        # three blocks, six stages: the run keeps each block for two boundaries
+        layerwise_reinit = reinit.layerwise_reinit
+        kept = []
+
+        def recording(*args):
+            new_params, frozen = layerwise_reinit(*args)
+            kept.append(frozen.insert_after_block)
+            return new_params, frozen
+
+        monkeypatch.setattr(reinit, "layerwise_reinit", recording)
+        argv = ["train", "--config", tiny_config_file, "--stages", "6", "--reinit", "layerwise"]
+        assert build_config(parse_args(argv)).reinit == ReinitSpec("layer_wise")
+        code, payload = run_main([*argv, "--out", str(tmp_path / "runs")], capsys)
+        assert code == 0
+        assert kept == [1, 1, 2, 2, 3]
 
     def test_lambda_without_sp_rejected(self, tiny_config_file):
         from reinit_lab.errors import ConfigurationError
 
         args = parse_args(["train", "--config", tiny_config_file, "--lambda", "0.3"])
         with pytest.raises(ConfigurationError, match="--reinit sp"):
+            build_config(args)
+        args = parse_args(["train", "--config", tiny_config_file, "--reinit", "full", "--lambda", "0.3"])
+        with pytest.raises(ConfigurationError, match="only apply to shrink_perturb, not 'full'"):
             build_config(args)
 
     def test_distill_beta_zero_disables(self, tiny_config_file):
@@ -154,6 +168,71 @@ class TestMain:
             assert payload["error"] == "ConfigurationError"
             assert f"unknown run config keys: {key}" in payload["message"]
             assert not out.exists()
+
+    def test_retired_layer_wise_keys_leave_no_run_directory(self, tiny_config_file, tmp_path, capsys):
+        config = json.loads(Path(tiny_config_file).read_text())
+        config.update(stages=6, reinit={"kind": "layer_wise", "blocks": 3, "repeats": 2})
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        code, payload = run_main(["train", "--config", str(path), "--out", str(out)], capsys)
+        assert code == 2
+        assert payload["error"] == "ConfigurationError"
+        assert "unknown reinit keys: blocks, repeats" in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, change, phrase",
+        [
+            ("distill", {"enabled": True, "beta": math.nan}, "distill key beta must be a finite number, got nan"),
+            (None, {"lr": math.nan}, "run config key lr must be a finite number, got nan"),
+            (None, {"lr": math.inf}, "run config key lr must be a finite number, got inf"),
+            (None, {"weight_decay": -math.inf}, "run config key weight_decay must be a finite number, got -inf"),
+        ],
+        ids=["nan_beta", "nan_lr", "inf_lr", "minus_inf_wd"],
+    )
+    def test_non_finite_config_value_leaves_no_run_directory(
+        self, tiny_config_file, tmp_path, capsys, section, change, phrase
+    ):
+        config = json.loads(Path(tiny_config_file).read_text())
+        if section is None:
+            config.update(change)
+        else:
+            config[section] = config[section] | change
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))  # writes NaN, Infinity, -Infinity, which json.load reads back
+        out = tmp_path / "runs"
+        code, payload = run_main(["train", "--config", str(path), "--out", str(out)], capsys)
+        assert code == 2
+        assert payload["error"] == "ConfigurationError"
+        assert phrase in payload["message"]
+        assert not out.exists()
+
+    def test_truncated_config_reports_format_error(self, tiny_config_file, tmp_path, capsys):
+        path = tmp_path / "torn.json"
+        path.write_text(Path(tiny_config_file).read_text()[:40])
+        out = tmp_path / "runs"
+        code, payload = run_main(["train", "--config", str(path), "--out", str(out)], capsys)
+        assert code == 2
+        assert payload["error"] == "FormatError"
+        assert str(path) in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, damage",
+        [("config.json", lambda raw: raw[: len(raw) // 2]), ("metrics.jsonl", lambda raw: raw[:-2] + b"\xff\n")],
+        ids=["torn_config", "non_utf8_metrics"],
+    )
+    def test_inspect_reports_unreadable_run_files(self, tiny_config_file, tmp_path, capsys, name, damage):
+        out = str(tmp_path / "runs")
+        code, payload = run_main(["train", "--config", tiny_config_file, "--epochs", "2", "--out", out], capsys)
+        assert code == 0
+        path = tmp_path / "runs" / payload["run_id"] / name
+        path.write_bytes(damage(path.read_bytes()))
+        code, payload = run_main(["inspect", payload["run_id"], "--out", out], capsys)
+        assert code == 2
+        assert payload["error"] == "FormatError"
+        assert str(path) in payload["message"]
 
     @pytest.mark.parametrize(
         "network, phrases",

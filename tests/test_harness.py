@@ -125,7 +125,6 @@ class TestRunConfig:
             (None, "lr", True, "run config key lr must be a number"),
             ("data", "val_fraction", "0.1", "data key val_fraction must be a number"),
             ("network", "input_dim", 8.5, "network key input_dim must be an integer"),
-            ("reinit", "blocks", "3", "reinit key blocks must be an integer"),
             ("seeds", "init", 1.5, "seeds key init must be an integer"),
             ("augment", "pad_pixels", None, "augment key pad_pixels must be an integer"),
         ],
@@ -159,12 +158,17 @@ class TestRunConfig:
 
     def test_layer_wise_stage_consistency(self):
         # tiny_net has boundaries after layers 1 and 2, so three blocks
-        ok = tiny_cfg(stages=3, reinit=ReinitSpec("layer_wise", blocks=3))
-        assert ok.reinit.required_stages() == 3
-        with pytest.raises(ConfigurationError, match="requires exactly"):
-            tiny_cfg(stages=2, reinit=ReinitSpec("layer_wise", blocks=3))
-        with pytest.raises(ConfigurationError, match="blocks"):
-            tiny_cfg(stages=2, reinit=ReinitSpec("layer_wise", blocks=2))
+        for stages in (3, 6):
+            assert tiny_cfg(stages=stages, reinit=ReinitSpec("layer_wise")).stages == stages
+        for stages in (2, 4):
+            with pytest.raises(ConfigurationError, match=f"divisible by the 3 network blocks: {stages} is not"):
+                tiny_cfg(stages=stages, reinit=ReinitSpec("layer_wise"))
+
+    @pytest.mark.parametrize("setting", ["none", "dcw"])
+    @pytest.mark.parametrize("wd", [-1.0, -1e-9, float("nan")])
+    def test_weight_decay_must_be_non_negative_in_every_setting(self, setting, wd):
+        with pytest.raises(ConfigurationError, match="weight_decay must be >= 0"):
+            tiny_cfg(setting=setting, weight_decay=wd)
 
 
 class TestPrepareData:
@@ -313,7 +317,7 @@ class TestRunExperiment:
             assert ev.norm_after <= bound
 
     def test_layer_wise_installs_and_replaces_frozen_norm(self):
-        cfg = tiny_cfg(epochs=6, stages=3, reinit=ReinitSpec("layer_wise", blocks=3))
+        cfg = tiny_cfg(epochs=6, stages=3, reinit=ReinitSpec("layer_wise"))
         res = run_experiment(cfg)
         assert not res.failed
         assert res.frozen_norm is not None
@@ -688,7 +692,7 @@ class TestStageSweep:
             lr=0.1,
             epochs=6,
             stages=3,
-            reinit=ReinitSpec("layer_wise", blocks=3),
+            reinit=ReinitSpec("layer_wise"),
             distill=DistillConfig(enabled=True, beta=1.0),
             seeds=Seeds(3, 4, 5, 6),
         )
@@ -706,12 +710,23 @@ class TestStageSweep:
         with pytest.raises(HarnessError, match="diverged across the completed arms"):
             stage_sweep(base, (1, 4))
 
-    def test_layer_wise_repeats_scale_with_stages(self):
-        base = tiny_cfg(epochs=6, stages=3, reinit=ReinitSpec("layer_wise", blocks=3))
+    def test_layer_wise_repeats_scale_with_stages(self, monkeypatch):
+        # each arm repeats the 3 blocks stages / 3 times; every cell is checked before one runs
+        layerwise_reinit = reinit.layerwise_reinit
+        repeats = []
+
+        def recording(theta, theta_init, t, m, *rest):
+            repeats.append((t, m))
+            return layerwise_reinit(theta, theta_init, t, m, *rest)
+
+        monkeypatch.setattr(reinit, "layerwise_reinit", recording)
+        base = tiny_cfg(epochs=6, stages=3, reinit=ReinitSpec("layer_wise"))
         rows = stage_sweep(base, (3, 6))
-        assert len(rows) == 2
+        assert [r["stages"] for r in rows] == [3, 6]
+        assert repeats == [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (4, 2), (5, 2)]
+        monkeypatch.setattr(harness, "run_experiment", None)  # a cell that ran would fail on this
         with pytest.raises(ConfigurationError, match="multiple"):
-            stage_sweep(base, (2,))
+            stage_sweep(base, (3, 2))
 
 
 class TestNoiseStudy:

@@ -72,6 +72,23 @@ def test_spec_rejects_bad_boundaries():
         NetworkSpec(input_dim=0, hidden_dims=(5,), num_classes=3)
 
 
+@pytest.mark.parametrize(
+    "dims",
+    [(8, (10.7,), 4), (8.5, (10,), 4), (8, (10,), 4.0), (8, ("10",), 4), (8, (10, 6), 4, "relu", (1.0,))],
+    ids=["float_hidden", "float_input", "float_classes", "string_hidden", "float_boundary"],
+)
+def test_spec_rejects_non_integer_dimensions(dims):
+    with pytest.raises(ConfigurationError, match="must be integers"):
+        NetworkSpec(*dims)
+
+
+def test_spec_stores_numpy_int_dimensions_as_int():
+    spec = NetworkSpec(np.int64(8), (np.int32(10), np.uint8(6)), np.int64(4), block_boundaries=(np.int64(1),))
+    assert spec == NetworkSpec(8, (10, 6), 4, block_boundaries=(1,))
+    values = (spec.input_dim, *spec.hidden_dims, spec.num_classes, *spec.block_boundaries)
+    assert all(type(v) is int for v in values)
+
+
 def test_spec_dict_round_trip():
     spec = NetworkSpec(input_dim=7, hidden_dims=(9, 4), num_classes=5, block_boundaries=(2,))
     assert NetworkSpec.from_dict(spec.to_dict()) == spec

@@ -1,5 +1,6 @@
 """Stage plans, shrink-and-perturb, layer-wise rebuilds."""
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -106,11 +107,11 @@ def test_reinit_spec_validation():
     with pytest.raises(ConfigurationError):
         ReinitSpec("shrink_perturb", lam=1.5)
     with pytest.raises(ConfigurationError):
-        ReinitSpec("layer_wise")
-    assert ReinitSpec("layer_wise", blocks=3).repeats == 1
-    assert ReinitSpec("layer_wise", blocks=3, repeats=2).required_stages() == 6
+        ReinitSpec("layer_wise", gamma=0.1)
     with pytest.raises(ConfigurationError):
         ReinitSpec("rewind")
+    # layer_wise takes its blocks and repeats from the run, not from the spec
+    assert [f.name for f in fields(ReinitSpec)] == ["kind", "lam", "gamma"]
 
 
 def test_stage_seed_is_stable_and_spreads():
@@ -188,9 +189,8 @@ def test_layerwise_rejects_stage_index_outside_its_range():
     for t, repeats in ((0, 1), (4, 1), (7, 2)):
         with pytest.raises(ConfigurationError, match=f"stage index {t} outside"):
             layerwise_reinit(theta, theta_init, t, repeats, init_norms, stats, THREE_BLOCK)
-    rspec = ReinitSpec("layer_wise", blocks=3, repeats=2)
     with pytest.raises(ConfigurationError, match="stage index 7 outside 1..6"):
-        apply_reinit(rspec, theta, 5, 7, THREE_BLOCK, init_norms, stats)
+        apply_reinit(ReinitSpec("layer_wise"), theta, 5, 7, THREE_BLOCK, init_norms, stats, 6)
 
 
 def test_layerwise_error_cases():
@@ -238,26 +238,29 @@ def test_apply_reinit_shrink_perturb_triangle_inequality():
 
 def test_apply_reinit_dispatches_layerwise():
     theta = three_block_params(11)
-    out, fn, _ = apply_reinit(ReinitSpec("layer_wise", blocks=3), theta, 5, 2, THREE_BLOCK, *layerwise_state())
-    assert fn is not None and fn.insert_after_block == 2
     fresh = init_params(THREE_BLOCK, stage_seed(5, 2), dtype=np.float64)
-    idx = theta.layout.block_slice(3)
-    assert np.array_equal(out.values[idx], fresh.values[idx])
+    # boundary 2 of a run with stages // 3 repeats per block keeps ceil(2 / repeats) blocks
+    for stages, kept in ((3, 2), (6, 1)):
+        out, fn, _ = apply_reinit(ReinitSpec("layer_wise"), theta, 5, 2, THREE_BLOCK, *layerwise_state(), stages)
+        assert fn is not None and fn.insert_after_block == kept
+        stop = theta.layout.block_slice(kept).stop
+        assert np.array_equal(out.values[stop:], fresh.values[stop:])
 
 
 def test_apply_reinit_layerwise_requires_context():
     init_norms, stats = layerwise_state()
-    rspec = ReinitSpec("layer_wise", blocks=3)
-    for given in ({}, {"init_block_norms": init_norms}, {"stats_batch": stats}):
-        with pytest.raises(ConfigurationError, match="init block norms and a stats batch"):
-            apply_reinit(rspec, three_block_params(1), 5, 1, THREE_BLOCK, **given)
+    context = {"init_block_norms": init_norms, "stats_batch": stats, "stages": 3}
+    # nothing, then everything but one of the three
+    for given in ({}, *({k: v for k, v in context.items() if k != left_out} for left_out in context)):
+        with pytest.raises(ConfigurationError, match="init block norms, a stats batch and the stage count"):
+            apply_reinit(ReinitSpec("layer_wise"), three_block_params(1), 5, 1, THREE_BLOCK, **given)
 
 
 def test_apply_reinit_outputs_always_finite():
     theta = three_block_params(20)
     state = layerwise_state()
-    for kind, kwargs in (("none", {}), ("full", {}), ("shrink_perturb", {}), ("layer_wise", {"blocks": 3})):
-        out, _, _ = apply_reinit(ReinitSpec(kind, **kwargs), theta, 5, 1, THREE_BLOCK, *state)
+    for kind in ("none", "full", "shrink_perturb", "layer_wise"):
+        out, _, _ = apply_reinit(ReinitSpec(kind), theta, 5, 1, THREE_BLOCK, *state, 3)
         assert np.all(np.isfinite(out.values))
 
 

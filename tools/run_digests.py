@@ -65,7 +65,7 @@ SMALL = RunConfig(
     seeds=Seeds(1, 2, 3, 4),
 )
 LAYERWISE_DISTILL = replace(
-    SMALL, stages=3, reinit=ReinitSpec("layer_wise", blocks=3), distill=DistillConfig(enabled=True, beta=1.0)
+    SMALL, stages=3, reinit=ReinitSpec("layer_wise"), distill=DistillConfig(enabled=True, beta=1.0)
 )
 
 
