@@ -124,6 +124,11 @@ class DataConfig:
             raise ConfigurationError("csv source needs csv_path")
         if (self.test_images_path is None) != (self.test_labels_path is None):
             raise ConfigurationError("test_images_path and test_labels_path must be given together")
+        for name in ("val_fraction", "test_fraction"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigurationError(f"data {name} must lie strictly in (0, 1), got {getattr(self, name)}")
+        if self.source == "synthetic" and self.num_classes * self.per_class * self.dim > np.iinfo(np.intp).max:
+            raise ConfigurationError("synthetic data of num_classes x per_class x dim values is too large to shape")
 
 
 @dataclass(frozen=True)
@@ -215,16 +220,6 @@ class DataBundle:
     noise_mask: np.ndarray
     val: Dataset
     test: Dataset
-
-    def take_train(self, indices: np.ndarray) -> "DataBundle":
-        idx = np.asarray(indices)
-        return DataBundle(
-            subset(self.train, idx),
-            self.train_labels[idx],
-            self.noise_mask[idx],
-            self.val,
-            self.test,
-        )
 
 
 def prepare_data(cfg: RunConfig) -> DataBundle:
@@ -532,6 +527,43 @@ def _stage_summaries(result: RunResult) -> list[dict]:
     return rows
 
 
+def _row(fields: dict, res: RunResult) -> dict:
+    """A study row: the cell's own fields plus what its run reports."""
+    return {
+        **fields,
+        "run_id": res.run_id,
+        "failed": res.failed,
+        "val_acc": res.best_val_acc,
+        "test_acc": res.best_test_acc,
+        "total_steps": res.total_steps,
+    }
+
+
+def _run_cells(groups, out_dir, extra=None) -> list[dict]:
+    """Run each (data_cfg, cells) group's (fields, cfg) cells in order on
+    prepare_data(data_cfg); a cell's row is _row(fields, result), plus
+    extra(result, bundle) when given. One group's data is alive at a time."""
+    ids = [cfg.run_id for _, cells in groups for _, cfg in cells]
+    repeated = sorted({run_id for run_id in ids if ids.count(run_id) > 1})
+    if repeated:  # checked before the first cell runs
+        raise ConfigurationError(f"repeated cells: run ids {repeated} would share a run directory")
+    rows = []
+    for data_cfg, cells in groups:
+        bundle = prepare_data(data_cfg)
+        for fields, cfg in cells:
+            res = run_experiment(cfg, bundle, out_dir)
+            rows.append(_row(fields, res) | (extra(res, bundle) if extra else {}))
+        del bundle
+    return rows
+
+
+def _study_file(result, out_dir, name: str):
+    """result, written to <out_dir>/<name> first when out_dir is given."""
+    if out_dir is not None:
+        write_json(result, Path(out_dir) / name)
+    return result
+
+
 def grid_search(base_cfg: RunConfig, lr_grid, wd_grid, out_dir=None) -> dict:
     """One run per (lr, wd) cell, in order, over shared data; winner by validation accuracy.
 
@@ -544,75 +576,46 @@ def grid_search(base_cfg: RunConfig, lr_grid, wd_grid, out_dir=None) -> dict:
     lrs, wds = list(lr_grid), list(wd_grid)
     if not lrs or not wds:
         raise ConfigurationError("lr and wd grids must be nonempty")
-    bundle = prepare_data(base_cfg)
-    cfgs = {
-        (lr, wd): _cell_config(base_cfg, f"lr{lr}-wd{wd}", lr=lr, weight_decay=wd) for lr in lrs for wd in wds
-    }
-
-    cells = {}
-    for (lr, wd), cfg in cfgs.items():
-        res = run_experiment(cfg, bundle, out_dir)
-        cells[(lr, wd)] = {
-            "lr": lr,
-            "wd": wd,
-            "val_acc": res.best_val_acc,
-            "test_acc": res.best_test_acc,
-            "failed": res.failed,
-            "run_id": res.run_id,
-        }
-    alive = {k: v for k, v in cells.items() if not v["failed"]}
+    cells = [
+        ({"lr": lr, "wd": wd}, _cell_config(base_cfg, f"lr{lr}-wd{wd}", lr=lr, weight_decay=wd))
+        for lr in lrs
+        for wd in wds
+    ]
+    rows = sorted(_run_cells([(base_cfg, cells)], out_dir), key=lambda r: (r["lr"], r["wd"]))
+    alive = [r for r in rows if not r["failed"]]
     if not alive:
         raise HarnessError("every grid cell diverged")
-    chosen = min(alive, key=lambda k: (-alive[k]["val_acc"], k[0], k[1]))
-    accs = [v["test_acc"] for v in alive.values()]
+    chosen = min(alive, key=lambda r: (-r["val_acc"], r["lr"], r["wd"]))
+    accs = [r["test_acc"] for r in alive]
     grid = {
-        "cells": [v for _, v in sorted(cells.items())],
-        "chosen": {"lr": chosen[0], "wd": chosen[1]},
+        "cells": rows,
+        "chosen": {"lr": chosen["lr"], "wd": chosen["wd"]},
         "robustness": max(accs) - min(accs),
     }
-    if out_dir is not None:
-        write_json(grid, Path(out_dir) / "grid.json")
-    return grid
+    return _study_file(grid, out_dir, "grid.json")
 
 
 def stage_sweep(base_cfg: RunConfig, t_values, out_dir=None) -> list[dict]:
     """Equal-compute comparison across stage counts over shared data; T=1 is the baseline."""
-    cfgs = []
+    cells = []
     for t in t_values:
         if base_cfg.epochs % t != 0:
             raise ConfigurationError(
                 f"stage count {t} does not divide {base_cfg.epochs} epochs; compute parity breaks"
             )
         reinit = ReinitSpec("none") if t == 1 else base_cfg.reinit
-        cfgs.append(_cell_config(base_cfg, f"T{t}", stages=t, reinit=reinit))
-    bundle = prepare_data(base_cfg)
-    rows = []
-    step_counts = set()
-    for cfg in cfgs:
-        res = run_experiment(cfg, bundle, out_dir)
-        if not res.failed:  # a diverged arm stays a failed row; parity holds over the completed arms
-            step_counts.add(res.total_steps)
-        rows.append(
-            {
-                "stages": cfg.stages,
-                "test_acc": res.best_test_acc,
-                "val_acc": res.best_val_acc,
-                "total_steps": res.total_steps,
-                "run_id": res.run_id,
-                "failed": res.failed,
-            }
-        )
+        cells.append(({"stages": t}, _cell_config(base_cfg, f"T{t}", stages=t, reinit=reinit)))
+    rows = _run_cells([(base_cfg, cells)], out_dir)
+    # a diverged arm stays a failed row; parity holds over the completed arms
+    step_counts = sorted({r["total_steps"] for r in rows if not r["failed"]})
     if len(step_counts) > 1:
-        raise HarnessError(f"step counts diverged across the completed arms: {sorted(step_counts)}")
-    if out_dir is not None:
-        write_json(rows, Path(out_dir) / "stage_sweep.json")
-    return rows
+        raise HarnessError(f"step counts diverged across the completed arms: {step_counts}")
+    return _study_file(rows, out_dir, "stage_sweep.json")
 
 
 def _cell_config(base_cfg: RunConfig, cell: str, **changes) -> RunConfig:
     """A study cell's config. A named base run gets the cell appended to its
-    name, so no two cells share a run directory; unnamed cells already have
-    distinct content-addressed ids."""
+    name; unnamed cells have content-addressed ids."""
     if base_cfg.run_name:
         changes["run_name"] = f"{base_cfg.run_name}-{cell}"
     return replace(base_cfg, **changes)
@@ -645,53 +648,31 @@ def noise_study(base_cfg: RunConfig, q_values, methods, out_dir=None) -> list[di
     with half the epochs, since shortening training is the classical
     defense against fitting noise.
     """
-    # every cell config is built, and so checked, before the first cell runs
-    studies = []
+    groups = []
     for q in q_values:
         q_cfg = replace(base_cfg, noise_q=q)
         cells = []
         for method in methods:
             method_cfg = _method_config(q_cfg, method)
             cfg = _cell_config(method_cfg, f"q{q}-{method}")
-            cells.append((method, cfg))
+            cells.append(({"q": q, "method": method, "epochs": cfg.epochs}, cfg))
             if method == "standard" and cfg.epochs > 1:
                 half = cfg.epochs // 2
                 arm = f"standard@{half}ep"
-                cells.append((arm, _cell_config(method_cfg, f"q{q}-{arm}", epochs=half, stages=1)))
-        studies.append((q, q_cfg, cells))
-    rows = []
-    for q, q_cfg, cells in studies:
-        bundle = prepare_data(q_cfg)  # one noise fraction's data alive at a time
-        for method, cfg in cells:
-            res = run_experiment(cfg, bundle, out_dir)
-            rows.append(_noise_row(q, method, cfg.epochs, res, bundle))
-    if out_dir is not None:
-        write_json(rows, Path(out_dir) / "noise_study.json")
-    return rows
+                arm_cfg = _cell_config(method_cfg, f"q{q}-{arm}", epochs=half, stages=1)
+                cells.append(({"q": q, "method": arm, "epochs": half}, arm_cfg))
+        groups.append((q_cfg, cells))
+    return _study_file(_run_cells(groups, out_dir, _memorization), out_dir, "noise_study.json")
 
 
-def _noise_row(q: float, method: str, epochs: int, res: RunResult, bundle: DataBundle) -> dict:
-    memorization = None
+def _memorization(res: RunResult, bundle: DataBundle) -> dict:
+    """The best checkpoint's accuracy against the noisy labels on the corrupted subset."""
     mask = bundle.noise_mask
-    if mask.any() and res.best_params is not None:
-        memorization = evaluate_accuracy(
-            res.config.network,
-            res.best_params,
-            bundle.train.inputs[mask],
-            bundle.train_labels[mask],
-            res.best_frozen_norm,
-        )
-    return {
-        "q": q,
-        "method": method,
-        "epochs": epochs,
-        "test_acc": res.best_test_acc,
-        "val_acc": res.best_val_acc,
-        "memorization": memorization,
-        "total_steps": res.total_steps,
-        "run_id": res.run_id,
-        "failed": res.failed,
-    }
+    if not mask.any() or res.best_params is None:
+        return {"memorization": None}
+    inputs, labels = bundle.train.inputs[mask], bundle.train_labels[mask]
+    memorization = evaluate_accuracy(res.config.network, res.best_params, inputs, labels, res.best_frozen_norm)
+    return {"memorization": memorization}
 
 
 ONLINE_METHODS = ("scratch", "warm_start", "shrink_perturb")
@@ -712,6 +693,8 @@ def online_sim(base_cfg: RunConfig, num_chunks: int, methods=ONLINE_METHODS, out
     for m in methods:
         if m not in ONLINE_METHODS:
             raise ConfigurationError(f"unknown online method {m!r}; expected one of {ONLINE_METHODS}")
+    if len(set(methods)) < len(methods):
+        raise ConfigurationError(f"repeated online methods in {list(methods)}")
     epochs_per_chunk = base_cfg.epochs // num_chunks
     if epochs_per_chunk < 1:
         raise ConfigurationError(f"{base_cfg.epochs} epochs cannot cover {num_chunks} chunks")
@@ -735,7 +718,8 @@ def online_sim(base_cfg: RunConfig, num_chunks: int, methods=ONLINE_METHODS, out
             if k > 1:
                 params, _, _ = apply_reinit(transitions[method], params, seed, k, base_cfg.network)
             seen = np.concatenate(chunks[:k])
-            chunk_bundle = bundle.take_train(seen)
+            labels, mask = bundle.train_labels[seen], bundle.noise_mask[seen]
+            chunk_bundle = replace(bundle, train=subset(bundle.train, seen), train_labels=labels, noise_mask=mask)
             cfg = replace(
                 base_cfg,
                 epochs=epochs_per_chunk,
@@ -749,16 +733,7 @@ def online_sim(base_cfg: RunConfig, num_chunks: int, methods=ONLINE_METHODS, out
             if res.failed:
                 raise HarnessError(f"online chunk {k} diverged for method {method}: {res.failure}")
             params = res.final_params
-            curve.append(
-                {
-                    "chunk": k,
-                    "train_size": len(seen),
-                    "test_acc": res.best_test_acc,
-                    "val_acc": res.best_val_acc,
-                    "final_test_acc": res.records[-1].test_acc,
-                }
-            )
+            chunk_fields = {"chunk": k, "train_size": len(seen), "final_test_acc": res.records[-1].test_acc}
+            curve.append(_row(chunk_fields, res))
         curves[method] = curve
-    if out_dir is not None:
-        write_json(curves, Path(out_dir) / "online_sim.json")
-    return curves
+    return _study_file(curves, out_dir, "online_sim.json")

@@ -325,6 +325,49 @@ class TestMain:
         assert payload["error"] == "ConfigurationError"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stages", "--t-values", "2,2"],
+            ["grid", "--lrs", "0.05,0.05", "--wds", "0"],
+            ["noise", "--q-values", "0.3,0.3", "--methods", "sp"],
+            ["noise", "--q-values", "0.3", "--methods", "sp,sp"],
+            ["online", "--chunks", "2", "--methods", "scratch,scratch"],
+        ],
+        ids=["stages", "grid", "noise_q", "noise_method", "online"],
+    )
+    def test_repeated_study_cell_leaves_no_run_directory(self, tiny_config_file, tmp_path, capsys, argv):
+        out = tmp_path / "runs"
+        code, payload = run_main([*argv, "--config", tiny_config_file, "--epochs", "2", "--out", str(out)], capsys)
+        assert code == 2
+        assert payload["error"] == "ConfigurationError"
+        assert "repeated" in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, phrase",
+        [
+            ({"test_fraction": 0.0}, "data test_fraction must lie strictly in (0, 1), got 0.0"),
+            ({"val_fraction": 1.0}, "data val_fraction must lie strictly in (0, 1), got 1.0"),
+            # a shape numpy cannot represent, so nothing is allocated
+            ({"num_classes": 10**20}, "num_classes x per_class x dim"),
+        ],
+        ids=["test_fraction", "val_fraction", "unshapeable_num_classes"],
+    )
+    def test_out_of_range_data_value_leaves_no_run_directory(
+        self, tiny_config_file, tmp_path, capsys, change, phrase
+    ):
+        config = json.loads(Path(tiny_config_file).read_text())
+        config["data"] |= change
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        code, payload = run_main(["train", "--config", str(path), "--out", str(out)], capsys)
+        assert code == 2
+        assert payload["error"] == "ConfigurationError"
+        assert phrase in payload["message"]
+        assert not out.exists()
+
     def test_augmentation_without_image_geometry_leaves_no_run_directory(self, tmp_path, capsys):
         out = tmp_path / "runs"
         code, payload = run_main(["train", "--setting", "d", "--epochs", "1", "--out", str(out)], capsys)

@@ -6,12 +6,14 @@ and determinism, not accuracy.
 """
 import ast
 import csv
+import gc
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -443,6 +445,8 @@ class TestGridSearch:
         blob = json.load(open(tmp_path / "grid.json"))
         assert len(blob["cells"]) == 2
         assert blob["robustness"] >= 0.0
+        # lr and wd leave the step count alone, so every cell trains the same number of steps
+        assert len({c["total_steps"] for c in blob["cells"]}) == 1 and blob["cells"][0]["total_steps"] > 0
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -464,6 +468,7 @@ class TestGridSearch:
                         "test_acc": res.best_test_acc,
                         "failed": res.failed,
                         "run_id": res.run_id,
+                        "total_steps": res.total_steps,
                     }
                 )
         chosen = min(rows, key=lambda r: (-r["val_acc"], r["lr"], r["wd"]))
@@ -644,6 +649,7 @@ class TestStudyRunDirectories:
         assert rows[0]["run_id"] == base.run_id
 
 
+RUN_FIELDS = {"run_id", "failed", "val_acc", "test_acc", "total_steps"}
 STUDIES = {
     "grid.json": lambda base, out: grid_search(base, [0.01, 0.05], [0.0, 0.001], out_dir=out),
     "stage_sweep.json": lambda base, out: stage_sweep(base, (1, 2), out_dir=out),
@@ -657,6 +663,13 @@ def test_every_study_returns_what_it_writes(name, tmp_path):
     base = tiny_cfg(epochs=2, stages=2, reinit=ReinitSpec("shrink_perturb"))
     result = STUDIES[name](base, tmp_path)
     assert result == json.loads((tmp_path / name).read_text())
+    if name == "grid.json":
+        rows = result["cells"]
+    elif name == "online_sim.json":
+        rows = [row for curve in result.values() for row in curve]
+    else:
+        rows = result
+    assert rows and all(RUN_FIELDS <= set(row) for row in rows)
 
 
 class TestStageSweep:
@@ -773,6 +786,21 @@ class TestNoiseStudy:
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigurationError, match="method"):
             noise_study(tiny_cfg(), (0.1,), ("sgd",))
+
+    def test_earlier_data_is_dropped_before_the_next_q_is_prepared(self, monkeypatch):
+        prepared, alive = [], []
+
+        def preparing(cfg):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in prepared))
+            bundle = prepare_data(cfg)
+            prepared.append(weakref.ref(bundle))
+            return bundle
+
+        monkeypatch.setattr(harness, "prepare_data", preparing)
+        noise_study(tiny_cfg(epochs=2, stages=2), (0.0, 0.2, 0.3), ("sp",))
+        # how many earlier bundles are alive as each noise fraction's data is prepared
+        assert alive == [0, 0, 0]
 
 
 class TestOnlineSim:

@@ -3,14 +3,15 @@
     python tools/run_digests.py OUT > digests.json
 
 Runs both benchmark workloads at seeds 0 and 7 (their configs are imported
-from ``bench/workloads.py``), a layer-wise + distillation stage sweep
-(unnamed and named), a label-noise study, two online simulations, a 2x2
-grid, the ``grid``, ``stages``, ``noise`` and ``online`` CLI commands and two
-shrink-perturb CLI runs at the (lambda, gamma) corners (1, 0) and (0, 1).
-Everything is written under OUT, which must not exist yet or be empty; CLI
-stdout goes to ``<command>.stdout`` files there. Prints a sorted JSON map
-from each file's path relative to OUT to its sha256; ``summary.csv`` is
-hashed without its ``wall_ms`` column, the one timing in the outputs.
+from ``bench/workloads.py``), a layer-wise + distillation stage sweep, a
+label-noise study and a 2x2 grid (each unnamed and named), two online
+simulations, the ``grid``, ``stages``, ``noise`` and ``online`` CLI commands
+and two shrink-perturb CLI runs at the (lambda, gamma) corners (1, 0) and
+(0, 1). Everything is written under OUT, which must not exist yet or be
+empty; CLI stdout goes to ``<command>.stdout`` files there. Prints a sorted
+JSON map from each file's path relative to OUT to its sha256;
+``summary.csv`` is hashed without its ``wall_ms`` column, the one timing in
+the outputs.
 
 A change that should leave every output as it was is checked by running this
 script in a checkout of each commit with the same OUT (IDX run ids contain
@@ -88,11 +89,14 @@ def studies(out: Path) -> None:
         ("standard", "sp", "sp_distill", "full", "full_distill"),
         out_dir=out / "noise",
     )
+    named_noise = replace(SMALL, epochs=4, stages=2, run_name="named")
+    noise_study(named_noise, (0.0, 0.3), ("standard", "sp"), out_dir=out / "noise-named")
     online_sim(SMALL, 3, out_dir=out / "online-default")
     online_sim(
         replace(SMALL, reinit=ReinitSpec("shrink_perturb", lam=0.6, gamma=0.2)), 2, out_dir=out / "online-sp"
     )
     grid_search(SMALL, (0.01, 0.05), (0.0, 0.001), out_dir=out / "grid")
+    grid_search(replace(SMALL, run_name="named"), (0.01, 0.05), (0.0, 0.001), out_dir=out / "grid-named")
 
 
 CLI_COMMANDS = {
