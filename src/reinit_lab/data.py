@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, FormatError
+from .errors import ConfigurationError, DataError, FormatError, check_fields, rule
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -65,14 +65,11 @@ class Dataset:
 class AugmentSpec:
     """Random horizontal flips plus a size-preserving pad-and-crop."""
 
-    horizontal_flip_prob: float = 0.5
-    pad_pixels: int = 4
+    horizontal_flip_prob: float = rule(0.5, "lie in [0, 1]", lambda v: 0 <= v <= 1)
+    pad_pixels: int = rule(4, "be >= 0", lambda v: v >= 0)
 
     def __post_init__(self):
-        if not 0.0 <= self.horizontal_flip_prob <= 1.0:
-            raise ConfigurationError(f"flip probability must lie in [0, 1], got {self.horizontal_flip_prob}")
-        if self.pad_pixels < 0:
-            raise ConfigurationError(f"pad_pixels must be >= 0, got {self.pad_pixels}")
+        check_fields(self, "augment")
 
 
 def _read_be_u32(buf: bytes, offset: int, path, what: str) -> int:
@@ -259,20 +256,23 @@ def subset(ds: Dataset, indices: np.ndarray) -> Dataset:
     return replace(ds, inputs=ds.inputs[idx], labels=ds.labels[idx])
 
 
-def split_indices(labels: np.ndarray, val_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def split_indices(
+    labels: np.ndarray, val_fraction: float, seed: int, what: str = "val fraction"
+) -> tuple[np.ndarray, np.ndarray]:
     """Stratified index split; every class lands on both sides when it can.
 
     The validation side gets floor(val_fraction*n) indices, allocated to
     classes proportionally (largest remainder). Classes with at least two
     examples are then repaired to appear on both sides if the budget allows.
+    Errors name the fraction as what.
     """
     y = np.asarray(labels)
     n = y.shape[0]
     if not 0.0 < val_fraction < 1.0:
-        raise ConfigurationError(f"val fraction must lie strictly in (0, 1), got {val_fraction}")
+        raise ConfigurationError(f"{what} must lie strictly in (0, 1), got {val_fraction}")
     n_val = int(val_fraction * n)
     if n_val < 1 or n_val >= n:
-        raise ConfigurationError(f"fraction {val_fraction} of {n} examples leaves one side empty")
+        raise ConfigurationError(f"{what} {val_fraction} leaves one side of {n} examples empty")
     rng = np.random.Generator(np.random.PCG64(seed))
     classes = _distinct(y)
     per_class = {int(c): rng.permutation(np.flatnonzero(y == c)) for c in classes}
@@ -292,7 +292,7 @@ def split_indices(labels: np.ndarray, val_fraction: float, seed: int) -> tuple[n
     while sum(alloc.values()) < n_val:
         c = max(per_class, key=lambda c: counts[c] - 1 - alloc[c])
         if alloc[c] >= counts[c] - 1:
-            raise ConfigurationError("validation fraction too large for the class counts")
+            raise ConfigurationError(f"{what} {val_fraction} is too large for the class counts")
         alloc[c] += 1
     if len(classes) <= n_val:
         for c in per_class:
@@ -314,8 +314,8 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
-def split(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    train_idx, val_idx = split_indices(ds.labels, val_fraction, seed)
+def split(ds: Dataset, val_fraction: float, seed: int, what: str = "val fraction") -> tuple[Dataset, Dataset]:
+    train_idx, val_idx = split_indices(ds.labels, val_fraction, seed, what)
     return subset(ds, train_idx), subset(ds, val_idx)
 
 

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the config-key check."""
+"""Exception types shared across the package, and the config checks."""
 import math
+import operator
 from collections.abc import Mapping
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, field, fields
 
 
 class ReinitLabError(Exception):
@@ -32,8 +33,8 @@ class HarnessError(ReinitLabError):
     """A study-level failure, e.g. every grid cell diverged."""
 
 
-# what a JSON value must be in a field, by the field's annotation; fields of
-# any other annotation (the nested configs) are checked on their own
+# what a field must hold, by the field's annotation; fields of any other
+# annotation (the nested configs) are checked on their own
 WANTED = {
     "int": "an integer",
     "float": "a number",
@@ -44,25 +45,60 @@ WANTED = {
 }
 
 
-def _fits(value, kind: str) -> bool:
-    """Whether a JSON value fits a field of a WANTED kind; bool, a subclass
-    of int, fits a bool field only."""
+def rule(default, must: str, ok):
+    """A config field whose value, once it fits its WANTED kind, must pass ok;
+    must completes the message "<field> must ..."."""
+    return field(default=default, metadata={"must": must, "ok": ok})
+
+
+def check_fields(config, what: str) -> None:
+    """Check each field of the frozen dataclass config against its WANTED kind
+    (never a bool for a number, nor a float or a string for an int, nor NaN or
+    an infinity) and then its rule, raising "<what> key <field> must ...". An
+    optional field may hold None. Stores integers (numpy ones too) as int and
+    arrays as tuples; an int in a float field stays an int."""
+    for f in fields(config):
+        # f.type is the annotation as written: every module defers annotations
+        kind = f.type.removesuffix(" | None")
+        value = getattr(config, f.name)
+        if kind not in WANTED or (value is None and kind != f.type):
+            continue
+        fitted = _fitted(value, kind)
+        if fitted is None:
+            raise ConfigurationError(f"{what} key {f.name} must be {WANTED[kind]}, got {value!r}")
+        if isinstance(fitted, float) and not math.isfinite(fitted):
+            raise ConfigurationError(f"{what} key {f.name} must be a finite number, got {value!r}")
+        if "ok" in f.metadata and not f.metadata["ok"](fitted):
+            raise ConfigurationError(f"{what} key {f.name} must {f.metadata['must']}, got {value!r}")
+        object.__setattr__(config, f.name, fitted)
+
+
+def _fitted(value, kind: str):
+    """value as a field of the WANTED kind stores it, or None when it does not fit."""
     if kind.startswith("tuple"):
-        return (
-            isinstance(value, (list, tuple))
-            and (kind == "tuple[int, ...]" or len(value) == 2)
-            and all(_fits(v, "int") for v in value)
-        )
-    if isinstance(value, bool):
-        return kind == "bool"
-    return isinstance(value, {"int": int, "float": (int, float), "str": str, "bool": bool}[kind])
+        sequence = isinstance(value, (list, tuple)) or getattr(value, "ndim", None) == 1  # 1-D numpy too
+        items = tuple(map(_fitted_int, value)) if sequence else (None,)
+        fits = None not in items and (kind == "tuple[int, ...]" or len(items) == 2)
+        return items if fits else None
+    if kind in ("str", "bool"):
+        return value if isinstance(value, str if kind == "str" else bool) else None
+    if kind == "float" and isinstance(value, float):
+        return value
+    return _fitted_int(value)
+
+
+def _fitted_int(value):
+    """value as an int when it is an integer other than a bool, else None."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
 
 
 def checked_keys(cls, d, what: str) -> dict:
     """A copy of the JSON object d, after checking that every key names a
-    field of the dataclass cls, that every field without a default is given,
-    and that every field of a WANTED kind holds such a value: never a bool
-    for a number, nor a float or a string for an int, nor NaN or an infinity."""
+    field of the dataclass cls and that every field without a default is
+    given; cls checks the values itself."""
     if not isinstance(d, Mapping):
         raise ConfigurationError(f"{what} must be a JSON object, got {type(d).__name__}")
     known = fields(cls)
@@ -74,15 +110,6 @@ def checked_keys(cls, d, what: str) -> dict:
         problems.append(f"unknown {what} keys: {', '.join(unknown)}")
     if missing:
         problems.append(f"missing {what} keys: {', '.join(missing)}")
-    for f in known:
-        # f.type is the annotation as written: every module defers annotations
-        kind = f.type.removesuffix(" | None")
-        if kind not in WANTED or f.name not in d or (d[f.name] is None and kind != f.type):
-            continue
-        if not _fits(d[f.name], kind):
-            problems.append(f"{what} key {f.name} must be {WANTED[kind]}, got {d[f.name]!r}")
-        elif isinstance(d[f.name], float) and not math.isfinite(d[f.name]):  # JSON reads NaN, Infinity
-            problems.append(f"{what} key {f.name} must be a finite number, got {d[f.name]!r}")
     if problems:
         raise ConfigurationError("; ".join(problems))
     return dict(d)

@@ -11,9 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ from .data import (
     subset,
 )
 from .distill import TeacherCache, distill_rows, save_teacher_cache, snapshot_teacher
-from .errors import ConfigurationError, HarnessError, NumericalError, checked_keys
+from .errors import ConfigurationError, HarnessError, NumericalError, check_fields, checked_keys, rule
 from .nn import (
     NO_GRAD_ROWS,
     FrozenNormLayer,
@@ -50,6 +49,7 @@ from .reinit import ReinitSpec, apply_reinit, make_stage_plan, stage_seed
 from .runio import MetricsRecord, emit_metrics, save_checkpoint, write_json, write_summary_csv
 
 SETTINGS = ("none", "d", "dc", "dcw")
+SOURCES = ("synthetic", "idx", "csv")
 
 # fixed tags for deriving independent sub-seeds from the named seeds
 TEST_SPLIT_TAG = 101
@@ -62,31 +62,22 @@ AUGMENT_TAG = 104
 class Seeds:
     """The four independent randomness owners of a run."""
 
-    init: int = 0
-    data: int = 1
-    noise: int = 2
-    shuffle: int = 3
+    init: int = rule(0, "be >= 0", lambda v: v >= 0)
+    data: int = rule(1, "be >= 0", lambda v: v >= 0)
+    noise: int = rule(2, "be >= 0", lambda v: v >= 0)
+    shuffle: int = rule(3, "be >= 0", lambda v: v >= 0)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            try:
-                seed = operator.index(value)  # ints and numpy ints, not floats
-            except TypeError:
-                seed = None
-            if seed is None or seed < 0:
-                raise ConfigurationError(f"seed {f.name} must be a non-negative integer, got {value!r}")
-            object.__setattr__(self, f.name, seed)
+        check_fields(self, "seeds")
 
 
 @dataclass(frozen=True)
 class DistillConfig:
     enabled: bool = False
-    beta: float = 1.0
+    beta: float = rule(1.0, "be >= 0", lambda v: v >= 0)
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ConfigurationError(f"beta must be >= 0, got {self.beta}")
+        check_fields(self, "distill")
 
 
 @dataclass(frozen=True)
@@ -100,33 +91,29 @@ class DataConfig:
     validation split.
     """
 
-    source: str = "synthetic"
-    num_classes: int = 10
-    dim: int = 50
-    per_class: int = 500
-    class_separation: float = 2.5
-    image_hw: tuple[int, int] | None = None
+    source: str = rule("synthetic", f"be one of {SOURCES}", lambda v: v in SOURCES)
+    num_classes: int = rule(10, "be >= 2", lambda v: v >= 2)
+    dim: int = rule(50, "be >= 1", lambda v: v >= 1)
+    per_class: int = rule(500, "be >= 1", lambda v: v >= 1)
+    class_separation: float = rule(2.5, "be >= 0", lambda v: v >= 0)
+    image_hw: tuple[int, int] | None = rule(None, "be two integers >= 1", lambda v: min(v) >= 1)
     images_path: str | None = None
     labels_path: str | None = None
     test_images_path: str | None = None
     test_labels_path: str | None = None
     csv_path: str | None = None
     test_csv_path: str | None = None
-    val_fraction: float = 0.1
-    test_fraction: float = 0.25
+    val_fraction: float = rule(0.1, "lie strictly in (0, 1)", lambda v: 0 < v < 1)
+    test_fraction: float = rule(0.25, "lie strictly in (0, 1)", lambda v: 0 < v < 1)
 
     def __post_init__(self):
-        if self.source not in ("synthetic", "idx", "csv"):
-            raise ConfigurationError(f"unknown data source {self.source!r}")
+        check_fields(self, "data")
         if self.source == "idx" and (self.images_path is None or self.labels_path is None):
             raise ConfigurationError("idx source needs images_path and labels_path")
         if self.source == "csv" and self.csv_path is None:
             raise ConfigurationError("csv source needs csv_path")
         if (self.test_images_path is None) != (self.test_labels_path is None):
             raise ConfigurationError("test_images_path and test_labels_path must be given together")
-        for name in ("val_fraction", "test_fraction"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ConfigurationError(f"data {name} must lie strictly in (0, 1), got {getattr(self, name)}")
         if self.source == "synthetic" and self.num_classes * self.per_class * self.dim > np.iinfo(np.intp).max:
             raise ConfigurationError("synthetic data of num_classes x per_class x dim values is too large to shape")
 
@@ -135,32 +122,23 @@ class DataConfig:
 class RunConfig:
     network: NetworkSpec
     data: DataConfig = DataConfig()
-    setting: str = "none"
-    lr: float = 0.05
-    weight_decay: float = 0.0
-    momentum: float = 0.9
-    epochs: int = 60
-    batch_size: int = 125
-    stages: int = 1
+    setting: str = rule("none", f"be one of {SETTINGS}", lambda v: v in SETTINGS)
+    lr: float = rule(0.05, "be > 0", lambda v: v > 0)
+    weight_decay: float = rule(0.0, "be >= 0", lambda v: v >= 0)
+    momentum: float = rule(0.9, "lie in [0, 1)", lambda v: 0 <= v < 1)
+    epochs: int = rule(60, "be >= 1", lambda v: v >= 1)
+    batch_size: int = rule(125, "be >= 1", lambda v: v >= 1)
+    stages: int = rule(1, "be >= 1", lambda v: v >= 1)
     reinit: ReinitSpec = ReinitSpec("none")
     distill: DistillConfig = DistillConfig()
-    noise_q: float = 0.0
+    noise_q: float = rule(0.0, "lie in [0, 1]", lambda v: 0 <= v <= 1)
     seeds: Seeds = Seeds()
-    eta_min: float = 0.0
+    eta_min: float = rule(0.0, "be >= 0", lambda v: v >= 0)
     augment: AugmentSpec = AugmentSpec()
     run_name: str | None = None
 
     def __post_init__(self):
-        if self.setting not in SETTINGS:
-            raise ConfigurationError(f"setting must be one of {SETTINGS}, got {self.setting!r}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ConfigurationError(f"lr must be > 0, got {self.lr}")
-        if not self.weight_decay >= 0:  # NaN too; every setting stores it in the config
-            raise ConfigurationError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not 0.0 <= self.noise_q <= 1.0:
-            raise ConfigurationError(f"noise_q must lie in [0, 1], got {self.noise_q}")
+        check_fields(self, "run config")
         make_stage_plan(self.epochs, self.stages)
         k = self.network.num_blocks
         if self.reinit.kind == "layer_wise" and self.stages % k != 0:
@@ -191,13 +169,9 @@ class RunConfig:
     def from_dict(d: dict) -> "RunConfig":
         d = checked_keys(RunConfig, d, "run config")
         d["network"] = NetworkSpec.from_dict(d["network"])
-        if "data" in d:
-            data = checked_keys(DataConfig, d["data"], "data")
-            if data.get("image_hw") is not None:
-                data["image_hw"] = tuple(data["image_hw"])
-            d["data"] = DataConfig(**data)
         for key, cls in (
-            ("reinit", ReinitSpec), ("distill", DistillConfig), ("seeds", Seeds), ("augment", AugmentSpec)
+            ("data", DataConfig), ("reinit", ReinitSpec), ("distill", DistillConfig), ("seeds", Seeds),
+            ("augment", AugmentSpec),
         ):
             if key in d:
                 d[key] = cls(**checked_keys(cls, d[key], key))
@@ -239,8 +213,9 @@ def prepare_data(cfg: RunConfig) -> DataBundle:
         if dc.test_csv_path:
             test = load_csv(dc.test_csv_path)
     if test is None:
-        full, test = split(full, dc.test_fraction, stage_seed(cfg.seeds.data, TEST_SPLIT_TAG))
-    train, val = split(full, dc.val_fraction, stage_seed(cfg.seeds.data, VAL_SPLIT_TAG))
+        test_seed = stage_seed(cfg.seeds.data, TEST_SPLIT_TAG)
+        full, test = split(full, dc.test_fraction, test_seed, "data key test_fraction")
+    train, val = split(full, dc.val_fraction, stage_seed(cfg.seeds.data, VAL_SPLIT_TAG), "data key val_fraction")
     del full  # train and val are copies; keep only them
     mean, std = compute_normalization(train)
     train = apply_normalization(train, mean, std)
@@ -599,12 +574,13 @@ def stage_sweep(base_cfg: RunConfig, t_values, out_dir=None) -> list[dict]:
     """Equal-compute comparison across stage counts over shared data; T=1 is the baseline."""
     cells = []
     for t in t_values:
+        reinit = ReinitSpec("none") if t == 1 else base_cfg.reinit
+        cfg = _cell_config(base_cfg, f"T{t}", stages=t, reinit=reinit)  # RunConfig checks t first
         if base_cfg.epochs % t != 0:
             raise ConfigurationError(
                 f"stage count {t} does not divide {base_cfg.epochs} epochs; compute parity breaks"
             )
-        reinit = ReinitSpec("none") if t == 1 else base_cfg.reinit
-        cells.append(({"stages": t}, _cell_config(base_cfg, f"T{t}", stages=t, reinit=reinit)))
+        cells.append(({"stages": t}, cfg))
     rows = _run_cells([(base_cfg, cells)], out_dir)
     # a diverged arm stays a failed row; parity holds over the completed arms
     step_counts = sorted({r["total_steps"] for r in rows if not r["failed"]})

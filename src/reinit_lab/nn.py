@@ -9,14 +9,13 @@ normal training, float64 when a caller needs oracle-grade precision.
 """
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, NumericalError, ShapeError, checked_keys
+from .errors import ConfigurationError, DataError, NumericalError, ShapeError, check_fields, checked_keys, rule
 
 ROLE_WEIGHT = "weight"
 ROLE_BIAS = "bias"
@@ -106,29 +105,17 @@ class NetworkSpec:
     empty tuple means the whole network is one block.
     """
 
-    input_dim: int
-    hidden_dims: tuple[int, ...]
-    num_classes: int
-    activation: str = "relu"
+    input_dim: int = rule(MISSING, "be >= 1", lambda v: v >= 1)
+    hidden_dims: tuple[int, ...] = rule(MISSING, "be integers >= 1", lambda v: all(d >= 1 for d in v))
+    num_classes: int = rule(MISSING, "be >= 1", lambda v: v >= 1)
+    activation: str = rule("relu", "be 'relu'", lambda v: v == "relu")
     block_boundaries: tuple[int, ...] = ()
 
     def __post_init__(self):
-        try:  # ints and numpy ints, stored as int; not floats or strings
-            dims = tuple(map(operator.index, (self.input_dim, *self.hidden_dims, self.num_classes)))
-            bounds = tuple(map(operator.index, self.block_boundaries))
-        except TypeError:
-            raise ConfigurationError(
-                f"network dimensions and block boundaries must be integers, got {self.input_dim!r}, "
-                f"{self.hidden_dims!r}, {self.num_classes!r}, {self.block_boundaries!r}"
-            ) from None
-        object.__setattr__(self, "input_dim", dims[0])
-        object.__setattr__(self, "hidden_dims", dims[1:-1])
-        object.__setattr__(self, "num_classes", dims[-1])
-        object.__setattr__(self, "block_boundaries", bounds)
-        if any(d < 1 for d in dims):
-            raise ConfigurationError(f"all dimensions must be >= 1, got {dims}")
-        if self.activation != "relu":
-            raise ConfigurationError(f"unsupported activation {self.activation!r}")
+        check_fields(self, "network")
+        if sum((i + 1) * o for i, o in self.layer_dims()) > np.iinfo(np.intp).max:
+            raise ConfigurationError("a network of these dimensions has too many parameters to shape")
+        bounds = self.block_boundaries
         n = self.num_layers
         if list(bounds) != sorted(set(bounds)):
             raise ConfigurationError(f"block boundaries must be strictly increasing, got {bounds}")

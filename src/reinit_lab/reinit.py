@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, ShapeError
+from .errors import ConfigurationError, NumericalError, ShapeError, check_fields, rule
 from .nn import (
     FrozenNormLayer,
     LayerLayout,
@@ -60,20 +60,15 @@ class ReinitSpec:
     the run.
     """
 
-    kind: str = "none"
-    lam: float | None = None
-    gamma: float | None = None
+    kind: str = rule("none", f"be one of {KINDS}", lambda v: v in KINDS)
+    lam: float | None = rule(None, "lie in [0, 1]", lambda v: 0 <= v <= 1)
+    gamma: float | None = rule(None, "lie in [0, 1]", lambda v: 0 <= v <= 1)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigurationError(f"unknown reinit kind {self.kind!r}; expected one of {KINDS}")
+        check_fields(self, "reinit")
         if self.kind == "shrink_perturb":
-            lam = 0.4 if self.lam is None else self.lam
-            gamma = 0.1 if self.gamma is None else self.gamma
-            if not (0.0 <= lam <= 1.0 and 0.0 <= gamma <= 1.0):
-                raise ConfigurationError(f"lam and gamma must lie in [0, 1], got {lam}, {gamma}")
-            object.__setattr__(self, "lam", lam)
-            object.__setattr__(self, "gamma", gamma)
+            object.__setattr__(self, "lam", 0.4 if self.lam is None else self.lam)
+            object.__setattr__(self, "gamma", 0.1 if self.gamma is None else self.gamma)
         elif self.lam is not None or self.gamma is not None:
             raise ConfigurationError(f"lam/gamma only apply to shrink_perturb, not {self.kind!r}")
 

@@ -1,0 +1,104 @@
+"""Boundary fuzz of `reinit-lab train`: one config key or one numeric flag set to an edge value.
+
+Two properties hold for every case:
+- main exits 0, or exits 2 with one JSON line on stderr and no run
+  directory; a diverged run also exits 2 but keeps its directory;
+- the config.json a finished run writes reloads through --config to the
+  same run id.
+"""
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reinit_lab.cli import build_config, main, make_parser
+from reinit_lab.data import AugmentSpec
+from reinit_lab.harness import DataConfig, DistillConfig, RunConfig, Seeds
+from reinit_lab.nn import NetworkSpec
+from reinit_lab.reinit import ReinitSpec
+
+EDGE_VALUES = (math.nan, math.inf, -math.inf, -1, 0, 0.5, 1.5, 2, "x", "4", True, None, [], {})
+
+# 40 examples of 2x4 images: 10 test, 3 val, 27 train in batches of 10; the
+# dcw setting, shrink-perturb and distillation reach every config section
+TINY = RunConfig(
+    network=NetworkSpec(8, (6,), 4, block_boundaries=(1,)),
+    data=DataConfig(num_classes=4, dim=8, per_class=10, class_separation=3.0, image_hw=(2, 4)),
+    setting="dcw",
+    lr=0.05,
+    weight_decay=0.001,
+    epochs=2,
+    batch_size=10,
+    stages=2,
+    reinit=ReinitSpec("shrink_perturb"),
+    distill=DistillConfig(enabled=True),
+    noise_q=0.1,
+    seeds=Seeds(1, 2, 3, 4),
+    eta_min=0.001,
+    augment=AugmentSpec(pad_pixels=1),
+).to_dict()
+
+KEY_CASES = [
+    (section, key, value)
+    for section, keys in [(None, list(TINY))] + [(s, list(v)) for s, v in TINY.items() if isinstance(v, dict)]
+    for key in keys
+    for value in EDGE_VALUES
+]
+FLAG_TYPES = {
+    "--lr": float, "--wd": float, "--lambda": float, "--gamma": float, "--distill-beta": float,
+    "--noise-q": float, "--stages": int, "--seed": int, "--epochs": int,
+}
+# the values each flag's argparse type accepts; `--flag=value` keeps "-inf" a value
+FLAG_CASES = [
+    (flag, value)
+    for flag, kind in FLAG_TYPES.items()
+    for value in EDGE_VALUES
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and (kind is float or value in (-1, 0, 2))
+]
+
+
+def run_train(config: dict, flags: list[str]) -> None:
+    """Run train on config plus flags in a fresh directory and check both properties."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "runs"
+        path.write_text(json.dumps(config))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["train", "--config", str(path), "--out", str(out), *flags])
+        if code == 0:
+            result = json.loads(stdout.getvalue())
+            written = Path(result["run_dir"]) / "config.json"
+            replay = build_config(make_parser().parse_args(["train", "--config", str(written)]))
+            assert replay.run_id == result["run_id"]
+            return
+        assert code == 2
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        error = json.loads(lines[0])
+        diverged = error["error"] == "HarnessError" and "diverged" in error["message"]
+        assert out.exists() == diverged, error
+
+
+def test_the_tiny_config_trains():
+    run_train(TINY, [])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(KEY_CASES))
+def test_one_edge_value_in_the_config(case):
+    section, key, value = case
+    config = json.loads(json.dumps(TINY))
+    (config if section is None else config[section])[key] = value
+    run_train(config, [])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(FLAG_CASES))
+def test_one_edge_value_in_a_flag(case):
+    flag, value = case
+    run_train(TINY, [f"{flag}={value}"])

@@ -256,7 +256,7 @@ class TestMain:
     @pytest.mark.parametrize(
         "flags, config, phrase",
         [
-            (["--seed", "-5"], {}, "seed init must be a non-negative integer, got -5"),
+            (["--seed", "-5"], {}, "seeds key init must be >= 0, got -5"),
             ([], {"seeds": {"init": 1.5}}, "seeds key init must be an integer, got 1.5"),
             ([], {"epochs": "4"}, "run config key epochs must be an integer, got '4'"),
         ],
@@ -347,8 +347,8 @@ class TestMain:
     @pytest.mark.parametrize(
         "change, phrase",
         [
-            ({"test_fraction": 0.0}, "data test_fraction must lie strictly in (0, 1), got 0.0"),
-            ({"val_fraction": 1.0}, "data val_fraction must lie strictly in (0, 1), got 1.0"),
+            ({"test_fraction": 0.0}, "data key test_fraction must lie strictly in (0, 1), got 0.0"),
+            ({"val_fraction": 1.0}, "data key val_fraction must lie strictly in (0, 1), got 1.0"),
             # a shape numpy cannot represent, so nothing is allocated
             ({"num_classes": 10**20}, "num_classes x per_class x dim"),
         ],
@@ -366,6 +366,58 @@ class TestMain:
         assert code == 2
         assert payload["error"] == "ConfigurationError"
         assert phrase in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, phrase",
+        [
+            (["--lr", "nan"], "run config key lr must be a finite number, got nan"),
+            (["--lr", "inf"], "run config key lr must be a finite number, got inf"),
+            (["--wd", "inf"], "run config key weight_decay must be a finite number, got inf"),
+            (["--distill-beta", "nan"], "distill key beta must be a finite number, got nan"),
+        ],
+        ids=["nan_lr", "inf_lr", "inf_wd", "nan_distill_beta"],
+    )
+    def test_non_finite_flag_leaves_no_run_directory(self, tiny_config_file, tmp_path, capsys, flags, phrase):
+        out = tmp_path / "runs"
+        code, payload = run_main(["train", "--config", tiny_config_file, "--out", str(out), *flags], capsys)
+        assert code == 2
+        assert payload["error"] == "ConfigurationError"
+        assert phrase in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, left", [("test_fraction", 160), ("val_fraction", 120)])
+    def test_split_that_empties_a_side_names_its_fraction(self, tiny_config_file, tmp_path, capsys, key, left):
+        config = json.loads(Path(tiny_config_file).read_text())
+        config["data"][key] = 0.001
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        code, payload = run_main(["train", "--config", str(path), "--out", str(out)], capsys)
+        assert code == 2
+        assert payload["error"] == "ConfigurationError"
+        assert f"data key {key} 0.001 leaves one side of {left} examples empty" in payload["message"]
+        assert not out.exists()
+
+    def test_network_too_large_to_shape_leaves_no_run_directory(self, tiny_config_file, tmp_path, capsys):
+        config = json.loads(Path(tiny_config_file).read_text())
+        config["network"]["num_classes"] = 10**30
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        code, payload = run_main(["train", "--config", str(path), "--out", str(out)], capsys)
+        assert code == 2
+        assert payload["error"] == "ConfigurationError"
+        assert "too many parameters" in payload["message"]
+        assert not out.exists()
+
+    def test_zero_stage_count_leaves_no_run_directory(self, tiny_config_file, tmp_path, capsys):
+        out = tmp_path / "runs"
+        argv = ["stages", "--config", tiny_config_file, "--t-values", "0", "--epochs", "2", "--out", str(out)]
+        code, payload = run_main(argv, capsys)
+        assert code == 2
+        assert payload["error"] == "ConfigurationError"
+        assert "run config key stages must be >= 1, got 0" in payload["message"]
         assert not out.exists()
 
     def test_augmentation_without_image_geometry_leaves_no_run_directory(self, tmp_path, capsys):

@@ -145,8 +145,27 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("bad", [-1, 1.5, "3", None])
     def test_seeds_must_be_non_negative_integers(self, bad):
-        with pytest.raises(ConfigurationError, match="seed noise must be a non-negative integer"):
+        with pytest.raises(ConfigurationError, match="seeds key noise must be (>= 0|an integer)"):
             Seeds(noise=bad)
+
+    @pytest.mark.parametrize(
+        "key, value, phrase",
+        [
+            ("epochs", 2.5, "run config key epochs must be an integer, got 2.5"),
+            ("batch_size", 12.5, "run config key batch_size must be an integer, got 12.5"),
+            ("lr", "0.1", "run config key lr must be a number, got '0.1'"),
+            ("momentum", 1.5, "run config key momentum must lie in [0, 1), got 1.5"),
+        ],
+    )
+    def test_library_values_are_checked_like_json_values(self, key, value, phrase):
+        with pytest.raises(ConfigurationError) as info:
+            tiny_cfg(**{key: value})
+        assert phrase in str(info.value)
+
+    def test_numpy_ints_are_stored_as_int_and_ints_stay_int_in_float_fields(self):
+        cfg = tiny_cfg(epochs=np.int64(6), batch_size=np.int32(25), lr=1)
+        assert type(cfg.epochs) is int and type(cfg.batch_size) is int and type(cfg.lr) is int
+        assert cfg.run_id == tiny_cfg(lr=1).run_id != tiny_cfg(lr=1.0).run_id
 
     def test_numpy_int_seeds_pass_as_ints(self):
         seeds = Seeds(np.int64(5), np.uint32(6))
@@ -169,7 +188,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("setting", ["none", "dcw"])
     @pytest.mark.parametrize("wd", [-1.0, -1e-9, float("nan")])
     def test_weight_decay_must_be_non_negative_in_every_setting(self, setting, wd):
-        with pytest.raises(ConfigurationError, match="weight_decay must be >= 0"):
+        with pytest.raises(ConfigurationError, match="run config key weight_decay must be (>= 0|a finite number)"):
             tiny_cfg(setting=setting, weight_decay=wd)
 
 

@@ -73,13 +73,25 @@ def test_spec_rejects_bad_boundaries():
 
 
 @pytest.mark.parametrize(
-    "dims",
-    [(8, (10.7,), 4), (8.5, (10,), 4), (8, (10,), 4.0), (8, ("10",), 4), (8, (10, 6), 4, "relu", (1.0,))],
+    "dims, phrase",
+    [
+        ((8, (10.7,), 4), "network key hidden_dims must be an array of integers"),
+        ((8.5, (10,), 4), "network key input_dim must be an integer"),
+        ((8, (10,), 4.0), "network key num_classes must be an integer"),
+        ((8, ("10",), 4), "network key hidden_dims must be an array of integers"),
+        ((8, (10, 6), 4, "relu", (1.0,)), "network key block_boundaries must be an array of integers"),
+    ],
     ids=["float_hidden", "float_input", "float_classes", "string_hidden", "float_boundary"],
 )
-def test_spec_rejects_non_integer_dimensions(dims):
-    with pytest.raises(ConfigurationError, match="must be integers"):
+def test_spec_rejects_non_integer_dimensions(dims, phrase):
+    with pytest.raises(ConfigurationError, match=phrase):
         NetworkSpec(*dims)
+
+
+def test_spec_stores_a_numpy_array_of_dimensions_as_a_tuple_of_int():
+    spec = NetworkSpec(8, np.array([10, 6]), 4, block_boundaries=np.array([1]))
+    assert spec == NetworkSpec(8, (10, 6), 4, block_boundaries=(1,))
+    assert all(type(v) is int for v in (*spec.hidden_dims, *spec.block_boundaries))
 
 
 def test_spec_stores_numpy_int_dimensions_as_int():

@@ -5,10 +5,13 @@
 Runs both benchmark workloads at seeds 0 and 7 (their configs are imported
 from ``bench/workloads.py``), a layer-wise + distillation stage sweep, a
 label-noise study and a 2x2 grid (each unnamed and named), two online
-simulations, the ``grid``, ``stages``, ``noise`` and ``online`` CLI commands
-and two shrink-perturb CLI runs at the (lambda, gamma) corners (1, 0) and
-(0, 1). Everything is written under OUT, which must not exist yet or be
-empty; CLI stdout goes to ``<command>.stdout`` files there. Prints a sorted
+simulations, the ``grid``, ``stages``, ``noise`` and ``online`` CLI commands,
+two shrink-perturb CLI runs at the (lambda, gamma) corners (1, 0) and (0, 1),
+and a ``train`` run built from flags, replayed with ``--config`` on the
+``config.json`` it wrote into a second directory (``cli/train-flags-replay``),
+so the map itself shows that a replay writes byte-identical files.
+Everything is written under OUT, which must not exist yet or be empty; CLI
+stdout goes to ``<command>.stdout`` files there. Prints a sorted
 JSON map from each file's path relative to OUT to its sha256;
 ``summary.csv`` is hashed without its ``wall_ms`` column, the one timing in
 the outputs.
@@ -106,19 +109,32 @@ CLI_COMMANDS = {
     "online": ["online", "--chunks", "2"],
     "train-sp-keep": ["train", "--reinit", "sp", "--stages", "2", "--lambda", "1", "--gamma", "0"],
     "train-sp-reset": ["train", "--reinit", "sp", "--stages", "2", "--lambda", "0", "--gamma", "1"],
+    "train-flags": [
+        "train", "--seed", "5", "--lr", "0.03", "--wd", "0.001", "--epochs", "4", "--stages", "2",
+        "--reinit", "sp", "--lambda", "0.5", "--distill-beta", "0.5", "--noise-q", "0.1",
+    ],
 }
+
+
+def cli(name: str, argv: list[str]) -> str:
+    """The stdout of the CLI command argv, which must exit 0."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli_main(argv)
+    if code != 0:
+        raise SystemExit(f"CLI command {name} exited {code}")
+    return stdout.getvalue()
 
 
 def cli_runs(out: Path) -> None:
     config = out / "cli" / "config.json"
     write_json(SMALL.to_dict(), config)
     for name, argv in CLI_COMMANDS.items():
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = cli_main([*argv, "--config", str(config), "--out", str(out / "cli" / name)])
-        if code != 0:
-            raise SystemExit(f"CLI command {name} exited {code}")
-        (out / "cli" / f"{name}.stdout").write_text(stdout.getvalue())
+        stdout = cli(name, [*argv, "--config", str(config), "--out", str(out / "cli" / name)])
+        (out / "cli" / f"{name}.stdout").write_text(stdout)
+    run_dir = Path(json.loads((out / "cli" / "train-flags.stdout").read_text())["run_dir"])
+    replay = ["train", "--config", str(run_dir / "config.json"), "--out", str(out / "cli" / "train-flags-replay")]
+    cli("train-flags-replay", replay)
 
 
 def digest(path: Path) -> str:
