@@ -35,11 +35,8 @@ from .harness import (
 )
 from .nn import (
     FrozenNormLayer,
-    LayerLayout,
     NetworkSpec,
     ParamVector,
-    Segment,
-    build_layout,
     forward,
     init_params,
     loss_grad_logits,

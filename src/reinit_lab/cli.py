@@ -12,6 +12,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigurationError, HarnessError, ReinitLabError
 from .harness import (
     DistillConfig,
@@ -60,38 +62,29 @@ def add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    if args.config:
-        cfg = RunConfig.from_dict(read_json(args.config))
-    else:
-        cfg = RunConfig(network=default_network())
+    """The --config file's RunConfig (or the default one) with every given
+    flag applied at once, so only the merged config is checked."""
+    cfg = RunConfig.from_dict(read_json(args.config)) if args.config else RunConfig(network=default_network())
+    flags = {
+        "lr": args.lr,
+        "weight_decay": args.wd,
+        "epochs": args.epochs,
+        "setting": args.setting,
+        "noise_q": args.noise_q,
+        "stages": args.stages,
+    }
     if args.seed is not None:
-        cfg = replace(
-            cfg, seeds=Seeds(args.seed, args.seed + 1, args.seed + 2, args.seed + 3)
-        )
-    if args.lr is not None:
-        cfg = replace(cfg, lr=args.lr)
-    if args.wd is not None:
-        cfg = replace(cfg, weight_decay=args.wd)
-    if args.epochs is not None:
-        cfg = replace(cfg, epochs=args.epochs)
-    if args.setting is not None:
-        cfg = replace(cfg, setting=args.setting)
-    if args.noise_q is not None:
-        cfg = replace(cfg, noise_q=args.noise_q)
-    if args.stages is not None:
-        cfg = replace(cfg, stages=args.stages)
+        flags["seeds"] = Seeds(args.seed, args.seed + 1, args.seed + 2, args.seed + 3)
     if args.distill_beta is not None:
-        cfg = replace(
-            cfg, distill=DistillConfig(enabled=args.distill_beta > 0, beta=args.distill_beta)
-        )
+        flags["distill"] = DistillConfig(enabled=args.distill_beta > 0, beta=args.distill_beta)
     if args.reinit is not None:
         # ReinitSpec rejects --lambda/--gamma with any other rule than sp
-        cfg = replace(cfg, reinit=ReinitSpec(REINIT_TOKENS[args.reinit], lam=args.lam, gamma=args.gamma))
+        flags["reinit"] = ReinitSpec(REINIT_TOKENS[args.reinit], lam=args.lam, gamma=args.gamma)
     elif args.lam is not None or args.gamma is not None:
         if cfg.reinit.kind != "shrink_perturb":
             raise ConfigurationError("--lambda/--gamma require --reinit sp")
-        cfg = replace(cfg, reinit=ReinitSpec("shrink_perturb", lam=args.lam, gamma=args.gamma))
-    return cfg
+        flags["reinit"] = ReinitSpec("shrink_perturb", lam=args.lam, gamma=args.gamma)
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _floats(text: str) -> list[float]:
@@ -220,7 +213,9 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        result = args.fn(args)
+        # a diverging run overflows; stderr reports that as the one JSON error line, not as numpy's warnings
+        with np.errstate(all="ignore"):
+            result = args.fn(args)
     except ReinitLabError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2

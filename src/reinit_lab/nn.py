@@ -1,7 +1,8 @@
 """Feedforward network engine over flat parameter vectors.
 
-Dense ReLU networks whose parameters live in a single flat array with an
-explicit layer/block layout. Forward passes, losses and exact gradients are
+Dense ReLU networks whose parameters live in a single flat array, laid out
+layer by layer in depth order; the NetworkSpec is the one description of that
+layout and of its blocks. Forward passes, losses and exact gradients are
 plain numpy. Everything here is a pure function of its inputs (apart from a
 gradient buffer the caller passes in): identical inputs give bit-identical
 outputs. Computation runs in the dtype of the parameter vector — float32 in
@@ -17,74 +18,23 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, NumericalError, ShapeError, check_fields, checked_keys, rule
 
-ROLE_WEIGHT = "weight"
-ROLE_BIAS = "bias"
 NO_GRAD_ROWS = 256  # rows per forward pass that keeps no gradient: evaluation, teacher snapshots
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One contiguous run of the flat vector: a layer's weights or biases."""
-
-    layer_id: int
-    role: str
-    offset: int
-    length: int
-    fan_in: int
-    fan_out: int
-
-
-@dataclass(frozen=True)
-class LayerLayout:
-    """Placement of each layer in the flat vector plus block ownership.
-
-    ``block_assignment`` maps layer_id to a 1-based block index. Only
-    build_layout makes layouts, from a validated NetworkSpec, so the segments
-    tile the vector and every block in 1..K is non-empty and contiguous in
-    depth.
-    """
-
-    segments: tuple[Segment, ...]
-    block_assignment: Mapping[int, int]
-
-    @property
-    def total_len(self) -> int:
-        last = self.segments[-1]
-        return last.offset + last.length
-
-    @property
-    def num_blocks(self) -> int:
-        return max(self.block_assignment.values())
-
-    def last_layer_of_block(self, block: int) -> int:
-        layers = [lid for lid, b in self.block_assignment.items() if b == block]
-        if not layers:
-            raise ConfigurationError(f"block {block} has no layers")
-        return max(layers)
-
-    def block_slice(self, block: int) -> slice:
-        """The contiguous run of the flat vector that the given block owns."""
-        segs = [seg for seg in self.segments if self.block_assignment[seg.layer_id] == block]
-        if not segs:
-            raise ConfigurationError(f"block {block} has no parameters")
-        return slice(segs[0].offset, segs[-1].offset + segs[-1].length)
 
 
 @dataclass
 class ParamVector:
-    """Flat parameter store tied to a layout, checked when built; only sgd_step writes into one."""
+    """Flat parameter store of one network, checked when built; only sgd_step writes into one."""
 
     values: np.ndarray
-    layout: LayerLayout
+    network: NetworkSpec
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
         if self.values.ndim != 1:
             raise ShapeError(f"parameter vector must be 1-D, got shape {self.values.shape}")
-        if self.values.shape[0] != self.layout.total_len:
-            raise ShapeError(
-                f"parameter vector length {self.values.shape[0]} != layout length {self.layout.total_len}"
-            )
+        n, count = self.values.shape[0], self.network.param_count
+        if n != count:
+            raise ShapeError(f"parameter vector length {n} != the network's parameter count {count}")
         if not np.all(np.isfinite(self.values)):
             raise NumericalError("parameter vector contains non-finite entries")
 
@@ -93,7 +43,7 @@ class ParamVector:
         return self.values.dtype
 
     def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.layout)
+        return ParamVector(self.values.copy(), self.network)
 
 
 @dataclass(frozen=True)
@@ -102,7 +52,9 @@ class NetworkSpec:
 
     ``block_boundaries`` lists the layer indices that start a new block, so
     boundaries (1, 2) on a three-layer net yield blocks {0}, {1}, {2}. An
-    empty tuple means the whole network is one block.
+    empty tuple means the whole network is one block. Layer l's weights
+    (fan_in x fan_out, row-major) and then its biases follow layer l-1's in
+    the flat parameter vector, so each block owns a contiguous run of it.
     """
 
     input_dim: int = rule(MISSING, "be >= 1", lambda v: v >= 1)
@@ -113,7 +65,7 @@ class NetworkSpec:
 
     def __post_init__(self):
         check_fields(self, "network")
-        if sum((i + 1) * o for i, o in self.layer_dims()) > np.iinfo(np.intp).max:
+        if self.param_count > np.iinfo(np.intp).max:
             raise ConfigurationError("a network of these dimensions has too many parameters to shape")
         bounds = self.block_boundaries
         n = self.num_layers
@@ -135,8 +87,22 @@ class NetworkSpec:
         outs = (*self.hidden_dims, self.num_classes)
         return list(zip(ins, outs))
 
-    def block_of_layer(self, layer_id: int) -> int:
-        return 1 + sum(1 for b in self.block_boundaries if b <= layer_id)
+    @property
+    def param_count(self) -> int:
+        return _layer_slices(self)[-1][1].stop
+
+    def block_layers(self, block: int) -> range:
+        """The layer indices of a block, which must lie in 1..num_blocks."""
+        if not 1 <= block <= self.num_blocks:
+            raise ConfigurationError(f"block {block} outside 1..{self.num_blocks}")
+        starts = (0, *self.block_boundaries, self.num_layers)
+        return range(starts[block - 1], starts[block])
+
+    def block_slice(self, block: int) -> slice:
+        """The contiguous run of the flat vector that the given block owns."""
+        layers = self.block_layers(block)
+        slices = _layer_slices(self)
+        return slice(slices[layers[0]][0].start, slices[layers[-1]][1].stop)
 
     def to_dict(self) -> dict:
         return {
@@ -172,57 +138,42 @@ class FrozenNormLayer:
 
 
 @lru_cache(maxsize=64)
-def build_layout(spec: NetworkSpec) -> LayerLayout:
-    """Lay the network's weights and biases out in depth order."""
-    segments = []
+def _layer_slices(spec: NetworkSpec) -> tuple[tuple[slice, slice, tuple[int, int]], ...]:
+    """Per layer in depth order: its weight slice, bias slice and weight shape
+    (fan_in, fan_out) in the flat vector. The one place offsets are computed."""
+    layers = []
     offset = 0
-    assignment = {}
-    for layer_id, (fan_in, fan_out) in enumerate(spec.layer_dims()):
-        segments.append(Segment(layer_id, ROLE_WEIGHT, offset, fan_in * fan_out, fan_in, fan_out))
-        offset += fan_in * fan_out
-        segments.append(Segment(layer_id, ROLE_BIAS, offset, fan_out, fan_in, fan_out))
-        offset += fan_out
-        assignment[layer_id] = spec.block_of_layer(layer_id)
-    return LayerLayout(tuple(segments), assignment)
+    for fan_in, fan_out in spec.layer_dims():
+        stop = offset + fan_in * fan_out
+        layers.append((slice(offset, stop), slice(stop, stop + fan_out), (fan_in, fan_out)))
+        offset = stop + fan_out
+    return tuple(layers)
 
 
 def init_params(spec: NetworkSpec, seed: int, dtype=np.float32) -> ParamVector:
     """Sample fresh parameters: uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) for
     weights, zeros for biases. Bit-identical for identical (spec, seed, dtype)."""
-    layout = build_layout(spec)
     rng = np.random.Generator(np.random.PCG64(seed & 0xFFFFFFFFFFFFFFFF))
-    values = np.empty(layout.total_len, dtype=dtype)
-    for seg in layout.segments:
-        sl = slice(seg.offset, seg.offset + seg.length)
-        if seg.role == ROLE_WEIGHT:
-            bound = 1.0 / np.sqrt(seg.fan_in)
-            values[sl] = rng.uniform(-bound, bound, seg.length).astype(dtype)
-        else:
-            values[sl] = 0.0
-    return ParamVector(values, layout)
+    values = np.empty(spec.param_count, dtype=dtype)
+    for weights, biases, (fan_in, fan_out) in _layer_slices(spec):
+        bound = 1.0 / np.sqrt(fan_in)
+        values[weights] = rng.uniform(-bound, bound, fan_in * fan_out).astype(dtype)
+        values[biases] = 0.0
+    return ParamVector(values, spec)
 
 
 def _check_forward_args(spec: NetworkSpec, params: ParamVector, inputs: np.ndarray) -> np.ndarray:
     x = np.asarray(inputs)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ShapeError(f"inputs must be (batch, {spec.input_dim}), got {x.shape}")
-    if params.layout.total_len != build_layout(spec).total_len:
-        raise ShapeError("parameter vector does not match the network spec")
+    if params.network is not spec and params.network != spec:
+        raise ShapeError("parameter vector belongs to another network than the spec")
     return x.astype(params.dtype, copy=False)
 
 
-def _layer_views(values: np.ndarray, layout: LayerLayout) -> list[tuple[np.ndarray, np.ndarray]]:
+def _layer_views(values: np.ndarray, spec: NetworkSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """(W, b) views per layer into a flat vector, W shaped (fan_in, fan_out)."""
-    segs = layout.segments
-    flat = [values[s.offset : s.offset + s.length] for s in segs]
-    return [(flat[i].reshape(segs[i].fan_in, segs[i].fan_out), flat[i + 1]) for i in range(0, len(segs), 2)]
-
-
-def _last_layer(spec: NetworkSpec, block: int) -> int:
-    """Index of the last layer of a block, which must lie in 1..num_blocks."""
-    if not 1 <= block <= spec.num_blocks:
-        raise ConfigurationError(f"block {block} outside 1..{spec.num_blocks}")
-    return build_layout(spec).last_layer_of_block(block)
+    return [(values[w].reshape(shape), values[b]) for w, b, shape in _layer_slices(spec)]
 
 
 def forward(
@@ -237,10 +188,10 @@ def forward(
     block's last layer. ``saved`` receives (layer input, output before any
     frozen norm) per layer, for the backward pass."""
     h = _check_forward_args(spec, params, inputs)
-    norm_layer = -1 if frozen_norm is None else _last_layer(spec, frozen_norm.insert_after_block)
-    stop = -1 if stop_block is None else _last_layer(spec, stop_block)
+    norm_layer = -1 if frozen_norm is None else spec.block_layers(frozen_norm.insert_after_block)[-1]
+    stop = -1 if stop_block is None else spec.block_layers(stop_block)[-1]
     last = spec.num_layers - 1
-    for layer_id, (w, b) in enumerate(_layer_views(params.values, params.layout)):
+    for layer_id, (w, b) in enumerate(_layer_views(params.values, spec)):
         z = h @ w
         z += b
         if layer_id != last:
@@ -316,7 +267,7 @@ def loss_grad_logits(
         grad_out = np.empty_like(params.values)
     elif (grad_out.shape, grad_out.dtype, grad_out.flags.c_contiguous) != (params.values.shape, params.dtype, True):
         raise ShapeError("grad_out must be a contiguous vector of the parameters' shape and dtype")
-    norm_layer = -1 if frozen_norm is None else _last_layer(spec, frozen_norm.insert_after_block)
+    norm_layer = -1 if frozen_norm is None else spec.block_layers(frozen_norm.insert_after_block)[-1]
     last = spec.num_layers - 1
     saved = []
     logits = forward(spec, params, inputs, frozen_norm, saved=saved)
@@ -338,8 +289,8 @@ def loss_grad_logits(
     if pull is not None:
         d += pull
 
-    layers = _layer_views(params.values, params.layout)
-    grads = _layer_views(grad_out, params.layout)
+    layers = _layer_views(params.values, spec)
+    grads = _layer_views(grad_out, spec)
     for layer_id in range(last, -1, -1):
         h_in, act = saved[layer_id]
         if layer_id == norm_layer:
@@ -362,5 +313,5 @@ def weight_norm(params: ParamVector) -> float:
 
 def block_norms(params: ParamVector) -> np.ndarray:
     """Euclidean norm of each block's parameters, float64, index b-1 for block b."""
-    slices = map(params.layout.block_slice, range(1, params.layout.num_blocks + 1))
+    slices = map(params.network.block_slice, range(1, params.network.num_blocks + 1))
     return np.array([np.linalg.norm(params.values[s].astype(np.float64)) for s in slices])

@@ -14,15 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ShapeError, check_fields, rule
-from .nn import (
-    FrozenNormLayer,
-    LayerLayout,
-    NetworkSpec,
-    ParamVector,
-    forward,
-    init_params,
-    weight_norm,
-)
+from .nn import FrozenNormLayer, NetworkSpec, ParamVector, forward, init_params, weight_norm
 
 __all__ = [
     "ReinitSpec",
@@ -85,19 +77,19 @@ def stage_seed(base_seed: int, stage: int) -> int:
 
 def shrink_perturb(theta: ParamVector, theta_init: ParamVector, lam: float, gamma: float) -> ParamVector:
     """lam*theta + gamma*theta_init, elementwise; inputs untouched."""
-    # equal layouts mean equal lengths: a ParamVector checks its length against its layout
-    if theta.layout is not theta_init.layout and theta.layout != theta_init.layout:
-        raise ShapeError("theta and theta_init have different layouts")
+    # equal networks mean equal lengths: a ParamVector checks its length against its network
+    if theta.network is not theta_init.network and theta.network != theta_init.network:
+        raise ShapeError("theta and theta_init belong to different networks")
     if not (0.0 <= lam <= 1.0 and 0.0 <= gamma <= 1.0):
         raise ConfigurationError(f"lam and gamma must lie in [0, 1], got {lam}, {gamma}")
     values = lam * theta.values
     values += gamma * theta_init.values
-    return ParamVector(values.astype(theta.dtype, copy=False), theta.layout)
+    return ParamVector(values.astype(theta.dtype, copy=False), theta.network)
 
 
 def _rescale_kept_blocks(
     values: np.ndarray,
-    layout: LayerLayout,
+    network: NetworkSpec,
     kept_blocks: int,
     init_block_norms: Sequence[float],
 ) -> None:
@@ -107,7 +99,7 @@ def _rescale_kept_blocks(
             f"need init norms for {kept_blocks} blocks, got {len(init_block_norms)}"
         )
     for b in range(1, kept_blocks + 1):
-        part = layout.block_slice(b)
+        part = network.block_slice(b)
         x = values[part].astype(np.float64)
         cur = float(np.linalg.norm(x))
         if cur == 0.0:
@@ -135,17 +127,17 @@ def layerwise_reinit(
     stats = np.asarray(stats_batch)
     if stats.ndim != 2 or stats.shape[0] == 0:
         raise ConfigurationError("stats batch must be a nonempty 2-D array")
-    layout = theta.layout
-    total = layout.num_blocks * repeats
+    network = theta.network
+    total = network.num_blocks * repeats
     if not 1 <= t <= total:
         raise ConfigurationError(f"stage index {t} outside 1..{total}")
     kept_blocks = math.ceil(t / repeats)
     # the kept blocks are a prefix of the flat vector; the rest is the fresh draw
     merged = theta_init.values.astype(theta.dtype)
-    stop = layout.block_slice(kept_blocks).stop
+    stop = network.block_slice(kept_blocks).stop
     merged[:stop] = theta.values[:stop]
-    _rescale_kept_blocks(merged, layout, kept_blocks, init_block_norms)
-    new_params = ParamVector(merged, layout)
+    _rescale_kept_blocks(merged, network, kept_blocks, init_block_norms)
+    new_params = ParamVector(merged, network)
     acts = forward(spec, new_params, stats, stop_block=kept_blocks)
     mean = acts.mean(axis=0).astype(np.float64)
     std = np.maximum(acts.std(axis=0).astype(np.float64), FROZEN_NORM_STD_FLOOR)

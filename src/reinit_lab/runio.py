@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, FormatError
-from .nn import FrozenNormLayer, NetworkSpec, ParamVector, build_layout
+from .nn import FrozenNormLayer, NetworkSpec, ParamVector
 
 METRICS_FIELDS = (
     "run_id",
@@ -153,10 +153,9 @@ def save_checkpoint(
     frozen_norm: FrozenNormLayer | None = None,
 ) -> None:
     """One JSON header line, then the parameters as little-endian float32."""
-    layout = params.layout
     header = {
         "network": network.to_dict(),
-        "layout": {"total_len": layout.total_len, "num_blocks": layout.num_blocks},
+        "layout": {"total_len": network.param_count, "num_blocks": network.num_blocks},
         "seed": seed,
         "stage": stage,
         "epoch": epoch,
@@ -175,15 +174,15 @@ def load_checkpoint(path) -> tuple[ParamVector, dict, FrozenNormLayer | None]:
     def parse(header):
         network = NetworkSpec.from_dict(header["network"])
         recorded = (header["layout"]["total_len"], header["layout"]["num_blocks"])
-        layout = build_layout(network)
-        if recorded != (layout.total_len, layout.num_blocks):
+        derived = (network.param_count, network.num_blocks)
+        if recorded != derived:
             raise FormatError(
                 f"{path}: header layout (total_len, num_blocks) = {recorded} does not match "
-                f"{(layout.total_len, layout.num_blocks)} from its network"
+                f"{derived} from its network"
             )
         f = header.get("frozen_norm")
         fn = FrozenNormLayer(int(f["insert_after_block"]), np.array(f["mean"]), np.array(f["std"])) if f else None
-        return (layout, fn), layout.total_len
+        return (network, fn), network.param_count
 
-    header, (layout, fn), values = read_framed(path, "checkpoint", parse, "parameter bytes")
-    return ParamVector(values.copy(), layout), header, fn
+    header, (network, fn), values = read_framed(path, "checkpoint", parse, "parameter bytes")
+    return ParamVector(values.copy(), network), header, fn

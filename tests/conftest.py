@@ -52,12 +52,25 @@ def fd_check(spec: NetworkSpec, params: ParamVector, inputs, labels, teacher=Non
     """Max relative error between the analytic gradient and central differences."""
 
     def loss_at(theta):
-        pv = ParamVector(theta, params.layout)
+        pv = ParamVector(theta, params.network)
         return loss_grad_logits(spec, pv, inputs, labels, teacher, beta, frozen_norm)[0]
 
     _, analytic, _ = loss_grad_logits(spec, params, inputs, labels, teacher, beta, frozen_norm)
     numeric = central_diff_grad(loss_at, params.values)
     return float(relative_errors(analytic, numeric).max())
+
+
+def oracle_layers(spec: NetworkSpec) -> list[tuple[slice, slice, tuple[int, int], int]]:
+    """Per layer: its weight slice, bias slice, weight shape and 1-based block,
+    counted from layer_dims() and block_boundaries alone, so that tests check
+    NetworkSpec's own offsets against an independent count."""
+    layers, offset = [], 0
+    for layer_id, (fan_in, fan_out) in enumerate(spec.layer_dims()):
+        bias = offset + fan_in * fan_out
+        block = 1 + sum(1 for start in spec.block_boundaries if start <= layer_id)
+        layers.append((slice(offset, bias), slice(bias, bias + fan_out), (fan_in, fan_out), block))
+        offset = bias + fan_out
+    return layers
 
 
 @pytest.fixture

@@ -30,7 +30,6 @@ from reinit_lab.nn import (
     NetworkSpec,
     ParamVector,
     block_norms,
-    build_layout,
     forward,
     init_params,
     loss_grad_logits,
@@ -111,17 +110,16 @@ def desk():
 
 def test_01_shrink_perturb_oracle():
     with criterion(1, "shrink-perturb oracle"):
-        layout = build_layout(SMALL_NET)
         rng = np.random.Generator(np.random.PCG64(77))
         t0 = time.monotonic()
         for i in range(1000):
             dtype, tol = (np.float32, 1e-6) if i % 2 == 0 else (np.float64, 1e-12)
-            theta = rng.uniform(-1, 1, layout.total_len)
-            theta0 = rng.uniform(-1, 1, layout.total_len)
+            theta = rng.uniform(-1, 1, SMALL_NET.param_count)
+            theta0 = rng.uniform(-1, 1, SMALL_NET.param_count)
             lam, gamma = rng.uniform(0, 1, 2)
             got = shrink_perturb(
-                ParamVector(theta.astype(dtype), layout),
-                ParamVector(theta0.astype(dtype), layout),
+                ParamVector(theta.astype(dtype), SMALL_NET),
+                ParamVector(theta0.astype(dtype), SMALL_NET),
                 lam,
                 gamma,
             )
@@ -145,10 +143,9 @@ def test_02_gradient_check():
             depth = int(rng.integers(1, 3))
             hidden = tuple(int(rng.integers(2, 6)) for _ in range(depth))
             spec = NetworkSpec(int(rng.integers(2, 5)), hidden, int(rng.integers(2, 5)))
-            layout = build_layout(spec)
-            assert layout.total_len <= 200
+            assert spec.param_count <= 200
             params = init_params(spec, trial, dtype=np.float64)
-            params.values[:] += rng.normal(0, 0.2, layout.total_len)
+            params.values[:] += rng.normal(0, 0.2, spec.param_count)
             n = int(rng.integers(2, 6))
             x = rng.normal(0, 1, (n, spec.input_dim))
             y = rng.integers(0, spec.num_classes, n)
@@ -235,12 +232,11 @@ def test_05_cosine_schedule():
 
 def test_06_layer_wise_correctness():
     with criterion(6, "layer-wise keep/rescale/resample"):
-        layout = build_layout(SMALL_NET)
         theta0 = init_params(SMALL_NET, 11)
         rng = np.random.Generator(np.random.PCG64(42))
         theta_end = theta0.copy()
         theta_end.values[:] = theta_end.values * 1.8 + rng.normal(
-            0, 0.1, layout.total_len
+            0, 0.1, SMALL_NET.param_count
         ).astype(np.float32)
         init_norms = tuple(block_norms(theta0))
         stats = rng.normal(0, 1, (64, 8)).astype(np.float32)
@@ -248,16 +244,16 @@ def test_06_layer_wise_correctness():
         for t in range(1, 6):
             new, fn, _ = apply_reinit(ReinitSpec("layer_wise"), theta_end, 9, t, SMALL_NET, init_norms, stats, 6)
             kept = math.ceil(t / 2)
-            suffix = slice(layout.block_slice(kept).stop, None)
+            suffix = slice(SMALL_NET.block_slice(kept).stop, None)
             fresh = init_params(SMALL_NET, stage_seed(9, t))
             for b in range(1, kept + 1):
-                idx = layout.block_slice(b)
+                idx = SMALL_NET.block_slice(b)
                 a, o = new.values[idx].astype(np.float64), theta_end.values[idx].astype(np.float64)
                 cos = a @ o / (np.linalg.norm(a) * np.linalg.norm(o))
                 assert abs(cos - 1.0) < 1e-6
                 assert abs(np.linalg.norm(a) - init_norms[b - 1]) < 1e-5
             assert np.array_equal(new.values[suffix], fresh.values[suffix])
-            assert len(new.values) == layout.total_len
+            assert len(new.values) == SMALL_NET.param_count
             assert fn.insert_after_block == kept
             assert fn.std.min() >= 1e-5
 

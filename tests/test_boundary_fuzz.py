@@ -1,10 +1,14 @@
-"""Boundary fuzz of `reinit-lab train`: one config key or one numeric flag set to an edge value.
+"""Boundary fuzz of `reinit-lab train`: one config key or one numeric flag set
+to an edge value, and sets of flags that change the epoch budget, the stage
+count and the rule together.
 
-Two properties hold for every case:
+Three properties hold for every case:
 - main exits 0, or exits 2 with one JSON line on stderr and no run
   directory; a diverged run also exits 2 but keeps its directory;
 - the config.json a finished run writes reloads through --config to the
-  same run id.
+  same run id;
+- flags apply as one change: a run exits 0 exactly when the config with
+  every flag merged in is valid, and its config.json is that config.
 """
 import contextlib
 import io
@@ -16,11 +20,13 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reinit_lab.cli import build_config, main, make_parser
+from reinit_lab.cli import REINIT_TOKENS, build_config, main, make_parser
 from reinit_lab.data import AugmentSpec
+from reinit_lab.errors import ConfigurationError
 from reinit_lab.harness import DataConfig, DistillConfig, RunConfig, Seeds
 from reinit_lab.nn import NetworkSpec
 from reinit_lab.reinit import ReinitSpec
+from reinit_lab.runio import read_json
 
 EDGE_VALUES = (math.nan, math.inf, -math.inf, -1, 0, 0.5, 1.5, 2, "x", "4", True, None, [], {})
 
@@ -62,8 +68,16 @@ FLAG_CASES = [
 ]
 
 
-def run_train(config: dict, flags: list[str]) -> None:
-    """Run train on config plus flags in a fresh directory and check both properties."""
+# one epoch per stage and layer-wise on the two blocks: flags applied one at a
+# time pass through invalid configs on their way to many valid ones, such as
+# --epochs 2 --stages 2 (4 stages in 2 epochs) or --stages 3 --reinit sp
+# (layer-wise on 3 stages of a 2-block net)
+MERGE_BASE = {**TINY, "epochs": 4, "stages": 4, "reinit": {"kind": "layer_wise", "lam": None, "gamma": None}}
+
+
+def run_train(config: dict, flags: list[str]) -> dict | None:
+    """Run train on config plus flags in a fresh directory and check the first
+    two properties; the config.json a finished run wrote, else None."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "runs"
         path.write_text(json.dumps(config))
@@ -75,13 +89,14 @@ def run_train(config: dict, flags: list[str]) -> None:
             written = Path(result["run_dir"]) / "config.json"
             replay = build_config(make_parser().parse_args(["train", "--config", str(written)]))
             assert replay.run_id == result["run_id"]
-            return
+            return read_json(written)
         assert code == 2
         lines = stderr.getvalue().splitlines()
         assert len(lines) == 1, lines
         error = json.loads(lines[0])
         diverged = error["error"] == "HarnessError" and "diverged" in error["message"]
         assert out.exists() == diverged, error
+        return None
 
 
 def test_the_tiny_config_trains():
@@ -102,3 +117,22 @@ def test_one_edge_value_in_the_config(case):
 def test_one_edge_value_in_a_flag(case):
     flag, value = case
     run_train(TINY, [f"{flag}={value}"])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    st.sampled_from([None, 2, 3, 4]),
+    st.sampled_from([None, 1, 2, 3, 4]),
+    st.sampled_from([None, *REINIT_TOKENS]),
+)
+def test_flags_apply_as_one_change(epochs, stages, reinit):
+    given = {k: v for k, v in (("epochs", epochs), ("stages", stages), ("reinit", reinit)) if v is not None}
+    merged = {**MERGE_BASE, **given}
+    if reinit is not None:
+        merged["reinit"] = {"kind": REINIT_TOKENS[reinit], "lam": None, "gamma": None}
+    try:
+        want = json.loads(json.dumps(RunConfig.from_dict(merged).to_dict()))  # tuples as JSON lists
+    except ConfigurationError:
+        want = None
+    flags = [f"--{k}={v}" for k, v in given.items()]
+    assert run_train(MERGE_BASE, flags) == want, flags

@@ -512,28 +512,41 @@ class TestMain:
         assert payload["error"] == "ConfigurationError"
 
 
+def run_fresh_process(*argv) -> subprocess.CompletedProcess:
+    """python argv in a new process that imports the same ``reinit_lab`` this test imported."""
+    src_dir = str(Path(reinit_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=60, env=env)
+
+
 def test_console_script_is_wired():
     """The declared ``reinit-lab`` entry point starts in a fresh process.
 
-    Runs the call an installer-generated wrapper makes, so no install is needed;
-    the child imports the same ``reinit_lab`` this test imported.
+    Runs the call an installer-generated wrapper makes, so no install is needed.
     """
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as f:
         target = tomllib.load(f)["project"]["scripts"]["reinit-lab"]
     module, _, attr = target.partition(":")
-    src_dir = str(Path(reinit_lab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
     code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "train", "--help"],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
+    proc = run_fresh_process("-c", code, "train", "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: reinit-lab train")
     assert "--reinit" in proc.stdout
+
+
+def test_diverged_run_writes_one_json_line_to_stderr(tiny_config_file, tmp_path):
+    """numpy's overflow warnings stay off stderr. In-process runs cannot show
+    this: pytest captures warnings before they reach stderr."""
+    out = str(tmp_path / "runs")
+    proc = run_fresh_process("-m", "reinit_lab.cli", "train", "--config", tiny_config_file, "--epochs", "2",
+                             "--lr", "1e30", "--out", out)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert "diverged" in json.loads(lines[0])["message"]
 
 
 @pytest.mark.skipif(shutil.which("reinit-lab") is None, reason="reinit-lab console script not installed")

@@ -14,7 +14,6 @@ from reinit_lab.nn import (
     NO_GRAD_ROWS,
     NetworkSpec,
     ParamVector,
-    build_layout,
     forward,
     init_params,
     loss_grad_logits,
@@ -39,8 +38,7 @@ def test_snapshot_matches_direct_forward_softmax():
 
 
 def test_snapshot_zero_params_gives_uniform_rows():
-    layout = build_layout(SPEC)
-    params = ParamVector(np.zeros(layout.total_len, dtype=np.float32), layout)
+    params = ParamVector(np.zeros(SPEC.param_count, dtype=np.float32), SPEC)
     cache = snapshot_teacher(SPEC, params, fixture_inputs(4), source_stage=1, beta=1.0)
     np.testing.assert_allclose(cache.probs, 1.0 / 3.0, atol=1e-7)
 

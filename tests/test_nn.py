@@ -1,4 +1,4 @@
-"""Core network engine: layouts, init, forward, losses, exact gradients."""
+"""Core network engine: geometry, init, forward, losses, exact gradients."""
 import math
 
 import numpy as np
@@ -12,25 +12,18 @@ from reinit_lab.nn import (
     NetworkSpec,
     ParamVector,
     block_norms,
-    build_layout,
     forward,
     init_params,
     loss_grad_logits,
     softmax,
     weight_norm,
 )
-from conftest import fd_check, kl_oracle
+from conftest import fd_check, kl_oracle, oracle_layers
 
 
 def manual_forward(spec, params, x):
     """Loop-and-dot reference forward pass, no vectorized matmul."""
-    views = []
-    segs = params.layout.segments
-    for lid in range(spec.num_layers):
-        wseg, bseg = segs[2 * lid], segs[2 * lid + 1]
-        w = params.values[wseg.offset : wseg.offset + wseg.length].reshape(wseg.fan_in, wseg.fan_out)
-        b = params.values[bseg.offset : bseg.offset + bseg.length]
-        views.append((w, b))
+    views = [(params.values[w].reshape(shape), params.values[b]) for w, b, shape, _ in oracle_layers(spec)]
     out = np.zeros((x.shape[0], spec.num_classes))
     for r in range(x.shape[0]):
         h = x[r].astype(np.float64)
@@ -41,26 +34,40 @@ def manual_forward(spec, params, x):
     return out
 
 
-def test_layout_tiles_the_vector():
-    spec = NetworkSpec(input_dim=4, hidden_dims=(5, 6), num_classes=3, block_boundaries=(1, 2))
-    layout = build_layout(spec)
-    assert layout.total_len == (4 * 5 + 5) + (5 * 6 + 6) + (6 * 3 + 3)
-    assert layout.num_blocks == 3
-    assert [layout.block_assignment[i] for i in range(3)] == [1, 2, 3]
-    # the block slices tile the vector in order, each holding its block's segments
-    slices = [layout.block_slice(b) for b in range(1, 4)]
-    assert slices[0].start == 0 and slices[-1].stop == layout.total_len
+COUNT_4_5_6_3 = (4 * 5 + 5) + (5 * 6 + 6) + (6 * 3 + 3)
+GEOMETRY_CASES = {
+    "three_blocks": (NetworkSpec(4, (5, 6), 3, block_boundaries=(1, 2)), COUNT_4_5_6_3),
+    "two_uneven_blocks": (NetworkSpec(4, (5, 6), 3, block_boundaries=(2,)), COUNT_4_5_6_3),
+    "one_block": (NetworkSpec(4, (5, 6), 3), COUNT_4_5_6_3),
+    "no_hidden_layer": (NetworkSpec(3, (), 2), 3 * 2 + 2),
+}
+
+
+@pytest.mark.parametrize("spec, count", GEOMETRY_CASES.values(), ids=GEOMETRY_CASES.keys())
+def test_block_slices_tile_the_vector(spec, count):
+    assert spec.param_count == count
+    # the block slices tile the vector in order, each holding its block's layers
+    slices = [spec.block_slice(b) for b in range(1, spec.num_blocks + 1)]
+    assert slices[0].start == 0 and slices[-1].stop == count
     assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
-    for seg in layout.segments:
-        own = slices[layout.block_assignment[seg.layer_id] - 1]
-        assert own.start <= seg.offset and seg.offset + seg.length <= own.stop
+    for layer_id, (w, b, _, block) in enumerate(oracle_layers(spec)):
+        own = slices[block - 1]
+        assert own.start <= w.start and w.stop == b.start and b.stop <= own.stop
+        assert layer_id in spec.block_layers(block)
 
 
-def test_layout_single_block_by_default():
+def test_network_is_one_block_by_default():
     spec = NetworkSpec(input_dim=4, hidden_dims=(5, 6), num_classes=3)
-    layout = build_layout(spec)
-    assert layout.num_blocks == 1
-    assert layout.last_layer_of_block(1) == 2
+    assert spec.num_blocks == 1
+    assert spec.block_layers(1) == range(3)
+    assert spec.block_slice(1) == slice(0, spec.param_count)
+
+
+def test_block_outside_the_network_is_rejected():
+    spec = NetworkSpec(4, (5, 6), 3, block_boundaries=(1, 2))
+    for block in (0, 4):
+        with pytest.raises(ConfigurationError, match=f"block {block} outside 1..3"):
+            spec.block_slice(block)
 
 
 def test_spec_rejects_bad_boundaries():
@@ -114,22 +121,19 @@ def test_init_is_deterministic_and_bounded():
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
     assert a.dtype == np.float32
-    for seg in a.layout.segments:
-        chunk = a.values[seg.offset : seg.offset + seg.length]
-        if seg.role == "bias":
-            assert np.all(chunk == 0)
-        else:
-            bound = 1.0 / math.sqrt(seg.fan_in)
-            assert np.all(np.abs(chunk) <= bound)
-            # a uniform draw this size should fill most of the interval
-            assert chunk.max() > 0.8 * bound and chunk.min() < -0.8 * bound
+    for w, b, (fan_in, _), _ in oracle_layers(spec):
+        assert np.all(a.values[b] == 0)
+        chunk = a.values[w]
+        bound = 1.0 / math.sqrt(fan_in)
+        assert np.all(np.abs(chunk) <= bound)
+        # a uniform draw this size should fill most of the interval
+        assert chunk.max() > 0.8 * bound and chunk.min() < -0.8 * bound
 
 
 def test_init_weight_distribution_moments():
     spec = NetworkSpec(input_dim=100, hidden_dims=(500,), num_classes=10)
     params = init_params(spec, 5, dtype=np.float64)
-    wseg = params.layout.segments[0]
-    w = params.values[wseg.offset : wseg.offset + wseg.length]
+    w = params.values[oracle_layers(spec)[0][0]]
     bound = 1.0 / math.sqrt(100)
     # uniform(-b, b): mean 0, variance b^2/3
     assert abs(w.mean()) < 0.01 * bound
@@ -138,13 +142,12 @@ def test_init_weight_distribution_moments():
 
 def test_param_vector_validation():
     spec = NetworkSpec(input_dim=4, hidden_dims=(5,), num_classes=3)
-    layout = build_layout(spec)
     with pytest.raises(ShapeError):
-        ParamVector(np.zeros(layout.total_len - 1), layout)
-    bad = np.zeros(layout.total_len)
+        ParamVector(np.zeros(spec.param_count - 1), spec)
+    bad = np.zeros(spec.param_count)
     bad[3] = np.nan
     with pytest.raises(NumericalError):
-        ParamVector(bad, layout)
+        ParamVector(bad, spec)
 
 
 def test_forward_matches_manual_oracle():
@@ -166,6 +169,19 @@ def test_forward_shape_errors():
         forward(spec, params, np.zeros(4))
 
 
+def test_parameters_of_another_network_of_the_same_size_are_rejected():
+    spec, other = NetworkSpec(2, (4, 3), 2), NetworkSpec(2, (3, 4), 2)
+    assert spec.param_count == other.param_count == 35
+    params = init_params(other, 0)
+    x, y = np.zeros((3, 2)), np.zeros(3, dtype=np.int64)
+    with pytest.raises(ShapeError, match="another network"):
+        forward(spec, params, x)
+    with pytest.raises(ShapeError, match="another network"):
+        loss_grad_logits(spec, params, x, y)
+    # an equal spec that is another object is the same network
+    assert forward(NetworkSpec(2, (3, 4), 2), params, x).shape == (3, 2)
+
+
 def test_softmax_rows_sum_to_one_and_survive_extremes():
     z = np.array([[1e4, 0.0, -1e4], [3.0, 3.0, 3.0]])
     p = softmax(z)
@@ -177,10 +193,9 @@ def test_softmax_rows_sum_to_one_and_survive_extremes():
 def logits_net(c):
     """A one-layer float64 net with identity weights and zero biases: its logits are its inputs."""
     spec = NetworkSpec(input_dim=c, hidden_dims=(), num_classes=c)
-    layout = build_layout(spec)
-    values = np.zeros(layout.total_len)
+    values = np.zeros(spec.param_count)
     values[: c * c] = np.eye(c).ravel()
-    return spec, ParamVector(values, layout)
+    return spec, ParamVector(values, spec)
 
 
 def cross_entropy(z, y):
@@ -343,16 +358,12 @@ def test_block_norms_partition_total_norm():
 
 def reference_loss_grad(spec, params, x, y, teacher=None, beta=0.0, frozen_norm=None):
     """Allocating reference step: the float32 operation order loss_grad_logits must keep."""
-    segs = params.layout.segments
-    layers = []
-    for lid in range(spec.num_layers):
-        wseg, bseg = segs[2 * lid], segs[2 * lid + 1]
-        w = params.values[wseg.offset : wseg.offset + wseg.length].reshape(wseg.fan_in, wseg.fan_out)
-        layers.append((w, params.values[bseg.offset : bseg.offset + bseg.length]))
+    geometry = oracle_layers(spec)
+    layers = [(params.values[w].reshape(shape), params.values[b]) for w, b, shape, _ in geometry]
     last = spec.num_layers - 1
     norm_layer = -1
-    for lid in range(spec.num_layers):
-        if frozen_norm is not None and spec.block_of_layer(lid) == frozen_norm.insert_after_block:
+    for lid, (*_, block) in enumerate(geometry):
+        if frozen_norm is not None and block == frozen_norm.insert_after_block:
             norm_layer = lid
     inputs, preacts, h = [], [], x
     for lid, (w, b) in enumerate(layers):
@@ -380,9 +391,9 @@ def reference_loss_grad(spec, params, x, y, teacher=None, beta=0.0, frozen_norm=
         if lid == norm_layer:
             d = d / frozen_norm.std.astype(d.dtype)
         dz = d if lid == last else d * (preacts[lid] > 0)
-        wseg, bseg = segs[2 * lid], segs[2 * lid + 1]
-        grad[wseg.offset : wseg.offset + wseg.length] = (inputs[lid].T @ dz).ravel()
-        grad[bseg.offset : bseg.offset + bseg.length] = dz.sum(axis=0)
+        w, b, *_ = geometry[lid]
+        grad[w] = (inputs[lid].T @ dz).ravel()
+        grad[b] = dz.sum(axis=0)
         d = dz @ layers[lid][0].T
     return loss, grad, logits
 

@@ -12,7 +12,6 @@ from reinit_lab.nn import (
     NetworkSpec,
     ParamVector,
     block_norms,
-    build_layout,
     forward,
     init_params,
     weight_norm,
@@ -25,6 +24,7 @@ from reinit_lab.reinit import (
     shrink_perturb,
     stage_seed,
 )
+from conftest import oracle_layers
 
 THREE_BLOCK = NetworkSpec(input_dim=6, hidden_dims=(8, 7), num_classes=4, block_boundaries=(1, 2))
 
@@ -48,10 +48,9 @@ def test_stage_plan_rejects_bad_counts():
 
 def test_shrink_perturb_direct_evaluation():
     spec = NetworkSpec(input_dim=1, hidden_dims=(), num_classes=2)
-    layout = build_layout(spec)
-    # layout is [w0, w1, b0, b1]; fill weights with the worked example values
-    theta = ParamVector(np.array([2.0, -4.0, 0.0, 0.0]), layout)
-    theta_init = ParamVector(np.array([1.0, 1.0, 0.0, 0.0]), layout)
+    # the vector is [w0, w1, b0, b1]; fill weights with the worked example values
+    theta = ParamVector(np.array([2.0, -4.0, 0.0, 0.0]), spec)
+    theta_init = ParamVector(np.array([1.0, 1.0, 0.0, 0.0]), spec)
     out = shrink_perturb(theta, theta_init, 0.4, 0.1)
     np.testing.assert_allclose(out.values, [0.9, -1.5, 0.0, 0.0], atol=1e-15)
 
@@ -74,7 +73,7 @@ def test_shrink_perturb_affine_combinations_commute():
     theta_init = three_block_params(5)
     for a in (-0.5, 0.25, 0.7, 1.5):
         b = 1.0 - a
-        mixed = ParamVector(a * theta1.values + b * theta2.values, theta1.layout)
+        mixed = ParamVector(a * theta1.values + b * theta2.values, theta1.network)
         lhs = shrink_perturb(mixed, theta_init, 0.4, 0.1).values
         rhs = a * shrink_perturb(theta1, theta_init, 0.4, 0.1).values + b * shrink_perturb(
             theta2, theta_init, 0.4, 0.1
@@ -85,7 +84,7 @@ def test_shrink_perturb_affine_combinations_commute():
 def test_shrink_perturb_scales_homogeneously_when_gamma_zero():
     theta = three_block_params(6)
     theta_init = three_block_params(7)
-    doubled = ParamVector(2.0 * theta.values, theta.layout)
+    doubled = ParamVector(2.0 * theta.values, theta.network)
     lhs = shrink_perturb(doubled, theta_init, 0.4, 0.0).values
     rhs = 2.0 * shrink_perturb(theta, theta_init, 0.4, 0.0).values
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -125,38 +124,36 @@ def layerwise_setup(seed_theta=11, seed_init=12):
     theta = three_block_params(seed_theta)
     # trained-looking parameters: scale blocks unevenly away from init norms
     scaled = theta.values.copy()
-    layout = theta.layout
     for b, factor in zip(range(1, 4), (1.7, 0.6, 2.3)):
-        idx = layout.block_slice(b)
-        scaled[idx] *= factor
-    theta = ParamVector(scaled, layout)
+        scaled[THREE_BLOCK.block_slice(b)] *= factor
+    theta = ParamVector(scaled, THREE_BLOCK)
     theta_init = three_block_params(seed_init)
     init_norms = tuple(block_norms(three_block_params(seed_theta)))
     rng = np.random.Generator(np.random.PCG64(99))
     stats = rng.normal(size=(32, THREE_BLOCK.input_dim))
-    return theta, theta_init, layout, init_norms, stats
+    return theta, theta_init, init_norms, stats
 
 
 def test_layerwise_keeps_direction_restores_norm_resamples_suffix():
-    theta, theta_init, layout, init_norms, stats = layerwise_setup()
+    theta, theta_init, init_norms, stats = layerwise_setup()
     for t in (1, 2, 3):
         out, fn = layerwise_reinit(theta, theta_init, t, 1, init_norms, stats, THREE_BLOCK)
         kept = math.ceil(t / 1)
         for b in range(1, kept + 1):
-            idx = layout.block_slice(b)
+            idx = THREE_BLOCK.block_slice(b)
             a, c = out.values[idx], theta.values[idx]
             cos = float(a @ c / (np.linalg.norm(a) * np.linalg.norm(c)))
             assert abs(cos - 1.0) < 1e-6
             assert abs(np.linalg.norm(a) - init_norms[b - 1]) < 1e-5
         for b in range(kept + 1, 4):
-            idx = layout.block_slice(b)
+            idx = THREE_BLOCK.block_slice(b)
             assert np.array_equal(out.values[idx], theta_init.values[idx])
         assert fn.insert_after_block == kept
         assert np.all(fn.std >= 1e-5)
 
 
 def test_layerwise_full_mask_keeps_everything_rescaled():
-    theta, theta_init, layout, init_norms, stats = layerwise_setup()
+    theta, theta_init, init_norms, stats = layerwise_setup()
     out, _ = layerwise_reinit(theta, theta_init, 3, 1, init_norms, stats, THREE_BLOCK)
     norms = block_norms(out)
     np.testing.assert_allclose(norms, init_norms, atol=1e-5)
@@ -164,7 +161,7 @@ def test_layerwise_full_mask_keeps_everything_rescaled():
 
 
 def test_layerwise_frozen_layer_standardizes_stats_batch():
-    theta, theta_init, layout, init_norms, stats = layerwise_setup()
+    theta, theta_init, init_norms, stats = layerwise_setup()
     out, fn = layerwise_reinit(theta, theta_init, 2, 1, init_norms, stats, THREE_BLOCK)
     acts = forward(THREE_BLOCK, out, stats, fn, stop_block=2)
     np.testing.assert_allclose(acts.mean(axis=0), 0.0, atol=1e-9)
@@ -174,18 +171,18 @@ def test_layerwise_frozen_layer_standardizes_stats_batch():
 
 
 def test_layerwise_repeats_keep_the_ceiling_of_t_over_repeats_blocks():
-    theta, theta_init, layout, init_norms, stats = layerwise_setup()
+    theta, theta_init, init_norms, stats = layerwise_setup()
     # K=3, M=2: boundary t keeps ceil(t/2) blocks and resamples the rest
     for t, kept in ((1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3)):
         out, fn = layerwise_reinit(theta, theta_init, t, 2, init_norms, stats, THREE_BLOCK)
-        stop = layout.block_slice(kept).stop
+        stop = THREE_BLOCK.block_slice(kept).stop
         assert fn.insert_after_block == kept
         assert np.array_equal(out.values[stop:], theta_init.values[stop:])
         assert not np.array_equal(out.values[:stop], theta_init.values[:stop])
 
 
 def test_layerwise_rejects_stage_index_outside_its_range():
-    theta, theta_init, _, init_norms, stats = layerwise_setup()
+    theta, theta_init, init_norms, stats = layerwise_setup()
     for t, repeats in ((0, 1), (4, 1), (7, 2)):
         with pytest.raises(ConfigurationError, match=f"stage index {t} outside"):
             layerwise_reinit(theta, theta_init, t, repeats, init_norms, stats, THREE_BLOCK)
@@ -194,13 +191,13 @@ def test_layerwise_rejects_stage_index_outside_its_range():
 
 
 def test_layerwise_error_cases():
-    theta, theta_init, layout, init_norms, stats = layerwise_setup()
+    theta, theta_init, init_norms, stats = layerwise_setup()
     with pytest.raises(ConfigurationError):
         layerwise_reinit(theta, theta_init, 1, 1, init_norms, np.zeros((0, 6)), THREE_BLOCK)
     zeroed = theta.values.copy()
-    zeroed[layout.block_slice(1)] = 0.0
+    zeroed[THREE_BLOCK.block_slice(1)] = 0.0
     with pytest.raises(NumericalError):
-        layerwise_reinit(ParamVector(zeroed, layout), theta_init, 1, 1, init_norms, stats, THREE_BLOCK)
+        layerwise_reinit(ParamVector(zeroed, THREE_BLOCK), theta_init, 1, 1, init_norms, stats, THREE_BLOCK)
 
 
 def layerwise_state():
@@ -243,7 +240,7 @@ def test_apply_reinit_dispatches_layerwise():
     for stages, kept in ((3, 2), (6, 1)):
         out, fn, _ = apply_reinit(ReinitSpec("layer_wise"), theta, 5, 2, THREE_BLOCK, *layerwise_state(), stages)
         assert fn is not None and fn.insert_after_block == kept
-        stop = theta.layout.block_slice(kept).stop
+        stop = THREE_BLOCK.block_slice(kept).stop
         assert np.array_equal(out.values[stop:], fresh.values[stop:])
 
 
@@ -273,9 +270,9 @@ def test_apply_reinit_outputs_always_finite():
 )
 def test_shrink_perturb_property_matches_formula(lam, gamma, seed, dtype):
     rng = np.random.Generator(np.random.PCG64(seed))
-    layout = build_layout(THREE_BLOCK)
-    theta = ParamVector(rng.normal(size=layout.total_len).astype(dtype), layout)
-    theta_init = ParamVector(rng.normal(size=layout.total_len).astype(dtype), layout)
+    n = THREE_BLOCK.param_count
+    theta = ParamVector(rng.normal(size=n).astype(dtype), THREE_BLOCK)
+    theta_init = ParamVector(rng.normal(size=n).astype(dtype), THREE_BLOCK)
     out = shrink_perturb(theta, theta_init, lam, gamma)
     want = lam * theta.values + gamma * theta_init.values
     assert out.values.dtype == want.dtype
@@ -284,27 +281,25 @@ def test_shrink_perturb_property_matches_formula(lam, gamma, seed, dtype):
 
 # --- block slices against an index-based oracle, bit for bit -----------------
 # blocks are contiguous runs of the flat vector; these references gather each
-# block's parameters through explicit index arrays instead.
+# block's parameters through explicit index arrays, counted from layer_dims().
 
 
-def oracle_block_indices(layout, b):
-    return np.concatenate(
-        [np.arange(s.offset, s.offset + s.length) for s in layout.segments if layout.block_assignment[s.layer_id] == b]
-    )
+def oracle_block_indices(spec, b):
+    return np.concatenate([np.r_[w, bias] for w, bias, _, block in oracle_layers(spec) if block == b])
 
 
-def oracle_kept_indices(layout, kept):
-    return np.concatenate([oracle_block_indices(layout, b) for b in range(1, kept + 1)])
+def oracle_kept_indices(spec, kept):
+    return np.concatenate([oracle_block_indices(spec, b) for b in range(1, kept + 1)])
 
 
 def oracle_layerwise_values(theta, theta_init, t, repeats, init_norms):
-    layout = theta.layout
+    spec = theta.network
     kept = math.ceil(t / repeats)
-    mask = np.zeros(layout.total_len, dtype=bool)
-    mask[oracle_kept_indices(layout, kept)] = True
+    mask = np.zeros(theta.values.shape[0], dtype=bool)
+    mask[oracle_kept_indices(spec, kept)] = True
     out = np.where(mask, theta.values, theta_init.values.astype(theta.dtype))
     for b in range(1, kept + 1):
-        idx = oracle_block_indices(layout, b)
+        idx = oracle_block_indices(spec, b)
         cur = float(np.linalg.norm(out[idx].astype(np.float64)))
         out[idx] = (out[idx].astype(np.float64) * (init_norms[b - 1] / cur)).astype(out.dtype)
     return out
@@ -313,16 +308,15 @@ def oracle_layerwise_values(theta, theta_init, t, repeats, init_norms):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_block_norms_match_index_oracle(dtype):
     theta = three_block_params(31, dtype)
-    layout = theta.layout
     v = theta.values.astype(np.float64)
-    want = np.array([np.linalg.norm(v[oracle_block_indices(layout, b)]) for b in range(1, 4)])
+    want = np.array([np.linalg.norm(v[oracle_block_indices(THREE_BLOCK, b)]) for b in range(1, 4)])
     assert block_norms(theta).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_layerwise_rescale_matches_index_oracle(dtype):
-    theta, theta_init, layout, init_norms, stats = layerwise_setup()
-    theta = ParamVector(theta.values.astype(dtype), layout)
+    theta, theta_init, init_norms, stats = layerwise_setup()
+    theta = ParamVector(theta.values.astype(dtype), THREE_BLOCK)
     for t in range(1, 7):
         out, _ = layerwise_reinit(theta, theta_init, t, 2, init_norms, stats, THREE_BLOCK)
         want = oracle_layerwise_values(theta, theta_init, t, 2, init_norms)
