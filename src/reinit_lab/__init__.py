@@ -1,16 +1,12 @@
-"""Staged training for small feedforward nets with pluggable re-initialization."""
+"""Staged training for small feedforward nets with pluggable re-initialization.
 
-from .data import (
-    AugmentSpec,
-    Dataset,
-    inject_label_noise,
-    load_csv,
-    load_idx,
-    make_chunks,
-    make_synthetic,
-    split,
-)
-from .distill import TeacherCache, distill_rows, snapshot_teacher
+The package root holds the configs, the run and study entry points, their
+result, the data and checkpoint loaders and the errors. Everything else is
+importable from its own module; those functions trust their caller to pass
+values a config has already checked.
+"""
+
+from .data import AugmentSpec, Dataset, load_csv, load_idx
 from .errors import (
     ConfigurationError,
     DataError,
@@ -33,25 +29,15 @@ from .harness import (
     run_experiment,
     stage_sweep,
 )
-from .nn import (
-    FrozenNormLayer,
-    NetworkSpec,
-    ParamVector,
-    forward,
-    init_params,
-    loss_grad_logits,
-    softmax,
-    weight_norm,
-)
-from .optim import LrSchedule, OptimState, lr_at, sgd_step
-from .reinit import (
-    ReinitSpec,
-    apply_reinit,
-    layerwise_reinit,
-    make_stage_plan,
-    shrink_perturb,
-    stage_seed,
-)
-from .runio import MetricsRecord, emit_metrics, load_checkpoint, save_checkpoint
+from .nn import NetworkSpec
+from .reinit import ReinitSpec
+from .runio import load_checkpoint
+
+__all__ = [
+    "AugmentSpec", "DataConfig", "DistillConfig", "NetworkSpec", "ReinitSpec", "RunConfig", "Seeds",
+    "grid_search", "noise_study", "online_sim", "prepare_data", "run_experiment", "stage_sweep",
+    "RunResult", "Dataset", "load_csv", "load_idx", "load_checkpoint",
+    "ConfigurationError", "DataError", "FormatError", "HarnessError", "NumericalError", "ReinitLabError", "ShapeError",
+]
 
 __version__ = "0.1.0"

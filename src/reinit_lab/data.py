@@ -164,20 +164,10 @@ def make_synthetic(
     """Gaussian mixture: class means of the given norm, isotropic unit noise.
 
     image_hw tags the features as a single-channel (h, w) image so the
-    augmentation pipeline accepts synthetic data; it requires h*w == dim.
+    augmentation pipeline accepts synthetic data. DataConfig checks the
+    arguments, h*w == dim included.
     """
-    if num_classes < 2:
-        raise ConfigurationError(f"need at least 2 classes, got {num_classes}")
-    if dim < 1 or per_class < 1:
-        raise ConfigurationError(f"dim and per_class must be >= 1, got {dim}, {per_class}")
-    if class_separation < 0:
-        raise ConfigurationError(f"class separation must be >= 0, got {class_separation}")
-    image_shape = None
-    if image_hw is not None:
-        h, w = image_hw
-        if h * w != dim:
-            raise ConfigurationError(f"image_hw {image_hw} does not flatten to dim {dim}")
-        image_shape = (h, w, 1)
+    image_shape = None if image_hw is None else (*image_hw, 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     raw = rng.normal(size=(num_classes, dim))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
@@ -206,10 +196,8 @@ def inject_label_noise(ds: Dataset, q: float, seed: int) -> tuple[np.ndarray, np
     Returns the noisy labels and the boolean mask of the re-drawn entries;
     outside the mask the labels are ds.labels. The re-drawn label may
     coincide with the true one, so the expected fraction actually corrupted
-    is q*(C-1)/C.
+    is q*(C-1)/C. RunConfig checks that q lies in [0, 1].
     """
-    if not 0.0 <= q <= 1.0:
-        raise ConfigurationError(f"noise fraction must lie in [0, 1], got {q}")
     rng = np.random.Generator(np.random.PCG64(seed))
     k = int(q * ds.n)
     mask = np.zeros(ds.n, dtype=bool)
@@ -227,19 +215,15 @@ def augment_batch(
     spec: AugmentSpec,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Flip-then-crop a batch of flattened images; shape and labels untouched."""
-    if image_shape is None:
-        raise ConfigurationError("augmentation needs image geometry; this data has none")
-    x = np.asarray(inputs)
+    """Flip-then-crop a batch of flattened images of image_shape; shape and
+    labels untouched. run_experiment checks that its data has image geometry."""
     h, w, ch = image_shape
-    if x.ndim != 2 or x.shape[1] != h * w * ch:
-        raise ConfigurationError(f"batch shape {x.shape} does not match image shape {image_shape}")
-    n = x.shape[0]
-    imgs = x.reshape(n, h, w, ch)
+    n = inputs.shape[0]
+    imgs = inputs.reshape(n, h, w, ch)
     flips = rng.random(n) < spec.horizontal_flip_prob
     pad = spec.pad_pixels
     # one zero-padded buffer, with the flipped images written in mirrored
-    out = np.zeros((n, h + 2 * pad, w + 2 * pad, ch), dtype=x.dtype)
+    out = np.zeros((n, h + 2 * pad, w + 2 * pad, ch), dtype=inputs.dtype)
     inner = out[:, pad : pad + h, pad : pad + w]
     inner[~flips] = imgs[~flips]
     inner[flips] = imgs[flips, :, ::-1]
@@ -264,12 +248,10 @@ def split_indices(
     The validation side gets floor(val_fraction*n) indices, allocated to
     classes proportionally (largest remainder). Classes with at least two
     examples are then repaired to appear on both sides if the budget allows.
-    Errors name the fraction as what.
+    DataConfig checks that the fraction lies in (0, 1); errors name it as what.
     """
     y = np.asarray(labels)
     n = y.shape[0]
-    if not 0.0 < val_fraction < 1.0:
-        raise ConfigurationError(f"{what} must lie strictly in (0, 1), got {val_fraction}")
     n_val = int(val_fraction * n)
     if n_val < 1 or n_val >= n:
         raise ConfigurationError(f"{what} {val_fraction} leaves one side of {n} examples empty")

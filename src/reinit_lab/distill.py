@@ -2,8 +2,8 @@
 
 At the end of a stage the model's class probabilities on the clean training
 inputs are cached once; later stages read rows out of the cache instead of
-re-running the teacher. Stage 1 has no previous stage and must never touch a
-cache, which ``distill_rows`` enforces.
+re-running the teacher. Stage 1 has no previous stage, so the training loop
+reads no cache there.
 """
 from __future__ import annotations
 
@@ -44,10 +44,6 @@ class TeacherCache:
             raise ConfigurationError(f"source stage must be >= 1, got {self.source_stage}")
         self.probs = p
 
-    @property
-    def num_examples(self) -> int:
-        return self.probs.shape[0]
-
 
 def snapshot_teacher(
     spec: NetworkSpec,
@@ -62,29 +58,16 @@ def snapshot_teacher(
     Inputs are expected already normalized but never augmented; each cached
     row serves every augmented view of its example in later stages.
     """
-    x = np.asarray(train_inputs)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ConfigurationError(f"train inputs must be a nonempty 2-D array, got shape {x.shape}")
     rows = []
-    for start in range(0, x.shape[0], NO_GRAD_ROWS):
-        logits = forward(spec, params, x[start : start + NO_GRAD_ROWS], frozen_norm)
+    for start in range(0, train_inputs.shape[0], NO_GRAD_ROWS):
+        logits = forward(spec, params, train_inputs[start : start + NO_GRAD_ROWS], frozen_norm)
         rows.append(softmax(logits.astype(np.float64)).astype(np.float32))
     return TeacherCache(np.concatenate(rows, axis=0), source_stage, beta)
 
 
-def distill_rows(cache: TeacherCache, batch_indices: np.ndarray, stage: int) -> np.ndarray:
-    """Teacher rows aligned with a training batch of the given stage.
-
-    The first stage optimizes the plain loss and must not look up a teacher.
-    """
-    if stage <= 1:
-        raise ConfigurationError(f"stage {stage} must train without a teacher cache")
-    idx = np.asarray(batch_indices)
-    if idx.size and (idx.min() < 0 or idx.max() >= cache.num_examples):
-        raise ConfigurationError(
-            f"batch indices out of range [0, {cache.num_examples}): [{idx.min()}, {idx.max()}]"
-        )
-    return cache.probs[idx]
+def distill_rows(cache: TeacherCache, batch_indices: np.ndarray) -> np.ndarray:
+    """Teacher rows aligned with a training batch."""
+    return cache.probs[batch_indices]
 
 
 def save_teacher_cache(cache: TeacherCache, path) -> None:

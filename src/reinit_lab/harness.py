@@ -32,7 +32,7 @@ from .data import (
     subset,
 )
 from .distill import TeacherCache, distill_rows, save_teacher_cache, snapshot_teacher
-from .errors import ConfigurationError, HarnessError, NumericalError, check_fields, checked_keys, rule
+from .errors import ConfigurationError, HarnessError, NumericalError, ShapeError, check_fields, checked_keys, rule
 from .nn import (
     NO_GRAD_ROWS,
     FrozenNormLayer,
@@ -88,7 +88,8 @@ class DataConfig:
     MNIST-style image/label file pair, optionally with a separate test pair.
     csv: a `label,f0,...` table. Without explicit test files, test_fraction
     of the data is held out first; val_fraction of the remainder becomes the
-    validation split.
+    validation split. image_hw tags synthetic features as an image; idx
+    images carry their own geometry and csv rows have none.
     """
 
     source: str = rule("synthetic", f"be one of {SOURCES}", lambda v: v in SOURCES)
@@ -116,6 +117,10 @@ class DataConfig:
             raise ConfigurationError("test_images_path and test_labels_path must be given together")
         if self.source == "synthetic" and self.num_classes * self.per_class * self.dim > np.iinfo(np.intp).max:
             raise ConfigurationError("synthetic data of num_classes x per_class x dim values is too large to shape")
+        if self.image_hw is not None and self.source != "synthetic":
+            raise ConfigurationError(f"data key image_hw applies only to synthetic data, not to source {self.source!r}")
+        if self.image_hw is not None and math.prod(self.image_hw) != self.dim:
+            raise ConfigurationError(f"data key image_hw {list(self.image_hw)} must flatten to dim {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +144,10 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self, "run config")
-        make_stage_plan(self.epochs, self.stages)
+        if self.stages > self.epochs:
+            raise ConfigurationError(f"{self.stages} stages cannot fit in {self.epochs} epochs")
+        if self.eta_min > self.lr:
+            raise ConfigurationError(f"run config key eta_min must be <= lr, got eta_min={self.eta_min}, lr={self.lr}")
         k = self.network.num_blocks
         if self.reinit.kind == "layer_wise" and self.stages % k != 0:
             raise ConfigurationError(
@@ -197,7 +205,8 @@ class DataBundle:
 
 
 def prepare_data(cfg: RunConfig) -> DataBundle:
-    """Load, carve test/val, normalize from train stats, inject label noise."""
+    """Load, carve test/val, normalize from train stats, inject label noise.
+    A held-out test file must hold examples of the training file's shape."""
     dc = cfg.data
     test = None
     if dc.source == "synthetic":
@@ -215,6 +224,10 @@ def prepare_data(cfg: RunConfig) -> DataBundle:
     if test is None:
         test_seed = stage_seed(cfg.seeds.data, TEST_SPLIT_TAG)
         full, test = split(full, dc.test_fraction, test_seed, "data key test_fraction")
+    elif (test.dim, test.image_shape) != (full.dim, full.image_shape):
+        files = (dc.test_images_path, dc.images_path) if dc.source == "idx" else (dc.test_csv_path, dc.csv_path)
+        shapes = [ds.image_shape or (ds.dim,) for ds in (test, full)]
+        raise ShapeError(f"test file {files[0]} holds examples of shape {shapes[0]}, but {files[1]} {shapes[1]}")
     train, val = split(full, dc.val_fraction, stage_seed(cfg.seeds.data, VAL_SPLIT_TAG), "data key val_fraction")
     del full  # train and val are copies; keep only them
     mean, std = compute_normalization(train)
@@ -376,7 +389,7 @@ def run_experiment(
                     rows = None
                     beta = 0.0
                     if distill_on and stage > 1 and teacher is not None:
-                        rows = distill_rows(teacher, idx, stage=stage)
+                        rows = distill_rows(teacher, idx)
                         counters["teacher_reads"] += 1
                         counters["teacher_reads_by_stage"][str(stage)] += 1
                         beta = cfg.distill.beta

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, NumericalError, ShapeError, check_fields, checked_keys, rule
+from .errors import ConfigurationError, NumericalError, ShapeError, check_fields, checked_keys, rule
 
 NO_GRAD_ROWS = 256  # rows per forward pass that keeps no gradient: evaluation, teacher snapshots
 
@@ -218,15 +218,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / sums
 
 
-def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    y = np.asarray(labels)
-    if y.ndim != 1:
-        raise ShapeError(f"labels must be 1-D, got shape {y.shape}")
-    if y.size and (y.min() < 0 or y.max() >= num_classes):
-        raise DataError(f"labels must lie in [0, {num_classes}), got range [{y.min()}, {y.max()}]")
-    return y.astype(np.int64, copy=False)
-
-
 def _cross_entropy(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean cross-entropy, plus exp(z - rowmax) and its row sums for reuse."""
     m, e, sums = _shifted_exp(z)
@@ -255,36 +246,27 @@ def loss_grad_logits(
     KL(teacher || softmax(logits)) against the fixed teacher rows, with
     zero-probability teacher entries contributing 0; gradients flow only
     through the student. With no teacher or beta 0 this is the plain
-    cross-entropy gradient. Teacher rows come from a TeacherCache, whose
-    construction checks them when a cache is built and when one is loaded;
-    only their shape is checked here. The gradient overwrites all of
-    ``grad_out`` when given, else fills a new array.
+    cross-entropy gradient. The labels lie in [0, num_classes), one per input
+    row, and the teacher rows align with the logits: the run checks its data
+    once, and a TeacherCache checks its rows when it is built or loaded. The
+    gradient overwrites all of ``grad_out`` (a contiguous vector of the
+    parameters' shape and dtype) when given, else fills a new array.
     """
-    if beta_distill < 0:
-        raise ConfigurationError(f"beta_distill must be >= 0, got {beta_distill}")
-    y = _check_labels(labels, spec.num_classes)
     if grad_out is None:
         grad_out = np.empty_like(params.values)
-    elif (grad_out.shape, grad_out.dtype, grad_out.flags.c_contiguous) != (params.values.shape, params.dtype, True):
-        raise ShapeError("grad_out must be a contiguous vector of the parameters' shape and dtype")
     norm_layer = -1 if frozen_norm is None else spec.block_layers(frozen_norm.insert_after_block)[-1]
     last = spec.num_layers - 1
     saved = []
     logits = forward(spec, params, inputs, frozen_norm, saved=saved)
     batch = logits.shape[0]
-    if y.shape[0] != batch:
-        raise ShapeError(f"{batch} inputs vs {y.shape[0]} labels")
     # one softmax shared by the cross-entropy, the KL term and the gradient
-    loss, d, sums = _cross_entropy(logits, y)
+    loss, d, sums = _cross_entropy(logits, labels)
     d /= sums  # the softmax rows, turned into dlogits in place below
     pull = None
     if teacher is not None and beta_distill != 0.0:
-        p = np.asarray(teacher)
-        if p.shape != logits.shape:
-            raise ShapeError(f"teacher rows {p.shape} do not align with logits {logits.shape}")
-        loss = loss + beta_distill * _kl(p, d)
-        pull = (beta_distill / batch) * (d - p)
-    d[np.arange(batch), y] -= 1.0
+        loss = loss + beta_distill * _kl(teacher, d)
+        pull = (beta_distill / batch) * (d - teacher)
+    d[np.arange(batch), labels] -= 1.0
     d /= batch
     if pull is not None:
         d += pull

@@ -1,12 +1,16 @@
-"""SGD with momentum, coupled weight decay, and per-stage learning-rate schedules."""
+"""SGD with momentum, coupled weight decay, and per-stage learning-rate schedules.
+
+The hyperparameters come from a RunConfig, which checks their ranges; nothing
+here checks them again.
+"""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import NumericalError
 from .nn import ParamVector
 
 
@@ -22,12 +26,6 @@ class OptimState:
     momentum: float = 0.9
     weight_decay: float = 0.0
 
-    def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigurationError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
-            raise ConfigurationError(f"weight decay must be >= 0, got {self.weight_decay}")
-
     @staticmethod
     def fresh(params: ParamVector, momentum: float = 0.9, weight_decay: float = 0.0) -> "OptimState":
         return OptimState(np.zeros_like(params.values), momentum, weight_decay)
@@ -41,33 +39,27 @@ def sgd_step(
     step: int | None = None,
     out: ParamVector | None = None,
 ) -> tuple[ParamVector, OptimState]:
-    """One optimizer update, written into ``out`` (a spare vector other than
-    ``params``; a new one when None) and returned with the in-place-updated
-    state. A non-finite update raises NumericalError naming the step and
-    leaves ``params`` intact. lr == 0 leaves the parameters unchanged while
-    the momentum buffer still accumulates (a paused-but-running optimizer).
+    """One optimizer update, written into ``out`` (a spare vector of the
+    params' shape and dtype, other than ``params``; a new one when None) and
+    returned with the in-place-updated state. A non-finite update raises
+    NumericalError naming the step and leaves ``params`` intact. lr == 0
+    leaves the parameters unchanged while the momentum buffer still
+    accumulates (a paused-but-running optimizer).
     """
-    if lr < 0.0:
-        raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
-    g = np.asarray(grads)
-    if g.shape != params.values.shape:
-        raise ConfigurationError(f"gradient shape {g.shape} != parameter shape {params.values.shape}")
     if out is None:
         out = params.copy()
-    elif out is params or out.values.shape != g.shape or out.dtype != params.dtype:
-        raise ConfigurationError("out must be a spare parameter vector shaped like params")
     new, buf = out.values, state.momentum_buffer
     buf *= state.momentum
     if state.weight_decay:
         np.multiply(params.values, state.weight_decay, out=new)
-        new += g
+        new += grads
         buf += new
     else:
-        buf += g
+        buf += grads
     np.multiply(buf, lr, out=new)
     np.subtract(params.values, new, out=new)
     if not np.isfinite(new).all():
-        what = "gradient" if not np.isfinite(g).all() else "parameters after the update"
+        what = "gradient" if not np.isfinite(grads).all() else "parameters after the update"
         raise NumericalError(f"non-finite {what}" + (f" at step {step}" if step is not None else ""))
     return out, state
 
@@ -84,24 +76,12 @@ class LrSchedule:
     kind: str
     eta_max: float
     eta_min: float = 0.0
-    steps_per_stage: int = field(default=1)
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "cosine_per_stage"):
-            raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
-        if self.eta_max <= 0:
-            raise ConfigurationError(f"eta_max must be > 0, got {self.eta_max}")
-        if not 0 <= self.eta_min <= self.eta_max:
-            raise ConfigurationError(f"need 0 <= eta_min <= eta_max, got eta_min={self.eta_min}")
-        if self.steps_per_stage < 1:
-            raise ConfigurationError(f"steps_per_stage must be >= 1, got {self.steps_per_stage}")
+    steps_per_stage: int = 1
 
 
 def lr_at(schedule: LrSchedule, step_in_stage: int) -> float:
     """Learning rate at a 0-based step index within the stage; index S is the end point."""
     s, total = step_in_stage, schedule.steps_per_stage
-    if not 0 <= s <= total:
-        raise ConfigurationError(f"step {s} outside [0, {total}]")
     if schedule.kind == "constant":
         return schedule.eta_max
     span = schedule.eta_max - schedule.eta_min

@@ -16,16 +16,6 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError, ShapeError, check_fields, rule
 from .nn import FrozenNormLayer, NetworkSpec, ParamVector, forward, init_params, weight_norm
 
-__all__ = [
-    "ReinitSpec",
-    "FrozenNormLayer",
-    "make_stage_plan",
-    "stage_seed",
-    "shrink_perturb",
-    "layerwise_reinit",
-    "apply_reinit",
-]
-
 KINDS = ("none", "shrink_perturb", "layer_wise", "full")
 
 FROZEN_NORM_STD_FLOOR = 1e-5
@@ -33,11 +23,7 @@ FROZEN_NORM_STD_FLOOR = 1e-5
 
 def make_stage_plan(total_epochs: int, num_stages: int) -> int:
     """Epochs per stage of an equal-compute split: T stages of floor(N/T)
-    epochs; leftover epochs are dropped."""
-    if num_stages < 1:
-        raise ConfigurationError(f"need at least one stage, got {num_stages}")
-    if num_stages > total_epochs:
-        raise ConfigurationError(f"{num_stages} stages cannot fit in {total_epochs} epochs")
+    epochs; leftover epochs are dropped. RunConfig checks 1 <= T <= N."""
     return total_epochs // num_stages
 
 
@@ -76,12 +62,11 @@ def stage_seed(base_seed: int, stage: int) -> int:
 
 
 def shrink_perturb(theta: ParamVector, theta_init: ParamVector, lam: float, gamma: float) -> ParamVector:
-    """lam*theta + gamma*theta_init, elementwise; inputs untouched."""
+    """lam*theta + gamma*theta_init, elementwise; inputs untouched. ReinitSpec
+    checks that lam and gamma lie in [0, 1]."""
     # equal networks mean equal lengths: a ParamVector checks its length against its network
     if theta.network is not theta_init.network and theta.network != theta_init.network:
         raise ShapeError("theta and theta_init belong to different networks")
-    if not (0.0 <= lam <= 1.0 and 0.0 <= gamma <= 1.0):
-        raise ConfigurationError(f"lam and gamma must lie in [0, 1], got {lam}, {gamma}")
     values = lam * theta.values
     values += gamma * theta_init.values
     return ParamVector(values.astype(theta.dtype, copy=False), theta.network)
@@ -94,10 +79,6 @@ def _rescale_kept_blocks(
     init_block_norms: Sequence[float],
 ) -> None:
     """Scale each kept block back to its own init norm in place, in float64."""
-    if len(init_block_norms) < kept_blocks:
-        raise ConfigurationError(
-            f"need init norms for {kept_blocks} blocks, got {len(init_block_norms)}"
-        )
     for b in range(1, kept_blocks + 1):
         part = network.block_slice(b)
         x = values[part].astype(np.float64)
@@ -117,20 +98,15 @@ def layerwise_reinit(
     stats_batch: np.ndarray,
     spec: NetworkSpec,
 ) -> tuple[ParamVector, FrozenNormLayer]:
-    """Keep the first ceil(t/repeats) blocks of theta, resample the rest.
+    """Keep the first ceil(t/repeats) blocks of theta, resample the rest;
+    t lies in 1..K*repeats for a network of K blocks.
 
     Kept blocks are rescaled back to their recorded initialization norms, so
     only their direction survives the boundary. The frozen layer standardizes
-    the kept prefix's output on ``stats_batch`` and replaces any frozen layer
-    from an earlier boundary.
+    the kept prefix's output on the nonempty ``stats_batch`` and replaces any
+    frozen layer from an earlier boundary.
     """
-    stats = np.asarray(stats_batch)
-    if stats.ndim != 2 or stats.shape[0] == 0:
-        raise ConfigurationError("stats batch must be a nonempty 2-D array")
     network = theta.network
-    total = network.num_blocks * repeats
-    if not 1 <= t <= total:
-        raise ConfigurationError(f"stage index {t} outside 1..{total}")
     kept_blocks = math.ceil(t / repeats)
     # the kept blocks are a prefix of the flat vector; the rest is the fresh draw
     merged = theta_init.values.astype(theta.dtype)
@@ -138,7 +114,7 @@ def layerwise_reinit(
     merged[:stop] = theta.values[:stop]
     _rescale_kept_blocks(merged, network, kept_blocks, init_block_norms)
     new_params = ParamVector(merged, network)
-    acts = forward(spec, new_params, stats, stop_block=kept_blocks)
+    acts = forward(spec, new_params, stats_batch, stop_block=kept_blocks)
     mean = acts.mean(axis=0).astype(np.float64)
     std = np.maximum(acts.std(axis=0).astype(np.float64), FROZEN_NORM_STD_FLOOR)
     return new_params, FrozenNormLayer(kept_blocks, mean, std)
@@ -154,7 +130,7 @@ def apply_reinit(
     stats_batch: np.ndarray | None = None,
     stages: int | None = None,
 ) -> tuple[ParamVector, FrozenNormLayer | None, float | None]:
-    """Produce stage t+1's starting parameters from stage t's final ones.
+    """Produce stage t+1's starting parameters from stage t's final ones, t >= 1.
 
     The fresh draw at boundary t is init_params(network, stage_seed(seed, t)),
     so it is independent of theta_end and of every other boundary. Only the
@@ -164,8 +140,6 @@ def apply_reinit(
     layer-wise rule (None otherwise), and the Euclidean norm of the fresh draw
     (None for ``none``, which draws nothing).
     """
-    if t < 1:
-        raise ConfigurationError(f"stage index must be >= 1, got {t}")
     if rspec.kind == "none":
         return theta_end.copy(), None, None
     fresh = init_params(network, stage_seed(seed, t), dtype=theta_end.dtype)

@@ -6,6 +6,7 @@ and on a shared host one that waits on a busy CPU can stall the suite.
 """
 import math
 import os
+import struct
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -79,3 +80,17 @@ def tiny_net():
     spec = NetworkSpec(input_dim=4, hidden_dims=(5,), num_classes=3)
     params = init_params(spec, 7, dtype=np.float64)
     return spec, params
+
+
+def write_idx(images_path, labels_path, images: np.ndarray, labels) -> None:
+    """An IDX image/label pair: big-endian headers, then one byte per pixel or label."""
+    n, rows, cols = images.shape
+    images_path.write_bytes(struct.pack(">IIII", 0x00000803, n, rows, cols) + images.astype(np.uint8).tobytes())
+    labels_path.write_bytes(struct.pack(">II", 0x00000801, len(labels)) + bytes(list(labels)))
+
+
+def write_csv(path, labels, features: np.ndarray) -> None:
+    """A `label,f0,...` table with one row per label."""
+    header = ",".join(["label"] + [f"f{j}" for j in range(features.shape[1])])
+    rows = [",".join([str(y)] + [repr(float(v)) for v in row]) for y, row in zip(labels, features)]
+    path.write_text("\n".join([header, *rows]) + "\n")

@@ -1,0 +1,47 @@
+"""The package root's names: the list README promises, and the names that
+the benchmark and the digest tool import from it.
+
+bench/tracer.py's HOOKS table is pinned by
+test_harness.py::test_tracer_hooks_name_harness_attributes.
+"""
+import ast
+from pathlib import Path
+
+import reinit_lab
+
+ROOT = Path(__file__).resolve().parents[1]
+ROOT_IMPORTERS = ("bench/workloads.py", "bench/child.py", "tools/run_digests.py")
+
+
+def readme_exports() -> list[str]:
+    """The names in the text block that follows README's "Public API" paragraph."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("**Public API.**"))
+    fence = next(i for i in range(start, len(lines)) if lines[i] == "```text")
+    end = lines.index("```", fence + 1)
+    return " ".join(lines[fence + 1 : end]).split()
+
+
+def root_imports(path: Path) -> list[str]:
+    """Every name that path imports with ``from reinit_lab import ...``, read without running it."""
+    tree = ast.parse(path.read_text())
+    return [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "reinit_lab" and node.level == 0
+        for alias in node.names
+    ]
+
+
+def test_exports_are_the_list_in_readme():
+    assert reinit_lab.__all__ == readme_exports()
+    assert len(reinit_lab.__all__) == len(set(reinit_lab.__all__)) == 25
+    assert all(hasattr(reinit_lab, name) for name in reinit_lab.__all__)
+
+
+def test_bench_and_tools_root_imports_resolve():
+    for rel in ROOT_IMPORTERS:
+        names = root_imports(ROOT / rel)
+        assert names, f"{rel} imports nothing from reinit_lab"
+        missing = [name for name in names if not hasattr(reinit_lab, name)]
+        assert missing == [], f"{rel}: {missing}"

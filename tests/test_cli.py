@@ -8,6 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reinit_lab
@@ -17,6 +18,7 @@ from reinit_lab.harness import DataConfig, RunConfig, Seeds, online_sim
 from reinit_lab.nn import NetworkSpec
 from reinit_lab.reinit import ReinitSpec
 from reinit_lab.runio import write_json
+from conftest import write_csv, write_idx
 
 
 @pytest.fixture
@@ -426,6 +428,40 @@ class TestMain:
         assert code == 2
         assert payload["error"] == "ConfigurationError"
         assert "image geometry" in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source, test_hw",
+        [("csv", None), ("idx", (3, 3)), ("idx", (1, 4))],
+        ids=["csv_width", "idx_size", "idx_geometry"],
+    )
+    def test_held_out_test_file_of_another_shape_leaves_no_run_directory(self, tmp_path, capsys, source, test_hw):
+        rng = np.random.Generator(np.random.PCG64(4))
+        labels = np.arange(60) % 2
+        if source == "csv":
+            files = tmp_path / "train.csv", tmp_path / "test.csv"
+            write_csv(files[0], labels, rng.normal(size=(60, 4)))
+            write_csv(files[1], labels[:10], rng.normal(size=(10, 3)))
+            data = {"source": "csv", "csv_path": str(files[0]), "test_csv_path": str(files[1])}
+        else:
+            files = tmp_path / "train-images.idx", tmp_path / "test-images.idx"
+            write_idx(files[0], tmp_path / "train-labels.idx", rng.integers(0, 256, (60, 2, 2)), labels)
+            write_idx(files[1], tmp_path / "test-labels.idx", rng.integers(0, 256, (10, *test_hw)), labels[:10])
+            data = {
+                "source": "idx", "images_path": str(files[0]), "labels_path": str(tmp_path / "train-labels.idx"),
+                "test_images_path": str(files[1]), "test_labels_path": str(tmp_path / "test-labels.idx"),
+            }
+        path = tmp_path / "held-out.json"
+        network = {"input_dim": 4, "hidden_dims": [5], "num_classes": 2}
+        path.write_text(json.dumps({"network": network, "data": data, "epochs": 1, "batch_size": 10}))
+        out = tmp_path / "runs"
+        code = main(["train", "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        [line] = captured.err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ShapeError"
+        assert str(files[0]) in payload["message"] and str(files[1]) in payload["message"]
         assert not out.exists()
 
     def test_inspect_round_trip(self, tiny_config_file, tmp_path, capsys):

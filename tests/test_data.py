@@ -25,9 +25,18 @@ from reinit_lab.data import (
     subset,
 )
 from reinit_lab.errors import ConfigurationError, FormatError
-from reinit_lab.harness import TEST_SPLIT_TAG, VAL_SPLIT_TAG, DataConfig, RunConfig, Seeds, prepare_data
+from reinit_lab.harness import (
+    TEST_SPLIT_TAG,
+    VAL_SPLIT_TAG,
+    DataConfig,
+    RunConfig,
+    Seeds,
+    prepare_data,
+    run_experiment,
+)
 from reinit_lab.nn import NetworkSpec
 from reinit_lab.reinit import stage_seed
+from conftest import write_csv, write_idx
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -143,8 +152,9 @@ def test_make_synthetic_zero_separation_near_chance():
 def test_make_synthetic_image_tagging():
     ds = make_synthetic(2, 36, per_class=3, class_separation=1.0, seed=1, image_hw=(6, 6))
     assert ds.image_shape == (6, 6, 1)
-    with pytest.raises(ConfigurationError):
-        make_synthetic(2, 35, per_class=3, class_separation=1.0, seed=1, image_hw=(6, 6))
+    # DataConfig is where image_hw must flatten to dim
+    with pytest.raises(ConfigurationError, match=r"image_hw \[6, 6\] must flatten to dim 35"):
+        DataConfig(num_classes=2, dim=35, per_class=3, class_separation=1.0, image_hw=(6, 6))
 
 
 def test_inject_noise_exact_count_and_identity():
@@ -215,8 +225,10 @@ def test_augment_keeps_shape_and_needs_geometry():
     x, shape = make_image_batch()
     out = augment_batch(x, shape, AugmentSpec(), np.random.Generator(np.random.PCG64(2)))
     assert out.shape == x.shape
-    with pytest.raises(ConfigurationError):
-        augment_batch(x, None, AugmentSpec(), np.random.Generator(np.random.PCG64(2)))
+    # run_experiment checks that the data it augments has image geometry, before its first step
+    cfg = RunConfig(NetworkSpec(3, (4,), 2), DataConfig(num_classes=2, dim=3, per_class=20), setting="d", epochs=1)
+    with pytest.raises(ConfigurationError, match="augmentation needs image geometry"):
+        run_experiment(cfg)
 
 
 def test_augment_is_deterministic_given_rng_state():
@@ -437,6 +449,35 @@ def test_prepare_data_idx_matches_reference_across_chunks(tmp_path):
 def test_prepare_data_synthetic_matches_reference(image_hw):
     data = DataConfig(num_classes=3, dim=35, per_class=400, class_separation=1.5, image_hw=image_hw)
     assert_prepare_matches_reference(run_config(data))
+
+
+@pytest.mark.parametrize("source", ["csv", "idx"])
+def test_held_out_test_file_is_the_test_split_and_trains(tmp_path, source):
+    rng = np.random.Generator(np.random.PCG64(8))
+    images, test_images = rng.integers(0, 256, (60, 2, 3)), rng.integers(0, 256, (15, 2, 3))
+    labels, test_labels = np.arange(60) % 3, rng.permutation(np.arange(15) % 3)
+    if source == "csv":
+        paths = [tmp_path / "train.csv", tmp_path / "test.csv"]
+        write_csv(paths[0], labels, images.reshape(60, 6) / 7.0)
+        write_csv(paths[1], test_labels, test_images.reshape(15, 6) / 7.0)
+        data = DataConfig(source="csv", csv_path=str(paths[0]), test_csv_path=str(paths[1]), num_classes=3, dim=6)
+        held_out = load_csv(paths[1])
+    else:
+        paths = [tmp_path / name for name in ("images.idx", "labels.idx", "test-images.idx", "test-labels.idx")]
+        write_idx(*paths[:2], images, labels)
+        write_idx(*paths[2:], test_images, test_labels)
+        names = ("images_path", "labels_path", "test_images_path", "test_labels_path")
+        data = DataConfig(source="idx", num_classes=3, dim=6, **{k: str(p) for k, p in zip(names, paths)})
+        held_out = load_idx(*paths[2:])
+    cfg = RunConfig(NetworkSpec(6, (8,), 3), data, epochs=2, batch_size=10, seeds=Seeds(5, 6, 7, 8))
+    bundle = prepare_data(cfg)
+    # the held-out file, normalized with the training split's statistics, is the whole test split
+    assert_bits_equal(bundle.test.labels, held_out.labels)
+    assert_bits_equal(bundle.test.inputs, apply_normalization(held_out, *bundle.train.normalization).inputs)
+    assert (bundle.train.n, bundle.val.n) == (54, 6)
+    res = run_experiment(cfg, bundle, tmp_path / "runs")
+    assert not res.failed and res.total_steps == 2 * 6
+    assert (tmp_path / "runs" / res.run_id / "best.ckpt").exists()
 
 
 def test_normalization_matches_reference_on_three_channels():

@@ -87,7 +87,7 @@ def test_rows_the_cache_accepts_train_through_the_step():
     x = fixture_inputs(12).astype(np.float32)
     y = np.arange(12) % 10
     for idx in (np.arange(6), np.arange(6, 12)):
-        rows = distill_rows(cache, idx, stage=2)
+        rows = distill_rows(cache, idx)
         loss, grad, _ = loss_grad_logits(spec, params, x[idx], y[idx], rows, cache.beta)
         assert np.isfinite(loss) and np.isfinite(grad).all()
 
@@ -96,9 +96,9 @@ def test_distill_rows_gathers_and_counts():
     probs = np.tile(np.array([[0.2, 0.3, 0.5]], dtype=np.float32), (6, 1))
     probs[4] = [1.0, 0.0, 0.0]
     cache = TeacherCache(probs, 1, 1.0)
-    got = distill_rows(cache, np.array([4, 4, 0]), stage=2)
+    got = distill_rows(cache, np.array([4, 4, 0]))
     np.testing.assert_array_equal(got, probs[[4, 4, 0]])
-    np.testing.assert_array_equal(distill_rows(cache, np.array([0]), stage=3), probs[[0]])
+    np.testing.assert_array_equal(distill_rows(cache, np.array([0])), probs[[0]])
 
 
 def test_distill_rows_whole_table_and_epoch_coverage():
@@ -106,23 +106,11 @@ def test_distill_rows_whole_table_and_epoch_coverage():
     probs = rng.dirichlet(np.ones(3), size=8).astype(np.float32)
     probs /= probs.sum(axis=1, keepdims=True)
     cache = TeacherCache(probs, 1, 1.0)
-    np.testing.assert_array_equal(distill_rows(cache, np.arange(8), stage=2), cache.probs)
+    np.testing.assert_array_equal(distill_rows(cache, np.arange(8)), cache.probs)
     # a shuffled epoch covers each row exactly once
     perm = rng.permutation(8)
-    seen = np.concatenate([distill_rows(cache, perm[i : i + 3], stage=2) for i in range(0, 8, 3)])
+    seen = np.concatenate([distill_rows(cache, perm[i : i + 3]) for i in range(0, 8, 3)])
     np.testing.assert_array_equal(np.sort(seen, axis=0), np.sort(cache.probs, axis=0))
-
-
-def test_distill_rows_refuses_stage_one():
-    cache = TeacherCache(np.array([[0.5, 0.5]], dtype=np.float32), 1, 1.0)
-    with pytest.raises(ConfigurationError):
-        distill_rows(cache, np.array([0]), stage=1)
-
-
-def test_distill_rows_bounds_check():
-    cache = TeacherCache(np.array([[0.5, 0.5]], dtype=np.float32), 1, 1.0)
-    with pytest.raises(ConfigurationError):
-        distill_rows(cache, np.array([1]), stage=2)
 
 
 def test_cache_file_round_trip(tmp_path):

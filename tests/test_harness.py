@@ -177,6 +177,22 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="together"):
             DataConfig(source="idx", images_path="a.idx", labels_path="b.idx", **{given: "t.idx"})
 
+    @pytest.mark.parametrize(
+        "source, paths",
+        [("idx", {"images_path": "a.idx", "labels_path": "b.idx"}), ("csv", {"csv_path": "a.csv"})],
+    )
+    def test_image_hw_only_describes_synthetic_data(self, source, paths):
+        assert DataConfig(source=source, **paths).image_hw is None
+        phrase = f"data key image_hw applies only to synthetic data, not to source '{source}'"
+        with pytest.raises(ConfigurationError, match=phrase):
+            DataConfig(source=source, dim=4, image_hw=(2, 2), **paths)
+
+    def test_image_hw_must_flatten_to_dim(self):
+        assert DataConfig(dim=8, image_hw=(2, 4)).image_hw == (2, 4)
+        for image_hw in ((2, 3), (3, 3)):
+            with pytest.raises(ConfigurationError, match=r"image_hw \[\d, \d\] must flatten to dim 8"):
+                DataConfig(dim=8, image_hw=image_hw)
+
     def test_layer_wise_stage_consistency(self):
         # tiny_net has boundaries after layers 1 and 2, so three blocks
         for stages in (3, 6):
@@ -470,6 +486,13 @@ class TestGridSearch:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             grid_search(tiny_cfg(), [], [0.0])
+
+    def test_lr_below_eta_min_is_rejected_before_any_cell_runs(self, tmp_path):
+        base = tiny_cfg(epochs=2, setting="dc", eta_min=0.01)
+        out = tmp_path / "runs"
+        with pytest.raises(ConfigurationError, match="eta_min must be <= lr, got eta_min=0.01, lr=0.001"):
+            grid_search(base, [0.1, 0.001], [0.0], out)
+        assert not out.exists()
 
     def test_grid_writes_what_its_cells_write_run_in_order(self, tmp_path):
         base = tiny_cfg(epochs=2)

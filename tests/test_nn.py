@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reinit_lab.errors import ConfigurationError, DataError, NumericalError, ShapeError
+from reinit_lab.errors import ConfigurationError, NumericalError, ShapeError
 from reinit_lab.nn import (
     FrozenNormLayer,
     NetworkSpec,
@@ -230,14 +230,6 @@ def test_cross_entropy_matches_elementwise_oracle():
     assert cross_entropy(z, y) == pytest.approx(want, rel=1e-12)
 
 
-def test_cross_entropy_rejects_bad_labels():
-    z = np.zeros((3, 4))
-    with pytest.raises(DataError):
-        cross_entropy(z, np.array([0, 1, 4]))
-    with pytest.raises(DataError):
-        cross_entropy(z, np.array([0, -1, 2]))
-
-
 def test_kl_matches_elementwise_oracle():
     rng = np.random.Generator(np.random.PCG64(9))
     p = rng.dirichlet(np.ones(6), size=5)
@@ -437,11 +429,3 @@ def test_loss_grad_into_reused_buffer_equals_fresh_calls():
         assert loss == fresh_loss
         assert np.array_equal(buf, fresh_grad)
         assert np.array_equal(logits, fresh_logits)
-
-
-def test_loss_grad_rejects_unusable_grad_buffers():
-    spec, params, x, y, *_ = float32_step_case(0)
-    n = params.values.shape[0]
-    for bad in (np.zeros(n - 1, np.float32), np.zeros(n, np.float64), np.zeros(2 * n, np.float32)[::2]):
-        with pytest.raises(ShapeError, match="grad_out"):
-            loss_grad_logits(spec, params, x, y, grad_out=bad)

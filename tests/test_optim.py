@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from reinit_lab.errors import ConfigurationError, NumericalError
+from reinit_lab.harness import RunConfig
 from reinit_lab.nn import NetworkSpec, init_params
 from reinit_lab.optim import LrSchedule, OptimState, lr_at, sgd_step
 
@@ -114,29 +115,16 @@ def test_non_finite_update_names_step_and_leaves_params_intact(bad, lr, what):
     assert np.array_equal(params.values, before)
 
 
-def test_sgd_rejects_unusable_out_vectors():
-    params = small_params()
-    g = np.zeros_like(params.values)
-    for out in (params, small_params(dtype=np.float32)):
-        with pytest.raises(ConfigurationError, match="out"):
-            sgd_step(params, g, OptimState.fresh(params), lr=0.1, out=out)
-
-
-def test_sgd_rejects_negative_lr_and_bad_shapes():
-    params = small_params()
-    state = OptimState.fresh(params)
-    with pytest.raises(ConfigurationError):
-        sgd_step(params, np.zeros_like(params.values), state, lr=-0.1)
-    with pytest.raises(ConfigurationError):
-        sgd_step(params, np.zeros(3), state, lr=0.1)
+def run_config(**kw):
+    return RunConfig(network=small_params().network, **kw)
 
 
 def test_optim_state_validation():
-    params = small_params()
-    with pytest.raises(ConfigurationError):
-        OptimState.fresh(params, momentum=1.0)
-    with pytest.raises(ConfigurationError):
-        OptimState.fresh(params, weight_decay=-1e-4)
+    # the optimizer's hyperparameters have one home: the RunConfig the run builds its OptimState from
+    with pytest.raises(ConfigurationError, match="momentum must lie in \\[0, 1\\), got 1.0"):
+        run_config(momentum=1.0)
+    with pytest.raises(ConfigurationError, match="weight_decay must be >= 0, got -0.0001"):
+        run_config(weight_decay=-1e-4)
 
 
 def test_cosine_schedule_hits_exact_anchor_points():
@@ -165,14 +153,12 @@ def test_constant_schedule_ignores_step():
 
 
 def test_schedule_validation():
-    with pytest.raises(ConfigurationError):
-        LrSchedule("linear", eta_max=0.1)
-    with pytest.raises(ConfigurationError):
-        LrSchedule("constant", eta_max=0.0)
-    with pytest.raises(ConfigurationError):
-        LrSchedule("cosine_per_stage", eta_max=0.1, eta_min=0.2)
-    sched = LrSchedule("constant", eta_max=0.1, steps_per_stage=5)
-    with pytest.raises(ConfigurationError):
-        lr_at(sched, 6)
-    with pytest.raises(ConfigurationError):
-        lr_at(sched, -1)
+    # the schedule's eta_max is the run's lr, and RunConfig checks eta_min <= lr in every setting
+    for setting in ("none", "dc"):
+        assert run_config(setting=setting, lr=0.1, eta_min=0.1).eta_min == 0.1
+        with pytest.raises(ConfigurationError, match="eta_min must be <= lr, got eta_min=0.2, lr=0.1"):
+            run_config(setting=setting, lr=0.1, eta_min=0.2)
+        with pytest.raises(ConfigurationError, match="lr must be > 0"):
+            run_config(setting=setting, lr=0.0)
+    with pytest.raises(ConfigurationError, match="setting must be one of"):
+        run_config(setting="linear")

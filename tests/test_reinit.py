@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reinit_lab.errors import ConfigurationError, NumericalError, ShapeError
+from reinit_lab.harness import RunConfig
 from reinit_lab.nn import (
     NetworkSpec,
     ParamVector,
@@ -40,10 +41,11 @@ def test_stage_plan_floor_division():
 
 
 def test_stage_plan_rejects_bad_counts():
-    with pytest.raises(ConfigurationError):
-        make_stage_plan(10, 11)
-    with pytest.raises(ConfigurationError):
-        make_stage_plan(10, 0)
+    # make_stage_plan trusts its counts: RunConfig is where 1 <= stages <= epochs is checked
+    with pytest.raises(ConfigurationError, match="11 stages cannot fit in 10 epochs"):
+        RunConfig(network=THREE_BLOCK, epochs=10, stages=11)
+    with pytest.raises(ConfigurationError, match="stages must be >= 1, got 0"):
+        RunConfig(network=THREE_BLOCK, epochs=10, stages=0)
 
 
 def test_shrink_perturb_direct_evaluation():
@@ -181,19 +183,8 @@ def test_layerwise_repeats_keep_the_ceiling_of_t_over_repeats_blocks():
         assert not np.array_equal(out.values[:stop], theta_init.values[:stop])
 
 
-def test_layerwise_rejects_stage_index_outside_its_range():
-    theta, theta_init, init_norms, stats = layerwise_setup()
-    for t, repeats in ((0, 1), (4, 1), (7, 2)):
-        with pytest.raises(ConfigurationError, match=f"stage index {t} outside"):
-            layerwise_reinit(theta, theta_init, t, repeats, init_norms, stats, THREE_BLOCK)
-    with pytest.raises(ConfigurationError, match="stage index 7 outside 1..6"):
-        apply_reinit(ReinitSpec("layer_wise"), theta, 5, 7, THREE_BLOCK, init_norms, stats, 6)
-
-
 def test_layerwise_error_cases():
     theta, theta_init, init_norms, stats = layerwise_setup()
-    with pytest.raises(ConfigurationError):
-        layerwise_reinit(theta, theta_init, 1, 1, init_norms, np.zeros((0, 6)), THREE_BLOCK)
     zeroed = theta.values.copy()
     zeroed[THREE_BLOCK.block_slice(1)] = 0.0
     with pytest.raises(NumericalError):
