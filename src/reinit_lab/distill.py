@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .nn import NO_GRAD_ROWS, FrozenNormLayer, NetworkSpec, ParamVector, forward, softmax
+from .nn import NO_GRAD_ROWS, ParamVector, forward, softmax
 from .runio import read_framed, write_framed
 
 
@@ -45,14 +45,7 @@ class TeacherCache:
         self.probs = p
 
 
-def snapshot_teacher(
-    spec: NetworkSpec,
-    params: ParamVector,
-    train_inputs: np.ndarray,
-    source_stage: int,
-    beta: float,
-    frozen_norm: FrozenNormLayer | None = None,
-) -> TeacherCache:
+def snapshot_teacher(params: ParamVector, train_inputs: np.ndarray, source_stage: int, beta: float) -> TeacherCache:
     """One forward sweep over the clean training inputs, softmaxed and cached.
 
     Inputs are expected already normalized but never augmented; each cached
@@ -60,7 +53,7 @@ def snapshot_teacher(
     """
     rows = []
     for start in range(0, train_inputs.shape[0], NO_GRAD_ROWS):
-        logits = forward(spec, params, train_inputs[start : start + NO_GRAD_ROWS], frozen_norm)
+        logits = forward(params, train_inputs[start : start + NO_GRAD_ROWS])
         rows.append(softmax(logits.astype(np.float64)).astype(np.float32))
     return TeacherCache(np.concatenate(rows, axis=0), source_stage, beta)
 

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,6 @@ from .distill import TeacherCache, distill_rows, save_teacher_cache, snapshot_te
 from .errors import ConfigurationError, HarnessError, NumericalError, ShapeError, check_fields, checked_keys, rule
 from .nn import (
     NO_GRAD_ROWS,
-    FrozenNormLayer,
     NetworkSpec,
     ParamVector,
     block_norms,
@@ -50,6 +49,7 @@ from .runio import MetricsRecord, emit_metrics, save_checkpoint, write_json, wri
 
 SETTINGS = ("none", "d", "dc", "dcw")
 SOURCES = ("synthetic", "idx", "csv")
+SYNTHETIC_ONLY = ("num_classes", "dim", "per_class", "class_separation", "image_hw")  # DataConfig keys
 
 # fixed tags for deriving independent sub-seeds from the named seeds
 TEST_SPLIT_TAG = 101
@@ -89,7 +89,8 @@ class DataConfig:
     csv: a `label,f0,...` table. Without explicit test files, test_fraction
     of the data is held out first; val_fraction of the remainder becomes the
     validation split. image_hw tags synthetic features as an image; idx
-    images carry their own geometry and csv rows have none.
+    images carry their own geometry and csv rows have none. The other
+    sources leave every synthetic-only key at its default.
     """
 
     source: str = rule("synthetic", f"be one of {SOURCES}", lambda v: v in SOURCES)
@@ -117,8 +118,9 @@ class DataConfig:
             raise ConfigurationError("test_images_path and test_labels_path must be given together")
         if self.source == "synthetic" and self.num_classes * self.per_class * self.dim > np.iinfo(np.intp).max:
             raise ConfigurationError("synthetic data of num_classes x per_class x dim values is too large to shape")
-        if self.image_hw is not None and self.source != "synthetic":
-            raise ConfigurationError(f"data key image_hw applies only to synthetic data, not to source {self.source!r}")
+        for f in fields(self) if self.source != "synthetic" else ():
+            if f.name in SYNTHETIC_ONLY and getattr(self, f.name) != f.default:
+                raise ConfigurationError(f"data key {f.name} applies only to synthetic data, not to source {self.source!r}")
         if self.image_hw is not None and math.prod(self.image_hw) != self.dim:
             raise ConfigurationError(f"data key image_hw {list(self.image_hw)} must flatten to dim {self.dim}")
 
@@ -238,16 +240,10 @@ def prepare_data(cfg: RunConfig) -> DataBundle:
     return DataBundle(train, train_labels, noise_mask, val, test)
 
 
-def evaluate_accuracy(
-    network: NetworkSpec,
-    params: ParamVector,
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    frozen_norm: FrozenNormLayer | None = None,
-) -> float:
+def evaluate_accuracy(params: ParamVector, inputs: np.ndarray, labels: np.ndarray) -> float:
     hits = 0
     for start in range(0, inputs.shape[0], NO_GRAD_ROWS):
-        logits = forward(network, params, inputs[start : start + NO_GRAD_ROWS], frozen_norm)
+        logits = forward(params, inputs[start : start + NO_GRAD_ROWS])
         hits += int((logits.argmax(axis=1) == labels[start : start + NO_GRAD_ROWS]).sum())
     return hits / inputs.shape[0]
 
@@ -279,8 +275,6 @@ class RunResult:
     failed: bool = False
     failure: str | None = None
     run_dir: Path | None = None
-    frozen_norm: FrozenNormLayer | None = None
-    best_frozen_norm: FrozenNormLayer | None = None
 
 
 def run_experiment(
@@ -294,7 +288,9 @@ def run_experiment(
     Distillation, when enabled with beta > 0, snapshots a teacher at each
     stage end and mixes beta * KL into the loss from stage 2 onward. A run
     with beta == 0 skips the teacher machinery entirely and is bit-identical
-    to one with distillation disabled.
+    to one with distillation disabled. ``initial_params``, when given, must
+    be parameters of cfg.network; the run starts from a copy of them, frozen
+    norm included.
     """
     if bundle is None:
         bundle = prepare_data(cfg)
@@ -310,11 +306,12 @@ def run_experiment(
         raise ConfigurationError(
             f"data labels span {classes} classes but the network has num_classes {cfg.network.num_classes}"
         )
+    if initial_params is not None and initial_params.network != cfg.network:
+        raise ShapeError("initial_params belong to another network than the run config's")
     epochs_per_stage = make_stage_plan(cfg.epochs, cfg.stages)
     run_id = cfg.run_id
-    network = cfg.network
 
-    params = initial_params.copy() if initial_params is not None else init_params(network, cfg.seeds.init)
+    params = initial_params.copy() if initial_params is not None else init_params(cfg.network, cfg.seeds.init)
     # what the layer-wise rule reads at every boundary
     init_norms = tuple(block_norms(params))
     stats_batch = bundle.train.inputs[: min(256, bundle.train.n)]
@@ -336,10 +333,10 @@ def run_experiment(
 
     opt = OptimState.fresh(params, cfg.momentum, cfg.effective_weight_decay)
     # the loop owns the gradient and a spare parameter vector; sgd_step writes
-    # each update into the spare, so a failed step leaves params intact
+    # each update into the spare, so a failed step leaves params intact. The
+    # spare is the model after the swap, so it carries params' frozen norm.
     grad = np.empty_like(params.values)
     spare = params.copy()
-    frozen_norm: FrozenNormLayer | None = None
     teacher: TeacherCache | None = None
     records: list[MetricsRecord] = []
     boundary_events: list[BoundaryEvent] = []
@@ -350,7 +347,7 @@ def run_experiment(
         "teacher_reads_by_stage": {str(s): 0 for s in range(1, cfg.stages + 1)},
         "optimizer_steps": 0,
     }
-    best = {"val_acc": -1.0, "stage": 0, "epoch": 0, "test_acc": 0.0, "params": None, "fn": None}
+    best = {"val_acc": -1.0, "stage": 0, "epoch": 0, "test_acc": 0.0, "params": None}
     global_epoch = 0
     global_step = 0
     failed = False
@@ -365,13 +362,12 @@ def run_experiment(
         for stage in range(1, cfg.stages + 1):
             if stage > 1:
                 norm_before = weight_norm(params)
-                params, new_fn, fresh_norm = apply_reinit(
-                    cfg.reinit, params, cfg.seeds.init, stage - 1, network, init_norms, stats_batch, cfg.stages
+                params, fresh_norm = apply_reinit(
+                    cfg.reinit, params, cfg.seeds.init, stage - 1, init_norms, stats_batch, cfg.stages
                 )
                 if fresh_norm is not None:
                     boundary_events.append(BoundaryEvent(stage, norm_before, weight_norm(params), fresh_norm))
-                if new_fn is not None:
-                    frozen_norm = new_fn
+                spare = params.copy()
                 opt = OptimState.fresh(params, cfg.momentum, cfg.effective_weight_decay)
             for epoch_in_stage in range(epochs_per_stage):
                 t0 = time.monotonic()
@@ -397,9 +393,7 @@ def run_experiment(
                     lr = lr_at(schedule, step_in_stage)
                     if lr_first is None:
                         lr_first = lr
-                    loss, grad, logits = loss_grad_logits(
-                        network, params, x, y, rows, beta, frozen_norm, grad_out=grad
-                    )
+                    loss, grad, logits = loss_grad_logits(params, x, y, rows, beta, grad_out=grad)
                     if not np.isfinite(loss):
                         raise NumericalError(f"non-finite loss at step {global_step}")
                     spare, opt = sgd_step(params, grad, opt, lr, step=global_step, out=spare)
@@ -409,12 +403,8 @@ def run_experiment(
                     epoch_loss += loss * len(idx)
                     epoch_hits += int((logits.argmax(axis=1) == y).sum())
                 global_epoch += 1
-                val_acc = evaluate_accuracy(
-                    network, params, bundle.val.inputs, bundle.val.labels, frozen_norm
-                )
-                test_acc = evaluate_accuracy(
-                    network, params, bundle.test.inputs, bundle.test.labels, frozen_norm
-                )
+                val_acc = evaluate_accuracy(params, bundle.val.inputs, bundle.val.labels)
+                test_acc = evaluate_accuracy(params, bundle.test.inputs, bundle.test.labels)
                 records.append(
                     MetricsRecord(
                         run_id=run_id,
@@ -437,17 +427,9 @@ def run_experiment(
                         epoch=global_epoch,
                         test_acc=test_acc,
                         params=params.copy(),
-                        fn=frozen_norm,
                     )
             if distill_on and stage < cfg.stages:
-                teacher = snapshot_teacher(
-                    network,
-                    params,
-                    bundle.train.inputs,
-                    source_stage=stage,
-                    beta=cfg.distill.beta,
-                    frozen_norm=frozen_norm,
-                )
+                teacher = snapshot_teacher(params, bundle.train.inputs, source_stage=stage, beta=cfg.distill.beta)
                 counters["teacher_cache_batches"] += math.ceil(n_train / NO_GRAD_ROWS)
                 if run_dir is not None:
                     save_teacher_cache(teacher, run_dir / f"teacher_stage{stage}.bin")
@@ -471,22 +453,12 @@ def run_experiment(
         failed=failed,
         failure=failure,
         run_dir=run_dir,
-        frozen_norm=frozen_norm,
-        best_frozen_norm=best["fn"],
     )
     if run_dir is not None:
         emit_metrics(records, run_dir / "metrics.jsonl")
         write_summary_csv(_stage_summaries(result), run_dir / "summary.csv")
         if best["params"] is not None:
-            save_checkpoint(
-                run_dir / "best.ckpt",
-                network,
-                best["params"],
-                cfg.seeds.init,
-                best["stage"],
-                best["epoch"],
-                best["fn"],
-            )
+            save_checkpoint(run_dir / "best.ckpt", best["params"], cfg.seeds.init, best["stage"], best["epoch"])
     return result
 
 
@@ -660,8 +632,7 @@ def _memorization(res: RunResult, bundle: DataBundle) -> dict:
     if not mask.any() or res.best_params is None:
         return {"memorization": None}
     inputs, labels = bundle.train.inputs[mask], bundle.train_labels[mask]
-    memorization = evaluate_accuracy(res.config.network, res.best_params, inputs, labels, res.best_frozen_norm)
-    return {"memorization": memorization}
+    return {"memorization": evaluate_accuracy(res.best_params, inputs, labels)}
 
 
 ONLINE_METHODS = ("scratch", "warm_start", "shrink_perturb")
@@ -705,7 +676,7 @@ def online_sim(base_cfg: RunConfig, num_chunks: int, methods=ONLINE_METHODS, out
         curve = []
         for k in range(1, num_chunks + 1):
             if k > 1:
-                params, _, _ = apply_reinit(transitions[method], params, seed, k, base_cfg.network)
+                params, _ = apply_reinit(transitions[method], params, seed, k)
             seen = np.concatenate(chunks[:k])
             labels, mask = bundle.train_labels[seen], bundle.noise_mask[seen]
             chunk_bundle = replace(bundle, train=subset(bundle.train, seen), train_labels=labels, noise_mask=mask)

@@ -23,10 +23,13 @@ NO_GRAD_ROWS = 256  # rows per forward pass that keeps no gradient: evaluation, 
 
 @dataclass
 class ParamVector:
-    """Flat parameter store of one network, checked when built; only sgd_step writes into one."""
+    """The model a run trains: the flat parameters of one network and the
+    frozen norm layer installed in it, if any. Checked when built; only
+    sgd_step writes into one."""
 
     values: np.ndarray
     network: NetworkSpec
+    frozen_norm: FrozenNormLayer | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
@@ -37,13 +40,21 @@ class ParamVector:
             raise ShapeError(f"parameter vector length {n} != the network's parameter count {count}")
         if not np.all(np.isfinite(self.values)):
             raise NumericalError("parameter vector contains non-finite entries")
+        fn = self.frozen_norm
+        if fn is not None:
+            width = self.network.layer_dims()[self.network.block_layers(fn.insert_after_block)[-1]][1]
+            if fn.mean.shape[0] != width:
+                raise ShapeError(
+                    f"frozen norm after block {fn.insert_after_block} has {fn.mean.shape[0]} units, "
+                    f"but that block outputs {width}"
+                )
 
     @property
     def dtype(self):
         return self.values.dtype
 
     def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.network)
+        return ParamVector(self.values.copy(), self.network, self.frozen_norm)
 
 
 @dataclass(frozen=True)
@@ -162,32 +173,25 @@ def init_params(spec: NetworkSpec, seed: int, dtype=np.float32) -> ParamVector:
     return ParamVector(values, spec)
 
 
-def _check_forward_args(spec: NetworkSpec, params: ParamVector, inputs: np.ndarray) -> np.ndarray:
-    x = np.asarray(inputs)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ShapeError(f"inputs must be (batch, {spec.input_dim}), got {x.shape}")
-    if params.network is not spec and params.network != spec:
-        raise ShapeError("parameter vector belongs to another network than the spec")
-    return x.astype(params.dtype, copy=False)
-
-
 def _layer_views(values: np.ndarray, spec: NetworkSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """(W, b) views per layer into a flat vector, W shaped (fan_in, fan_out)."""
     return [(values[w].reshape(shape), values[b]) for w, b, shape in _layer_slices(spec)]
 
 
 def forward(
-    spec: NetworkSpec,
     params: ParamVector,
     inputs: np.ndarray,
-    frozen_norm: FrozenNormLayer | None = None,
     stop_block: int | None = None,
     saved: list | None = None,
 ) -> np.ndarray:
     """Logits (batch, num_classes), or with ``stop_block`` the output of that
-    block's last layer. ``saved`` receives (layer input, output before any
-    frozen norm) per layer, for the backward pass."""
-    h = _check_forward_args(spec, params, inputs)
+    block's last layer. ``saved`` receives (layer input, output before the
+    params' frozen norm) per layer, for the backward pass."""
+    spec, frozen_norm = params.network, params.frozen_norm
+    h = np.asarray(inputs)
+    if h.ndim != 2 or h.shape[1] != spec.input_dim:
+        raise ShapeError(f"inputs must be (batch, {spec.input_dim}), got {h.shape}")
+    h = h.astype(params.dtype, copy=False)
     norm_layer = -1 if frozen_norm is None else spec.block_layers(frozen_norm.insert_after_block)[-1]
     stop = -1 if stop_block is None else spec.block_layers(stop_block)[-1]
     last = spec.num_layers - 1
@@ -231,13 +235,11 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def loss_grad_logits(
-    spec: NetworkSpec,
     params: ParamVector,
     inputs: np.ndarray,
     labels: np.ndarray,
     teacher: np.ndarray | None = None,
     beta_distill: float = 0.0,
-    frozen_norm: FrozenNormLayer | None = None,
     grad_out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss, exact parameter gradient, and the logits of the forward pass.
@@ -254,10 +256,11 @@ def loss_grad_logits(
     """
     if grad_out is None:
         grad_out = np.empty_like(params.values)
+    spec, frozen_norm = params.network, params.frozen_norm
     norm_layer = -1 if frozen_norm is None else spec.block_layers(frozen_norm.insert_after_block)[-1]
     last = spec.num_layers - 1
     saved = []
-    logits = forward(spec, params, inputs, frozen_norm, saved=saved)
+    logits = forward(params, inputs, saved=saved)
     batch = logits.shape[0]
     # one softmax shared by the cross-entropy, the KL term and the gradient
     loss, d, sums = _cross_entropy(logits, labels)

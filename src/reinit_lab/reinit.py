@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, ShapeError, check_fields, rule
+from .errors import ConfigurationError, NumericalError, check_fields, rule
 from .nn import FrozenNormLayer, NetworkSpec, ParamVector, forward, init_params, weight_norm
 
 KINDS = ("none", "shrink_perturb", "layer_wise", "full")
@@ -62,14 +62,12 @@ def stage_seed(base_seed: int, stage: int) -> int:
 
 
 def shrink_perturb(theta: ParamVector, theta_init: ParamVector, lam: float, gamma: float) -> ParamVector:
-    """lam*theta + gamma*theta_init, elementwise; inputs untouched. ReinitSpec
+    """lam*theta + gamma*theta_init, elementwise, keeping theta's frozen norm;
+    inputs untouched. theta_init is a draw for theta's network, and ReinitSpec
     checks that lam and gamma lie in [0, 1]."""
-    # equal networks mean equal lengths: a ParamVector checks its length against its network
-    if theta.network is not theta_init.network and theta.network != theta_init.network:
-        raise ShapeError("theta and theta_init belong to different networks")
     values = lam * theta.values
     values += gamma * theta_init.values
-    return ParamVector(values.astype(theta.dtype, copy=False), theta.network)
+    return ParamVector(values.astype(theta.dtype, copy=False), theta.network, theta.frozen_norm)
 
 
 def _rescale_kept_blocks(
@@ -96,15 +94,14 @@ def layerwise_reinit(
     repeats: int,
     init_block_norms: Sequence[float],
     stats_batch: np.ndarray,
-    spec: NetworkSpec,
-) -> tuple[ParamVector, FrozenNormLayer]:
+) -> ParamVector:
     """Keep the first ceil(t/repeats) blocks of theta, resample the rest;
     t lies in 1..K*repeats for a network of K blocks.
 
     Kept blocks are rescaled back to their recorded initialization norms, so
-    only their direction survives the boundary. The frozen layer standardizes
-    the kept prefix's output on the nonempty ``stats_batch`` and replaces any
-    frozen layer from an earlier boundary.
+    only their direction survives the boundary. The returned parameters carry
+    a new frozen layer, which standardizes the kept prefix's output on the
+    nonempty ``stats_batch`` and replaces any frozen layer of theta.
     """
     network = theta.network
     kept_blocks = math.ceil(t / repeats)
@@ -114,10 +111,10 @@ def layerwise_reinit(
     merged[:stop] = theta.values[:stop]
     _rescale_kept_blocks(merged, network, kept_blocks, init_block_norms)
     new_params = ParamVector(merged, network)
-    acts = forward(spec, new_params, stats_batch, stop_block=kept_blocks)
+    acts = forward(new_params, stats_batch, stop_block=kept_blocks)
     mean = acts.mean(axis=0).astype(np.float64)
     std = np.maximum(acts.std(axis=0).astype(np.float64), FROZEN_NORM_STD_FLOOR)
-    return new_params, FrozenNormLayer(kept_blocks, mean, std)
+    return ParamVector(merged, network, FrozenNormLayer(kept_blocks, mean, std))
 
 
 def apply_reinit(
@@ -125,32 +122,31 @@ def apply_reinit(
     theta_end: ParamVector,
     seed: int,
     t: int,
-    network: NetworkSpec,
     init_block_norms: Sequence[float] | None = None,
     stats_batch: np.ndarray | None = None,
     stages: int | None = None,
-) -> tuple[ParamVector, FrozenNormLayer | None, float | None]:
+) -> tuple[ParamVector, float | None]:
     """Produce stage t+1's starting parameters from stage t's final ones, t >= 1.
 
-    The fresh draw at boundary t is init_params(network, stage_seed(seed, t)),
-    so it is independent of theta_end and of every other boundary. Only the
-    layer-wise rule reads the run's init block norms, stats batch and stage
-    count; it repeats each of the network's K blocks stages // K times. Returns
-    the new parameters, the frozen normalization layer to install for the
-    layer-wise rule (None otherwise), and the Euclidean norm of the fresh draw
-    (None for ``none``, which draws nothing).
+    The fresh draw at boundary t is init_params(theta_end.network,
+    stage_seed(seed, t)), so it is independent of theta_end and of every other
+    boundary. Only the layer-wise rule reads the run's init block norms, stats
+    batch and stage count; it repeats each of the network's K blocks
+    stages // K times and installs a new frozen norm layer. ``full`` returns
+    the fresh draw, which has none; the other rules keep theta_end's. Returns
+    the new parameters and the Euclidean norm of the fresh draw (None for
+    ``none``, which draws nothing).
     """
     if rspec.kind == "none":
-        return theta_end.copy(), None, None
+        return theta_end.copy(), None
+    network = theta_end.network
     fresh = init_params(network, stage_seed(seed, t), dtype=theta_end.dtype)
     fresh_norm = weight_norm(fresh)
     if rspec.kind == "full":
-        return fresh, None, fresh_norm
+        return fresh, fresh_norm
     if rspec.kind == "shrink_perturb":
-        return shrink_perturb(theta_end, fresh, rspec.lam, rspec.gamma), None, fresh_norm
+        return shrink_perturb(theta_end, fresh, rspec.lam, rspec.gamma), fresh_norm
     if init_block_norms is None or stats_batch is None or stages is None:
         raise ConfigurationError("layer_wise reinit needs init block norms, a stats batch and the stage count")
-    new_params, frozen = layerwise_reinit(
-        theta_end, fresh, t, stages // network.num_blocks, init_block_norms, stats_batch, network
-    )
-    return new_params, frozen, fresh_norm
+    repeats = stages // network.num_blocks
+    return layerwise_reinit(theta_end, fresh, t, repeats, init_block_norms, stats_batch), fresh_norm

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError
+from .errors import ConfigurationError, FormatError, ShapeError
 from .nn import FrozenNormLayer, NetworkSpec, ParamVector
 
 METRICS_FIELDS = (
@@ -143,16 +143,9 @@ def read_framed(path, what: str, parse, payload: str) -> tuple[dict, object, np.
     return header, meta, np.frombuffer(body, dtype="<f4")
 
 
-def save_checkpoint(
-    path,
-    network: NetworkSpec,
-    params: ParamVector,
-    seed: int,
-    stage: int,
-    epoch: int,
-    frozen_norm: FrozenNormLayer | None = None,
-) -> None:
+def save_checkpoint(path, params: ParamVector, seed: int, stage: int, epoch: int) -> None:
     """One JSON header line, then the parameters as little-endian float32."""
+    network, fn = params.network, params.frozen_norm
     header = {
         "network": network.to_dict(),
         "layout": {"total_len": network.param_count, "num_blocks": network.num_blocks},
@@ -160,17 +153,20 @@ def save_checkpoint(
         "stage": stage,
         "epoch": epoch,
         "frozen_norm": None
-        if frozen_norm is None
+        if fn is None
         else {
-            "insert_after_block": frozen_norm.insert_after_block,
-            "mean": [float(v) for v in frozen_norm.mean],
-            "std": [float(v) for v in frozen_norm.std],
+            "insert_after_block": fn.insert_after_block,
+            "mean": [float(v) for v in fn.mean],
+            "std": [float(v) for v in fn.std],
         },
     }
     write_framed(path, header, params.values)
 
 
-def load_checkpoint(path) -> tuple[ParamVector, dict, FrozenNormLayer | None]:
+def load_checkpoint(path) -> tuple[ParamVector, dict]:
+    """A save_checkpoint file's parameters (network and frozen norm included)
+    and header; FormatError naming the file when the header does not fit."""
+
     def parse(header):
         network = NetworkSpec.from_dict(header["network"])
         recorded = (header["layout"]["total_len"], header["layout"]["num_blocks"])
@@ -185,4 +181,7 @@ def load_checkpoint(path) -> tuple[ParamVector, dict, FrozenNormLayer | None]:
         return (network, fn), network.param_count
 
     header, (network, fn), values = read_framed(path, "checkpoint", parse, "parameter bytes")
-    return ParamVector(values.copy(), network), header, fn
+    try:
+        return ParamVector(values.copy(), network, fn), header
+    except (ConfigurationError, ShapeError) as exc:
+        raise FormatError(f"{path}: bad checkpoint header: {exc}") from exc

@@ -49,14 +49,14 @@ def kl_oracle(p: np.ndarray, z: np.ndarray) -> float:
     return float(np.mean(per_row))
 
 
-def fd_check(spec: NetworkSpec, params: ParamVector, inputs, labels, teacher=None, beta=0.0, frozen_norm=None):
+def fd_check(params: ParamVector, inputs, labels, teacher=None, beta=0.0):
     """Max relative error between the analytic gradient and central differences."""
 
     def loss_at(theta):
-        pv = ParamVector(theta, params.network)
-        return loss_grad_logits(spec, pv, inputs, labels, teacher, beta, frozen_norm)[0]
+        pv = ParamVector(theta, params.network, params.frozen_norm)
+        return loss_grad_logits(pv, inputs, labels, teacher, beta)[0]
 
-    _, analytic, _ = loss_grad_logits(spec, params, inputs, labels, teacher, beta, frozen_norm)
+    _, analytic, _ = loss_grad_logits(params, inputs, labels, teacher, beta)
     numeric = central_diff_grad(loss_at, params.values)
     return float(relative_errors(analytic, numeric).max())
 

@@ -149,11 +149,11 @@ def test_02_gradient_check():
             n = int(rng.integers(2, 6))
             x = rng.normal(0, 1, (n, spec.input_dim))
             y = rng.integers(0, spec.num_classes, n)
-            assert fd_check(spec, params, x, y) < 1e-4
+            assert fd_check(params, x, y) < 1e-4
             raw = rng.uniform(0.05, 1.0, (n, spec.num_classes))
             teacher = raw / raw.sum(axis=1, keepdims=True)
             beta = float(rng.uniform(0.3, 2.0))
-            assert fd_check(spec, params, x, y, teacher=teacher, beta=beta) < 1e-4
+            assert fd_check(params, x, y, teacher=teacher, beta=beta) < 1e-4
         elapsed = time.monotonic() - t0
         assert elapsed < 30.0, f"gradient sweep took {elapsed:.2f}s"
 
@@ -168,10 +168,10 @@ def test_03_distill_additivity():
             y = rng.integers(0, 3, 8)
             raw = rng.uniform(0.05, 1.0, (8, 3))
             teacher = raw / raw.sum(axis=1, keepdims=True)
-            base, _, _ = loss_grad_logits(spec, params, x, y)
-            kl = kl_oracle(teacher, forward(spec, params, x))
+            base, _, _ = loss_grad_logits(params, x, y)
+            kl = kl_oracle(teacher, forward(params, x))
             for beta in (0.25, 1.0, 3.0):
-                combined, _, _ = loss_grad_logits(spec, params, x, y, teacher=teacher, beta_distill=beta)
+                combined, _, _ = loss_grad_logits(params, x, y, teacher=teacher, beta_distill=beta)
                 assert abs(combined - base - beta * kl) < 1e-10
 
 
@@ -242,7 +242,8 @@ def test_06_layer_wise_correctness():
         stats = rng.normal(0, 1, (64, 8)).astype(np.float32)
         # six stages on SMALL_NET's three blocks: each block is kept for two boundaries
         for t in range(1, 6):
-            new, fn, _ = apply_reinit(ReinitSpec("layer_wise"), theta_end, 9, t, SMALL_NET, init_norms, stats, 6)
+            new, _ = apply_reinit(ReinitSpec("layer_wise"), theta_end, 9, t, init_norms, stats, 6)
+            fn = new.frozen_norm
             kept = math.ceil(t / 2)
             suffix = slice(SMALL_NET.block_slice(kept).stop, None)
             fresh = init_params(SMALL_NET, stage_seed(9, t))
@@ -264,8 +265,8 @@ def test_07_full_reinit_ignores_trained_weights():
         end_b = init_params(SMALL_NET, 200)
         for t in (1, 3):
             want = init_params(SMALL_NET, stage_seed(5, t))
-            got_a, _, _ = apply_reinit(ReinitSpec("full"), end_a, 5, t, SMALL_NET)
-            got_b, _, _ = apply_reinit(ReinitSpec("full"), end_b, 5, t, SMALL_NET)
+            got_a, _ = apply_reinit(ReinitSpec("full"), end_a, 5, t)
+            got_b, _ = apply_reinit(ReinitSpec("full"), end_b, 5, t)
             assert np.array_equal(got_a.values, want.values)
             assert np.array_equal(got_b.values, got_a.values)
 
@@ -297,7 +298,7 @@ def test_09_teacher_cache_contract(tmp_path):
     with criterion(9, "teacher cache hygiene"):
         bundle = prepare_data(small_cfg())
         params = init_params(SMALL_NET, 2)
-        cache = snapshot_teacher(SMALL_NET, params, bundle.train.inputs, 1, 0.5)
+        cache = snapshot_teacher(params, bundle.train.inputs, 1, 0.5)
         sums = cache.probs.astype(np.float64).sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-6
 

@@ -5,12 +5,15 @@ bench/tracer.py's HOOKS table is pinned by
 test_harness.py::test_tracer_hooks_name_harness_attributes.
 """
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import reinit_lab
 
 ROOT = Path(__file__).resolve().parents[1]
 ROOT_IMPORTERS = ("bench/workloads.py", "bench/child.py", "tools/run_digests.py")
+MODEL_MODULES = ("nn", "reinit", "distill", "runio", "harness")
 
 
 def readme_exports() -> list[str]:
@@ -45,3 +48,26 @@ def test_bench_and_tools_root_imports_resolve():
         assert names, f"{rel} imports nothing from reinit_lab"
         missing = [name for name in names if not hasattr(reinit_lab, name)]
         assert missing == [], f"{rel}: {missing}"
+
+
+def annotated_types(fn) -> set[str]:
+    """The class names in fn's parameter annotations, which stay strings:
+    every module defers annotations."""
+    params = inspect.signature(fn).parameters.values()
+    return {part for p in params if isinstance(p.annotation, str) for part in p.annotation.split(" | ")}
+
+
+def test_no_function_takes_the_model_in_parts():
+    """A ParamVector carries its network and frozen norm: no function or
+    method (a dataclass's __init__ too) takes either beside one."""
+    offenders = []
+    for name in MODEL_MODULES:
+        module = importlib.import_module(f"reinit_lab.{name}")
+        own = [obj for obj in vars(module).values() if getattr(obj, "__module__", None) == module.__name__]
+        for obj in own:
+            for fn in vars(obj).values() if inspect.isclass(obj) else [obj]:
+                fn = getattr(fn, "__func__", fn)  # a static method's function
+                kinds = annotated_types(fn) if inspect.isfunction(fn) else set()
+                if "ParamVector" in kinds and kinds & {"NetworkSpec", "FrozenNormLayer"}:
+                    offenders.append(f"{name}.{fn.__qualname__}")
+    assert offenders == []

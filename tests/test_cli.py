@@ -74,9 +74,9 @@ class TestBuildConfig:
         kept = []
 
         def recording(*args):
-            new_params, frozen = layerwise_reinit(*args)
-            kept.append(frozen.insert_after_block)
-            return new_params, frozen
+            new_params = layerwise_reinit(*args)
+            kept.append(new_params.frozen_norm.insert_after_block)
+            return new_params
 
         monkeypatch.setattr(reinit, "layerwise_reinit", recording)
         argv = ["train", "--config", tiny_config_file, "--stages", "6", "--reinit", "layerwise"]

@@ -430,8 +430,8 @@ def assert_prepare_matches_reference(cfg):
     return bundle
 
 
-def run_config(data):
-    network = NetworkSpec(data.dim, (8,), data.num_classes)
+def run_config(data, input_dim, num_classes):
+    network = NetworkSpec(input_dim, (8,), num_classes)
     return RunConfig(network=network, data=data, noise_q=0.2, seeds=Seeds(5, 6, 7, 8))
 
 
@@ -440,15 +440,15 @@ def test_prepare_data_idx_matches_reference_across_chunks(tmp_path):
     n = 1600  # test 400, val 120, train 1080: two full chunks and a partial one
     images = rng.integers(0, 256, size=(n, 6, 5), dtype=np.uint8)
     img_path, lbl_path = write_idx_pair(tmp_path, images, list(rng.permutation(np.arange(n) % 7)))
-    data = DataConfig(source="idx", images_path=str(img_path), labels_path=str(lbl_path), num_classes=7, dim=30)
-    bundle = assert_prepare_matches_reference(run_config(data))
+    data = DataConfig(source="idx", images_path=str(img_path), labels_path=str(lbl_path))
+    bundle = assert_prepare_matches_reference(run_config(data, 30, 7))
     assert bundle.train.n > NORM_CHUNK_ROWS and bundle.train.n % NORM_CHUNK_ROWS != 0
 
 
 @pytest.mark.parametrize("image_hw", [None, (5, 7)])
 def test_prepare_data_synthetic_matches_reference(image_hw):
     data = DataConfig(num_classes=3, dim=35, per_class=400, class_separation=1.5, image_hw=image_hw)
-    assert_prepare_matches_reference(run_config(data))
+    assert_prepare_matches_reference(run_config(data, 35, 3))
 
 
 @pytest.mark.parametrize("source", ["csv", "idx"])
@@ -460,14 +460,14 @@ def test_held_out_test_file_is_the_test_split_and_trains(tmp_path, source):
         paths = [tmp_path / "train.csv", tmp_path / "test.csv"]
         write_csv(paths[0], labels, images.reshape(60, 6) / 7.0)
         write_csv(paths[1], test_labels, test_images.reshape(15, 6) / 7.0)
-        data = DataConfig(source="csv", csv_path=str(paths[0]), test_csv_path=str(paths[1]), num_classes=3, dim=6)
+        data = DataConfig(source="csv", csv_path=str(paths[0]), test_csv_path=str(paths[1]))
         held_out = load_csv(paths[1])
     else:
         paths = [tmp_path / name for name in ("images.idx", "labels.idx", "test-images.idx", "test-labels.idx")]
         write_idx(*paths[:2], images, labels)
         write_idx(*paths[2:], test_images, test_labels)
         names = ("images_path", "labels_path", "test_images_path", "test_labels_path")
-        data = DataConfig(source="idx", num_classes=3, dim=6, **{k: str(p) for k, p in zip(names, paths)})
+        data = DataConfig(source="idx", **{k: str(p) for k, p in zip(names, paths)})
         held_out = load_idx(*paths[2:])
     cfg = RunConfig(NetworkSpec(6, (8,), 3), data, epochs=2, batch_size=10, seeds=Seeds(5, 6, 7, 8))
     bundle = prepare_data(cfg)
@@ -504,7 +504,7 @@ def test_prepare_data_peak_memory_is_one_float64_training_copy(tmp_path):
     n = 2000
     images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
     img_path, lbl_path = write_idx_pair(tmp_path, images, list(rng.permutation(np.arange(n) % 10)))
-    cfg = run_config(DataConfig(source="idx", images_path=str(img_path), labels_path=str(lbl_path), dim=784))
+    cfg = run_config(DataConfig(source="idx", images_path=str(img_path), labels_path=str(lbl_path)), 784, 10)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

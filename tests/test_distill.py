@@ -31,21 +31,21 @@ def fixture_inputs(n=10, seed=0):
 def test_snapshot_matches_direct_forward_softmax():
     params = init_params(SPEC, 3)
     x = fixture_inputs(2)
-    cache = snapshot_teacher(SPEC, params, x, source_stage=1, beta=1.0)
-    want = softmax(forward(SPEC, params, x).astype(np.float64)).astype(np.float32)
+    cache = snapshot_teacher(params, x, source_stage=1, beta=1.0)
+    want = softmax(forward(params, x).astype(np.float64)).astype(np.float32)
     np.testing.assert_array_equal(cache.probs, want)
     assert cache.source_stage == 1
 
 
 def test_snapshot_zero_params_gives_uniform_rows():
     params = ParamVector(np.zeros(SPEC.param_count, dtype=np.float32), SPEC)
-    cache = snapshot_teacher(SPEC, params, fixture_inputs(4), source_stage=1, beta=1.0)
+    cache = snapshot_teacher(params, fixture_inputs(4), source_stage=1, beta=1.0)
     np.testing.assert_allclose(cache.probs, 1.0 / 3.0, atol=1e-7)
 
 
 def test_snapshot_rows_sum_to_one():
     params = init_params(SPEC, 8)
-    cache = snapshot_teacher(SPEC, params, fixture_inputs(50), source_stage=2, beta=2.0)
+    cache = snapshot_teacher(params, fixture_inputs(50), source_stage=2, beta=2.0)
     np.testing.assert_allclose(cache.probs.sum(axis=1, dtype=np.float64), 1.0, atol=1e-6)
 
 
@@ -53,8 +53,8 @@ def test_snapshot_batching_is_invisible():
     params = init_params(SPEC, 3)
     # more rows than one no-grad forward pass takes, and not a multiple of it
     x = fixture_inputs(2 * NO_GRAD_ROWS + 23)
-    cache = snapshot_teacher(SPEC, params, x, 1, 1.0)
-    want = softmax(forward(SPEC, params, x).astype(np.float64)).astype(np.float32)
+    cache = snapshot_teacher(params, x, 1, 1.0)
+    want = softmax(forward(params, x).astype(np.float64)).astype(np.float32)
     np.testing.assert_array_equal(cache.probs, want)
 
 
@@ -88,7 +88,7 @@ def test_rows_the_cache_accepts_train_through_the_step():
     y = np.arange(12) % 10
     for idx in (np.arange(6), np.arange(6, 12)):
         rows = distill_rows(cache, idx)
-        loss, grad, _ = loss_grad_logits(spec, params, x[idx], y[idx], rows, cache.beta)
+        loss, grad, _ = loss_grad_logits(params, x[idx], y[idx], rows, cache.beta)
         assert np.isfinite(loss) and np.isfinite(grad).all()
 
 
@@ -115,7 +115,7 @@ def test_distill_rows_whole_table_and_epoch_coverage():
 
 def test_cache_file_round_trip(tmp_path):
     params = init_params(SPEC, 3)
-    cache = snapshot_teacher(SPEC, params, fixture_inputs(9), source_stage=4, beta=2.0)
+    cache = snapshot_teacher(params, fixture_inputs(9), source_stage=4, beta=2.0)
     path = tmp_path / "teacher_stage4.bin"
     save_teacher_cache(cache, path)
     loaded = load_teacher_cache(path)
@@ -126,7 +126,7 @@ def test_cache_file_round_trip(tmp_path):
 
 def test_cache_file_rejects_truncation(tmp_path):
     params = init_params(SPEC, 3)
-    cache = snapshot_teacher(SPEC, params, fixture_inputs(9), source_stage=2, beta=1.0)
+    cache = snapshot_teacher(params, fixture_inputs(9), source_stage=2, beta=1.0)
     path = tmp_path / "teacher_stage2.bin"
     save_teacher_cache(cache, path)
     data = path.read_bytes()

@@ -40,6 +40,7 @@ from reinit_lab.harness import (
 )
 from reinit_lab.nn import NO_GRAD_ROWS, NetworkSpec, init_params
 from reinit_lab.reinit import ReinitSpec, stage_seed
+from reinit_lab.runio import load_checkpoint
 
 
 def tiny_net():
@@ -185,7 +186,22 @@ class TestRunConfig:
         assert DataConfig(source=source, **paths).image_hw is None
         phrase = f"data key image_hw applies only to synthetic data, not to source '{source}'"
         with pytest.raises(ConfigurationError, match=phrase):
-            DataConfig(source=source, dim=4, image_hw=(2, 2), **paths)
+            DataConfig(source=source, image_hw=(2, 2), **paths)
+
+    @pytest.mark.parametrize(
+        "key, value", [("num_classes", 7), ("dim", 784), ("per_class", 3), ("class_separation", 1.0)]
+    )
+    @pytest.mark.parametrize(
+        "source, paths",
+        [("idx", {"images_path": "a.idx", "labels_path": "b.idx"}), ("csv", {"csv_path": "a.csv"})],
+    )
+    def test_synthetic_only_keys_keep_their_defaults_on_files(self, key, value, source, paths):
+        # a key the source ignores would still change the run id
+        default = getattr(DataConfig(), key)
+        assert getattr(DataConfig(source=source, **paths, **{key: default}), key) == default
+        phrase = f"data key {key} applies only to synthetic data, not to source '{source}'"
+        with pytest.raises(ConfigurationError, match=phrase):
+            DataConfig(source=source, **paths, **{key: value})
 
     def test_image_hw_must_flatten_to_dim(self):
         assert DataConfig(dim=8, image_hw=(2, 4)).image_hw == (2, 4)
@@ -357,10 +373,32 @@ class TestRunExperiment:
         cfg = tiny_cfg(epochs=6, stages=3, reinit=ReinitSpec("layer_wise"))
         res = run_experiment(cfg)
         assert not res.failed
-        assert res.frozen_norm is not None
         # boundaries t=1 then t=2; the t=2 layer replaces the t=1 one
-        assert res.frozen_norm.insert_after_block == 2
+        assert res.final_params.frozen_norm.insert_after_block == 2
         assert len(res.boundary_events) == 2
+
+    def test_every_step_trains_with_its_stage_frozen_norm(self, monkeypatch):
+        # the loop swaps params with its spare each step, so both must carry the new layer
+        loss_grad_logits, blocks = harness.loss_grad_logits, []
+
+        def recording(params, *args, **kwargs):
+            blocks.append(params.frozen_norm and params.frozen_norm.insert_after_block)
+            return loss_grad_logits(params, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "loss_grad_logits", recording)
+        run_experiment(tiny_cfg(epochs=6, stages=3, reinit=ReinitSpec("layer_wise")))
+        per_stage = 2 * STEPS_PER_EPOCH
+        assert blocks == [None] * per_stage + [1] * per_stage + [2] * per_stage
+
+    def test_best_checkpoint_reloads_as_the_model(self, tmp_path):
+        cfg = tiny_cfg(run_name="lw", epochs=6, stages=3, reinit=ReinitSpec("layer_wise"))
+        bundle = prepare_data(cfg)
+        res = run_experiment(cfg, bundle, tmp_path)
+        assert res.best_stage > 1  # so the checkpoint holds a frozen norm
+        params, header = load_checkpoint(tmp_path / "lw" / "best.ckpt")
+        assert header["stage"] == res.best_stage
+        assert params.frozen_norm.insert_after_block == res.best_params.frozen_norm.insert_after_block
+        assert harness.evaluate_accuracy(params, bundle.test.inputs, bundle.test.labels) == res.best_test_acc
 
     def test_distill_reads_only_after_stage_one(self):
         cfg = tiny_cfg(stages=3, distill=DistillConfig(enabled=True, beta=0.5))
@@ -602,9 +640,9 @@ def test_no_gradient_passes_read_no_grad_rows(monkeypatch):
     rows = {"evaluate": [], "snapshot": []}
 
     def spy(key, fn):
-        def wrapped(spec, params, x, *args, **kwargs):
+        def wrapped(params, x, *args, **kwargs):
             rows[key].append(len(x))
-            return fn(spec, params, x, *args, **kwargs)
+            return fn(params, x, *args, **kwargs)
 
         return wrapped
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reinit_lab.errors import ConfigurationError, NumericalError, ShapeError
+from reinit_lab.errors import ConfigurationError, NumericalError, ReinitLabError, ShapeError
+from reinit_lab.harness import DataConfig, RunConfig, run_experiment
 from reinit_lab.nn import (
     FrozenNormLayer,
     NetworkSpec,
@@ -150,12 +151,25 @@ def test_param_vector_validation():
         ParamVector(bad, spec)
 
 
+def test_param_vector_checks_its_frozen_norm_against_its_network():
+    spec = NetworkSpec(input_dim=4, hidden_dims=(5, 6), num_classes=3, block_boundaries=(1, 2))
+    values = init_params(spec, 0).values
+    with pytest.raises(ConfigurationError, match="block 7 outside 1..3"):
+        ParamVector(values, spec, FrozenNormLayer(7, np.zeros(5), np.ones(5)))
+    with pytest.raises(ShapeError, match="after block 2 has 5 units, but that block outputs 6"):
+        ParamVector(values, spec, FrozenNormLayer(2, np.zeros(5), np.ones(5)))
+    fn = FrozenNormLayer(2, np.zeros(6), np.ones(6))
+    params = ParamVector(values, spec, fn)
+    copy = params.copy()
+    assert copy.frozen_norm is fn and copy.values is not params.values
+
+
 def test_forward_matches_manual_oracle():
     spec = NetworkSpec(input_dim=2, hidden_dims=(3,), num_classes=2)
     params = init_params(spec, 11, dtype=np.float64)
     rng = np.random.Generator(np.random.PCG64(0))
     x = rng.normal(size=(6, 2))
-    got = forward(spec, params, x)
+    got = forward(params, x)
     want = manual_forward(spec, params, x)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -164,22 +178,22 @@ def test_forward_shape_errors():
     spec = NetworkSpec(input_dim=4, hidden_dims=(5,), num_classes=3)
     params = init_params(spec, 1)
     with pytest.raises(ShapeError):
-        forward(spec, params, np.zeros((2, 5)))
+        forward(params, np.zeros((2, 5)))
     with pytest.raises(ShapeError):
-        forward(spec, params, np.zeros(4))
+        forward(params, np.zeros(4))
 
 
-def test_parameters_of_another_network_of_the_same_size_are_rejected():
+def test_parameters_of_another_network_of_the_same_size_are_rejected(tmp_path):
     spec, other = NetworkSpec(2, (4, 3), 2), NetworkSpec(2, (3, 4), 2)
     assert spec.param_count == other.param_count == 35
-    params = init_params(other, 0)
-    x, y = np.zeros((3, 2)), np.zeros(3, dtype=np.int64)
-    with pytest.raises(ShapeError, match="another network"):
-        forward(spec, params, x)
-    with pytest.raises(ShapeError, match="another network"):
-        loss_grad_logits(spec, params, x, y)
+    cfg = RunConfig(spec, DataConfig(num_classes=2, dim=2, per_class=20), epochs=1, run_name="other")
+    # run_experiment is the one entry that takes parameters beside a config
+    with pytest.raises(ReinitLabError, match="another network"):
+        run_experiment(cfg, out_dir=tmp_path, initial_params=init_params(other, 0))
+    assert list(tmp_path.iterdir()) == []
     # an equal spec that is another object is the same network
-    assert forward(NetworkSpec(2, (3, 4), 2), params, x).shape == (3, 2)
+    res = run_experiment(cfg, out_dir=tmp_path, initial_params=init_params(NetworkSpec(2, (4, 3), 2), 0))
+    assert not res.failed and res.final_params.network == spec
 
 
 def test_softmax_rows_sum_to_one_and_survive_extremes():
@@ -195,19 +209,19 @@ def logits_net(c):
     spec = NetworkSpec(input_dim=c, hidden_dims=(), num_classes=c)
     values = np.zeros(spec.param_count)
     values[: c * c] = np.eye(c).ravel()
-    return spec, ParamVector(values, spec)
+    return ParamVector(values, spec)
 
 
 def cross_entropy(z, y):
     """The training step's cross-entropy of the logits z."""
-    return loss_grad_logits(*logits_net(z.shape[1]), z, y)[0]
+    return loss_grad_logits(logits_net(z.shape[1]), z, y)[0]
 
 
 def kl_term(p, z):
     """The training step's distillation term: its loss with teacher p at beta 1, less its plain loss."""
-    spec, params = logits_net(z.shape[1])
+    params = logits_net(z.shape[1])
     y = np.zeros(z.shape[0], dtype=np.int64)
-    return loss_grad_logits(spec, params, z, y, p, 1.0)[0] - loss_grad_logits(spec, params, z, y)[0]
+    return loss_grad_logits(params, z, y, p, 1.0)[0] - loss_grad_logits(params, z, y)[0]
 
 
 def test_cross_entropy_uniform_logits_is_log_c():
@@ -265,7 +279,7 @@ def test_gradient_matches_finite_differences(tiny_net):
     rng = np.random.Generator(np.random.PCG64(21))
     x = rng.normal(size=(7, spec.input_dim))
     y = rng.integers(0, spec.num_classes, size=7)
-    assert fd_check(spec, params, x, y) < 1e-6
+    assert fd_check(params, x, y) < 1e-6
 
 
 def test_gradient_with_distillation_matches_finite_differences(tiny_net):
@@ -274,18 +288,18 @@ def test_gradient_with_distillation_matches_finite_differences(tiny_net):
     x = rng.normal(size=(7, spec.input_dim))
     y = rng.integers(0, spec.num_classes, size=7)
     teacher = rng.dirichlet(np.ones(spec.num_classes), size=7)
-    assert fd_check(spec, params, x, y, teacher=teacher, beta=1.7) < 1e-6
+    assert fd_check(params, x, y, teacher=teacher, beta=1.7) < 1e-6
 
 
 def test_gradient_through_frozen_norm(tiny_net):
     spec, _ = tiny_net
     spec = NetworkSpec(spec.input_dim, spec.hidden_dims, spec.num_classes, block_boundaries=(1,))
-    params = init_params(spec, 7, dtype=np.float64)
     fn = FrozenNormLayer(insert_after_block=1, mean=np.full(5, 0.3), std=np.full(5, 1.7))
+    params = ParamVector(init_params(spec, 7, dtype=np.float64).values, spec, fn)
     rng = np.random.Generator(np.random.PCG64(23))
     x = rng.normal(size=(6, spec.input_dim))
     y = rng.integers(0, spec.num_classes, size=6)
-    assert fd_check(spec, params, x, y, frozen_norm=fn) < 1e-6
+    assert fd_check(params, x, y) < 1e-6
 
 
 def test_distill_loss_is_additive_in_beta(tiny_net):
@@ -294,10 +308,10 @@ def test_distill_loss_is_additive_in_beta(tiny_net):
     x = rng.normal(size=(9, spec.input_dim))
     y = rng.integers(0, spec.num_classes, size=9)
     teacher = rng.dirichlet(np.ones(spec.num_classes), size=9)
-    base, _, logits = loss_grad_logits(spec, params, x, y)
+    base, _, logits = loss_grad_logits(params, x, y)
     kl = kl_oracle(teacher, logits)
     for beta in (0.5, 1.0, 2.0):
-        combined, _, _ = loss_grad_logits(spec, params, x, y, teacher=teacher, beta_distill=beta)
+        combined, _, _ = loss_grad_logits(params, x, y, teacher=teacher, beta_distill=beta)
         assert abs(combined - base - beta * kl) < 1e-12
 
 
@@ -307,8 +321,8 @@ def test_zero_beta_ignores_teacher_bitwise(tiny_net):
     x = rng.normal(size=(5, spec.input_dim))
     y = rng.integers(0, spec.num_classes, size=5)
     teacher = rng.dirichlet(np.ones(spec.num_classes), size=5)
-    l0, g0, _ = loss_grad_logits(spec, params, x, y)
-    l1, g1, _ = loss_grad_logits(spec, params, x, y, teacher=teacher, beta_distill=0.0)
+    l0, g0, _ = loss_grad_logits(params, x, y)
+    l1, g1, _ = loss_grad_logits(params, x, y, teacher=teacher, beta_distill=0.0)
     assert l0 == l1
     assert np.array_equal(g0, g1)
 
@@ -318,14 +332,13 @@ def test_frozen_norm_forward_standardizes():
     params = init_params(spec, 2, dtype=np.float64)
     rng = np.random.Generator(np.random.PCG64(4))
     x = rng.normal(size=(50, 3))
-    acts = forward(spec, params, x, stop_block=1)
+    acts = forward(params, x, stop_block=1)
     fn = FrozenNormLayer(1, acts.mean(axis=0), np.maximum(acts.std(axis=0), 1e-5))
-    normed = forward(spec, params, x, frozen_norm=fn, stop_block=1)
+    normed_params = ParamVector(params.values, spec, fn)
+    normed = forward(normed_params, x, stop_block=1)
     np.testing.assert_allclose(normed.mean(axis=0), 0.0, atol=1e-10)
     # plain logits shift by the same transform end to end
-    with_fn = forward(spec, params, x, frozen_norm=fn)
-    manual = forward(spec, params, x)
-    assert not np.allclose(with_fn, manual)
+    assert not np.allclose(forward(normed_params, x), forward(params, x))
 
 
 def test_frozen_norm_rejects_nonpositive_std():
@@ -348,8 +361,9 @@ def test_block_norms_partition_total_norm():
     assert math.sqrt(float((norms**2).sum())) == pytest.approx(weight_norm(params), rel=1e-12)
 
 
-def reference_loss_grad(spec, params, x, y, teacher=None, beta=0.0, frozen_norm=None):
+def reference_loss_grad(params, x, y, teacher=None, beta=0.0):
     """Allocating reference step: the float32 operation order loss_grad_logits must keep."""
+    spec, frozen_norm = params.network, params.frozen_norm
     geometry = oracle_layers(spec)
     layers = [(params.values[w].reshape(shape), params.values[b]) for w, b, shape, _ in geometry]
     last = spec.num_layers - 1
@@ -392,13 +406,13 @@ def reference_loss_grad(spec, params, x, y, teacher=None, beta=0.0, frozen_norm=
 
 def float32_step_case(seed, batch=12, with_teacher=False, with_norm=False):
     spec = NetworkSpec(input_dim=7, hidden_dims=(9, 6), num_classes=4, block_boundaries=(1, 2))
-    params = init_params(spec, seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.normal(size=(batch, 7)).astype(np.float32)
     y = rng.integers(0, 4, size=batch)
     teacher = rng.dirichlet(np.ones(4), size=batch).astype(np.float32) if with_teacher else None
     fn = FrozenNormLayer(2, rng.normal(size=6), rng.uniform(0.5, 2.0, size=6)) if with_norm else None
-    return spec, params, x, y, teacher, (1.5 if with_teacher else 0.0), fn
+    params = ParamVector(init_params(spec, seed).values, spec, fn)
+    return params, x, y, teacher, (1.5 if with_teacher else 0.0)
 
 
 STEP_CASES = [(0, False, False), (1, True, False), (2, False, True), (3, True, True)]
@@ -406,10 +420,10 @@ STEP_CASES = [(0, False, False), (1, True, False), (2, False, True), (3, True, T
 
 @pytest.mark.parametrize("seed, with_teacher, with_norm", STEP_CASES)
 def test_loss_grad_matches_allocating_reference_bitwise(seed, with_teacher, with_norm):
-    spec, params, x, y, teacher, beta, fn = float32_step_case(seed, with_teacher=with_teacher, with_norm=with_norm)
+    params, x, y, teacher, beta = float32_step_case(seed, with_teacher=with_teacher, with_norm=with_norm)
     x_before, p_before = x.copy(), params.values.copy()
-    loss, grad, logits = loss_grad_logits(spec, params, x, y, teacher, beta, fn)
-    want_loss, want_grad, want_logits = reference_loss_grad(spec, params, x, y, teacher, beta, fn)
+    loss, grad, logits = loss_grad_logits(params, x, y, teacher, beta)
+    want_loss, want_grad, want_logits = reference_loss_grad(params, x, y, teacher, beta)
     assert loss == want_loss
     assert grad.dtype == np.float32
     assert np.array_equal(grad, want_grad)
@@ -419,7 +433,7 @@ def test_loss_grad_matches_allocating_reference_bitwise(seed, with_teacher, with
 
 
 def test_loss_grad_into_reused_buffer_equals_fresh_calls():
-    buf = np.full(float32_step_case(0)[1].values.shape, np.nan, dtype=np.float32)
+    buf = np.full(float32_step_case(0)[0].values.shape, np.nan, dtype=np.float32)
     # one buffer across calls that differ in batch size, teacher and frozen norm
     for i, (seed, with_teacher, with_norm) in enumerate(STEP_CASES * 2):
         case = float32_step_case(seed, batch=5 + 3 * i, with_teacher=with_teacher, with_norm=with_norm)

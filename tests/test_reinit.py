@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reinit_lab.errors import ConfigurationError, NumericalError, ShapeError
+from reinit_lab.errors import ConfigurationError, NumericalError
 from reinit_lab.harness import RunConfig
 from reinit_lab.nn import (
+    FrozenNormLayer,
     NetworkSpec,
     ParamVector,
     block_norms,
@@ -92,14 +93,6 @@ def test_shrink_perturb_scales_homogeneously_when_gamma_zero():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-def test_shrink_perturb_layout_mismatch():
-    other = NetworkSpec(input_dim=6, hidden_dims=(9,), num_classes=4)
-    theta = three_block_params(1)
-    wrong = init_params(other, 1, dtype=np.float64)
-    with pytest.raises(ShapeError):
-        shrink_perturb(theta, wrong, 0.4, 0.1)
-
-
 def test_reinit_spec_validation():
     assert ReinitSpec("shrink_perturb").lam == 0.4
     assert ReinitSpec("shrink_perturb").gamma == 0.1
@@ -139,7 +132,8 @@ def layerwise_setup(seed_theta=11, seed_init=12):
 def test_layerwise_keeps_direction_restores_norm_resamples_suffix():
     theta, theta_init, init_norms, stats = layerwise_setup()
     for t in (1, 2, 3):
-        out, fn = layerwise_reinit(theta, theta_init, t, 1, init_norms, stats, THREE_BLOCK)
+        out = layerwise_reinit(theta, theta_init, t, 1, init_norms, stats)
+        fn = out.frozen_norm
         kept = math.ceil(t / 1)
         for b in range(1, kept + 1):
             idx = THREE_BLOCK.block_slice(b)
@@ -156,7 +150,7 @@ def test_layerwise_keeps_direction_restores_norm_resamples_suffix():
 
 def test_layerwise_full_mask_keeps_everything_rescaled():
     theta, theta_init, init_norms, stats = layerwise_setup()
-    out, _ = layerwise_reinit(theta, theta_init, 3, 1, init_norms, stats, THREE_BLOCK)
+    out = layerwise_reinit(theta, theta_init, 3, 1, init_norms, stats)
     norms = block_norms(out)
     np.testing.assert_allclose(norms, init_norms, atol=1e-5)
     assert not np.array_equal(out.values, theta_init.values)
@@ -164,8 +158,9 @@ def test_layerwise_full_mask_keeps_everything_rescaled():
 
 def test_layerwise_frozen_layer_standardizes_stats_batch():
     theta, theta_init, init_norms, stats = layerwise_setup()
-    out, fn = layerwise_reinit(theta, theta_init, 2, 1, init_norms, stats, THREE_BLOCK)
-    acts = forward(THREE_BLOCK, out, stats, fn, stop_block=2)
+    out = layerwise_reinit(theta, theta_init, 2, 1, init_norms, stats)
+    fn = out.frozen_norm
+    acts = forward(out, stats, stop_block=2)
     np.testing.assert_allclose(acts.mean(axis=0), 0.0, atol=1e-9)
     # units that vary got unit spread; dead-ReLU units hit the std floor instead
     varying = fn.std > 1e-5
@@ -176,9 +171,9 @@ def test_layerwise_repeats_keep_the_ceiling_of_t_over_repeats_blocks():
     theta, theta_init, init_norms, stats = layerwise_setup()
     # K=3, M=2: boundary t keeps ceil(t/2) blocks and resamples the rest
     for t, kept in ((1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3)):
-        out, fn = layerwise_reinit(theta, theta_init, t, 2, init_norms, stats, THREE_BLOCK)
+        out = layerwise_reinit(theta, theta_init, t, 2, init_norms, stats)
         stop = THREE_BLOCK.block_slice(kept).stop
-        assert fn.insert_after_block == kept
+        assert out.frozen_norm.insert_after_block == kept
         assert np.array_equal(out.values[stop:], theta_init.values[stop:])
         assert not np.array_equal(out.values[:stop], theta_init.values[:stop])
 
@@ -188,7 +183,7 @@ def test_layerwise_error_cases():
     zeroed = theta.values.copy()
     zeroed[THREE_BLOCK.block_slice(1)] = 0.0
     with pytest.raises(NumericalError):
-        layerwise_reinit(ParamVector(zeroed, THREE_BLOCK), theta_init, 1, 1, init_norms, stats, THREE_BLOCK)
+        layerwise_reinit(ParamVector(zeroed, THREE_BLOCK), theta_init, 1, 1, init_norms, stats)
 
 
 def layerwise_state():
@@ -199,15 +194,15 @@ def layerwise_state():
 
 def test_apply_reinit_none_keeps_params():
     theta = three_block_params(20)
-    out, fn, fresh_norm = apply_reinit(ReinitSpec("none"), theta, 5, 1, THREE_BLOCK, *layerwise_state())
+    out, fresh_norm = apply_reinit(ReinitSpec("none"), theta, 5, 1, *layerwise_state())
     assert np.array_equal(out.values, theta.values)
-    assert fn is None and fresh_norm is None
+    assert out.frozen_norm is None and fresh_norm is None
 
 
 def test_apply_reinit_full_matches_seeded_fresh_draw():
     for t in (1, 2):
-        a, _, fresh_norm = apply_reinit(ReinitSpec("full"), three_block_params(20), 5, t, THREE_BLOCK)
-        b, _, _ = apply_reinit(ReinitSpec("full"), three_block_params(21), 5, t, THREE_BLOCK)
+        a, fresh_norm = apply_reinit(ReinitSpec("full"), three_block_params(20), 5, t)
+        b, _ = apply_reinit(ReinitSpec("full"), three_block_params(21), 5, t)
         want = init_params(THREE_BLOCK, stage_seed(5, t), dtype=np.float64)
         assert np.array_equal(a.values, want.values)
         assert fresh_norm == weight_norm(want)
@@ -216,7 +211,7 @@ def test_apply_reinit_full_matches_seeded_fresh_draw():
 
 def test_apply_reinit_shrink_perturb_triangle_inequality():
     theta = three_block_params(20)
-    out, _, _ = apply_reinit(ReinitSpec("shrink_perturb"), theta, 5, 1, THREE_BLOCK)
+    out, _ = apply_reinit(ReinitSpec("shrink_perturb"), theta, 5, 1)
     fresh = init_params(THREE_BLOCK, stage_seed(5, 1), dtype=np.float64)
     lhs = np.linalg.norm(out.values)
     rhs = 0.4 * np.linalg.norm(theta.values) + 0.1 * np.linalg.norm(fresh.values)
@@ -229,8 +224,8 @@ def test_apply_reinit_dispatches_layerwise():
     fresh = init_params(THREE_BLOCK, stage_seed(5, 2), dtype=np.float64)
     # boundary 2 of a run with stages // 3 repeats per block keeps ceil(2 / repeats) blocks
     for stages, kept in ((3, 2), (6, 1)):
-        out, fn, _ = apply_reinit(ReinitSpec("layer_wise"), theta, 5, 2, THREE_BLOCK, *layerwise_state(), stages)
-        assert fn is not None and fn.insert_after_block == kept
+        out, _ = apply_reinit(ReinitSpec("layer_wise"), theta, 5, 2, *layerwise_state(), stages)
+        assert out.frozen_norm is not None and out.frozen_norm.insert_after_block == kept
         stop = THREE_BLOCK.block_slice(kept).stop
         assert np.array_equal(out.values[stop:], fresh.values[stop:])
 
@@ -241,15 +236,27 @@ def test_apply_reinit_layerwise_requires_context():
     # nothing, then everything but one of the three
     for given in ({}, *({k: v for k, v in context.items() if k != left_out} for left_out in context)):
         with pytest.raises(ConfigurationError, match="init block norms, a stats batch and the stage count"):
-            apply_reinit(ReinitSpec("layer_wise"), three_block_params(1), 5, 1, THREE_BLOCK, **given)
+            apply_reinit(ReinitSpec("layer_wise"), three_block_params(1), 5, 1, **given)
 
 
 def test_apply_reinit_outputs_always_finite():
     theta = three_block_params(20)
     state = layerwise_state()
     for kind in ("none", "full", "shrink_perturb", "layer_wise"):
-        out, _, _ = apply_reinit(ReinitSpec(kind), theta, 5, 1, THREE_BLOCK, *state, 3)
+        out, _ = apply_reinit(ReinitSpec(kind), theta, 5, 1, *state, 3)
         assert np.all(np.isfinite(out.values))
+
+
+def test_apply_reinit_frozen_norm_follows_the_rule():
+    fn = FrozenNormLayer(1, np.zeros(8), np.ones(8))
+    theta = ParamVector(three_block_params(20).values, THREE_BLOCK, fn)
+    kept = {kind: apply_reinit(ReinitSpec(kind), theta, 5, 1, *layerwise_state(), 3)[0].frozen_norm for kind in
+            ("none", "shrink_perturb", "full", "layer_wise")}
+    # none and shrink_perturb keep the installed layer, full starts a model without one,
+    # layer_wise installs its own
+    assert kept["none"] is fn and kept["shrink_perturb"] is fn
+    assert kept["full"] is None
+    assert kept["layer_wise"] is not fn and kept["layer_wise"].insert_after_block == 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -309,7 +316,7 @@ def test_layerwise_rescale_matches_index_oracle(dtype):
     theta, theta_init, init_norms, stats = layerwise_setup()
     theta = ParamVector(theta.values.astype(dtype), THREE_BLOCK)
     for t in range(1, 7):
-        out, _ = layerwise_reinit(theta, theta_init, t, 2, init_norms, stats, THREE_BLOCK)
+        out = layerwise_reinit(theta, theta_init, t, 2, init_norms, stats)
         want = oracle_layerwise_values(theta, theta_init, t, 2, init_norms)
         assert out.values.dtype == want.dtype
         assert out.values.tobytes() == want.tobytes()

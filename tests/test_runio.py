@@ -1,5 +1,6 @@
 """Tests for metrics/checkpoint serialization."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from reinit_lab.errors import FormatError
 from reinit_lab.nn import (
     FrozenNormLayer,
     NetworkSpec,
+    ParamVector,
     init_params,
 )
 from reinit_lab.runio import (
@@ -110,32 +112,42 @@ class TestCheckpoint:
     def setup_method(self):
         self.net = NetworkSpec(6, (5, 4), 3, block_boundaries=(1,))
         self.params = init_params(self.net, 11)
+        # a frozen norm after block 1, whose one layer has 5 units
+        fn = FrozenNormLayer(1, np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 2.5, 5))
+        self.normed = ParamVector(self.params.values, self.net, fn)
+
+    @staticmethod
+    def edit_header(path, edit):
+        raw, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(raw)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         path = tmp_path / "best.ckpt"
-        save_checkpoint(path, self.net, self.params, seed=11, stage=2, epoch=7)
-        loaded, header, fn = load_checkpoint(path)
+        save_checkpoint(path, self.params, seed=11, stage=2, epoch=7)
+        loaded, header = load_checkpoint(path)
         assert np.array_equal(loaded.values, self.params.values)
         assert loaded.values.dtype == np.float32
+        assert loaded.network == self.net
         assert header["seed"] == 11
         assert header["stage"] == 2
         assert header["epoch"] == 7
         assert header["network"]["hidden_dims"] == [5, 4]
-        assert fn is None
+        assert loaded.frozen_norm is None
 
     def test_frozen_norm_round_trip(self, tmp_path):
-        fn_in = FrozenNormLayer(1, np.array([0.5, -1.0]), np.array([2.0, 3.0]))
         path = tmp_path / "best.ckpt"
-        save_checkpoint(path, self.net, self.params, 11, 1, 1, frozen_norm=fn_in)
-        _, _, fn = load_checkpoint(path)
+        save_checkpoint(path, self.normed, 11, 1, 1)
+        fn, fn_in = load_checkpoint(path)[0].frozen_norm, self.normed.frozen_norm
         assert fn is not None
         assert fn.insert_after_block == 1
-        assert np.allclose(fn.mean, fn_in.mean)
-        assert np.allclose(fn.std, fn_in.std)
+        assert np.array_equal(fn.mean, fn_in.mean)
+        assert np.array_equal(fn.std, fn_in.std)
 
     def test_truncated_body(self, tmp_path):
         path = tmp_path / "best.ckpt"
-        save_checkpoint(path, self.net, self.params, 11, 1, 1)
+        save_checkpoint(path, self.params, 11, 1, 1)
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(FormatError, match="parameter bytes"):
@@ -149,40 +161,45 @@ class TestCheckpoint:
 
     def test_layout_recorded_in_header(self, tmp_path):
         path = tmp_path / "best.ckpt"
-        save_checkpoint(path, self.net, self.params, 11, 1, 1)
-        _, header, _ = load_checkpoint(path)
+        save_checkpoint(path, self.params, 11, 1, 1)
+        _, header = load_checkpoint(path)
         assert header["layout"]["total_len"] == self.net.param_count == len(self.params.values)
         assert header["layout"]["num_blocks"] == self.net.num_blocks
 
     @pytest.mark.parametrize("field, delta", [("total_len", 1), ("num_blocks", 1), ("num_blocks", -1)])
     def test_header_layout_must_match_network(self, tmp_path, field, delta):
         path = tmp_path / "best.ckpt"
-        save_checkpoint(path, self.net, self.params, 11, 1, 1)
-        raw, body = path.read_bytes().split(b"\n", 1)
-        header = json.loads(raw)
-        header["layout"][field] += delta
-        path.write_bytes(json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + body)
+        save_checkpoint(path, self.params, 11, 1, 1)
+        self.edit_header(path, lambda header: header["layout"].update({field: header["layout"][field] + delta}))
         with pytest.raises(FormatError, match="layout"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("section, key", [("network", "hidden_dims"), ("frozen_norm", "std")])
     def test_header_section_missing_a_key_is_rejected(self, tmp_path, section, key):
-        fn = FrozenNormLayer(1, np.array([0.5, -1.0]), np.array([2.0, 3.0]))
         path = tmp_path / "best.ckpt"
-        save_checkpoint(path, self.net, self.params, 11, 1, 1, frozen_norm=fn)
-        raw, body = path.read_bytes().split(b"\n", 1)
-        header = json.loads(raw)
-        del header[section][key]
-        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)
+        save_checkpoint(path, self.normed, 11, 1, 1)
+        self.edit_header(path, lambda header: header[section].pop(key))
         with pytest.raises(FormatError, match=f"bad checkpoint header: .*{key}"):
             load_checkpoint(path)
 
     def test_header_without_layout_is_rejected(self, tmp_path):
         path = tmp_path / "best.ckpt"
-        save_checkpoint(path, self.net, self.params, 11, 1, 1)
-        raw, body = path.read_bytes().split(b"\n", 1)
-        header = json.loads(raw)
-        del header["layout"]
-        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)
+        save_checkpoint(path, self.params, 11, 1, 1)
+        self.edit_header(path, lambda header: header.pop("layout"))
         with pytest.raises(FormatError, match="header"):
+            load_checkpoint(path)
+
+    def test_frozen_norm_after_a_block_the_network_lacks_is_rejected(self, tmp_path):
+        net = NetworkSpec(6, (5, 4), 3, block_boundaries=(1, 2))
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, ParamVector(init_params(net, 11).values, net, self.normed.frozen_norm), 11, 1, 1)
+        self.edit_header(path, lambda header: header["frozen_norm"].update(insert_after_block=7))
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: bad checkpoint header: block 7 outside 1..3"):
+            load_checkpoint(path)
+
+    def test_frozen_norm_of_another_width_than_its_block_is_rejected(self, tmp_path):
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, self.normed, 11, 1, 1)
+        self.edit_header(path, lambda header: header["frozen_norm"].update(mean=[0.0] * 3, std=[1.0] * 3))
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: bad checkpoint header: .*3 units, but that block outputs 5"):
             load_checkpoint(path)
