@@ -77,13 +77,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         flags["seeds"] = Seeds(args.seed, args.seed + 1, args.seed + 2, args.seed + 3)
     if args.distill_beta is not None:
         flags["distill"] = DistillConfig(enabled=args.distill_beta > 0, beta=args.distill_beta)
+    factors = {k: v for k, v in (("lam", args.lam), ("gamma", args.gamma)) if v is not None}
     if args.reinit is not None:
         # ReinitSpec rejects --lambda/--gamma with any other rule than sp
-        flags["reinit"] = ReinitSpec(REINIT_TOKENS[args.reinit], lam=args.lam, gamma=args.gamma)
-    elif args.lam is not None or args.gamma is not None:
+        flags["reinit"] = ReinitSpec(REINIT_TOKENS[args.reinit], **factors)
+    elif factors:
         if cfg.reinit.kind != "shrink_perturb":
             raise ConfigurationError("--lambda/--gamma require --reinit sp")
-        flags["reinit"] = ReinitSpec("shrink_perturb", lam=args.lam, gamma=args.gamma)
+        flags["reinit"] = replace(cfg.reinit, **factors)  # the config's other factor stays
     return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
@@ -111,7 +112,7 @@ def cmd_train(args) -> dict:
         "run_dir": str(res.run_dir),
         "best_val_acc": res.best_val_acc,
         "best_test_acc": res.best_test_acc,
-        "best_epoch": res.best_epoch,
+        "best_epoch": res.best.epoch,
         "total_steps": res.total_steps,
         "failed": res.failed,
     }

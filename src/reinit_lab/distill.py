@@ -74,11 +74,9 @@ def save_teacher_cache(cache: TeacherCache, path) -> None:
 
 
 def load_teacher_cache(path) -> TeacherCache:
-    def parse(header):
+    def build(header, values):
         rows, cols = int(header["rows"]), int(header["cols"])
-        return (rows, cols, int(header["source_stage"]), float(header["beta"])), rows * cols
+        probs = values(rows * cols).reshape(rows, cols)
+        return TeacherCache(probs, int(header["source_stage"]), float(header["beta"]))
 
-    _, (rows, cols, source_stage, beta), values = read_framed(
-        path, "teacher cache", parse, "payload bytes after header"
-    )
-    return TeacherCache(values.reshape(rows, cols), source_stage, beta)
+    return read_framed(path, "teacher cache", "payload bytes after header", build)

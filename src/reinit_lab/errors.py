@@ -2,7 +2,8 @@
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import MISSING, field, fields
+from dataclasses import MISSING, field, fields, is_dataclass
+from typing import get_type_hints
 
 
 class ReinitLabError(Exception):
@@ -113,3 +114,15 @@ def checked_keys(cls, d, what: str) -> dict:
     if problems:
         raise ConfigurationError("; ".join(problems))
     return dict(d)
+
+
+def from_json(cls, d, what: str):
+    """The dataclass cls built from its JSON object d, the form
+    dataclasses.asdict gives: checked_keys' key rules, then each field whose
+    annotation is a dataclass built from its own object under its key's
+    name; cls checks the values itself."""
+    d = checked_keys(cls, d, what)
+    for name, kind in get_type_hints(cls).items():
+        if is_dataclass(kind) and name in d:
+            d[name] = from_json(kind, d[name], name)
+    return cls(**d)

@@ -32,7 +32,7 @@ from .data import (
     subset,
 )
 from .distill import TeacherCache, distill_rows, save_teacher_cache, snapshot_teacher
-from .errors import ConfigurationError, HarnessError, NumericalError, ShapeError, check_fields, checked_keys, rule
+from .errors import ConfigurationError, HarnessError, NumericalError, ShapeError, check_fields, from_json, rule
 from .nn import (
     NO_GRAD_ROWS,
     NetworkSpec,
@@ -171,21 +171,11 @@ class RunConfig:
         return self.weight_decay if self.setting == "dcw" else 0.0
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["network"] = self.network.to_dict()
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        d = checked_keys(RunConfig, d, "run config")
-        d["network"] = NetworkSpec.from_dict(d["network"])
-        for key, cls in (
-            ("data", DataConfig), ("reinit", ReinitSpec), ("distill", DistillConfig), ("seeds", Seeds),
-            ("augment", AugmentSpec),
-        ):
-            if key in d:
-                d[key] = cls(**checked_keys(cls, d[key], key))
-        return RunConfig(**d)
+        return from_json(RunConfig, d, "run config")
 
     @property
     def run_id(self) -> str:
@@ -260,21 +250,42 @@ class BoundaryEvent:
 
 @dataclass
 class RunResult:
+    """What a run cannot recompute; every other fact about it is a property
+    read from these. best_params holds the epoch of ``best``."""
+
     config: RunConfig
-    run_id: str
     records: list[MetricsRecord]
     final_params: ParamVector | None
     best_params: ParamVector | None
-    best_stage: int
-    best_epoch: int
-    best_val_acc: float
-    best_test_acc: float
     boundary_events: list[BoundaryEvent]
     counters: dict
-    total_steps: int
-    failed: bool = False
     failure: str | None = None
     run_dir: Path | None = None
+
+    @property
+    def run_id(self) -> str:
+        return self.config.run_id
+
+    @property
+    def failed(self) -> bool:
+        return self.failure is not None
+
+    @property
+    def total_steps(self) -> int:
+        return self.counters["optimizer_steps"]
+
+    @property
+    def best(self) -> MetricsRecord | None:
+        """The first record of highest val_acc, or None when no epoch finished."""
+        return max(self.records, key=lambda r: r.val_acc, default=None)
+
+    @property
+    def best_val_acc(self) -> float:
+        return -1.0 if self.best is None else self.best.val_acc
+
+    @property
+    def best_test_acc(self) -> float:
+        return 0.0 if self.best is None else self.best.test_acc
 
 
 def run_experiment(
@@ -329,7 +340,6 @@ def run_experiment(
 
     shuffle_rng = np.random.Generator(np.random.PCG64(cfg.seeds.shuffle))
     augment_rng = np.random.Generator(np.random.PCG64(stage_seed(cfg.seeds.shuffle, AUGMENT_TAG)))
-    aug_spec = cfg.augment
 
     opt = OptimState.fresh(params, cfg.momentum, cfg.effective_weight_decay)
     # the loop owns the gradient and a spare parameter vector; sgd_step writes
@@ -347,10 +357,7 @@ def run_experiment(
         "teacher_reads_by_stage": {str(s): 0 for s in range(1, cfg.stages + 1)},
         "optimizer_steps": 0,
     }
-    best = {"val_acc": -1.0, "stage": 0, "epoch": 0, "test_acc": 0.0, "params": None}
-    global_epoch = 0
-    global_step = 0
-    failed = False
+    best_params = None
     failure = None
 
     run_dir = None
@@ -361,12 +368,12 @@ def run_experiment(
     try:
         for stage in range(1, cfg.stages + 1):
             if stage > 1:
-                norm_before = weight_norm(params)
+                norm_before = weight_norm(params.values)
                 params, fresh_norm = apply_reinit(
                     cfg.reinit, params, cfg.seeds.init, stage - 1, init_norms, stats_batch, cfg.stages
                 )
                 if fresh_norm is not None:
-                    boundary_events.append(BoundaryEvent(stage, norm_before, weight_norm(params), fresh_norm))
+                    boundary_events.append(BoundaryEvent(stage, norm_before, weight_norm(params.values), fresh_norm))
                 spare = params.copy()
                 opt = OptimState.fresh(params, cfg.momentum, cfg.effective_weight_decay)
             for epoch_in_stage in range(epochs_per_stage):
@@ -379,86 +386,61 @@ def run_experiment(
                     idx = perm[start : start + cfg.batch_size]
                     x = bundle.train.inputs[idx]
                     if cfg.augment_enabled:
-                        x = augment_batch(x, bundle.train.image_shape, aug_spec, augment_rng)
+                        x = augment_batch(x, bundle.train.image_shape, cfg.augment, augment_rng)
                         counters["augment_calls"] += 1
                     y = bundle.train_labels[idx]
                     rows = None
-                    beta = 0.0
-                    if distill_on and stage > 1 and teacher is not None:
+                    if teacher is not None:  # only from stage 2 of a distilling run
                         rows = distill_rows(teacher, idx)
                         counters["teacher_reads"] += 1
                         counters["teacher_reads_by_stage"][str(stage)] += 1
-                        beta = cfg.distill.beta
                     step_in_stage = epoch_in_stage * steps_per_epoch + (start // cfg.batch_size)
                     lr = lr_at(schedule, step_in_stage)
                     if lr_first is None:
                         lr_first = lr
-                    loss, grad, logits = loss_grad_logits(params, x, y, rows, beta, grad_out=grad)
+                    # loss_grad_logits ignores beta when rows is None
+                    loss, grad, logits = loss_grad_logits(params, x, y, rows, cfg.distill.beta, grad_out=grad)
                     if not np.isfinite(loss):
-                        raise NumericalError(f"non-finite loss at step {global_step}")
-                    spare, opt = sgd_step(params, grad, opt, lr, step=global_step, out=spare)
+                        raise NumericalError(f"non-finite loss at step {counters['optimizer_steps']}")
+                    spare, opt = sgd_step(params, grad, opt, lr, step=counters["optimizer_steps"], out=spare)
                     params, spare = spare, params
                     counters["optimizer_steps"] += 1
-                    global_step += 1
                     epoch_loss += loss * len(idx)
                     epoch_hits += int((logits.argmax(axis=1) == y).sum())
-                global_epoch += 1
                 val_acc = evaluate_accuracy(params, bundle.val.inputs, bundle.val.labels)
                 test_acc = evaluate_accuracy(params, bundle.test.inputs, bundle.test.labels)
+                if val_acc > max((r.val_acc for r in records), default=-1.0):
+                    best_params = params.copy()
                 records.append(
                     MetricsRecord(
                         run_id=run_id,
                         stage=stage,
-                        epoch=global_epoch,
-                        step=global_step,
+                        epoch=len(records) + 1,
+                        step=counters["optimizer_steps"],
                         lr=lr_first,
                         train_loss=epoch_loss / n_train,
                         train_acc=epoch_hits / n_train,
                         val_acc=val_acc,
                         test_acc=test_acc,
-                        weight_norm=weight_norm(params),
+                        weight_norm=weight_norm(params.values),
                         wall_ms=(time.monotonic() - t0) * 1000.0,
                     )
                 )
-                if val_acc > best["val_acc"]:
-                    best.update(
-                        val_acc=val_acc,
-                        stage=stage,
-                        epoch=global_epoch,
-                        test_acc=test_acc,
-                        params=params.copy(),
-                    )
             if distill_on and stage < cfg.stages:
                 teacher = snapshot_teacher(params, bundle.train.inputs, source_stage=stage, beta=cfg.distill.beta)
                 counters["teacher_cache_batches"] += math.ceil(n_train / NO_GRAD_ROWS)
                 if run_dir is not None:
                     save_teacher_cache(teacher, run_dir / f"teacher_stage{stage}.bin")
     except NumericalError as exc:
-        failed = True
         failure = str(exc)
 
-    result = RunResult(
-        config=cfg,
-        run_id=run_id,
-        records=records,
-        final_params=params,
-        best_params=best["params"],
-        best_stage=best["stage"],
-        best_epoch=best["epoch"],
-        best_val_acc=best["val_acc"],
-        best_test_acc=best["test_acc"],
-        boundary_events=boundary_events,
-        counters=counters,
-        total_steps=global_step,
-        failed=failed,
-        failure=failure,
-        run_dir=run_dir,
-    )
+    result = RunResult(cfg, records, params, best_params, boundary_events, counters, failure, run_dir)
     if run_dir is not None:
         emit_metrics(records, run_dir / "metrics.jsonl")
         write_summary_csv(_stage_summaries(result), run_dir / "summary.csv")
-        if best["params"] is not None:
-            save_checkpoint(run_dir / "best.ckpt", best["params"], cfg.seeds.init, best["stage"], best["epoch"])
+        if best_params is not None:
+            best = result.best
+            save_checkpoint(run_dir / "best.ckpt", best_params, cfg.seeds.init, best.stage, best.epoch)
     return result
 
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, ShapeError, check_fields, checked_keys, rule
+from .errors import ConfigurationError, NumericalError, ShapeError, check_fields, rule
 
 NO_GRAD_ROWS = 256  # rows per forward pass that keeps no gradient: evaluation, teacher snapshots
 
@@ -115,19 +114,6 @@ class NetworkSpec:
         slices = _layer_slices(self)
         return slice(slices[layers[0]][0].start, slices[layers[-1]][1].stop)
 
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dims": list(self.hidden_dims),
-            "num_classes": self.num_classes,
-            "activation": self.activation,
-            "block_boundaries": list(self.block_boundaries),
-        }
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "NetworkSpec":
-        return NetworkSpec(**checked_keys(NetworkSpec, d, "network"))
-
 
 @dataclass(frozen=True)
 class FrozenNormLayer:
@@ -144,6 +130,8 @@ class FrozenNormLayer:
         object.__setattr__(self, "std", std)
         if mean.shape != std.shape or mean.ndim != 1:
             raise ShapeError(f"mean/std must be matching 1-D vectors, got {mean.shape} and {std.shape}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+            raise NumericalError("frozen norm layer mean/std entries must be finite")
         if not np.all(std > 0):
             raise NumericalError("frozen norm layer std entries must be positive")
 
@@ -291,12 +279,13 @@ def loss_grad_logits(
     return float(loss), grad_out, logits
 
 
-def weight_norm(params: ParamVector) -> float:
-    """Euclidean norm of the full parameter vector, accumulated in float64."""
-    return float(np.linalg.norm(params.values.astype(np.float64)))
+def weight_norm(values: np.ndarray) -> float:
+    """Euclidean norm of an array, accumulated in float64: the one norm every
+    weight and block norm goes through."""
+    return float(np.linalg.norm(values.astype(np.float64, copy=False)))
 
 
 def block_norms(params: ParamVector) -> np.ndarray:
     """Euclidean norm of each block's parameters, float64, index b-1 for block b."""
     slices = map(params.network.block_slice, range(1, params.network.num_blocks + 1))
-    return np.array([np.linalg.norm(params.values[s].astype(np.float64)) for s in slices])
+    return np.array([weight_norm(params.values[s]) for s in slices])

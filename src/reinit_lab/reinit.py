@@ -80,7 +80,7 @@ def _rescale_kept_blocks(
     for b in range(1, kept_blocks + 1):
         part = network.block_slice(b)
         x = values[part].astype(np.float64)
-        cur = float(np.linalg.norm(x))
+        cur = weight_norm(x)
         if cur == 0.0:
             raise NumericalError(f"block {b} has zero norm; cannot rescale")
         x *= init_block_norms[b - 1] / cur
@@ -141,7 +141,7 @@ def apply_reinit(
         return theta_end.copy(), None
     network = theta_end.network
     fresh = init_params(network, stage_seed(seed, t), dtype=theta_end.dtype)
-    fresh_norm = weight_norm(fresh)
+    fresh_norm = weight_norm(fresh.values)
     if rspec.kind == "full":
         return fresh, fresh_norm
     if rspec.kind == "shrink_perturb":

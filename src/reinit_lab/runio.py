@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, ShapeError
+from .errors import FormatError, ReinitLabError, from_json
 from .nn import FrozenNormLayer, NetworkSpec, ParamVector
 
 METRICS_FIELDS = (
@@ -122,32 +122,36 @@ def write_framed(path, header: dict, values: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
 
 
-def read_framed(path, what: str, parse, payload: str) -> tuple[dict, object, np.ndarray]:
-    """Read a write_framed file as (header, parse's result, read-only float32 values).
+def read_framed(path, what: str, payload: str, build):
+    """The object build(header, values) makes of a write_framed file, where
+    values(n) is the payload as n read-only float32 values.
 
-    parse(header) returns what the caller needs from the header and the
-    number of values it promises. A header parse cannot read raises
-    FormatError "bad <what> header"; a payload of another length raises
-    FormatError "expected N <payload>".
+    The one place a loader's errors become FormatError naming the file: a
+    payload of another length raises "expected 4n <payload>", and anything
+    else that reading the header or building the object raises (other than a
+    FormatError) raises "bad <what> header".
     """
     with open(path, "rb") as fh:
-        raw = fh.readline()
-        try:
-            header = json.loads(raw)
-            meta, count = parse(header)
-        except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: bad {what} header: {exc}") from exc
-        body = fh.read()
-    if len(body) != count * 4:
-        raise FormatError(f"{path}: expected {count * 4} {payload}, found {len(body)}")
-    return header, meta, np.frombuffer(body, dtype="<f4")
+        raw, body = fh.readline(), fh.read()
+
+    def values(count: int) -> np.ndarray:
+        if len(body) != count * 4:
+            raise FormatError(f"{path}: expected {count * 4} {payload}, found {len(body)}")
+        return np.frombuffer(body, dtype="<f4")
+
+    try:
+        return build(json.loads(raw), values)
+    except FormatError:
+        raise
+    except (ReinitLabError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad {what} header: {exc}") from exc
 
 
 def save_checkpoint(path, params: ParamVector, seed: int, stage: int, epoch: int) -> None:
     """One JSON header line, then the parameters as little-endian float32."""
     network, fn = params.network, params.frozen_norm
     header = {
-        "network": network.to_dict(),
+        "network": asdict(network),
         "layout": {"total_len": network.param_count, "num_blocks": network.num_blocks},
         "seed": seed,
         "stage": stage,
@@ -167,8 +171,8 @@ def load_checkpoint(path) -> tuple[ParamVector, dict]:
     """A save_checkpoint file's parameters (network and frozen norm included)
     and header; FormatError naming the file when the header does not fit."""
 
-    def parse(header):
-        network = NetworkSpec.from_dict(header["network"])
+    def build(header, values):
+        network = from_json(NetworkSpec, header["network"], "network")
         recorded = (header["layout"]["total_len"], header["layout"]["num_blocks"])
         derived = (network.param_count, network.num_blocks)
         if recorded != derived:
@@ -178,10 +182,6 @@ def load_checkpoint(path) -> tuple[ParamVector, dict]:
             )
         f = header.get("frozen_norm")
         fn = FrozenNormLayer(int(f["insert_after_block"]), np.array(f["mean"]), np.array(f["std"])) if f else None
-        return (network, fn), network.param_count
+        return ParamVector(values(network.param_count).copy(), network, fn), header
 
-    header, (network, fn), values = read_framed(path, "checkpoint", parse, "parameter bytes")
-    try:
-        return ParamVector(values.copy(), network, fn), header
-    except (ConfigurationError, ShapeError) as exc:
-        raise FormatError(f"{path}: bad checkpoint header: {exc}") from exc
+    return read_framed(path, "checkpoint", "parameter bytes", build)

@@ -85,6 +85,15 @@ class TestBuildConfig:
         assert code == 0
         assert kept == [1, 1, 2, 2, 3]
 
+    def test_lambda_or_gamma_alone_changes_only_its_own_factor(self, tmp_path):
+        d = json.loads(json.dumps(RunConfig(network=NetworkSpec(8, (10, 6), 4)).to_dict()))
+        d["reinit"] = {"kind": "shrink_perturb", "lam": 0.6, "gamma": 0.2}
+        path = tmp_path / "sp.json"
+        path.write_text(json.dumps(d))
+        for flags, want in [(["--gamma", "0.3"], (0.6, 0.3)), (["--lambda", "0.5"], (0.5, 0.2))]:
+            cfg = build_config(parse_args(["train", "--config", str(path), *flags]))
+            assert (cfg.reinit.kind, cfg.reinit.lam, cfg.reinit.gamma) == ("shrink_perturb", *want)
+
     def test_lambda_without_sp_rejected(self, tiny_config_file):
         from reinit_lab.errors import ConfigurationError
 

@@ -1,4 +1,6 @@
 """Teacher cache construction, lookup guards, and persistence."""
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from reinit_lab.distill import (
     snapshot_teacher,
 )
 from reinit_lab.errors import ConfigurationError, DataError, FormatError
+from reinit_lab.runio import write_framed
 from reinit_lab.nn import (
     NO_GRAD_ROWS,
     NetworkSpec,
@@ -135,4 +138,28 @@ def test_cache_file_rejects_truncation(tmp_path):
         load_teacher_cache(path)
     path.write_bytes(b"not json\n" + data)
     with pytest.raises(FormatError):
+        load_teacher_cache(path)
+
+
+def cache_file(path, probs, **header_changes):
+    """A teacher file of the table probs, whose header then gets header_changes."""
+    probs = np.asarray(probs, dtype=np.float32)
+    header = {"rows": probs.shape[0], "cols": probs.shape[1], "source_stage": 1, "beta": 1.0} | header_changes
+    write_framed(path, header, probs)
+    return path
+
+
+@pytest.mark.parametrize(
+    "probs, changes, phrase",
+    [
+        ([[0.5, 0.5], [0.2, 0.8]], {"beta": -1}, "beta must be >= 0"),
+        ([[0.5, 0.5], [0.2, 0.8]], {"source_stage": 0}, "source stage must be >= 1"),
+        ([[0.7, 0.7], [0.5, 0.5]], {}, "teacher row 0 sums to .*1.39"),
+        ([[0.5, 0.5], [0.2, 0.8], [1.0, 0.0]], {"rows": 2, "cols": 3}, "teacher row 0 sums to"),
+    ],
+    ids=["negative-beta", "stage-zero", "row-sum-1.4", "rows-cols-swapped"],
+)
+def test_cache_file_the_cache_rejects_names_the_file(tmp_path, probs, changes, phrase):
+    path = cache_file(tmp_path / "teacher_stage1.bin", probs, **changes)
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: bad teacher cache header: {phrase}"):
         load_teacher_cache(path)

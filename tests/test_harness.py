@@ -14,7 +14,7 @@ import struct
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,9 @@ import pytest
 import reinit_lab.distill as distill
 import reinit_lab.harness as harness
 import reinit_lab.reinit as reinit
+from reinit_lab.data import AugmentSpec
 from reinit_lab.distill import load_teacher_cache
-from reinit_lab.errors import ConfigurationError, HarnessError
+from reinit_lab.errors import ConfigurationError, HarnessError, from_json
 from reinit_lab.harness import (
     DataConfig,
     DistillConfig,
@@ -40,7 +41,7 @@ from reinit_lab.harness import (
 )
 from reinit_lab.nn import NO_GRAD_ROWS, NetworkSpec, init_params
 from reinit_lab.reinit import ReinitSpec, stage_seed
-from reinit_lab.runio import load_checkpoint
+from reinit_lab.runio import MetricsRecord, load_checkpoint
 
 
 def tiny_net():
@@ -76,8 +77,6 @@ class TestRunConfig:
         assert tiny_cfg(run_name="pinned").run_id == "pinned"
 
     def test_dict_round_trip_preserves_identity(self):
-        from reinit_lab.data import AugmentSpec
-
         cfg = tiny_cfg(
             stages=2,
             reinit=ReinitSpec("shrink_perturb", lam=0.3, gamma=0.2),
@@ -112,6 +111,43 @@ class TestRunConfig:
             tiny_cfg(batch_size=0)
         with pytest.raises(ConfigurationError):
             tiny_cfg(stages=7)  # stages > epochs is fine, 7 > 6
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            tiny_net(),
+            DataConfig(num_classes=3, dim=4, per_class=7, class_separation=1.5, image_hw=(2, 2), val_fraction=0.2),
+            ReinitSpec("shrink_perturb", lam=0.7, gamma=0.05),
+            DistillConfig(enabled=True, beta=0.25),
+            Seeds(5, 6, 7, 8),
+            AugmentSpec(horizontal_flip_prob=0.1, pad_pixels=1),
+            RunConfig(
+                network=NetworkSpec(4, (5, 3), 3, block_boundaries=(1,)),
+                data=DataConfig(num_classes=3, dim=4, per_class=7, class_separation=1.5, image_hw=(2, 2)),
+                setting="dcw",
+                weight_decay=0.001,
+                stages=2,
+                reinit=ReinitSpec("shrink_perturb", lam=0.7, gamma=0.05),
+                distill=DistillConfig(enabled=True, beta=0.25),
+                noise_q=0.2,
+                seeds=Seeds(5, 6, 7, 8),
+                eta_min=0.01,
+                augment=AugmentSpec(horizontal_flip_prob=0.1, pad_pixels=1),
+                run_name="all-sections",
+            ),
+        ],
+        ids=lambda config: type(config).__name__,
+    )
+    def test_every_config_class_round_trips_through_its_json_form(self, config):
+        d = json.loads(json.dumps(asdict(config)))  # tuples come back as JSON lists
+        assert from_json(type(config), d, "config") == config
+        assert from_json(type(config), asdict(config), "config") == config
+
+    def test_from_dict_names_the_nested_key_of_a_section_that_is_not_an_object(self):
+        d = json.loads(json.dumps(tiny_cfg().to_dict()))
+        d["seeds"] = [1, 2, 3, 4]
+        with pytest.raises(ConfigurationError, match="seeds must be a JSON object, got list"):
+            RunConfig.from_dict(d)
 
     @pytest.mark.parametrize("where", [None, "data", "reinit", "distill", "seeds", "augment"])
     def test_from_dict_names_unknown_keys(self, where):
@@ -254,6 +290,31 @@ class TestPrepareData:
         assert np.array_equal(a.test.labels, b.test.labels)
 
 
+class TestRunResult:
+    def test_stores_only_what_a_run_cannot_recompute(self):
+        stored = [f.name for f in fields(RunResult)]
+        assert stored == [
+            "config", "records", "final_params", "best_params", "boundary_events", "counters", "failure", "run_dir",
+        ]
+
+    def test_facts_read_from_the_stored_fields(self):
+        cfg = tiny_cfg(run_name="facts")
+        records = [
+            MetricsRecord("facts", stage, epoch, 5 * epoch, 0.05, 1.0, 0.5, val, test, 1.0)
+            for stage, epoch, val, test in [(1, 1, 0.5, 0.4), (1, 2, 0.75, 0.6), (2, 3, 0.75, 0.7), (2, 4, 0.25, 0.9)]
+        ]
+        res = RunResult(cfg, records, None, None, [], {"optimizer_steps": 20})
+        assert (res.run_id, res.failed, res.total_steps) == ("facts", False, 20)
+        assert res.best is records[1]  # the first of the two highest val accuracies
+        assert (res.best.stage, res.best.epoch, res.best_val_acc, res.best_test_acc) == (1, 2, 0.75, 0.6)
+        assert replace(res, failure="non-finite loss at step 3").failed
+
+    def test_a_run_without_records_has_no_best(self):
+        res = RunResult(tiny_cfg(), [], None, None, [], {"optimizer_steps": 0}, "non-finite loss at step 0")
+        assert res.failed and res.best is None
+        assert (res.best_val_acc, res.best_test_acc) == (-1.0, 0.0)
+
+
 class TestRunExperiment:
     def test_single_stage_bookkeeping(self):
         res = run_experiment(tiny_cfg())
@@ -270,7 +331,8 @@ class TestRunExperiment:
         res = run_experiment(tiny_cfg())
         vals = [r.val_acc for r in res.records]
         assert res.best_val_acc == max(vals)
-        assert res.best_epoch == vals.index(max(vals)) + 1
+        assert res.best is res.records[vals.index(max(vals))]
+        assert res.best.epoch == vals.index(max(vals)) + 1
         assert res.best_params is not None
 
     def test_run_is_bit_deterministic(self, tmp_path):
@@ -394,9 +456,9 @@ class TestRunExperiment:
         cfg = tiny_cfg(run_name="lw", epochs=6, stages=3, reinit=ReinitSpec("layer_wise"))
         bundle = prepare_data(cfg)
         res = run_experiment(cfg, bundle, tmp_path)
-        assert res.best_stage > 1  # so the checkpoint holds a frozen norm
+        assert res.best.stage > 1  # so the checkpoint holds a frozen norm
         params, header = load_checkpoint(tmp_path / "lw" / "best.ckpt")
-        assert header["stage"] == res.best_stage
+        assert (header["stage"], header["epoch"]) == (res.best.stage, res.best.epoch)
         assert params.frozen_norm.insert_after_block == res.best_params.frozen_norm.insert_after_block
         assert harness.evaluate_accuracy(params, bundle.test.inputs, bundle.test.labels) == res.best_test_acc
 
@@ -450,20 +512,16 @@ class TestRunExperiment:
 
 
 def stub_result(cfg, val, failed=False):
+    """A one-epoch result whose best record has val accuracy val and test accuracy val - 0.01."""
+    record = MetricsRecord(cfg.run_id, 1, 1, 0, cfg.lr, 0.0, 0.0, val, val - 0.01, 0.0)
     return RunResult(
         config=cfg,
-        run_id=cfg.run_id,
-        records=[],
+        records=[record],
         final_params=None,
         best_params=None,
-        best_stage=1,
-        best_epoch=1,
-        best_val_acc=val,
-        best_test_acc=val - 0.01,
         boundary_events=[],
-        counters={},
-        total_steps=0,
-        failed=failed,
+        counters={"optimizer_steps": 0},
+        failure="diverged" if failed else None,
     )
 
 
@@ -632,7 +690,7 @@ def test_each_boundary_draws_fresh_parameters_once(monkeypatch, kind):
     assert len(draws) == 1 + 2
     for event, t in zip(res.boundary_events, (1, 2)):
         fresh = init_params(tiny_net(), stage_seed(1, t))
-        assert event.fresh_norm == harness.weight_norm(fresh)
+        assert event.fresh_norm == harness.weight_norm(fresh.values)
 
 
 def test_no_gradient_passes_read_no_grad_rows(monkeypatch):
@@ -796,7 +854,8 @@ class TestStageSweep:
     def test_step_counts_of_completed_arms_must_agree(self, monkeypatch):
         def short_for_t4(cfg, bundle, out_dir=None):
             res = run_experiment(cfg, bundle, out_dir)
-            return replace(res, total_steps=res.total_steps - 1) if cfg.stages == 4 else res
+            short = {**res.counters, "optimizer_steps": res.total_steps - 1}
+            return replace(res, counters=short) if cfg.stages == 4 else res
 
         monkeypatch.setattr(harness, "run_experiment", short_for_t4)
         base = tiny_cfg(epochs=4, stages=2, reinit=ReinitSpec("shrink_perturb"))

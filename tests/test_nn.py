@@ -1,12 +1,14 @@
 """Core network engine: geometry, init, forward, losses, exact gradients."""
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reinit_lab.errors import ConfigurationError, NumericalError, ReinitLabError, ShapeError
+from reinit_lab.errors import ConfigurationError, NumericalError, ReinitLabError, ShapeError, from_json
 from reinit_lab.harness import DataConfig, RunConfig, run_experiment
 from reinit_lab.nn import (
     FrozenNormLayer,
@@ -111,7 +113,7 @@ def test_spec_stores_numpy_int_dimensions_as_int():
 
 def test_spec_dict_round_trip():
     spec = NetworkSpec(input_dim=7, hidden_dims=(9, 4), num_classes=5, block_boundaries=(2,))
-    assert NetworkSpec.from_dict(spec.to_dict()) == spec
+    assert from_json(NetworkSpec, json.loads(json.dumps(asdict(spec))), "network") == spec
 
 
 def test_init_is_deterministic_and_bounded():
@@ -346,11 +348,20 @@ def test_frozen_norm_rejects_nonpositive_std():
         FrozenNormLayer(1, np.zeros(3), np.array([1.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "mean, std",
+    [([0.0, np.nan, 0.0], [1.0] * 3), ([0.0, np.inf, 0.0], [1.0] * 3), ([0.0] * 3, [1.0, np.inf, 1.0])],
+)
+def test_frozen_norm_rejects_non_finite_mean_and_std(mean, std):
+    with pytest.raises(NumericalError, match="must be finite"):
+        FrozenNormLayer(1, np.array(mean), np.array(std))
+
+
 def test_weight_norm_matches_float64_oracle():
     spec = NetworkSpec(input_dim=6, hidden_dims=(8,), num_classes=4)
     params = init_params(spec, 13)
     want = math.sqrt(sum(float(v) ** 2 for v in params.values))
-    assert weight_norm(params) == pytest.approx(want, rel=1e-12)
+    assert weight_norm(params.values) == pytest.approx(want, rel=1e-12)
 
 
 def test_block_norms_partition_total_norm():
@@ -358,7 +369,7 @@ def test_block_norms_partition_total_norm():
     params = init_params(spec, 14)
     norms = block_norms(params)
     assert norms.shape == (3,)
-    assert math.sqrt(float((norms**2).sum())) == pytest.approx(weight_norm(params), rel=1e-12)
+    assert math.sqrt(float((norms**2).sum())) == pytest.approx(weight_norm(params.values), rel=1e-12)
 
 
 def reference_loss_grad(params, x, y, teacher=None, beta=0.0):

@@ -205,7 +205,7 @@ def test_apply_reinit_full_matches_seeded_fresh_draw():
         b, _ = apply_reinit(ReinitSpec("full"), three_block_params(21), 5, t)
         want = init_params(THREE_BLOCK, stage_seed(5, t), dtype=np.float64)
         assert np.array_equal(a.values, want.values)
-        assert fresh_norm == weight_norm(want)
+        assert fresh_norm == weight_norm(want.values)
         assert np.array_equal(b.values, want.values)
 
 

@@ -203,3 +203,20 @@ class TestCheckpoint:
         self.edit_header(path, lambda header: header["frozen_norm"].update(mean=[0.0] * 3, std=[1.0] * 3))
         with pytest.raises(FormatError, match=f"{re.escape(str(path))}: bad checkpoint header: .*3 units, but that block outputs 5"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "mean, std, phrase",
+        [
+            ([0.0] * 5, [1.0] * 4, "mean/std must be matching 1-D vectors"),
+            ([0.0] * 5, [0.0] * 5, "std entries must be positive"),
+            ([0.0, float("nan"), 0.0, 0.0, 0.0], [1.0] * 5, "mean/std entries must be finite"),
+            ([0.0] * 5, [1.0, float("inf"), 1.0, 1.0, 1.0], "mean/std entries must be finite"),
+        ],
+        ids=["std-shorter-than-mean", "zero-std", "nan-mean", "infinite-std"],
+    )
+    def test_frozen_norm_the_layer_rejects_names_the_file(self, tmp_path, mean, std, phrase):
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, self.normed, 11, 1, 1)
+        self.edit_header(path, lambda header: header["frozen_norm"].update(mean=mean, std=std))
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: bad checkpoint header: .*{phrase}"):
+            load_checkpoint(path)
