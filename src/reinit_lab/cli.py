@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, HarnessError, ReinitLabError
 from .harness import (
+    SETTINGS,
     DistillConfig,
     RunConfig,
     Seeds,
@@ -31,7 +32,7 @@ from .runio import read_json, read_metrics
 
 DEFAULT_LR_GRID = (0.005, 0.01, 0.03, 0.05, 0.1)
 DEFAULT_WD_GRID = (0.0, 0.0001, 0.0005, 0.001, 0.005)
-DEFAULT_T_VALUES = (1, 2, 5, 10, 20, 25)
+DEFAULT_T_VALUES = (1, 2, 5, 10, 20, 30)  # each divides the default 60 epochs
 
 REINIT_TOKENS = {
     "none": "none",
@@ -55,7 +56,7 @@ def add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, help="perturb factor for sp")
     p.add_argument("--distill-beta", type=float, help="KL weight; 0 disables distillation")
     p.add_argument("--noise-q", type=float, help="label noise fraction on the train split")
-    p.add_argument("--setting", choices=["none", "d", "dc", "dcw"])
+    p.add_argument("--setting", choices=SETTINGS)
     p.add_argument("--seed", type=int, help="base seed; derives init/data/noise/shuffle")
     p.add_argument("--out", default="runs", help="output directory (default: runs)")
     p.add_argument("--epochs", type=int, help="total epoch budget N")

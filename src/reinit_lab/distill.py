@@ -7,11 +7,11 @@ reads no cache there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import DataError, check_fields, rule
 from .nn import NO_GRAD_ROWS, ParamVector, forward, softmax
 from .runio import read_framed, write_framed
 
@@ -24,10 +24,11 @@ class TeacherCache:
     """
 
     probs: np.ndarray
-    source_stage: int
-    beta: float
+    source_stage: int = rule(MISSING, "be >= 1", lambda v: v >= 1)
+    beta: float = rule(MISSING, "be >= 0", lambda v: v >= 0)
 
     def __post_init__(self):
+        check_fields(self, "teacher cache")
         p = np.asarray(self.probs)
         if p.ndim != 2:
             raise DataError(f"teacher table must be 2-D, got shape {p.shape}")
@@ -37,11 +38,7 @@ class TeacherCache:
         bad = np.abs(sums - 1.0) > 1e-6
         if np.any(bad):
             i = int(np.argmax(bad))
-            raise DataError(f"teacher row {i} sums to {sums[i]!r}, expected 1 within 1e-6")
-        if self.beta < 0:
-            raise ConfigurationError(f"beta must be >= 0, got {self.beta}")
-        if self.source_stage < 1:
-            raise ConfigurationError(f"source stage must be >= 1, got {self.source_stage}")
+            raise DataError(f"teacher row {i} sums to {float(sums[i])}, expected 1 within 1e-6")
         self.probs = p
 
 
@@ -77,6 +74,6 @@ def load_teacher_cache(path) -> TeacherCache:
     def build(header, values):
         rows, cols = int(header["rows"]), int(header["cols"])
         probs = values(rows * cols).reshape(rows, cols)
-        return TeacherCache(probs, int(header["source_stage"]), float(header["beta"]))
+        return TeacherCache(probs, header["source_stage"], header["beta"])
 
     return read_framed(path, "teacher cache", "payload bytes after header", build)

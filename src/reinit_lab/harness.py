@@ -330,12 +330,8 @@ def run_experiment(
     n_train = bundle.train.n
     steps_per_epoch = math.ceil(n_train / cfg.batch_size)
     steps_per_stage = epochs_per_stage * steps_per_epoch
-    schedule = LrSchedule(
-        "cosine_per_stage" if cfg.cosine_enabled else "constant",
-        eta_max=cfg.lr,
-        eta_min=cfg.eta_min,
-        steps_per_stage=steps_per_stage,
-    )
+    # without cosine, eta_min == eta_max holds the rate constant
+    schedule = LrSchedule(cfg.lr, cfg.eta_min if cfg.cosine_enabled else cfg.lr, steps_per_stage)
     distill_on = cfg.distill.enabled and cfg.distill.beta > 0
 
     shuffle_rng = np.random.Generator(np.random.PCG64(cfg.seeds.shuffle))
@@ -437,36 +433,11 @@ def run_experiment(
     result = RunResult(cfg, records, params, best_params, boundary_events, counters, failure, run_dir)
     if run_dir is not None:
         emit_metrics(records, run_dir / "metrics.jsonl")
-        write_summary_csv(_stage_summaries(result), run_dir / "summary.csv")
+        write_summary_csv(records, run_dir / "summary.csv")
         if best_params is not None:
             best = result.best
             save_checkpoint(run_dir / "best.ckpt", best_params, cfg.seeds.init, best.stage, best.epoch)
     return result
-
-
-def _stage_summaries(result: RunResult) -> list[dict]:
-    if not result.records:
-        return []
-    # every completed epoch runs the same number of optimizer steps
-    steps_per_epoch = result.records[-1].step // result.records[-1].epoch
-    rows = []
-    for stage in sorted({r.stage for r in result.records}):
-        stage_recs = [r for r in result.records if r.stage == stage]
-        last = stage_recs[-1]
-        rows.append(
-            {
-                "run_id": result.run_id,
-                "stage": stage,
-                "epochs": len(stage_recs),
-                "steps": len(stage_recs) * steps_per_epoch,
-                "stage_val_acc": last.val_acc,
-                "stage_test_acc": last.test_acc,
-                "best_val_acc": max(r.val_acc for r in stage_recs),
-                "weight_norm": last.weight_norm,
-                "wall_ms": round(sum(r.wall_ms for r in stage_recs), 3),
-            }
-        )
-    return rows
 
 
 def _row(fields: dict, res: RunResult) -> dict:
@@ -481,14 +452,20 @@ def _row(fields: dict, res: RunResult) -> dict:
     }
 
 
+def _check_run_dirs(configs) -> None:
+    """Raise before a study runs anything when two of its run configs would
+    share a run directory."""
+    ids = [cfg.run_id for cfg in configs]
+    repeated = sorted({run_id for run_id in ids if ids.count(run_id) > 1})
+    if repeated:
+        raise ConfigurationError(f"repeated cells: run ids {repeated} would share a run directory")
+
+
 def _run_cells(groups, out_dir, extra=None) -> list[dict]:
     """Run each (data_cfg, cells) group's (fields, cfg) cells in order on
     prepare_data(data_cfg); a cell's row is _row(fields, result), plus
     extra(result, bundle) when given. One group's data is alive at a time."""
-    ids = [cfg.run_id for _, cells in groups for _, cfg in cells]
-    repeated = sorted({run_id for run_id in ids if ids.count(run_id) > 1})
-    if repeated:  # checked before the first cell runs
-        raise ConfigurationError(f"repeated cells: run ids {repeated} would share a run directory")
+    _check_run_dirs([cfg for _, cells in groups for _, cfg in cells])
     rows = []
     for data_cfg, cells in groups:
         bundle = prepare_data(data_cfg)
@@ -564,23 +541,31 @@ def _cell_config(base_cfg: RunConfig, cell: str, **changes) -> RunConfig:
     return replace(base_cfg, **changes)
 
 
+def _rule(base_cfg: RunConfig, kind: str) -> ReinitSpec:
+    """The base config's own re-init rule when it is of this kind, factors
+    included; the default rule of the kind otherwise."""
+    return base_cfg.reinit if base_cfg.reinit.kind == kind else ReinitSpec(kind)
+
+
+# noise-study method -> (re-init kind, distill)
 METHOD_TABLE = {
-    "standard": (ReinitSpec("none"), DistillConfig(enabled=False)),
-    "sp": (ReinitSpec("shrink_perturb"), DistillConfig(enabled=False)),
-    "sp_distill": (ReinitSpec("shrink_perturb"), DistillConfig(enabled=True)),
-    "full": (ReinitSpec("full"), DistillConfig(enabled=False)),
-    "full_distill": (ReinitSpec("full"), DistillConfig(enabled=True)),
+    "standard": ("none", False),
+    "sp": ("shrink_perturb", False),
+    "sp_distill": ("shrink_perturb", True),
+    "full": ("full", False),
+    "full_distill": ("full", True),
 }
 
 
 def _method_config(base_cfg: RunConfig, method: str) -> RunConfig:
     if method not in METHOD_TABLE:
         raise ConfigurationError(f"unknown method {method!r}; expected one of {sorted(METHOD_TABLE)}")
-    rspec, dist = METHOD_TABLE[method]
-    if dist.enabled:
-        dist = DistillConfig(enabled=True, beta=base_cfg.distill.beta)
+    if method != "standard" and base_cfg.stages == 1:
+        raise ConfigurationError(f"method {method!r} re-initializes between stages, but the base config has 1 stage")
+    kind, distill = METHOD_TABLE[method]
+    dist = replace(base_cfg.distill, enabled=True) if distill else DistillConfig()
     stages = 1 if method == "standard" else base_cfg.stages
-    return replace(base_cfg, reinit=rspec, distill=dist, stages=stages)
+    return replace(base_cfg, reinit=_rule(base_cfg, kind), distill=dist, stages=stages)
 
 
 def noise_study(base_cfg: RunConfig, q_values, methods, out_dir=None) -> list[dict]:
@@ -589,7 +574,8 @@ def noise_study(base_cfg: RunConfig, q_values, methods, out_dir=None) -> list[di
     Memorization rate is the best checkpoint's accuracy against the noisy
     labels on the corrupted indices; the standard method also gets an arm
     with half the epochs, since shortening training is the classical
-    defense against fitting noise.
+    defense against fitting noise. Every other method re-initializes between
+    the base config's stages, so it needs a base of 2 or more stages.
     """
     groups = []
     for q in q_values:
@@ -617,52 +603,30 @@ def _memorization(res: RunResult, bundle: DataBundle) -> dict:
     return {"memorization": evaluate_accuracy(res.best_params, inputs, labels)}
 
 
-ONLINE_METHODS = ("scratch", "warm_start", "shrink_perturb")
+# online method -> the re-init kind that maps one chunk's final parameters to the next start
+ONLINE_METHODS = {"scratch": "full", "warm_start": "none", "shrink_perturb": "shrink_perturb"}
 
 
-def online_sim(base_cfg: RunConfig, num_chunks: int, methods=ONLINE_METHODS, out_dir=None) -> dict:
+def online_sim(base_cfg: RunConfig, num_chunks: int, methods=tuple(ONLINE_METHODS), out_dir=None) -> dict:
     """Data arrives in equal chunks; each method trains on all data so far.
 
     Every method gets epochs // num_chunks epochs per chunk. Before chunk k
     > 1, apply_reinit at boundary k maps the previous chunk's final
-    parameters to the next start: scratch is the ``full`` rule, warm_start
-    ``none``, shrink_perturb the base config's shrink_perturb spec or the
-    default one. Chunk 1 is identical for all methods by construction. With
-    out_dir, each chunk's run gets the directory <run_id>-<method>-chunk<k>.
+    parameters to the next start by _rule(base_cfg, ONLINE_METHODS[method]).
+    Chunk 1 is identical for all methods by construction. With out_dir, each
+    chunk's run gets the directory <run_id>-<method>-chunk<k>.
     """
     if num_chunks < 2:
         raise ConfigurationError(f"need at least 2 chunks, got {num_chunks}")
     for m in methods:
         if m not in ONLINE_METHODS:
-            raise ConfigurationError(f"unknown online method {m!r}; expected one of {ONLINE_METHODS}")
-    if len(set(methods)) < len(methods):
-        raise ConfigurationError(f"repeated online methods in {list(methods)}")
+            raise ConfigurationError(f"unknown online method {m!r}; expected one of {tuple(ONLINE_METHODS)}")
     epochs_per_chunk = base_cfg.epochs // num_chunks
     if epochs_per_chunk < 1:
         raise ConfigurationError(f"{base_cfg.epochs} epochs cannot cover {num_chunks} chunks")
-    bundle = prepare_data(base_cfg)
-    chunks = make_chunks(bundle.train, num_chunks, stage_seed(base_cfg.seeds.data, CHUNK_TAG))
-
-    transitions = {
-        "scratch": ReinitSpec("full"),
-        "warm_start": ReinitSpec("none"),
-        "shrink_perturb": base_cfg.reinit
-        if base_cfg.reinit.kind == "shrink_perturb"
-        else ReinitSpec("shrink_perturb"),
-    }
-    seed = base_cfg.seeds.init
-
-    curves = {}
-    for method in methods:
-        params = init_params(base_cfg.network, seed)
-        curve = []
-        for k in range(1, num_chunks + 1):
-            if k > 1:
-                params, _ = apply_reinit(transitions[method], params, seed, k)
-            seen = np.concatenate(chunks[:k])
-            labels, mask = bundle.train_labels[seen], bundle.noise_mask[seen]
-            chunk_bundle = replace(bundle, train=subset(bundle.train, seen), train_labels=labels, noise_mask=mask)
-            cfg = replace(
+    chunk_cfgs = [
+        [
+            replace(
                 base_cfg,
                 epochs=epochs_per_chunk,
                 stages=1,
@@ -671,6 +635,26 @@ def online_sim(base_cfg: RunConfig, num_chunks: int, methods=ONLINE_METHODS, out
                 run_name=f"{base_cfg.run_id}-{method}-chunk{k}",
                 seeds=replace(base_cfg.seeds, shuffle=stage_seed(base_cfg.seeds.shuffle, k)),
             )
+            for k in range(1, num_chunks + 1)
+        ]
+        for method in methods
+    ]
+    _check_run_dirs([cfg for cfgs in chunk_cfgs for cfg in cfgs])
+    bundle = prepare_data(base_cfg)
+    chunks = make_chunks(bundle.train, num_chunks, stage_seed(base_cfg.seeds.data, CHUNK_TAG))
+    seed = base_cfg.seeds.init
+
+    curves = {}
+    for method, cfgs in zip(methods, chunk_cfgs):
+        transition = _rule(base_cfg, ONLINE_METHODS[method])
+        params = init_params(base_cfg.network, seed)
+        curve = []
+        for k, cfg in enumerate(cfgs, start=1):
+            if k > 1:
+                params, _ = apply_reinit(transition, params, seed, k)
+            seen = np.concatenate(chunks[:k])
+            labels, mask = bundle.train_labels[seen], bundle.noise_mask[seen]
+            chunk_bundle = replace(bundle, train=subset(bundle.train, seen), train_labels=labels, noise_mask=mask)
             res = run_experiment(cfg, chunk_bundle, out_dir, initial_params=params)
             if res.failed:
                 raise HarnessError(f"online chunk {k} diverged for method {method}: {res.failure}")

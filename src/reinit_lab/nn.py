@@ -41,7 +41,7 @@ class ParamVector:
             raise NumericalError("parameter vector contains non-finite entries")
         fn = self.frozen_norm
         if fn is not None:
-            width = self.network.layer_dims()[self.network.block_layers(fn.insert_after_block)[-1]][1]
+            width = self.network.layer_dims()[self.norm_layer][1]
             if fn.mean.shape[0] != width:
                 raise ShapeError(
                     f"frozen norm after block {fn.insert_after_block} has {fn.mean.shape[0]} units, "
@@ -51,6 +51,12 @@ class ParamVector:
     @property
     def dtype(self):
         return self.values.dtype
+
+    @property
+    def norm_layer(self) -> int:
+        """The index of the layer whose output the frozen norm standardizes; -1 without one."""
+        fn = self.frozen_norm
+        return -1 if fn is None else self.network.block_layers(fn.insert_after_block)[-1]
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.network, self.frozen_norm)
@@ -119,11 +125,12 @@ class NetworkSpec:
 class FrozenNormLayer:
     """Per-unit standardization inserted after a block; has no trainable parameters."""
 
-    insert_after_block: int
+    insert_after_block: int = rule(MISSING, "be >= 1", lambda v: v >= 1)
     mean: np.ndarray
     std: np.ndarray
 
     def __post_init__(self):
+        check_fields(self, "frozen norm")
         mean = np.asarray(self.mean)
         std = np.asarray(self.std)
         object.__setattr__(self, "mean", mean)
@@ -175,12 +182,11 @@ def forward(
     """Logits (batch, num_classes), or with ``stop_block`` the output of that
     block's last layer. ``saved`` receives (layer input, output before the
     params' frozen norm) per layer, for the backward pass."""
-    spec, frozen_norm = params.network, params.frozen_norm
+    spec, frozen_norm, norm_layer = params.network, params.frozen_norm, params.norm_layer
     h = np.asarray(inputs)
     if h.ndim != 2 or h.shape[1] != spec.input_dim:
         raise ShapeError(f"inputs must be (batch, {spec.input_dim}), got {h.shape}")
     h = h.astype(params.dtype, copy=False)
-    norm_layer = -1 if frozen_norm is None else spec.block_layers(frozen_norm.insert_after_block)[-1]
     stop = -1 if stop_block is None else spec.block_layers(stop_block)[-1]
     last = spec.num_layers - 1
     for layer_id, (w, b) in enumerate(_layer_views(params.values, spec)):
@@ -244,8 +250,7 @@ def loss_grad_logits(
     """
     if grad_out is None:
         grad_out = np.empty_like(params.values)
-    spec, frozen_norm = params.network, params.frozen_norm
-    norm_layer = -1 if frozen_norm is None else spec.block_layers(frozen_norm.insert_after_block)[-1]
+    spec, frozen_norm, norm_layer = params.network, params.frozen_norm, params.norm_layer
     last = spec.num_layers - 1
     saved = []
     logits = forward(params, inputs, saved=saved)

@@ -68,12 +68,12 @@ def sgd_step(
 class LrSchedule:
     """Learning rate as a function of the step index inside the current stage.
 
-    ``constant`` always returns eta_max. ``cosine_per_stage`` anneals from
-    eta_max to eta_min across each stage and snaps back to eta_max when the
-    next stage starts, since the step index resets to 0.
+    Anneals from eta_max to eta_min across each stage by a cosine and snaps
+    back to eta_max when the next stage starts, since the step index resets
+    to 0. eta_min == eta_max is the constant rate: the span is 0.0, so every
+    step returns eta_max exactly.
     """
 
-    kind: str
     eta_max: float
     eta_min: float = 0.0
     steps_per_stage: int = 1
@@ -82,7 +82,5 @@ class LrSchedule:
 def lr_at(schedule: LrSchedule, step_in_stage: int) -> float:
     """Learning rate at a 0-based step index within the stage; index S is the end point."""
     s, total = step_in_stage, schedule.steps_per_stage
-    if schedule.kind == "constant":
-        return schedule.eta_max
     span = schedule.eta_max - schedule.eta_min
     return schedule.eta_min + 0.5 * span * (1.0 + math.cos(math.pi * s / total))

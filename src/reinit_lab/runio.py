@@ -11,38 +11,13 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, ReinitLabError, from_json
 from .nn import FrozenNormLayer, NetworkSpec, ParamVector
-
-METRICS_FIELDS = (
-    "run_id",
-    "stage",
-    "epoch",
-    "step",
-    "lr",
-    "train_loss",
-    "train_acc",
-    "val_acc",
-    "test_acc",
-    "weight_norm",
-)
-
-SUMMARY_FIELDS = (
-    "run_id",
-    "stage",
-    "epochs",
-    "steps",
-    "stage_val_acc",
-    "stage_test_acc",
-    "best_val_acc",
-    "weight_norm",
-    "wall_ms",
-)
-
 
 @dataclass
 class MetricsRecord:
@@ -99,12 +74,24 @@ def read_json(path):
             raise FormatError(f"{path}: not a JSON file: {exc}") from exc
 
 
-def write_summary_csv(rows: list[dict], path) -> None:
+def write_summary_csv(records: list[MetricsRecord], path) -> None:
+    """One row per stage of a run's records, in stage order: its epochs and
+    optimizer steps, its last epoch's accuracies and weight norm, its best
+    val_acc and its wall time."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in SUMMARY_FIELDS})
+        writer = csv.writer(fh)
+        header = "run_id stage epochs steps stage_val_acc stage_test_acc best_val_acc weight_norm wall_ms"
+        writer.writerow(header.split())
+        steps_before = 0
+        for stage, group in groupby(records, key=lambda r: r.stage):
+            recs = list(group)
+            last = recs[-1]
+            steps, best = last.step - steps_before, max(r.val_acc for r in recs)
+            wall_ms = round(sum(r.wall_ms for r in recs), 3)
+            writer.writerow(
+                [last.run_id, stage, len(recs), steps, last.val_acc, last.test_acc, best, last.weight_norm, wall_ms]
+            )
+            steps_before = last.step
 
 
 def write_json(obj, path) -> None:
@@ -181,7 +168,7 @@ def load_checkpoint(path) -> tuple[ParamVector, dict]:
                 f"{derived} from its network"
             )
         f = header.get("frozen_norm")
-        fn = FrozenNormLayer(int(f["insert_after_block"]), np.array(f["mean"]), np.array(f["std"])) if f else None
+        fn = FrozenNormLayer(f["insert_after_block"], np.array(f["mean"]), np.array(f["std"])) if f else None
         return ParamVector(values(network.param_count).copy(), network, fn), header
 
     return read_framed(path, "checkpoint", "parameter bytes", build)

@@ -214,7 +214,7 @@ def test_05_cosine_schedule():
         bundle = prepare_data(cfg)
         steps_per_epoch = math.ceil(bundle.train.n / cfg.batch_size)
         S = 4 * steps_per_epoch
-        sched = LrSchedule("cosine_per_stage", eta_max, eta_min, S)
+        sched = LrSchedule(eta_max, eta_min, S)
         assert abs(lr_at(sched, 0) - eta_max) < 1e-12
         assert abs(lr_at(sched, S) - eta_min) < 1e-12
         assert abs(lr_at(sched, S / 2) - (eta_max + eta_min) / 2) < 1e-12

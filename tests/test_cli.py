@@ -13,7 +13,7 @@ import pytest
 
 import reinit_lab
 import reinit_lab.reinit as reinit
-from reinit_lab.cli import build_config, main, make_parser
+from reinit_lab.cli import DEFAULT_T_VALUES, build_config, main, make_parser
 from reinit_lab.harness import DataConfig, RunConfig, Seeds, online_sim
 from reinit_lab.nn import NetworkSpec
 from reinit_lab.reinit import ReinitSpec
@@ -111,6 +111,12 @@ class TestBuildConfig:
         args = parse_args(["train", "--config", tiny_config_file, "--distill-beta", "0.5"])
         cfg = build_config(args)
         assert cfg.distill.enabled and cfg.distill.beta == 0.5
+
+
+    def test_default_t_values_divide_the_default_epochs(self):
+        # the stages command runs at its defaults only if every default T splits the budget evenly
+        epochs = build_config(parse_args(["stages"])).epochs
+        assert [t for t in DEFAULT_T_VALUES if epochs % t] == []
 
 
 class TestMain:
@@ -341,8 +347,8 @@ class TestMain:
         [
             ["stages", "--t-values", "2,2"],
             ["grid", "--lrs", "0.05,0.05", "--wds", "0"],
-            ["noise", "--q-values", "0.3,0.3", "--methods", "sp"],
-            ["noise", "--q-values", "0.3", "--methods", "sp,sp"],
+            ["noise", "--q-values", "0.3,0.3", "--methods", "sp", "--stages", "2"],
+            ["noise", "--q-values", "0.3", "--methods", "sp,sp", "--stages", "2"],
             ["online", "--chunks", "2", "--methods", "scratch,scratch"],
         ],
         ids=["stages", "grid", "noise_q", "noise_method", "online"],

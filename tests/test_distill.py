@@ -72,6 +72,12 @@ def test_cache_rejects_bad_tables():
         TeacherCache(np.array([[0.5, 0.5]]), 0, 1.0)
 
 
+def test_row_sum_message_reads_a_plain_float():
+    with pytest.raises(DataError) as info:
+        TeacherCache(np.array([[0.7, 0.7]], dtype=np.float32), 1, 1.0)
+    assert str(info.value) == "teacher row 0 sums to 1.399999976158142, expected 1 within 1e-6"
+
+
 # a float32 row whose float64 sum is 1 - 9.5e-7, inside the cache's 1e-6 rule,
 # while numpy's float32 row sum reads 0.999999, outside it
 EDGE_ROW = [
@@ -152,12 +158,14 @@ def cache_file(path, probs, **header_changes):
 @pytest.mark.parametrize(
     "probs, changes, phrase",
     [
-        ([[0.5, 0.5], [0.2, 0.8]], {"beta": -1}, "beta must be >= 0"),
-        ([[0.5, 0.5], [0.2, 0.8]], {"source_stage": 0}, "source stage must be >= 1"),
+        ([[0.5, 0.5], [0.2, 0.8]], {"beta": -1}, "teacher cache key beta must be >= 0, got -1"),
+        ([[0.5, 0.5], [0.2, 0.8]], {"source_stage": 0}, "teacher cache key source_stage must be >= 1, got 0"),
         ([[0.7, 0.7], [0.5, 0.5]], {}, "teacher row 0 sums to .*1.39"),
         ([[0.5, 0.5], [0.2, 0.8], [1.0, 0.0]], {"rows": 2, "cols": 3}, "teacher row 0 sums to"),
+        ([[0.5, 0.5], [0.2, 0.8]], {"source_stage": 2.7}, "teacher cache key source_stage must be an integer, got 2.7"),
+        ([[0.5, 0.5], [0.2, 0.8]], {"beta": "0.5"}, "teacher cache key beta must be a number, got '0.5'"),
     ],
-    ids=["negative-beta", "stage-zero", "row-sum-1.4", "rows-cols-swapped"],
+    ids=["negative-beta", "stage-zero", "row-sum-1.4", "rows-cols-swapped", "fractional-stage", "string-beta"],
 )
 def test_cache_file_the_cache_rejects_names_the_file(tmp_path, probs, changes, phrase):
     path = cache_file(tmp_path / "teacher_stage1.bin", probs, **changes)

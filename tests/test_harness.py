@@ -361,6 +361,34 @@ class TestRunExperiment:
         assert len(lines) == 4
         assert [ln.split(",")[1] for ln in lines[1:]] == ["1", "2", "3"]
 
+    @pytest.mark.parametrize("diverge_at", [None, 22], ids=["two-stage", "diverged-mid-stage"])
+    def test_summary_rows_follow_the_per_epoch_step_count(self, tmp_path, monkeypatch, diverge_at):
+        # 2 stages of 3 epochs, 5 steps each; a non-finite loss at step 22 ends the
+        # run in stage 2's second epoch, leaving 3 + 1 finished epochs
+        calls, loss_grad_logits = [], harness.loss_grad_logits
+
+        def diverging(*args, **kwargs):
+            loss, grad, logits = loss_grad_logits(*args, **kwargs)
+            calls.append(None)
+            return (math.nan if len(calls) == diverge_at else loss), grad, logits
+
+        monkeypatch.setattr(harness, "loss_grad_logits", diverging)
+        res = run_experiment(tiny_cfg(run_name="sums", stages=2), out_dir=tmp_path)
+        assert res.failed == (diverge_at is not None)
+        # the summary as each stage's epoch count times the steps of one epoch
+        per_epoch = res.records[-1].step // res.records[-1].epoch
+        rows = []
+        for stage in sorted({r.stage for r in res.records}):
+            recs = [r for r in res.records if r.stage == stage]
+            last = recs[-1]
+            cells = [stage, len(recs), len(recs) * per_epoch, last.val_acc, last.test_acc]
+            cells += [max(r.val_acc for r in recs), last.weight_norm, round(sum(r.wall_ms for r in recs), 3)]
+            rows.append(["sums", *map(str, cells)])
+        with open(tmp_path / "sums" / "summary.csv", newline="") as fh:
+            written = list(csv.reader(fh))
+        assert written[1:] == rows
+        assert [row[3] for row in rows] == (["15", "15"] if diverge_at is None else ["15", "5"])
+
     def test_setting_none_constant_lr_no_augment(self):
         res = run_experiment(tiny_cfg())
         assert all(r.lr == 0.05 for r in res.records)
@@ -926,6 +954,28 @@ class TestNoiseStudy:
         with pytest.raises(ConfigurationError, match="method"):
             noise_study(tiny_cfg(), (0.1,), ("sgd",))
 
+    def test_shrink_perturb_methods_run_the_base_factors(self, tmp_path, monkeypatch):
+        ran = {}
+
+        def recording(cfg, bundle, out_dir=None):
+            ran[cfg.run_name] = cfg
+            return run_experiment(cfg, bundle, out_dir)
+
+        monkeypatch.setattr(harness, "run_experiment", recording)
+        sp = ReinitSpec("shrink_perturb", lam=0.6, gamma=0.2)
+        base = tiny_cfg(epochs=2, stages=2, reinit=sp, run_name="exp")
+        noise_study(base, (0.3,), ("sp", "sp_distill", "full"), out_dir=tmp_path)
+        assert ran["exp-q0.3-sp"].reinit == ran["exp-q0.3-sp_distill"].reinit == sp
+        assert ran["exp-q0.3-full"].reinit == ReinitSpec("full")
+        saved = json.loads((tmp_path / "exp-q0.3-sp_distill" / "config.json").read_text())
+        assert (saved["reinit"]["lam"], saved["reinit"]["gamma"]) == (0.6, 0.2)
+
+    def test_one_stage_base_rejects_the_methods_that_reinitialize(self, monkeypatch):
+        monkeypatch.setattr(harness, "prepare_data", None)  # a cell that ran would fail on this
+        for method in ("sp", "sp_distill", "full", "full_distill"):
+            with pytest.raises(ConfigurationError, match=f"method '{method}' re-initializes between stages"):
+                noise_study(tiny_cfg(), (0.0,), ("standard", method))
+
     def test_earlier_data_is_dropped_before_the_next_q_is_prepared(self, monkeypatch):
         prepared, alive = [], []
 
@@ -975,6 +1025,12 @@ class TestOnlineSim:
             assert np.array_equal(starts["warm_start"][k - 1][0], starts["warm_start"][k - 2][1])
             previous = starts["shrink_perturb"][k - 2][1]
             assert np.array_equal(starts["shrink_perturb"][k - 1][0], (0.3 * previous + 0.2 * fresh).astype(np.float32))
+
+    def test_repeated_method_is_rejected_before_data_is_prepared(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "prepare_data", None)  # a study that got this far would fail on this
+        with pytest.raises(ConfigurationError, match="repeated cells: run ids .*-scratch-chunk1"):
+            online_sim(tiny_cfg(epochs=4), num_chunks=2, methods=("scratch", "warm_start", "scratch"), out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

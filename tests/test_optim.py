@@ -128,28 +128,30 @@ def test_optim_state_validation():
 
 
 def test_cosine_schedule_hits_exact_anchor_points():
-    sched = LrSchedule("cosine_per_stage", eta_max=0.1, eta_min=0.001, steps_per_stage=80)
+    sched = LrSchedule(eta_max=0.1, eta_min=0.001, steps_per_stage=80)
     assert lr_at(sched, 0) == pytest.approx(0.1, abs=1e-15)
     assert lr_at(sched, 40) == pytest.approx((0.1 + 0.001) / 2, abs=1e-15)
     assert lr_at(sched, 80) == pytest.approx(0.001, abs=1e-15)
 
 
 def test_cosine_schedule_matches_closed_form_everywhere():
-    sched = LrSchedule("cosine_per_stage", eta_max=0.05, eta_min=0.0, steps_per_stage=33)
+    sched = LrSchedule(eta_max=0.05, eta_min=0.0, steps_per_stage=33)
     for s in range(34):
         want = 0.0 + 0.5 * 0.05 * (1 + math.cos(math.pi * s / 33))
         assert lr_at(sched, s) == pytest.approx(want, abs=1e-15)
 
 
 def test_cosine_schedule_is_monotone_within_stage():
-    sched = LrSchedule("cosine_per_stage", eta_max=0.1, eta_min=0.01, steps_per_stage=50)
+    sched = LrSchedule(eta_max=0.1, eta_min=0.01, steps_per_stage=50)
     lrs = [lr_at(sched, s) for s in range(51)]
     assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 
 
 def test_constant_schedule_ignores_step():
-    sched = LrSchedule("constant", eta_max=0.03, steps_per_stage=10)
-    assert {lr_at(sched, s) for s in range(11)} == {0.03}
+    # eta_min == eta_max is the constant rate: the cosine term is scaled by a span of exactly 0.0
+    for eta in (0.03, 0.1, 0.05, 1e-3, 0.7, 1 / 3):
+        sched = LrSchedule(eta_max=eta, eta_min=eta, steps_per_stage=10)
+        assert {lr_at(sched, s) for s in range(11)} == {eta}
 
 
 def test_schedule_validation():

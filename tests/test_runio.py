@@ -1,6 +1,7 @@
 """Tests for metrics/checkpoint serialization."""
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,8 +14,6 @@ from reinit_lab.nn import (
     init_params,
 )
 from reinit_lab.runio import (
-    METRICS_FIELDS,
-    SUMMARY_FIELDS,
     MetricsRecord,
     emit_metrics,
     load_checkpoint,
@@ -46,7 +45,7 @@ class TestMetricsRecord:
     def test_json_line_has_exactly_the_public_fields(self):
         line = make_record().to_json_line()
         d = json.loads(line)
-        assert set(d) == set(METRICS_FIELDS)
+        assert set(d) == {f.name for f in fields(MetricsRecord)} - {"wall_ms"}
 
     def test_wall_ms_never_serialized(self):
         a = make_record(wall_ms=1.0).to_json_line()
@@ -82,30 +81,23 @@ class TestMetricsRecord:
 
 class TestSummaryCsv:
     def test_header_and_rows(self, tmp_path):
-        rows = [
-            {
-                "run_id": "abc",
-                "stage": 1,
-                "epochs": 10,
-                "steps": 320,
-                "stage_val_acc": 0.8,
-                "stage_test_acc": 0.79,
-                "best_val_acc": 0.81,
-                "weight_norm": 4.5,
-                "wall_ms": 12.0,
-            }
+        # stage 1 ran epochs 1-2 (steps 10, 20), stage 2 epoch 3 (step 30)
+        recs = [make_record(epoch=e, stage=1 if e <= 2 else 2, val_acc=0.1 * e) for e in (1, 2, 3)]
+        path = tmp_path / "summary.csv"
+        write_summary_csv(recs, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "run_id,stage,epochs,steps,stage_val_acc,stage_test_acc,best_val_acc,weight_norm,wall_ms"
+        assert lines[1:] == [
+            "abc123,1,2,20,0.2,0.45,0.2,3.25,246.8",
+            "abc123,2,1,10,0.30000000000000004,0.45,0.30000000000000004,3.25,123.4",
         ]
-        path = tmp_path / "summary.csv"
-        write_summary_csv(rows, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == ",".join(SUMMARY_FIELDS)
-        assert lines[1].startswith("abc,1,10,320,")
 
-    def test_missing_keys_become_empty_cells(self, tmp_path):
+    def test_no_records_is_the_header_alone(self, tmp_path):
         path = tmp_path / "summary.csv"
-        write_summary_csv([{"run_id": "x"}], path)
-        lines = path.read_text().splitlines()
-        assert lines[1] == "x" + "," * (len(SUMMARY_FIELDS) - 1)
+        write_summary_csv([], path)
+        assert path.read_text().splitlines() == [
+            "run_id,stage,epochs,steps,stage_val_acc,stage_test_acc,best_val_acc,weight_norm,wall_ms"
+        ]
 
 
 class TestCheckpoint:
@@ -195,6 +187,14 @@ class TestCheckpoint:
         save_checkpoint(path, ParamVector(init_params(net, 11).values, net, self.normed.frozen_norm), 11, 1, 1)
         self.edit_header(path, lambda header: header["frozen_norm"].update(insert_after_block=7))
         with pytest.raises(FormatError, match=f"{re.escape(str(path))}: bad checkpoint header: block 7 outside 1..3"):
+            load_checkpoint(path)
+
+    def test_frozen_norm_block_must_be_an_integer(self, tmp_path):
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, self.normed, 11, 1, 1)
+        self.edit_header(path, lambda header: header["frozen_norm"].update(insert_after_block=1.9))
+        phrase = "frozen norm key insert_after_block must be an integer, got 1.9"
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: bad checkpoint header: {phrase}"):
             load_checkpoint(path)
 
     def test_frozen_norm_of_another_width_than_its_block_is_rejected(self, tmp_path):
