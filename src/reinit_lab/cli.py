@@ -1,8 +1,9 @@
 """Command-line entry points for training runs and studies.
 
-Every subcommand prints a JSON result on stdout and exits 0; domain errors
-print a JSON object {"error", "message"} on stderr and exit nonzero, so
-scripts can branch on the exit code and still parse the reason.
+Every subcommand prints one JSON value on stdout and exits 0; a study
+command prints the study file its library call returns and writes. Domain
+errors print a JSON object {"error", "message"} on stderr and exit nonzero,
+so scripts can branch on the exit code and still parse the reason.
 """
 from __future__ import annotations
 
@@ -28,11 +29,12 @@ from .harness import (
 )
 from .nn import NetworkSpec
 from .reinit import ReinitSpec
-from .runio import read_json, read_metrics
+from .runio import best_record, read_json, read_metrics
 
 DEFAULT_LR_GRID = (0.005, 0.01, 0.03, 0.05, 0.1)
 DEFAULT_WD_GRID = (0.0, 0.0001, 0.0005, 0.001, 0.005)
 DEFAULT_T_VALUES = (1, 2, 5, 10, 20, 30)  # each divides the default 60 epochs
+NOISE_STAGES = 5  # noise's stage count unless --config or --stages gives one; divides the default 60 epochs
 
 REINIT_TOKENS = {
     "none": "none",
@@ -89,18 +91,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _floats(text: str) -> list[float]:
+def _numbers(text: str, kind=float) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok != ""]
+        return [kind(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
-        raise ConfigurationError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _ints(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError:
-        raise ConfigurationError(f"expected comma-separated integers, got {text!r}") from None
+        what = "integers" if kind is int else "numbers"
+        raise ConfigurationError(f"expected comma-separated {what}, got {text!r}") from None
 
 
 def cmd_train(args) -> dict:
@@ -120,52 +116,35 @@ def cmd_train(args) -> dict:
 
 
 def cmd_grid(args) -> dict:
-    cfg = build_config(args)
-    grid = grid_search(cfg, _floats(args.lrs), _floats(args.wds), out_dir=args.out)
-    lr, wd = grid["chosen"]["lr"], grid["chosen"]["wd"]
-    chosen = next(c for c in grid["cells"] if (c["lr"], c["wd"]) == (lr, wd))
-    return {
-        "chosen_lr": lr,
-        "chosen_wd": wd,
-        "val_acc": chosen["val_acc"],
-        "test_acc": chosen["test_acc"],
-        "robustness": grid["robustness"],
-        "cells": grid["cells"],
-    }
+    return grid_search(build_config(args), _numbers(args.lrs), _numbers(args.wds), out_dir=args.out)
 
 
-def cmd_stages(args) -> dict:
-    cfg = build_config(args)
-    rows = stage_sweep(cfg, _ints(args.t_values), out_dir=args.out)
-    return {"sweep": rows}
+def cmd_stages(args) -> list[dict]:
+    return stage_sweep(build_config(args), _numbers(args.t_values, int), out_dir=args.out)
 
 
-def cmd_noise(args) -> dict:
-    cfg = build_config(args)
-    rows = noise_study(cfg, _floats(args.q_values), args.methods.split(","), out_dir=args.out)
-    return {"study": rows}
+def cmd_noise(args) -> list[dict]:
+    if args.config is None and args.stages is None:
+        args.stages = NOISE_STAGES  # the default methods re-initialize between stages
+    return noise_study(build_config(args), _numbers(args.q_values), args.methods.split(","), out_dir=args.out)
 
 
 def cmd_online(args) -> dict:
-    cfg = build_config(args)
-    curves = online_sim(cfg, args.chunks, tuple(args.methods.split(",")), out_dir=args.out)
-    return {"curves": curves}
+    return online_sim(build_config(args), args.chunks, tuple(args.methods.split(",")), out_dir=args.out)
 
 
 def cmd_inspect(args) -> dict:
     run_dir = Path(args.out) / args.run_id
-    config_path = run_dir / "config.json"
-    if not config_path.exists():
+    if not (run_dir / "config.json").exists():
         raise ConfigurationError(f"no run named {args.run_id!r} under {args.out}")
-    config = read_json(config_path)
-    metrics = read_metrics(run_dir / "metrics.jsonl")
-    best = max(metrics, key=lambda m: (m["val_acc"], -m["epoch"])) if metrics else None
+    records = read_metrics(run_dir / "metrics.jsonl")
+    best = best_record(records)
     return {
         "run_id": args.run_id,
-        "config": config,
-        "epochs_logged": len(metrics),
-        "last": metrics[-1] if metrics else None,
-        "best": best,
+        "config": read_json(run_dir / "config.json"),
+        "epochs_logged": len(records),
+        "last": records[-1].to_json() if records else None,
+        "best": best.to_json() if best else None,
     }
 
 

@@ -11,7 +11,7 @@ from dataclasses import MISSING, dataclass
 
 import numpy as np
 
-from .errors import DataError, check_fields, rule
+from .errors import DataError, check_fields, integer, rule
 from .nn import NO_GRAD_ROWS, ParamVector, forward, softmax
 from .runio import read_framed, write_framed
 
@@ -72,7 +72,7 @@ def save_teacher_cache(cache: TeacherCache, path) -> None:
 
 def load_teacher_cache(path) -> TeacherCache:
     def build(header, values):
-        rows, cols = int(header["rows"]), int(header["cols"])
+        rows, cols = (integer(header[k], f"teacher cache key {k}") for k in ("rows", "cols"))
         probs = values(rows * cols).reshape(rows, cols)
         return TeacherCache(probs, header["source_stage"], header["beta"])
 

@@ -96,6 +96,13 @@ def _fitted_int(value):
         return None
 
 
+def integer(value, what: str) -> int:
+    """value when it is an integer; ConfigurationError for a bool, a float (2.0 too) or anything else."""
+    if (fitted := _fitted_int(value)) is None:
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return fitted
+
+
 def checked_keys(cls, d, what: str) -> dict:
     """A copy of the JSON object d, after checking that every key names a
     field of the dataclass cls and that every field without a default is

@@ -45,7 +45,7 @@ from .nn import (
 )
 from .optim import LrSchedule, OptimState, lr_at, sgd_step
 from .reinit import ReinitSpec, apply_reinit, make_stage_plan, stage_seed
-from .runio import MetricsRecord, emit_metrics, save_checkpoint, write_json, write_summary_csv
+from .runio import MetricsRecord, best_record, emit_metrics, save_checkpoint, write_json, write_summary_csv
 
 SETTINGS = ("none", "d", "dc", "dcw")
 SOURCES = ("synthetic", "idx", "csv")
@@ -276,8 +276,8 @@ class RunResult:
 
     @property
     def best(self) -> MetricsRecord | None:
-        """The first record of highest val_acc, or None when no epoch finished."""
-        return max(self.records, key=lambda r: r.val_acc, default=None)
+        """best_record of the records; None when no epoch finished."""
+        return best_record(self.records)
 
     @property
     def best_val_acc(self) -> float:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ReinitLabError, from_json
+from .errors import FormatError, ReinitLabError, check_fields, from_json, integer
 from .nn import FrozenNormLayer, NetworkSpec, ParamVector
 
 @dataclass
@@ -35,10 +35,17 @@ class MetricsRecord:
     weight_norm: float
     wall_ms: float = 0.0
 
+    def to_json(self) -> dict:
+        """The metrics.jsonl form: every field but wall_ms."""
+        return {k: v for k, v in asdict(self).items() if k != "wall_ms"}
+
     def to_json_line(self) -> str:
-        d = asdict(self)
-        del d["wall_ms"]
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(self.to_json(), sort_keys=True)
+
+
+def best_record(records: list[MetricsRecord]) -> MetricsRecord | None:
+    """The first record of highest val_acc, or None when there are none."""
+    return max(records, key=lambda r: r.val_acc, default=None)
 
 
 def emit_metrics(records, path) -> None:
@@ -51,14 +58,17 @@ def emit_metrics(records, path) -> None:
         raise FormatError(f"cannot write metrics to {path}: {exc}") from exc
 
 
-def read_metrics(path) -> list[dict]:
+def read_metrics(path) -> list[MetricsRecord]:
+    """An emit_metrics file's records; FormatError naming the file and line of a bad line."""
     out = []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 try:
-                    out.append(json.loads(line))
-                except json.JSONDecodeError as exc:
+                    rec = from_json(MetricsRecord, json.loads(line), "metrics line")
+                    check_fields(rec, "metrics line")  # at the file boundary; the training loop needs no check
+                    out.append(rec)
+                except (ReinitLabError, json.JSONDecodeError) as exc:
                     raise FormatError(f"{path}: line {lineno}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read metrics from {path}: {exc}") from exc
@@ -160,7 +170,7 @@ def load_checkpoint(path) -> tuple[ParamVector, dict]:
 
     def build(header, values):
         network = from_json(NetworkSpec, header["network"], "network")
-        recorded = (header["layout"]["total_len"], header["layout"]["num_blocks"])
+        recorded = tuple(integer(header["layout"][k], f"layout key {k}") for k in ("total_len", "num_blocks"))
         derived = (network.param_count, network.num_blocks)
         if recorded != derived:
             raise FormatError(

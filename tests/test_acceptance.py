@@ -277,7 +277,8 @@ def test_08_label_noise_exactness():
         inputs = rng.normal(0, 1, (109, 3)).astype(np.float32)
         labels = rng.integers(0, 10, 109)
         ds = Dataset(inputs, labels, num_classes=10)
-        for q, want in ((0.37, 40), (0.5, 54), (1.0, 109)):
+        # at 0.4, 43.6 labels floor to 43 where rounding would give 44
+        for q, want in ((0.37, 40), (0.4, 43), (0.5, 54), (1.0, 109)):
             _, mask = inject_label_noise(ds, q, seed=3)
             assert int(mask.sum()) == want == int(q * 109)
         clean, mask = inject_label_noise(ds, 0.0, seed=3)

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 import reinit_lab
+import reinit_lab.cli as cli
+import reinit_lab.harness as harness
 import reinit_lab.reinit as reinit
 from reinit_lab.cli import DEFAULT_T_VALUES, build_config, main, make_parser
-from reinit_lab.harness import DataConfig, RunConfig, Seeds, online_sim
-from reinit_lab.nn import NetworkSpec
+from reinit_lab.harness import DataConfig, RunConfig, RunResult, Seeds, online_sim
+from reinit_lab.nn import NetworkSpec, init_params, weight_norm
 from reinit_lab.reinit import ReinitSpec
-from reinit_lab.runio import write_json
+from reinit_lab.runio import MetricsRecord, load_checkpoint, write_json
 from conftest import write_csv, write_idx
 
 
@@ -331,15 +333,20 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--q-values", "0", "--methods", "standard,bogus"], ["--q-values", "0,1.5"]],
+        "flags, phrase",
+        [
+            (["--q-values", "0", "--methods", "standard,bogus"], "unknown method 'bogus'"),
+            (["--q-values", "0,1.5"], "noise_q must lie in [0, 1], got 1.5"),
+        ],
         ids=["bad_method", "bad_q"],
     )
-    def test_noise_study_checks_every_cell_before_it_runs_one(self, tmp_path, capsys, flags):
+    def test_noise_study_checks_every_cell_before_it_runs_one(self, tmp_path, capsys, flags, phrase):
         out = tmp_path / "runs"
-        code, payload = run_main(["noise", "--epochs", "2", "--out", str(out), *flags], capsys)
+        # 10 epochs hold the default 5 stages, so the cells of q 0 are built before the bad one
+        code, payload = run_main(["noise", "--epochs", "10", "--out", str(out), *flags], capsys)
         assert code == 2
         assert payload["error"] == "ConfigurationError"
+        assert phrase in payload["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -481,15 +488,21 @@ class TestMain:
 
     def test_inspect_round_trip(self, tiny_config_file, tmp_path, capsys):
         out = str(tmp_path / "runs")
-        code, payload = run_main(
-            ["train", "--config", tiny_config_file, "--epochs", "3", "--out", out], capsys
-        )
+        code, payload = run_main(["train", "--config", tiny_config_file, "--out", out], capsys)
         assert code == 0
         code, info = run_main(["inspect", payload["run_id"], "--out", out], capsys)
         assert code == 0
-        assert info["epochs_logged"] == 3
+        assert info["epochs_logged"] == 6
+        assert info["config"]["epochs"] == 6
+        run_dir = Path(payload["run_dir"])
+        vals = [json.loads(line)["val_acc"] for line in (run_dir / "metrics.jsonl").open()]
+        assert vals.count(max(vals)) > 1 and vals[-1] != max(vals)  # a tie, and the last epoch is not in it
+        # the first tied epoch, in inspect, in the run result and in best.ckpt
         assert info["best"]["val_acc"] == payload["best_val_acc"]
-        assert info["config"]["epochs"] == 3
+        assert info["best"]["epoch"] == payload["best_epoch"] == vals.index(max(vals)) + 1
+        params, header = load_checkpoint(run_dir / "best.ckpt")
+        assert header["epoch"] == info["best"]["epoch"]
+        assert weight_norm(params.values) == info["best"]["weight_norm"]
 
     def test_inspect_unknown_run(self, tmp_path, capsys):
         code, payload = run_main(["inspect", "ghost", "--out", str(tmp_path)], capsys)
@@ -514,7 +527,7 @@ class TestMain:
             capsys,
         )
         assert code == 0
-        assert payload["chosen_lr"] in (0.01, 0.05)
+        assert payload["chosen"]["lr"] in (0.01, 0.05)
         assert len(payload["cells"]) == 2
 
     def test_online_subcommand(self, tiny_config_file, tmp_path, capsys):
@@ -535,8 +548,8 @@ class TestMain:
             capsys,
         )
         assert code == 0
-        assert set(payload["curves"]) == {"scratch", "warm_start"}
-        assert len(payload["curves"]["scratch"]) == 2
+        assert set(payload) == {"scratch", "warm_start"}
+        assert len(payload["scratch"]) == 2
 
     def test_online_chunk_runs_can_be_inspected(self, tiny_config_file, tmp_path, capsys):
         out = tmp_path / "runs"
@@ -544,7 +557,7 @@ class TestMain:
         code, payload = run_main(argv, capsys)
         assert code == 0
         cfg = replace(RunConfig.from_dict(json.loads(Path(tiny_config_file).read_text())), epochs=4)
-        for method, curve in payload["curves"].items():
+        for method, curve in payload.items():
             for row in curve:
                 run_id = f"{cfg.run_id}-{method}-chunk{row['chunk']}"
                 code, info = run_main(["inspect", run_id, "--out", str(out)], capsys)
@@ -555,12 +568,61 @@ class TestMain:
         write_json(online_sim(cfg, 2), tmp_path / "no_dirs.json")
         assert (out / "online_sim.json").read_bytes() == (tmp_path / "no_dirs.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv, study_file",
+        [
+            (["grid", "--lrs", "0.01,0.05", "--wds", "0"], "grid.json"),
+            (["stages", "--t-values", "1,2", "--reinit", "sp"], "stage_sweep.json"),
+            (["noise", "--q-values", "0,0.3", "--stages", "2"], "noise_study.json"),
+            (["online", "--chunks", "2"], "online_sim.json"),
+        ],
+        ids=["grid", "stages", "noise", "online"],
+    )
+    def test_study_command_prints_its_study_file(self, tiny_config_file, tmp_path, capsys, argv, study_file):
+        out = tmp_path / "runs"
+        code, payload = run_main([*argv, "--config", tiny_config_file, "--epochs", "2", "--out", str(out)], capsys)
+        assert code == 0
+        assert payload == json.loads((out / study_file).read_text())
+
     def test_bad_grid_values_report_error(self, tiny_config_file, capsys):
         code, payload = run_main(
             ["grid", "--config", tiny_config_file, "--lrs", "fast"], capsys
         )
         assert code == 2
         assert payload["error"] == "ConfigurationError"
+
+
+@pytest.fixture
+def stub_runs(monkeypatch):
+    """run_experiment replaced by a stub that trains nothing; returns the list of configs it is called with."""
+    configs = []
+
+    def stub(cfg, bundle=None, out_dir=None, initial_params=None):
+        configs.append(cfg)
+        params = initial_params if initial_params is not None else init_params(cfg.network, cfg.seeds.init)
+        record = MetricsRecord(cfg.run_id, 1, 1, 1, cfg.lr, 1.0, 0.5, 0.5, 0.5, 1.0)
+        return RunResult(cfg, [record], params, None, [], {"optimizer_steps": 1})
+
+    monkeypatch.setattr(harness, "run_experiment", stub)
+    monkeypatch.setattr(cli, "run_experiment", stub)
+    return configs
+
+
+@pytest.mark.parametrize("command", ["train", "grid", "stages", "noise", "online"])
+def test_every_subcommand_runs_at_its_defaults(tmp_path, capsys, stub_runs, command):
+    code, payload = run_main([command, "--out", str(tmp_path / "runs")], capsys)
+    assert code == 0, payload
+    assert stub_runs  # every default run went through the stub
+
+
+def test_noise_base_has_5_stages_unless_a_flag_or_the_config_gives_a_count(tmp_path, capsys, stub_runs):
+    config = tmp_path / "three_stages.json"
+    write_json(RunConfig(network=cli.default_network(), stages=3).to_dict(), config)
+    for flags, stages in (([], 5), (["--stages", "2"], 2), (["--config", str(config)], 3)):
+        stub_runs.clear()
+        argv = ["noise", "--q-values", "0", "--methods", "sp", *flags, "--out", str(tmp_path / "runs")]
+        assert run_main(argv, capsys)[0] == 0
+        assert [cfg.stages for cfg in stub_runs] == [stages]
 
 
 def run_fresh_process(*argv) -> subprocess.CompletedProcess:

@@ -164,8 +164,14 @@ def cache_file(path, probs, **header_changes):
         ([[0.5, 0.5], [0.2, 0.8], [1.0, 0.0]], {"rows": 2, "cols": 3}, "teacher row 0 sums to"),
         ([[0.5, 0.5], [0.2, 0.8]], {"source_stage": 2.7}, "teacher cache key source_stage must be an integer, got 2.7"),
         ([[0.5, 0.5], [0.2, 0.8]], {"beta": "0.5"}, "teacher cache key beta must be a number, got '0.5'"),
+        # int() would read a 2-row table out of 2.9 rows
+        ([[0.5, 0.5], [0.2, 0.8]], {"rows": 2.9}, "teacher cache key rows must be an integer, got 2.9"),
+        ([[0.5, 0.5], [0.2, 0.8]], {"cols": 2.0}, "teacher cache key cols must be an integer, got 2.0"),
     ],
-    ids=["negative-beta", "stage-zero", "row-sum-1.4", "rows-cols-swapped", "fractional-stage", "string-beta"],
+    ids=[
+        "negative-beta", "stage-zero", "row-sum-1.4", "rows-cols-swapped", "fractional-stage", "string-beta",
+        "fractional-rows", "float-cols",
+    ],
 )
 def test_cache_file_the_cache_rejects_names_the_file(tmp_path, probs, changes, phrase):
     path = cache_file(tmp_path / "teacher_stage1.bin", probs, **changes)

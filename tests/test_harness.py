@@ -32,6 +32,7 @@ from reinit_lab.harness import (
     RunConfig,
     RunResult,
     Seeds,
+    evaluate_accuracy,
     grid_search,
     noise_study,
     online_sim,
@@ -39,7 +40,7 @@ from reinit_lab.harness import (
     run_experiment,
     stage_sweep,
 )
-from reinit_lab.nn import NO_GRAD_ROWS, NetworkSpec, init_params
+from reinit_lab.nn import NO_GRAD_ROWS, NetworkSpec, init_params, weight_norm
 from reinit_lab.reinit import ReinitSpec, stage_seed
 from reinit_lab.runio import MetricsRecord, load_checkpoint
 
@@ -327,13 +328,17 @@ class TestRunExperiment:
         assert [r.step for r in res.records] == [e * STEPS_PER_EPOCH for e in range(1, 7)]
         assert res.boundary_events == []
 
-    def test_best_checkpoint_tracks_val_max_earliest(self):
-        res = run_experiment(tiny_cfg())
+    def test_best_checkpoint_tracks_val_max_earliest(self, tmp_path):
+        res = run_experiment(tiny_cfg(run_name="tie"), out_dir=tmp_path)
         vals = [r.val_acc for r in res.records]
+        assert vals.count(max(vals)) > 1 and vals[-1] != max(vals)  # a tie, and the last epoch is not in it
         assert res.best_val_acc == max(vals)
         assert res.best is res.records[vals.index(max(vals))]
         assert res.best.epoch == vals.index(max(vals)) + 1
-        assert res.best_params is not None
+        params, header = load_checkpoint(tmp_path / "tie" / "best.ckpt")
+        assert (header["stage"], header["epoch"]) == (res.best.stage, res.best.epoch)
+        # each record holds the norm of its epoch's parameters; the tied epochs' norms differ
+        assert weight_norm(res.best_params.values) == weight_norm(params.values) == res.best.weight_norm
 
     def test_run_is_bit_deterministic(self, tmp_path):
         cfg = tiny_cfg(run_name="det")
@@ -922,6 +927,17 @@ class TestNoiseStudy:
                 assert r["memorization"] is None
             else:
                 assert 0.0 <= r["memorization"] <= 1.0
+
+    def test_memorization_scores_the_noisy_labels(self, tmp_path):
+        base = tiny_cfg(epochs=4)
+        [row, _] = noise_study(base, (0.5,), ("standard",), out_dir=tmp_path)
+        params, _ = load_checkpoint(tmp_path / row["run_id"] / "best.ckpt")
+        bundle = prepare_data(replace(base, noise_q=0.5))
+        inputs, mask = bundle.train.inputs, bundle.noise_mask
+        noisy = evaluate_accuracy(params, inputs[mask], bundle.train_labels[mask])
+        # the clean labels score otherwise, so reading them would show
+        assert noisy != evaluate_accuracy(params, inputs[mask], bundle.train.labels[mask])
+        assert row["memorization"] == noisy
 
     def test_compute_parity_between_methods(self):
         base = tiny_cfg(epochs=4, stages=2)

@@ -1,7 +1,7 @@
 """Tests for metrics/checkpoint serialization."""
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -61,17 +61,31 @@ class TestMetricsRecord:
         recs = [make_record(epoch=e) for e in range(1, 6)]
         path = tmp_path / "metrics.jsonl"
         emit_metrics(recs, path)
-        back = read_metrics(path)
-        assert len(back) == 5
-        for rec, row in zip(recs, back):
-            assert row["epoch"] == rec.epoch
-            assert row["lr"] == rec.lr
-            assert row["weight_norm"] == rec.weight_norm
+        # every field but the never-written wall_ms comes back
+        assert read_metrics(path) == [replace(rec, wall_ms=0.0) for rec in recs]
 
     def test_read_reports_bad_line_number(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
         path.write_text(make_record().to_json_line() + "\n{not json\n")
         with pytest.raises(FormatError, match="line 2"):
+            read_metrics(path)
+
+    @pytest.mark.parametrize(
+        "edit, phrase",
+        [
+            (lambda d: d | {"val_loss": 1.0}, "unknown metrics line keys: val_loss"),
+            (lambda d: {k: v for k, v in d.items() if k != "val_acc"}, "missing metrics line keys: val_acc"),
+            (lambda d: list(d.values()), "metrics line must be a JSON object, got list"),
+            # a string val_acc used to reach the best-epoch comparison as a TypeError
+            (lambda d: d | {"val_acc": "x"}, "metrics line key val_acc must be a number, got 'x'"),
+            (lambda d: d | {"epoch": 2.0}, "metrics line key epoch must be an integer, got 2.0"),
+        ],
+        ids=["unknown-key", "missing-key", "not-an-object", "string-val-acc", "float-epoch"],
+    )
+    def test_read_names_the_file_and_line_of_a_line_that_is_not_a_record(self, tmp_path, edit, phrase):
+        path = tmp_path / "metrics.jsonl"
+        path.write_text(make_record().to_json_line() + "\n" + json.dumps(edit(make_record().to_json())) + "\n")
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: line 2: {phrase}"):
             read_metrics(path)
 
     def test_read_missing_file(self, tmp_path):
@@ -164,6 +178,17 @@ class TestCheckpoint:
         save_checkpoint(path, self.params, 11, 1, 1)
         self.edit_header(path, lambda header: header["layout"].update({field: header["layout"][field] + delta}))
         with pytest.raises(FormatError, match="layout"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["total_len", "num_blocks"])
+    def test_header_layout_numbers_must_be_integers(self, tmp_path, field):
+        # 74.0 == 74 in Python, so an equality check alone would load this file
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, self.params, 11, 1, 1)
+        self.edit_header(path, lambda header: header["layout"].update({field: float(header["layout"][field])}))
+        value = float({"total_len": self.net.param_count, "num_blocks": self.net.num_blocks}[field])
+        phrase = f"layout key {field} must be an integer, got {value}"
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: bad checkpoint header: {phrase}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("section, key", [("network", "hidden_dims"), ("frozen_norm", "std")])
