@@ -32,7 +32,6 @@ class Dataset:
     labels: np.ndarray
     num_classes: int
     image_shape: tuple[int, int, int] | None = None
-    normalization: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         x = np.asarray(self.inputs)
@@ -47,8 +46,6 @@ class Dataset:
             h, w, ch = self.image_shape
             if h * w * ch != x.shape[1]:
                 raise DataError(f"image shape {self.image_shape} does not flatten to {x.shape[1]}")
-        if self.normalization is not None and not np.all(self.normalization[1] > 0):
-            raise DataError("normalization std entries must be positive")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "labels", y.astype(np.int64))
 
@@ -279,10 +276,10 @@ def split_indices(
     if len(classes) <= n_val:
         for c in per_class:
             if alloc[c] == 0 and counts[c] >= 2:
+                # c holds none of the n_val >= len(classes) slots, so the fullest other class holds >= 2
                 donor = max(per_class, key=lambda d: alloc[d])
-                if alloc[donor] > 1:
-                    alloc[donor] -= 1
-                    alloc[c] = 1
+                alloc[donor] -= 1
+                alloc[c] = 1
     val_parts = [per_class[c][: alloc[c]] for c in sorted(per_class)]
     train_parts = [per_class[c][alloc[c] :] for c in sorted(per_class)]
     train_idx = rng.permutation(np.concatenate(train_parts))
@@ -348,4 +345,4 @@ def apply_normalization(ds: Dataset, mean: np.ndarray, std: np.ndarray) -> Datas
         block -= mean
         block /= std
         out[start : start + chunk.shape[0]] = x
-    return replace(ds, inputs=out, normalization=(mean, std))
+    return replace(ds, inputs=out)

@@ -25,7 +25,6 @@ class TeacherCache:
 
     probs: np.ndarray
     source_stage: int = rule(MISSING, "be >= 1", lambda v: v >= 1)
-    beta: float = rule(MISSING, "be >= 0", lambda v: v >= 0)
 
     def __post_init__(self):
         check_fields(self, "teacher cache")
@@ -42,7 +41,7 @@ class TeacherCache:
         self.probs = p
 
 
-def snapshot_teacher(params: ParamVector, train_inputs: np.ndarray, source_stage: int, beta: float) -> TeacherCache:
+def snapshot_teacher(params: ParamVector, train_inputs: np.ndarray, source_stage: int) -> TeacherCache:
     """One forward sweep over the clean training inputs, softmaxed and cached.
 
     Inputs are expected already normalized but never augmented; each cached
@@ -52,7 +51,7 @@ def snapshot_teacher(params: ParamVector, train_inputs: np.ndarray, source_stage
     for start in range(0, train_inputs.shape[0], NO_GRAD_ROWS):
         logits = forward(params, train_inputs[start : start + NO_GRAD_ROWS])
         rows.append(softmax(logits.astype(np.float64)).astype(np.float32))
-    return TeacherCache(np.concatenate(rows, axis=0), source_stage, beta)
+    return TeacherCache(np.concatenate(rows, axis=0), source_stage)
 
 
 def distill_rows(cache: TeacherCache, batch_indices: np.ndarray) -> np.ndarray:
@@ -65,7 +64,6 @@ def save_teacher_cache(cache: TeacherCache, path) -> None:
         "rows": int(cache.probs.shape[0]),
         "cols": int(cache.probs.shape[1]),
         "source_stage": cache.source_stage,
-        "beta": cache.beta,
     }
     write_framed(path, header, cache.probs)
 
@@ -74,6 +72,6 @@ def load_teacher_cache(path) -> TeacherCache:
     def build(header, values):
         rows, cols = (integer(header[k], f"teacher cache key {k}") for k in ("rows", "cols"))
         probs = values(rows * cols).reshape(rows, cols)
-        return TeacherCache(probs, header["source_stage"], header["beta"])
+        return TeacherCache(probs, header["source_stage"])
 
     return read_framed(path, "teacher cache", "payload bytes after header", build)

@@ -187,10 +187,10 @@ class RunConfig:
 
 @dataclass
 class DataBundle:
-    """Normalized splits plus the (possibly noisy) training labels."""
+    """Normalized splits, the training split holding the (possibly noisy)
+    labels the run trains on, and the mask of the re-drawn ones."""
 
     train: Dataset
-    train_labels: np.ndarray
     noise_mask: np.ndarray
     val: Dataset
     test: Dataset
@@ -226,8 +226,8 @@ def prepare_data(cfg: RunConfig) -> DataBundle:
     train = apply_normalization(train, mean, std)
     val = apply_normalization(val, mean, std)
     test = apply_normalization(test, mean, std)
-    train_labels, noise_mask = inject_label_noise(train, cfg.noise_q, cfg.seeds.noise)
-    return DataBundle(train, train_labels, noise_mask, val, test)
+    noisy, noise_mask = inject_label_noise(train, cfg.noise_q, cfg.seeds.noise)
+    return DataBundle(replace(train, labels=noisy), noise_mask, val, test)
 
 
 def evaluate_accuracy(params: ParamVector, inputs: np.ndarray, labels: np.ndarray) -> float:
@@ -312,7 +312,7 @@ def run_experiment(
         raise ConfigurationError(
             f"network input_dim {cfg.network.input_dim} does not match the data's {width} features"
         )
-    classes = 1 + max(int(y.max()) for y in (bundle.train_labels, bundle.val.labels, bundle.test.labels))
+    classes = 1 + max(int(y.max()) for y in (bundle.train.labels, bundle.val.labels, bundle.test.labels))
     if classes > cfg.network.num_classes:
         raise ConfigurationError(
             f"data labels span {classes} classes but the network has num_classes {cfg.network.num_classes}"
@@ -346,13 +346,7 @@ def run_experiment(
     teacher: TeacherCache | None = None
     records: list[MetricsRecord] = []
     boundary_events: list[BoundaryEvent] = []
-    counters = {
-        "augment_calls": 0,
-        "teacher_cache_batches": 0,
-        "teacher_reads": 0,
-        "teacher_reads_by_stage": {str(s): 0 for s in range(1, cfg.stages + 1)},
-        "optimizer_steps": 0,
-    }
+    counters = {"teacher_reads": 0, "optimizer_steps": 0}
     best_params = None
     failure = None
 
@@ -383,13 +377,11 @@ def run_experiment(
                     x = bundle.train.inputs[idx]
                     if cfg.augment_enabled:
                         x = augment_batch(x, bundle.train.image_shape, cfg.augment, augment_rng)
-                        counters["augment_calls"] += 1
-                    y = bundle.train_labels[idx]
+                    y = bundle.train.labels[idx]
                     rows = None
                     if teacher is not None:  # only from stage 2 of a distilling run
                         rows = distill_rows(teacher, idx)
                         counters["teacher_reads"] += 1
-                        counters["teacher_reads_by_stage"][str(stage)] += 1
                     step_in_stage = epoch_in_stage * steps_per_epoch + (start // cfg.batch_size)
                     lr = lr_at(schedule, step_in_stage)
                     if lr_first is None:
@@ -423,8 +415,7 @@ def run_experiment(
                     )
                 )
             if distill_on and stage < cfg.stages:
-                teacher = snapshot_teacher(params, bundle.train.inputs, source_stage=stage, beta=cfg.distill.beta)
-                counters["teacher_cache_batches"] += math.ceil(n_train / NO_GRAD_ROWS)
+                teacher = snapshot_teacher(params, bundle.train.inputs, source_stage=stage)
                 if run_dir is not None:
                     save_teacher_cache(teacher, run_dir / f"teacher_stage{stage}.bin")
     except NumericalError as exc:
@@ -599,7 +590,7 @@ def _memorization(res: RunResult, bundle: DataBundle) -> dict:
     mask = bundle.noise_mask
     if not mask.any() or res.best_params is None:
         return {"memorization": None}
-    inputs, labels = bundle.train.inputs[mask], bundle.train_labels[mask]
+    inputs, labels = bundle.train.inputs[mask], bundle.train.labels[mask]
     return {"memorization": evaluate_accuracy(res.best_params, inputs, labels)}
 
 
@@ -653,8 +644,7 @@ def online_sim(base_cfg: RunConfig, num_chunks: int, methods=tuple(ONLINE_METHOD
             if k > 1:
                 params, _ = apply_reinit(transition, params, seed, k)
             seen = np.concatenate(chunks[:k])
-            labels, mask = bundle.train_labels[seen], bundle.noise_mask[seen]
-            chunk_bundle = replace(bundle, train=subset(bundle.train, seen), train_labels=labels, noise_mask=mask)
+            chunk_bundle = replace(bundle, train=subset(bundle.train, seen), noise_mask=bundle.noise_mask[seen])
             res = run_experiment(cfg, chunk_bundle, out_dir, initial_params=params)
             if res.failed:
                 raise HarnessError(f"online chunk {k} diverged for method {method}: {res.failure}")

@@ -76,7 +76,6 @@ class NetworkSpec:
     input_dim: int = rule(MISSING, "be >= 1", lambda v: v >= 1)
     hidden_dims: tuple[int, ...] = rule(MISSING, "be integers >= 1", lambda v: all(d >= 1 for d in v))
     num_classes: int = rule(MISSING, "be >= 1", lambda v: v >= 1)
-    activation: str = rule("relu", "be 'relu'", lambda v: v == "relu")
     block_boundaries: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -286,8 +285,11 @@ def loss_grad_logits(
 
 def weight_norm(values: np.ndarray) -> float:
     """Euclidean norm of an array, accumulated in float64: the one norm every
-    weight and block norm goes through."""
-    return float(np.linalg.norm(values.astype(np.float64, copy=False)))
+    weight and block norm goes through. numpy's pairwise sum, not a BLAS dot,
+    so the value does not depend on the BLAS thread count."""
+    x = values.astype(np.float64)
+    np.square(x, out=x)
+    return float(np.sqrt(np.add.reduce(x)))
 
 
 def block_norms(params: ParamVector) -> np.ndarray:

@@ -74,6 +74,19 @@ def oracle_layers(spec: NetworkSpec) -> list[tuple[slice, slice, tuple[int, int]
     return layers
 
 
+def spy(monkeypatch, module, name, note=lambda *args, **kwargs: None) -> list:
+    """Wrap module.name for the test; each call first appends note(*args,
+    **kwargs) to the returned list, so its length counts the calls."""
+    calls, fn = [], getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(note(*args, **kwargs))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
 @pytest.fixture
 def tiny_net():
     """A 4-5-3 float64 network small enough for exhaustive finite differences."""

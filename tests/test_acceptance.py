@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import reinit_lab.harness as harness
 from reinit_lab.data import AugmentSpec, Dataset, inject_label_noise
 from reinit_lab.distill import snapshot_teacher
 from reinit_lab.harness import (
@@ -42,7 +43,7 @@ from reinit_lab.reinit import (
     stage_seed,
 )
 
-from conftest import fd_check, kl_oracle
+from conftest import fd_check, kl_oracle, spy
 
 
 @contextmanager
@@ -295,18 +296,21 @@ def test_08_label_noise_exactness():
         assert p > 0.001, f"chi-square p={p}"
 
 
-def test_09_teacher_cache_contract(tmp_path):
+def test_09_teacher_cache_contract(tmp_path, monkeypatch):
     with criterion(9, "teacher cache hygiene"):
         bundle = prepare_data(small_cfg())
         params = init_params(SMALL_NET, 2)
-        cache = snapshot_teacher(params, bundle.train.inputs, 1, 0.5)
+        cache = snapshot_teacher(params, bundle.train.inputs, 1)
         sums = cache.probs.astype(np.float64).sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-6
 
+        steps = spy(monkeypatch, harness, "sgd_step")
+        reads = spy(monkeypatch, harness, "distill_rows", lambda *_: len(steps))  # the step each read feeds
         res = run_experiment(small_cfg(stages=3, distill=DistillConfig(enabled=True, beta=0.7)))
-        by_stage = res.counters["teacher_reads_by_stage"]
-        assert by_stage["1"] == 0
-        assert res.counters["teacher_reads"] > 0
+        per_stage = res.total_steps // 3
+        # no read in stage 1, then one read for every step of stages 2 and 3
+        assert reads == list(range(per_stage, res.total_steps))
+        assert res.counters["teacher_reads"] == len(reads)
 
         on = small_cfg(run_name="b0", stages=2, distill=DistillConfig(enabled=True, beta=0.0))
         off = small_cfg(run_name="b0", stages=2)

@@ -162,6 +162,11 @@ class TestMain:
                 {"network": {"input_dim": 8, "hidden_dim": [10], "num_classes": 4}},
                 ["unknown network keys: hidden_dim", "missing network keys: hidden_dims"],
             ),
+            # a config.json written while NetworkSpec had an activation field
+            (
+                {"network": {"input_dim": 8, "hidden_dims": [10], "num_classes": 4, "activation": "relu"}},
+                ["unknown network keys: activation"],
+            ),
         ],
     )
     def test_missing_network_keys_report_configuration_error(self, tmp_path, capsys, config, names):

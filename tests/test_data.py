@@ -329,7 +329,6 @@ def test_normalization_zero_mean_unit_std_tabular():
     got_mean, got_std = compute_normalization(normed)
     np.testing.assert_allclose(got_mean, 0.0, atol=1e-6)
     np.testing.assert_allclose(got_std, 1.0, atol=1e-6)
-    assert normed.normalization is not None
 
 
 def test_normalization_per_channel_for_images(tmp_path):
@@ -407,8 +406,8 @@ def reference_prepare(cfg):
     mean, std = reference_normalization(train)
     parts = {"train": train, "val": val, "test": test}
     parts = {name: reference_normalize(ds, mean, std) for name, ds in parts.items()}
-    noisy = inject_label_noise(train, cfg.noise_q, cfg.seeds.noise)
-    return parts, (train.labels, val.labels, test.labels), (mean, std), noisy
+    noisy, mask = inject_label_noise(train, cfg.noise_q, cfg.seeds.noise)
+    return parts, (noisy, val.labels, test.labels), mask
 
 
 def assert_bits_equal(got, want):
@@ -419,14 +418,12 @@ def assert_bits_equal(got, want):
 
 def assert_prepare_matches_reference(cfg):
     bundle = prepare_data(cfg)
-    parts, labels, (mean, std), noisy = reference_prepare(cfg)
+    parts, labels, mask = reference_prepare(cfg)
+    # the training split holds the noisy labels; val and test the clean ones
     for ds, name, want_labels in zip((bundle.train, bundle.val, bundle.test), parts, labels):
         assert_bits_equal(ds.inputs, parts[name])
         assert_bits_equal(ds.labels, want_labels)
-        assert_bits_equal(ds.normalization[0], mean)
-        assert_bits_equal(ds.normalization[1], std)
-    assert_bits_equal(bundle.train_labels, noisy[0])
-    assert_bits_equal(bundle.noise_mask, noisy[1])
+    assert_bits_equal(bundle.noise_mask, mask)
     return bundle
 
 
@@ -471,9 +468,13 @@ def test_held_out_test_file_is_the_test_split_and_trains(tmp_path, source):
         held_out = load_idx(*paths[2:])
     cfg = RunConfig(NetworkSpec(6, (8,), 3), data, epochs=2, batch_size=10, seeds=Seeds(5, 6, 7, 8))
     bundle = prepare_data(cfg)
+    raw = load_csv(paths[0]) if source == "csv" else load_idx(*paths[:2])
+    train, _ = split(raw, data.val_fraction, stage_seed(cfg.seeds.data, VAL_SPLIT_TAG))
+    stats = compute_normalization(train)
+    assert_bits_equal(bundle.train.inputs, apply_normalization(train, *stats).inputs)
     # the held-out file, normalized with the training split's statistics, is the whole test split
     assert_bits_equal(bundle.test.labels, held_out.labels)
-    assert_bits_equal(bundle.test.inputs, apply_normalization(held_out, *bundle.train.normalization).inputs)
+    assert_bits_equal(bundle.test.inputs, apply_normalization(held_out, *stats).inputs)
     assert (bundle.train.n, bundle.val.n) == (54, 6)
     res = run_experiment(cfg, bundle, tmp_path / "runs")
     assert not res.failed and res.total_steps == 2 * 6

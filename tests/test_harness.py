@@ -43,6 +43,7 @@ from reinit_lab.harness import (
 from reinit_lab.nn import NO_GRAD_ROWS, NetworkSpec, init_params, weight_norm
 from reinit_lab.reinit import ReinitSpec, stage_seed
 from reinit_lab.runio import MetricsRecord, load_checkpoint
+from conftest import spy
 
 
 def tiny_net():
@@ -266,24 +267,26 @@ class TestPrepareData:
         b = prepare_data(tiny_cfg())
         assert (b.train.n, b.val.n, b.test.n) == (TRAIN_N, VAL_N, TEST_N)
 
-    def test_train_is_standardized_and_stats_are_shared(self):
+    def test_train_is_standardized_and_stats_are_shared(self, monkeypatch):
+        stats = spy(monkeypatch, harness, "apply_normalization", lambda ds, mean, std: (mean, std))
         b = prepare_data(tiny_cfg())
         assert np.allclose(b.train.inputs.mean(axis=0), 0.0, atol=1e-5)
         assert np.allclose(b.train.inputs.std(axis=0), 1.0, atol=1e-4)
-        for other in (b.val, b.test):
-            assert np.array_equal(other.normalization[0], b.train.normalization[0])
-            assert np.array_equal(other.normalization[1], b.train.normalization[1])
+        # train, val and test, each normalized with the one pair of training statistics
+        assert len(stats) == 3 and all(s[0] is stats[0][0] and s[1] is stats[0][1] for s in stats)
 
-    def test_noise_touches_exactly_the_mask(self):
+    def test_noise_touches_exactly_the_mask(self, monkeypatch):
+        clean = spy(monkeypatch, harness, "inject_label_noise", lambda ds, q, seed: ds.labels)
         b = prepare_data(tiny_cfg(noise_q=0.3))
         assert int(b.noise_mask.sum()) == int(0.3 * TRAIN_N)
-        changed = b.train_labels != b.train.labels
-        assert not np.any(changed & ~b.noise_mask)
+        changed = b.train.labels != clean[0]
+        assert changed.any() and not np.any(changed & ~b.noise_mask)
 
-    def test_clean_when_q_zero(self):
+    def test_clean_when_q_zero(self, monkeypatch):
+        clean = spy(monkeypatch, harness, "inject_label_noise", lambda ds, q, seed: ds.labels)
         b = prepare_data(tiny_cfg())
         assert not b.noise_mask.any()
-        assert np.array_equal(b.train_labels, b.train.labels)
+        assert np.array_equal(b.train.labels, clean[0])
 
     def test_deterministic(self):
         a, b = prepare_data(tiny_cfg()), prepare_data(tiny_cfg())
@@ -394,19 +397,21 @@ class TestRunExperiment:
         assert written[1:] == rows
         assert [row[3] for row in rows] == (["15", "15"] if diverge_at is None else ["15", "5"])
 
-    def test_setting_none_constant_lr_no_augment(self):
+    def test_setting_none_constant_lr_no_augment(self, monkeypatch):
+        augments = spy(monkeypatch, harness, "augment_batch")
         res = run_experiment(tiny_cfg())
         assert all(r.lr == 0.05 for r in res.records)
-        assert res.counters["augment_calls"] == 0
+        assert augments == []
 
-    def test_setting_d_augments_every_batch(self):
+    def test_setting_d_augments_every_batch(self, monkeypatch):
         cfg = tiny_cfg(
             setting="d",
             data=DataConfig(num_classes=4, dim=8, per_class=40, class_separation=3.0, image_hw=(2, 4)),
         )
+        augments = spy(monkeypatch, harness, "augment_batch")
         res = run_experiment(cfg)
         assert not res.failed
-        assert res.counters["augment_calls"] == res.total_steps
+        assert len(augments) == res.total_steps
 
     def test_setting_dc_cosine_restarts_each_stage(self):
         cfg = tiny_cfg(
@@ -495,24 +500,26 @@ class TestRunExperiment:
         assert params.frozen_norm.insert_after_block == res.best_params.frozen_norm.insert_after_block
         assert harness.evaluate_accuracy(params, bundle.test.inputs, bundle.test.labels) == res.best_test_acc
 
-    def test_distill_reads_only_after_stage_one(self):
+    def test_distill_reads_only_after_stage_one(self, monkeypatch):
         cfg = tiny_cfg(stages=3, distill=DistillConfig(enabled=True, beta=0.5))
+        steps = spy(monkeypatch, harness, "sgd_step")
+        reads = spy(monkeypatch, harness, "distill_rows", lambda cache, idx: (len(steps), cache.source_stage))
+        snapshots = spy(monkeypatch, harness, "snapshot_teacher", lambda params, inputs, source_stage: source_stage)
         res = run_experiment(cfg)
-        by_stage = res.counters["teacher_reads_by_stage"]
         per_stage = 2 * STEPS_PER_EPOCH
-        assert by_stage["1"] == 0
-        assert by_stage["2"] == per_stage
-        assert by_stage["3"] == per_stage
+        # each step of stages 2 and 3 reads the previous stage's teacher once; stage 1 reads none
+        assert reads == [(step, step // per_stage) for step in range(per_stage, 3 * per_stage)]
         assert res.counters["teacher_reads"] == 2 * per_stage
-        assert res.counters["teacher_cache_batches"] == 2 * math.ceil(TRAIN_N / NO_GRAD_ROWS)
+        assert snapshots == [1, 2]
 
     def test_teacher_file_round_trips(self, tmp_path):
         cfg = tiny_cfg(run_name="tch", stages=2, distill=DistillConfig(enabled=True, beta=0.7))
         run_experiment(cfg, out_dir=tmp_path)
         cache = load_teacher_cache(tmp_path / "tch" / "teacher_stage1.bin")
         assert cache.source_stage == 1
-        assert cache.beta == 0.7
         assert cache.probs.shape == (TRAIN_N, 4)
+        # beta is the run's, recorded in config.json alone
+        assert json.loads((tmp_path / "tch" / "config.json").read_text())["distill"]["beta"] == 0.7
 
     def test_beta_zero_is_bitwise_disabled(self, tmp_path):
         on = tiny_cfg(run_name="same", stages=2, distill=DistillConfig(enabled=True, beta=0.0))
@@ -727,25 +734,15 @@ def test_each_boundary_draws_fresh_parameters_once(monkeypatch, kind):
 
 
 def test_no_gradient_passes_read_no_grad_rows(monkeypatch):
-    """Evaluation, teacher snapshots and the teacher_cache_batches counter share one row count."""
-    rows = {"evaluate": [], "snapshot": []}
-
-    def spy(key, fn):
-        def wrapped(params, x, *args, **kwargs):
-            rows[key].append(len(x))
-            return fn(params, x, *args, **kwargs)
-
-        return wrapped
-
-    monkeypatch.setattr(harness, "forward", spy("evaluate", harness.forward))
-    monkeypatch.setattr(distill, "forward", spy("snapshot", distill.forward))
+    """Evaluation and teacher snapshots run NO_GRAD_ROWS rows per forward pass."""
+    evaluate = spy(monkeypatch, harness, "forward", lambda params, x, *args, **kwargs: len(x))
+    snapshot = spy(monkeypatch, distill, "forward", lambda params, x, *args, **kwargs: len(x))
     # 1,600 samples: test 400, val 120, train 1,080
     data = DataConfig(num_classes=4, dim=8, per_class=400, class_separation=3.0)
-    res = run_experiment(tiny_cfg(data=data, epochs=2, stages=2, distill=DistillConfig(enabled=True)))
+    run_experiment(tiny_cfg(data=data, epochs=2, stages=2, distill=DistillConfig(enabled=True)))
     per_epoch = [120, 256, 144]  # val, then test in NO_GRAD_ROWS blocks
-    assert NO_GRAD_ROWS == 256 and rows["evaluate"] == 2 * per_epoch
-    assert rows["snapshot"] == [256, 256, 256, 256, 56]
-    assert res.counters["teacher_cache_batches"] == len(rows["snapshot"])
+    assert NO_GRAD_ROWS == 256 and evaluate == 2 * per_epoch
+    assert snapshot == [256, 256, 256, 256, 56]
 
 
 def test_runs_leave_numpy_ma_unimported(tmp_path):
@@ -916,17 +913,20 @@ class TestStageSweep:
 
 class TestNoiseStudy:
     def test_rows_and_memorization(self):
-        base = tiny_cfg(epochs=4, stages=2)
-        rows = noise_study(base, (0.0, 0.3), ("standard", "sp"))
-        # per q: standard, its half-budget arm, sp
-        assert len(rows) == 6
-        methods = [r["method"] for r in rows[:3]]
-        assert methods == ["standard", "standard@2ep", "sp"]
-        for r in rows:
-            if r["q"] == 0.0:
-                assert r["memorization"] is None
-            else:
-                assert 0.0 <= r["memorization"] <= 1.0
+        # the half-budget arm floors an odd epoch count: 5 epochs give standard@2ep too
+        for epochs in (4, 5):
+            rows = noise_study(tiny_cfg(epochs=epochs, stages=2), (0.0, 0.3), ("standard", "sp"))
+            # per q: standard, its half-budget arm, sp
+            assert len(rows) == 6
+            methods = [r["method"] for r in rows[:3]]
+            assert methods == ["standard", "standard@2ep", "sp"]
+            assert (rows[0]["epochs"], rows[0]["total_steps"]) == (epochs, epochs * STEPS_PER_EPOCH)
+            assert (rows[1]["epochs"], rows[1]["total_steps"]) == (2, 2 * STEPS_PER_EPOCH)
+            for r in rows:
+                if r["q"] == 0.0:
+                    assert r["memorization"] is None
+                else:
+                    assert 0.0 <= r["memorization"] <= 1.0
 
     def test_memorization_scores_the_noisy_labels(self, tmp_path):
         base = tiny_cfg(epochs=4)
@@ -934,9 +934,10 @@ class TestNoiseStudy:
         params, _ = load_checkpoint(tmp_path / row["run_id"] / "best.ckpt")
         bundle = prepare_data(replace(base, noise_q=0.5))
         inputs, mask = bundle.train.inputs, bundle.noise_mask
-        noisy = evaluate_accuracy(params, inputs[mask], bundle.train_labels[mask])
-        # the clean labels score otherwise, so reading them would show
-        assert noisy != evaluate_accuracy(params, inputs[mask], bundle.train.labels[mask])
+        noisy = evaluate_accuracy(params, inputs[mask], bundle.train.labels[mask])
+        # the clean labels (the same split at q = 0) score otherwise, so reading them would show
+        clean = prepare_data(base).train.labels
+        assert noisy != evaluate_accuracy(params, inputs[mask], clean[mask])
         assert row["memorization"] == noisy
 
     def test_compute_parity_between_methods(self):

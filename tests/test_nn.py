@@ -89,7 +89,7 @@ def test_spec_rejects_bad_boundaries():
         ((8.5, (10,), 4), "network key input_dim must be an integer"),
         ((8, (10,), 4.0), "network key num_classes must be an integer"),
         ((8, ("10",), 4), "network key hidden_dims must be an array of integers"),
-        ((8, (10, 6), 4, "relu", (1.0,)), "network key block_boundaries must be an array of integers"),
+        ((8, (10, 6), 4, (1.0,)), "network key block_boundaries must be an array of integers"),
     ],
     ids=["float_hidden", "float_input", "float_classes", "string_hidden", "float_boundary"],
 )

@@ -199,6 +199,16 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"bad checkpoint header: .*{key}"):
             load_checkpoint(path)
 
+    def test_header_with_the_retired_activation_key_names_the_file(self, tmp_path):
+        # best.ckpt files written before NetworkSpec dropped activation
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, self.params, 11, 1, 1)
+        assert "activation" not in load_checkpoint(path)[1]["network"]
+        self.edit_header(path, lambda header: header["network"].update(activation="relu"))
+        phrase = "unknown network keys: activation"
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: bad checkpoint header: {phrase}"):
+            load_checkpoint(path)
+
     def test_header_without_layout_is_rejected(self, tmp_path):
         path = tmp_path / "best.ckpt"
         save_checkpoint(path, self.params, 11, 1, 1)

@@ -18,8 +18,10 @@ the outputs.
 
 A change that should leave every output as it was is checked by running this
 script in a checkout of each commit with the same OUT (IDX run ids contain
-the input path), emptying OUT in between, and diffing the two maps. BLAS
-runs on one thread, so the maps do not depend on the host's core count.
+the input path), emptying OUT in between, and diffing the two maps. A
+change that migrates run ids or drops stored keys is checked by keeping
+both OUT trees and comparing them with ``tools/migrate_ids.py``. BLAS runs
+on one thread, so the maps do not depend on the host's core count.
 """
 from __future__ import annotations
 
