@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, HarnessError, ReinitLabError
 from .harness import (
+    SETTING_KEYS,
     SETTINGS,
     DistillConfig,
     RunConfig,
@@ -51,7 +52,7 @@ def default_network() -> NetworkSpec:
 def add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file mirroring RunConfig")
     p.add_argument("--lr", type=float)
-    p.add_argument("--wd", type=float, help="weight decay (takes effect in setting dcw)")
+    p.add_argument("--wd", type=float, help="weight decay (setting dcw only)")
     p.add_argument("--stages", type=int, metavar="T")
     p.add_argument("--reinit", choices=sorted(REINIT_TOKENS))
     p.add_argument("--lambda", dest="lam", type=float, help="shrink factor for sp")
@@ -116,7 +117,10 @@ def cmd_train(args) -> dict:
 
 
 def cmd_grid(args) -> dict:
-    return grid_search(build_config(args), _numbers(args.lrs), _numbers(args.wds), out_dir=args.out)
+    cfg = build_config(args)
+    # a weight-decay grid only where the setting reads weight decay
+    wds = DEFAULT_WD_GRID if cfg.setting in SETTING_KEYS["weight_decay"] else (0.0,)
+    return grid_search(cfg, _numbers(args.lrs), wds if args.wds is None else _numbers(args.wds), out_dir=args.out)
 
 
 def cmd_stages(args) -> list[dict]:
@@ -162,7 +166,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="LR x WD grid search")
     add_common_flags(p)
     p.add_argument("--lrs", default=",".join(map(str, DEFAULT_LR_GRID)))
-    p.add_argument("--wds", default=",".join(map(str, DEFAULT_WD_GRID)))
+    p.add_argument("--wds", help=f"default: {','.join(map(str, DEFAULT_WD_GRID))} in setting dcw, else 0")
     p.set_defaults(fn=cmd_grid)
 
     p = sub.add_parser("stages", help="stage-count sweep at equal compute")

@@ -48,6 +48,8 @@ from .reinit import ReinitSpec, apply_reinit, make_stage_plan, stage_seed
 from .runio import MetricsRecord, best_record, emit_metrics, save_checkpoint, write_json, write_summary_csv
 
 SETTINGS = ("none", "d", "dc", "dcw")
+# the D / C / W composition: each setting-gated RunConfig key -> the settings that read it
+SETTING_KEYS = {"augment": ("d", "dc", "dcw"), "eta_min": ("dc", "dcw"), "weight_decay": ("dcw",)}
 SOURCES = ("synthetic", "idx", "csv")
 SYNTHETIC_ONLY = ("num_classes", "dim", "per_class", "class_separation", "image_hw")  # DataConfig keys
 
@@ -146,6 +148,13 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self, "run config")
+        for f in fields(self):
+            settings = SETTING_KEYS.get(f.name)
+            if settings and self.setting not in settings and getattr(self, f.name) != f.default:
+                raise ConfigurationError(
+                    f"run config key {f.name} applies only to setting {' or '.join(settings)}, "
+                    f"not to setting {self.setting!r}"
+                )
         if self.stages > self.epochs:
             raise ConfigurationError(f"{self.stages} stages cannot fit in {self.epochs} epochs")
         if self.eta_min > self.lr:
@@ -157,18 +166,13 @@ class RunConfig:
                 f"{self.stages} is not a multiple of {k}"
             )
 
-    # setting flags, per the D / C / W composition
     @property
     def augment_enabled(self) -> bool:
-        return self.setting in ("d", "dc", "dcw")
+        return self.setting in SETTING_KEYS["augment"]
 
     @property
     def cosine_enabled(self) -> bool:
-        return self.setting in ("dc", "dcw")
-
-    @property
-    def effective_weight_decay(self) -> float:
-        return self.weight_decay if self.setting == "dcw" else 0.0
+        return self.setting in SETTING_KEYS["eta_min"]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -337,7 +341,7 @@ def run_experiment(
     shuffle_rng = np.random.Generator(np.random.PCG64(cfg.seeds.shuffle))
     augment_rng = np.random.Generator(np.random.PCG64(stage_seed(cfg.seeds.shuffle, AUGMENT_TAG)))
 
-    opt = OptimState.fresh(params, cfg.momentum, cfg.effective_weight_decay)
+    opt = OptimState.fresh(params, cfg.momentum, cfg.weight_decay)
     # the loop owns the gradient and a spare parameter vector; sgd_step writes
     # each update into the spare, so a failed step leaves params intact. The
     # spare is the model after the swap, so it carries params' frozen norm.
@@ -365,7 +369,7 @@ def run_experiment(
                 if fresh_norm is not None:
                     boundary_events.append(BoundaryEvent(stage, norm_before, weight_norm(params.values), fresh_norm))
                 spare = params.copy()
-                opt = OptimState.fresh(params, cfg.momentum, cfg.effective_weight_decay)
+                opt = OptimState.fresh(params, cfg.momentum, cfg.weight_decay)
             for epoch_in_stage in range(epochs_per_stage):
                 t0 = time.monotonic()
                 perm = shuffle_rng.permutation(n_train)

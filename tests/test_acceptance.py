@@ -43,7 +43,7 @@ from reinit_lab.reinit import (
     stage_seed,
 )
 
-from conftest import fd_check, kl_oracle, spy
+from helpers import fd_check, kl_oracle, spy
 
 
 @contextmanager

@@ -20,7 +20,7 @@ from reinit_lab.harness import DataConfig, RunConfig, RunResult, Seeds, online_s
 from reinit_lab.nn import NetworkSpec, init_params, weight_norm
 from reinit_lab.reinit import ReinitSpec
 from reinit_lab.runio import MetricsRecord, load_checkpoint, write_json
-from conftest import write_csv, write_idx
+from helpers import write_csv, write_idx
 
 
 @pytest.fixture
@@ -415,6 +415,37 @@ class TestMain:
         assert phrase in payload["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, config, phrase",
+        [
+            (["--wd", "0.001"], {}, "run config key weight_decay applies only to setting dcw, not to setting 'none'"),
+            (
+                ["--setting", "d"],
+                {"setting": "dc", "eta_min": 0.001},
+                "run config key eta_min applies only to setting dc or dcw, not to setting 'd'",
+            ),
+            (
+                [],
+                {"augment": {"pad_pixels": 1}},
+                "run config key augment applies only to setting d or dc or dcw, not to setting 'none'",
+            ),
+        ],
+        ids=["wd_flag", "eta_min_in_d", "augment_in_none"],
+    )
+    def test_key_the_setting_ignores_leaves_no_run_directory(
+        self, tiny_config_file, tmp_path, capsys, flags, config, phrase
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(json.loads(Path(tiny_config_file).read_text()) | config))
+        out = tmp_path / "runs"
+        code = main(["train", "--config", str(path), "--out", str(out), *flags])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        [line] = captured.err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ConfigurationError" and phrase in payload["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, left", [("test_fraction", 160), ("val_fraction", 120)])
     def test_split_that_empties_a_side_names_its_fraction(self, tiny_config_file, tmp_path, capsys, key, left):
         config = json.loads(Path(tiny_config_file).read_text())
@@ -618,6 +649,15 @@ def test_every_subcommand_runs_at_its_defaults(tmp_path, capsys, stub_runs, comm
     code, payload = run_main([command, "--out", str(tmp_path / "runs")], capsys)
     assert code == 0, payload
     assert stub_runs  # every default run went through the stub
+
+
+@pytest.mark.parametrize("flags, runs", [([], 5), (["--setting", "dcw"], 25)], ids=["none", "dcw"])
+def test_grid_searches_weight_decay_only_where_the_setting_reads_it(tmp_path, capsys, stub_runs, flags, runs):
+    code, payload = run_main(["grid", *flags, "--out", str(tmp_path / "runs")], capsys)
+    assert code == 0, payload
+    assert len(stub_runs) == len({cfg.run_id for cfg in stub_runs}) == runs
+    want = cli.DEFAULT_WD_GRID if flags else (0.0,)
+    assert sorted({cfg.weight_decay for cfg in stub_runs}) == list(want)
 
 
 def test_noise_base_has_5_stages_unless_a_flag_or_the_config_gives_a_count(tmp_path, capsys, stub_runs):

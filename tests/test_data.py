@@ -36,7 +36,7 @@ from reinit_lab.harness import (
 )
 from reinit_lab.nn import NetworkSpec
 from reinit_lab.reinit import stage_seed
-from conftest import write_csv, write_idx
+from helpers import write_csv, write_idx
 
 
 def write_idx_pair(tmp_path, images, labels):

@@ -43,7 +43,7 @@ from reinit_lab.harness import (
 from reinit_lab.nn import NO_GRAD_ROWS, NetworkSpec, init_params, weight_norm
 from reinit_lab.reinit import ReinitSpec, stage_seed
 from reinit_lab.runio import MetricsRecord, load_checkpoint
-from conftest import spy
+from helpers import spy
 
 
 def tiny_net():
@@ -63,6 +63,9 @@ def tiny_cfg(**kw):
     return RunConfig(**base)
 
 
+# tiny_cfg's data tagged as 2x4 images, which augmentation needs
+IMAGE_DATA = DataConfig(num_classes=4, dim=8, per_class=40, class_separation=3.0, image_hw=(2, 4))
+
 # 160 samples -> test 40, then val 12, train 108 -> 5 steps per epoch
 TRAIN_N, VAL_N, TEST_N = 108, 12, 40
 STEPS_PER_EPOCH = 5
@@ -80,6 +83,7 @@ class TestRunConfig:
 
     def test_dict_round_trip_preserves_identity(self):
         cfg = tiny_cfg(
+            setting="d",
             stages=2,
             reinit=ReinitSpec("shrink_perturb", lam=0.3, gamma=0.2),
             distill=DistillConfig(enabled=True, beta=0.5),
@@ -99,10 +103,36 @@ class TestRunConfig:
         ],
     )
     def test_setting_flags(self, setting, augment, cosine, wd):
-        cfg = tiny_cfg(setting=setting, weight_decay=0.01)
+        # wd: a weight decay the setting takes; only dcw reads one, so the others take only the default
+        cfg = tiny_cfg(setting=setting, weight_decay=wd)
         assert cfg.augment_enabled is augment
         assert cfg.cosine_enabled is cosine
-        assert cfg.effective_weight_decay == wd
+        assert cfg.weight_decay == wd
+
+    @pytest.mark.parametrize(
+        "key, value, reading",
+        [
+            ("weight_decay", 0.001, ("dcw",)),
+            ("eta_min", 0.001, ("dc", "dcw")),
+            ("augment", AugmentSpec(pad_pixels=1), ("d", "dc", "dcw")),
+        ],
+    )
+    @pytest.mark.parametrize("setting", ["none", "d", "dc", "dcw"])
+    def test_a_key_its_setting_ignores_must_hold_its_default(self, key, value, reading, setting):
+        # a key the setting ignores would still change the run id
+        default = getattr(tiny_cfg(), key)
+        assert tiny_cfg(setting=setting, **{key: default}).run_id == tiny_cfg(setting=setting).run_id
+        d = json.loads(json.dumps(tiny_cfg(setting=setting).to_dict()))
+        d[key] = asdict(value) if key == "augment" else value
+        if setting in reading:
+            assert getattr(tiny_cfg(setting=setting, **{key: value}), key) == value
+            assert RunConfig.from_dict(d) == tiny_cfg(setting=setting, **{key: value})
+            return
+        phrase = f"run config key {key} applies only to setting {' or '.join(reading)}, not to setting '{setting}'"
+        with pytest.raises(ConfigurationError, match=phrase):
+            tiny_cfg(setting=setting, **{key: value})
+        with pytest.raises(ConfigurationError, match=phrase):
+            RunConfig.from_dict(d)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConfigurationError):
@@ -404,21 +434,14 @@ class TestRunExperiment:
         assert augments == []
 
     def test_setting_d_augments_every_batch(self, monkeypatch):
-        cfg = tiny_cfg(
-            setting="d",
-            data=DataConfig(num_classes=4, dim=8, per_class=40, class_separation=3.0, image_hw=(2, 4)),
-        )
+        cfg = tiny_cfg(setting="d", data=IMAGE_DATA)
         augments = spy(monkeypatch, harness, "augment_batch")
         res = run_experiment(cfg)
         assert not res.failed
         assert len(augments) == res.total_steps
 
     def test_setting_dc_cosine_restarts_each_stage(self):
-        cfg = tiny_cfg(
-            setting="dc",
-            stages=2,
-            data=DataConfig(num_classes=4, dim=8, per_class=40, class_separation=3.0, image_hw=(2, 4)),
-        )
+        cfg = tiny_cfg(setting="dc", stages=2, data=IMAGE_DATA)
         res = run_experiment(cfg)
         lrs = [r.lr for r in res.records]
         assert lrs[0] == pytest.approx(0.05)
@@ -429,10 +452,8 @@ class TestRunExperiment:
         assert lrs[4] < lrs[3]
 
     def test_setting_dcw_decay_shrinks_weights(self):
-        img = DataConfig(num_classes=4, dim=8, per_class=40, class_separation=3.0, image_hw=(2, 4))
-        base = dict(data=img, weight_decay=0.05, epochs=6)
-        with_wd = run_experiment(tiny_cfg(setting="dcw", **base))
-        without = run_experiment(tiny_cfg(setting="dc", **base))
+        with_wd = run_experiment(tiny_cfg(setting="dcw", data=IMAGE_DATA, weight_decay=0.05))
+        without = run_experiment(tiny_cfg(setting="dc", data=IMAGE_DATA))
         assert with_wd.records[-1].weight_norm < without.records[-1].weight_norm
 
     def test_every_stage_starts_with_zero_momentum(self, monkeypatch):
@@ -581,7 +602,7 @@ class TestGridSearch:
             (0.1, 0.001): (0.7, False),
         }
         self.patch_runs(monkeypatch, table)
-        grid = grid_search(tiny_cfg(), [0.01, 0.1], [0.0, 0.001])
+        grid = grid_search(tiny_cfg(setting="dcw"), [0.01, 0.1], [0.0, 0.001])
         assert grid["chosen"] == {"lr": 0.01, "wd": 0.0}
         assert [(c["lr"], c["wd"]) for c in grid["cells"]] == [(0.01, 0.0), (0.01, 0.001), (0.1, 0.0), (0.1, 0.001)]
 
@@ -630,8 +651,15 @@ class TestGridSearch:
             grid_search(base, [0.1, 0.001], [0.0], out)
         assert not out.exists()
 
+    def test_weight_decay_grid_outside_dcw_is_rejected_before_any_cell_runs(self, tmp_path):
+        out = tmp_path / "runs"
+        phrase = "run config key weight_decay applies only to setting dcw, not to setting 'dc'"
+        with pytest.raises(ConfigurationError, match=phrase):
+            grid_search(tiny_cfg(epochs=2, setting="dc", data=IMAGE_DATA), [0.01], [0.0, 0.001], out)
+        assert not out.exists()
+
     def test_grid_writes_what_its_cells_write_run_in_order(self, tmp_path):
-        base = tiny_cfg(epochs=2)
+        base = tiny_cfg(epochs=2, setting="dcw", data=IMAGE_DATA)
         lrs, wds = [0.01, 0.05], [0.0, 0.001]
         grid_search(base, lrs, wds, out_dir=tmp_path / "grid")
         rows = []
@@ -819,7 +847,7 @@ class TestStudyRunDirectories:
 
 RUN_FIELDS = {"run_id", "failed", "val_acc", "test_acc", "total_steps"}
 STUDIES = {
-    "grid.json": lambda base, out: grid_search(base, [0.01, 0.05], [0.0, 0.001], out_dir=out),
+    "grid.json": lambda base, out: grid_search(base, [0.01, 0.05], [0.0], out_dir=out),
     "stage_sweep.json": lambda base, out: stage_sweep(base, (1, 2), out_dir=out),
     "noise_study.json": lambda base, out: noise_study(base, (0.0, 0.3), ("standard", "sp"), out_dir=out),
     "online_sim.json": lambda base, out: online_sim(base, 2, out_dir=out),

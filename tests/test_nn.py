@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reinit_lab.distill import snapshot_teacher
 from reinit_lab.errors import ConfigurationError, NumericalError, ReinitLabError, ShapeError, from_json
 from reinit_lab.harness import DataConfig, RunConfig, run_experiment
 from reinit_lab.nn import (
@@ -21,7 +22,7 @@ from reinit_lab.nn import (
     softmax,
     weight_norm,
 )
-from conftest import fd_check, kl_oracle, oracle_layers
+from helpers import fd_check, kl_oracle, oracle_layers
 
 
 def manual_forward(spec, params, x):
@@ -274,6 +275,18 @@ def test_kl_nonnegative_property(seed):
     p = rng.dirichlet(np.ones(4) * rng.uniform(0.2, 5.0), size=3)
     z = rng.normal(size=(3, 4), scale=rng.uniform(0.1, 10.0))
     assert kl_term(p, z) >= 0.0
+
+
+def test_kl_against_the_students_own_snapshot_is_clamped_to_zero():
+    # a lambda=1, gamma=0 boundary hands stage 2 the student's own snapshot as its teacher; the true KL is 0,
+    # and on this desk-shape batch float32 rounding makes the unclamped mean negative (about -1e-8)
+    spec = NetworkSpec(50, (256, 128), 10, block_boundaries=(1, 2))
+    rng = np.random.Generator(np.random.PCG64(28))
+    params = init_params(spec, 28)
+    x = rng.normal(size=(125, 50)).astype(np.float32)
+    y = rng.integers(0, 10, size=125)
+    teacher = snapshot_teacher(params, x, source_stage=1).probs
+    assert loss_grad_logits(params, x, y, teacher, 1.0)[0] == loss_grad_logits(params, x, y)[0]
 
 
 def test_gradient_matches_finite_differences(tiny_net):

@@ -155,11 +155,12 @@ def test_constant_schedule_ignores_step():
 
 
 def test_schedule_validation():
-    # the schedule's eta_max is the run's lr, and RunConfig checks eta_min <= lr in every setting
-    for setting in ("none", "dc"):
+    # the schedule's eta_max is the run's lr, and RunConfig checks eta_min <= lr in each setting that reads eta_min
+    for setting in ("dc", "dcw"):
         assert run_config(setting=setting, lr=0.1, eta_min=0.1).eta_min == 0.1
         with pytest.raises(ConfigurationError, match="eta_min must be <= lr, got eta_min=0.2, lr=0.1"):
             run_config(setting=setting, lr=0.1, eta_min=0.2)
+    for setting in ("none", "dc"):
         with pytest.raises(ConfigurationError, match="lr must be > 0"):
             run_config(setting=setting, lr=0.0)
     with pytest.raises(ConfigurationError, match="setting must be one of"):

@@ -26,7 +26,7 @@ from reinit_lab.reinit import (
     shrink_perturb,
     stage_seed,
 )
-from conftest import oracle_layers
+from helpers import oracle_layers
 
 THREE_BLOCK = NetworkSpec(input_dim=6, hidden_dims=(8, 7), num_classes=4, block_boundaries=(1, 2))
 

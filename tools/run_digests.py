@@ -4,12 +4,14 @@
 
 Runs both benchmark workloads at seeds 0 and 7 (their configs are imported
 from ``bench/workloads.py``), a layer-wise + distillation stage sweep, a
-label-noise study and a 2x2 grid (each unnamed and named), two online
-simulations, the ``grid``, ``stages``, ``noise`` and ``online`` CLI commands,
-two shrink-perturb CLI runs at the (lambda, gamma) corners (1, 0) and (0, 1),
-and a ``train`` run built from flags, replayed with ``--config`` on the
-``config.json`` it wrote into a second directory (``cli/train-flags-replay``),
-so the map itself shows that a replay writes byte-identical files.
+label-noise study and a grid over two LRs at weight decay 0, the one value
+setting ``none`` allows (each unnamed and named), two online simulations,
+the ``grid`` (at its default weight decay), ``stages``, ``noise`` and
+``online`` CLI commands, two shrink-perturb CLI runs at the (lambda, gamma)
+corners (1, 0) and (0, 1), and a ``train`` run built from flags, replayed
+with ``--config`` on the ``config.json`` it wrote into a second directory
+(``cli/train-flags-replay``), so the map itself shows that a replay writes
+byte-identical files.
 Everything is written under OUT, which must not exist yet or be empty; CLI
 stdout goes to ``<command>.stdout`` files there. Prints a sorted
 JSON map from each file's path relative to OUT to its sha256;
@@ -100,19 +102,19 @@ def studies(out: Path) -> None:
     online_sim(
         replace(SMALL, reinit=ReinitSpec("shrink_perturb", lam=0.6, gamma=0.2)), 2, out_dir=out / "online-sp"
     )
-    grid_search(SMALL, (0.01, 0.05), (0.0, 0.001), out_dir=out / "grid")
-    grid_search(replace(SMALL, run_name="named"), (0.01, 0.05), (0.0, 0.001), out_dir=out / "grid-named")
+    grid_search(SMALL, (0.01, 0.05), (0.0,), out_dir=out / "grid")
+    grid_search(replace(SMALL, run_name="named"), (0.01, 0.05), (0.0,), out_dir=out / "grid-named")
 
 
 CLI_COMMANDS = {
-    "grid": ["grid", "--lrs", "0.01,0.05", "--wds", "0,0.001"],
+    "grid": ["grid", "--lrs", "0.01,0.05"],
     "stages": ["stages", "--t-values", "1,2,3", "--reinit", "sp", "--stages", "2"],
     "noise": ["noise", "--q-values", "0,0.3", "--stages", "2", "--epochs", "4"],
     "online": ["online", "--chunks", "2"],
     "train-sp-keep": ["train", "--reinit", "sp", "--stages", "2", "--lambda", "1", "--gamma", "0"],
     "train-sp-reset": ["train", "--reinit", "sp", "--stages", "2", "--lambda", "0", "--gamma", "1"],
     "train-flags": [
-        "train", "--seed", "5", "--lr", "0.03", "--wd", "0.001", "--epochs", "4", "--stages", "2",
+        "train", "--seed", "5", "--lr", "0.03", "--epochs", "4", "--stages", "2",
         "--reinit", "sp", "--lambda", "0.5", "--distill-beta", "0.5", "--noise-q", "0.1",
     ],
 }
