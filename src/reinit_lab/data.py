@@ -1,6 +1,7 @@
 """Dataset ingestion, normalization, augmentation, splits, and label noise.
 
-Datasets are immutable bags of flat float32 inputs plus integer labels.
+Datasets are immutable bags of flat float32 inputs plus integer labels;
+read_idx's datasets hold the file's uint8 pixels until subset gathers them.
 Images keep (height, width, channels) metadata so augmentation and
 per-channel normalization know the geometry; purely tabular data leaves it
 unset and gets per-feature statistics instead.
@@ -15,13 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataError, FormatError, check_fields, rule
+from .nn import float64_sum
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 STD_FLOOR = 1e-8
-# rows normalized per float64 pass, so the float64 buffer stays small
-NORM_CHUNK_ROWS = 512
+# float64 bytes one normalization pass holds: whole rows, at least one
+NORM_CHUNK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,9 @@ def _read_be_u32(buf: bytes, offset: int, path, what: str) -> int:
     return struct.unpack(">I", buf[offset : offset + 4])[0]
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """MNIST-style IDX pair: big-endian headers, one byte per pixel/label."""
+def read_idx(images_path, labels_path) -> Dataset:
+    """MNIST-style IDX pair: big-endian headers, one byte per pixel/label,
+    kept as the file's uint8 pixels for subset to convert."""
     img_buf = Path(images_path).read_bytes()
     lbl_buf = Path(labels_path).read_bytes()
 
@@ -103,9 +106,13 @@ def load_idx(images_path, labels_path) -> Dataset:
 
     pixels = np.frombuffer(img_buf, dtype=np.uint8, offset=16).reshape(n, rows * cols)
     labels = np.frombuffer(lbl_buf, dtype=np.uint8, offset=8).astype(np.int64)
-    inputs = pixels.astype(np.float32)
-    inputs /= 255.0
-    return Dataset(inputs, labels, int(labels.max()) + 1, image_shape=(rows, cols, 1))
+    return Dataset(pixels, labels, int(labels.max()) + 1, image_shape=(rows, cols, 1))
+
+
+def load_idx(images_path, labels_path) -> Dataset:
+    """An IDX pair (see read_idx) with its pixels scaled to [0, 1] in float32."""
+    raw = read_idx(images_path, labels_path)
+    return subset(raw, np.arange(raw.n))
 
 
 def load_csv(path) -> Dataset:
@@ -233,8 +240,14 @@ def augment_batch(
 
 
 def subset(ds: Dataset, indices: np.ndarray) -> Dataset:
+    """The examples at indices, gathered once; read_idx's uint8 pixels come
+    out as float32 divided by 255."""
     idx = np.asarray(indices)
-    return replace(ds, inputs=ds.inputs[idx], labels=ds.labels[idx])
+    x = ds.inputs[idx]
+    if x.dtype == np.uint8:
+        x = x.astype(np.float32)
+        x /= 255.0
+    return replace(ds, inputs=x, labels=ds.labels[idx])
 
 
 def split_indices(
@@ -312,8 +325,14 @@ def compute_normalization(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Mean and std per channel (images) or per feature (tabular), float64.
 
     Bit-identical to ``np.mean`` and ``np.std`` on a float64 copy of the
-    inputs: the std repeats numpy's own steps, in place on that one copy.
+    inputs: the std repeats numpy's own steps, through float64_sum for a
+    single channel and in place on that one copy otherwise.
     """
+    if ds.image_shape is not None and ds.image_shape[2] == 1:
+        flat = ds.inputs.reshape(-1)
+        mean = float64_sum(flat) / flat.size
+        var = np.array([float64_sum(flat, mean) / flat.size])
+        return np.array([mean]), np.maximum(np.sqrt(var, out=var), STD_FLOOR)
     x = ds.inputs.astype(np.float64)
     if ds.image_shape is not None:
         x = x.reshape(ds.n, -1, ds.image_shape[2])
@@ -331,18 +350,18 @@ def compute_normalization(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.maximum(np.sqrt(var, out=var), STD_FLOOR)
 
 
-def apply_normalization(ds: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:
-    """(x - mean) / std in float64, stored as float32, NORM_CHUNK_ROWS rows at a time."""
-    out = np.empty(ds.inputs.shape, dtype=np.float32)
-    buf = np.empty((min(ds.n, NORM_CHUNK_ROWS), ds.dim))
+def normalize_in_place(ds: Dataset, mean: np.ndarray, std: np.ndarray) -> None:
+    """Overwrite ds's float32 inputs with (x - mean) / std, computed in float64
+    a NORM_CHUNK_BYTES buffer at a time."""
+    step = max(1, NORM_CHUNK_BYTES // (8 * ds.dim))
+    buf = np.empty((min(ds.n, step), ds.dim))
     # per channel for images: channels are the last axis of each row
     cols = ds.image_shape[2] if ds.image_shape is not None else ds.dim
-    for start in range(0, ds.n, NORM_CHUNK_ROWS):
-        chunk = ds.inputs[start : start + NORM_CHUNK_ROWS]
+    for start in range(0, ds.n, step):
+        chunk = ds.inputs[start : start + step]
         x = buf[: chunk.shape[0]]
         x[...] = chunk
         block = x.reshape(-1, cols)
         block -= mean
         block /= std
-        out[start : start + chunk.shape[0]] = x
-    return replace(ds, inputs=out)
+        chunk[...] = x

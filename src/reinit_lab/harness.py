@@ -20,15 +20,15 @@ import numpy as np
 from .data import (
     AugmentSpec,
     Dataset,
-    apply_normalization,
     augment_batch,
     compute_normalization,
     inject_label_noise,
     load_csv,
-    load_idx,
     make_chunks,
     make_synthetic,
-    split,
+    normalize_in_place,
+    read_idx,
+    split_indices,
     subset,
 )
 from .distill import TeacherCache, distill_rows, save_teacher_cache, snapshot_teacher
@@ -202,7 +202,9 @@ class DataBundle:
 
 def prepare_data(cfg: RunConfig) -> DataBundle:
     """Load, carve test/val, normalize from train stats, inject label noise.
-    A held-out test file must hold examples of the training file's shape."""
+    Each split is gathered once from the loaded rows (an IDX file's uint8
+    pixels) by index and normalized in place. A held-out test file must hold
+    examples of the training file's shape."""
     dc = cfg.data
     test = None
     if dc.source == "synthetic":
@@ -210,36 +212,44 @@ def prepare_data(cfg: RunConfig) -> DataBundle:
             dc.num_classes, dc.dim, dc.per_class, dc.class_separation, cfg.seeds.data, dc.image_hw
         )
     elif dc.source == "idx":
-        full = load_idx(dc.images_path, dc.labels_path)
+        full = read_idx(dc.images_path, dc.labels_path)
         if dc.test_images_path:
-            test = load_idx(dc.test_images_path, dc.test_labels_path)
+            test = read_idx(dc.test_images_path, dc.test_labels_path)
     else:
         full = load_csv(dc.csv_path)
         if dc.test_csv_path:
             test = load_csv(dc.test_csv_path)
     if test is None:
         test_seed = stage_seed(cfg.seeds.data, TEST_SPLIT_TAG)
-        full, test = split(full, dc.test_fraction, test_seed, "data key test_fraction")
+        rest, test_idx = split_indices(full.labels, dc.test_fraction, test_seed, "data key test_fraction")
     elif (test.dim, test.image_shape) != (full.dim, full.image_shape):
         files = (dc.test_images_path, dc.images_path) if dc.source == "idx" else (dc.test_csv_path, dc.csv_path)
         shapes = [ds.image_shape or (ds.dim,) for ds in (test, full)]
         raise ShapeError(f"test file {files[0]} holds examples of shape {shapes[0]}, but {files[1]} {shapes[1]}")
-    train, val = split(full, dc.val_fraction, stage_seed(cfg.seeds.data, VAL_SPLIT_TAG), "data key val_fraction")
-    del full  # train and val are copies; keep only them
+    else:
+        rest = np.arange(full.n)
+    val_seed = stage_seed(cfg.seeds.data, VAL_SPLIT_TAG)
+    train_idx, val_idx = split_indices(full.labels[rest], dc.val_fraction, val_seed, "data key val_fraction")
+    # the largest split first, so its gather's temporaries come before the other splits
+    train, val = subset(full, rest[train_idx]), subset(full, rest[val_idx])
+    test = subset(full, test_idx) if test is None else subset(test, np.arange(test.n))
+    del full  # the splits are copies; keep only them
     mean, std = compute_normalization(train)
-    train = apply_normalization(train, mean, std)
-    val = apply_normalization(val, mean, std)
-    test = apply_normalization(test, mean, std)
+    for ds in (train, val, test):
+        normalize_in_place(ds, mean, std)
     noisy, noise_mask = inject_label_noise(train, cfg.noise_q, cfg.seeds.noise)
     return DataBundle(replace(train, labels=noisy), noise_mask, val, test)
 
 
-def evaluate_accuracy(params: ParamVector, inputs: np.ndarray, labels: np.ndarray) -> float:
+def evaluate_accuracy(params: ParamVector, inputs: np.ndarray, labels: np.ndarray, rows=None) -> float:
+    """Accuracy on the rows an index array names (all rows when None), NO_GRAD_ROWS per forward pass."""
+    n = inputs.shape[0] if rows is None else rows.shape[0]
     hits = 0
-    for start in range(0, inputs.shape[0], NO_GRAD_ROWS):
-        logits = forward(params, inputs[start : start + NO_GRAD_ROWS])
-        hits += int((logits.argmax(axis=1) == labels[start : start + NO_GRAD_ROWS]).sum())
-    return hits / inputs.shape[0]
+    for start in range(0, n, NO_GRAD_ROWS):
+        part = slice(start, start + NO_GRAD_ROWS) if rows is None else rows[start : start + NO_GRAD_ROWS]
+        logits = forward(params, inputs[part])
+        hits += int((logits.argmax(axis=1) == labels[part]).sum())
+    return hits / n
 
 
 @dataclass
@@ -363,6 +373,7 @@ def run_experiment(
         for stage in range(1, cfg.stages + 1):
             if stage > 1:
                 norm_before = weight_norm(params.values)
+                del spare, opt  # freed before the fresh draw, rebuilt after it
                 params, fresh_norm = apply_reinit(
                     cfg.reinit, params, cfg.seeds.init, stage - 1, init_norms, stats_batch, cfg.stages
                 )
@@ -402,7 +413,10 @@ def run_experiment(
                 val_acc = evaluate_accuracy(params, bundle.val.inputs, bundle.val.labels)
                 test_acc = evaluate_accuracy(params, bundle.test.inputs, bundle.test.labels)
                 if val_acc > max((r.val_acc for r in records), default=-1.0):
-                    best_params = params.copy()
+                    # one best buffer per run, overwritten by each new best, so two are never alive
+                    values = np.empty_like(params.values) if best_params is None else best_params.values
+                    np.copyto(values, params.values)
+                    best_params = ParamVector(values, params.network, params.frozen_norm)
                 records.append(
                     MetricsRecord(
                         run_id=run_id,
@@ -591,11 +605,10 @@ def noise_study(base_cfg: RunConfig, q_values, methods, out_dir=None) -> list[di
 
 def _memorization(res: RunResult, bundle: DataBundle) -> dict:
     """The best checkpoint's accuracy against the noisy labels on the corrupted subset."""
-    mask = bundle.noise_mask
-    if not mask.any() or res.best_params is None:
+    rows = np.flatnonzero(bundle.noise_mask)
+    if rows.size == 0 or res.best_params is None:
         return {"memorization": None}
-    inputs, labels = bundle.train.inputs[mask], bundle.train.labels[mask]
-    return {"memorization": evaluate_accuracy(res.best_params, inputs, labels)}
+    return {"memorization": evaluate_accuracy(res.best_params, bundle.train.inputs, bundle.train.labels, rows)}
 
 
 # online method -> the re-init kind that maps one chunk's final parameters to the next start
@@ -609,8 +622,13 @@ def online_sim(base_cfg: RunConfig, num_chunks: int, methods=tuple(ONLINE_METHOD
     > 1, apply_reinit at boundary k maps the previous chunk's final
     parameters to the next start by _rule(base_cfg, ONLINE_METHODS[method]).
     Chunk 1 is identical for all methods by construction. With out_dir, each
-    chunk's run gets the directory <run_id>-<method>-chunk<k>.
+    chunk's run gets the directory <run_id>-<method>-chunk<k>. Every chunk is
+    one stage without distillation, so the base config must be one too.
     """
+    if base_cfg.stages != 1:
+        raise ConfigurationError(f"online chunks train 1 stage each, but the base config has {base_cfg.stages}")
+    if base_cfg.distill.enabled:
+        raise ConfigurationError("online chunks train without distillation, but the base config enables it")
     if num_chunks < 2:
         raise ConfigurationError(f"need at least 2 chunks, got {num_chunks}")
     for m in methods:
@@ -624,7 +642,6 @@ def online_sim(base_cfg: RunConfig, num_chunks: int, methods=tuple(ONLINE_METHOD
             replace(
                 base_cfg,
                 epochs=epochs_per_chunk,
-                stages=1,
                 reinit=ReinitSpec("none"),
                 distill=DistillConfig(enabled=False),
                 run_name=f"{base_cfg.run_id}-{method}-chunk{k}",

@@ -18,13 +18,14 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError, ShapeError, check_fields, rule
 
 NO_GRAD_ROWS = 256  # rows per forward pass that keeps no gradient: evaluation, teacher snapshots
+PIECE = 8192  # values per float64 temporary of an exact sum or a parameter draw
 
 
 @dataclass
 class ParamVector:
     """The model a run trains: the flat parameters of one network and the
     frozen norm layer installed in it, if any. Checked when built; only
-    sgd_step writes into one."""
+    sgd_step, and a run copying in its best epoch, write into one."""
 
     values: np.ndarray
     network: NetworkSpec
@@ -160,9 +161,12 @@ def init_params(spec: NetworkSpec, seed: int, dtype=np.float32) -> ParamVector:
     weights, zeros for biases. Bit-identical for identical (spec, seed, dtype)."""
     rng = np.random.Generator(np.random.PCG64(seed & 0xFFFFFFFFFFFFFFFF))
     values = np.empty(spec.param_count, dtype=dtype)
-    for weights, biases, (fan_in, fan_out) in _layer_slices(spec):
+    for weights, biases, (fan_in, _) in _layer_slices(spec):
         bound = 1.0 / np.sqrt(fan_in)
-        values[weights] = rng.uniform(-bound, bound, fan_in * fan_out).astype(dtype)
+        # PIECE draws at a time continue one stream, so they equal one whole draw
+        for start in range(weights.start, weights.stop, PIECE):
+            stop = min(start + PIECE, weights.stop)
+            values[start:stop] = rng.uniform(-bound, bound, stop - start)
         values[biases] = 0.0
     return ParamVector(values, spec)
 
@@ -283,13 +287,28 @@ def loss_grad_logits(
     return float(loss), grad_out, logits
 
 
+def float64_sum(values: np.ndarray, center: float | None = None) -> np.float64:
+    """``np.add.reduce`` of a 1-D array's float64 copy (with ``center``, of its
+    squared distances from center) bit for bit, from PIECE-value float64 copies.
+    numpy's pairwise sum splits n at n // 2 rounded down to a multiple of 8; so
+    does this, down to pieces numpy then sums itself."""
+    n = values.shape[0]
+    if n > PIECE:
+        half = n // 2
+        half -= half % 8
+        return float64_sum(values[:half], center) + float64_sum(values[half:], center)
+    x = values.astype(np.float64)
+    if center is not None:
+        x -= center
+        np.square(x, out=x)
+    return np.add.reduce(x)
+
+
 def weight_norm(values: np.ndarray) -> float:
-    """Euclidean norm of an array, accumulated in float64: the one norm every
+    """Euclidean norm of a 1-D array, accumulated in float64: the one norm every
     weight and block norm goes through. numpy's pairwise sum, not a BLAS dot,
     so the value does not depend on the BLAS thread count."""
-    x = values.astype(np.float64)
-    np.square(x, out=x)
-    return float(np.sqrt(np.add.reduce(x)))
+    return float(np.sqrt(float64_sum(values, 0.0)))
 
 
 def block_norms(params: ParamVector) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, check_fields, rule
-from .nn import FrozenNormLayer, NetworkSpec, ParamVector, forward, init_params, weight_norm
+from .nn import PIECE, FrozenNormLayer, NetworkSpec, ParamVector, forward, init_params, weight_norm
 
 KINDS = ("none", "shrink_perturb", "layer_wise", "full")
 
@@ -66,7 +66,9 @@ def shrink_perturb(theta: ParamVector, theta_init: ParamVector, lam: float, gamm
     inputs untouched. theta_init is a draw for theta's network, and ReinitSpec
     checks that lam and gamma lie in [0, 1]."""
     values = lam * theta.values
-    values += gamma * theta_init.values
+    # gamma * theta_init a piece at a time, so no second whole vector is alive
+    for start in range(0, values.shape[0], PIECE):
+        values[start : start + PIECE] += gamma * theta_init.values[start : start + PIECE]
     return ParamVector(values.astype(theta.dtype, copy=False), theta.network, theta.frozen_norm)
 
 

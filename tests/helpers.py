@@ -7,6 +7,7 @@ shadow these names.
 """
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 
@@ -76,6 +77,18 @@ def spy(monkeypatch, module, name, note=lambda *args, **kwargs: None) -> list:
 
     monkeypatch.setattr(module, name, wrapped)
     return calls
+
+
+def traced_peak(fn) -> int:
+    """The peak bytes tracemalloc sees allocated during fn(), above what was
+    allocated before; numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def write_idx(images_path, labels_path, images: np.ndarray, labels) -> None:

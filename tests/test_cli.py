@@ -587,6 +587,23 @@ class TestMain:
         assert set(payload) == {"scratch", "warm_start"}
         assert len(payload["scratch"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--stages", "2"], ["--distill-beta", "0.5"], ["--stages", "2", "--distill-beta", "0.5"]],
+        ids=["stages", "distill", "both"],
+    )
+    def test_online_base_with_stages_or_distillation_leaves_no_run_directory(
+        self, tiny_config_file, tmp_path, capsys, flags
+    ):
+        out = tmp_path / "runs"
+        code = main(["online", "--config", tiny_config_file, "--chunks", "2", *flags, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        [line] = captured.err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ConfigurationError" and "online chunks train" in payload["message"]
+        assert not out.exists()
+
     def test_online_chunk_runs_can_be_inspected(self, tiny_config_file, tmp_path, capsys):
         out = tmp_path / "runs"
         argv = ["online", "--config", tiny_config_file, "--epochs", "4", "--chunks", "2", "--out", str(out)]

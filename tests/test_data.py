@@ -2,17 +2,17 @@
 import csv
 import struct
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reinit_lab.data import (
-    NORM_CHUNK_ROWS,
+    NORM_CHUNK_BYTES,
     AugmentSpec,
     Dataset,
     _distinct,
-    apply_normalization,
     augment_batch,
     compute_normalization,
     inject_label_noise,
@@ -20,6 +20,7 @@ from reinit_lab.data import (
     load_idx,
     make_chunks,
     make_synthetic,
+    normalize_in_place,
     split,
     split_indices,
     subset,
@@ -36,7 +37,7 @@ from reinit_lab.harness import (
 )
 from reinit_lab.nn import NetworkSpec
 from reinit_lab.reinit import stage_seed
-from helpers import write_csv, write_idx
+from helpers import traced_peak, write_csv, write_idx
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -322,10 +323,17 @@ def test_make_chunks_partition():
         make_chunks(ds, 103, seed=4)
 
 
+def normalized(ds, mean, std):
+    """A copy of ds normalized as prepare_data normalizes its splits in place."""
+    out = replace(ds, inputs=ds.inputs.copy())
+    normalize_in_place(out, mean, std)
+    return out
+
+
 def test_normalization_zero_mean_unit_std_tabular():
     ds = make_synthetic(3, 6, per_class=100, class_separation=2.0, seed=6)
     mean, std = compute_normalization(ds)
-    normed = apply_normalization(ds, mean, std)
+    normed = normalized(ds, mean, std)
     got_mean, got_std = compute_normalization(normed)
     np.testing.assert_allclose(got_mean, 0.0, atol=1e-6)
     np.testing.assert_allclose(got_std, 1.0, atol=1e-6)
@@ -338,7 +346,7 @@ def test_normalization_per_channel_for_images(tmp_path):
     ds = load_idx(img_path, lbl_path)
     mean, std = compute_normalization(ds)
     assert mean.shape == (1,) and std.shape == (1,)
-    normed = apply_normalization(ds, mean, std)
+    normed = normalized(ds, mean, std)
     m2, s2 = compute_normalization(normed)
     np.testing.assert_allclose(m2, 0.0, atol=1e-6)
     np.testing.assert_allclose(s2, 1.0, atol=1e-6)
@@ -434,12 +442,13 @@ def run_config(data, input_dim, num_classes):
 
 def test_prepare_data_idx_matches_reference_across_chunks(tmp_path):
     rng = np.random.Generator(np.random.PCG64(12))
-    n = 1600  # test 400, val 120, train 1080: two full chunks and a partial one
+    n = 1600  # test 400, val 120, train 1080: one full normalization chunk and a partial one
     images = rng.integers(0, 256, size=(n, 6, 5), dtype=np.uint8)
     img_path, lbl_path = write_idx_pair(tmp_path, images, list(rng.permutation(np.arange(n) % 7)))
     data = DataConfig(source="idx", images_path=str(img_path), labels_path=str(lbl_path))
     bundle = assert_prepare_matches_reference(run_config(data, 30, 7))
-    assert bundle.train.n > NORM_CHUNK_ROWS and bundle.train.n % NORM_CHUNK_ROWS != 0
+    rows = NORM_CHUNK_BYTES // (8 * 30)
+    assert bundle.train.n > rows and bundle.train.n % rows != 0
 
 
 @pytest.mark.parametrize("image_hw", [None, (5, 7)])
@@ -471,10 +480,10 @@ def test_held_out_test_file_is_the_test_split_and_trains(tmp_path, source):
     raw = load_csv(paths[0]) if source == "csv" else load_idx(*paths[:2])
     train, _ = split(raw, data.val_fraction, stage_seed(cfg.seeds.data, VAL_SPLIT_TAG))
     stats = compute_normalization(train)
-    assert_bits_equal(bundle.train.inputs, apply_normalization(train, *stats).inputs)
+    assert_bits_equal(bundle.train.inputs, normalized(train, *stats).inputs)
     # the held-out file, normalized with the training split's statistics, is the whole test split
     assert_bits_equal(bundle.test.labels, held_out.labels)
-    assert_bits_equal(bundle.test.inputs, apply_normalization(held_out, *stats).inputs)
+    assert_bits_equal(bundle.test.inputs, normalized(held_out, *stats).inputs)
     assert (bundle.train.n, bundle.val.n) == (54, 6)
     res = run_experiment(cfg, bundle, tmp_path / "runs")
     assert not res.failed and res.total_steps == 2 * 6
@@ -492,30 +501,42 @@ def test_normalization_matches_reference_on_three_channels():
     assert mean.shape == (3,)
     assert_bits_equal(mean, want_mean)
     assert_bits_equal(std, want_std)
-    assert_bits_equal(apply_normalization(ds, mean, std).inputs, reference_normalize(ds, mean, std))
+    assert_bits_equal(normalized(ds, mean, std).inputs, reference_normalize(ds, mean, std))
 
 
-def test_prepare_data_peak_memory_is_one_float64_training_copy(tmp_path):
-    """Peak traced allocations stay under 3x the float32 inputs prepare_data keeps.
+@pytest.mark.parametrize(
+    "image_shape, n, width",
+    [((28, 28, 1), 700, 784), ((5, 7, 1), 3, 35), (None, 1500, 50), (None, 4, 1)],
+    ids=["image", "small_image", "tabular", "one_feature"],
+)
+def test_normalization_matches_the_float64_copy(image_shape, n, width):
+    rng = np.random.Generator(np.random.PCG64(n))
+    inputs = (rng.random((n, width)) * rng.random(width) * 3.0 - 0.4).astype(np.float32)
+    ds = Dataset(inputs, rng.integers(0, 3, size=n), 3, image_shape=image_shape)
+    mean, std = compute_normalization(ds)
+    want_mean, want_std = reference_normalization(ds)
+    assert mean.shape == want_mean.shape == ((1,) if image_shape else (width,))
+    assert_bits_equal(mean, want_mean)
+    assert_bits_equal(std, want_std)
 
-    Kept inputs plus one float64 copy of the training split (0.675 of the
-    data at the default fractions, at twice the bytes) is about 2.35x.
+
+def test_prepare_data_peak_memory_is_the_splits_it_keeps(tmp_path):
+    """Peak traced allocations stay within 1.4x the arrays the bundle holds.
+
+    The file's bytes (a quarter of the float32 inputs) stay alive until the
+    three splits are gathered; statistics and normalization hold a small
+    float64 piece at a time.
     """
     rng = np.random.Generator(np.random.PCG64(9))
-    n = 2000
+    n = 3000
     images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
     img_path, lbl_path = write_idx_pair(tmp_path, images, list(rng.permutation(np.arange(n) % 10)))
     cfg = run_config(DataConfig(source="idx", images_path=str(img_path), labels_path=str(lbl_path)), 784, 10)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        bundle = prepare_data(cfg)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    kept = sum(ds.inputs.nbytes for ds in (bundle.train, bundle.val, bundle.test))
-    assert peak <= 3 * kept, f"peak {peak} bytes is {peak / kept:.2f}x the {kept} bytes kept"
+    bundles = []
+    peak = traced_peak(lambda: bundles.append(prepare_data(cfg)))
+    splits = (bundles[0].train, bundles[0].val, bundles[0].test)
+    kept = sum(ds.inputs.nbytes + ds.labels.nbytes for ds in splits) + bundles[0].noise_mask.nbytes
+    assert peak <= 1.4 * kept, f"peak {peak} bytes is {peak / kept:.2f}x the {kept} bytes kept"
 
 
 @pytest.mark.parametrize(

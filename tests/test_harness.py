@@ -43,7 +43,7 @@ from reinit_lab.harness import (
 from reinit_lab.nn import NO_GRAD_ROWS, NetworkSpec, init_params, weight_norm
 from reinit_lab.reinit import ReinitSpec, stage_seed
 from reinit_lab.runio import MetricsRecord, load_checkpoint
-from helpers import spy
+from helpers import spy, traced_peak
 
 
 def tiny_net():
@@ -298,7 +298,7 @@ class TestPrepareData:
         assert (b.train.n, b.val.n, b.test.n) == (TRAIN_N, VAL_N, TEST_N)
 
     def test_train_is_standardized_and_stats_are_shared(self, monkeypatch):
-        stats = spy(monkeypatch, harness, "apply_normalization", lambda ds, mean, std: (mean, std))
+        stats = spy(monkeypatch, harness, "normalize_in_place", lambda ds, mean, std: (mean, std))
         b = prepare_data(tiny_cfg())
         assert np.allclose(b.train.inputs.mean(axis=0), 0.0, atol=1e-5)
         assert np.allclose(b.train.inputs.std(axis=0), 1.0, atol=1e-4)
@@ -350,6 +350,17 @@ class TestRunResult:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("kind", ["none", "shrink_perturb", "full"])
+    def test_run_holds_fewer_than_six_parameter_vectors(self, kind):
+        """The parameters, spare, gradient, momentum and best vectors, plus
+        pieces: no whole float64 copy and no second best or draw temporary."""
+        net = NetworkSpec(784, (256, 128), 10, block_boundaries=(1, 2))
+        data = DataConfig(dim=784, per_class=20, image_hw=(28, 28))
+        cfg = RunConfig(net, data, epochs=2, stages=2, batch_size=25, reinit=ReinitSpec(kind), seeds=Seeds(1, 2, 3))
+        bundle = prepare_data(cfg)
+        peak = traced_peak(lambda: run_experiment(cfg, bundle))
+        assert peak < 6 * net.param_count * 4, f"peak {peak / (net.param_count * 4):.2f} parameter vectors"
+
     def test_single_stage_bookkeeping(self):
         res = run_experiment(tiny_cfg())
         assert not res.failed
@@ -850,7 +861,7 @@ STUDIES = {
     "grid.json": lambda base, out: grid_search(base, [0.01, 0.05], [0.0], out_dir=out),
     "stage_sweep.json": lambda base, out: stage_sweep(base, (1, 2), out_dir=out),
     "noise_study.json": lambda base, out: noise_study(base, (0.0, 0.3), ("standard", "sp"), out_dir=out),
-    "online_sim.json": lambda base, out: online_sim(base, 2, out_dir=out),
+    "online_sim.json": lambda base, out: online_sim(replace(base, stages=1), 2, out_dir=out),
 }
 
 
@@ -968,6 +979,18 @@ class TestNoiseStudy:
         assert noisy != evaluate_accuracy(params, inputs[mask], clean[mask])
         assert row["memorization"] == noisy
 
+    def test_accuracy_on_index_rows_equals_the_gathered_copy_without_making_it(self):
+        params = init_params(NetworkSpec(64, (16,), 4), 3)
+        rng = np.random.Generator(np.random.PCG64(5))
+        inputs = rng.standard_normal((3000, 64)).astype(np.float32)
+        labels = rng.integers(0, 4, 3000)
+        rows = np.flatnonzero(rng.random(3000) < 0.4)
+        assert rows.size > 4 * NO_GRAD_ROWS
+        want = evaluate_accuracy(params, inputs[rows], labels[rows])
+        assert evaluate_accuracy(params, inputs, labels, rows) == want
+        # _memorization scores the corrupted rows this way, one NO_GRAD_ROWS chunk at a time
+        assert traced_peak(lambda: evaluate_accuracy(params, inputs, labels, rows)) < inputs[rows].nbytes / 2
+
     def test_compute_parity_between_methods(self):
         base = tiny_cfg(epochs=4, stages=2)
         rows = noise_study(base, (0.2,), ("standard", "sp"))
@@ -1075,6 +1098,20 @@ class TestOnlineSim:
         monkeypatch.setattr(harness, "prepare_data", None)  # a study that got this far would fail on this
         with pytest.raises(ConfigurationError, match="repeated cells: run ids .*-scratch-chunk1"):
             online_sim(tiny_cfg(epochs=4), num_chunks=2, methods=("scratch", "warm_start", "scratch"), out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "change, phrase",
+        [
+            ({"stages": 2}, "online chunks train 1 stage each, but the base config has 2"),
+            ({"distill": DistillConfig(enabled=True, beta=0.5)}, "online chunks train without distillation"),
+        ],
+        ids=["stages", "distill"],
+    )
+    def test_base_that_chunks_would_ignore_is_rejected_before_any_run(self, tmp_path, monkeypatch, change, phrase):
+        monkeypatch.setattr(harness, "prepare_data", None)  # a study that got this far would fail on this
+        with pytest.raises(ConfigurationError, match=phrase):
+            online_sim(tiny_cfg(epochs=4, **change), num_chunks=2, out_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_validation(self):

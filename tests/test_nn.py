@@ -16,13 +16,14 @@ from reinit_lab.nn import (
     NetworkSpec,
     ParamVector,
     block_norms,
+    float64_sum,
     forward,
     init_params,
     loss_grad_logits,
     softmax,
     weight_norm,
 )
-from helpers import fd_check, kl_oracle, oracle_layers
+from helpers import fd_check, kl_oracle, oracle_layers, traced_peak
 
 
 def manual_forward(spec, params, x):
@@ -375,6 +376,40 @@ def test_weight_norm_matches_float64_oracle():
     params = init_params(spec, 13)
     want = math.sqrt(sum(float(v) ** 2 for v in params.values))
     assert weight_norm(params.values) == pytest.approx(want, rel=1e-12)
+
+
+# the acceptance network (784-256-128-10) has 235,146 values, the desk network 47,242
+IMAGE_NET = NetworkSpec(784, (256, 128), 10, block_boundaries=(1, 2))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 7, 8, 8191, 8192, 8193, 47242, 235146])
+def test_weight_norm_is_the_whole_float64_reduce_bit_for_bit(n, dtype):
+    rng = np.random.Generator(np.random.PCG64(n))
+    values = (rng.standard_normal(n) * 0.05 + 0.01).astype(dtype)
+    x = values.astype(np.float64)
+    assert weight_norm(values) == float(np.sqrt(np.add.reduce(np.square(x))))
+    assert float64_sum(values) == np.add.reduce(x)
+
+
+def test_init_params_equals_one_draw_per_layer():
+    for spec in (IMAGE_NET, NetworkSpec(50, (256, 128), 10), NetworkSpec(3, (2,), 2)):
+        for dtype in (np.float32, np.float64):
+            rng = np.random.Generator(np.random.PCG64(21))
+            want = []
+            for fan_in, fan_out in spec.layer_dims():
+                bound = 1.0 / np.sqrt(fan_in)
+                want += [rng.uniform(-bound, bound, fan_in * fan_out).astype(dtype), np.zeros(fan_out, dtype)]
+            got = init_params(spec, 21, dtype=dtype).values
+            assert got.dtype == dtype and got.tobytes() == np.concatenate(want).tobytes()
+
+
+def test_weight_norm_and_init_params_hold_less_than_a_float64_copy():
+    copy = IMAGE_NET.param_count * 8
+    params = init_params(IMAGE_NET, 0)
+    assert traced_peak(lambda: weight_norm(params.values)) < copy
+    # the returned float32 vector is half a float64 copy; the draws add one piece
+    assert traced_peak(lambda: init_params(IMAGE_NET, 1)) < copy
 
 
 def test_block_norms_partition_total_norm():
