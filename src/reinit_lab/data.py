@@ -1,10 +1,11 @@
 """Dataset ingestion, normalization, augmentation, splits, and label noise.
 
-Datasets are immutable bags of flat float32 inputs plus integer labels;
-read_idx's datasets hold the file's uint8 pixels until subset gathers them.
-Images keep (height, width, channels) metadata so augmentation and
-per-channel normalization know the geometry; purely tabular data leaves it
-unset and gets per-feature statistics instead.
+Datasets are immutable bags of flat inputs plus integer labels. The inputs
+are float32, or an IDX file's uint8 pixels with the table that decodes them;
+Dataset.rows reads model inputs either way. Images keep (height, width,
+channels) metadata so augmentation and per-channel normalization know the
+geometry; purely tabular data leaves it unset and gets per-feature
+statistics instead.
 """
 from __future__ import annotations
 
@@ -24,16 +25,24 @@ IDX_LABEL_MAGIC = 0x00000801
 STD_FLOOR = 1e-8
 # float64 bytes one normalization pass holds: whole rows, at least one
 NORM_CHUNK_BYTES = 1 << 17
+# pixel pairs per np.take of a decode, which first copies its indices to intp
+DECODE_PAIRS = 8192
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """n examples of d features each, with optional image geometry."""
+    """n examples of d features each, with optional image geometry.
+
+    inputs are float32 model inputs, or uint8 pixels together with
+    ``decode``, a decode_table that gives the float32 input of each pixel
+    value; ``rows`` reads model inputs either way.
+    """
 
     inputs: np.ndarray
     labels: np.ndarray
     num_classes: int
     image_shape: tuple[int, int, int] | None = None
+    decode: np.ndarray | None = None
 
     def __post_init__(self):
         x = np.asarray(self.inputs)
@@ -48,6 +57,10 @@ class Dataset:
             h, w, ch = self.image_shape
             if h * w * ch != x.shape[1]:
                 raise DataError(f"image shape {self.image_shape} does not flatten to {x.shape[1]}")
+        if (x.dtype == np.uint8) != (self.decode is not None):
+            raise DataError(f"inputs of dtype {x.dtype} {'with' if self.decode is not None else 'without'} a decode table")
+        if self.decode is not None and (self.decode.shape, self.decode.dtype) != ((1 << 16, 2), np.float32):
+            raise DataError(f"decode table must be (65536, 2) float32, got {self.decode.shape} {self.decode.dtype}")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "labels", y.astype(np.int64))
 
@@ -58,6 +71,36 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.inputs.shape[1]
+
+    def rows(self, sel) -> np.ndarray:
+        """The float32 model inputs of the rows sel (a slice or an index array)
+        names: float inputs as indexing gives them, pixels decoded."""
+        x = self.inputs[sel]
+        return x if self.decode is None else _decode(x, self.decode)
+
+
+def decode_table(values: np.ndarray) -> np.ndarray:
+    """The (65536, 2) float32 table whose row lo + 256 * hi holds (values[lo],
+    values[hi]): the inputs of a pixel pair read as a little-endian uint16.
+    values holds the float32 input of each of the 256 pixel values."""
+    table = np.empty((256, 256, 2), dtype=np.float32)
+    table[:, :, 0] = values
+    table[:, :, 1] = values[:, None]
+    return table.reshape(1 << 16, 2)
+
+
+def _decode(pixels: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The float32 inputs of contiguous uint8 pixels, two at a time through table."""
+    flat = pixels.reshape(-1)
+    out = np.empty(flat.shape, dtype=np.float32)
+    m = flat.shape[0] // 2
+    codes = flat[: 2 * m].view("<u2")
+    pairs = out[: 2 * m].reshape(m, 2)
+    for start in range(0, m, DECODE_PAIRS):
+        np.take(table, codes[start : start + DECODE_PAIRS], axis=0, out=pairs[start : start + DECODE_PAIRS])
+    if flat.shape[0] % 2:
+        out[-1] = table[flat[-1], 0]
+    return out.reshape(pixels.shape)
 
 
 @dataclass(frozen=True)
@@ -79,7 +122,7 @@ def _read_be_u32(buf: bytes, offset: int, path, what: str) -> int:
 
 def read_idx(images_path, labels_path) -> Dataset:
     """MNIST-style IDX pair: big-endian headers, one byte per pixel/label,
-    kept as the file's uint8 pixels for subset to convert."""
+    kept as the file's uint8 pixels, which decode to float32 divided by 255."""
     img_buf = Path(images_path).read_bytes()
     lbl_buf = Path(labels_path).read_bytes()
 
@@ -106,13 +149,15 @@ def read_idx(images_path, labels_path) -> Dataset:
 
     pixels = np.frombuffer(img_buf, dtype=np.uint8, offset=16).reshape(n, rows * cols)
     labels = np.frombuffer(lbl_buf, dtype=np.uint8, offset=8).astype(np.int64)
-    return Dataset(pixels, labels, int(labels.max()) + 1, image_shape=(rows, cols, 1))
+    scaled = np.arange(256, dtype=np.uint8).astype(np.float32)
+    scaled /= 255.0
+    return Dataset(pixels, labels, int(labels.max()) + 1, (rows, cols, 1), decode_table(scaled))
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """An IDX pair (see read_idx) with its pixels scaled to [0, 1] in float32."""
     raw = read_idx(images_path, labels_path)
-    return subset(raw, np.arange(raw.n))
+    return replace(raw, inputs=raw.rows(slice(None)), decode=None)
 
 
 def load_csv(path) -> Dataset:
@@ -240,14 +285,9 @@ def augment_batch(
 
 
 def subset(ds: Dataset, indices: np.ndarray) -> Dataset:
-    """The examples at indices, gathered once; read_idx's uint8 pixels come
-    out as float32 divided by 255."""
+    """The examples at indices, gathered once; pixels stay pixels with ds's decode table."""
     idx = np.asarray(indices)
-    x = ds.inputs[idx]
-    if x.dtype == np.uint8:
-        x = x.astype(np.float32)
-        x /= 255.0
-    return replace(ds, inputs=x, labels=ds.labels[idx])
+    return replace(ds, inputs=ds.inputs[idx], labels=ds.labels[idx])
 
 
 def split_indices(
@@ -325,15 +365,17 @@ def compute_normalization(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Mean and std per channel (images) or per feature (tabular), float64.
 
     Bit-identical to ``np.mean`` and ``np.std`` on a float64 copy of the
-    inputs: the std repeats numpy's own steps, through float64_sum for a
-    single channel and in place on that one copy otherwise.
+    model inputs: the std repeats numpy's own steps, through float64_sum for
+    a single channel (decoding pixels a piece at a time) and in place on that
+    one copy otherwise.
     """
     if ds.image_shape is not None and ds.image_shape[2] == 1:
         flat = ds.inputs.reshape(-1)
-        mean = float64_sum(flat) / flat.size
-        var = np.array([float64_sum(flat, mean) / flat.size])
+        read = None if ds.decode is None else (lambda piece: _decode(piece, ds.decode))
+        mean = float64_sum(flat, None, read) / flat.size
+        var = np.array([float64_sum(flat, mean, read) / flat.size])
         return np.array([mean]), np.maximum(np.sqrt(var, out=var), STD_FLOOR)
-    x = ds.inputs.astype(np.float64)
+    x = ds.rows(slice(None)).astype(np.float64)
     if ds.image_shape is not None:
         x = x.reshape(ds.n, -1, ds.image_shape[2])
         axis = (0, 1)
@@ -352,7 +394,8 @@ def compute_normalization(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 def normalize_in_place(ds: Dataset, mean: np.ndarray, std: np.ndarray) -> None:
     """Overwrite ds's float32 inputs with (x - mean) / std, computed in float64
-    a NORM_CHUNK_BYTES buffer at a time."""
+    a NORM_CHUNK_BYTES buffer at a time. Pixels normalize through
+    normalized_table instead."""
     step = max(1, NORM_CHUNK_BYTES // (8 * ds.dim))
     buf = np.empty((min(ds.n, step), ds.dim))
     # per channel for images: channels are the last axis of each row
@@ -365,3 +408,13 @@ def normalize_in_place(ds: Dataset, mean: np.ndarray, std: np.ndarray) -> None:
         block -= mean
         block /= std
         chunk[...] = x
+
+
+def normalized_table(table: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """The decode table of single-channel pixels whose inputs become
+    (x - mean) / std, each value x of table computed as normalize_in_place
+    computes an input."""
+    x = table[:256, 0].astype(np.float64)
+    x -= mean
+    x /= std
+    return decode_table(x.astype(np.float32))

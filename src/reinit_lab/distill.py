@@ -11,6 +11,7 @@ from dataclasses import MISSING, dataclass
 
 import numpy as np
 
+from .data import Dataset
 from .errors import DataError, check_fields, integer, rule
 from .nn import NO_GRAD_ROWS, ParamVector, forward, softmax
 from .runio import read_framed, write_framed
@@ -41,15 +42,15 @@ class TeacherCache:
         self.probs = p
 
 
-def snapshot_teacher(params: ParamVector, train_inputs: np.ndarray, source_stage: int) -> TeacherCache:
-    """One forward sweep over the clean training inputs, softmaxed and cached.
+def snapshot_teacher(params: ParamVector, train: Dataset, source_stage: int) -> TeacherCache:
+    """One forward sweep over the clean training split, softmaxed and cached.
 
-    Inputs are expected already normalized but never augmented; each cached
-    row serves every augmented view of its example in later stages.
+    Its rows are read normalized but never augmented, NO_GRAD_ROWS at a time;
+    each cached row serves every augmented view of its example in later stages.
     """
     rows = []
-    for start in range(0, train_inputs.shape[0], NO_GRAD_ROWS):
-        logits = forward(params, train_inputs[start : start + NO_GRAD_ROWS])
+    for start in range(0, train.n, NO_GRAD_ROWS):
+        logits = forward(params, train.rows(slice(start, start + NO_GRAD_ROWS)))
         rows.append(softmax(logits.astype(np.float64)).astype(np.float32))
     return TeacherCache(np.concatenate(rows, axis=0), source_stage)
 

@@ -27,6 +27,7 @@ from .data import (
     make_chunks,
     make_synthetic,
     normalize_in_place,
+    normalized_table,
     read_idx,
     split_indices,
     subset,
@@ -192,7 +193,8 @@ class RunConfig:
 @dataclass
 class DataBundle:
     """Normalized splits, the training split holding the (possibly noisy)
-    labels the run trains on, and the mask of the re-drawn ones."""
+    labels the run trains on, and the mask of the re-drawn ones. IDX splits
+    hold uint8 pixels and share one normalized decode table."""
 
     train: Dataset
     noise_mask: np.ndarray
@@ -202,8 +204,9 @@ class DataBundle:
 
 def prepare_data(cfg: RunConfig) -> DataBundle:
     """Load, carve test/val, normalize from train stats, inject label noise.
-    Each split is gathered once from the loaded rows (an IDX file's uint8
-    pixels) by index and normalized in place. A held-out test file must hold
+    Each split is gathered once from the loaded rows by index. Float splits
+    are normalized in place; IDX splits stay uint8 pixels, and the decode
+    table they share is normalized instead. A held-out test file must hold
     examples of the training file's shape."""
     dc = cfg.data
     test = None
@@ -232,23 +235,29 @@ def prepare_data(cfg: RunConfig) -> DataBundle:
     train_idx, val_idx = split_indices(full.labels[rest], dc.val_fraction, val_seed, "data key val_fraction")
     # the largest split first, so its gather's temporaries come before the other splits
     train, val = subset(full, rest[train_idx]), subset(full, rest[val_idx])
-    test = subset(full, test_idx) if test is None else subset(test, np.arange(test.n))
+    if test is None:
+        test = subset(full, test_idx)
     del full  # the splits are copies; keep only them
     mean, std = compute_normalization(train)
-    for ds in (train, val, test):
-        normalize_in_place(ds, mean, std)
+    if train.decode is None:
+        for ds in (train, val, test):
+            normalize_in_place(ds, mean, std)
+    else:
+        table = normalized_table(train.decode, mean, std)
+        train, val, test = (replace(ds, decode=table) for ds in (train, val, test))
     noisy, noise_mask = inject_label_noise(train, cfg.noise_q, cfg.seeds.noise)
     return DataBundle(replace(train, labels=noisy), noise_mask, val, test)
 
 
-def evaluate_accuracy(params: ParamVector, inputs: np.ndarray, labels: np.ndarray, rows=None) -> float:
-    """Accuracy on the rows an index array names (all rows when None), NO_GRAD_ROWS per forward pass."""
-    n = inputs.shape[0] if rows is None else rows.shape[0]
+def evaluate_accuracy(params: ParamVector, ds: Dataset, rows=None) -> float:
+    """Accuracy on the rows of ds an index array names (all rows when None),
+    read and scored NO_GRAD_ROWS per forward pass."""
+    n = ds.n if rows is None else rows.shape[0]
     hits = 0
     for start in range(0, n, NO_GRAD_ROWS):
         part = slice(start, start + NO_GRAD_ROWS) if rows is None else rows[start : start + NO_GRAD_ROWS]
-        logits = forward(params, inputs[part])
-        hits += int((logits.argmax(axis=1) == labels[part]).sum())
+        logits = forward(params, ds.rows(part))
+        hits += int((logits.argmax(axis=1) == ds.labels[part]).sum())
     return hits / n
 
 
@@ -321,7 +330,7 @@ def run_experiment(
         bundle = prepare_data(cfg)
     if cfg.augment_enabled and bundle.train.image_shape is None:
         raise ConfigurationError("augmentation needs image geometry; this data has none")
-    width = bundle.train.inputs.shape[1]
+    width = bundle.train.dim
     if width != cfg.network.input_dim:
         raise ConfigurationError(
             f"network input_dim {cfg.network.input_dim} does not match the data's {width} features"
@@ -339,7 +348,7 @@ def run_experiment(
     params = initial_params.copy() if initial_params is not None else init_params(cfg.network, cfg.seeds.init)
     # what the layer-wise rule reads at every boundary
     init_norms = tuple(block_norms(params))
-    stats_batch = bundle.train.inputs[: min(256, bundle.train.n)]
+    stats_batch = bundle.train.rows(slice(0, 256)) if cfg.reinit.kind == "layer_wise" else None
 
     n_train = bundle.train.n
     steps_per_epoch = math.ceil(n_train / cfg.batch_size)
@@ -389,7 +398,7 @@ def run_experiment(
                 lr_first = None
                 for start in range(0, n_train, cfg.batch_size):
                     idx = perm[start : start + cfg.batch_size]
-                    x = bundle.train.inputs[idx]
+                    x = bundle.train.rows(idx)
                     if cfg.augment_enabled:
                         x = augment_batch(x, bundle.train.image_shape, cfg.augment, augment_rng)
                     y = bundle.train.labels[idx]
@@ -410,8 +419,8 @@ def run_experiment(
                     counters["optimizer_steps"] += 1
                     epoch_loss += loss * len(idx)
                     epoch_hits += int((logits.argmax(axis=1) == y).sum())
-                val_acc = evaluate_accuracy(params, bundle.val.inputs, bundle.val.labels)
-                test_acc = evaluate_accuracy(params, bundle.test.inputs, bundle.test.labels)
+                val_acc = evaluate_accuracy(params, bundle.val)
+                test_acc = evaluate_accuracy(params, bundle.test)
                 if val_acc > max((r.val_acc for r in records), default=-1.0):
                     # one best buffer per run, overwritten by each new best, so two are never alive
                     values = np.empty_like(params.values) if best_params is None else best_params.values
@@ -433,7 +442,7 @@ def run_experiment(
                     )
                 )
             if distill_on and stage < cfg.stages:
-                teacher = snapshot_teacher(params, bundle.train.inputs, source_stage=stage)
+                teacher = snapshot_teacher(params, bundle.train, source_stage=stage)
                 if run_dir is not None:
                     save_teacher_cache(teacher, run_dir / f"teacher_stage{stage}.bin")
     except NumericalError as exc:
@@ -608,7 +617,7 @@ def _memorization(res: RunResult, bundle: DataBundle) -> dict:
     rows = np.flatnonzero(bundle.noise_mask)
     if rows.size == 0 or res.best_params is None:
         return {"memorization": None}
-    return {"memorization": evaluate_accuracy(res.best_params, bundle.train.inputs, bundle.train.labels, rows)}
+    return {"memorization": evaluate_accuracy(res.best_params, bundle.train, rows)}
 
 
 # online method -> the re-init kind that maps one chunk's final parameters to the next start

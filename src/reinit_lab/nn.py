@@ -287,17 +287,18 @@ def loss_grad_logits(
     return float(loss), grad_out, logits
 
 
-def float64_sum(values: np.ndarray, center: float | None = None) -> np.float64:
+def float64_sum(values: np.ndarray, center: float | None = None, read=None) -> np.float64:
     """``np.add.reduce`` of a 1-D array's float64 copy (with ``center``, of its
     squared distances from center) bit for bit, from PIECE-value float64 copies.
     numpy's pairwise sum splits n at n // 2 rounded down to a multiple of 8; so
-    does this, down to pieces numpy then sums itself."""
+    does this, down to pieces numpy then sums itself. ``read``, when given,
+    maps each piece of values to the values summed, elementwise."""
     n = values.shape[0]
     if n > PIECE:
         half = n // 2
         half -= half % 8
-        return float64_sum(values[:half], center) + float64_sum(values[half:], center)
-    x = values.astype(np.float64)
+        return float64_sum(values[:half], center, read) + float64_sum(values[half:], center, read)
+    x = (values if read is None else read(values)).astype(np.float64)
     if center is not None:
         x -= center
         np.square(x, out=x)

@@ -13,6 +13,8 @@ import numpy as np
 from .errors import NumericalError
 from .nn import ParamVector
 
+STEP_BLOCK = 1 << 16  # values sgd_step updates per pass, so each block stays in cache across its passes
+
 
 @dataclass
 class OptimState:
@@ -41,24 +43,27 @@ def sgd_step(
 ) -> tuple[ParamVector, OptimState]:
     """One optimizer update, written into ``out`` (a spare vector of the
     params' shape and dtype, other than ``params``; a new one when None) and
-    returned with the in-place-updated state. A non-finite update raises
+    returned with the in-place-updated state, STEP_BLOCK values per sweep of
+    the same float32 operations. A non-finite update raises
     NumericalError naming the step and leaves ``params`` intact. lr == 0
     leaves the parameters unchanged while the momentum buffer still
     accumulates (a paused-but-running optimizer).
     """
     if out is None:
         out = params.copy()
-    new, buf = out.values, state.momentum_buffer
-    buf *= state.momentum
-    if state.weight_decay:
-        np.multiply(params.values, state.weight_decay, out=new)
-        new += grads
-        buf += new
-    else:
-        buf += grads
-    np.multiply(buf, lr, out=new)
-    np.subtract(params.values, new, out=new)
-    if not np.isfinite(new).all():
+    for start in range(0, out.values.shape[0], STEP_BLOCK):
+        part = slice(start, start + STEP_BLOCK)
+        new, buf, theta = out.values[part], state.momentum_buffer[part], params.values[part]
+        buf *= state.momentum
+        if state.weight_decay:
+            np.multiply(theta, state.weight_decay, out=new)
+            new += grads[part]
+            buf += new
+        else:
+            buf += grads[part]
+        np.multiply(buf, lr, out=new)
+        np.subtract(theta, new, out=new)
+    if not np.isfinite(out.values).all():
         what = "gradient" if not np.isfinite(grads).all() else "parameters after the update"
         raise NumericalError(f"non-finite {what}" + (f" at step {step}" if step is not None else ""))
     return out, state

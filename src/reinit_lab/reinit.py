@@ -78,15 +78,19 @@ def _rescale_kept_blocks(
     kept_blocks: int,
     init_block_norms: Sequence[float],
 ) -> None:
-    """Scale each kept block back to its own init norm in place, in float64."""
+    """Scale each kept block back to its own init norm in place: each value is
+    multiplied in float64 and rounded back, PIECE values at a time."""
     for b in range(1, kept_blocks + 1):
         part = network.block_slice(b)
-        x = values[part].astype(np.float64)
-        cur = weight_norm(x)
+        cur = weight_norm(values[part])
         if cur == 0.0:
             raise NumericalError(f"block {b} has zero norm; cannot rescale")
-        x *= init_block_norms[b - 1] / cur
-        values[part] = x
+        scale = init_block_norms[b - 1] / cur
+        for start in range(part.start, part.stop, PIECE):
+            piece = values[start : min(start + PIECE, part.stop)]
+            x = piece.astype(np.float64)
+            x *= scale
+            piece[...] = x
 
 
 def layerwise_reinit(
@@ -96,6 +100,7 @@ def layerwise_reinit(
     repeats: int,
     init_block_norms: Sequence[float],
     stats_batch: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> ParamVector:
     """Keep the first ceil(t/repeats) blocks of theta, resample the rest;
     t lies in 1..K*repeats for a network of K blocks.
@@ -103,12 +108,14 @@ def layerwise_reinit(
     Kept blocks are rescaled back to their recorded initialization norms, so
     only their direction survives the boundary. The returned parameters carry
     a new frozen layer, which standardizes the kept prefix's output on the
-    nonempty ``stats_batch`` and replaces any frozen layer of theta.
+    nonempty ``stats_batch`` and replaces any frozen layer of theta. Their
+    values are ``out`` when given: theta_init's values in theta's dtype
+    (theta_init.values itself, when the caller gives up its draw), else a copy.
     """
     network = theta.network
     kept_blocks = math.ceil(t / repeats)
     # the kept blocks are a prefix of the flat vector; the rest is the fresh draw
-    merged = theta_init.values.astype(theta.dtype)
+    merged = theta_init.values.astype(theta.dtype) if out is None else out
     stop = network.block_slice(kept_blocks).stop
     merged[:stop] = theta.values[:stop]
     _rescale_kept_blocks(merged, network, kept_blocks, init_block_norms)
@@ -151,4 +158,5 @@ def apply_reinit(
     if init_block_norms is None or stats_batch is None or stages is None:
         raise ConfigurationError("layer_wise reinit needs init block norms, a stats batch and the stage count")
     repeats = stages // network.num_blocks
-    return layerwise_reinit(theta_end, fresh, t, repeats, init_block_norms, stats_batch), fresh_norm
+    # the draw is this call's own, so the result is written into its buffer
+    return layerwise_reinit(theta_end, fresh, t, repeats, init_block_norms, stats_batch, fresh.values), fresh_norm

@@ -113,10 +113,11 @@ def write_json(obj, path) -> None:
 
 
 def write_framed(path, header: dict, values: np.ndarray) -> None:
-    """One JSON header line, then values as little-endian float32."""
+    """One JSON header line, then values as little-endian float32, written
+    from the array's own buffer when it already is that."""
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(values, dtype="<f4")).cast("B"))
 
 
 def read_framed(path, what: str, payload: str, build):

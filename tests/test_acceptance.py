@@ -300,7 +300,7 @@ def test_09_teacher_cache_contract(tmp_path, monkeypatch):
     with criterion(9, "teacher cache hygiene"):
         bundle = prepare_data(small_cfg())
         params = init_params(SMALL_NET, 2)
-        cache = snapshot_teacher(params, bundle.train.inputs, 1)
+        cache = snapshot_teacher(params, bundle.train, 1)
         sums = cache.probs.astype(np.float64).sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-6
 

@@ -13,6 +13,7 @@ from reinit_lab.data import (
     AugmentSpec,
     Dataset,
     _distinct,
+    decode_table,
     augment_batch,
     compute_normalization,
     inject_label_noise,
@@ -25,7 +26,7 @@ from reinit_lab.data import (
     split_indices,
     subset,
 )
-from reinit_lab.errors import ConfigurationError, FormatError
+from reinit_lab.errors import ConfigurationError, DataError, FormatError
 from reinit_lab.harness import (
     TEST_SPLIT_TAG,
     VAL_SPLIT_TAG,
@@ -35,7 +36,7 @@ from reinit_lab.harness import (
     prepare_data,
     run_experiment,
 )
-from reinit_lab.nn import NetworkSpec
+from reinit_lab.nn import PIECE, NetworkSpec
 from reinit_lab.reinit import stage_seed
 from helpers import traced_peak, write_csv, write_idx
 
@@ -409,7 +410,10 @@ def reference_prepare(cfg):
         full = reference_make_synthetic(
             dc.num_classes, dc.dim, dc.per_class, dc.class_separation, cfg.seeds.data, dc.image_hw
         )
-    full, test = split(full, dc.test_fraction, stage_seed(cfg.seeds.data, TEST_SPLIT_TAG))
+    if dc.test_images_path:
+        test = reference_load_idx(dc.test_images_path, dc.test_labels_path)
+    else:
+        full, test = split(full, dc.test_fraction, stage_seed(cfg.seeds.data, TEST_SPLIT_TAG))
     train, val = split(full, dc.val_fraction, stage_seed(cfg.seeds.data, VAL_SPLIT_TAG))
     mean, std = reference_normalization(train)
     parts = {"train": train, "val": val, "test": test}
@@ -429,7 +433,7 @@ def assert_prepare_matches_reference(cfg):
     parts, labels, mask = reference_prepare(cfg)
     # the training split holds the noisy labels; val and test the clean ones
     for ds, name, want_labels in zip((bundle.train, bundle.val, bundle.test), parts, labels):
-        assert_bits_equal(ds.inputs, parts[name])
+        assert_bits_equal(ds.rows(slice(None)), parts[name])
         assert_bits_equal(ds.labels, want_labels)
     assert_bits_equal(bundle.noise_mask, mask)
     return bundle
@@ -442,19 +446,21 @@ def run_config(data, input_dim, num_classes):
 
 def test_prepare_data_idx_matches_reference_across_chunks(tmp_path):
     rng = np.random.Generator(np.random.PCG64(12))
-    n = 1600  # test 400, val 120, train 1080: one full normalization chunk and a partial one
+    n = 1600  # test 400, val 120, train 1080: statistics over several float64_sum pieces
     images = rng.integers(0, 256, size=(n, 6, 5), dtype=np.uint8)
     img_path, lbl_path = write_idx_pair(tmp_path, images, list(rng.permutation(np.arange(n) % 7)))
     data = DataConfig(source="idx", images_path=str(img_path), labels_path=str(lbl_path))
     bundle = assert_prepare_matches_reference(run_config(data, 30, 7))
-    rows = NORM_CHUNK_BYTES // (8 * 30)
-    assert bundle.train.n > rows and bundle.train.n % rows != 0
+    assert bundle.train.inputs.dtype == np.uint8 and bundle.train.n * 30 > 2 * PIECE
 
 
 @pytest.mark.parametrize("image_hw", [None, (5, 7)])
 def test_prepare_data_synthetic_matches_reference(image_hw):
     data = DataConfig(num_classes=3, dim=35, per_class=400, class_separation=1.5, image_hw=image_hw)
-    assert_prepare_matches_reference(run_config(data, 35, 3))
+    bundle = assert_prepare_matches_reference(run_config(data, 35, 3))
+    # test 300, val 90, train 810: one full normalization chunk and a partial one
+    rows = NORM_CHUNK_BYTES // (8 * 35)
+    assert bundle.train.n > rows and bundle.train.n % rows != 0
 
 
 @pytest.mark.parametrize("source", ["csv", "idx"])
@@ -480,10 +486,10 @@ def test_held_out_test_file_is_the_test_split_and_trains(tmp_path, source):
     raw = load_csv(paths[0]) if source == "csv" else load_idx(*paths[:2])
     train, _ = split(raw, data.val_fraction, stage_seed(cfg.seeds.data, VAL_SPLIT_TAG))
     stats = compute_normalization(train)
-    assert_bits_equal(bundle.train.inputs, normalized(train, *stats).inputs)
+    assert_bits_equal(bundle.train.rows(slice(None)), normalized(train, *stats).inputs)
     # the held-out file, normalized with the training split's statistics, is the whole test split
     assert_bits_equal(bundle.test.labels, held_out.labels)
-    assert_bits_equal(bundle.test.inputs, normalized(held_out, *stats).inputs)
+    assert_bits_equal(bundle.test.rows(slice(None)), normalized(held_out, *stats).inputs)
     assert (bundle.train.n, bundle.val.n) == (54, 6)
     res = run_experiment(cfg, bundle, tmp_path / "runs")
     assert not res.failed and res.total_steps == 2 * 6
@@ -521,11 +527,12 @@ def test_normalization_matches_the_float64_copy(image_shape, n, width):
 
 
 def test_prepare_data_peak_memory_is_the_splits_it_keeps(tmp_path):
-    """Peak traced allocations stay within 1.4x the arrays the bundle holds.
+    """The splits stay uint8 pixels, and the peak traced allocations stay
+    within twice the arrays the bundle holds plus two decode tables.
 
-    The file's bytes (a quarter of the float32 inputs) stay alive until the
-    three splits are gathered; statistics and normalization hold a small
-    float64 piece at a time.
+    The file's bytes (as many as the splits' pixels) stay alive until the
+    three splits are gathered, and read_idx's decode table until the
+    normalized one replaces it; statistics decode one piece at a time.
     """
     rng = np.random.Generator(np.random.PCG64(9))
     n = 3000
@@ -535,8 +542,50 @@ def test_prepare_data_peak_memory_is_the_splits_it_keeps(tmp_path):
     bundles = []
     peak = traced_peak(lambda: bundles.append(prepare_data(cfg)))
     splits = (bundles[0].train, bundles[0].val, bundles[0].test)
+    assert all(ds.inputs.dtype == np.uint8 and ds.decode is splits[0].decode for ds in splits)
     kept = sum(ds.inputs.nbytes + ds.labels.nbytes for ds in splits) + bundles[0].noise_mask.nbytes
-    assert peak <= 1.4 * kept, f"peak {peak} bytes is {peak / kept:.2f}x the {kept} bytes kept"
+    bound = 2 * kept + 2 * splits[0].decode.nbytes  # 5.80 MB; the float32 bundle's 1.4x bound was 12.56 MB
+    assert peak <= bound, f"peak {peak} bytes is {peak / kept:.2f}x the {kept} bytes kept"
+
+
+@pytest.mark.parametrize(
+    "hw, held_out", [((28, 28), False), ((28, 28), True), ((5, 7), False)], ids=["split", "held_out", "odd_width"]
+)
+def test_idx_rows_decode_to_the_float32_splits_bit_for_bit(tmp_path, hw, held_out):
+    """Every split's rows, read whole, by index array or by slice, equal the
+    float32 arrays normalized the direct way; an odd width leaves an
+    unpaired last pixel and row slices that start at odd byte offsets."""
+    rng = np.random.Generator(np.random.PCG64(hw[1] + held_out))
+    images, labels = rng.integers(0, 256, size=(401, *hw), dtype=np.uint8), np.arange(401) % 10
+    paths = [tmp_path / name for name in ("images.idx", "labels.idx", "test-images.idx", "test-labels.idx")]
+    write_idx(*paths[:2], images, labels)
+    names = ["images_path", "labels_path"]
+    if held_out:
+        write_idx(*paths[2:], rng.integers(0, 256, size=(103, *hw), dtype=np.uint8), np.arange(103) % 10)
+        names += ["test_images_path", "test_labels_path"]
+    data = DataConfig(source="idx", **{k: str(p) for k, p in zip(names, paths)})
+    cfg = run_config(data, hw[0] * hw[1], 10)
+    bundle = assert_prepare_matches_reference(cfg)  # rows(slice(None)) of each split
+    parts, _, _ = reference_prepare(cfg)
+    for ds, want in zip((bundle.train, bundle.val, bundle.test), parts.values()):
+        assert ds.inputs.dtype == np.uint8 and ds.decode is bundle.train.decode
+        idx = rng.permutation(ds.n)[: ds.n - 1 + ds.n % 2]  # an odd count of rows
+        assert_bits_equal(ds.rows(idx), want[idx])
+        assert_bits_equal(ds.rows(slice(1, 4)), want[1:4])
+
+
+def test_pixels_and_decode_tables_come_together():
+    table = decode_table(np.arange(256, dtype=np.float32))
+    pixels, floats, labels = np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 3), dtype=np.float32), [0, 1]
+    assert Dataset(pixels, labels, 2, decode=table).rows(slice(None)).dtype == np.float32
+    for inputs, decode, phrase in [
+        (pixels, None, "uint8 without a decode table"),
+        (floats, table, "float32 with a decode table"),
+        (pixels, table[:256], "must be .65536, 2. float32"),
+        (pixels, table.astype(np.float64), "must be .65536, 2. float32"),
+    ]:
+        with pytest.raises(DataError, match=phrase):
+            Dataset(inputs, labels, 2, decode=decode)
 
 
 @pytest.mark.parametrize(

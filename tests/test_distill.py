@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from reinit_lab.data import Dataset
 from reinit_lab.distill import (
     TeacherCache,
     distill_rows,
@@ -32,33 +33,38 @@ def fixture_inputs(n=10, seed=0):
     return rng.normal(size=(n, SPEC.input_dim))
 
 
+def fixture_split(n=10, seed=0):
+    """fixture_inputs as the training split snapshot_teacher reads."""
+    return Dataset(fixture_inputs(n, seed), np.zeros(n, dtype=np.int64), SPEC.num_classes)
+
+
 def test_snapshot_matches_direct_forward_softmax():
     params = init_params(SPEC, 3)
-    x = fixture_inputs(2)
-    cache = snapshot_teacher(params, x, source_stage=1)
-    want = softmax(forward(params, x).astype(np.float64)).astype(np.float32)
+    train = fixture_split(2)
+    cache = snapshot_teacher(params, train, source_stage=1)
+    want = softmax(forward(params, train.inputs).astype(np.float64)).astype(np.float32)
     np.testing.assert_array_equal(cache.probs, want)
     assert cache.source_stage == 1
 
 
 def test_snapshot_zero_params_gives_uniform_rows():
     params = ParamVector(np.zeros(SPEC.param_count, dtype=np.float32), SPEC)
-    cache = snapshot_teacher(params, fixture_inputs(4), source_stage=1)
+    cache = snapshot_teacher(params, fixture_split(4), source_stage=1)
     np.testing.assert_allclose(cache.probs, 1.0 / 3.0, atol=1e-7)
 
 
 def test_snapshot_rows_sum_to_one():
     params = init_params(SPEC, 8)
-    cache = snapshot_teacher(params, fixture_inputs(50), source_stage=2)
+    cache = snapshot_teacher(params, fixture_split(50), source_stage=2)
     np.testing.assert_allclose(cache.probs.sum(axis=1, dtype=np.float64), 1.0, atol=1e-6)
 
 
 def test_snapshot_batching_is_invisible():
     params = init_params(SPEC, 3)
     # more rows than one no-grad forward pass takes, and not a multiple of it
-    x = fixture_inputs(2 * NO_GRAD_ROWS + 23)
-    cache = snapshot_teacher(params, x, 1)
-    want = softmax(forward(params, x).astype(np.float64)).astype(np.float32)
+    train = fixture_split(2 * NO_GRAD_ROWS + 23)
+    cache = snapshot_teacher(params, train, 1)
+    want = softmax(forward(params, train.inputs).astype(np.float64)).astype(np.float32)
     np.testing.assert_array_equal(cache.probs, want)
 
 
@@ -123,7 +129,7 @@ def test_distill_rows_whole_table_and_epoch_coverage():
 
 def test_cache_file_round_trip(tmp_path):
     params = init_params(SPEC, 3)
-    cache = snapshot_teacher(params, fixture_inputs(9), source_stage=4)
+    cache = snapshot_teacher(params, fixture_split(9), source_stage=4)
     path = tmp_path / "teacher_stage4.bin"
     save_teacher_cache(cache, path)
     loaded = load_teacher_cache(path)
@@ -144,7 +150,7 @@ def test_cache_file_with_the_retired_beta_key_loads(tmp_path):
 
 def test_cache_file_rejects_truncation(tmp_path):
     params = init_params(SPEC, 3)
-    cache = snapshot_teacher(params, fixture_inputs(9), source_stage=2)
+    cache = snapshot_teacher(params, fixture_split(9), source_stage=2)
     path = tmp_path / "teacher_stage2.bin"
     save_teacher_cache(cache, path)
     data = path.read_bytes()

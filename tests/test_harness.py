@@ -20,10 +20,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reinit_lab.data as data_module
 import reinit_lab.distill as distill
 import reinit_lab.harness as harness
 import reinit_lab.reinit as reinit
-from reinit_lab.data import AugmentSpec
+from reinit_lab.data import AugmentSpec, Dataset, subset
 from reinit_lab.distill import load_teacher_cache
 from reinit_lab.errors import ConfigurationError, HarnessError, from_json
 from reinit_lab.harness import (
@@ -43,7 +44,7 @@ from reinit_lab.harness import (
 from reinit_lab.nn import NO_GRAD_ROWS, NetworkSpec, init_params, weight_norm
 from reinit_lab.reinit import ReinitSpec, stage_seed
 from reinit_lab.runio import MetricsRecord, load_checkpoint
-from helpers import spy, traced_peak
+from helpers import spy, traced_peak, write_idx
 
 
 def tiny_net():
@@ -361,6 +362,52 @@ class TestRunExperiment:
         peak = traced_peak(lambda: run_experiment(cfg, bundle))
         assert peak < 6 * net.param_count * 4, f"peak {peak / (net.param_count * 4):.2f} parameter vectors"
 
+    def test_layer_wise_boundary_holds_no_whole_vector_temporary(self):
+        """The rule merges into its own fresh draw and rescales kept blocks a
+        piece at a time, so a layer-wise run peaks where a shrink-perturb run
+        does. The 0.02-vector (19 KB) allowance is the frozen norm layers it
+        installs, float64 mean and std per unit (6.6 KB traced here). With
+        a merged copy the run read 5.45 vectors, with that and a float64
+        block copy 7.04."""
+        net = NetworkSpec(784, (256, 128), 10, block_boundaries=(1, 2))
+        data = DataConfig(dim=784, per_class=20, image_hw=(28, 28))
+        vector = net.param_count * 4
+
+        def peak(kind, stages):
+            cfg = RunConfig(net, data, epochs=stages, stages=stages, batch_size=25, reinit=ReinitSpec(kind), seeds=Seeds(1, 2, 3))
+            bundle = prepare_data(cfg)
+            return traced_peak(lambda: run_experiment(cfg, bundle)) / vector
+
+        sp, lw = peak("shrink_perturb", 2), peak("layer_wise", 3)
+        assert lw <= sp + 0.02, f"layer-wise {lw:.3f} against shrink-perturb {sp:.3f} parameter vectors"
+
+    def test_idx_run_decodes_batches_and_never_a_split(self, tmp_path, monkeypatch):
+        """IDX splits stay uint8 pixels and the run decodes a batch or
+        NO_GRAD_ROWS rows at a time. Its traced peak above the uint8 bundle is
+        that of the same run on the decoded float32 bundle plus at most one
+        decoded chunk, which the float run reads as a view of its split."""
+        rng = np.random.Generator(np.random.PCG64(4))
+        images, labels = rng.integers(0, 256, size=(1200, 28, 28), dtype=np.uint8), np.arange(1200) % 10
+        write_idx(tmp_path / "images.idx", tmp_path / "labels.idx", images, labels)
+        net = NetworkSpec(784, (256, 128), 10, block_boundaries=(1, 2))
+        data = DataConfig(source="idx", images_path=str(tmp_path / "images.idx"), labels_path=str(tmp_path / "labels.idx"))
+        cfg = RunConfig(
+            net, data, lr=0.02, epochs=2, stages=2, reinit=ReinitSpec("shrink_perturb"),
+            distill=DistillConfig(enabled=True), noise_q=0.2, seeds=Seeds(1, 2, 3, 4),
+        )
+        bundle = prepare_data(cfg)
+        splits = ("train", "val", "test")
+        assert [getattr(bundle, k).inputs.dtype for k in splits] == [np.uint8] * 3
+        assert min(bundle.train.n, bundle.test.n) > NO_GRAD_ROWS
+        decoded = {k: replace(getattr(bundle, k), inputs=getattr(bundle, k).rows(slice(None)), decode=None) for k in splits}
+        float_peak = traced_peak(lambda: run_experiment(cfg, replace(bundle, **decoded)))
+        sizes = spy(monkeypatch, data_module, "_decode", lambda pixels, table: pixels.shape[0])
+        peak = traced_peak(lambda: run_experiment(cfg, bundle))
+        assert max(sizes) <= NO_GRAD_ROWS, f"decoded {max(sizes)} rows at once"
+        chunk = NO_GRAD_ROWS * net.input_dim * 4
+        vector = net.param_count * 4
+        assert peak <= float_peak + chunk, f"{peak / vector:.2f} against {float_peak / vector:.2f} parameter vectors"
+
     def test_single_stage_bookkeeping(self):
         res = run_experiment(tiny_cfg())
         assert not res.failed
@@ -530,13 +577,13 @@ class TestRunExperiment:
         params, header = load_checkpoint(tmp_path / "lw" / "best.ckpt")
         assert (header["stage"], header["epoch"]) == (res.best.stage, res.best.epoch)
         assert params.frozen_norm.insert_after_block == res.best_params.frozen_norm.insert_after_block
-        assert harness.evaluate_accuracy(params, bundle.test.inputs, bundle.test.labels) == res.best_test_acc
+        assert harness.evaluate_accuracy(params, bundle.test) == res.best_test_acc
 
     def test_distill_reads_only_after_stage_one(self, monkeypatch):
         cfg = tiny_cfg(stages=3, distill=DistillConfig(enabled=True, beta=0.5))
         steps = spy(monkeypatch, harness, "sgd_step")
         reads = spy(monkeypatch, harness, "distill_rows", lambda cache, idx: (len(steps), cache.source_stage))
-        snapshots = spy(monkeypatch, harness, "snapshot_teacher", lambda params, inputs, source_stage: source_stage)
+        snapshots = spy(monkeypatch, harness, "snapshot_teacher", lambda params, train, source_stage: source_stage)
         res = run_experiment(cfg)
         per_stage = 2 * STEPS_PER_EPOCH
         # each step of stages 2 and 3 reads the previous stage's teacher once; stage 1 reads none
@@ -972,11 +1019,11 @@ class TestNoiseStudy:
         [row, _] = noise_study(base, (0.5,), ("standard",), out_dir=tmp_path)
         params, _ = load_checkpoint(tmp_path / row["run_id"] / "best.ckpt")
         bundle = prepare_data(replace(base, noise_q=0.5))
-        inputs, mask = bundle.train.inputs, bundle.noise_mask
-        noisy = evaluate_accuracy(params, inputs[mask], bundle.train.labels[mask])
+        rows = np.flatnonzero(bundle.noise_mask)
+        noisy = evaluate_accuracy(params, subset(bundle.train, rows))
         # the clean labels (the same split at q = 0) score otherwise, so reading them would show
-        clean = prepare_data(base).train.labels
-        assert noisy != evaluate_accuracy(params, inputs[mask], clean[mask])
+        clean = prepare_data(base).train
+        assert noisy != evaluate_accuracy(params, subset(replace(bundle.train, labels=clean.labels), rows))
         assert row["memorization"] == noisy
 
     def test_accuracy_on_index_rows_equals_the_gathered_copy_without_making_it(self):
@@ -986,10 +1033,11 @@ class TestNoiseStudy:
         labels = rng.integers(0, 4, 3000)
         rows = np.flatnonzero(rng.random(3000) < 0.4)
         assert rows.size > 4 * NO_GRAD_ROWS
-        want = evaluate_accuracy(params, inputs[rows], labels[rows])
-        assert evaluate_accuracy(params, inputs, labels, rows) == want
+        ds = Dataset(inputs, labels, 4)
+        want = evaluate_accuracy(params, subset(ds, rows))
+        assert evaluate_accuracy(params, ds, rows) == want
         # _memorization scores the corrupted rows this way, one NO_GRAD_ROWS chunk at a time
-        assert traced_peak(lambda: evaluate_accuracy(params, inputs, labels, rows)) < inputs[rows].nbytes / 2
+        assert traced_peak(lambda: evaluate_accuracy(params, ds, rows)) < inputs[rows].nbytes / 2
 
     def test_compute_parity_between_methods(self):
         base = tiny_cfg(epochs=4, stages=2)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reinit_lab.data import Dataset
 from reinit_lab.distill import snapshot_teacher
 from reinit_lab.errors import ConfigurationError, NumericalError, ReinitLabError, ShapeError, from_json
 from reinit_lab.harness import DataConfig, RunConfig, run_experiment
@@ -286,7 +287,7 @@ def test_kl_against_the_students_own_snapshot_is_clamped_to_zero():
     params = init_params(spec, 28)
     x = rng.normal(size=(125, 50)).astype(np.float32)
     y = rng.integers(0, 10, size=125)
-    teacher = snapshot_teacher(params, x, source_stage=1).probs
+    teacher = snapshot_teacher(params, Dataset(x, y, 10), source_stage=1).probs
     assert loss_grad_logits(params, x, y, teacher, 1.0)[0] == loss_grad_logits(params, x, y)[0]
 
 

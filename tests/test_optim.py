@@ -7,7 +7,7 @@ import pytest
 from reinit_lab.errors import ConfigurationError, NumericalError
 from reinit_lab.harness import RunConfig
 from reinit_lab.nn import NetworkSpec, init_params
-from reinit_lab.optim import LrSchedule, OptimState, lr_at, sgd_step
+from reinit_lab.optim import STEP_BLOCK, LrSchedule, OptimState, lr_at, sgd_step
 
 
 def small_params(seed=0, dtype=np.float64):
@@ -84,20 +84,25 @@ def reference_sgd_float32(values, grads, lr, momentum, wd):
     return theta, buf
 
 
+# 135,640 values: two full STEP_BLOCK blocks and a partial one
+BLOCKED = NetworkSpec(input_dim=400, hidden_dims=(330,), num_classes=10)
+
+
 @pytest.mark.parametrize("wd", [0.0, 5e-4])
 def test_sgd_into_spare_buffers_matches_float32_reference_bitwise(wd):
-    params = small_params(dtype=np.float32)
-    rng = np.random.Generator(np.random.PCG64(5))
-    grads = [rng.normal(size=params.values.shape).astype(np.float32) for _ in range(6)]
-    state = OptimState.fresh(params, momentum=0.9, weight_decay=wd)
-    p, spare = params.copy(), params.copy()
-    for step, g in enumerate(grads):
-        new, state = sgd_step(p, g, state, lr=0.05, step=step, out=spare)
-        assert new is spare
-        p, spare = new, p
-    want_theta, want_buf = reference_sgd_float32(params.values, grads, 0.05, 0.9, wd)
-    assert np.array_equal(p.values, want_theta)
-    assert np.array_equal(state.momentum_buffer, want_buf)
+    assert BLOCKED.param_count // STEP_BLOCK == 2 and BLOCKED.param_count % STEP_BLOCK != 0
+    for params in (small_params(dtype=np.float32), init_params(BLOCKED, 0)):
+        rng = np.random.Generator(np.random.PCG64(5))
+        grads = [rng.normal(size=params.values.shape).astype(np.float32) for _ in range(6)]
+        state = OptimState.fresh(params, momentum=0.9, weight_decay=wd)
+        p, spare = params.copy(), params.copy()
+        for step, g in enumerate(grads):
+            new, state = sgd_step(p, g, state, lr=0.05, step=step, out=spare)
+            assert new is spare
+            p, spare = new, p
+        want_theta, want_buf = reference_sgd_float32(params.values, grads, 0.05, 0.9, wd)
+        assert np.array_equal(p.values, want_theta)
+        assert np.array_equal(state.momentum_buffer, want_buf)
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,17 @@ def test_layerwise_repeats_keep_the_ceiling_of_t_over_repeats_blocks():
         assert not np.array_equal(out.values[:stop], theta_init.values[:stop])
 
 
+def test_layerwise_written_into_the_draw_equals_the_copying_call():
+    # apply_reinit hands the rule its own fresh draw as out, so no second vector is made
+    theta, theta_init, init_norms, stats = layerwise_setup()
+    for t in (1, 2, 3):
+        want = layerwise_reinit(theta, theta_init, t, 1, init_norms, stats)
+        draw = theta_init.values.copy()
+        got = layerwise_reinit(theta, theta_init, t, 1, init_norms, stats, draw)
+        assert got.values is draw
+        assert got.values.tobytes() == want.values.tobytes()
+
+
 def test_layerwise_error_cases():
     theta, theta_init, init_norms, stats = layerwise_setup()
     zeroed = theta.values.copy()

@@ -21,6 +21,7 @@ from reinit_lab.runio import (
     save_checkpoint,
     write_summary_csv,
 )
+from helpers import traced_peak
 
 
 def make_record(epoch=1, **extra):
@@ -141,6 +142,16 @@ class TestCheckpoint:
         assert header["epoch"] == 7
         assert header["network"]["hidden_dims"] == [5, 4]
         assert loaded.frozen_norm is None
+
+    def test_write_makes_no_copy_of_the_parameters(self, tmp_path):
+        """The payload is written from the vector's own buffer: the image
+        network's 235,146 values take under half a vector of traced memory."""
+        params = init_params(NetworkSpec(784, (256, 128), 10, block_boundaries=(1, 2)), 3)
+        assert params.values.shape == (235_146,)
+        path = tmp_path / "best.ckpt"
+        peak = traced_peak(lambda: save_checkpoint(path, params, seed=3, stage=1, epoch=1))
+        assert peak < params.values.nbytes / 2, f"peak {peak / params.values.nbytes:.2f} parameter vectors"
+        assert path.read_bytes().split(b"\n", 1)[1] == params.values.astype("<f4").tobytes()
 
     def test_frozen_norm_round_trip(self, tmp_path):
         path = tmp_path / "best.ckpt"
