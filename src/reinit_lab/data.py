@@ -25,8 +25,10 @@ IDX_LABEL_MAGIC = 0x00000801
 STD_FLOOR = 1e-8
 # float64 bytes one normalization pass holds: whole rows, at least one
 NORM_CHUNK_BYTES = 1 << 17
-# pixel pairs per np.take of a decode, which first copies its indices to intp
+# codes (pixel pairs, or augmented pixel codes) per np.take of a decode, which
+# first copies its indices to intp
 DECODE_PAIRS = 8192
+PAD_CODE = 256  # the uint16 code of an augmentation's zero padding beside pixel codes 0..255
 
 
 @dataclass(frozen=True)
@@ -89,15 +91,21 @@ def decode_table(values: np.ndarray) -> np.ndarray:
     return table.reshape(1 << 16, 2)
 
 
+def _take(table: np.ndarray, codes: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = table[codes[i]], DECODE_PAIRS codes per np.take. Every code
+    is a row of table, so mode "wrap" never wraps; it spares the copy of each
+    piece that an out= take makes under the default "raise"."""
+    for start in range(0, codes.shape[0], DECODE_PAIRS):
+        piece = slice(start, start + DECODE_PAIRS)
+        np.take(table, codes[piece], axis=0, out=out[piece], mode="wrap")
+
+
 def _decode(pixels: np.ndarray, table: np.ndarray) -> np.ndarray:
     """The float32 inputs of contiguous uint8 pixels, two at a time through table."""
     flat = pixels.reshape(-1)
     out = np.empty(flat.shape, dtype=np.float32)
     m = flat.shape[0] // 2
-    codes = flat[: 2 * m].view("<u2")
-    pairs = out[: 2 * m].reshape(m, 2)
-    for start in range(0, m, DECODE_PAIRS):
-        np.take(table, codes[start : start + DECODE_PAIRS], axis=0, out=pairs[start : start + DECODE_PAIRS])
+    _take(table, flat[: 2 * m].view("<u2"), out[: 2 * m].reshape(m, 2))
     if flat.shape[0] % 2:
         out[-1] = table[flat[-1], 0]
     return out.reshape(pixels.shape)
@@ -258,30 +266,39 @@ def inject_label_noise(ds: Dataset, q: float, seed: int) -> tuple[np.ndarray, np
     return noisy, mask
 
 
-def augment_batch(
-    inputs: np.ndarray,
-    image_shape: tuple[int, int, int],
-    spec: AugmentSpec,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Flip-then-crop a batch of flattened images of image_shape; shape and
-    labels untouched. run_experiment checks that its data has image geometry."""
-    h, w, ch = image_shape
-    n = inputs.shape[0]
-    imgs = inputs.reshape(n, h, w, ch)
+def augment_batch(ds: Dataset, sel, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
+    """The float32 model inputs of ds's rows sel (as Dataset.rows reads them),
+    each image flipped and then cropped from its zero-padded copy; labels
+    untouched. Only stored values move: float inputs pad with 0.0, and pixels
+    widen to uint16 codes that pad with PAD_CODE and decode once at the end.
+    run_experiment checks that its data has image geometry."""
+    h, w, ch = ds.image_shape
+    stored = ds.inputs[sel]
+    n = stored.shape[0]
     flips = rng.random(n) < spec.horizontal_flip_prob
     pad = spec.pad_pixels
-    # one zero-padded buffer, with the flipped images written in mirrored
-    out = np.zeros((n, h + 2 * pad, w + 2 * pad, ch), dtype=inputs.dtype)
-    inner = out[:, pad : pad + h, pad : pad + w]
-    inner[~flips] = imgs[~flips]
-    inner[flips] = imgs[flips, :, ::-1]
+    pixels = ds.decode is not None
+    dtype, fill = (np.uint16, PAD_CODE) if pixels else (stored.dtype, 0)
+    out = np.full((n, h + 2 * pad, w + 2 * pad, ch), fill, dtype=dtype)
+    out[:, pad : pad + h, pad : pad + w] = stored.reshape(n, h, w, ch)
+    del stored
     if pad > 0:
-        # each image's (h, w) window at its random (row, col) offset, in one gather
+        # crop first: the flipped image's window at column c is the mirror of
+        # the unflipped one's at column 2 * pad - c; one gather of all windows
         offsets = rng.integers(0, 2 * pad + 1, size=(n, 2))
+        cols = np.where(flips, 2 * pad - offsets[:, 1], offsets[:, 1])
         windows = np.lib.stride_tricks.sliding_window_view(out, (h, w, ch), axis=(1, 2, 3))
-        out = windows[np.arange(n), offsets[:, 0], offsets[:, 1], 0]
-    return out.reshape(n, h * w * ch)
+        out = windows[np.arange(n), offsets[:, 0], cols, 0]
+        del windows  # the padded buffer
+    out[flips] = out[flips, :, ::-1]
+    out = out.reshape(n, h * w * ch)
+    if not pixels:
+        return out
+    # the 256 pixel inputs, then 0.0 at PAD_CODE
+    table = np.append(ds.decode[:256, 0], np.float32(0.0))
+    inputs = np.empty(out.shape, dtype=np.float32)
+    _take(table, out.reshape(-1), inputs.reshape(-1))
+    return inputs
 
 
 def subset(ds: Dataset, indices: np.ndarray) -> Dataset:

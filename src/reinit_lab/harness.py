@@ -361,10 +361,10 @@ def run_experiment(
     augment_rng = np.random.Generator(np.random.PCG64(stage_seed(cfg.seeds.shuffle, AUGMENT_TAG)))
 
     opt = OptimState.fresh(params, cfg.momentum, cfg.weight_decay)
-    # the loop owns the gradient and a spare parameter vector; sgd_step writes
-    # each update into the spare, so a failed step leaves params intact. The
-    # spare is the model after the swap, so it carries params' frozen norm.
-    grad = np.empty_like(params.values)
+    # the loop owns a spare parameter vector: each step's gradient goes into
+    # it, and sgd_step writes the update over that gradient, so a failed step
+    # leaves params intact. The spare is the model after the swap, so it
+    # carries params' frozen norm.
     spare = params.copy()
     teacher: TeacherCache | None = None
     records: list[MetricsRecord] = []
@@ -398,9 +398,10 @@ def run_experiment(
                 lr_first = None
                 for start in range(0, n_train, cfg.batch_size):
                     idx = perm[start : start + cfg.batch_size]
-                    x = bundle.train.rows(idx)
                     if cfg.augment_enabled:
-                        x = augment_batch(x, bundle.train.image_shape, cfg.augment, augment_rng)
+                        x = augment_batch(bundle.train, idx, cfg.augment, augment_rng)
+                    else:
+                        x = bundle.train.rows(idx)
                     y = bundle.train.labels[idx]
                     rows = None
                     if teacher is not None:  # only from stage 2 of a distilling run
@@ -410,11 +411,13 @@ def run_experiment(
                     lr = lr_at(schedule, step_in_stage)
                     if lr_first is None:
                         lr_first = lr
-                    # loss_grad_logits ignores beta when rows is None
-                    loss, grad, logits = loss_grad_logits(params, x, y, rows, cfg.distill.beta, grad_out=grad)
+                    # loss_grad_logits ignores beta when rows is None; no name
+                    # keeps the gradient, which a boundary frees with the spare
+                    loss, logits = loss_grad_logits(params, x, y, rows, cfg.distill.beta, grad_out=spare.values)[::2]
+                    del x  # not held into the next batch's augmentation
                     if not np.isfinite(loss):
                         raise NumericalError(f"non-finite loss at step {counters['optimizer_steps']}")
-                    spare, opt = sgd_step(params, grad, opt, lr, step=counters["optimizer_steps"], out=spare)
+                    spare, opt = sgd_step(params, spare.values, opt, lr, step=counters["optimizer_steps"], out=spare)
                     params, spare = spare, params
                     counters["optimizer_steps"] += 1
                     epoch_loss += loss * len(idx)

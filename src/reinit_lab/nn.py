@@ -25,7 +25,9 @@ PIECE = 8192  # values per float64 temporary of an exact sum or a parameter draw
 class ParamVector:
     """The model a run trains: the flat parameters of one network and the
     frozen norm layer installed in it, if any. Checked when built; only
-    sgd_step, and a run copying in its best epoch, write into one."""
+    sgd_step, and a run copying in its best epoch, write into one. A run's
+    spare vector is the exception: it holds the step's gradient until
+    sgd_step writes the update over it."""
 
     values: np.ndarray
     network: NetworkSpec

@@ -42,18 +42,25 @@ def sgd_step(
     out: ParamVector | None = None,
 ) -> tuple[ParamVector, OptimState]:
     """One optimizer update, written into ``out`` (a spare vector of the
-    params' shape and dtype, other than ``params``; a new one when None) and
-    returned with the in-place-updated state, STEP_BLOCK values per sweep of
-    the same float32 operations. A non-finite update raises
-    NumericalError naming the step and leaves ``params`` intact. lr == 0
-    leaves the parameters unchanged while the momentum buffer still
-    accumulates (a paused-but-running optimizer).
+    params' shape and dtype other than ``params``; a new one when None) and
+    returned with the in-place-updated state. ``out`` may hold ``grads``
+    itself: each STEP_BLOCK values go through the same float32 operations in
+    one block-sized scratch buffer, which is checked and only then copied
+    over ``out``'s block, once that block of ``grads`` has been read. A
+    non-finite update raises NumericalError naming the step and leaves
+    ``params`` intact. It names the gradient when a value of the blocks not
+    yet copied is non-finite; one in a copied block would have made that
+    block's update non-finite. lr == 0 leaves the parameters unchanged while
+    the momentum buffer still accumulates (a paused-but-running optimizer).
     """
     if out is None:
         out = params.copy()
-    for start in range(0, out.values.shape[0], STEP_BLOCK):
+    n = out.values.shape[0]
+    scratch = np.empty(min(n, STEP_BLOCK), dtype=out.dtype)
+    for start in range(0, n, STEP_BLOCK):
         part = slice(start, start + STEP_BLOCK)
-        new, buf, theta = out.values[part], state.momentum_buffer[part], params.values[part]
+        buf, theta = state.momentum_buffer[part], params.values[part]
+        new = scratch[: buf.shape[0]]
         buf *= state.momentum
         if state.weight_decay:
             np.multiply(theta, state.weight_decay, out=new)
@@ -63,9 +70,10 @@ def sgd_step(
             buf += grads[part]
         np.multiply(buf, lr, out=new)
         np.subtract(theta, new, out=new)
-    if not np.isfinite(out.values).all():
-        what = "gradient" if not np.isfinite(grads).all() else "parameters after the update"
-        raise NumericalError(f"non-finite {what}" + (f" at step {step}" if step is not None else ""))
+        if not np.isfinite(new).all():
+            what = "gradient" if not np.isfinite(grads[start:]).all() else "parameters after the update"
+            raise NumericalError(f"non-finite {what}" + (f" at step {step}" if step is not None else ""))
+        out.values[part] = new
     return out, state
 
 

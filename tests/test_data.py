@@ -22,6 +22,7 @@ from reinit_lab.data import (
     make_chunks,
     make_synthetic,
     normalize_in_place,
+    normalized_table,
     split,
     split_indices,
     subset,
@@ -190,12 +191,18 @@ def make_image_batch(n=6, h=5, w=5, seed=0):
     return rng.random((n, h * w)).astype(np.float32), (h, w, 1)
 
 
+def augment_rows(x, image_shape, spec, rng):
+    """augment_batch over every row of float inputs x, as one image dataset."""
+    ds = Dataset(x, np.zeros(x.shape[0], dtype=np.int64), 1, image_shape)
+    return augment_batch(ds, np.arange(x.shape[0]), spec, rng)
+
+
 def test_augment_flip_is_involutive():
     x, shape = make_image_batch()
     spec = AugmentSpec(horizontal_flip_prob=1.0, pad_pixels=0)
     rng = np.random.Generator(np.random.PCG64(0))
-    once = augment_batch(x, shape, spec, rng)
-    twice = augment_batch(once, shape, spec, rng)
+    once = augment_rows(x, shape, spec, rng)
+    twice = augment_rows(once, shape, spec, rng)
     np.testing.assert_array_equal(twice, x)
     assert not np.array_equal(once, x)
 
@@ -203,7 +210,7 @@ def test_augment_flip_is_involutive():
 def test_augment_preserves_pixel_multiset_under_flip():
     x, shape = make_image_batch()
     spec = AugmentSpec(horizontal_flip_prob=1.0, pad_pixels=0)
-    out = augment_batch(x, shape, spec, np.random.Generator(np.random.PCG64(1)))
+    out = augment_rows(x, shape, spec, np.random.Generator(np.random.PCG64(1)))
     np.testing.assert_array_equal(np.sort(out, axis=1), np.sort(x, axis=1))
 
 
@@ -219,13 +226,13 @@ class CenterDraws:
 
 def test_center_crop_is_identity():
     x, shape = make_image_batch()
-    out = augment_batch(x, shape, AugmentSpec(horizontal_flip_prob=0.5, pad_pixels=4), CenterDraws())
+    out = augment_rows(x, shape, AugmentSpec(horizontal_flip_prob=0.5, pad_pixels=4), CenterDraws())
     np.testing.assert_array_equal(out, x)
 
 
 def test_augment_keeps_shape_and_needs_geometry():
     x, shape = make_image_batch()
-    out = augment_batch(x, shape, AugmentSpec(), np.random.Generator(np.random.PCG64(2)))
+    out = augment_rows(x, shape, AugmentSpec(), np.random.Generator(np.random.PCG64(2)))
     assert out.shape == x.shape
     # run_experiment checks that the data it augments has image geometry, before its first step
     cfg = RunConfig(NetworkSpec(3, (4,), 2), DataConfig(num_classes=2, dim=3, per_class=20), setting="d", epochs=1)
@@ -235,8 +242,8 @@ def test_augment_keeps_shape_and_needs_geometry():
 
 def test_augment_is_deterministic_given_rng_state():
     x, shape = make_image_batch()
-    a = augment_batch(x, shape, AugmentSpec(), np.random.Generator(np.random.PCG64(3)))
-    b = augment_batch(x, shape, AugmentSpec(), np.random.Generator(np.random.PCG64(3)))
+    a = augment_rows(x, shape, AugmentSpec(), np.random.Generator(np.random.PCG64(3)))
+    b = augment_rows(x, shape, AugmentSpec(), np.random.Generator(np.random.PCG64(3)))
     np.testing.assert_array_equal(a, b)
 
 
@@ -266,13 +273,52 @@ def test_augment_matches_per_image_reference(h, w, ch, pad, flip_prob):
     got_rng = np.random.Generator(np.random.PCG64(9))
     want_rng = np.random.Generator(np.random.PCG64(9))
     x_before = x.copy()
-    got = augment_batch(x, (h, w, ch), spec, got_rng)
+    got = augment_rows(x, (h, w, ch), spec, got_rng)
     want = reference_augment(x, (h, w, ch), spec, want_rng)
     assert got.dtype == x.dtype and got.shape == x.shape
     assert np.array_equal(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     assert np.array_equal(x, x_before)
     assert not np.shares_memory(got, x)
+
+
+def pixel_images(n, image_shape, seed):
+    """uint8 images with the normalized decode table prepare_data gives an IDX split."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pixels = rng.integers(0, 256, size=(n, int(np.prod(image_shape))), dtype=np.uint8)
+    scaled = decode_table(np.arange(256, dtype=np.float32) / np.float32(255.0))
+    table = normalized_table(scaled, np.array([0.3]), np.array([0.25]))
+    return Dataset(pixels, np.zeros(n, dtype=np.int64), 1, image_shape, table)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_pixel_code_augmentation_equals_decode_then_augment(seed):
+    """Pixels moved as uint16 codes, with PAD_CODE for the padding, decode
+    bit for bit to the decoded rows flipped, zero-padded and cropped."""
+    flip_prob, pad = (0.0, 0.5, 1.0)[seed % 3], (0, 1, 4)[seed // 3 % 3]
+    image_shape = ((28, 28, 1), (4, 7, 3))[seed // 9 % 2]
+    ds = pixel_images(40, image_shape, seed)
+    pixels_before = ds.inputs.copy()
+    idx = np.random.Generator(np.random.PCG64(seed)).permutation(ds.n)[:17]
+    spec = AugmentSpec(horizontal_flip_prob=flip_prob, pad_pixels=pad)
+    got_rng, want_rng = (np.random.Generator(np.random.PCG64(seed + 100)) for _ in range(2))
+    got = augment_batch(ds, idx, spec, got_rng)
+    want = reference_augment(ds.rows(idx), image_shape, spec, want_rng)
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert np.array_equal(ds.inputs, pixels_before)
+
+
+def test_augmented_pixel_batch_peak():
+    """One augmented 125x784 batch of pixels holds its uint16 codes, padded
+    and then cropped, beside the float32 inputs it returns: 0.66 MB traced,
+    where decoding first and padding float32 inputs held 1.44 MB."""
+    ds = pixel_images(1000, (28, 28, 1), 0)
+    idx = np.random.Generator(np.random.PCG64(1)).permutation(ds.n)[:125]
+    rng = np.random.Generator(np.random.PCG64(2))
+    peak = traced_peak(lambda: augment_batch(ds, idx, AugmentSpec(), rng))
+    assert peak <= 0.8e6, f"{peak / 1e6:.2f} MB"
 
 
 def test_split_sizes_and_exhaustive_indices():

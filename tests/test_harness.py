@@ -353,14 +353,17 @@ class TestRunResult:
 class TestRunExperiment:
     @pytest.mark.parametrize("kind", ["none", "shrink_perturb", "full"])
     def test_run_holds_fewer_than_six_parameter_vectors(self, kind):
-        """The parameters, spare, gradient, momentum and best vectors, plus
-        pieces: no whole float64 copy and no second best or draw temporary."""
+        """The parameters, spare, momentum and best vectors, plus pieces: the
+        gradient goes into the spare, where sgd_step writes the update over
+        it a STEP_BLOCK scratch buffer at a time, and there is no whole
+        float64 copy and no second best or draw temporary. 4.36 vectors
+        traced; 5.35 with a separate gradient vector."""
         net = NetworkSpec(784, (256, 128), 10, block_boundaries=(1, 2))
         data = DataConfig(dim=784, per_class=20, image_hw=(28, 28))
         cfg = RunConfig(net, data, epochs=2, stages=2, batch_size=25, reinit=ReinitSpec(kind), seeds=Seeds(1, 2, 3))
         bundle = prepare_data(cfg)
         peak = traced_peak(lambda: run_experiment(cfg, bundle))
-        assert peak < 6 * net.param_count * 4, f"peak {peak / (net.param_count * 4):.2f} parameter vectors"
+        assert peak < 5 * net.param_count * 4, f"peak {peak / (net.param_count * 4):.2f} parameter vectors"
 
     def test_layer_wise_boundary_holds_no_whole_vector_temporary(self):
         """The rule merges into its own fresh draw and rescales kept blocks a
@@ -380,6 +383,26 @@ class TestRunExperiment:
 
         sp, lw = peak("shrink_perturb", 2), peak("layer_wise", 3)
         assert lw <= sp + 0.02, f"layer-wise {lw:.3f} against shrink-perturb {sp:.3f} parameter vectors"
+
+    def test_augmented_idx_run_holds_four_parameter_vectors_and_pieces(self, tmp_path):
+        """An augmenting, distilling IDX run holds the four vectors plus a
+        STEP_BLOCK scratch buffer, one NO_GRAD_ROWS decoded chunk with its
+        forward pass, and the teacher: 5.37 vectors traced. It read 6.60
+        with a separate gradient vector and float32 augmentation, and a
+        batch held into the next augmentation would add 0.4."""
+        rng = np.random.Generator(np.random.PCG64(4))
+        images, labels = rng.integers(0, 256, size=(1200, 28, 28), dtype=np.uint8), np.arange(1200) % 10
+        write_idx(tmp_path / "images.idx", tmp_path / "labels.idx", images, labels)
+        net = NetworkSpec(784, (256, 128), 10, block_boundaries=(1, 2))
+        data = DataConfig(source="idx", images_path=str(tmp_path / "images.idx"), labels_path=str(tmp_path / "labels.idx"))
+        cfg = RunConfig(
+            net, data, setting="dcw", lr=0.02, weight_decay=5e-4, epochs=2, stages=2,
+            reinit=ReinitSpec("shrink_perturb"), distill=DistillConfig(enabled=True), noise_q=0.2, seeds=Seeds(1, 2, 3, 4),
+        )
+        bundle = prepare_data(cfg)
+        vector = net.param_count * 4
+        peak = traced_peak(lambda: run_experiment(cfg, bundle))
+        assert peak < 5.5 * vector, f"peak {peak / vector:.2f} parameter vectors"
 
     def test_idx_run_decodes_batches_and_never_a_split(self, tmp_path, monkeypatch):
         """IDX splits stay uint8 pixels and the run decodes a batch or

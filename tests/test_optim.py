@@ -90,13 +90,19 @@ BLOCKED = NetworkSpec(input_dim=400, hidden_dims=(330,), num_classes=10)
 
 @pytest.mark.parametrize("wd", [0.0, 5e-4])
 def test_sgd_into_spare_buffers_matches_float32_reference_bitwise(wd):
+    """Into a separate spare, and into a spare that holds the gradient, as a
+    run's step does."""
     assert BLOCKED.param_count // STEP_BLOCK == 2 and BLOCKED.param_count % STEP_BLOCK != 0
-    for params in (small_params(dtype=np.float32), init_params(BLOCKED, 0)):
+    cases = [(small_params(dtype=np.float32), False), (init_params(BLOCKED, 0), False), (init_params(BLOCKED, 0), True)]
+    for params, aliased in cases:
         rng = np.random.Generator(np.random.PCG64(5))
         grads = [rng.normal(size=params.values.shape).astype(np.float32) for _ in range(6)]
         state = OptimState.fresh(params, momentum=0.9, weight_decay=wd)
         p, spare = params.copy(), params.copy()
         for step, g in enumerate(grads):
+            if aliased:
+                np.copyto(spare.values, g)
+                g = spare.values
             new, state = sgd_step(p, g, state, lr=0.05, step=step, out=spare)
             assert new is spare
             p, spare = new, p
@@ -117,6 +123,27 @@ def test_non_finite_update_names_step_and_leaves_params_intact(bad, lr, what):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match=f"non-finite {what} at step 4"):
             sgd_step(params, g, OptimState.fresh(params), lr=lr, step=4, out=params.copy())
+    assert np.array_equal(params.values, before)
+    # the same update written over the gradient it reads
+    spare = params.copy()
+    np.copyto(spare.values, g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match=f"non-finite {what} at step 4"):
+            sgd_step(params, spare.values, OptimState.fresh(params), lr=lr, step=4, out=spare)
+    assert np.array_equal(params.values, before)
+
+
+@pytest.mark.parametrize("at", [0, STEP_BLOCK - 1, STEP_BLOCK, -1])
+def test_update_over_its_gradient_names_a_non_finite_gradient_in_any_block(at):
+    """Blocks already written over are no longer gradient, but the first
+    non-finite gradient value stops its own block before it is written."""
+    params = init_params(BLOCKED, 0)
+    before = params.values.copy()
+    spare = params.copy()
+    spare.values[:] = 1e-3
+    spare.values[at] = np.inf
+    with pytest.raises(NumericalError, match="non-finite gradient at step 9"):
+        sgd_step(params, spare.values, OptimState.fresh(params), lr=0.1, step=9, out=spare)
     assert np.array_equal(params.values, before)
 
 
