@@ -80,7 +80,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.seed is not None:
         flags["seeds"] = Seeds(args.seed, args.seed + 1, args.seed + 2, args.seed + 3)
     if args.distill_beta is not None:
-        flags["distill"] = DistillConfig(enabled=args.distill_beta > 0, beta=args.distill_beta)
+        # 0 is disabled, which holds the default beta; a negative beta is rejected as enabled
+        flags["distill"] = DistillConfig(True, args.distill_beta) if args.distill_beta != 0 else DistillConfig()
     factors = {k: v for k, v in (("lam", args.lam), ("gamma", args.gamma)) if v is not None}
     if args.reinit is not None:
         # ReinitSpec rejects --lambda/--gamma with any other rule than sp

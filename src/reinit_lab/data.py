@@ -25,9 +25,9 @@ IDX_LABEL_MAGIC = 0x00000801
 STD_FLOOR = 1e-8
 # float64 bytes one normalization pass holds: whole rows, at least one
 NORM_CHUNK_BYTES = 1 << 17
-# codes (pixel pairs, or augmented pixel codes) per np.take of a decode, which
+# codes (pixels, or augmented pixel codes) per np.take of a decode, which
 # first copies its indices to intp
-DECODE_PAIRS = 8192
+DECODE_CODES = 16384
 PAD_CODE = 256  # the uint16 code of an augmentation's zero padding beside pixel codes 0..255
 
 
@@ -36,8 +36,8 @@ class Dataset:
     """n examples of d features each, with optional image geometry.
 
     inputs are float32 model inputs, or uint8 pixels together with
-    ``decode``, a decode_table that gives the float32 input of each pixel
-    value; ``rows`` reads model inputs either way.
+    ``decode``, the (257,) float32 table of the model input of each pixel
+    value 0..255 and then 0.0 at PAD_CODE; ``rows`` reads model inputs either way.
     """
 
     inputs: np.ndarray
@@ -61,8 +61,10 @@ class Dataset:
                 raise DataError(f"image shape {self.image_shape} does not flatten to {x.shape[1]}")
         if (x.dtype == np.uint8) != (self.decode is not None):
             raise DataError(f"inputs of dtype {x.dtype} {'with' if self.decode is not None else 'without'} a decode table")
-        if self.decode is not None and (self.decode.shape, self.decode.dtype) != ((1 << 16, 2), np.float32):
-            raise DataError(f"decode table must be (65536, 2) float32, got {self.decode.shape} {self.decode.dtype}")
+        if self.decode is not None and (self.decode.shape, self.decode.dtype) != ((PAD_CODE + 1,), np.float32):
+            raise DataError(f"decode table must be (257,) float32, got {self.decode.shape} {self.decode.dtype}")
+        if self.decode is not None and self.decode[PAD_CODE] != 0.0:
+            raise DataError(f"decode table must hold 0.0 at PAD_CODE {PAD_CODE}, got {self.decode[PAD_CODE]}")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "labels", y.astype(np.int64))
 
@@ -81,34 +83,17 @@ class Dataset:
         return x if self.decode is None else _decode(x, self.decode)
 
 
-def decode_table(values: np.ndarray) -> np.ndarray:
-    """The (65536, 2) float32 table whose row lo + 256 * hi holds (values[lo],
-    values[hi]): the inputs of a pixel pair read as a little-endian uint16.
-    values holds the float32 input of each of the 256 pixel values."""
-    table = np.empty((256, 256, 2), dtype=np.float32)
-    table[:, :, 0] = values
-    table[:, :, 1] = values[:, None]
-    return table.reshape(1 << 16, 2)
-
-
-def _take(table: np.ndarray, codes: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = table[codes[i]], DECODE_PAIRS codes per np.take. Every code
-    is a row of table, so mode "wrap" never wraps; it spares the copy of each
-    piece that an out= take makes under the default "raise"."""
-    for start in range(0, codes.shape[0], DECODE_PAIRS):
-        piece = slice(start, start + DECODE_PAIRS)
-        np.take(table, codes[piece], axis=0, out=out[piece], mode="wrap")
-
-
-def _decode(pixels: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The float32 inputs of contiguous uint8 pixels, two at a time through table."""
-    flat = pixels.reshape(-1)
+def _decode(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """table[codes] in float32, for uint8 pixels or uint16 augmentation codes,
+    DECODE_CODES codes per np.take. Every code is an entry of table, so mode
+    "wrap" never wraps; it spares the copy of each piece that an out= take
+    makes under the default "raise"."""
+    flat = codes.reshape(-1)
     out = np.empty(flat.shape, dtype=np.float32)
-    m = flat.shape[0] // 2
-    _take(table, flat[: 2 * m].view("<u2"), out[: 2 * m].reshape(m, 2))
-    if flat.shape[0] % 2:
-        out[-1] = table[flat[-1], 0]
-    return out.reshape(pixels.shape)
+    for start in range(0, flat.shape[0], DECODE_CODES):
+        piece = slice(start, start + DECODE_CODES)
+        np.take(table, flat[piece], out=out[piece], mode="wrap")
+    return out.reshape(codes.shape)
 
 
 @dataclass(frozen=True)
@@ -157,9 +142,10 @@ def read_idx(images_path, labels_path) -> Dataset:
 
     pixels = np.frombuffer(img_buf, dtype=np.uint8, offset=16).reshape(n, rows * cols)
     labels = np.frombuffer(lbl_buf, dtype=np.uint8, offset=8).astype(np.int64)
-    scaled = np.arange(256, dtype=np.uint8).astype(np.float32)
-    scaled /= 255.0
-    return Dataset(pixels, labels, int(labels.max()) + 1, (rows, cols, 1), decode_table(scaled))
+    table = np.arange(PAD_CODE + 1, dtype=np.float32)
+    table /= 255.0
+    table[PAD_CODE] = 0.0
+    return Dataset(pixels, labels, int(labels.max()) + 1, (rows, cols, 1), table)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -270,7 +256,8 @@ def augment_batch(ds: Dataset, sel, spec: AugmentSpec, rng: np.random.Generator)
     """The float32 model inputs of ds's rows sel (as Dataset.rows reads them),
     each image flipped and then cropped from its zero-padded copy; labels
     untouched. Only stored values move: float inputs pad with 0.0, and pixels
-    widen to uint16 codes that pad with PAD_CODE and decode once at the end.
+    widen to uint16 codes that pad with PAD_CODE and decode once at the end,
+    through ds.decode as rows decodes pixels.
     run_experiment checks that its data has image geometry."""
     h, w, ch = ds.image_shape
     stored = ds.inputs[sel]
@@ -292,13 +279,7 @@ def augment_batch(ds: Dataset, sel, spec: AugmentSpec, rng: np.random.Generator)
         del windows  # the padded buffer
     out[flips] = out[flips, :, ::-1]
     out = out.reshape(n, h * w * ch)
-    if not pixels:
-        return out
-    # the 256 pixel inputs, then 0.0 at PAD_CODE
-    table = np.append(ds.decode[:256, 0], np.float32(0.0))
-    inputs = np.empty(out.shape, dtype=np.float32)
-    _take(table, out.reshape(-1), inputs.reshape(-1))
-    return inputs
+    return _decode(out, ds.decode) if pixels else out
 
 
 def subset(ds: Dataset, indices: np.ndarray) -> Dataset:
@@ -429,9 +410,9 @@ def normalize_in_place(ds: Dataset, mean: np.ndarray, std: np.ndarray) -> None:
 
 def normalized_table(table: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     """The decode table of single-channel pixels whose inputs become
-    (x - mean) / std, each value x of table computed as normalize_in_place
-    computes an input."""
-    x = table[:256, 0].astype(np.float64)
+    (x - mean) / std, each pixel input x of table computed as
+    normalize_in_place computes an input; PAD_CODE stays 0.0."""
+    x = table[:PAD_CODE].astype(np.float64)
     x -= mean
     x /= std
-    return decode_table(x.astype(np.float32))
+    return np.append(x.astype(np.float32), np.float32(0.0))

@@ -76,11 +76,20 @@ class Seeds:
 
 @dataclass(frozen=True)
 class DistillConfig:
+    """Self-distillation from the previous stage's teacher; a disabled one
+    leaves beta at its default, which only an enabled one reads."""
+
     enabled: bool = False
     beta: float = rule(1.0, "be >= 0", lambda v: v >= 0)
 
     def __post_init__(self):
         check_fields(self, "distill")
+        if not self.enabled:
+            if self.beta != DistillConfig.beta:
+                raise ConfigurationError(
+                    f"distill key beta applies only when enabled is true; leave it at {DistillConfig.beta}, got {self.beta!r}"
+                )
+            object.__setattr__(self, "beta", DistillConfig.beta)  # an int 1 as 1.0: one run, one id
 
 
 @dataclass(frozen=True)

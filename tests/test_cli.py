@@ -16,7 +16,7 @@ import reinit_lab.cli as cli
 import reinit_lab.harness as harness
 import reinit_lab.reinit as reinit
 from reinit_lab.cli import DEFAULT_T_VALUES, build_config, main, make_parser
-from reinit_lab.harness import DataConfig, RunConfig, RunResult, Seeds, online_sim
+from reinit_lab.harness import DataConfig, DistillConfig, RunConfig, RunResult, Seeds, online_sim
 from reinit_lab.nn import NetworkSpec, init_params, weight_norm
 from reinit_lab.reinit import ReinitSpec
 from reinit_lab.runio import MetricsRecord, load_checkpoint, write_json
@@ -109,7 +109,7 @@ class TestBuildConfig:
     def test_distill_beta_zero_disables(self, tiny_config_file):
         args = parse_args(["train", "--config", tiny_config_file, "--distill-beta", "0"])
         cfg = build_config(args)
-        assert not cfg.distill.enabled
+        assert cfg.distill == DistillConfig()
         args = parse_args(["train", "--config", tiny_config_file, "--distill-beta", "0.5"])
         cfg = build_config(args)
         assert cfg.distill.enabled and cfg.distill.beta == 0.5
@@ -429,8 +429,13 @@ class TestMain:
                 {"augment": {"pad_pixels": 1}},
                 "run config key augment applies only to setting d or dc or dcw, not to setting 'none'",
             ),
+            (
+                [],
+                {"distill": {"enabled": False, "beta": 0.0}},
+                "distill key beta applies only when enabled is true; leave it at 1.0, got 0.0",
+            ),
         ],
-        ids=["wd_flag", "eta_min_in_d", "augment_in_none"],
+        ids=["wd_flag", "eta_min_in_d", "augment_in_none", "beta_of_disabled_distill"],
     )
     def test_key_the_setting_ignores_leaves_no_run_directory(
         self, tiny_config_file, tmp_path, capsys, flags, config, phrase

@@ -13,7 +13,6 @@ from reinit_lab.data import (
     AugmentSpec,
     Dataset,
     _distinct,
-    decode_table,
     augment_batch,
     compute_normalization,
     inject_label_noise,
@@ -286,7 +285,7 @@ def pixel_images(n, image_shape, seed):
     """uint8 images with the normalized decode table prepare_data gives an IDX split."""
     rng = np.random.Generator(np.random.PCG64(seed))
     pixels = rng.integers(0, 256, size=(n, int(np.prod(image_shape))), dtype=np.uint8)
-    scaled = decode_table(np.arange(256, dtype=np.float32) / np.float32(255.0))
+    scaled = np.append(np.arange(256, dtype=np.float32) / np.float32(255.0), np.float32(0.0))
     table = normalized_table(scaled, np.array([0.3]), np.array([0.25]))
     return Dataset(pixels, np.zeros(n, dtype=np.int64), 1, image_shape, table)
 
@@ -574,11 +573,11 @@ def test_normalization_matches_the_float64_copy(image_shape, n, width):
 
 def test_prepare_data_peak_memory_is_the_splits_it_keeps(tmp_path):
     """The splits stay uint8 pixels, and the peak traced allocations stay
-    within twice the arrays the bundle holds plus two decode tables.
+    within 2.1 times the arrays the bundle holds.
 
     The file's bytes (as many as the splits' pixels) stay alive until the
-    three splits are gathered, and read_idx's decode table until the
-    normalized one replaces it; statistics decode one piece at a time.
+    three splits are gathered; the decode tables take 1,028 bytes each, and
+    statistics decode one piece at a time.
     """
     rng = np.random.Generator(np.random.PCG64(9))
     n = 3000
@@ -590,7 +589,7 @@ def test_prepare_data_peak_memory_is_the_splits_it_keeps(tmp_path):
     splits = (bundles[0].train, bundles[0].val, bundles[0].test)
     assert all(ds.inputs.dtype == np.uint8 and ds.decode is splits[0].decode for ds in splits)
     kept = sum(ds.inputs.nbytes + ds.labels.nbytes for ds in splits) + bundles[0].noise_mask.nbytes
-    bound = 2 * kept + 2 * splits[0].decode.nbytes  # 5.80 MB; the float32 bundle's 1.4x bound was 12.56 MB
+    bound = 2.1 * kept  # 4.99 MB, where 4.81 MB is traced
     assert peak <= bound, f"peak {peak} bytes is {peak / kept:.2f}x the {kept} bytes kept"
 
 
@@ -621,14 +620,15 @@ def test_idx_rows_decode_to_the_float32_splits_bit_for_bit(tmp_path, hw, held_ou
 
 
 def test_pixels_and_decode_tables_come_together():
-    table = decode_table(np.arange(256, dtype=np.float32))
+    table = np.append(np.arange(256, dtype=np.float32), np.float32(0.0))
     pixels, floats, labels = np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 3), dtype=np.float32), [0, 1]
     assert Dataset(pixels, labels, 2, decode=table).rows(slice(None)).dtype == np.float32
     for inputs, decode, phrase in [
         (pixels, None, "uint8 without a decode table"),
         (floats, table, "float32 with a decode table"),
-        (pixels, table[:256], "must be .65536, 2. float32"),
-        (pixels, table.astype(np.float64), "must be .65536, 2. float32"),
+        (pixels, table[:256], r"must be \(257,\) float32"),
+        (pixels, table.astype(np.float64), r"must be \(257,\) float32"),
+        (pixels, np.append(table[:256], np.float32(1.0)), "must hold 0.0 at PAD_CODE 256, got 1.0"),
     ]:
         with pytest.raises(DataError, match=phrase):
             Dataset(inputs, labels, 2, decode=decode)

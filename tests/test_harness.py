@@ -135,6 +135,19 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match=phrase):
             RunConfig.from_dict(d)
 
+    def test_a_disabled_distillation_keeps_the_default_beta(self):
+        # beta is read only when distillation is enabled, yet it would change the run id
+        assert DistillConfig(enabled=False, beta=1.0) == DistillConfig()
+        assert tiny_cfg(distill=DistillConfig(False, 1)).run_id == tiny_cfg().run_id
+        assert DistillConfig(enabled=True, beta=0.0).beta == 0.0
+        phrase = "distill key beta applies only when enabled is true; leave it at 1.0, got "
+        for beta in (0.5, 0.0):
+            with pytest.raises(ConfigurationError, match=phrase + str(beta)):
+                DistillConfig(enabled=False, beta=beta)
+            d = json.loads(json.dumps(tiny_cfg().to_dict())) | {"distill": {"enabled": False, "beta": beta}}
+            with pytest.raises(ConfigurationError, match=phrase + str(beta)):
+                RunConfig.from_dict(d)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConfigurationError):
             tiny_cfg(setting="w")

@@ -15,14 +15,16 @@ Writes one JSON file: per workload and end-to-end metric of
 ``BENCHMARK.json``, each side's per-pair values, median and quartiles
 (``statistics.quantiles``, exclusive method), the pairs the change wins (it
 reads better than the base, by the metric's direction; ties count for
-neither) and the difference of the medians; per pair, the order and each
-side's count of timed calls (the resident peak creeps with it); and the
-environment the bench children report. Standard library only.
+neither), the exact two-sided sign-test p-value of those wins against the
+losses (``p_sign``) and the difference of the medians; per pair, the order
+and each side's count of timed calls (the resident peak creeps with it); and
+the environment the bench children report. Standard library only.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -49,13 +51,24 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"result": result, "calls": calls, "env": detail["env"]}
 
 
+def sign_p(wins: int, losses: int) -> float:
+    """The exact two-sided sign-test p-value of wins against losses (ties
+    dropped): twice the chance that fair coin flips, one per pair, split at
+    least this unevenly, at most 1."""
+    n = wins + losses
+    tail = sum(math.comb(n, k) for k in range(min(wins, losses) + 1)) / 2**n
+    return min(1.0, 2 * tail)
+
+
 def summary(base: list[float], change: list[float], better: str) -> dict:
     wins = sum(1 for b, c in zip(base, change) if (c < b if better == "lower" else c > b))
+    losses = sum(1 for b, c in zip(base, change) if (c > b if better == "lower" else c < b))
     stats = {}
     for side, values in zip(SIDES, (base, change)):
         q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
         stats[side] = {"values": values, "median": median, "q1": q1, "q3": q3}
     stats["wins"] = wins
+    stats["p_sign"] = sign_p(wins, losses)
     stats["pairs"] = len(base)
     stats["median_change_minus_base"] = stats["change"]["median"] - stats["base"]["median"]
     return stats
