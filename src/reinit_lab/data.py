@@ -271,11 +271,16 @@ def augment_batch(ds: Dataset, sel, spec: AugmentSpec, rng: np.random.Generator)
     del stored
     if pad > 0:
         # crop first: the flipped image's window at column c is the mirror of
-        # the unflipped one's at column 2 * pad - c; one gather of all windows
-        offsets = rng.integers(0, 2 * pad + 1, size=(n, 2))
+        # the unflipped one's at column 2 * pad - c; one gather of all windows.
+        # np.ndarray builds their view: sliding_window_view's as_strided reads
+        # __array_interface__, whose dict interns a key that dies with it, and
+        # that churn grows the interpreter's interned-string table for good.
+        k = 2 * pad + 1  # window positions along each axis
+        offsets = rng.integers(0, k, size=(n, 2))
         cols = np.where(flips, 2 * pad - offsets[:, 1], offsets[:, 1])
-        windows = np.lib.stride_tricks.sliding_window_view(out, (h, w, ch), axis=(1, 2, 3))
-        out = windows[np.arange(n), offsets[:, 0], cols, 0]
+        s0, s1, s2, s3 = out.strides
+        windows = np.ndarray((n, k, k, h, w, ch), out.dtype, out, 0, (s0, s1, s2, s1, s2, s3))
+        out = windows[np.arange(n), offsets[:, 0], cols]
         del windows  # the padded buffer
     out[flips] = out[flips, :, ::-1]
     out = out.reshape(n, h * w * ch)

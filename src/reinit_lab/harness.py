@@ -160,11 +160,13 @@ class RunConfig:
         check_fields(self, "run config")
         for f in fields(self):
             settings = SETTING_KEYS.get(f.name)
-            if settings and self.setting not in settings and getattr(self, f.name) != f.default:
-                raise ConfigurationError(
-                    f"run config key {f.name} applies only to setting {' or '.join(settings)}, "
-                    f"not to setting {self.setting!r}"
-                )
+            if settings and self.setting not in settings:
+                if getattr(self, f.name) != f.default:
+                    raise ConfigurationError(
+                        f"run config key {f.name} applies only to setting {' or '.join(settings)}, "
+                        f"not to setting {self.setting!r}"
+                    )
+                object.__setattr__(self, f.name, f.default)  # an int 0 as 0.0: one run, one id
         if self.stages > self.epochs:
             raise ConfigurationError(f"{self.stages} stages cannot fit in {self.epochs} epochs")
         if self.eta_min > self.lr:

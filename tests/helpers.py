@@ -1,16 +1,21 @@
 """Helpers that test modules import: gradient and KL oracles, an independent
-layer count, a call spy, and IDX and CSV writers.
+layer count, a call spy, a fresh-process runner, and IDX and CSV writers.
 
 Test modules import them with ``from helpers import ...``; conftest.py keeps
 only fixtures, so a second conftest.py elsewhere in one pytest session cannot
 shadow these names.
 """
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+import reinit_lab
 from reinit_lab.nn import NetworkSpec, ParamVector, loss_grad_logits
 
 
@@ -77,6 +82,14 @@ def spy(monkeypatch, module, name, note=lambda *args, **kwargs: None) -> list:
 
     monkeypatch.setattr(module, name, wrapped)
     return calls
+
+
+def run_fresh_process(*argv, timeout: float = 60) -> subprocess.CompletedProcess:
+    """python argv in a new process that imports the same ``reinit_lab`` this test imported."""
+    src_dir = str(Path(reinit_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=timeout, env=env)
 
 
 def traced_peak(fn) -> int:

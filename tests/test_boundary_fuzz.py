@@ -1,14 +1,17 @@
 """Boundary fuzz of `reinit-lab train`: one config key or one numeric flag set
 to an edge value, and sets of flags that change the epoch budget, the stage
-count and the rule together.
+count and the rule together; and of the run files a run writes.
 
-Three properties hold for every case:
+Three properties hold for every train case:
 - main exits 0, or exits 2 with one JSON line on stderr and no run
   directory; a diverged run also exits 2 but keeps its directory;
 - the config.json a finished run writes reloads through --config to the
   same run id;
 - flags apply as one change: a run exits 0 exactly when the config with
   every flag merged in is valid, and its config.json is that config.
+
+A run file with one byte changed, or cut short, loads or raises a
+ReinitLabError, never another exception.
 """
 import contextlib
 import io
@@ -17,16 +20,18 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reinit_lab.cli import REINIT_TOKENS, build_config, main, make_parser
 from reinit_lab.data import AugmentSpec
-from reinit_lab.errors import ConfigurationError
-from reinit_lab.harness import DataConfig, DistillConfig, RunConfig, Seeds
+from reinit_lab.distill import load_teacher_cache
+from reinit_lab.errors import ConfigurationError, ReinitLabError
+from reinit_lab.harness import DataConfig, DistillConfig, RunConfig, Seeds, run_experiment
 from reinit_lab.nn import NetworkSpec
 from reinit_lab.reinit import ReinitSpec
-from reinit_lab.runio import read_json
+from reinit_lab.runio import load_checkpoint, read_json, read_metrics
 
 EDGE_VALUES = (math.nan, math.inf, -math.inf, -1, 0, 0.5, 1.5, 2, "x", "4", True, None, [], {})
 
@@ -136,3 +141,36 @@ def test_flags_apply_as_one_change(epochs, stages, reinit):
         want = None
     flags = [f"--{k}={v}" for k, v in given.items()]
     assert run_train(MERGE_BASE, flags) == want, flags
+
+
+# each run file a run writes and the loader that reads it back
+RUN_FILE_LOADERS = {"best.ckpt": load_checkpoint, "teacher_stage1.bin": load_teacher_cache, "metrics.jsonl": read_metrics}
+
+
+@pytest.fixture(scope="module")
+def run_files(tmp_path_factory):
+    """The bytes of each run file of one layer-wise, distilled 2-stage run of
+    the tiny config (its checkpoint may carry a frozen norm), and a scratch
+    directory to write mutated copies into."""
+    out = tmp_path_factory.mktemp("runs")
+    cfg = RunConfig.from_dict({**MERGE_BASE, "epochs": 2, "stages": 2})
+    run_dir = out / run_experiment(cfg, out_dir=out).run_id
+    return {name: (run_dir / name).read_bytes() for name in RUN_FILE_LOADERS}, tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(RUN_FILE_LOADERS)), st.booleans(), st.integers(0, 1 << 20), st.integers(0, 255))
+def test_a_mutated_run_file_loads_or_raises_a_library_error(run_files, name, truncate, at, byte):
+    files, scratch = run_files
+    data = bytearray(files[name])
+    at %= len(data)
+    if truncate:
+        del data[at:]
+    else:
+        data[at] = byte
+    path = scratch / name
+    path.write_bytes(data)
+    try:
+        RUN_FILE_LOADERS[name](path)
+    except ReinitLabError:
+        pass

@@ -1,17 +1,14 @@
 """CLI contract tests: exit codes, JSON output, flag plumbing."""
 import json
 import math
-import os
 import shutil
 import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import reinit_lab
 import reinit_lab.cli as cli
 import reinit_lab.harness as harness
 import reinit_lab.reinit as reinit
@@ -20,7 +17,7 @@ from reinit_lab.harness import DataConfig, DistillConfig, RunConfig, RunResult, 
 from reinit_lab.nn import NetworkSpec, init_params, weight_norm
 from reinit_lab.reinit import ReinitSpec
 from reinit_lab.runio import MetricsRecord, load_checkpoint, write_json
-from helpers import write_csv, write_idx
+from helpers import run_fresh_process, write_csv, write_idx
 
 
 @pytest.fixture
@@ -690,14 +687,6 @@ def test_noise_base_has_5_stages_unless_a_flag_or_the_config_gives_a_count(tmp_p
         argv = ["noise", "--q-values", "0", "--methods", "sp", *flags, "--out", str(tmp_path / "runs")]
         assert run_main(argv, capsys)[0] == 0
         assert [cfg.stages for cfg in stub_runs] == [stages]
-
-
-def run_fresh_process(*argv) -> subprocess.CompletedProcess:
-    """python argv in a new process that imports the same ``reinit_lab`` this test imported."""
-    src_dir = str(Path(reinit_lab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=60, env=env)
 
 
 def test_console_script_is_wired():

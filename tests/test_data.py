@@ -38,7 +38,7 @@ from reinit_lab.harness import (
 )
 from reinit_lab.nn import PIECE, NetworkSpec
 from reinit_lab.reinit import stage_seed
-from helpers import traced_peak, write_csv, write_idx
+from helpers import run_fresh_process, traced_peak, write_csv, write_idx
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -311,13 +311,57 @@ def test_pixel_code_augmentation_equals_decode_then_augment(seed):
 
 def test_augmented_pixel_batch_peak():
     """One augmented 125x784 batch of pixels holds its uint16 codes, padded
-    and then cropped, beside the float32 inputs it returns: 0.66 MB traced,
-    where decoding first and padding float32 inputs held 1.44 MB."""
+    and then cropped, beside the float32 inputs it returns: 0.73 MB traced
+    (the crop windows are a view), where decoding first and padding float32
+    inputs held 1.44 MB."""
     ds = pixel_images(1000, (28, 28, 1), 0)
     idx = np.random.Generator(np.random.PCG64(1)).permutation(ds.n)[:125]
     rng = np.random.Generator(np.random.PCG64(2))
     peak = traced_peak(lambda: augment_batch(ds, idx, AugmentSpec(), rng))
     assert peak <= 0.8e6, f"{peak / 1e6:.2f} MB"
+
+
+AUGMENT_LOOP = """
+import numpy as np
+from reinit_lab.data import AugmentSpec, Dataset, augment_batch
+
+def peak_kb():
+    with open("/proc/self/status") as f:
+        return int(next(line for line in f if line.startswith("VmHWM:")).split()[1])
+
+def raised_peak_kb(call):
+    before = peak_kb()
+    for _ in range(25000):
+        call()
+    return peak_kb() - before
+
+table = np.append(np.arange(256, dtype=np.float32), np.float32(0.0))
+ds = Dataset(np.arange(256, dtype=np.uint8).reshape(4, 64), np.zeros(4, dtype=np.int64), 1, (8, 8, 1), table)
+spec, rng, sel = AugmentSpec(pad_pixels=2), np.random.Generator(np.random.PCG64(0)), np.arange(4)
+for _ in range(100):
+    augment_batch(ds, sel, spec, rng)
+print(raised_peak_kb(lambda: augment_batch(ds, sel, spec, rng)))
+print(raised_peak_kb(lambda: np.zeros(3).__array_interface__))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the resident peak from /proc")
+def test_augmentation_leaves_the_interned_string_table_alone():
+    """Each read of ndarray.__array_interface__ (which as_strided and
+    sliding_window_view make) interns a string that dies with it, and enough
+    such reads grow the interpreter's interned-string table to 65,536 slots
+    for good: about 1 MB more resident peak. 25,000 augmented batches, more
+    than the table's usable slots at 32,768, must not do that. 25,000 such
+    reads after them show that the interpreter still grows its table so;
+    else a pass shows nothing and the test skips. The child reads its own
+    VmHWM, because ru_maxrss keeps the forking test process's peak across
+    exec and tracemalloc would make the loop about five times slower."""
+    proc = run_fresh_process("-c", AUGMENT_LOOP)
+    assert proc.returncode == 0, proc.stderr
+    augment_kb, control_kb = map(int, proc.stdout.split())
+    assert augment_kb < 100, f"25,000 augmented batches raised the resident peak {augment_kb} KB"
+    if control_kb <= 500:
+        pytest.skip(f"{control_kb} KB: this interpreter does not grow its interned-string table on such reads")
 
 
 def test_split_sizes_and_exhaustive_indices():

@@ -9,10 +9,7 @@ import csv
 import gc
 import json
 import math
-import os
 import struct
-import subprocess
-import sys
 import weakref
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -44,7 +41,7 @@ from reinit_lab.harness import (
 from reinit_lab.nn import NO_GRAD_ROWS, NetworkSpec, init_params, weight_norm
 from reinit_lab.reinit import ReinitSpec, stage_seed
 from reinit_lab.runio import MetricsRecord, load_checkpoint
-from helpers import spy, traced_peak, write_idx
+from helpers import run_fresh_process, spy, traced_peak, write_idx
 
 
 def tiny_net():
@@ -134,6 +131,14 @@ class TestRunConfig:
             tiny_cfg(setting=setting, **{key: value})
         with pytest.raises(ConfigurationError, match=phrase):
             RunConfig.from_dict(d)
+
+    @pytest.mark.parametrize("key", ["weight_decay", "eta_min"])
+    def test_an_integer_at_an_ignored_keys_default_keeps_the_defaults_id(self, key):
+        # 0 == 0.0 passes the ignored-key check, yet json writes 0 and 0.0 apart
+        assert tiny_cfg(**{key: 0}).run_id == tiny_cfg().run_id
+        assert type(getattr(tiny_cfg(**{key: 0}), key)) is float
+        dcw = tiny_cfg(setting="dcw", **{key: 0})
+        assert type(getattr(dcw, key)) is int and dcw.run_id != tiny_cfg(setting="dcw").run_id
 
     def test_a_disabled_distillation_keeps_the_default_beta(self):
         # beta is read only when distillation is enabled, yet it would change the run id
@@ -894,13 +899,7 @@ for cfg in (desk, img):
     assert not run_experiment(cfg, bundle, out).failed
 print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
 """
-    src_dir = str(Path(harness.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(images), str(labels), str(tmp_path / "runs")],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
+    proc = run_fresh_process("-c", code, str(images), str(labels), str(tmp_path / "runs"), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
