@@ -422,13 +422,11 @@ def run_experiment(
                     lr = lr_at(schedule, step_in_stage)
                     if lr_first is None:
                         lr_first = lr
-                    # loss_grad_logits ignores beta when rows is None; no name
-                    # keeps the gradient, which a boundary frees with the spare
-                    loss, logits = loss_grad_logits(params, x, y, rows, cfg.distill.beta, grad_out=spare.values)[::2]
+                    loss, logits = loss_grad_logits(params, x, y, spare.values, rows, cfg.distill.beta)
                     del x  # not held into the next batch's augmentation
                     if not np.isfinite(loss):
                         raise NumericalError(f"non-finite loss at step {counters['optimizer_steps']}")
-                    spare, opt = sgd_step(params, spare.values, opt, lr, step=counters["optimizer_steps"], out=spare)
+                    sgd_step(params, spare, opt, lr, counters["optimizer_steps"])
                     params, spare = spare, params
                     counters["optimizer_steps"] += 1
                     epoch_loss += loss * len(idx)

@@ -25,9 +25,10 @@ PIECE = 8192  # values per float64 temporary of an exact sum or a parameter draw
 class ParamVector:
     """The model a run trains: the flat parameters of one network and the
     frozen norm layer installed in it, if any. Checked when built; only
-    sgd_step, and a run copying in its best epoch, write into one. A run's
-    spare vector is the exception: it holds the step's gradient until
-    sgd_step writes the update over it."""
+    sgd_step, the layer-wise rule turning its own draw into its result, and a
+    run copying in its best epoch, write into one. A run's spare vector is
+    the exception: it holds the step's gradient until sgd_step writes the
+    update over it."""
 
     values: np.ndarray
     network: NetworkSpec
@@ -237,11 +238,13 @@ def loss_grad_logits(
     params: ParamVector,
     inputs: np.ndarray,
     labels: np.ndarray,
+    grad: np.ndarray,
     teacher: np.ndarray | None = None,
     beta_distill: float = 0.0,
-    grad_out: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss, exact parameter gradient, and the logits of the forward pass.
+) -> tuple[float, np.ndarray]:
+    """Loss and the logits of the forward pass; the exact parameter gradient
+    overwrites all of ``grad``, a contiguous vector of the parameters' shape
+    and dtype.
 
     The loss is cross-entropy plus ``beta_distill`` times the mean
     KL(teacher || softmax(logits)) against the fixed teacher rows, with
@@ -249,12 +252,8 @@ def loss_grad_logits(
     through the student. With no teacher or beta 0 this is the plain
     cross-entropy gradient. The labels lie in [0, num_classes), one per input
     row, and the teacher rows align with the logits: the run checks its data
-    once, and a TeacherCache checks its rows when it is built or loaded. The
-    gradient overwrites all of ``grad_out`` (a contiguous vector of the
-    parameters' shape and dtype) when given, else fills a new array.
+    once, and a TeacherCache checks its rows when it is built or loaded.
     """
-    if grad_out is None:
-        grad_out = np.empty_like(params.values)
     spec, frozen_norm, norm_layer = params.network, params.frozen_norm, params.norm_layer
     last = spec.num_layers - 1
     saved = []
@@ -273,7 +272,7 @@ def loss_grad_logits(
         d += pull
 
     layers = _layer_views(params.values, spec)
-    grads = _layer_views(grad_out, spec)
+    grads = _layer_views(grad, spec)
     for layer_id in range(last, -1, -1):
         h_in, act = saved[layer_id]
         if layer_id == norm_layer:
@@ -286,7 +285,7 @@ def loss_grad_logits(
         np.sum(d, axis=0, out=gb)
         if layer_id > 0:
             d = d @ layers[layer_id][0].T
-    return float(loss), grad_out, logits
+    return float(loss), logits
 
 
 def float64_sum(values: np.ndarray, center: float | None = None, read=None) -> np.float64:

@@ -33,30 +33,22 @@ class OptimState:
         return OptimState(np.zeros_like(params.values), momentum, weight_decay)
 
 
-def sgd_step(
-    params: ParamVector,
-    grads: np.ndarray,
-    state: OptimState,
-    lr: float,
-    step: int | None = None,
-    out: ParamVector | None = None,
-) -> tuple[ParamVector, OptimState]:
-    """One optimizer update, written into ``out`` (a spare vector of the
-    params' shape and dtype other than ``params``; a new one when None) and
-    returned with the in-place-updated state. ``out`` may hold ``grads``
-    itself: each STEP_BLOCK values go through the same float32 operations in
-    one block-sized scratch buffer, which is checked and only then copied
-    over ``out``'s block, once that block of ``grads`` has been read. A
-    non-finite update raises NumericalError naming the step and leaves
-    ``params`` intact. It names the gradient when a value of the blocks not
-    yet copied is non-finite; one in a copied block would have made that
-    block's update non-finite. lr == 0 leaves the parameters unchanged while
-    the momentum buffer still accumulates (a paused-but-running optimizer).
+def sgd_step(params: ParamVector, spare: ParamVector, state: OptimState, lr: float, step: int) -> None:
+    """One optimizer update: ``spare`` (a vector of the params' shape and
+    dtype other than ``params``) holds the gradient, and the update is written
+    over it, with the momentum buffer updated in place. Each STEP_BLOCK
+    values go through the same float32 operations in one block-sized scratch
+    buffer, which is checked and only then copied over the spare's block,
+    once that block of the gradient has been read. A non-finite update raises
+    NumericalError naming the step and leaves ``params`` intact. It names the
+    gradient when a value of the blocks not yet copied is non-finite; one in
+    a copied block would have made that block's update non-finite. lr == 0
+    leaves the parameters unchanged while the momentum buffer still
+    accumulates (a paused-but-running optimizer).
     """
-    if out is None:
-        out = params.copy()
-    n = out.values.shape[0]
-    scratch = np.empty(min(n, STEP_BLOCK), dtype=out.dtype)
+    grad = spare.values
+    n = grad.shape[0]
+    scratch = np.empty(min(n, STEP_BLOCK), dtype=grad.dtype)
     for start in range(0, n, STEP_BLOCK):
         part = slice(start, start + STEP_BLOCK)
         buf, theta = state.momentum_buffer[part], params.values[part]
@@ -64,17 +56,16 @@ def sgd_step(
         buf *= state.momentum
         if state.weight_decay:
             np.multiply(theta, state.weight_decay, out=new)
-            new += grads[part]
+            new += grad[part]
             buf += new
         else:
-            buf += grads[part]
+            buf += grad[part]
         np.multiply(buf, lr, out=new)
         np.subtract(theta, new, out=new)
         if not np.isfinite(new).all():
-            what = "gradient" if not np.isfinite(grads[start:]).all() else "parameters after the update"
-            raise NumericalError(f"non-finite {what}" + (f" at step {step}" if step is not None else ""))
-        out.values[part] = new
-    return out, state
+            what = "gradient" if not np.isfinite(grad[start:]).all() else "parameters after the update"
+            raise NumericalError(f"non-finite {what} at step {step}")
+        grad[part] = new
 
 
 @dataclass(frozen=True)

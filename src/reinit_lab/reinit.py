@@ -95,35 +95,31 @@ def _rescale_kept_blocks(
 
 def layerwise_reinit(
     theta: ParamVector,
-    theta_init: ParamVector,
+    fresh: ParamVector,
     t: int,
     repeats: int,
     init_block_norms: Sequence[float],
     stats_batch: np.ndarray,
-    out: np.ndarray | None = None,
-) -> ParamVector:
-    """Keep the first ceil(t/repeats) blocks of theta, resample the rest;
+) -> None:
+    """Turn ``fresh``, a draw for theta's network in theta's dtype, into the
+    first ceil(t/repeats) blocks of theta followed by the rest of the draw;
     t lies in 1..K*repeats for a network of K blocks.
 
     Kept blocks are rescaled back to their recorded initialization norms, so
-    only their direction survives the boundary. The returned parameters carry
-    a new frozen layer, which standardizes the kept prefix's output on the
-    nonempty ``stats_batch`` and replaces any frozen layer of theta. Their
-    values are ``out`` when given: theta_init's values in theta's dtype
-    (theta_init.values itself, when the caller gives up its draw), else a copy.
+    only their direction survives the boundary. ``fresh`` then carries a new
+    frozen layer, which standardizes the kept prefix's output on the
+    nonempty ``stats_batch``.
     """
     network = theta.network
     kept_blocks = math.ceil(t / repeats)
     # the kept blocks are a prefix of the flat vector; the rest is the fresh draw
-    merged = theta_init.values.astype(theta.dtype) if out is None else out
     stop = network.block_slice(kept_blocks).stop
-    merged[:stop] = theta.values[:stop]
-    _rescale_kept_blocks(merged, network, kept_blocks, init_block_norms)
-    new_params = ParamVector(merged, network)
-    acts = forward(new_params, stats_batch, stop_block=kept_blocks)
+    fresh.values[:stop] = theta.values[:stop]
+    _rescale_kept_blocks(fresh.values, network, kept_blocks, init_block_norms)
+    acts = forward(ParamVector(fresh.values, network), stats_batch, stop_block=kept_blocks)
     mean = acts.mean(axis=0).astype(np.float64)
     std = np.maximum(acts.std(axis=0).astype(np.float64), FROZEN_NORM_STD_FLOOR)
-    return ParamVector(merged, network, FrozenNormLayer(kept_blocks, mean, std))
+    fresh.frozen_norm = FrozenNormLayer(kept_blocks, mean, std)
 
 
 def apply_reinit(
@@ -143,11 +139,11 @@ def apply_reinit(
     batch and stage count; it repeats each of the network's K blocks
     stages // K times and installs a new frozen norm layer. ``full`` returns
     the fresh draw, which has none; the other rules keep theta_end's. Returns
-    the new parameters and the Euclidean norm of the fresh draw (None for
-    ``none``, which draws nothing).
+    the new parameters and the Euclidean norm of the fresh draw; ``none``
+    draws nothing and returns theta_end itself with None.
     """
     if rspec.kind == "none":
-        return theta_end.copy(), None
+        return theta_end, None
     network = theta_end.network
     fresh = init_params(network, stage_seed(seed, t), dtype=theta_end.dtype)
     fresh_norm = weight_norm(fresh.values)
@@ -157,6 +153,5 @@ def apply_reinit(
         return shrink_perturb(theta_end, fresh, rspec.lam, rspec.gamma), fresh_norm
     if init_block_norms is None or stats_batch is None or stages is None:
         raise ConfigurationError("layer_wise reinit needs init block norms, a stats batch and the stage count")
-    repeats = stages // network.num_blocks
-    # the draw is this call's own, so the result is written into its buffer
-    return layerwise_reinit(theta_end, fresh, t, repeats, init_block_norms, stats_batch, fresh.values), fresh_norm
+    layerwise_reinit(theta_end, fresh, t, stages // network.num_blocks, init_block_norms, stats_batch)
+    return fresh, fresh_norm

@@ -1,5 +1,6 @@
-"""Helpers that test modules import: gradient and KL oracles, an independent
-layer count, a call spy, a fresh-process runner, and IDX and CSV writers.
+"""Helpers that test modules import: a training step into a new gradient
+buffer, gradient and KL oracles, an independent layer count, a call spy, a
+fresh-process runner, and IDX and CSV writers.
 
 Test modules import them with ``from helpers import ...``; conftest.py keeps
 only fixtures, so a second conftest.py elsewhere in one pytest session cannot
@@ -17,6 +18,13 @@ import numpy as np
 
 import reinit_lab
 from reinit_lab.nn import NetworkSpec, ParamVector, loss_grad_logits
+
+
+def loss_grad(params: ParamVector, inputs, labels, teacher=None, beta=0.0):
+    """(loss, gradient, logits) of loss_grad_logits, its gradient written into a new buffer."""
+    grad = np.empty_like(params.values)
+    loss, logits = loss_grad_logits(params, inputs, labels, grad, teacher, beta)
+    return loss, grad, logits
 
 
 def central_diff_grad(f, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -51,9 +59,9 @@ def fd_check(params: ParamVector, inputs, labels, teacher=None, beta=0.0):
 
     def loss_at(theta):
         pv = ParamVector(theta, params.network, params.frozen_norm)
-        return loss_grad_logits(pv, inputs, labels, teacher, beta)[0]
+        return loss_grad(pv, inputs, labels, teacher, beta)[0]
 
-    _, analytic, _ = loss_grad_logits(params, inputs, labels, teacher, beta)
+    _, analytic, _ = loss_grad(params, inputs, labels, teacher, beta)
     numeric = central_diff_grad(loss_at, params.values)
     return float(relative_errors(analytic, numeric).max())
 

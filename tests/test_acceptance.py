@@ -33,7 +33,6 @@ from reinit_lab.nn import (
     block_norms,
     forward,
     init_params,
-    loss_grad_logits,
 )
 from reinit_lab.optim import LrSchedule, lr_at
 from reinit_lab.reinit import (
@@ -43,7 +42,7 @@ from reinit_lab.reinit import (
     stage_seed,
 )
 
-from helpers import fd_check, kl_oracle, spy
+from helpers import fd_check, kl_oracle, loss_grad, spy
 
 
 @contextmanager
@@ -169,10 +168,10 @@ def test_03_distill_additivity():
             y = rng.integers(0, 3, 8)
             raw = rng.uniform(0.05, 1.0, (8, 3))
             teacher = raw / raw.sum(axis=1, keepdims=True)
-            base, _, _ = loss_grad_logits(params, x, y)
+            base = loss_grad(params, x, y)[0]
             kl = kl_oracle(teacher, forward(params, x))
             for beta in (0.25, 1.0, 3.0):
-                combined, _, _ = loss_grad_logits(params, x, y, teacher=teacher, beta_distill=beta)
+                combined = loss_grad(params, x, y, teacher, beta)[0]
                 assert abs(combined - base - beta * kl) < 1e-10
 
 
@@ -351,10 +350,13 @@ def test_11_weight_norm_dynamics(desk):
 
 def test_12_byte_determinism(tmp_path):
     with criterion(12, "byte-identical repeat runs"):
-        cfg = small_cfg(run_name="det", stages=2, reinit=ReinitSpec("shrink_perturb"))
+        # distilled, so the stage-1 teacher file is written too
+        cfg = small_cfg(
+            run_name="det", stages=2, reinit=ReinitSpec("shrink_perturb"), distill=DistillConfig(enabled=True)
+        )
         run_experiment(cfg, out_dir=tmp_path / "a")
         run_experiment(cfg, out_dir=tmp_path / "b")
-        for fname in ("metrics.jsonl", "best.ckpt"):
+        for fname in ("metrics.jsonl", "best.ckpt", "teacher_stage1.bin", "config.json"):
             one = (tmp_path / "a" / "det" / fname).read_bytes()
             two = (tmp_path / "b" / "det" / fname).read_bytes()
             assert one == two, fname

@@ -71,3 +71,21 @@ def test_no_function_takes_the_model_in_parts():
                 if "ParamVector" in kinds and kinds & {"NetworkSpec", "FrozenNormLayer"}:
                     offenders.append(f"{name}.{fn.__qualname__}")
     assert offenders == []
+
+
+def test_step_functions_write_into_the_buffers_they_are_given():
+    """The training step's functions have one mode: they write into the run's
+    buffers, take each one as a required argument and return none of them."""
+    from reinit_lab.nn import loss_grad_logits
+    from reinit_lab.optim import sgd_step
+    from reinit_lab.reinit import layerwise_reinit
+
+    signatures = {fn.__name__: inspect.signature(fn) for fn in (loss_grad_logits, sgd_step, layerwise_reinit)}
+    assert list(signatures["loss_grad_logits"].parameters)[:4] == ["params", "inputs", "labels", "grad"]
+    assert list(signatures["sgd_step"].parameters) == ["params", "spare", "state", "lr", "step"]
+    assert list(signatures["layerwise_reinit"].parameters)[:2] == ["theta", "fresh"]
+    for name, sig in signatures.items():
+        optional = [p.name for p in sig.parameters.values() if p.default is not inspect.Parameter.empty]
+        assert optional == (["teacher", "beta_distill"] if name == "loss_grad_logits" else []), name
+    assert signatures["loss_grad_logits"].return_annotation == "tuple[float, np.ndarray]"
+    assert signatures["sgd_step"].return_annotation == signatures["layerwise_reinit"].return_annotation == "None"

@@ -73,9 +73,8 @@ class TestBuildConfig:
         kept = []
 
         def recording(*args):
-            new_params = layerwise_reinit(*args)
-            kept.append(new_params.frozen_norm.insert_after_block)
-            return new_params
+            layerwise_reinit(*args)
+            kept.append(args[1].frozen_norm.insert_after_block)
 
         monkeypatch.setattr(reinit, "layerwise_reinit", recording)
         argv = ["train", "--config", tiny_config_file, "--stages", "6", "--reinit", "layerwise"]

@@ -505,9 +505,9 @@ class TestRunExperiment:
         calls, loss_grad_logits = [], harness.loss_grad_logits
 
         def diverging(*args, **kwargs):
-            loss, grad, logits = loss_grad_logits(*args, **kwargs)
+            loss, logits = loss_grad_logits(*args, **kwargs)
             calls.append(None)
-            return (math.nan if len(calls) == diverge_at else loss), grad, logits
+            return (math.nan if len(calls) == diverge_at else loss), logits
 
         monkeypatch.setattr(harness, "loss_grad_logits", diverging)
         res = run_experiment(tiny_cfg(run_name="sums", stages=2), out_dir=tmp_path)
@@ -564,11 +564,11 @@ class TestRunExperiment:
             fresh_calls.append(params)
             return real_fresh(params, momentum, weight_decay)
 
-        def watching_step(params, grad, state, lr, step, out):
+        def watching_step(params, spare, state, lr, step):
             # the buffer each stage's first and second steps see (2 epochs per stage)
             if step % (2 * STEPS_PER_EPOCH) in (0, 1):
                 buffers[step] = state.momentum_buffer.copy()
-            return real_step(params, grad, state, lr, step=step, out=out)
+            real_step(params, spare, state, lr, step)
 
         monkeypatch.setattr(harness.OptimState, "fresh", staticmethod(counting_fresh))
         monkeypatch.setattr(harness, "sgd_step", watching_step)
@@ -1020,7 +1020,7 @@ class TestStageSweep:
 
         def recording(theta, theta_init, t, m, *rest):
             repeats.append((t, m))
-            return layerwise_reinit(theta, theta_init, t, m, *rest)
+            layerwise_reinit(theta, theta_init, t, m, *rest)
 
         monkeypatch.setattr(reinit, "layerwise_reinit", recording)
         base = tiny_cfg(epochs=6, stages=3, reinit=ReinitSpec("layer_wise"))

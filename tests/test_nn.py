@@ -24,7 +24,7 @@ from reinit_lab.nn import (
     softmax,
     weight_norm,
 )
-from helpers import fd_check, kl_oracle, oracle_layers, traced_peak
+from helpers import fd_check, kl_oracle, loss_grad, oracle_layers, traced_peak
 
 
 def manual_forward(spec, params, x):
@@ -219,14 +219,14 @@ def logits_net(c):
 
 def cross_entropy(z, y):
     """The training step's cross-entropy of the logits z."""
-    return loss_grad_logits(logits_net(z.shape[1]), z, y)[0]
+    return loss_grad(logits_net(z.shape[1]), z, y)[0]
 
 
 def kl_term(p, z):
     """The training step's distillation term: its loss with teacher p at beta 1, less its plain loss."""
     params = logits_net(z.shape[1])
     y = np.zeros(z.shape[0], dtype=np.int64)
-    return loss_grad_logits(params, z, y, p, 1.0)[0] - loss_grad_logits(params, z, y)[0]
+    return loss_grad(params, z, y, p, 1.0)[0] - loss_grad(params, z, y)[0]
 
 
 def test_cross_entropy_uniform_logits_is_log_c():
@@ -288,7 +288,7 @@ def test_kl_against_the_students_own_snapshot_is_clamped_to_zero():
     x = rng.normal(size=(125, 50)).astype(np.float32)
     y = rng.integers(0, 10, size=125)
     teacher = snapshot_teacher(params, Dataset(x, y, 10), source_stage=1).probs
-    assert loss_grad_logits(params, x, y, teacher, 1.0)[0] == loss_grad_logits(params, x, y)[0]
+    assert loss_grad(params, x, y, teacher, 1.0)[0] == loss_grad(params, x, y)[0]
 
 
 def test_gradient_matches_finite_differences(tiny_net):
@@ -325,10 +325,10 @@ def test_distill_loss_is_additive_in_beta(tiny_net):
     x = rng.normal(size=(9, spec.input_dim))
     y = rng.integers(0, spec.num_classes, size=9)
     teacher = rng.dirichlet(np.ones(spec.num_classes), size=9)
-    base, _, logits = loss_grad_logits(params, x, y)
+    base, _, logits = loss_grad(params, x, y)
     kl = kl_oracle(teacher, logits)
     for beta in (0.5, 1.0, 2.0):
-        combined, _, _ = loss_grad_logits(params, x, y, teacher=teacher, beta_distill=beta)
+        combined, _, _ = loss_grad(params, x, y, teacher, beta)
         assert abs(combined - base - beta * kl) < 1e-12
 
 
@@ -338,8 +338,8 @@ def test_zero_beta_ignores_teacher_bitwise(tiny_net):
     x = rng.normal(size=(5, spec.input_dim))
     y = rng.integers(0, spec.num_classes, size=5)
     teacher = rng.dirichlet(np.ones(spec.num_classes), size=5)
-    l0, g0, _ = loss_grad_logits(params, x, y)
-    l1, g1, _ = loss_grad_logits(params, x, y, teacher=teacher, beta_distill=0.0)
+    l0, g0, _ = loss_grad(params, x, y)
+    l1, g1, _ = loss_grad(params, x, y, teacher, 0.0)
     assert l0 == l1
     assert np.array_equal(g0, g1)
 
@@ -482,7 +482,8 @@ STEP_CASES = [(0, False, False), (1, True, False), (2, False, True), (3, True, T
 def test_loss_grad_matches_allocating_reference_bitwise(seed, with_teacher, with_norm):
     params, x, y, teacher, beta = float32_step_case(seed, with_teacher=with_teacher, with_norm=with_norm)
     x_before, p_before = x.copy(), params.values.copy()
-    loss, grad, logits = loss_grad_logits(params, x, y, teacher, beta)
+    grad = np.empty_like(params.values)
+    loss, logits = loss_grad_logits(params, x, y, grad, teacher, beta)
     want_loss, want_grad, want_logits = reference_loss_grad(params, x, y, teacher, beta)
     assert loss == want_loss
     assert grad.dtype == np.float32
@@ -497,9 +498,9 @@ def test_loss_grad_into_reused_buffer_equals_fresh_calls():
     # one buffer across calls that differ in batch size, teacher and frozen norm
     for i, (seed, with_teacher, with_norm) in enumerate(STEP_CASES * 2):
         case = float32_step_case(seed, batch=5 + 3 * i, with_teacher=with_teacher, with_norm=with_norm)
-        fresh_loss, fresh_grad, fresh_logits = loss_grad_logits(*case)
-        loss, grad, logits = loss_grad_logits(*case, grad_out=buf)
-        assert grad is buf
+        params, x, y, teacher, beta = case
+        fresh_loss, fresh_grad, fresh_logits = loss_grad(*case)
+        loss, logits = loss_grad_logits(params, x, y, buf, teacher, beta)
         assert loss == fresh_loss
         assert np.array_equal(buf, fresh_grad)
         assert np.array_equal(logits, fresh_logits)

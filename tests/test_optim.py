@@ -26,6 +26,14 @@ def manual_sgd(values, grads, lr, momentum, wd, steps):
     return theta
 
 
+def step_from(params, grad, state, lr, step=0):
+    """sgd_step over a spare that holds a copy of grad; returns the spare, now the updated parameters."""
+    spare = params.copy()
+    np.copyto(spare.values, grad)
+    sgd_step(params, spare, state, lr, step)
+    return spare
+
+
 def test_sgd_matches_reference_recurrence():
     params = small_params()
     rng = np.random.Generator(np.random.PCG64(1))
@@ -33,7 +41,7 @@ def test_sgd_matches_reference_recurrence():
     state = OptimState.fresh(params, momentum=0.9, weight_decay=0.001)
     p = params
     for g in grads:
-        p, state = sgd_step(p, g, state, lr=0.05)
+        p = step_from(p, g, state, 0.05)
     want = manual_sgd(params.values, grads, 0.05, 0.9, 0.001, 8)
     np.testing.assert_allclose(p.values, want, rtol=0, atol=1e-12)
 
@@ -42,7 +50,7 @@ def test_zero_momentum_zero_decay_is_plain_gradient_descent():
     params = small_params()
     g = np.ones_like(params.values)
     state = OptimState.fresh(params, momentum=0.0)
-    p, _ = sgd_step(params, g, state, lr=0.1)
+    p = step_from(params, g, state, 0.1)
     np.testing.assert_allclose(p.values, params.values - 0.1, atol=1e-12)
 
 
@@ -50,7 +58,7 @@ def test_zero_lr_leaves_parameters_unchanged():
     params = small_params()
     state = OptimState.fresh(params, momentum=0.9)
     rng = np.random.Generator(np.random.PCG64(2))
-    p, state = sgd_step(params, rng.normal(size=params.values.shape), state, lr=0.0)
+    p = step_from(params, rng.normal(size=params.values.shape), state, 0.0)
     assert np.array_equal(p.values, params.values)
     assert np.any(state.momentum_buffer != 0)
 
@@ -59,7 +67,7 @@ def test_weight_decay_is_coupled_into_momentum_buffer():
     params = small_params()
     state = OptimState.fresh(params, momentum=0.5, weight_decay=0.01)
     zero_g = np.zeros_like(params.values)
-    _, state = sgd_step(params, zero_g, state, lr=0.0)
+    step_from(params, zero_g, state, 0.0)
     np.testing.assert_allclose(state.momentum_buffer, 0.01 * params.values, atol=1e-12)
 
 
@@ -69,7 +77,7 @@ def test_sgd_rejects_nonfinite_gradients_with_step_context():
     g = np.zeros_like(params.values)
     g[2] = np.inf
     with pytest.raises(NumericalError, match="step 17"):
-        sgd_step(params, g, state, lr=0.1, step=17)
+        step_from(params, g, state, 0.1, 17)
 
 
 def reference_sgd_float32(values, grads, lr, momentum, wd):
@@ -90,22 +98,18 @@ BLOCKED = NetworkSpec(input_dim=400, hidden_dims=(330,), num_classes=10)
 
 @pytest.mark.parametrize("wd", [0.0, 5e-4])
 def test_sgd_into_spare_buffers_matches_float32_reference_bitwise(wd):
-    """Into a separate spare, and into a spare that holds the gradient, as a
-    run's step does."""
+    """Over a spare that holds the gradient, swapped with the parameters
+    after each step, as a run's step does."""
     assert BLOCKED.param_count // STEP_BLOCK == 2 and BLOCKED.param_count % STEP_BLOCK != 0
-    cases = [(small_params(dtype=np.float32), False), (init_params(BLOCKED, 0), False), (init_params(BLOCKED, 0), True)]
-    for params, aliased in cases:
+    for params in (small_params(dtype=np.float32), init_params(BLOCKED, 0)):
         rng = np.random.Generator(np.random.PCG64(5))
         grads = [rng.normal(size=params.values.shape).astype(np.float32) for _ in range(6)]
         state = OptimState.fresh(params, momentum=0.9, weight_decay=wd)
         p, spare = params.copy(), params.copy()
         for step, g in enumerate(grads):
-            if aliased:
-                np.copyto(spare.values, g)
-                g = spare.values
-            new, state = sgd_step(p, g, state, lr=0.05, step=step, out=spare)
-            assert new is spare
-            p, spare = new, p
+            np.copyto(spare.values, g)
+            assert sgd_step(p, spare, state, 0.05, step) is None
+            p, spare = spare, p
         want_theta, want_buf = reference_sgd_float32(params.values, grads, 0.05, 0.9, wd)
         assert np.array_equal(p.values, want_theta)
         assert np.array_equal(state.momentum_buffer, want_buf)
@@ -118,18 +122,12 @@ def test_sgd_into_spare_buffers_matches_float32_reference_bitwise(wd):
 def test_non_finite_update_names_step_and_leaves_params_intact(bad, lr, what):
     params = small_params(dtype=np.float32)
     before = params.values.copy()
-    g = np.zeros_like(params.values)
-    g[2] = bad
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match=f"non-finite {what} at step 4"):
-            sgd_step(params, g, OptimState.fresh(params), lr=lr, step=4, out=params.copy())
-    assert np.array_equal(params.values, before)
-    # the same update written over the gradient it reads
     spare = params.copy()
-    np.copyto(spare.values, g)
+    spare.values[:] = 0.0
+    spare.values[2] = bad
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match=f"non-finite {what} at step 4"):
-            sgd_step(params, spare.values, OptimState.fresh(params), lr=lr, step=4, out=spare)
+            sgd_step(params, spare, OptimState.fresh(params), lr, 4)
     assert np.array_equal(params.values, before)
 
 
@@ -143,7 +141,7 @@ def test_update_over_its_gradient_names_a_non_finite_gradient_in_any_block(at):
     spare.values[:] = 1e-3
     spare.values[at] = np.inf
     with pytest.raises(NumericalError, match="non-finite gradient at step 9"):
-        sgd_step(params, spare.values, OptimState.fresh(params), lr=0.1, step=9, out=spare)
+        sgd_step(params, spare, OptimState.fresh(params), 0.1, 9)
     assert np.array_equal(params.values, before)
 
 

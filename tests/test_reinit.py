@@ -129,10 +129,17 @@ def layerwise_setup(seed_theta=11, seed_init=12):
     return theta, theta_init, init_norms, stats
 
 
+def layerwise(theta, theta_init, *args):
+    """layerwise_reinit over a copy of theta_init in theta's dtype; returns the copy, now the result."""
+    fresh = ParamVector(theta_init.values.astype(theta.dtype), theta.network)
+    layerwise_reinit(theta, fresh, *args)
+    return fresh
+
+
 def test_layerwise_keeps_direction_restores_norm_resamples_suffix():
     theta, theta_init, init_norms, stats = layerwise_setup()
     for t in (1, 2, 3):
-        out = layerwise_reinit(theta, theta_init, t, 1, init_norms, stats)
+        out = layerwise(theta, theta_init, t, 1, init_norms, stats)
         fn = out.frozen_norm
         kept = math.ceil(t / 1)
         for b in range(1, kept + 1):
@@ -150,7 +157,7 @@ def test_layerwise_keeps_direction_restores_norm_resamples_suffix():
 
 def test_layerwise_full_mask_keeps_everything_rescaled():
     theta, theta_init, init_norms, stats = layerwise_setup()
-    out = layerwise_reinit(theta, theta_init, 3, 1, init_norms, stats)
+    out = layerwise(theta, theta_init, 3, 1, init_norms, stats)
     norms = block_norms(out)
     np.testing.assert_allclose(norms, init_norms, atol=1e-5)
     assert not np.array_equal(out.values, theta_init.values)
@@ -158,7 +165,7 @@ def test_layerwise_full_mask_keeps_everything_rescaled():
 
 def test_layerwise_frozen_layer_standardizes_stats_batch():
     theta, theta_init, init_norms, stats = layerwise_setup()
-    out = layerwise_reinit(theta, theta_init, 2, 1, init_norms, stats)
+    out = layerwise(theta, theta_init, 2, 1, init_norms, stats)
     fn = out.frozen_norm
     acts = forward(out, stats, stop_block=2)
     np.testing.assert_allclose(acts.mean(axis=0), 0.0, atol=1e-9)
@@ -171,7 +178,7 @@ def test_layerwise_repeats_keep_the_ceiling_of_t_over_repeats_blocks():
     theta, theta_init, init_norms, stats = layerwise_setup()
     # K=3, M=2: boundary t keeps ceil(t/2) blocks and resamples the rest
     for t, kept in ((1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3)):
-        out = layerwise_reinit(theta, theta_init, t, 2, init_norms, stats)
+        out = layerwise(theta, theta_init, t, 2, init_norms, stats)
         stop = THREE_BLOCK.block_slice(kept).stop
         assert out.frozen_norm.insert_after_block == kept
         assert np.array_equal(out.values[stop:], theta_init.values[stop:])
@@ -179,14 +186,20 @@ def test_layerwise_repeats_keep_the_ceiling_of_t_over_repeats_blocks():
 
 
 def test_layerwise_written_into_the_draw_equals_the_copying_call():
-    # apply_reinit hands the rule its own fresh draw as out, so no second vector is made
+    # apply_reinit hands the rule its own fresh draw, so no second vector is made
     theta, theta_init, init_norms, stats = layerwise_setup()
+    theta_before = theta.values.copy()
     for t in (1, 2, 3):
-        want = layerwise_reinit(theta, theta_init, t, 1, init_norms, stats)
-        draw = theta_init.values.copy()
-        got = layerwise_reinit(theta, theta_init, t, 1, init_norms, stats, draw)
-        assert got.values is draw
-        assert got.values.tobytes() == want.values.tobytes()
+        want = layerwise(theta, theta_init, t, 1, init_norms, stats)
+        draw = ParamVector(theta_init.values.copy(), THREE_BLOCK)
+        values = draw.values
+        assert layerwise_reinit(theta, draw, t, 1, init_norms, stats) is None
+        assert draw.values is values
+        assert draw.values.tobytes() == want.values.tobytes()
+        got_fn, want_fn = draw.frozen_norm, want.frozen_norm
+        assert got_fn.insert_after_block == want_fn.insert_after_block == t
+        assert got_fn.mean.tobytes() == want_fn.mean.tobytes() and got_fn.std.tobytes() == want_fn.std.tobytes()
+    assert np.array_equal(theta.values, theta_before)
 
 
 def test_layerwise_error_cases():
@@ -194,7 +207,7 @@ def test_layerwise_error_cases():
     zeroed = theta.values.copy()
     zeroed[THREE_BLOCK.block_slice(1)] = 0.0
     with pytest.raises(NumericalError):
-        layerwise_reinit(ParamVector(zeroed, THREE_BLOCK), theta_init, 1, 1, init_norms, stats)
+        layerwise(ParamVector(zeroed, THREE_BLOCK), theta_init, 1, 1, init_norms, stats)
 
 
 def layerwise_state():
@@ -205,8 +218,10 @@ def layerwise_state():
 
 def test_apply_reinit_none_keeps_params():
     theta = three_block_params(20)
+    before = theta.values.copy()
     out, fresh_norm = apply_reinit(ReinitSpec("none"), theta, 5, 1, *layerwise_state())
-    assert np.array_equal(out.values, theta.values)
+    # theta_end itself: the run copies it into its spare before a step writes anything
+    assert out is theta and np.array_equal(out.values, before)
     assert out.frozen_norm is None and fresh_norm is None
 
 
@@ -331,7 +346,7 @@ def test_layerwise_rescale_matches_index_oracle(dtype):
     theta, theta_init, init_norms, stats = layerwise_setup()
     theta = ParamVector(theta.values.astype(dtype), THREE_BLOCK)
     for t in range(1, 7):
-        out = layerwise_reinit(theta, theta_init, t, 2, init_norms, stats)
+        out = layerwise(theta, theta_init, t, 2, init_norms, stats)
         want = oracle_layerwise_values(theta, theta_init, t, 2, init_norms)
         assert out.values.dtype == want.dtype
         assert out.values.tobytes() == want.tobytes()
