@@ -3,8 +3,8 @@
 A run is fully described by a RunConfig. The same staged loop drives single
 runs, LR x WD grids, stage-count sweeps, label-noise studies, and the
 online/warm-start simulation; studies differ only in how they vary the
-config and slice the data. Every piece of randomness is owned by one of four
-named seeds, so any run can be replayed bit-for-bit.
+config. Every piece of randomness is owned by one of four named seeds, so
+any run can be replayed bit-for-bit from its config.
 """
 from __future__ import annotations
 
@@ -148,6 +148,7 @@ class RunConfig:
     epochs: int = rule(60, "be >= 1", lambda v: v >= 1)
     batch_size: int = rule(125, "be >= 1", lambda v: v >= 1)
     stages: int = rule(1, "be >= 1", lambda v: v >= 1)
+    online: bool = False
     reinit: ReinitSpec = ReinitSpec("none")
     distill: DistillConfig = DistillConfig()
     noise_q: float = rule(0.0, "lie in [0, 1]", lambda v: 0 <= v <= 1)
@@ -169,6 +170,8 @@ class RunConfig:
                 object.__setattr__(self, f.name, f.default)  # an int 0 as 0.0: one run, one id
         if self.stages > self.epochs:
             raise ConfigurationError(f"{self.stages} stages cannot fit in {self.epochs} epochs")
+        if self.online and self.stages < 2:
+            raise ConfigurationError(f"an online run needs at least 2 stages, got {self.stages}")
         if self.eta_min > self.lr:
             raise ConfigurationError(f"run config key eta_min must be <= lr, got eta_min={self.eta_min}, lr={self.lr}")
         k = self.network.num_blocks
@@ -272,6 +275,16 @@ def evaluate_accuracy(params: ParamVector, ds: Dataset, rows=None) -> float:
     return hits / n
 
 
+def _stage_rows(cfg: RunConfig, train: Dataset) -> list[np.ndarray | None]:
+    """Each stage's training rows, None standing for the whole split: stage t
+    of an online run trains on the first t of make_chunks' cfg.stages chunks."""
+    if not cfg.online:
+        return [None] * cfg.stages
+    chunks = make_chunks(train, cfg.stages, stage_seed(cfg.seeds.data, CHUNK_TAG))
+    arrived = np.concatenate(chunks)
+    return [arrived[:end] for end in np.cumsum([c.shape[0] for c in chunks])]
+
+
 @dataclass
 class BoundaryEvent:
     """Weight-norm bookkeeping at one re-initialization boundary."""
@@ -322,20 +335,14 @@ class RunResult:
         return 0.0 if self.best is None else self.best.test_acc
 
 
-def run_experiment(
-    cfg: RunConfig,
-    bundle: DataBundle | None = None,
-    out_dir=None,
-    initial_params: ParamVector | None = None,
-) -> RunResult:
+def run_experiment(cfg: RunConfig, bundle: DataBundle | None = None, out_dir=None) -> RunResult:
     """Algorithm: T stages of floor(N/T) epochs with re-init at boundaries.
 
     Distillation, when enabled with beta > 0, snapshots a teacher at each
     stage end and mixes beta * KL into the loss from stage 2 onward. A run
     with beta == 0 skips the teacher machinery entirely and is bit-identical
-    to one with distillation disabled. ``initial_params``, when given, must
-    be parameters of cfg.network; the run starts from a copy of them, frozen
-    norm included.
+    to one with distillation disabled. Stage t of an online run trains on
+    the first t of T chunks of the training split (_stage_rows).
     """
     if bundle is None:
         bundle = prepare_data(cfg)
@@ -351,21 +358,14 @@ def run_experiment(
         raise ConfigurationError(
             f"data labels span {classes} classes but the network has num_classes {cfg.network.num_classes}"
         )
-    if initial_params is not None and initial_params.network != cfg.network:
-        raise ShapeError("initial_params belong to another network than the run config's")
+    stage_rows = _stage_rows(cfg, bundle.train)
     epochs_per_stage = make_stage_plan(cfg.epochs, cfg.stages)
     run_id = cfg.run_id
 
-    params = initial_params.copy() if initial_params is not None else init_params(cfg.network, cfg.seeds.init)
+    params = init_params(cfg.network, cfg.seeds.init)
     # what the layer-wise rule reads at every boundary
     init_norms = tuple(block_norms(params))
     stats_batch = bundle.train.rows(slice(0, 256)) if cfg.reinit.kind == "layer_wise" else None
-
-    n_train = bundle.train.n
-    steps_per_epoch = math.ceil(n_train / cfg.batch_size)
-    steps_per_stage = epochs_per_stage * steps_per_epoch
-    # without cosine, eta_min == eta_max holds the rate constant
-    schedule = LrSchedule(cfg.lr, cfg.eta_min if cfg.cosine_enabled else cfg.lr, steps_per_stage)
     distill_on = cfg.distill.enabled and cfg.distill.beta > 0
 
     shuffle_rng = np.random.Generator(np.random.PCG64(cfg.seeds.shuffle))
@@ -390,7 +390,7 @@ def run_experiment(
         write_json(cfg.to_dict(), run_dir / "config.json")
 
     try:
-        for stage in range(1, cfg.stages + 1):
+        for stage, seen in enumerate(stage_rows, start=1):
             if stage > 1:
                 norm_before = weight_norm(params.values)
                 del spare, opt  # freed before the fresh draw, rebuilt after it
@@ -401,9 +401,16 @@ def run_experiment(
                     boundary_events.append(BoundaryEvent(stage, norm_before, weight_norm(params.values), fresh_norm))
                 spare = params.copy()
                 opt = OptimState.fresh(params, cfg.momentum, cfg.weight_decay)
+            n_train = bundle.train.n if seen is None else seen.shape[0]
+            steps_per_epoch = math.ceil(n_train / cfg.batch_size)
+            # without cosine, eta_min == eta_max holds the rate constant
+            eta_min = cfg.eta_min if cfg.cosine_enabled else cfg.lr
+            schedule = LrSchedule(cfg.lr, eta_min, epochs_per_stage * steps_per_epoch)
             for epoch_in_stage in range(epochs_per_stage):
                 t0 = time.monotonic()
                 perm = shuffle_rng.permutation(n_train)
+                if seen is not None:
+                    perm = seen[perm]
                 epoch_loss = 0.0
                 epoch_hits = 0
                 lr_first = None
@@ -639,59 +646,41 @@ ONLINE_METHODS = {"scratch": "full", "warm_start": "none", "shrink_perturb": "sh
 def online_sim(base_cfg: RunConfig, num_chunks: int, methods=tuple(ONLINE_METHODS), out_dir=None) -> dict:
     """Data arrives in equal chunks; each method trains on all data so far.
 
-    Every method gets epochs // num_chunks epochs per chunk. Before chunk k
-    > 1, apply_reinit at boundary k maps the previous chunk's final
-    parameters to the next start by _rule(base_cfg, ONLINE_METHODS[method]).
-    Chunk 1 is identical for all methods by construction. With out_dir, each
-    chunk's run gets the directory <run_id>-<method>-chunk<k>. Every chunk is
-    one stage without distillation, so the base config must be one too.
+    Each method is one online run of num_chunks stages, epochs // num_chunks
+    epochs each: stage k trains on the first k chunks, and the boundary
+    before it maps stage k-1's final parameters to its start by
+    _rule(base_cfg, ONLINE_METHODS[method]). Chunk 1 is identical for all
+    methods by construction. Each chunk's row reads that stage's records.
+    The base config must be one stage without distillation.
     """
     if base_cfg.stages != 1:
         raise ConfigurationError(f"online chunks train 1 stage each, but the base config has {base_cfg.stages}")
     if base_cfg.distill.enabled:
         raise ConfigurationError("online chunks train without distillation, but the base config enables it")
-    if num_chunks < 2:
-        raise ConfigurationError(f"need at least 2 chunks, got {num_chunks}")
+    cells = []
     for m in methods:
         if m not in ONLINE_METHODS:
             raise ConfigurationError(f"unknown online method {m!r}; expected one of {tuple(ONLINE_METHODS)}")
-    epochs_per_chunk = base_cfg.epochs // num_chunks
-    if epochs_per_chunk < 1:
-        raise ConfigurationError(f"{base_cfg.epochs} epochs cannot cover {num_chunks} chunks")
-    chunk_cfgs = [
-        [
-            replace(
-                base_cfg,
-                epochs=epochs_per_chunk,
-                reinit=ReinitSpec("none"),
-                distill=DistillConfig(enabled=False),
-                run_name=f"{base_cfg.run_id}-{method}-chunk{k}",
-                seeds=replace(base_cfg.seeds, shuffle=stage_seed(base_cfg.seeds.shuffle, k)),
-            )
-            for k in range(1, num_chunks + 1)
-        ]
-        for method in methods
-    ]
-    _check_run_dirs([cfg for cfgs in chunk_cfgs for cfg in cfgs])
-    bundle = prepare_data(base_cfg)
-    chunks = make_chunks(bundle.train, num_chunks, stage_seed(base_cfg.seeds.data, CHUNK_TAG))
-    seed = base_cfg.seeds.init
+        cfg = _cell_config(base_cfg, m, online=True, stages=num_chunks, reinit=_rule(base_cfg, ONLINE_METHODS[m]))
+        cells.append(({"method": m}, cfg))
+    rows = _run_cells([(base_cfg, cells)], out_dir, _chunk_rows)
+    return _study_file({row["method"]: row["chunks"] for row in rows}, out_dir, "online_sim.json")
 
-    curves = {}
-    for method, cfgs in zip(methods, chunk_cfgs):
-        transition = _rule(base_cfg, ONLINE_METHODS[method])
-        params = init_params(base_cfg.network, seed)
-        curve = []
-        for k, cfg in enumerate(cfgs, start=1):
-            if k > 1:
-                params, _ = apply_reinit(transition, params, seed, k)
-            seen = np.concatenate(chunks[:k])
-            chunk_bundle = replace(bundle, train=subset(bundle.train, seen), noise_mask=bundle.noise_mask[seen])
-            res = run_experiment(cfg, chunk_bundle, out_dir, initial_params=params)
-            if res.failed:
-                raise HarnessError(f"online chunk {k} diverged for method {method}: {res.failure}")
-            params = res.final_params
-            chunk_fields = {"chunk": k, "train_size": len(seen), "final_test_acc": res.records[-1].test_acc}
-            curve.append(_row(chunk_fields, res))
-        curves[method] = curve
-    return _study_file(curves, out_dir, "online_sim.json")
+
+def _chunk_rows(res: RunResult, bundle: DataBundle) -> dict:
+    """An online run's row per chunk: _row of the run cut to that stage's
+    records, steps and failure, with the stage's training size and last
+    test accuracy."""
+    cfg = res.config
+    per_stage = make_stage_plan(cfg.epochs, cfg.stages)
+    rows, start = [], 0
+    for k, seen in enumerate(_stage_rows(cfg, bundle.train), start=1):
+        records = res.records[(k - 1) * per_stage : k * per_stage]
+        done = len(records) == per_stage
+        end = records[-1].step if done else res.total_steps
+        failure = None if done else res.failure
+        stage = replace(res, records=records, counters={"optimizer_steps": end - start}, failure=failure)
+        final = records[-1].test_acc if records else None
+        rows.append(_row({"chunk": k, "train_size": seen.shape[0], "final_test_acc": final}, stage))
+        start = end
+    return {"chunks": rows}

@@ -89,3 +89,11 @@ def test_step_functions_write_into_the_buffers_they_are_given():
         assert optional == (["teacher", "beta_distill"] if name == "loss_grad_logits" else []), name
     assert signatures["loss_grad_logits"].return_annotation == "tuple[float, np.ndarray]"
     assert signatures["sgd_step"].return_annotation == signatures["layerwise_reinit"].return_annotation == "None"
+
+
+def test_a_run_takes_no_input_beside_its_config():
+    """run_experiment reads everything about a run from its config: the data
+    bundle is prepare_data(cfg) passed in, and out_dir only says where."""
+    from reinit_lab import run_experiment
+
+    assert list(inspect.signature(run_experiment).parameters) == ["cfg", "bundle", "out_dir"]

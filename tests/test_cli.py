@@ -611,13 +611,15 @@ class TestMain:
         code, payload = run_main(argv, capsys)
         assert code == 0
         cfg = replace(RunConfig.from_dict(json.loads(Path(tiny_config_file).read_text())), epochs=4)
-        for method, curve in payload.items():
-            for row in curve:
-                run_id = f"{cfg.run_id}-{method}-chunk{row['chunk']}"
-                code, info = run_main(["inspect", run_id, "--out", str(out)], capsys)
-                assert code == 0
-                assert info["epochs_logged"] == 2
-                assert info["best"]["test_acc"] == row["test_acc"]
+        for curve in payload.values():
+            # one online run per method, whose stage k is chunk k
+            [run_id] = {row["run_id"] for row in curve}
+            code, info = run_main(["inspect", run_id, "--out", str(out)], capsys)
+            assert code == 0
+            assert info["config"]["online"] is True and info["config"]["stages"] == 2
+            assert info["epochs_logged"] == 4
+            assert info["last"]["test_acc"] == curve[-1]["final_test_acc"]
+            assert info["best"]["val_acc"] == max(row["val_acc"] for row in curve)
         # the study file is the one a simulation without run directories writes
         write_json(online_sim(cfg, 2), tmp_path / "no_dirs.json")
         assert (out / "online_sim.json").read_bytes() == (tmp_path / "no_dirs.json").read_bytes()
@@ -651,9 +653,9 @@ def stub_runs(monkeypatch):
     """run_experiment replaced by a stub that trains nothing; returns the list of configs it is called with."""
     configs = []
 
-    def stub(cfg, bundle=None, out_dir=None, initial_params=None):
+    def stub(cfg, bundle=None, out_dir=None):
         configs.append(cfg)
-        params = initial_params if initial_params is not None else init_params(cfg.network, cfg.seeds.init)
+        params = init_params(cfg.network, cfg.seeds.init)
         record = MetricsRecord(cfg.run_id, 1, 1, 1, cfg.lr, 1.0, 0.5, 0.5, 0.5, 1.0)
         return RunResult(cfg, [record], params, None, [], {"optimizer_steps": 1})
 

@@ -40,7 +40,7 @@ from reinit_lab.harness import (
 )
 from reinit_lab.nn import NO_GRAD_ROWS, NetworkSpec, init_params, weight_norm
 from reinit_lab.reinit import ReinitSpec, stage_seed
-from reinit_lab.runio import MetricsRecord, load_checkpoint
+from reinit_lab.runio import MetricsRecord, load_checkpoint, read_json
 from helpers import run_fresh_process, spy, traced_peak, write_idx
 
 
@@ -687,7 +687,7 @@ def stub_result(cfg, val, failed=False):
 
 class TestGridSearch:
     def patch_runs(self, monkeypatch, table):
-        def fake(cfg, bundle=None, out_dir=None, initial_params=None):
+        def fake(cfg, bundle=None, out_dir=None):
             val, failed = table[(cfg.lr, cfg.weight_decay)]
             return stub_result(cfg, val, failed)
 
@@ -1158,30 +1158,69 @@ class TestOnlineSim:
         assert (tmp_path / "online_sim.json").exists()
 
     def test_chunk_starts_follow_the_transition_rules(self, monkeypatch):
-        calls = []
+        boundaries = []
 
-        def recording(cfg, bundle, out_dir=None, initial_params=None):
-            res = run_experiment(cfg, bundle, out_dir, initial_params=initial_params)
-            calls.append((initial_params.values.copy(), res.final_params.values.copy()))
-            return res
+        def recording(rspec, theta_end, seed, t, *rest):
+            start, fresh_norm = reinit.apply_reinit(rspec, theta_end, seed, t, *rest)
+            boundaries.append((rspec.kind, t, theta_end.values.copy(), start.values.copy()))
+            return start, fresh_norm
 
-        monkeypatch.setattr(harness, "run_experiment", recording)
-        sp = ReinitSpec("shrink_perturb", lam=0.3, gamma=0.2)
-        cfg = tiny_cfg(epochs=6, reinit=sp)
+        monkeypatch.setattr(harness, "apply_reinit", recording)
+        cfg = tiny_cfg(epochs=6, reinit=ReinitSpec("shrink_perturb", lam=0.3, gamma=0.2))
         online_sim(cfg, num_chunks=3)
-        starts = dict(zip(harness.ONLINE_METHODS, [calls[i : i + 3] for i in (0, 3, 6)]))
-        for k in (2, 3):
-            fresh = init_params(cfg.network, stage_seed(cfg.seeds.init, k)).values
-            assert np.array_equal(starts["scratch"][k - 1][0], fresh)
-            assert np.array_equal(starts["warm_start"][k - 1][0], starts["warm_start"][k - 2][1])
-            previous = starts["shrink_perturb"][k - 2][1]
-            assert np.array_equal(starts["shrink_perturb"][k - 1][0], (0.3 * previous + 0.2 * fresh).astype(np.float32))
+        # one run per method, in order; boundary t starts chunk t + 1
+        kinds = ["full", "none", "shrink_perturb"]  # scratch, warm_start, shrink_perturb
+        assert [(kind, t) for kind, t, _, _ in boundaries] == [(kind, t) for kind in kinds for t in (1, 2)]
+        for kind, t, end, start in boundaries:
+            fresh = init_params(cfg.network, stage_seed(cfg.seeds.init, t)).values
+            expected = {"full": fresh, "none": end, "shrink_perturb": (0.3 * end + 0.2 * fresh).astype(np.float32)}
+            assert np.array_equal(start, expected[kind])
 
     def test_repeated_method_is_rejected_before_data_is_prepared(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "prepare_data", None)  # a study that got this far would fail on this
-        with pytest.raises(ConfigurationError, match="repeated cells: run ids .*-scratch-chunk1"):
+        with pytest.raises(ConfigurationError, match="repeated cells: run ids"):
             online_sim(tiny_cfg(epochs=4), num_chunks=2, methods=("scratch", "warm_start", "scratch"), out_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_method_replays_from_its_config_json_alone(self, tmp_path):
+        [row, _] = online_sim(tiny_cfg(epochs=4), 2, ("shrink_perturb",), out_dir=tmp_path / "study")["shrink_perturb"]
+        written = tmp_path / "study" / row["run_id"]
+        run_experiment(RunConfig.from_dict(read_json(written / "config.json")), out_dir=tmp_path / "replay")
+        for name in ("metrics.jsonl", "best.ckpt", "config.json"):
+            assert (tmp_path / "replay" / row["run_id"] / name).read_bytes() == (written / name).read_bytes(), name
+
+    def test_the_base_rule_of_the_method_kind_is_in_the_config(self, tmp_path):
+        """A tuned shrink-perturb base and a default base run the method with
+        different factors, so their configs differ beyond run_name."""
+        configs = []
+        for name, rule in (("tuned", ReinitSpec("shrink_perturb", 0.6, 0.2)), ("default", ReinitSpec("none"))):
+            curves = online_sim(tiny_cfg(epochs=4, reinit=rule), 2, ("shrink_perturb",), out_dir=tmp_path / name)
+            config = read_json(tmp_path / name / curves["shrink_perturb"][0]["run_id"] / "config.json")
+            configs.append({key: value for key, value in config.items() if key != "run_name"})
+        assert configs[0]["reinit"] == {"kind": "shrink_perturb", "lam": 0.6, "gamma": 0.2}
+        assert configs[0] != configs[1]
+
+    def test_an_online_run_needs_two_stages(self):
+        with pytest.raises(ConfigurationError, match="an online run needs at least 2 stages, got 1"):
+            tiny_cfg(online=True, stages=1)
+
+    def test_a_diverged_method_is_a_failed_row(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            [first, second] = online_sim(tiny_cfg(lr=1e18, epochs=4), 2, ("warm_start",))["warm_start"]
+        assert first["failed"] and first["final_test_acc"] is None and first["total_steps"] == 1
+        assert second["failed"] and second["total_steps"] == 0
+
+    def test_a_chunk_row_reads_its_own_stage(self):
+        cfg = tiny_cfg(epochs=4, stages=2, online=True)
+        bundle = prepare_data(cfg)
+        res = run_experiment(cfg, bundle)
+        # the run as a divergence one step into the second stage's second epoch would leave it
+        cut = replace(res, records=res.records[:3], counters={"optimizer_steps": res.records[2].step + 1}, failure="x")
+        first, second = harness._chunk_rows(cut, bundle)["chunks"]
+        assert (first["failed"], first["total_steps"], first["train_size"]) == (False, res.records[1].step, TRAIN_N // 2)
+        assert first["final_test_acc"] == res.records[1].test_acc
+        assert (second["failed"], second["total_steps"], second["train_size"]) == (True, STEPS_PER_EPOCH + 1, TRAIN_N)
+        assert second["test_acc"] == second["final_test_acc"] == res.records[2].test_acc
 
     @pytest.mark.parametrize(
         "change, phrase",

@@ -22,9 +22,11 @@ CFG = RunConfig(
 )
 
 
-def old_tree(new: Path, old: Path) -> None:
-    """new as a writer that also stored network.activation would have left it."""
+def old_tree(new: Path, old: Path) -> dict:
+    """new as a writer that also stored network.activation would have left
+    it; returns each new run id's old id."""
     shutil.copytree(new, old)
+    old_ids = {}
     for config_path in sorted(old.rglob("config.json")):
         config = json.loads(config_path.read_text())
         config["network"]["activation"] = "relu"
@@ -34,45 +36,52 @@ def old_tree(new: Path, old: Path) -> None:
         header = json.loads(head)
         header["network"]["activation"] = "relu"
         ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
-    run_dir = old / CFG.run_id
-    old_id = hashlib.sha256(json.dumps(json.loads((run_dir / "config.json").read_text()), sort_keys=True).encode())
-    old_id = old_id.hexdigest()[:12]
+        blob = json.dumps(config, sort_keys=True).encode()
+        old_ids[config_path.parent.name] = hashlib.sha256(blob).hexdigest()[:12]
     for path in sorted(old.rglob("*"), reverse=True):  # deepest first, so renames keep parents valid
-        if CFG.run_id in path.name:
-            path.rename(path.with_name(path.name.replace(CFG.run_id, old_id)))
+        if path.name in old_ids:
+            path.rename(path.with_name(old_ids[path.name]))
     for path in (p for p in old.rglob("*") if p.is_file() and p.suffix in (".json", ".jsonl", ".csv")):
-        path.write_text(path.read_text().replace(CFG.run_id, old_id))
+        text = path.read_text()
+        for new_id, old_id in old_ids.items():
+            text = text.replace(new_id, old_id)
+        path.write_text(text)
+    return old_ids
 
 
 @pytest.fixture
 def trees(tmp_path):
+    """The tree of a run and a one-method online simulation, as the new and
+    the old writer left it, and the id of the online run."""
     new, old = tmp_path / "new", tmp_path / "old"
     run_experiment(CFG, out_dir=new)
-    online_sim(CFG, 2, ("warm_start",), out_dir=new / "online")
-    old_tree(new, old)
-    assert not (old / CFG.run_id).exists()
-    return old, new
+    [row, _] = online_sim(CFG, 2, ("warm_start",), out_dir=new / "online")["warm_start"]
+    old_ids = old_tree(new, old)
+    assert sorted(old_ids) == sorted([CFG.run_id, row["run_id"]])
+    assert not (old / CFG.run_id).exists() and not (old / "online" / row["run_id"]).exists()
+    return old, new, row["run_id"]
 
 
 def test_the_dropped_key_and_the_id_map_account_for_every_difference(trees, capsys):
-    old, new = trees
+    old, new, _ = trees
     assert migrate_ids.main([str(old), str(new), "--drop", "network.activation"]) == 0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "through 1 id mappings; 0 differences" in captured.err
+    assert "through 2 id mappings; 0 differences" in captured.err
 
 
 def test_without_the_drop_every_old_id_and_key_is_a_difference(trees, capsys):
-    old, new = trees
+    old, new, online_id = trees
     assert migrate_ids.main([str(old), str(new)]) == 1
     out = capsys.readouterr().out
-    # no id maps, so the run and the online chunks are each only in one tree
+    # no id maps, so the run and the online run are each only in one tree
     assert f"{CFG.run_id}/config.json: only in new" in out
-    assert "online/online_sim.json: " in out
+    assert f"online/{online_id}/config.json: only in new" in out
+    assert "online/online_sim.json: warm_start[0].run_id: " in out
 
 
 def test_a_changed_value_is_printed_with_its_key(trees, capsys):
-    old, new = trees
+    old, new, _ = trees
     metrics = next(old.glob("*/metrics.jsonl"))
     lines = metrics.read_text().splitlines()
     record = json.loads(lines[1])

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from reinit_lab.data import Dataset
 from reinit_lab.distill import snapshot_teacher
-from reinit_lab.errors import ConfigurationError, NumericalError, ReinitLabError, ShapeError, from_json
-from reinit_lab.harness import DataConfig, RunConfig, run_experiment
+from reinit_lab.errors import ConfigurationError, NumericalError, ShapeError, from_json
 from reinit_lab.nn import (
     FrozenNormLayer,
     NetworkSpec,
@@ -186,19 +185,6 @@ def test_forward_shape_errors():
         forward(params, np.zeros((2, 5)))
     with pytest.raises(ShapeError):
         forward(params, np.zeros(4))
-
-
-def test_parameters_of_another_network_of_the_same_size_are_rejected(tmp_path):
-    spec, other = NetworkSpec(2, (4, 3), 2), NetworkSpec(2, (3, 4), 2)
-    assert spec.param_count == other.param_count == 35
-    cfg = RunConfig(spec, DataConfig(num_classes=2, dim=2, per_class=20), epochs=1, run_name="other")
-    # run_experiment is the one entry that takes parameters beside a config
-    with pytest.raises(ReinitLabError, match="another network"):
-        run_experiment(cfg, out_dir=tmp_path, initial_params=init_params(other, 0))
-    assert list(tmp_path.iterdir()) == []
-    # an equal spec that is another object is the same network
-    res = run_experiment(cfg, out_dir=tmp_path, initial_params=init_params(NetworkSpec(2, (4, 3), 2), 0))
-    assert not res.failed and res.final_params.network == spec
 
 
 def test_softmax_rows_sum_to_one_and_survive_extremes():

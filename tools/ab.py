@@ -1,6 +1,6 @@
 """Benchmark a base commit against the working tree in alternating pairs.
 
-    python tools/ab.py BASE --out BENCH_27.json [--pairs 10] [--seconds 45] [--seed 13]
+    python tools/ab.py BASE --out BENCH_27.json [--pairs 10 (at least 6)] [--seconds 45] [--seed 13]
                        [--workload desk_sp --workload img_aug_distill]
 
 Checks BASE out in a detached ``git worktree`` under ``.perfbench/work/`` and
@@ -85,8 +85,12 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=13)
     p.add_argument("--workload", action="append", choices=names, help="repeatable; all workloads when absent")
     args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error("--pairs must be >= 1")
+    if args.pairs < 6:
+        # 6 pairs all one way give p_sign = 2/64 = 0.03125; fewer can never show a change
+        p.error(
+            f"--pairs must be >= 6: the smallest two-sided p_sign of {args.pairs} pairs is "
+            f"{sign_p(max(args.pairs, 0), 0):g}, not below 0.05"
+        )
 
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     worktree = ROOT / ".perfbench" / "work" / f"ab-{base_commit[:12]}"

@@ -7,14 +7,10 @@ runs, for instance ``tools/run_digests.py`` in a checkout of each commit.
 Write both under one OUT path and move each tree aside afterwards: IDX run
 ids and ``config.json`` hold the data paths. The tool
 
-1. maps each old run id to the id the new code gives the same run. An
-   unnamed run's id is the first 12 hex digits of the sha256 of its
-   ``config.json`` with the dropped keys removed, as ``RunConfig.run_id``
-   hashes it. A named run keeps its name, unless the name starts with a
-   12-hex base id that no ``config.json`` holds (the online simulation's
-   ``<base id>-<method>-chunk<k>``): that base id maps to the one of the new
-   run in the same parent directory whose config equals the old one apart
-   from it;
+1. maps each old run id to the id the new code gives the same run: the
+   first 12 hex digits of the sha256 of its ``config.json`` with the dropped
+   keys removed, as ``RunConfig.run_id`` hashes it. A named run keeps its
+   name;
 2. rewrites the old tree's paths and texts through that map, and removes
    each dropped key, a dotted path such as ``network.activation``, from the
    old tree's JSON files, JSONL lines and framed-file headers
@@ -40,7 +36,6 @@ import sys
 from pathlib import Path
 
 HEX_ID = re.compile(r"(?<![0-9a-f])[0-9a-f]{12}(?![0-9a-f])")
-DERIVED_NAME = re.compile(r"([0-9a-f]{12})-(.+)")  # <base id>-<rest>
 FRAMED = (".ckpt", ".bin")  # one JSON header line, then a binary payload
 
 
@@ -60,38 +55,15 @@ def config_id(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:12]
 
 
-def runs(root: Path):
-    """(parent directory, directory name, config) for each config.json under root."""
-    configs = sorted(root.rglob("config.json"))
-    return [(str(p.parent.parent.relative_to(root)), p.parent.name, json.loads(p.read_text())) for p in configs]
-
-
-def derived_key(parent: str, config: dict, rest: str) -> str:
-    """A derived-name run's place and config, with the base id cut from its run_name."""
-    return json.dumps([parent, {**config, "run_name": rest}], sort_keys=True)
-
-
-def id_map(old_root: Path, new_root: Path, drops) -> tuple[dict, list[str]]:
-    """The old-id -> new-id map, and the problems met while building it."""
-    new_bases = {}
-    for parent, name, config in runs(new_root):
-        if name == config.get("run_name") and (m := DERIVED_NAME.fullmatch(name)):
-            new_bases[derived_key(parent, config, m[2])] = m[1]
-    mapping, problems = {}, []
-    for parent, name, config in runs(old_root):
-        run_name = config.get("run_name")
-        if run_name is None and name == config_id(config):
-            old, new = name, config_id(drop_keys(config, drops))
-        elif run_name == name and (m := DERIVED_NAME.fullmatch(name)):
-            old, new = m[1], new_bases.get(derived_key(parent, drop_keys(config, drops), m[2]))
-            if new is None:
-                problems.append(f"{name}: no new run has this run's config")
-                continue
-        else:
-            continue  # a named run keeps its id; any other config.json is no run's
-        if mapping.setdefault(old, new) != new:
-            problems.append(f"{old}: maps to both {mapping[old]} and {new}")
-    return mapping, problems
+def id_map(old_root: Path, drops) -> dict:
+    """The old-id -> new-id map of the unnamed runs under old_root. A named
+    run keeps its id, and a config.json under another name is no run's."""
+    mapping = {}
+    for path in sorted(old_root.rglob("config.json")):
+        config = json.loads(path.read_text())
+        if config.get("run_name") is None and path.parent.name == config_id(config):
+            mapping[path.parent.name] = config_id(drop_keys(config, drops))
+    return mapping
 
 
 def json_diff(old, new, where: str):
@@ -172,7 +144,7 @@ def main(argv=None) -> int:
     for root in (args.old_out, args.new_out):
         if not root.is_dir():
             parser.error(f"{root} is not a directory")
-    mapping, lines = id_map(args.old_out, args.new_out, args.drop)
+    mapping, lines = id_map(args.old_out, args.drop), []
 
     def rename(text: str) -> str:
         return HEX_ID.sub(lambda m: mapping.get(m[0], m[0]), text)
