@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -148,8 +148,8 @@ def cmd_inspect(args) -> dict:
         "run_id": args.run_id,
         "config": read_json(run_dir / "config.json"),
         "epochs_logged": len(records),
-        "last": records[-1].to_json() if records else None,
-        "best": best.to_json() if best else None,
+        "last": asdict(records[-1]) if records else None,
+        "best": asdict(best) if best else None,
     }
 
 

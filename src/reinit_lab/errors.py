@@ -103,10 +103,12 @@ def integer(value, what: str) -> int:
     return fitted
 
 
-def checked_keys(cls, d, what: str) -> dict:
-    """A copy of the JSON object d, after checking that every key names a
-    field of the dataclass cls and that every field without a default is
-    given; cls checks the values itself."""
+def from_json(cls, d, what: str):
+    """The dataclass cls built from its JSON object d, the form
+    dataclasses.asdict gives, after checking that every key names a field of
+    cls and that every field without a default is given; each field whose
+    annotation is a dataclass is built from its own object under its key's
+    name, and cls checks the values itself."""
     if not isinstance(d, Mapping):
         raise ConfigurationError(f"{what} must be a JSON object, got {type(d).__name__}")
     known = fields(cls)
@@ -120,15 +122,7 @@ def checked_keys(cls, d, what: str) -> dict:
         problems.append(f"missing {what} keys: {', '.join(missing)}")
     if problems:
         raise ConfigurationError("; ".join(problems))
-    return dict(d)
-
-
-def from_json(cls, d, what: str):
-    """The dataclass cls built from its JSON object d, the form
-    dataclasses.asdict gives: checked_keys' key rules, then each field whose
-    annotation is a dataclass built from its own object under its key's
-    name; cls checks the values itself."""
-    d = checked_keys(cls, d, what)
+    d = dict(d)
     for name, kind in get_type_hints(cls).items():
         if is_dataclass(kind) and name in d:
             d[name] = from_json(kind, d[name], name)

@@ -365,7 +365,9 @@ def run_experiment(cfg: RunConfig, bundle: DataBundle | None = None, out_dir=Non
     params = init_params(cfg.network, cfg.seeds.init)
     # what the layer-wise rule reads at every boundary
     init_norms = tuple(block_norms(params))
-    stats_batch = bundle.train.rows(slice(0, 256)) if cfg.reinit.kind == "layer_wise" else None
+    # the first rows stage 1 trains on: a view of the split unless the run is online
+    stats_rows = slice(0, 256) if stage_rows[0] is None else stage_rows[0][:256]
+    stats_batch = bundle.train.rows(stats_rows) if cfg.reinit.kind == "layer_wise" else None
     distill_on = cfg.distill.enabled and cfg.distill.beta > 0
 
     shuffle_rng = np.random.Generator(np.random.PCG64(cfg.seeds.shuffle))
@@ -379,6 +381,7 @@ def run_experiment(cfg: RunConfig, bundle: DataBundle | None = None, out_dir=Non
     spare = params.copy()
     teacher: TeacherCache | None = None
     records: list[MetricsRecord] = []
+    epoch_ms: list[float] = []  # each record's wall time, for summary.csv only
     boundary_events: list[BoundaryEvent] = []
     counters = {"teacher_reads": 0, "optimizer_steps": 0}
     best_params = None
@@ -413,7 +416,6 @@ def run_experiment(cfg: RunConfig, bundle: DataBundle | None = None, out_dir=Non
                     perm = seen[perm]
                 epoch_loss = 0.0
                 epoch_hits = 0
-                lr_first = None
                 for start in range(0, n_train, cfg.batch_size):
                     idx = perm[start : start + cfg.batch_size]
                     if cfg.augment_enabled:
@@ -427,8 +429,6 @@ def run_experiment(cfg: RunConfig, bundle: DataBundle | None = None, out_dir=Non
                         counters["teacher_reads"] += 1
                     step_in_stage = epoch_in_stage * steps_per_epoch + (start // cfg.batch_size)
                     lr = lr_at(schedule, step_in_stage)
-                    if lr_first is None:
-                        lr_first = lr
                     loss, logits = loss_grad_logits(params, x, y, spare.values, rows, cfg.distill.beta)
                     del x  # not held into the next batch's augmentation
                     if not np.isfinite(loss):
@@ -438,28 +438,26 @@ def run_experiment(cfg: RunConfig, bundle: DataBundle | None = None, out_dir=Non
                     counters["optimizer_steps"] += 1
                     epoch_loss += loss * len(idx)
                     epoch_hits += int((logits.argmax(axis=1) == y).sum())
-                val_acc = evaluate_accuracy(params, bundle.val)
-                test_acc = evaluate_accuracy(params, bundle.test)
-                if val_acc > max((r.val_acc for r in records), default=-1.0):
-                    # one best buffer per run, overwritten by each new best, so two are never alive
-                    values = np.empty_like(params.values) if best_params is None else best_params.values
-                    np.copyto(values, params.values)
-                    best_params = ParamVector(values, params.network, params.frozen_norm)
                 records.append(
                     MetricsRecord(
                         run_id=run_id,
                         stage=stage,
                         epoch=len(records) + 1,
                         step=counters["optimizer_steps"],
-                        lr=lr_first,
+                        lr=lr_at(schedule, epoch_in_stage * steps_per_epoch),
                         train_loss=epoch_loss / n_train,
                         train_acc=epoch_hits / n_train,
-                        val_acc=val_acc,
-                        test_acc=test_acc,
+                        val_acc=evaluate_accuracy(params, bundle.val),
+                        test_acc=evaluate_accuracy(params, bundle.test),
                         weight_norm=weight_norm(params.values),
-                        wall_ms=(time.monotonic() - t0) * 1000.0,
                     )
                 )
+                epoch_ms.append((time.monotonic() - t0) * 1000.0)
+                if best_record(records) is records[-1]:
+                    # one best buffer per run, overwritten by each new best, so two are never alive
+                    values = np.empty_like(params.values) if best_params is None else best_params.values
+                    np.copyto(values, params.values)
+                    best_params = ParamVector(values, params.network, params.frozen_norm)
             if distill_on and stage < cfg.stages:
                 teacher = snapshot_teacher(params, bundle.train, source_stage=stage)
                 if run_dir is not None:
@@ -470,7 +468,7 @@ def run_experiment(cfg: RunConfig, bundle: DataBundle | None = None, out_dir=Non
     result = RunResult(cfg, records, params, best_params, boundary_events, counters, failure, run_dir)
     if run_dir is not None:
         emit_metrics(records, run_dir / "metrics.jsonl")
-        write_summary_csv(records, run_dir / "summary.csv")
+        write_summary_csv(records, epoch_ms, run_dir / "summary.csv")
         if best_params is not None:
             best = result.best
             save_checkpoint(run_dir / "best.ckpt", best_params, cfg.seeds.init, best.stage, best.epoch)

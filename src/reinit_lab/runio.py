@@ -1,10 +1,10 @@
 """Metrics logging, JSON files and checkpoint files for training runs.
 
-metrics.jsonl carries one record per epoch. Wall-clock time is kept on the
-in-memory records only and never serialized there, so identical runs produce
-byte-identical files; per-stage wall time goes to summary.csv instead, which
-makes no byte-level promises. Binary files (checkpoints, teacher caches) are
-one JSON header line followed by a little-endian float32 payload.
+metrics.jsonl carries one record per epoch, all of its fields and no
+wall-clock time, so identical runs produce byte-identical files; per-stage
+wall time goes to summary.csv instead, which makes no byte-level promises.
+Binary files (checkpoints, teacher caches) are one JSON header line followed
+by a little-endian float32 payload.
 """
 from __future__ import annotations
 
@@ -33,14 +33,9 @@ class MetricsRecord:
     val_acc: float
     test_acc: float
     weight_norm: float
-    wall_ms: float = 0.0
-
-    def to_json(self) -> dict:
-        """The metrics.jsonl form: every field but wall_ms."""
-        return {k: v for k, v in asdict(self).items() if k != "wall_ms"}
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def best_record(records: list[MetricsRecord]) -> MetricsRecord | None:
@@ -84,20 +79,21 @@ def read_json(path):
             raise FormatError(f"{path}: not a JSON file: {exc}") from exc
 
 
-def write_summary_csv(records: list[MetricsRecord], path) -> None:
+def write_summary_csv(records: list[MetricsRecord], epoch_ms: list[float], path) -> None:
     """One row per stage of a run's records, in stage order: its epochs and
     optimizer steps, its last epoch's accuracies and weight norm, its best
-    val_acc and its wall time."""
+    val_acc and its wall time, the sum of its epochs' epoch_ms (one per
+    record)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = "run_id stage epochs steps stage_val_acc stage_test_acc best_val_acc weight_norm wall_ms"
         writer.writerow(header.split())
         steps_before = 0
-        for stage, group in groupby(records, key=lambda r: r.stage):
-            recs = list(group)
+        for stage, group in groupby(zip(records, epoch_ms), key=lambda pair: pair[0].stage):
+            recs, times = zip(*group)
             last = recs[-1]
-            steps, best = last.step - steps_before, max(r.val_acc for r in recs)
-            wall_ms = round(sum(r.wall_ms for r in recs), 3)
+            steps, best = last.step - steps_before, best_record(recs).val_acc
+            wall_ms = round(sum(times), 3)
             writer.writerow(
                 [last.run_id, stage, len(recs), steps, last.val_acc, last.test_acc, best, last.weight_norm, wall_ms]
             )

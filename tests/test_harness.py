@@ -21,7 +21,7 @@ import reinit_lab.data as data_module
 import reinit_lab.distill as distill
 import reinit_lab.harness as harness
 import reinit_lab.reinit as reinit
-from reinit_lab.data import AugmentSpec, Dataset, subset
+from reinit_lab.data import AugmentSpec, Dataset, make_chunks, subset
 from reinit_lab.distill import load_teacher_cache
 from reinit_lab.errors import ConfigurationError, HarnessError, from_json
 from reinit_lab.harness import (
@@ -40,7 +40,7 @@ from reinit_lab.harness import (
 )
 from reinit_lab.nn import NO_GRAD_ROWS, NetworkSpec, init_params, weight_norm
 from reinit_lab.reinit import ReinitSpec, stage_seed
-from reinit_lab.runio import MetricsRecord, load_checkpoint, read_json
+from reinit_lab.runio import MetricsRecord, load_checkpoint, read_json, read_metrics
 from helpers import run_fresh_process, spy, traced_peak, write_idx
 
 
@@ -59,6 +59,19 @@ def tiny_cfg(**kw):
     )
     base.update(kw)
     return RunConfig(**base)
+
+
+def nan_loss_at(monkeypatch, step):
+    """Make the run's step-th loss_grad_logits call (counting from 1) report a
+    NaN loss; step None leaves every loss as it is."""
+    calls, loss_grad_logits = [], harness.loss_grad_logits
+
+    def diverging(*args, **kwargs):
+        loss, logits = loss_grad_logits(*args, **kwargs)
+        calls.append(None)
+        return (math.nan if len(calls) == step else loss), logits
+
+    monkeypatch.setattr(harness, "loss_grad_logits", diverging)
 
 
 # tiny_cfg's data tagged as 2x4 images, which augmentation needs
@@ -491,6 +504,16 @@ class TestRunExperiment:
         saved = RunConfig.from_dict(json.load(open(d / "config.json")))
         assert saved == cfg
 
+    @pytest.mark.parametrize("diverge_at", [None, 22], ids=["distilled-two-stage", "diverged-mid-stage"])
+    def test_records_read_back_are_the_records_the_run_kept(self, tmp_path, monkeypatch, diverge_at):
+        # a non-finite loss at step 22 ends the run in stage 2's second epoch
+        nan_loss_at(monkeypatch, diverge_at)
+        cfg = tiny_cfg(run_name="kept", stages=2, distill=DistillConfig(enabled=True, beta=0.5))
+        res = run_experiment(cfg, out_dir=tmp_path)
+        assert res.failed == (diverge_at is not None)
+        assert len(res.records) == (6 if diverge_at is None else 4)
+        assert read_metrics(res.run_dir / "metrics.jsonl") == res.records
+
     def test_summary_has_one_row_per_stage(self, tmp_path):
         cfg = tiny_cfg(run_name="sums", stages=3)
         run_experiment(cfg, out_dir=tmp_path)
@@ -502,24 +525,21 @@ class TestRunExperiment:
     def test_summary_rows_follow_the_per_epoch_step_count(self, tmp_path, monkeypatch, diverge_at):
         # 2 stages of 3 epochs, 5 steps each; a non-finite loss at step 22 ends the
         # run in stage 2's second epoch, leaving 3 + 1 finished epochs
-        calls, loss_grad_logits = [], harness.loss_grad_logits
-
-        def diverging(*args, **kwargs):
-            loss, logits = loss_grad_logits(*args, **kwargs)
-            calls.append(None)
-            return (math.nan if len(calls) == diverge_at else loss), logits
-
-        monkeypatch.setattr(harness, "loss_grad_logits", diverging)
+        nan_loss_at(monkeypatch, diverge_at)
+        epoch_ms = spy(monkeypatch, harness, "write_summary_csv", lambda records, epoch_ms, path: list(epoch_ms))
         res = run_experiment(tiny_cfg(run_name="sums", stages=2), out_dir=tmp_path)
         assert res.failed == (diverge_at is not None)
+        [times] = epoch_ms  # one wall time per finished epoch
+        assert len(times) == len(res.records)
         # the summary as each stage's epoch count times the steps of one epoch
         per_epoch = res.records[-1].step // res.records[-1].epoch
         rows = []
         for stage in sorted({r.stage for r in res.records}):
-            recs = [r for r in res.records if r.stage == stage]
+            picked = [i for i, r in enumerate(res.records) if r.stage == stage]
+            recs = [res.records[i] for i in picked]
             last = recs[-1]
             cells = [stage, len(recs), len(recs) * per_epoch, last.val_acc, last.test_acc]
-            cells += [max(r.val_acc for r in recs), last.weight_norm, round(sum(r.wall_ms for r in recs), 3)]
+            cells += [max(r.val_acc for r in recs), last.weight_norm, round(sum(times[i] for i in picked), 3)]
             rows.append(["sums", *map(str, cells)])
         with open(tmp_path / "sums" / "summary.csv", newline="") as fh:
             written = list(csv.reader(fh))
@@ -1203,6 +1223,26 @@ class TestOnlineSim:
     def test_an_online_run_needs_two_stages(self):
         with pytest.raises(ConfigurationError, match="an online run needs at least 2 stages, got 1"):
             tiny_cfg(online=True, stages=1)
+
+    def test_an_online_layer_wise_run_takes_its_stats_batch_from_chunk_one(self, monkeypatch):
+        cfg = RunConfig(
+            NetworkSpec(50, (32, 16), 10, block_boundaries=(1, 2)),
+            DataConfig(per_class=60),
+            epochs=3,
+            stages=3,
+            online=True,
+            reinit=ReinitSpec("layer_wise"),
+        )
+        bundle = prepare_data(cfg)
+        # apply_reinit(spec, params, seed, boundary, init_norms, stats_batch, stages)
+        batches = spy(monkeypatch, harness, "apply_reinit", lambda *args: args[5])
+        run_experiment(cfg, bundle)
+        chunk_one = make_chunks(bundle.train, 3, stage_seed(cfg.seeds.data, harness.CHUNK_TAG))[0]
+        arrived = {row.tobytes() for row in bundle.train.rows(chunk_one)}
+        assert len(batches) == 2
+        for batch in batches:
+            assert batch.shape[0] == min(256, chunk_one.shape[0])
+            assert all(row.tobytes() in arrived for row in batch)
 
     def test_a_diverged_method_is_a_failed_row(self):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,7 +1,7 @@
 """Tests for metrics/checkpoint serialization."""
 import json
 import re
-from dataclasses import fields, replace
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -36,7 +36,6 @@ def make_record(epoch=1, **extra):
         val_acc=0.4,
         test_acc=0.45,
         weight_norm=3.25,
-        wall_ms=123.4,
     )
     base.update(extra)
     return MetricsRecord(**base)
@@ -46,13 +45,7 @@ class TestMetricsRecord:
     def test_json_line_has_exactly_the_public_fields(self):
         line = make_record().to_json_line()
         d = json.loads(line)
-        assert set(d) == {f.name for f in fields(MetricsRecord)} - {"wall_ms"}
-
-    def test_wall_ms_never_serialized(self):
-        a = make_record(wall_ms=1.0).to_json_line()
-        b = make_record(wall_ms=99999.0).to_json_line()
-        assert a == b
-        assert "wall_ms" not in a
+        assert set(d) == {f.name for f in fields(MetricsRecord)}
 
     def test_keys_are_sorted(self):
         d = json.loads(make_record().to_json_line())
@@ -62,8 +55,7 @@ class TestMetricsRecord:
         recs = [make_record(epoch=e) for e in range(1, 6)]
         path = tmp_path / "metrics.jsonl"
         emit_metrics(recs, path)
-        # every field but the never-written wall_ms comes back
-        assert read_metrics(path) == [replace(rec, wall_ms=0.0) for rec in recs]
+        assert read_metrics(path) == recs
 
     def test_read_reports_bad_line_number(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
@@ -85,7 +77,7 @@ class TestMetricsRecord:
     )
     def test_read_names_the_file_and_line_of_a_line_that_is_not_a_record(self, tmp_path, edit, phrase):
         path = tmp_path / "metrics.jsonl"
-        path.write_text(make_record().to_json_line() + "\n" + json.dumps(edit(make_record().to_json())) + "\n")
+        path.write_text(make_record().to_json_line() + "\n" + json.dumps(edit(asdict(make_record()))) + "\n")
         with pytest.raises(FormatError, match=f"{re.escape(str(path))}: line 2: {phrase}"):
             read_metrics(path)
 
@@ -99,7 +91,7 @@ class TestSummaryCsv:
         # stage 1 ran epochs 1-2 (steps 10, 20), stage 2 epoch 3 (step 30)
         recs = [make_record(epoch=e, stage=1 if e <= 2 else 2, val_acc=0.1 * e) for e in (1, 2, 3)]
         path = tmp_path / "summary.csv"
-        write_summary_csv(recs, path)
+        write_summary_csv(recs, [123.4] * 3, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "run_id,stage,epochs,steps,stage_val_acc,stage_test_acc,best_val_acc,weight_norm,wall_ms"
         assert lines[1:] == [
@@ -109,7 +101,7 @@ class TestSummaryCsv:
 
     def test_no_records_is_the_header_alone(self, tmp_path):
         path = tmp_path / "summary.csv"
-        write_summary_csv([], path)
+        write_summary_csv([], [], path)
         assert path.read_text().splitlines() == [
             "run_id,stage,epochs,steps,stage_val_acc,stage_test_acc,best_val_acc,weight_norm,wall_ms"
         ]
