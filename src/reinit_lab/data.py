@@ -349,11 +349,6 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
-def split(ds: Dataset, val_fraction: float, seed: int, what: str = "val fraction") -> tuple[Dataset, Dataset]:
-    train_idx, val_idx = split_indices(ds.labels, val_fraction, seed, what)
-    return subset(ds, train_idx), subset(ds, val_idx)
-
-
 def make_chunks(ds: Dataset, num_chunks: int, seed: int) -> tuple[np.ndarray, ...]:
     """Seeded partition of the index set into arrival-ordered chunks whose
     sizes differ by at most 1."""

@@ -74,6 +74,22 @@ def check_fields(config, what: str) -> None:
         object.__setattr__(config, f.name, fitted)
 
 
+def check_gated(config, gate: str, readers: Mapping, what: str) -> None:
+    """Under a value of config's attribute gate that readers does not list for a
+    field, the field must hold its default ("<what> key <field> applies only to
+    ..."), and it is stored as the default: an int 0 as 0.0, one run, one id."""
+    value = getattr(config, gate)
+    for f in fields(config):
+        if f.name not in readers or value in readers[f.name]:
+            continue
+        if (given := getattr(config, f.name)) != f.default:
+            raise ConfigurationError(
+                f"{what} key {f.name} applies only to {gate} {' or '.join(map(str, readers[f.name]))}, "
+                f"not to {gate} {value!r}; leave it at {f.default!r}, got {given!r}"
+            )
+        object.__setattr__(config, f.name, f.default)
+
+
 def _fitted(value, kind: str):
     """value as a field of the WANTED kind stores it, or None when it does not fit."""
     if kind.startswith("tuple"):

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .data import (
     subset,
 )
 from .distill import TeacherCache, distill_rows, save_teacher_cache, snapshot_teacher
-from .errors import ConfigurationError, HarnessError, NumericalError, ShapeError, check_fields, from_json, rule
+from .errors import ConfigurationError, HarnessError, NumericalError, ShapeError, check_fields, check_gated, from_json, rule
 from .nn import (
     NO_GRAD_ROWS,
     NetworkSpec,
@@ -52,7 +52,12 @@ SETTINGS = ("none", "d", "dc", "dcw")
 # the D / C / W composition: each setting-gated RunConfig key -> the settings that read it
 SETTING_KEYS = {"augment": ("d", "dc", "dcw"), "eta_min": ("dc", "dcw"), "weight_decay": ("dcw",)}
 SOURCES = ("synthetic", "idx", "csv")
-SYNTHETIC_ONLY = ("num_classes", "dim", "per_class", "class_separation", "image_hw")  # DataConfig keys
+# each source-gated DataConfig key -> the sources that read it
+SOURCE_KEYS = {
+    **dict.fromkeys(("num_classes", "dim", "per_class", "class_separation", "image_hw"), ("synthetic",)),
+    **dict.fromkeys(("images_path", "labels_path", "test_images_path", "test_labels_path"), ("idx",)),
+    **dict.fromkeys(("csv_path", "test_csv_path"), ("csv",)),
+}
 
 # fixed tags for deriving independent sub-seeds from the named seeds
 TEST_SPLIT_TAG = 101
@@ -84,12 +89,7 @@ class DistillConfig:
 
     def __post_init__(self):
         check_fields(self, "distill")
-        if not self.enabled:
-            if self.beta != DistillConfig.beta:
-                raise ConfigurationError(
-                    f"distill key beta applies only when enabled is true; leave it at {DistillConfig.beta}, got {self.beta!r}"
-                )
-            object.__setattr__(self, "beta", DistillConfig.beta)  # an int 1 as 1.0: one run, one id
+        check_gated(self, "enabled", {"beta": (True,)}, "distill")
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,8 @@ class DataConfig:
     csv: a `label,f0,...` table. Without explicit test files, test_fraction
     of the data is held out first; val_fraction of the remainder becomes the
     validation split. image_hw tags synthetic features as an image; idx
-    images carry their own geometry and csv rows have none. The other
-    sources leave every synthetic-only key at its default.
+    images carry their own geometry and csv rows have none. A key that the
+    source, or a held-out test file, leaves unread holds its default.
     """
 
     source: str = rule("synthetic", f"be one of {SOURCES}", lambda v: v in SOURCES)
@@ -122,6 +122,8 @@ class DataConfig:
 
     def __post_init__(self):
         check_fields(self, "data")
+        check_gated(self, "source", SOURCE_KEYS, "data")
+        check_gated(self, "held_out_test", {"test_fraction": (False,)}, "data")
         if self.source == "idx" and (self.images_path is None or self.labels_path is None):
             raise ConfigurationError("idx source needs images_path and labels_path")
         if self.source == "csv" and self.csv_path is None:
@@ -130,11 +132,12 @@ class DataConfig:
             raise ConfigurationError("test_images_path and test_labels_path must be given together")
         if self.source == "synthetic" and self.num_classes * self.per_class * self.dim > np.iinfo(np.intp).max:
             raise ConfigurationError("synthetic data of num_classes x per_class x dim values is too large to shape")
-        for f in fields(self) if self.source != "synthetic" else ():
-            if f.name in SYNTHETIC_ONLY and getattr(self, f.name) != f.default:
-                raise ConfigurationError(f"data key {f.name} applies only to synthetic data, not to source {self.source!r}")
         if self.image_hw is not None and math.prod(self.image_hw) != self.dim:
             raise ConfigurationError(f"data key image_hw {list(self.image_hw)} must flatten to dim {self.dim}")
+
+    @property
+    def held_out_test(self) -> bool:
+        return bool(self.test_images_path or self.test_csv_path)
 
 
 @dataclass(frozen=True)
@@ -159,15 +162,7 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self, "run config")
-        for f in fields(self):
-            settings = SETTING_KEYS.get(f.name)
-            if settings and self.setting not in settings:
-                if getattr(self, f.name) != f.default:
-                    raise ConfigurationError(
-                        f"run config key {f.name} applies only to setting {' or '.join(settings)}, "
-                        f"not to setting {self.setting!r}"
-                    )
-                object.__setattr__(self, f.name, f.default)  # an int 0 as 0.0: one run, one id
+        check_gated(self, "setting", SETTING_KEYS, "run config")
         if self.stages > self.epochs:
             raise ConfigurationError(f"{self.stages} stages cannot fit in {self.epochs} epochs")
         if self.online and self.stages < 2:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, check_fields, rule
+from .errors import NumericalError, check_fields, check_gated, rule
 from .nn import PIECE, FrozenNormLayer, NetworkSpec, ParamVector, forward, init_params, weight_norm
 
 KINDS = ("none", "shrink_perturb", "layer_wise", "full")
@@ -44,11 +44,10 @@ class ReinitSpec:
 
     def __post_init__(self):
         check_fields(self, "reinit")
+        check_gated(self, "kind", {"lam": ("shrink_perturb",), "gamma": ("shrink_perturb",)}, "reinit")
         if self.kind == "shrink_perturb":
             object.__setattr__(self, "lam", 0.4 if self.lam is None else self.lam)
             object.__setattr__(self, "gamma", 0.1 if self.gamma is None else self.gamma)
-        elif self.lam is not None or self.gamma is not None:
-            raise ConfigurationError(f"lam/gamma only apply to shrink_perturb, not {self.kind!r}")
 
 
 def stage_seed(base_seed: int, stage: int) -> int:
@@ -151,7 +150,5 @@ def apply_reinit(
         return fresh, fresh_norm
     if rspec.kind == "shrink_perturb":
         return shrink_perturb(theta_end, fresh, rspec.lam, rspec.gamma), fresh_norm
-    if init_block_norms is None or stats_batch is None or stages is None:
-        raise ConfigurationError("layer_wise reinit needs init block norms, a stats batch and the stage count")
     layerwise_reinit(theta_end, fresh, t, stages // network.num_blocks, init_block_norms, stats_batch)
     return fresh, fresh_norm

@@ -44,13 +44,9 @@ def best_record(records: list[MetricsRecord]) -> MetricsRecord | None:
 
 
 def emit_metrics(records, path) -> None:
-    path = Path(path)
-    try:
-        with open(path, "w") as fh:
-            for rec in records:
-                fh.write(rec.to_json_line() + "\n")
-    except OSError as exc:
-        raise FormatError(f"cannot write metrics to {path}: {exc}") from exc
+    with open(path, "w") as fh:
+        for rec in records:
+            fh.write(rec.to_json_line() + "\n")
 
 
 def read_metrics(path) -> list[MetricsRecord]:

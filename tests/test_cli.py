@@ -99,7 +99,8 @@ class TestBuildConfig:
         with pytest.raises(ConfigurationError, match="--reinit sp"):
             build_config(args)
         args = parse_args(["train", "--config", tiny_config_file, "--reinit", "full", "--lambda", "0.3"])
-        with pytest.raises(ConfigurationError, match="only apply to shrink_perturb, not 'full'"):
+        phrase = "reinit key lam applies only to kind shrink_perturb, not to kind 'full'; leave it at None, got 0.3"
+        with pytest.raises(ConfigurationError, match=phrase):
             build_config(args)
 
     def test_distill_beta_zero_disables(self, tiny_config_file):
@@ -428,7 +429,7 @@ class TestMain:
             (
                 [],
                 {"distill": {"enabled": False, "beta": 0.0}},
-                "distill key beta applies only when enabled is true; leave it at 1.0, got 0.0",
+                "distill key beta applies only to enabled True, not to enabled False; leave it at 1.0, got 0.0",
             ),
         ],
         ids=["wd_flag", "eta_min_in_d", "augment_in_none", "beta_of_disabled_distill"],
@@ -487,6 +488,29 @@ class TestMain:
         assert code == 2
         assert payload["error"] == "ConfigurationError"
         assert "image geometry" in payload["message"]
+        assert not out.exists()
+
+    def test_idx_test_files_on_a_csv_source_leave_no_run_directory(self, tmp_path, capsys):
+        # the csv source never reads them: the run would report a test accuracy on a split of the csv
+        rng = np.random.Generator(np.random.PCG64(4))
+        write_csv(tmp_path / "train.csv", np.arange(60) % 2, rng.normal(size=(60, 4)))
+        data = {
+            "source": "csv", "csv_path": str(tmp_path / "train.csv"),
+            "test_images_path": "missing-images.idx", "test_labels_path": "missing-labels.idx",
+        }
+        path = tmp_path / "csv-with-idx-test.json"
+        network = {"input_dim": 4, "hidden_dims": [5], "num_classes": 2}
+        path.write_text(json.dumps({"network": network, "data": data, "epochs": 1, "batch_size": 10}))
+        out = tmp_path / "runs"
+        code = main(["train", "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        [line] = captured.err.splitlines()
+        assert json.loads(line) == {
+            "error": "ConfigurationError",
+            "message": "data key test_images_path applies only to source idx, not to source 'csv'; "
+            "leave it at None, got 'missing-images.idx'",
+        }
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from reinit_lab.data import (
     make_synthetic,
     normalize_in_place,
     normalized_table,
-    split,
     split_indices,
     subset,
 )
@@ -373,8 +372,8 @@ def test_split_sizes_and_exhaustive_indices():
 
 def test_split_is_seeded_and_stratified():
     ds = make_synthetic(5, 3, per_class=40, class_separation=1.0, seed=0)
-    t1, v1 = split(ds, 0.2, seed=9)
-    t2, v2 = split(ds, 0.2, seed=9)
+    t1, v1 = (subset(ds, idx) for idx in split_indices(ds.labels, 0.2, seed=9))
+    t2, v2 = (subset(ds, idx) for idx in split_indices(ds.labels, 0.2, seed=9))
     np.testing.assert_array_equal(t1.inputs, t2.inputs)
     np.testing.assert_array_equal(v1.labels, v2.labels)
     assert set(np.unique(v1.labels)) == set(range(5))
@@ -393,9 +392,9 @@ def test_split_class_presence_with_skew():
 def test_split_rejects_empty_sides():
     ds = make_synthetic(2, 3, per_class=3, class_separation=1.0, seed=0)
     with pytest.raises(ConfigurationError):
-        split(ds, 0.01, seed=1)
+        split_indices(ds.labels, 0.01, seed=1)
     with pytest.raises(ConfigurationError):
-        split(ds, 1.0, seed=1)
+        split_indices(ds.labels, 1.0, seed=1)
 
 
 def test_make_chunks_partition():
@@ -502,8 +501,10 @@ def reference_prepare(cfg):
     if dc.test_images_path:
         test = reference_load_idx(dc.test_images_path, dc.test_labels_path)
     else:
-        full, test = split(full, dc.test_fraction, stage_seed(cfg.seeds.data, TEST_SPLIT_TAG))
-    train, val = split(full, dc.val_fraction, stage_seed(cfg.seeds.data, VAL_SPLIT_TAG))
+        rest, test_idx = split_indices(full.labels, dc.test_fraction, stage_seed(cfg.seeds.data, TEST_SPLIT_TAG))
+        full, test = subset(full, rest), subset(full, test_idx)
+    train_idx, val_idx = split_indices(full.labels, dc.val_fraction, stage_seed(cfg.seeds.data, VAL_SPLIT_TAG))
+    train, val = subset(full, train_idx), subset(full, val_idx)
     mean, std = reference_normalization(train)
     parts = {"train": train, "val": val, "test": test}
     parts = {name: reference_normalize(ds, mean, std) for name, ds in parts.items()}
@@ -573,7 +574,8 @@ def test_held_out_test_file_is_the_test_split_and_trains(tmp_path, source):
     cfg = RunConfig(NetworkSpec(6, (8,), 3), data, epochs=2, batch_size=10, seeds=Seeds(5, 6, 7, 8))
     bundle = prepare_data(cfg)
     raw = load_csv(paths[0]) if source == "csv" else load_idx(*paths[:2])
-    train, _ = split(raw, data.val_fraction, stage_seed(cfg.seeds.data, VAL_SPLIT_TAG))
+    train_idx, _ = split_indices(raw.labels, data.val_fraction, stage_seed(cfg.seeds.data, VAL_SPLIT_TAG))
+    train = subset(raw, train_idx)
     stats = compute_normalization(train)
     assert_bits_equal(bundle.train.rows(slice(None)), normalized(train, *stats).inputs)
     # the held-out file, normalized with the training split's statistics, is the whole test split

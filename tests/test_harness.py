@@ -48,6 +48,33 @@ def tiny_net():
     return NetworkSpec(8, (10, 6), 4, block_boundaries=(1, 2))
 
 
+IDX = {"source": "idx", "images_path": "a.idx", "labels_path": "b.idx"}
+IDX_HELD_OUT = IDX | {"test_images_path": "t.idx", "test_labels_path": "u.idx"}
+CSV = {"source": "csv", "csv_path": "a.csv"}
+
+# every gated key: (section, a gate that does not read it, key, a value other than its default, the message's middle)
+GATED = [
+    ("run config", {}, "weight_decay", 0.001, "setting dcw, not to setting 'none'"),
+    ("run config", {"setting": "d"}, "eta_min", 0.001, "setting dc or dcw, not to setting 'd'"),
+    ("run config", {}, "augment", {"pad_pixels": 1}, "setting d or dc or dcw, not to setting 'none'"),
+    ("data", IDX, "num_classes", 7, "source synthetic, not to source 'idx'"),
+    ("data", CSV, "dim", 784, "source synthetic, not to source 'csv'"),
+    ("data", IDX, "per_class", 3, "source synthetic, not to source 'idx'"),
+    ("data", CSV, "class_separation", 1.0, "source synthetic, not to source 'csv'"),
+    ("data", IDX, "image_hw", (2, 2), "source synthetic, not to source 'idx'"),
+    ("data", CSV, "images_path", "a.idx", "source idx, not to source 'csv'"),
+    ("data", {}, "labels_path", "b.idx", "source idx, not to source 'synthetic'"),
+    ("data", CSV, "test_images_path", "t.idx", "source idx, not to source 'csv'"),
+    ("data", {}, "test_labels_path", "u.idx", "source idx, not to source 'synthetic'"),
+    ("data", IDX, "csv_path", "a.csv", "source csv, not to source 'idx'"),
+    ("data", {}, "test_csv_path", "t.csv", "source csv, not to source 'synthetic'"),
+    ("data", IDX_HELD_OUT, "test_fraction", 0.3, "held_out_test False, not to held_out_test True"),
+    ("distill", {"enabled": False}, "beta", 0.5, "enabled True, not to enabled False"),
+    ("reinit", {"kind": "full"}, "lam", 0.3, "kind shrink_perturb, not to kind 'full'"),
+    ("reinit", {"kind": "none"}, "gamma", 0.2, "kind shrink_perturb, not to kind 'none'"),
+]
+
+
 def tiny_cfg(**kw):
     base = dict(
         network=tiny_net(),
@@ -158,13 +185,37 @@ class TestRunConfig:
         assert DistillConfig(enabled=False, beta=1.0) == DistillConfig()
         assert tiny_cfg(distill=DistillConfig(False, 1)).run_id == tiny_cfg().run_id
         assert DistillConfig(enabled=True, beta=0.0).beta == 0.0
-        phrase = "distill key beta applies only when enabled is true; leave it at 1.0, got "
+        phrase = "distill key beta applies only to enabled True, not to enabled False; leave it at 1.0, got "
         for beta in (0.5, 0.0):
             with pytest.raises(ConfigurationError, match=phrase + str(beta)):
                 DistillConfig(enabled=False, beta=beta)
             d = json.loads(json.dumps(tiny_cfg().to_dict())) | {"distill": {"enabled": False, "beta": beta}}
             with pytest.raises(ConfigurationError, match=phrase + str(beta)):
                 RunConfig.from_dict(d)
+
+    @pytest.mark.parametrize("section, gate, key, value, reads", GATED, ids=[case[2] for case in GATED])
+    def test_a_key_its_config_ignores_must_hold_its_default(self, section, gate, key, value, reads):
+        # a key its config ignores would still change the run id: one rule for every gated key
+        def build(**given):
+            d = json.loads(json.dumps(tiny_cfg().to_dict()))
+            cfg = RunConfig.from_dict(d | gate | given if section == "run config" else d | {section: gate | given})
+            return cfg, cfg if section == "run config" else getattr(cfg, section)
+
+        without, part = build()
+        default = getattr(part, key)
+        # at its default, even as an int for a float, the key is stored as the default
+        whole = isinstance(default, float) and default.is_integer()
+        cfg, part = build(**{key: asdict(default) if key == "augment" else int(default) if whole else default})
+        assert getattr(part, key) == default and type(getattr(part, key)) is type(default)
+        assert cfg.run_id == without.run_id and cfg.to_dict() == without.to_dict()
+        got = AugmentSpec(**value) if key == "augment" else value
+        with pytest.raises(ConfigurationError) as info:
+            build(**{key: value})
+        assert str(info.value) == f"{section} key {key} applies only to {reads}; leave it at {default!r}, got {got!r}"
+
+    def test_every_gated_key_has_a_case(self):
+        tables = set(harness.SETTING_KEYS) | set(harness.SOURCE_KEYS) | {"test_fraction", "beta", "lam", "gamma"}
+        assert sorted(case[2] for case in GATED) == sorted(tables)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConfigurationError):
@@ -284,7 +335,7 @@ class TestRunConfig:
     )
     def test_image_hw_only_describes_synthetic_data(self, source, paths):
         assert DataConfig(source=source, **paths).image_hw is None
-        phrase = f"data key image_hw applies only to synthetic data, not to source '{source}'"
+        phrase = f"data key image_hw applies only to source synthetic, not to source '{source}'; leave it at None"
         with pytest.raises(ConfigurationError, match=phrase):
             DataConfig(source=source, image_hw=(2, 2), **paths)
 
@@ -299,7 +350,8 @@ class TestRunConfig:
         # a key the source ignores would still change the run id
         default = getattr(DataConfig(), key)
         assert getattr(DataConfig(source=source, **paths, **{key: default}), key) == default
-        phrase = f"data key {key} applies only to synthetic data, not to source '{source}'"
+        phrase = f"data key {key} applies only to source synthetic, not to source '{source}'; "
+        phrase += f"leave it at {default}, got {value}"
         with pytest.raises(ConfigurationError, match=phrase):
             DataConfig(source=source, **paths, **{key: value})
 
@@ -503,6 +555,13 @@ class TestRunExperiment:
             assert (d / fname).exists(), fname
         saved = RunConfig.from_dict(json.load(open(d / "config.json")))
         assert saved == cfg
+
+    def test_an_unwritable_metrics_file_raises_what_the_other_writers_raise(self, tmp_path):
+        # an OSError, as from write_json; FormatError is kept for malformed input files
+        cfg = tiny_cfg(run_name="blocked", epochs=1)
+        (tmp_path / "blocked" / "metrics.jsonl").mkdir(parents=True)
+        with pytest.raises(OSError, match="metrics.jsonl"):
+            run_experiment(cfg, out_dir=tmp_path)
 
     @pytest.mark.parametrize("diverge_at", [None, 22], ids=["distilled-two-stage", "diverged-mid-stage"])
     def test_records_read_back_are_the_records_the_run_kept(self, tmp_path, monkeypatch, diverge_at):

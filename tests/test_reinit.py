@@ -256,15 +256,6 @@ def test_apply_reinit_dispatches_layerwise():
         assert np.array_equal(out.values[stop:], fresh.values[stop:])
 
 
-def test_apply_reinit_layerwise_requires_context():
-    init_norms, stats = layerwise_state()
-    context = {"init_block_norms": init_norms, "stats_batch": stats, "stages": 3}
-    # nothing, then everything but one of the three
-    for given in ({}, *({k: v for k, v in context.items() if k != left_out} for left_out in context)):
-        with pytest.raises(ConfigurationError, match="init block norms, a stats batch and the stage count"):
-            apply_reinit(ReinitSpec("layer_wise"), three_block_params(1), 5, 1, **given)
-
-
 def test_apply_reinit_outputs_always_finite():
     theta = three_block_params(20)
     state = layerwise_state()
