@@ -111,12 +111,12 @@ class DataConfig:
     per_class: int = rule(500, "be >= 1", lambda v: v >= 1)
     class_separation: float = rule(2.5, "be >= 0", lambda v: v >= 0)
     image_hw: tuple[int, int] | None = rule(None, "be two integers >= 1", lambda v: min(v) >= 1)
-    images_path: str | None = None
-    labels_path: str | None = None
-    test_images_path: str | None = None
-    test_labels_path: str | None = None
-    csv_path: str | None = None
-    test_csv_path: str | None = None
+    images_path: str | None = rule(None, "be a non-empty string", lambda v: v != "")
+    labels_path: str | None = rule(None, "be a non-empty string", lambda v: v != "")
+    test_images_path: str | None = rule(None, "be a non-empty string", lambda v: v != "")
+    test_labels_path: str | None = rule(None, "be a non-empty string", lambda v: v != "")
+    csv_path: str | None = rule(None, "be a non-empty string", lambda v: v != "")
+    test_csv_path: str | None = rule(None, "be a non-empty string", lambda v: v != "")
     val_fraction: float = rule(0.1, "lie strictly in (0, 1)", lambda v: 0 < v < 1)
     test_fraction: float = rule(0.25, "lie strictly in (0, 1)", lambda v: 0 < v < 1)
 
@@ -137,7 +137,7 @@ class DataConfig:
 
     @property
     def held_out_test(self) -> bool:
-        return bool(self.test_images_path or self.test_csv_path)
+        return self.test_images_path is not None or self.test_csv_path is not None
 
 
 @dataclass(frozen=True)
@@ -225,11 +225,11 @@ def prepare_data(cfg: RunConfig) -> DataBundle:
         )
     elif dc.source == "idx":
         full = read_idx(dc.images_path, dc.labels_path)
-        if dc.test_images_path:
+        if dc.test_images_path is not None:
             test = read_idx(dc.test_images_path, dc.test_labels_path)
     else:
         full = load_csv(dc.csv_path)
-        if dc.test_csv_path:
+        if dc.test_csv_path is not None:
             test = load_csv(dc.test_csv_path)
     if test is None:
         test_seed = stage_seed(cfg.seeds.data, TEST_SPLIT_TAG)

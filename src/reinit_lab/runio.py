@@ -50,10 +50,12 @@ def emit_metrics(records, path) -> None:
 
 
 def read_metrics(path) -> list[MetricsRecord]:
-    """An emit_metrics file's records; FormatError naming the file and line of a bad line."""
+    """An emit_metrics file's records; FormatError naming the file, and the
+    line of a bad record, when it is not UTF-8 JSON lines. An OSError of
+    opening or reading the file passes through, as in read_json."""
     out = []
-    try:
-        with open(path) as fh:
+    with open(path) as fh:
+        try:
             for lineno, line in enumerate(fh, start=1):
                 try:
                     rec = from_json(MetricsRecord, json.loads(line), "metrics line")
@@ -61,8 +63,8 @@ def read_metrics(path) -> list[MetricsRecord]:
                     out.append(rec)
                 except (ReinitLabError, json.JSONDecodeError) as exc:
                     raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read metrics from {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not a UTF-8 file: {exc}") from exc
     return out
 
 

@@ -11,16 +11,21 @@ Three properties hold for every train case:
   every flag merged in is valid, and its config.json is that config.
 
 A run file with one byte changed, or cut short, loads or raises a
-ReinitLabError, never another exception.
+ReinitLabError, never another exception. A training data file (an IDX pair
+or a CSV) with one mutation trains, or exits 2 with one JSON line on stderr
+and no run directory.
 """
 import contextlib
 import io
 import json
 import math
+import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from helpers import write_csv, write_idx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,9 +85,10 @@ FLAG_CASES = [
 MERGE_BASE = {**TINY, "epochs": 4, "stages": 4, "reinit": {"kind": "layer_wise", "lam": None, "gamma": None}}
 
 
-def run_train(config: dict, flags: list[str]) -> dict | None:
+def run_train(config: dict, flags: list[str], may_diverge: bool = True) -> dict | None:
     """Run train on config plus flags in a fresh directory and check the first
-    two properties; the config.json a finished run wrote, else None."""
+    two properties (a run that may not diverge leaves no run directory on any
+    failure); the config.json a finished run wrote, else None."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "runs"
         path.write_text(json.dumps(config))
@@ -100,7 +106,7 @@ def run_train(config: dict, flags: list[str]) -> dict | None:
         assert len(lines) == 1, lines
         error = json.loads(lines[0])
         diverged = error["error"] == "HarnessError" and "diverged" in error["message"]
-        assert out.exists() == diverged, error
+        assert out.exists() == (diverged and may_diverge), error
         return None
 
 
@@ -174,3 +180,82 @@ def test_a_mutated_run_file_loads_or_raises_a_library_error(run_files, name, tru
         RUN_FILE_LOADERS[name](path)
     except ReinitLabError:
         pass
+
+
+# 40 examples of 2x4 images in 4 classes, as an IDX pair and as a CSV table
+DATA_LABELS = np.arange(40) % 4
+DATA_IMAGES = np.random.default_rng(5).integers(0, 256, size=(40, 2, 4))
+DATA_FILES = {"idx": ("images.idx", "labels.idx"), "csv": ("data.csv",)}
+BAD_CELLS = ("x", "", " ", "nan", "inf", "-inf", "1e39", "-1e39", "0x10", '"', "1,2", "1\n2")
+
+
+@pytest.fixture(scope="module")
+def data_files(tmp_path_factory):
+    """The bytes of each data file, and a scratch directory to write mutated copies into."""
+    tmp = tmp_path_factory.mktemp("data")
+    write_idx(tmp / "images.idx", tmp / "labels.idx", DATA_IMAGES, DATA_LABELS)
+    write_csv(tmp / "data.csv", DATA_LABELS, DATA_IMAGES.reshape(40, 8))
+    return {path.name: path.read_bytes() for path in tmp.iterdir()}, tmp_path_factory.mktemp("mutated")
+
+
+def set_header(files, field, value):
+    """One count of the IDX pair's headers (images, rows, columns, labels) set to value."""
+    name, offset = (("images.idx", 4), ("images.idx", 8), ("images.idx", 12), ("labels.idx", 4))[field]
+    files[name][offset : offset + 4] = struct.pack(">I", value)
+
+
+def truncate(files, which, at):
+    name = sorted(files)[which % len(files)]
+    del files[name][at % len(files[name]) :]
+
+
+def edit_csv_row(files, row, edit):
+    """Row row of the CSV table (0 is the header) as edit returns its cells."""
+    lines = files["data.csv"].decode().split("\n")
+    lines[row] = ",".join(edit(lines[row].split(",")))
+    files["data.csv"][:] = "\n".join(lines).encode()
+
+
+def set_csv_cell(files, row, column, text):
+    edit_csv_row(files, row, lambda cells: cells[:column] + [text] + cells[column + 1 :])
+
+
+def change_width(files, row, wider):
+    edit_csv_row(files, row, lambda cells: cells + ["0.5"] if wider else cells[:-1])
+
+
+def set_label(files, example, label):
+    if "labels.idx" in files:
+        files["labels.idx"][8 + example] = label
+    else:
+        set_csv_cell(files, 1 + example, 0, str(label))
+
+
+DATA_MUTATIONS = st.one_of(
+    st.tuples(st.just("idx"), st.just(set_header), st.integers(0, 3), st.integers(0, (1 << 32) - 1)),
+    st.tuples(st.sampled_from(sorted(DATA_FILES)), st.just(truncate), st.integers(0, 1), st.integers(0, 1 << 12)),
+    st.tuples(
+        st.just("csv"), st.just(set_csv_cell), st.integers(0, 40), st.integers(0, 8), st.sampled_from(BAD_CELLS)
+    ),
+    st.tuples(st.just("csv"), st.just(change_width), st.integers(1, 40), st.booleans()),
+    st.tuples(st.just("idx"), st.just(set_label), st.integers(0, 39), st.integers(4, 255)),
+    st.tuples(st.just("csv"), st.just(set_label), st.integers(0, 39), st.integers(4, 1 << 70)),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(DATA_MUTATIONS)
+def test_a_mutated_data_file_trains_or_exits_2_without_a_run_directory(data_files, case):
+    originals, scratch = data_files
+    source, mutate, *args = case
+    files = {name: bytearray(originals[name]) for name in DATA_FILES[source]}
+    mutate(files, *args)
+    paths = {name: scratch / name for name in files}
+    for name, raw in files.items():
+        paths[name].write_bytes(raw)
+    if source == "idx":
+        data = {"source": "idx", "images_path": str(paths["images.idx"]), "labels_path": str(paths["labels.idx"])}
+    else:
+        data = {"source": "csv", "csv_path": str(paths["data.csv"])}
+    network = {"input_dim": 8, "hidden_dims": [6], "num_classes": 4}
+    run_train({"network": network, "data": data, "epochs": 2, "batch_size": 10}, [], may_diverge=False)

@@ -311,10 +311,23 @@ class TestMain:
                 "data key images_path must be a string, got 5",
             ),
             ("distill", {"enabled": "no"}, "distill key enabled must be true or false, got 'no'"),
+            *[
+                ("data", {**files, key: ""}, f"data key {key} must be a non-empty string, got ''")
+                for files in (
+                    {
+                        "source": "idx", "images_path": "i.idx", "labels_path": "l.idx",
+                        "test_images_path": "t.idx", "test_labels_path": "u.idx",
+                    },
+                    {"source": "csv", "csv_path": "a.csv", "test_csv_path": "t.csv"},
+                )
+                for key in list(files)[1:]
+            ],
         ],
         ids=[
             "letter_dim", "string_dim", "float_dim", "bool_boundary", "float_image_hw", "long_image_hw",
             "int_run_name", "int_images_path", "string_enabled",
+            "empty_images_path", "empty_labels_path", "empty_test_images_path", "empty_test_labels_path",
+            "empty_csv_path", "empty_test_csv_path",
         ],
     )
     def test_wrong_typed_config_value_leaves_no_run_directory(

@@ -118,6 +118,13 @@ def test_csv_positioned_errors(tmp_path):
     path.write_text("label,f0\nx,1\n")
     with pytest.raises(FormatError, match="row 2, column 1"):
         load_csv(path)
+    path.write_text(f"label,f0\n0,1\n{2**64},1\n")
+    with pytest.raises(FormatError, match="row 3, column 1: label 18446744073709551616 outside"):
+        load_csv(path)
+    for cell in ("nan", "-inf", "1e39"):
+        path.write_text(f"label,f0,f1\n0,1,{cell}\n")
+        with pytest.raises(FormatError, match=f"row 2, column 3: '{cell}' is not a finite float32 number"):
+            load_csv(path)
     path.write_text("")
     with pytest.raises(FormatError, match="empty"):
         load_csv(path)

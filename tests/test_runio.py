@@ -82,7 +82,7 @@ class TestMetricsRecord:
             read_metrics(path)
 
     def test_read_missing_file(self, tmp_path):
-        with pytest.raises(FormatError):
+        with pytest.raises(FileNotFoundError):
             read_metrics(tmp_path / "nope.jsonl")
 
 
