@@ -35,7 +35,7 @@ from .runio import best_record, read_json, read_metrics
 DEFAULT_LR_GRID = (0.005, 0.01, 0.03, 0.05, 0.1)
 DEFAULT_WD_GRID = (0.0, 0.0001, 0.0005, 0.001, 0.005)
 DEFAULT_T_VALUES = (1, 2, 5, 10, 20, 30)  # each divides the default 60 epochs
-NOISE_STAGES = 5  # noise's stage count unless --config or --stages gives one; divides the default 60 epochs
+STUDY_STAGES = 5  # noise's and online's stage count unless --config or --stages gives one; divides the default 60 epochs
 
 REINIT_TOKENS = {
     "none": "none",
@@ -128,14 +128,20 @@ def cmd_stages(args) -> list[dict]:
     return stage_sweep(build_config(args), _numbers(args.t_values, int), out_dir=args.out)
 
 
-def cmd_noise(args) -> list[dict]:
+def _staged_config(args: argparse.Namespace) -> RunConfig:
+    """build_config, with STUDY_STAGES stages unless --config or --stages gives a
+    count: the default methods of noise and online re-initialize between stages."""
     if args.config is None and args.stages is None:
-        args.stages = NOISE_STAGES  # the default methods re-initialize between stages
-    return noise_study(build_config(args), _numbers(args.q_values), args.methods.split(","), out_dir=args.out)
+        args.stages = STUDY_STAGES
+    return build_config(args)
+
+
+def cmd_noise(args) -> list[dict]:
+    return noise_study(_staged_config(args), _numbers(args.q_values), args.methods.split(","), out_dir=args.out)
 
 
 def cmd_online(args) -> dict:
-    return online_sim(build_config(args), args.chunks, tuple(args.methods.split(",")), out_dir=args.out)
+    return online_sim(_staged_config(args), tuple(args.methods.split(",")), out_dir=args.out)
 
 
 def cmd_inspect(args) -> dict:
@@ -183,7 +189,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("online", help="sequential-chunk warm-start simulation")
     add_common_flags(p)
-    p.add_argument("--chunks", type=int, default=5)
     p.add_argument("--methods", default="scratch,warm_start,shrink_perturb")
     p.set_defaults(fn=cmd_online)
 

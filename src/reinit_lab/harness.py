@@ -368,12 +368,6 @@ def run_experiment(cfg: RunConfig, bundle: DataBundle | None = None, out_dir=Non
     shuffle_rng = np.random.Generator(np.random.PCG64(cfg.seeds.shuffle))
     augment_rng = np.random.Generator(np.random.PCG64(stage_seed(cfg.seeds.shuffle, AUGMENT_TAG)))
 
-    opt = OptimState.fresh(params, cfg.momentum, cfg.weight_decay)
-    # the loop owns a spare parameter vector: each step's gradient goes into
-    # it, and sgd_step writes the update over that gradient, so a failed step
-    # leaves params intact. The spare is the model after the swap, so it
-    # carries params' frozen norm.
-    spare = params.copy()
     teacher: TeacherCache | None = None
     records: list[MetricsRecord] = []
     epoch_ms: list[float] = []  # each record's wall time, for summary.csv only
@@ -391,14 +385,17 @@ def run_experiment(cfg: RunConfig, bundle: DataBundle | None = None, out_dir=Non
         for stage, seen in enumerate(stage_rows, start=1):
             if stage > 1:
                 norm_before = weight_norm(params.values)
-                del spare, opt  # freed before the fresh draw, rebuilt after it
                 params, fresh_norm = apply_reinit(
                     cfg.reinit, params, cfg.seeds.init, stage - 1, init_norms, stats_batch, cfg.stages
                 )
                 if fresh_norm is not None:
                     boundary_events.append(BoundaryEvent(stage, norm_before, weight_norm(params.values), fresh_norm))
-                spare = params.copy()
-                opt = OptimState.fresh(params, cfg.momentum, cfg.weight_decay)
+            # the stage owns a spare parameter vector: each step's gradient goes
+            # into it, and sgd_step writes the update over that gradient, so a
+            # failed step leaves params intact. The spare is the model after the
+            # swap, so it carries params' frozen norm.
+            spare = params.copy()
+            opt = OptimState.fresh(params, cfg.momentum, cfg.weight_decay)
             n_train = bundle.train.n if seen is None else seen.shape[0]
             steps_per_epoch = math.ceil(n_train / cfg.batch_size)
             # without cosine, eta_min == eta_max holds the rate constant
@@ -453,6 +450,7 @@ def run_experiment(cfg: RunConfig, bundle: DataBundle | None = None, out_dir=Non
                     values = np.empty_like(params.values) if best_params is None else best_params.values
                     np.copyto(values, params.values)
                     best_params = ParamVector(values, params.network, params.frozen_norm)
+            del spare, opt  # freed before the teacher snapshot and the next fresh draw
             if distill_on and stage < cfg.stages:
                 teacher = snapshot_teacher(params, bundle.train, source_stage=stage)
                 if run_dir is not None:
@@ -482,20 +480,18 @@ def _row(fields: dict, res: RunResult) -> dict:
     }
 
 
-def _check_run_dirs(configs) -> None:
-    """Raise before a study runs anything when two of its run configs would
-    share a run directory."""
-    ids = [cfg.run_id for cfg in configs]
-    repeated = sorted({run_id for run_id in ids if ids.count(run_id) > 1})
-    if repeated:
-        raise ConfigurationError(f"repeated cells: run ids {repeated} would share a run directory")
-
-
 def _run_cells(groups, out_dir, extra=None) -> list[dict]:
     """Run each (data_cfg, cells) group's (fields, cfg) cells in order on
     prepare_data(data_cfg); a cell's row is _row(fields, result), plus
-    extra(result, bundle) when given. One group's data is alive at a time."""
-    _check_run_dirs([cfg for _, cells in groups for _, cfg in cells])
+    extra(result, bundle) when given. One group's data is alive at a time.
+    A study with no cell, or with two cells that would share a run
+    directory, is an error raised before any data is prepared."""
+    ids = [cfg.run_id for _, cells in groups for _, cfg in cells]
+    if not ids:
+        raise ConfigurationError("the study has no cells to run")
+    repeated = sorted({run_id for run_id in ids if ids.count(run_id) > 1})
+    if repeated:
+        raise ConfigurationError(f"repeated cells: run ids {repeated} would share a run directory")
     rows = []
     for data_cfg, cells in groups:
         bundle = prepare_data(data_cfg)
@@ -522,12 +518,10 @@ def grid_search(base_cfg: RunConfig, lr_grid, wd_grid, out_dir=None) -> dict:
     (diverged) cells stay in the table but never win; a grid with no
     surviving cell is an error.
     """
-    lrs, wds = list(lr_grid), list(wd_grid)
-    if not lrs or not wds:
-        raise ConfigurationError("lr and wd grids must be nonempty")
+    wds = list(wd_grid)  # read once per lr
     cells = [
         ({"lr": lr, "wd": wd}, _cell_config(base_cfg, f"lr{lr}-wd{wd}", lr=lr, weight_decay=wd))
-        for lr in lrs
+        for lr in lr_grid
         for wd in wds
     ]
     rows = sorted(_run_cells([(base_cfg, cells)], out_dir), key=lambda r: (r["lr"], r["wd"]))
@@ -636,25 +630,23 @@ def _memorization(res: RunResult, bundle: DataBundle) -> dict:
 ONLINE_METHODS = {"scratch": "full", "warm_start": "none", "shrink_perturb": "shrink_perturb"}
 
 
-def online_sim(base_cfg: RunConfig, num_chunks: int, methods=tuple(ONLINE_METHODS), out_dir=None) -> dict:
-    """Data arrives in equal chunks; each method trains on all data so far.
+def online_sim(base_cfg: RunConfig, methods=tuple(ONLINE_METHODS), out_dir=None) -> dict:
+    """Data arrives in base_cfg.stages equal chunks; each method trains on all data so far.
 
-    Each method is one online run of num_chunks stages, epochs // num_chunks
+    Each method is one online run of the base's stages, epochs // stages
     epochs each: stage k trains on the first k chunks, and the boundary
     before it maps stage k-1's final parameters to its start by
     _rule(base_cfg, ONLINE_METHODS[method]). Chunk 1 is identical for all
     methods by construction. Each chunk's row reads that stage's records.
-    The base config must be one stage without distillation.
+    The base config must be 2 or more stages without distillation.
     """
-    if base_cfg.stages != 1:
-        raise ConfigurationError(f"online chunks train 1 stage each, but the base config has {base_cfg.stages}")
     if base_cfg.distill.enabled:
         raise ConfigurationError("online chunks train without distillation, but the base config enables it")
     cells = []
     for m in methods:
         if m not in ONLINE_METHODS:
             raise ConfigurationError(f"unknown online method {m!r}; expected one of {tuple(ONLINE_METHODS)}")
-        cfg = _cell_config(base_cfg, m, online=True, stages=num_chunks, reinit=_rule(base_cfg, ONLINE_METHODS[m]))
+        cfg = _cell_config(base_cfg, m, online=True, reinit=_rule(base_cfg, ONLINE_METHODS[m]))
         cells.append(({"method": m}, cfg))
     rows = _run_cells([(base_cfg, cells)], out_dir, _chunk_rows)
     return _study_file({row["method"]: row["chunks"] for row in rows}, out_dir, "online_sim.json")

@@ -418,8 +418,8 @@ def test_14_online_simulation_report():
                 ),
             ),
         ):
-            cfg = small_cfg(epochs=40, lr=0.05, **extra)
-            curves = online_sim(cfg, num_chunks=5)
+            cfg = small_cfg(epochs=40, lr=0.05, stages=5, **extra)
+            curves = online_sim(cfg)
             assert set(curves) == {"scratch", "warm_start", "shrink_perturb"}
             bundle = prepare_data(cfg)
             for method, curve in curves.items():

@@ -11,9 +11,9 @@ Three properties hold for every train case:
   every flag merged in is valid, and its config.json is that config.
 
 A run file with one byte changed, or cut short, loads or raises a
-ReinitLabError, never another exception. A training data file (an IDX pair
-or a CSV) with one mutation trains, or exits 2 with one JSON line on stderr
-and no run directory.
+ReinitLabError, never another exception. A data file (an IDX pair or a CSV,
+for training or as the held-out test set) with one mutation trains, or exits
+2 with one JSON line on stderr and no run directory.
 """
 import contextlib
 import io
@@ -182,9 +182,11 @@ def test_a_mutated_run_file_loads_or_raises_a_library_error(run_files, name, tru
         pass
 
 
-# 40 examples of 2x4 images in 4 classes, as an IDX pair and as a CSV table
+# 40 examples of 2x4 images in 4 classes, as an IDX pair and as a CSV table,
+# and 40 more as each source's held-out test file(s), named with a "test_" prefix
 DATA_LABELS = np.arange(40) % 4
 DATA_IMAGES = np.random.default_rng(5).integers(0, 256, size=(40, 2, 4))
+TEST_IMAGES = np.random.default_rng(6).integers(0, 256, size=(40, 2, 4))
 DATA_FILES = {"idx": ("images.idx", "labels.idx"), "csv": ("data.csv",)}
 BAD_CELLS = ("x", "", " ", "nan", "inf", "-inf", "1e39", "-1e39", "0x10", '"', "1,2", "1\n2")
 
@@ -193,8 +195,9 @@ BAD_CELLS = ("x", "", " ", "nan", "inf", "-inf", "1e39", "-1e39", "0x10", '"', "
 def data_files(tmp_path_factory):
     """The bytes of each data file, and a scratch directory to write mutated copies into."""
     tmp = tmp_path_factory.mktemp("data")
-    write_idx(tmp / "images.idx", tmp / "labels.idx", DATA_IMAGES, DATA_LABELS)
-    write_csv(tmp / "data.csv", DATA_LABELS, DATA_IMAGES.reshape(40, 8))
+    for prefix, images in (("", DATA_IMAGES), ("test_", TEST_IMAGES)):
+        write_idx(tmp / f"{prefix}images.idx", tmp / f"{prefix}labels.idx", images, DATA_LABELS)
+        write_csv(tmp / f"{prefix}data.csv", DATA_LABELS, images.reshape(40, 8))
     return {path.name: path.read_bytes() for path in tmp.iterdir()}, tmp_path_factory.mktemp("mutated")
 
 
@@ -202,6 +205,11 @@ def set_header(files, field, value):
     """One count of the IDX pair's headers (images, rows, columns, labels) set to value."""
     name, offset = (("images.idx", 4), ("images.idx", 8), ("images.idx", 12), ("labels.idx", 4))[field]
     files[name][offset : offset + 4] = struct.pack(">I", value)
+
+
+def set_geometry(files, shape):
+    """The IDX image header's (rows, columns) set to another shape of the same pixels."""
+    files["images.idx"][8:16] = struct.pack(">II", *shape)
 
 
 def truncate(files, which, at):
@@ -224,6 +232,12 @@ def change_width(files, row, wider):
     edit_csv_row(files, row, lambda cells: cells + ["0.5"] if wider else cells[:-1])
 
 
+def change_every_width(files, wider):
+    """Every row of the CSV table, header included, one cell wider or narrower."""
+    for row in range(41):
+        change_width(files, row, wider)
+
+
 def set_label(files, example, label):
     if "labels.idx" in files:
         files["labels.idx"][8 + example] = label
@@ -238,24 +252,30 @@ DATA_MUTATIONS = st.one_of(
         st.just("csv"), st.just(set_csv_cell), st.integers(0, 40), st.integers(0, 8), st.sampled_from(BAD_CELLS)
     ),
     st.tuples(st.just("csv"), st.just(change_width), st.integers(1, 40), st.booleans()),
+    st.tuples(st.just("idx"), st.just(set_geometry), st.sampled_from([(1, 8), (8, 1), (4, 2)])),
+    st.tuples(st.just("csv"), st.just(change_every_width), st.booleans()),
     st.tuples(st.just("idx"), st.just(set_label), st.integers(0, 39), st.integers(4, 255)),
     st.tuples(st.just("csv"), st.just(set_label), st.integers(0, 39), st.integers(4, 1 << 70)),
 )
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(DATA_MUTATIONS)
-def test_a_mutated_data_file_trains_or_exits_2_without_a_run_directory(data_files, case):
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.booleans(), DATA_MUTATIONS)
+def test_a_mutated_data_file_trains_or_exits_2_without_a_run_directory(data_files, held_out, case):
+    """With held_out, the run also reads the source's held-out test file(s),
+    and the mutation goes into them instead of the training file(s)."""
     originals, scratch = data_files
     source, mutate, *args = case
-    files = {name: bytearray(originals[name]) for name in DATA_FILES[source]}
+    prefix = "test_" if held_out else ""
+    files = {name: bytearray(originals[prefix + name]) for name in DATA_FILES[source]}
     mutate(files, *args)
-    paths = {name: scratch / name for name in files}
-    for name, raw in files.items():
-        paths[name].write_bytes(raw)
-    if source == "idx":
-        data = {"source": "idx", "images_path": str(paths["images.idx"]), "labels_path": str(paths["labels.idx"])}
-    else:
-        data = {"source": "csv", "csv_path": str(paths["data.csv"])}
+    for name in DATA_FILES[source]:
+        (scratch / name).write_bytes(originals[name])
+        (scratch / f"test_{name}").write_bytes(originals[f"test_{name}"])
+        (scratch / (prefix + name)).write_bytes(files[name])
+    keys = {"idx": ("images_path", "labels_path"), "csv": ("csv_path",)}[source]
+    data = {"source": source} | {key: str(scratch / name) for key, name in zip(keys, DATA_FILES[source])}
+    if held_out:
+        data |= {f"test_{key}": str(scratch / f"test_{name}") for key, name in zip(keys, DATA_FILES[source])}
     network = {"input_dim": 8, "hidden_dims": [6], "num_classes": 4}
     run_train({"network": network, "data": data, "epochs": 2, "batch_size": 10}, [], may_diverge=False)

@@ -371,7 +371,7 @@ class TestMain:
             ["grid", "--lrs", "0.05,0.05", "--wds", "0"],
             ["noise", "--q-values", "0.3,0.3", "--methods", "sp", "--stages", "2"],
             ["noise", "--q-values", "0.3", "--methods", "sp,sp", "--stages", "2"],
-            ["online", "--chunks", "2", "--methods", "scratch,scratch"],
+            ["online", "--stages", "2", "--methods", "scratch,scratch"],
         ],
         ids=["stages", "grid", "noise_q", "noise_method", "online"],
     )
@@ -612,7 +612,7 @@ class TestMain:
                 tiny_config_file,
                 "--epochs",
                 "4",
-                "--chunks",
+                "--stages",
                 "2",
                 "--methods",
                 "scratch,warm_start",
@@ -626,28 +626,33 @@ class TestMain:
         assert len(payload["scratch"]) == 2
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--stages", "2"], ["--distill-beta", "0.5"], ["--stages", "2", "--distill-beta", "0.5"]],
+        "flags, phrase",
+        [
+            # the config file's 1 stage is the chunk count when no --stages gives one
+            ([], "an online run needs at least 2 stages, got 1"),
+            (["--stages", "2", "--distill-beta", "0.5"], "online chunks train without distillation"),
+            (["--distill-beta", "0.5"], "online chunks train without distillation"),
+        ],
         ids=["stages", "distill", "both"],
     )
     def test_online_base_with_stages_or_distillation_leaves_no_run_directory(
-        self, tiny_config_file, tmp_path, capsys, flags
+        self, tiny_config_file, tmp_path, capsys, flags, phrase
     ):
         out = tmp_path / "runs"
-        code = main(["online", "--config", tiny_config_file, "--chunks", "2", *flags, "--out", str(out)])
+        code = main(["online", "--config", tiny_config_file, *flags, "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         [line] = captured.err.splitlines()
         payload = json.loads(line)
-        assert payload["error"] == "ConfigurationError" and "online chunks train" in payload["message"]
+        assert payload["error"] == "ConfigurationError" and phrase in payload["message"]
         assert not out.exists()
 
     def test_online_chunk_runs_can_be_inspected(self, tiny_config_file, tmp_path, capsys):
         out = tmp_path / "runs"
-        argv = ["online", "--config", tiny_config_file, "--epochs", "4", "--chunks", "2", "--out", str(out)]
+        argv = ["online", "--config", tiny_config_file, "--epochs", "4", "--stages", "2", "--out", str(out)]
         code, payload = run_main(argv, capsys)
         assert code == 0
-        cfg = replace(RunConfig.from_dict(json.loads(Path(tiny_config_file).read_text())), epochs=4)
+        cfg = replace(RunConfig.from_dict(json.loads(Path(tiny_config_file).read_text())), epochs=4, stages=2)
         for curve in payload.values():
             # one online run per method, whose stage k is chunk k
             [run_id] = {row["run_id"] for row in curve}
@@ -658,7 +663,7 @@ class TestMain:
             assert info["last"]["test_acc"] == curve[-1]["final_test_acc"]
             assert info["best"]["val_acc"] == max(row["val_acc"] for row in curve)
         # the study file is the one a simulation without run directories writes
-        write_json(online_sim(cfg, 2), tmp_path / "no_dirs.json")
+        write_json(online_sim(cfg), tmp_path / "no_dirs.json")
         assert (out / "online_sim.json").read_bytes() == (tmp_path / "no_dirs.json").read_bytes()
 
     @pytest.mark.parametrize(
@@ -667,7 +672,7 @@ class TestMain:
             (["grid", "--lrs", "0.01,0.05", "--wds", "0"], "grid.json"),
             (["stages", "--t-values", "1,2", "--reinit", "sp"], "stage_sweep.json"),
             (["noise", "--q-values", "0,0.3", "--stages", "2"], "noise_study.json"),
-            (["online", "--chunks", "2"], "online_sim.json"),
+            (["online", "--stages", "2"], "online_sim.json"),
         ],
         ids=["grid", "stages", "noise", "online"],
     )
@@ -717,14 +722,51 @@ def test_grid_searches_weight_decay_only_where_the_setting_reads_it(tmp_path, ca
     assert sorted({cfg.weight_decay for cfg in stub_runs}) == list(want)
 
 
-def test_noise_base_has_5_stages_unless_a_flag_or_the_config_gives_a_count(tmp_path, capsys, stub_runs):
+def stage_counts(argv, tmp_path, capsys, stub_runs) -> dict:
+    """The stage counts of the runs argv makes at the defaults, with --stages 2
+    and with a --config file of 3 stages."""
     config = tmp_path / "three_stages.json"
     write_json(RunConfig(network=cli.default_network(), stages=3).to_dict(), config)
-    for flags, stages in (([], 5), (["--stages", "2"], 2), (["--config", str(config)], 3)):
+    counts = {}
+    for name, flags in (("default", []), ("flag", ["--stages", "2"]), ("config", ["--config", str(config)])):
         stub_runs.clear()
-        argv = ["noise", "--q-values", "0", "--methods", "sp", *flags, "--out", str(tmp_path / "runs")]
-        assert run_main(argv, capsys)[0] == 0
-        assert [cfg.stages for cfg in stub_runs] == [stages]
+        assert run_main([*argv, *flags, "--out", str(tmp_path / "runs")], capsys)[0] == 0
+        counts[name] = [cfg.stages for cfg in stub_runs]
+    return counts
+
+
+def test_noise_base_has_5_stages_unless_a_flag_or_the_config_gives_a_count(tmp_path, capsys, stub_runs):
+    counts = stage_counts(["noise", "--q-values", "0", "--methods", "sp"], tmp_path, capsys, stub_runs)
+    assert counts == {"default": [5], "flag": [2], "config": [3]}
+
+
+def test_online_chunk_count_is_the_base_stage_count(tmp_path, capsys, stub_runs):
+    """online shares noise's default of 5 stages; each method runs one chunk per stage."""
+    counts = stage_counts(["online"], tmp_path, capsys, stub_runs)
+    assert counts == {"default": [5, 5, 5], "flag": [2, 2, 2], "config": [3, 3, 3]}
+    assert all(cfg.online for cfg in stub_runs)
+
+
+def test_online_has_no_chunks_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["online", "--chunks", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --chunks 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["grid", "--lrs", ","], ["grid", "--wds", ","], ["stages", "--t-values", ","], ["noise", "--q-values", ","]],
+    ids=["grid_lrs", "grid_wds", "stages", "noise"],
+)
+def test_a_study_with_no_cells_exits_2_without_writing(tmp_path, capsys, stub_runs, argv):
+    out = tmp_path / "runs"
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    [line] = captured.err.splitlines()
+    assert json.loads(line) == {"error": "ConfigurationError", "message": "the study has no cells to run"}
+    assert not out.exists() and not stub_runs
 
 
 def test_console_script_is_wired():

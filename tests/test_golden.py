@@ -1,4 +1,6 @@
-"""Golden run: the sha256 of one tiny distilled shrink-perturb run's files.
+"""Golden runs: the sha256 of the files of tiny runs of four kinds, a
+distilled shrink-perturb run, a 3-stage layer-wise run with distillation, an
+online shrink-perturb run and a setting-dcw run on synthetic images.
 
 A change that alters any byte a run writes (a rounding, a reordered sum, a
 new key) fails here, with no second checkout to compare against. The digests
@@ -6,10 +8,12 @@ hold for the numpy build recorded below, at one and two BLAS threads; under
 another numpy or OpenBLAS build the test skips and names both.
 """
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from reinit_lab.data import AugmentSpec
 from reinit_lab.harness import DataConfig, DistillConfig, RunConfig, Seeds, run_experiment
 from reinit_lab.nn import NetworkSpec
 from reinit_lab.reinit import ReinitSpec
@@ -29,23 +33,92 @@ def openblas_config() -> str | None:
     return np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("openblas configuration")
 
 
-def test_golden_run_files(tmp_path):
+BASE = RunConfig(
+    network=NetworkSpec(8, (10, 6), 4, block_boundaries=(1, 2)),
+    data=DataConfig(num_classes=4, dim=8, per_class=40, class_separation=3.0),
+    lr=0.05,
+    epochs=6,
+    batch_size=25,
+    seeds=Seeds(1, 2, 3, 4),
+)
+
+# run kind -> its config and the digests of the files it writes
+RUN_KINDS = {
+    # frozen norm in best.ckpt, a stats batch at each boundary, two teacher files
+    "layer_wise_distill": (
+        replace(
+            BASE,
+            stages=3,
+            reinit=ReinitSpec("layer_wise"),
+            distill=DistillConfig(enabled=True, beta=0.5),
+            run_name="golden-lw",
+        ),
+        {
+            "metrics.jsonl": "6d511bba3dababe652782e2a422da91f14b627e943c8f6557c20fc64792b6c0e",
+            "best.ckpt": "e437d7a3f778b49b13a1487e287eca47d302d62cb8fa9bc6d2a8a0bcb779ab9f",
+            "teacher_stage1.bin": "685de7733680b443e66c9b8b9bb88f0be4157e15f704e615a5d15d228523b81e",
+            "teacher_stage2.bin": "76de1afc6bbc42624cd0cba149780f6535de41026d4450d8bbad9812c7a19802",
+            "config.json": "7cef32371b2bc496d0cd0476193334b85b52ed2a9c56ccd5086cc5b41af7f7cb",
+        },
+    ),
+    # stage 2 trains on both chunks after a shrink-perturb boundary
+    "online_sp": (
+        replace(
+            BASE,
+            stages=2,
+            online=True,
+            reinit=ReinitSpec("shrink_perturb", lam=0.6, gamma=0.2),
+            run_name="golden-online",
+        ),
+        {
+            "metrics.jsonl": "50e8903215c01889ff5f65e18e919829d537ce3e7bdfb7f1cf7d4231c06f1ecb",
+            "best.ckpt": "18d62edf136a34cc94453807dff9e054ad6f6da553857001764f758e515e0e9f",
+            "config.json": "f418ff13f57d5e41519837e5861561cb900de2e632aded531995f47af61bc984",
+        },
+    ),
+    # augmentation of 2x4 synthetic images, a cosine rate and weight decay
+    "dcw_image": (
+        replace(
+            BASE,
+            data=replace(BASE.data, image_hw=(2, 4)),
+            setting="dcw",
+            weight_decay=0.001,
+            eta_min=0.001,
+            augment=AugmentSpec(pad_pixels=1),
+            run_name="golden-dcw",
+        ),
+        {
+            "metrics.jsonl": "167bde95d0fe9a31a8f77d885b30589aad8329b62488c31b447b11a128d6df3c",
+            "best.ckpt": "751ef99db7eddd776702d81f89249904287553d4344e57705a5792aae59cb86d",
+            "config.json": "522b96a7d1ba518f1fea27259126da8c34720a8c56bb5d982c2cc0a5db214b43",
+        },
+    ),
+}
+
+
+def run_digests(cfg: RunConfig, names, out_dir) -> dict:
+    """The sha256 of each named file cfg's run writes, skipping under another numpy or OpenBLAS build."""
     build = (np.__version__, openblas_config())
     if build != (NUMPY_VERSION, OPENBLAS_CONFIG):
         pytest.skip(f"digests recorded under numpy {NUMPY_VERSION} with {OPENBLAS_CONFIG!r}; this is {build}")
-    cfg = RunConfig(
-        network=NetworkSpec(8, (10, 6), 4, block_boundaries=(1, 2)),
-        data=DataConfig(num_classes=4, dim=8, per_class=40, class_separation=3.0),
-        lr=0.05,
-        epochs=6,
-        batch_size=25,
-        seeds=Seeds(1, 2, 3, 4),
+    res = run_experiment(cfg, out_dir=out_dir)
+    assert not res.failed
+    return {name: hashlib.sha256((res.run_dir / name).read_bytes()).hexdigest() for name in names}
+
+
+def test_golden_run_files(tmp_path):
+    cfg = replace(
+        BASE,
         stages=2,
         reinit=ReinitSpec("shrink_perturb"),
         distill=DistillConfig(enabled=True),
         run_name="golden",
     )
-    res = run_experiment(cfg, out_dir=tmp_path)
-    assert not res.failed
-    digests = {name: hashlib.sha256((res.run_dir / name).read_bytes()).hexdigest() for name in DIGESTS}
-    assert digests == DIGESTS
+    assert run_digests(cfg, DIGESTS, tmp_path) == DIGESTS
+
+
+@pytest.mark.parametrize("kind", sorted(RUN_KINDS))
+def test_golden_run_kinds(kind, tmp_path):
+    cfg, digests = RUN_KINDS[kind]
+    assert run_digests(cfg, digests, tmp_path) == digests
+    assert sorted(p.name for p in (tmp_path / cfg.run_id).iterdir()) == sorted([*digests, "summary.csv"])

@@ -1022,7 +1022,7 @@ STUDIES = {
     "grid.json": lambda base, out: grid_search(base, [0.01, 0.05], [0.0], out_dir=out),
     "stage_sweep.json": lambda base, out: stage_sweep(base, (1, 2), out_dir=out),
     "noise_study.json": lambda base, out: noise_study(base, (0.0, 0.3), ("standard", "sp"), out_dir=out),
-    "online_sim.json": lambda base, out: online_sim(replace(base, stages=1), 2, out_dir=out),
+    "online_sim.json": lambda base, out: online_sim(base, out_dir=out),
 }
 
 
@@ -1038,6 +1038,25 @@ def test_every_study_returns_what_it_writes(name, tmp_path):
     else:
         rows = result
     assert rows and all(RUN_FIELDS <= set(row) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "study",
+    [
+        lambda base, out: grid_search(base, [], [0.0], out_dir=out),
+        lambda base, out: grid_search(base, [0.05], [], out_dir=out),
+        lambda base, out: stage_sweep(base, (), out_dir=out),
+        lambda base, out: noise_study(base, (), ("sp",), out_dir=out),
+        lambda base, out: noise_study(base, (0.0, 0.3), (), out_dir=out),
+        lambda base, out: online_sim(base, (), out_dir=out),
+    ],
+    ids=["grid_lrs", "grid_wds", "stage_sweep", "noise_q", "noise_methods", "online"],
+)
+def test_a_study_with_no_cells_is_rejected_before_data_is_prepared(study, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "prepare_data", None)  # a study that got this far would fail on this
+    with pytest.raises(ConfigurationError, match="the study has no cells to run"):
+        study(tiny_cfg(epochs=2, stages=2), tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestStageSweep:
@@ -1224,14 +1243,14 @@ class TestNoiseStudy:
 
 class TestOnlineSim:
     def test_chunk_one_identical_across_methods(self):
-        curves = online_sim(tiny_cfg(epochs=6), num_chunks=3)
+        curves = online_sim(tiny_cfg(epochs=6, stages=3))
         assert set(curves) == set(harness.ONLINE_METHODS)
         first = [curves[m][0] for m in harness.ONLINE_METHODS]
         assert first[0]["test_acc"] == first[1]["test_acc"] == first[2]["test_acc"]
         assert first[0]["final_test_acc"] == first[1]["final_test_acc"] == first[2]["final_test_acc"]
 
     def test_train_size_grows_linearly(self, tmp_path):
-        curves = online_sim(tiny_cfg(epochs=6), num_chunks=3, out_dir=tmp_path)
+        curves = online_sim(tiny_cfg(epochs=6, stages=3), out_dir=tmp_path)
         sizes = [row["train_size"] for row in curves["scratch"]]
         assert sizes == [36, 72, 108]
         assert (tmp_path / "online_sim.json").exists()
@@ -1245,8 +1264,8 @@ class TestOnlineSim:
             return start, fresh_norm
 
         monkeypatch.setattr(harness, "apply_reinit", recording)
-        cfg = tiny_cfg(epochs=6, reinit=ReinitSpec("shrink_perturb", lam=0.3, gamma=0.2))
-        online_sim(cfg, num_chunks=3)
+        cfg = tiny_cfg(epochs=6, stages=3, reinit=ReinitSpec("shrink_perturb", lam=0.3, gamma=0.2))
+        online_sim(cfg)
         # one run per method, in order; boundary t starts chunk t + 1
         kinds = ["full", "none", "shrink_perturb"]  # scratch, warm_start, shrink_perturb
         assert [(kind, t) for kind, t, _, _ in boundaries] == [(kind, t) for kind in kinds for t in (1, 2)]
@@ -1258,11 +1277,11 @@ class TestOnlineSim:
     def test_repeated_method_is_rejected_before_data_is_prepared(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "prepare_data", None)  # a study that got this far would fail on this
         with pytest.raises(ConfigurationError, match="repeated cells: run ids"):
-            online_sim(tiny_cfg(epochs=4), num_chunks=2, methods=("scratch", "warm_start", "scratch"), out_dir=tmp_path)
+            online_sim(tiny_cfg(epochs=4, stages=2), methods=("scratch", "warm_start", "scratch"), out_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_a_method_replays_from_its_config_json_alone(self, tmp_path):
-        [row, _] = online_sim(tiny_cfg(epochs=4), 2, ("shrink_perturb",), out_dir=tmp_path / "study")["shrink_perturb"]
+        [row, _] = online_sim(tiny_cfg(epochs=4, stages=2), ("shrink_perturb",), out_dir=tmp_path / "study")["shrink_perturb"]
         written = tmp_path / "study" / row["run_id"]
         run_experiment(RunConfig.from_dict(read_json(written / "config.json")), out_dir=tmp_path / "replay")
         for name in ("metrics.jsonl", "best.ckpt", "config.json"):
@@ -1273,7 +1292,7 @@ class TestOnlineSim:
         different factors, so their configs differ beyond run_name."""
         configs = []
         for name, rule in (("tuned", ReinitSpec("shrink_perturb", 0.6, 0.2)), ("default", ReinitSpec("none"))):
-            curves = online_sim(tiny_cfg(epochs=4, reinit=rule), 2, ("shrink_perturb",), out_dir=tmp_path / name)
+            curves = online_sim(tiny_cfg(epochs=4, stages=2, reinit=rule), ("shrink_perturb",), out_dir=tmp_path / name)
             config = read_json(tmp_path / name / curves["shrink_perturb"][0]["run_id"] / "config.json")
             configs.append({key: value for key, value in config.items() if key != "run_name"})
         assert configs[0]["reinit"] == {"kind": "shrink_perturb", "lam": 0.6, "gamma": 0.2}
@@ -1305,7 +1324,7 @@ class TestOnlineSim:
 
     def test_a_diverged_method_is_a_failed_row(self):
         with np.errstate(over="ignore", invalid="ignore"):
-            [first, second] = online_sim(tiny_cfg(lr=1e18, epochs=4), 2, ("warm_start",))["warm_start"]
+            [first, second] = online_sim(tiny_cfg(lr=1e18, epochs=4, stages=2), ("warm_start",))["warm_start"]
         assert first["failed"] and first["final_test_acc"] is None and first["total_steps"] == 1
         assert second["failed"] and second["total_steps"] == 0
 
@@ -1324,7 +1343,8 @@ class TestOnlineSim:
     @pytest.mark.parametrize(
         "change, phrase",
         [
-            ({"stages": 2}, "online chunks train 1 stage each, but the base config has 2"),
+            # a 1-stage base holds one chunk, so no method reaches a boundary
+            ({"stages": 1}, "an online run needs at least 2 stages, got 1"),
             ({"distill": DistillConfig(enabled=True, beta=0.5)}, "online chunks train without distillation"),
         ],
         ids=["stages", "distill"],
@@ -1332,11 +1352,11 @@ class TestOnlineSim:
     def test_base_that_chunks_would_ignore_is_rejected_before_any_run(self, tmp_path, monkeypatch, change, phrase):
         monkeypatch.setattr(harness, "prepare_data", None)  # a study that got this far would fail on this
         with pytest.raises(ConfigurationError, match=phrase):
-            online_sim(tiny_cfg(epochs=4, **change), num_chunks=2, out_dir=tmp_path)
+            online_sim(tiny_cfg(epochs=4, **{"stages": 2, **change}), out_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            online_sim(tiny_cfg(), num_chunks=1)
+            online_sim(tiny_cfg())
         with pytest.raises(ConfigurationError):
-            online_sim(tiny_cfg(), num_chunks=2, methods=("replay",))
+            online_sim(tiny_cfg(stages=2), methods=("replay",))

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -55,7 +56,7 @@ def trees(tmp_path):
     the old writer left it, and the id of the online run."""
     new, old = tmp_path / "new", tmp_path / "old"
     run_experiment(CFG, out_dir=new)
-    [row, _] = online_sim(CFG, 2, ("warm_start",), out_dir=new / "online")["warm_start"]
+    [row, _] = online_sim(replace(CFG, stages=2), ("warm_start",), out_dir=new / "online")["warm_start"]
     old_ids = old_tree(new, old)
     assert sorted(old_ids) == sorted([CFG.run_id, row["run_id"]])
     assert not (old / CFG.run_id).exists() and not (old / "online" / row["run_id"]).exists()

@@ -1,8 +1,12 @@
 """README's structure: its sections state the present design, and each change
 that asks something of a user is one row of the "Migrations" table at its end.
+Its CLI synopsis names each subcommand's flags as the parser defines them.
 """
+import argparse
 import re
 from pathlib import Path
+
+from reinit_lab.cli import make_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MIGRATIONS = "## Migrations"
@@ -28,3 +32,30 @@ def test_the_migrations_table_keeps_its_header_row():
     lines = table.splitlines()
     assert TABLE_HEADER in lines
     assert lines[lines.index(TABLE_HEADER) + 1] == "|---|---|---|"
+
+
+def synopsis_flags() -> dict[str, set[str]]:
+    """Each subcommand's flags in README's CLI synopsis, the first code block
+    under "## CLI"; a study command's `[common flags]` are train's."""
+    text = README.read_text()
+    block = text[text.index("\n## CLI\n") :].split("```")[1]
+    commands = {}
+    for line in block.strip().splitlines():
+        if line.startswith("reinit-lab "):
+            name = line.split()[1]
+            commands[name] = ""
+        commands[name] += line
+    flags = {name: set(re.findall(r"\[(--[a-z-]+)", line)) for name, line in commands.items()}
+    for name, line in commands.items():
+        if "[common flags]" in line:
+            flags[name] |= flags["train"]
+    return flags
+
+
+def test_the_cli_synopsis_names_the_parser_flags():
+    [subparsers] = [a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parser_flags = {
+        name: {opt for action in sub._actions for opt in action.option_strings if opt not in ("-h", "--help")}
+        for name, sub in subparsers.choices.items()
+    }
+    assert synopsis_flags() == parser_flags

@@ -98,9 +98,9 @@ def studies(out: Path) -> None:
     )
     named_noise = replace(SMALL, epochs=4, stages=2, run_name="named")
     noise_study(named_noise, (0.0, 0.3), ("standard", "sp"), out_dir=out / "noise-named")
-    online_sim(SMALL, 3, out_dir=out / "online-default")
+    online_sim(replace(SMALL, stages=3), out_dir=out / "online-default")
     online_sim(
-        replace(SMALL, reinit=ReinitSpec("shrink_perturb", lam=0.6, gamma=0.2)), 2, out_dir=out / "online-sp"
+        replace(SMALL, stages=2, reinit=ReinitSpec("shrink_perturb", lam=0.6, gamma=0.2)), out_dir=out / "online-sp"
     )
     grid_search(SMALL, (0.01, 0.05), (0.0,), out_dir=out / "grid")
     grid_search(replace(SMALL, run_name="named"), (0.01, 0.05), (0.0,), out_dir=out / "grid-named")
@@ -110,7 +110,7 @@ CLI_COMMANDS = {
     "grid": ["grid", "--lrs", "0.01,0.05"],
     "stages": ["stages", "--t-values", "1,2,3", "--reinit", "sp", "--stages", "2"],
     "noise": ["noise", "--q-values", "0,0.3", "--stages", "2", "--epochs", "4"],
-    "online": ["online", "--chunks", "2"],
+    "online": ["online", "--stages", "2"],
     "train-sp-keep": ["train", "--reinit", "sp", "--stages", "2", "--lambda", "1", "--gamma", "0"],
     "train-sp-reset": ["train", "--reinit", "sp", "--stages", "2", "--lambda", "0", "--gamma", "1"],
     "train-flags": [
