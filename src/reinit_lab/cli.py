@@ -124,7 +124,7 @@ def cmd_grid(args) -> dict:
     return grid_search(cfg, _numbers(args.lrs), wds if args.wds is None else _numbers(args.wds), out_dir=args.out)
 
 
-def cmd_stages(args) -> list[dict]:
+def cmd_stages(args) -> dict:
     return stage_sweep(build_config(args), _numbers(args.t_values, int), out_dir=args.out)
 
 
@@ -136,7 +136,7 @@ def _staged_config(args: argparse.Namespace) -> RunConfig:
     return build_config(args)
 
 
-def cmd_noise(args) -> list[dict]:
+def cmd_noise(args) -> dict:
     return noise_study(_staged_config(args), _numbers(args.q_values), args.methods.split(","), out_dir=args.out)
 
 

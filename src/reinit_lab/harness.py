@@ -502,27 +502,35 @@ def _run_cells(groups, out_dir, extra=None) -> list[dict]:
     return rows
 
 
-def _study_file(result, out_dir, name: str):
-    """result, written to <out_dir>/<name> first when out_dir is given."""
+def _study_file(kind: str, base_cfg: RunConfig, axes: dict, rows: list, out_dir, **derived) -> dict:
+    """The study file as its JSON reads back, written to <out_dir>/<kind>.json first when out_dir is given."""
+    study = {"study": kind, "base": base_cfg.to_dict(), "axes": axes, "rows": rows, **derived}
+    study = json.loads(json.dumps(study, default=np.generic.item))  # numpy axis values as Python ones
     if out_dir is not None:
-        write_json(result, Path(out_dir) / name)
-    return result
+        write_json(study, Path(out_dir) / f"{kind}.json")
+    return study
+
+
+def _check_offline(base_cfg: RunConfig) -> None:
+    if base_cfg.online:
+        raise ConfigurationError("study base config key online must be false; online_sim makes its own cells online")
 
 
 def grid_search(base_cfg: RunConfig, lr_grid, wd_grid, out_dir=None) -> dict:
     """One run per (lr, wd) cell, in order, over shared data; winner by validation accuracy.
 
-    Returns what it writes to grid.json: the cells sorted by (lr, wd), the
-    chosen {lr, wd} and the robustness, the test-accuracy spread over the
-    surviving cells. Ties prefer the smaller lr, then the smaller wd. Failed
-    (diverged) cells stay in the table but never win; a grid with no
+    Returns what it writes to grid.json: rows, the cells sorted by (lr, wd),
+    beside the chosen {lr, wd} and the robustness, the test-accuracy spread
+    over the surviving cells. Ties prefer the smaller lr, then the smaller wd.
+    Failed (diverged) cells stay in the table but never win; a grid with no
     surviving cell is an error.
     """
-    wds = list(wd_grid)  # read once per lr
+    _check_offline(base_cfg)
+    axes = {"lrs": list(lr_grid), "wds": list(wd_grid)}
     cells = [
         ({"lr": lr, "wd": wd}, _cell_config(base_cfg, f"lr{lr}-wd{wd}", lr=lr, weight_decay=wd))
-        for lr in lr_grid
-        for wd in wds
+        for lr in axes["lrs"]
+        for wd in axes["wds"]
     ]
     rows = sorted(_run_cells([(base_cfg, cells)], out_dir), key=lambda r: (r["lr"], r["wd"]))
     alive = [r for r in rows if not r["failed"]]
@@ -530,18 +538,16 @@ def grid_search(base_cfg: RunConfig, lr_grid, wd_grid, out_dir=None) -> dict:
         raise HarnessError("every grid cell diverged")
     chosen = min(alive, key=lambda r: (-r["val_acc"], r["lr"], r["wd"]))
     accs = [r["test_acc"] for r in alive]
-    grid = {
-        "cells": rows,
-        "chosen": {"lr": chosen["lr"], "wd": chosen["wd"]},
-        "robustness": max(accs) - min(accs),
-    }
-    return _study_file(grid, out_dir, "grid.json")
+    derived = {"chosen": {"lr": chosen["lr"], "wd": chosen["wd"]}, "robustness": max(accs) - min(accs)}
+    return _study_file("grid", base_cfg, axes, rows, out_dir, **derived)
 
 
-def stage_sweep(base_cfg: RunConfig, t_values, out_dir=None) -> list[dict]:
+def stage_sweep(base_cfg: RunConfig, t_values, out_dir=None) -> dict:
     """Equal-compute comparison across stage counts over shared data; T=1 is the baseline."""
+    _check_offline(base_cfg)
+    axes = {"t_values": list(t_values)}
     cells = []
-    for t in t_values:
+    for t in axes["t_values"]:
         reinit = ReinitSpec("none") if t == 1 else base_cfg.reinit
         cfg = _cell_config(base_cfg, f"T{t}", stages=t, reinit=reinit)  # RunConfig checks t first
         if base_cfg.epochs % t != 0:
@@ -549,12 +555,8 @@ def stage_sweep(base_cfg: RunConfig, t_values, out_dir=None) -> list[dict]:
                 f"stage count {t} does not divide {base_cfg.epochs} epochs; compute parity breaks"
             )
         cells.append(({"stages": t}, cfg))
-    rows = _run_cells([(base_cfg, cells)], out_dir)
-    # a diverged arm stays a failed row; parity holds over the completed arms
-    step_counts = sorted({r["total_steps"] for r in rows if not r["failed"]})
-    if len(step_counts) > 1:
-        raise HarnessError(f"step counts diverged across the completed arms: {step_counts}")
-    return _study_file(rows, out_dir, "stage_sweep.json")
+    # compute parity: t divides the epochs and each offline stage trains on the whole split
+    return _study_file("stage_sweep", base_cfg, axes, _run_cells([(base_cfg, cells)], out_dir), out_dir)
 
 
 def _cell_config(base_cfg: RunConfig, cell: str, **changes) -> RunConfig:
@@ -592,7 +594,7 @@ def _method_config(base_cfg: RunConfig, method: str) -> RunConfig:
     return replace(base_cfg, reinit=_rule(base_cfg, kind), distill=dist, stages=stages)
 
 
-def noise_study(base_cfg: RunConfig, q_values, methods, out_dir=None) -> list[dict]:
+def noise_study(base_cfg: RunConfig, q_values, methods, out_dir=None) -> dict:
     """Per (q, method) accuracy plus memorization of the corrupted subset.
 
     Memorization rate is the best checkpoint's accuracy against the noisy
@@ -601,11 +603,13 @@ def noise_study(base_cfg: RunConfig, q_values, methods, out_dir=None) -> list[di
     defense against fitting noise. Every other method re-initializes between
     the base config's stages, so it needs a base of 2 or more stages.
     """
+    _check_offline(base_cfg)
+    axes = {"q_values": list(q_values), "methods": list(methods)}
     groups = []
-    for q in q_values:
+    for q in axes["q_values"]:
         q_cfg = replace(base_cfg, noise_q=q)
         cells = []
-        for method in methods:
+        for method in axes["methods"]:
             method_cfg = _method_config(q_cfg, method)
             cfg = _cell_config(method_cfg, f"q{q}-{method}")
             cells.append(({"q": q, "method": method, "epochs": cfg.epochs}, cfg))
@@ -615,7 +619,7 @@ def noise_study(base_cfg: RunConfig, q_values, methods, out_dir=None) -> list[di
                 arm_cfg = _cell_config(method_cfg, f"q{q}-{arm}", epochs=half, stages=1)
                 cells.append(({"q": q, "method": arm, "epochs": half}, arm_cfg))
         groups.append((q_cfg, cells))
-    return _study_file(_run_cells(groups, out_dir, _memorization), out_dir, "noise_study.json")
+    return _study_file("noise_study", base_cfg, axes, _run_cells(groups, out_dir, _memorization), out_dir)
 
 
 def _memorization(res: RunResult, bundle: DataBundle) -> dict:
@@ -642,14 +646,14 @@ def online_sim(base_cfg: RunConfig, methods=tuple(ONLINE_METHODS), out_dir=None)
     """
     if base_cfg.distill.enabled:
         raise ConfigurationError("online chunks train without distillation, but the base config enables it")
+    axes = {"methods": list(methods)}
     cells = []
-    for m in methods:
+    for m in axes["methods"]:
         if m not in ONLINE_METHODS:
             raise ConfigurationError(f"unknown online method {m!r}; expected one of {tuple(ONLINE_METHODS)}")
         cfg = _cell_config(base_cfg, m, online=True, reinit=_rule(base_cfg, ONLINE_METHODS[m]))
         cells.append(({"method": m}, cfg))
-    rows = _run_cells([(base_cfg, cells)], out_dir, _chunk_rows)
-    return _study_file({row["method"]: row["chunks"] for row in rows}, out_dir, "online_sim.json")
+    return _study_file("online_sim", base_cfg, axes, _run_cells([(base_cfg, cells)], out_dir, _chunk_rows), out_dir)
 
 
 def _chunk_rows(res: RunResult, bundle: DataBundle) -> dict:

@@ -380,7 +380,7 @@ def test_13_label_noise_trend_report():
             seeds=DESK_SEEDS,
             augment=AugmentSpec(horizontal_flip_prob=0.5, pad_pixels=0),
         )
-        rows = noise_study(cfg, (0.4,), ("standard", "sp_distill"))
+        rows = noise_study(cfg, (0.4,), ("standard", "sp_distill"))["rows"]
         table = {r["method"]: r for r in rows}
         assert {"standard", "sp_distill"} <= set(table)
         for r in rows:
@@ -419,7 +419,7 @@ def test_14_online_simulation_report():
             ),
         ):
             cfg = small_cfg(epochs=40, lr=0.05, stages=5, **extra)
-            curves = online_sim(cfg)
+            curves = {row["method"]: row["chunks"] for row in online_sim(cfg)["rows"]}
             assert set(curves) == {"scratch", "warm_start", "shrink_perturb"}
             bundle = prepare_data(cfg)
             for method, curve in curves.items():

@@ -602,7 +602,7 @@ class TestMain:
         )
         assert code == 0
         assert payload["chosen"]["lr"] in (0.01, 0.05)
-        assert len(payload["cells"]) == 2
+        assert len(payload["rows"]) == 2
 
     def test_online_subcommand(self, tiny_config_file, tmp_path, capsys):
         code, payload = run_main(
@@ -622,8 +622,8 @@ class TestMain:
             capsys,
         )
         assert code == 0
-        assert set(payload) == {"scratch", "warm_start"}
-        assert len(payload["scratch"]) == 2
+        assert [row["method"] for row in payload["rows"]] == ["scratch", "warm_start"]
+        assert len(payload["rows"][0]["chunks"]) == 2
 
     @pytest.mark.parametrize(
         "flags, phrase",
@@ -653,15 +653,16 @@ class TestMain:
         code, payload = run_main(argv, capsys)
         assert code == 0
         cfg = replace(RunConfig.from_dict(json.loads(Path(tiny_config_file).read_text())), epochs=4, stages=2)
-        for curve in payload.values():
+        for row in payload["rows"]:
             # one online run per method, whose stage k is chunk k
-            [run_id] = {row["run_id"] for row in curve}
+            chunks = row["chunks"]
+            [run_id] = {row["run_id"]} | {chunk["run_id"] for chunk in chunks}
             code, info = run_main(["inspect", run_id, "--out", str(out)], capsys)
             assert code == 0
             assert info["config"]["online"] is True and info["config"]["stages"] == 2
             assert info["epochs_logged"] == 4
-            assert info["last"]["test_acc"] == curve[-1]["final_test_acc"]
-            assert info["best"]["val_acc"] == max(row["val_acc"] for row in curve)
+            assert info["last"]["test_acc"] == chunks[-1]["final_test_acc"]
+            assert info["best"]["val_acc"] == row["val_acc"] == max(chunk["val_acc"] for chunk in chunks)
         # the study file is the one a simulation without run directories writes
         write_json(online_sim(cfg), tmp_path / "no_dirs.json")
         assert (out / "online_sim.json").read_bytes() == (tmp_path / "no_dirs.json").read_bytes()

@@ -1,11 +1,13 @@
 """Golden runs: the sha256 of the files of tiny runs of four kinds, a
 distilled shrink-perturb run, a 3-stage layer-wise run with distillation, an
-online shrink-perturb run and a setting-dcw run on synthetic images.
+online shrink-perturb run and a setting-dcw run on synthetic images, and of
+the study file of one tiny study of each kind.
 
-A change that alters any byte a run writes (a rounding, a reordered sum, a
-new key) fails here, with no second checkout to compare against. The digests
-hold for the numpy build recorded below, at one and two BLAS threads; under
-another numpy or OpenBLAS build the test skips and names both.
+A change that alters any byte a run or a study writes (a rounding, a
+reordered sum, a new key) fails here, with no second checkout to compare
+against. The digests hold for the numpy build recorded below, at one and two
+BLAS threads; under another numpy or OpenBLAS build the test skips and names
+both.
 """
 import hashlib
 from dataclasses import replace
@@ -14,7 +16,17 @@ import numpy as np
 import pytest
 
 from reinit_lab.data import AugmentSpec
-from reinit_lab.harness import DataConfig, DistillConfig, RunConfig, Seeds, run_experiment
+from reinit_lab.harness import (
+    DataConfig,
+    DistillConfig,
+    RunConfig,
+    Seeds,
+    grid_search,
+    noise_study,
+    online_sim,
+    run_experiment,
+    stage_sweep,
+)
 from reinit_lab.nn import NetworkSpec
 from reinit_lab.reinit import ReinitSpec
 
@@ -96,11 +108,38 @@ RUN_KINDS = {
 }
 
 
-def run_digests(cfg: RunConfig, names, out_dir) -> dict:
-    """The sha256 of each named file cfg's run writes, skipping under another numpy or OpenBLAS build."""
+# study kind -> the study over STUDY_BASE, and the sha256 of the study file it writes
+STUDY_BASE = replace(BASE, stages=2, reinit=ReinitSpec("shrink_perturb"))
+STUDY_KINDS = {
+    # lrs given out of order, so the rows' (lr, wd) sort shows
+    "grid": (
+        lambda out: grid_search(STUDY_BASE, (0.1, 0.02), (0.0,), out_dir=out),
+        "665ec4a7d52ccc731ff685d39ee04e4eb8f72df314a84d538c21bdc9b6005a6c",
+    ),
+    "stage_sweep": (
+        lambda out: stage_sweep(STUDY_BASE, (1, 2, 3), out_dir=out),
+        "10307cd1f71a09a6116f264f3ef3a0e1d076205c360c07c49c2660fac4a17347",
+    ),
+    "noise_study": (
+        lambda out: noise_study(STUDY_BASE, (0.0, 0.3), ("standard", "sp_distill"), out_dir=out),
+        "abe9858767264d99073562535829752ed7602cd310f153921e5dc59b56af91fd",
+    ),
+    "online_sim": (
+        lambda out: online_sim(STUDY_BASE, out_dir=out),
+        "f05b87d3d25ad6bd2f117806153238a427f113033ed04f3fc85bead77ad4403f",
+    ),
+}
+
+
+def skip_other_builds() -> None:
     build = (np.__version__, openblas_config())
     if build != (NUMPY_VERSION, OPENBLAS_CONFIG):
         pytest.skip(f"digests recorded under numpy {NUMPY_VERSION} with {OPENBLAS_CONFIG!r}; this is {build}")
+
+
+def run_digests(cfg: RunConfig, names, out_dir) -> dict:
+    """The sha256 of each named file cfg's run writes, skipping under another numpy or OpenBLAS build."""
+    skip_other_builds()
     res = run_experiment(cfg, out_dir=out_dir)
     assert not res.failed
     return {name: hashlib.sha256((res.run_dir / name).read_bytes()).hexdigest() for name in names}
@@ -122,3 +161,11 @@ def test_golden_run_kinds(kind, tmp_path):
     cfg, digests = RUN_KINDS[kind]
     assert run_digests(cfg, digests, tmp_path) == digests
     assert sorted(p.name for p in (tmp_path / cfg.run_id).iterdir()) == sorted([*digests, "summary.csv"])
+
+
+@pytest.mark.parametrize("kind", sorted(STUDY_KINDS))
+def test_golden_study_files(kind, tmp_path):
+    skip_other_builds()
+    study, digest = STUDY_KINDS[kind]
+    study(tmp_path)
+    assert hashlib.sha256((tmp_path / f"{kind}.json").read_bytes()).hexdigest() == digest

@@ -782,7 +782,7 @@ class TestGridSearch:
         self.patch_runs(monkeypatch, table)
         grid = grid_search(tiny_cfg(setting="dcw"), [0.01, 0.1], [0.0, 0.001])
         assert grid["chosen"] == {"lr": 0.01, "wd": 0.0}
-        assert [(c["lr"], c["wd"]) for c in grid["cells"]] == [(0.01, 0.0), (0.01, 0.001), (0.1, 0.0), (0.1, 0.001)]
+        assert [(c["lr"], c["wd"]) for c in grid["rows"]] == [(0.01, 0.0), (0.01, 0.001), (0.1, 0.0), (0.1, 0.001)]
 
     def test_failed_cells_never_win(self, monkeypatch):
         table = {
@@ -792,7 +792,7 @@ class TestGridSearch:
         self.patch_runs(monkeypatch, table)
         grid = grid_search(tiny_cfg(), [0.01, 0.1], [0.0])
         assert grid["chosen"] == {"lr": 0.1, "wd": 0.0}
-        assert [c["failed"] for c in grid["cells"]] == [True, False]
+        assert [c["failed"] for c in grid["rows"]] == [True, False]
 
     def test_all_failed_is_an_error(self, monkeypatch):
         self.patch_runs(monkeypatch, {(0.01, 0.0): (0.9, True)})
@@ -811,12 +811,12 @@ class TestGridSearch:
 
     def test_real_grid_writes_table(self, tmp_path):
         grid = grid_search(tiny_cfg(epochs=2), [0.01, 0.05], [0.0], out_dir=tmp_path)
-        assert (grid["chosen"]["lr"], grid["chosen"]["wd"]) in [(c["lr"], c["wd"]) for c in grid["cells"]]
+        assert (grid["chosen"]["lr"], grid["chosen"]["wd"]) in [(c["lr"], c["wd"]) for c in grid["rows"]]
         blob = json.load(open(tmp_path / "grid.json"))
-        assert len(blob["cells"]) == 2
+        assert len(blob["rows"]) == 2
         assert blob["robustness"] >= 0.0
         # lr and wd leave the step count alone, so every cell trains the same number of steps
-        assert len({c["total_steps"] for c in blob["cells"]}) == 1 and blob["cells"][0]["total_steps"] > 0
+        assert len({c["total_steps"] for c in blob["rows"]}) == 1 and blob["rows"][0]["total_steps"] > 0
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -858,7 +858,10 @@ class TestGridSearch:
         chosen = min(rows, key=lambda r: (-r["val_acc"], r["lr"], r["wd"]))
         accs = [r["test_acc"] for r in rows]
         table = {
-            "cells": rows,
+            "study": "grid",
+            "base": base.to_dict(),
+            "axes": {"lrs": lrs, "wds": wds},
+            "rows": rows,
             "chosen": {"lr": chosen["lr"], "wd": chosen["wd"]},
             "robustness": max(accs) - min(accs),
         }
@@ -991,53 +994,79 @@ class TestStudyRunDirectories:
 
     def test_grid_cells_get_their_own_directories(self, tmp_path):
         grid = grid_search(tiny_cfg(epochs=2, run_name="exp"), [0.01, 0.05], [0.0], out_dir=tmp_path)
-        ids = [cell["run_id"] for cell in grid["cells"]]
+        ids = [cell["run_id"] for cell in grid["rows"]]
         assert len(set(ids)) == 2
         assert self.run_dirs(tmp_path) == sorted(ids)
-        for cell in grid["cells"]:
+        for cell in grid["rows"]:
             saved = json.loads((tmp_path / cell["run_id"] / "config.json").read_text())
             assert saved["lr"] == cell["lr"]
 
     def test_stage_sweep_arms_get_their_own_directories(self, tmp_path):
         base = tiny_cfg(epochs=4, stages=2, reinit=ReinitSpec("shrink_perturb"), run_name="exp")
-        rows = stage_sweep(base, (1, 2, 4), out_dir=tmp_path)
+        rows = stage_sweep(base, (1, 2, 4), out_dir=tmp_path)["rows"]
         assert len({r["run_id"] for r in rows}) == 3
         assert self.run_dirs(tmp_path) == sorted(r["run_id"] for r in rows)
 
     def test_noise_study_cells_get_their_own_directories(self, tmp_path):
         base = tiny_cfg(epochs=4, stages=2, run_name="exp")
-        rows = noise_study(base, (0.0, 0.3), ("standard", "sp"), out_dir=tmp_path)
+        rows = noise_study(base, (0.0, 0.3), ("standard", "sp"), out_dir=tmp_path)["rows"]
         assert len(rows) == 6  # 2 q values x (standard, its half-budget arm, sp)
         assert len({r["run_id"] for r in rows}) == 6
         assert self.run_dirs(tmp_path) == sorted(r["run_id"] for r in rows)
 
     def test_unnamed_cells_keep_content_addressed_ids(self):
         base = tiny_cfg(epochs=4, stages=2, reinit=ReinitSpec("shrink_perturb"))
-        rows = stage_sweep(base, (2,))
-        assert rows[0]["run_id"] == base.run_id
+        [row] = stage_sweep(base, (2,))["rows"]
+        assert row["run_id"] == base.run_id
 
 
 RUN_FIELDS = {"run_id", "failed", "val_acc", "test_acc", "total_steps"}
+# each study with its axes, given out of order and as tuples
 STUDIES = {
-    "grid.json": lambda base, out: grid_search(base, [0.01, 0.05], [0.0], out_dir=out),
-    "stage_sweep.json": lambda base, out: stage_sweep(base, (1, 2), out_dir=out),
-    "noise_study.json": lambda base, out: noise_study(base, (0.0, 0.3), ("standard", "sp"), out_dir=out),
-    "online_sim.json": lambda base, out: online_sim(base, out_dir=out),
+    "grid": (grid_search, {"lrs": (0.05, 0.01), "wds": (0.0,)}),
+    "stage_sweep": (stage_sweep, {"t_values": (2, 1)}),
+    "noise_study": (noise_study, {"q_values": (0.3, 0.0), "methods": ("sp", "standard")}),
+    "online_sim": (online_sim, {"methods": ("warm_start", "scratch")}),
 }
+DERIVED = {"grid": {"chosen", "robustness"}}
 
 
-@pytest.mark.parametrize("name", sorted(STUDIES))
-def test_every_study_returns_what_it_writes(name, tmp_path):
+@pytest.mark.parametrize("kind", sorted(STUDIES), ids=lambda kind: f"{kind}.json")
+def test_every_study_returns_what_it_writes(kind, tmp_path):
     base = tiny_cfg(epochs=2, stages=2, reinit=ReinitSpec("shrink_perturb"))
-    result = STUDIES[name](base, tmp_path)
-    assert result == json.loads((tmp_path / name).read_text())
-    if name == "grid.json":
-        rows = result["cells"]
-    elif name == "online_sim.json":
-        rows = [row for curve in result.values() for row in curve]
-    else:
-        rows = result
+    study_fn, axes = STUDIES[kind]
+    study = study_fn(base, *axes.values(), out_dir=tmp_path)
+    assert study == json.loads((tmp_path / f"{kind}.json").read_text())
+    assert set(study) == {"study", "base", "axes", "rows"} | DERIVED.get(kind, set())
+    assert study["study"] == kind
+    assert RunConfig.from_dict(study["base"]) == base
+    assert study["axes"] == {name: list(values) for name, values in axes.items()}
+    rows = study["rows"] + [chunk for row in study["rows"] for chunk in row.get("chunks", [])]
     assert rows and all(RUN_FIELDS <= set(row) for row in rows)
+
+
+def test_a_numpy_axis_gives_the_study_of_its_python_values(tmp_path):
+    base = tiny_cfg(epochs=2, stages=2, reinit=ReinitSpec("shrink_perturb"))
+    study = stage_sweep(base, np.array([1, 2]), out_dir=tmp_path / "np")
+    assert study == json.loads((tmp_path / "np" / "stage_sweep.json").read_text())
+    assert study == stage_sweep(base, [1, 2])
+
+
+@pytest.mark.parametrize(
+    "study",
+    [
+        lambda base, out: grid_search(base, [0.05], [0.0], out_dir=out),
+        lambda base, out: stage_sweep(base, (2, 4), out_dir=out),
+        lambda base, out: noise_study(base, (0.0,), ("standard", "sp"), out_dir=out),
+    ],
+    ids=["grid", "stage_sweep", "noise_study"],
+)
+def test_only_online_sim_takes_an_online_base(study, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "prepare_data", None)  # a study that got this far would fail on this
+    phrase = "study base config key online must be false; online_sim makes its own cells online"
+    with pytest.raises(ConfigurationError, match=phrase):
+        study(tiny_cfg(epochs=4, stages=2, online=True), tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -1062,7 +1091,7 @@ def test_a_study_with_no_cells_is_rejected_before_data_is_prepared(study, tmp_pa
 class TestStageSweep:
     def test_equal_compute_across_stage_counts(self, tmp_path):
         base = tiny_cfg(epochs=4, reinit=ReinitSpec("shrink_perturb"), stages=2)
-        rows = stage_sweep(base, (1, 2, 4), out_dir=tmp_path)
+        rows = stage_sweep(base, (1, 2, 4), out_dir=tmp_path)["rows"]
         assert [r["stages"] for r in rows] == [1, 2, 4]
         assert len({r["total_steps"] for r in rows}) == 1
         assert (tmp_path / "stage_sweep.json").exists()
@@ -1076,7 +1105,7 @@ class TestStageSweep:
 
         monkeypatch.setattr(harness, "prepare_data", counting)
         base = tiny_cfg(epochs=4, stages=2, reinit=ReinitSpec("shrink_perturb"))
-        rows = stage_sweep(base, (1, 2, 4))
+        rows = stage_sweep(base, (1, 2, 4))["rows"]
         assert len(rows) == 3
         assert len(calls) == 1
 
@@ -1096,20 +1125,9 @@ class TestStageSweep:
             distill=DistillConfig(enabled=True, beta=1.0),
             seeds=Seeds(3, 4, 5, 6),
         )
-        rows = stage_sweep(base, (3, 6), out_dir=tmp_path)
-        assert [(r["stages"], r["failed"], r["total_steps"]) for r in rows] == [(3, False, 42), (6, True, 33)]
-        assert json.loads((tmp_path / "stage_sweep.json").read_text()) == rows
-
-    def test_step_counts_of_completed_arms_must_agree(self, monkeypatch):
-        def short_for_t4(cfg, bundle, out_dir=None):
-            res = run_experiment(cfg, bundle, out_dir)
-            short = {**res.counters, "optimizer_steps": res.total_steps - 1}
-            return replace(res, counters=short) if cfg.stages == 4 else res
-
-        monkeypatch.setattr(harness, "run_experiment", short_for_t4)
-        base = tiny_cfg(epochs=4, stages=2, reinit=ReinitSpec("shrink_perturb"))
-        with pytest.raises(HarnessError, match="diverged across the completed arms"):
-            stage_sweep(base, (1, 4))
+        study = stage_sweep(base, (3, 6), out_dir=tmp_path)
+        assert [(r["stages"], r["failed"], r["total_steps"]) for r in study["rows"]] == [(3, False, 42), (6, True, 33)]
+        assert json.loads((tmp_path / "stage_sweep.json").read_text()) == study
 
     def test_layer_wise_repeats_scale_with_stages(self, monkeypatch):
         # each arm repeats the 3 blocks stages / 3 times; every cell is checked before one runs
@@ -1122,7 +1140,7 @@ class TestStageSweep:
 
         monkeypatch.setattr(reinit, "layerwise_reinit", recording)
         base = tiny_cfg(epochs=6, stages=3, reinit=ReinitSpec("layer_wise"))
-        rows = stage_sweep(base, (3, 6))
+        rows = stage_sweep(base, (3, 6))["rows"]
         assert [r["stages"] for r in rows] == [3, 6]
         assert repeats == [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (4, 2), (5, 2)]
         monkeypatch.setattr(harness, "run_experiment", None)  # a cell that ran would fail on this
@@ -1134,7 +1152,7 @@ class TestNoiseStudy:
     def test_rows_and_memorization(self):
         # the half-budget arm floors an odd epoch count: 5 epochs give standard@2ep too
         for epochs in (4, 5):
-            rows = noise_study(tiny_cfg(epochs=epochs, stages=2), (0.0, 0.3), ("standard", "sp"))
+            rows = noise_study(tiny_cfg(epochs=epochs, stages=2), (0.0, 0.3), ("standard", "sp"))["rows"]
             # per q: standard, its half-budget arm, sp
             assert len(rows) == 6
             methods = [r["method"] for r in rows[:3]]
@@ -1149,7 +1167,7 @@ class TestNoiseStudy:
 
     def test_memorization_scores_the_noisy_labels(self, tmp_path):
         base = tiny_cfg(epochs=4)
-        [row, _] = noise_study(base, (0.5,), ("standard",), out_dir=tmp_path)
+        [row, _] = noise_study(base, (0.5,), ("standard",), out_dir=tmp_path)["rows"]
         params, _ = load_checkpoint(tmp_path / row["run_id"] / "best.ckpt")
         bundle = prepare_data(replace(base, noise_q=0.5))
         rows = np.flatnonzero(bundle.noise_mask)
@@ -1174,7 +1192,7 @@ class TestNoiseStudy:
 
     def test_compute_parity_between_methods(self):
         base = tiny_cfg(epochs=4, stages=2)
-        rows = noise_study(base, (0.2,), ("standard", "sp"))
+        rows = noise_study(base, (0.2,), ("standard", "sp"))["rows"]
         full = [r for r in rows if r["method"] in ("standard", "sp")]
         assert full[0]["total_steps"] == full[1]["total_steps"]
 
@@ -1243,16 +1261,17 @@ class TestNoiseStudy:
 
 class TestOnlineSim:
     def test_chunk_one_identical_across_methods(self):
-        curves = online_sim(tiny_cfg(epochs=6, stages=3))
-        assert set(curves) == set(harness.ONLINE_METHODS)
-        first = [curves[m][0] for m in harness.ONLINE_METHODS]
+        rows = online_sim(tiny_cfg(epochs=6, stages=3))["rows"]
+        assert [row["method"] for row in rows] == list(harness.ONLINE_METHODS)
+        first = [row["chunks"][0] for row in rows]
         assert first[0]["test_acc"] == first[1]["test_acc"] == first[2]["test_acc"]
         assert first[0]["final_test_acc"] == first[1]["final_test_acc"] == first[2]["final_test_acc"]
 
     def test_train_size_grows_linearly(self, tmp_path):
-        curves = online_sim(tiny_cfg(epochs=6, stages=3), out_dir=tmp_path)
-        sizes = [row["train_size"] for row in curves["scratch"]]
-        assert sizes == [36, 72, 108]
+        [scratch, *_] = online_sim(tiny_cfg(epochs=6, stages=3), out_dir=tmp_path)["rows"]
+        assert [chunk["train_size"] for chunk in scratch["chunks"]] == [36, 72, 108]
+        # the method's row is its whole run: the chunks' steps add up to the run's
+        assert scratch["total_steps"] == sum(chunk["total_steps"] for chunk in scratch["chunks"])
         assert (tmp_path / "online_sim.json").exists()
 
     def test_chunk_starts_follow_the_transition_rules(self, monkeypatch):
@@ -1281,7 +1300,7 @@ class TestOnlineSim:
         assert list(tmp_path.iterdir()) == []
 
     def test_a_method_replays_from_its_config_json_alone(self, tmp_path):
-        [row, _] = online_sim(tiny_cfg(epochs=4, stages=2), ("shrink_perturb",), out_dir=tmp_path / "study")["shrink_perturb"]
+        [row] = online_sim(tiny_cfg(epochs=4, stages=2), ("shrink_perturb",), out_dir=tmp_path / "study")["rows"]
         written = tmp_path / "study" / row["run_id"]
         run_experiment(RunConfig.from_dict(read_json(written / "config.json")), out_dir=tmp_path / "replay")
         for name in ("metrics.jsonl", "best.ckpt", "config.json"):
@@ -1292,8 +1311,8 @@ class TestOnlineSim:
         different factors, so their configs differ beyond run_name."""
         configs = []
         for name, rule in (("tuned", ReinitSpec("shrink_perturb", 0.6, 0.2)), ("default", ReinitSpec("none"))):
-            curves = online_sim(tiny_cfg(epochs=4, stages=2, reinit=rule), ("shrink_perturb",), out_dir=tmp_path / name)
-            config = read_json(tmp_path / name / curves["shrink_perturb"][0]["run_id"] / "config.json")
+            [row] = online_sim(tiny_cfg(epochs=4, stages=2, reinit=rule), ("shrink_perturb",), out_dir=tmp_path / name)["rows"]
+            config = read_json(tmp_path / name / row["run_id"] / "config.json")
             configs.append({key: value for key, value in config.items() if key != "run_name"})
         assert configs[0]["reinit"] == {"kind": "shrink_perturb", "lam": 0.6, "gamma": 0.2}
         assert configs[0] != configs[1]
@@ -1324,7 +1343,9 @@ class TestOnlineSim:
 
     def test_a_diverged_method_is_a_failed_row(self):
         with np.errstate(over="ignore", invalid="ignore"):
-            [first, second] = online_sim(tiny_cfg(lr=1e18, epochs=4, stages=2), ("warm_start",))["warm_start"]
+            [row] = online_sim(tiny_cfg(lr=1e18, epochs=4, stages=2), ("warm_start",))["rows"]
+        [first, second] = row["chunks"]
+        assert row["failed"] and row["total_steps"] == 1
         assert first["failed"] and first["final_test_acc"] is None and first["total_steps"] == 1
         assert second["failed"] and second["total_steps"] == 0
 

@@ -21,12 +21,19 @@ CFG = RunConfig(
     batch_size=20,
     seeds=Seeds(1, 2, 3, 4),
 )
+# the dropped key, named once for the run files and once for the study file's base
+DROPS = ["--drop", "network.activation", "--drop", "base.network.activation"]
 
 
 def old_tree(new: Path, old: Path) -> dict:
     """new as a writer that also stored network.activation would have left
-    it; returns each new run id's old id."""
+    it, in each run's config and checkpoint and in the study file's base;
+    returns each new run id's old id."""
     shutil.copytree(new, old)
+    study_path = old / "online" / "online_sim.json"
+    study = json.loads(study_path.read_text())
+    study["base"]["network"]["activation"] = "relu"
+    study_path.write_text(json.dumps(study, sort_keys=True, indent=2))
     old_ids = {}
     for config_path in sorted(old.rglob("config.json")):
         config = json.loads(config_path.read_text())
@@ -56,7 +63,7 @@ def trees(tmp_path):
     the old writer left it, and the id of the online run."""
     new, old = tmp_path / "new", tmp_path / "old"
     run_experiment(CFG, out_dir=new)
-    [row, _] = online_sim(replace(CFG, stages=2), ("warm_start",), out_dir=new / "online")["warm_start"]
+    [row] = online_sim(replace(CFG, stages=2), ("warm_start",), out_dir=new / "online")["rows"]
     old_ids = old_tree(new, old)
     assert sorted(old_ids) == sorted([CFG.run_id, row["run_id"]])
     assert not (old / CFG.run_id).exists() and not (old / "online" / row["run_id"]).exists()
@@ -65,7 +72,7 @@ def trees(tmp_path):
 
 def test_the_dropped_key_and_the_id_map_account_for_every_difference(trees, capsys):
     old, new, _ = trees
-    assert migrate_ids.main([str(old), str(new), "--drop", "network.activation"]) == 0
+    assert migrate_ids.main([str(old), str(new), *DROPS]) == 0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "through 2 id mappings; 0 differences" in captured.err
@@ -78,7 +85,9 @@ def test_without_the_drop_every_old_id_and_key_is_a_difference(trees, capsys):
     # no id maps, so the run and the online run are each only in one tree
     assert f"{CFG.run_id}/config.json: only in new" in out
     assert f"online/{online_id}/config.json: only in new" in out
-    assert "online/online_sim.json: warm_start[0].run_id: " in out
+    assert "online/online_sim.json: rows[0].run_id: " in out
+    assert "online/online_sim.json: rows[0].chunks[0].run_id: " in out
+    assert "online/online_sim.json: base.network.activation: only in old" in out
 
 
 def test_a_changed_value_is_printed_with_its_key(trees, capsys):
@@ -88,6 +97,6 @@ def test_a_changed_value_is_printed_with_its_key(trees, capsys):
     record = json.loads(lines[1])
     record["weight_norm"] += 1.0
     metrics.write_text("\n".join([lines[0], json.dumps(record, sort_keys=True)]) + "\n")
-    assert migrate_ids.main([str(old), str(new), "--drop", "network.activation"]) == 1
+    assert migrate_ids.main([str(old), str(new), *DROPS]) == 1
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 1 and out[0].startswith(f"{CFG.run_id}/metrics.jsonl: line 2.weight_norm: ")
