@@ -35,7 +35,7 @@ from .runio import best_record, read_json, read_metrics
 DEFAULT_LR_GRID = (0.005, 0.01, 0.03, 0.05, 0.1)
 DEFAULT_WD_GRID = (0.0, 0.0001, 0.0005, 0.001, 0.005)
 DEFAULT_T_VALUES = (1, 2, 5, 10, 20, 30)  # each divides the default 60 epochs
-STUDY_STAGES = 5  # noise's and online's stage count unless --config or --stages gives one; divides the default 60 epochs
+STUDY_STAGES = 5  # stages', noise's and online's base stage count unless --config or --stages gives one; divides the default 60 epochs
 
 REINIT_TOKENS = {
     "none": "none",
@@ -125,12 +125,12 @@ def cmd_grid(args) -> dict:
 
 
 def cmd_stages(args) -> dict:
-    return stage_sweep(build_config(args), _numbers(args.t_values, int), out_dir=args.out)
+    return stage_sweep(_staged_config(args), _numbers(args.t_values, int), out_dir=args.out)
 
 
 def _staged_config(args: argparse.Namespace) -> RunConfig:
     """build_config, with STUDY_STAGES stages unless --config or --stages gives a
-    count: the default methods of noise and online re-initialize between stages."""
+    count, so that a base config may re-initialize or distill between stages."""
     if args.config is None and args.stages is None:
         args.stages = STUDY_STAGES
     return build_config(args)

@@ -56,8 +56,9 @@ def check_fields(config, what: str) -> None:
     """Check each field of the frozen dataclass config against its WANTED kind
     (never a bool for a number, nor a float or a string for an int, nor NaN or
     an infinity) and then its rule, raising "<what> key <field> must ...". An
-    optional field may hold None. Stores integers (numpy ones too) as int and
-    arrays as tuples; an int in a float field stays an int."""
+    optional field may hold None. Stores integers (numpy ones too) as int,
+    arrays as tuples and a float field's number as a float, -0.0 as 0.0, so
+    that equal configs have equal JSON forms."""
     for f in fields(config):
         # f.type is the annotation as written: every module defers annotations
         kind = f.type.removesuffix(" | None")
@@ -65,6 +66,8 @@ def check_fields(config, what: str) -> None:
         if kind not in WANTED or (value is None and kind != f.type):
             continue
         fitted = _fitted(value, kind)
+        if fitted is None and type(value) is int and kind in ("int", "float"):  # only an int past 64 bits
+            raise ConfigurationError(f"{what} key {f.name} must fit in 64 bits as an integer, got {value.bit_length()} bits")
         if fitted is None:
             raise ConfigurationError(f"{what} key {f.name} must be {WANTED[kind]}, got {value!r}")
         if isinstance(fitted, float) and not math.isfinite(fitted):
@@ -77,7 +80,7 @@ def check_fields(config, what: str) -> None:
 def check_gated(config, gate: str, readers: Mapping, what: str) -> None:
     """Under a value of config's attribute gate that readers does not list for a
     field, the field must hold its default ("<what> key <field> applies only to
-    ..."), and it is stored as the default: an int 0 as 0.0, one run, one id."""
+    ..."), so that a key the run ignores cannot change its id."""
     value = getattr(config, gate)
     for f in fields(config):
         if f.name not in readers or value in readers[f.name]:
@@ -87,7 +90,6 @@ def check_gated(config, gate: str, readers: Mapping, what: str) -> None:
                 f"{what} key {f.name} applies only to {gate} {' or '.join(map(str, readers[f.name]))}, "
                 f"not to {gate} {value!r}; leave it at {f.default!r}, got {given!r}"
             )
-        object.__setattr__(config, f.name, f.default)
 
 
 def _fitted(value, kind: str):
@@ -99,17 +101,17 @@ def _fitted(value, kind: str):
         return items if fits else None
     if kind in ("str", "bool"):
         return value if isinstance(value, str if kind == "str" else bool) else None
-    if kind == "float" and isinstance(value, float):
-        return value
-    return _fitted_int(value)
+    number = value if kind == "float" and isinstance(value, float) else _fitted_int(value)
+    return float(number) + 0.0 if kind == "float" and number is not None else number
 
 
 def _fitted_int(value):
-    """value as an int when it is an integer other than a bool, else None."""
+    """value as an int when it is an integer other than a bool of at most 64 bits, else None."""
     try:
-        return None if isinstance(value, bool) else operator.index(value)
+        number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         return None
+    return number if number is None or number.bit_length() <= 64 else None
 
 
 def integer(value, what: str) -> int:

@@ -81,11 +81,11 @@ class Seeds:
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Self-distillation from the previous stage's teacher; a disabled one
-    leaves beta at its default, which only an enabled one reads."""
+    """Self-distillation from the previous stage's teacher; only an enabled
+    one reads beta, which a disabled one leaves at its default."""
 
     enabled: bool = False
-    beta: float = rule(1.0, "be >= 0", lambda v: v >= 0)
+    beta: float = rule(1.0, "be > 0", lambda v: v > 0)
 
     def __post_init__(self):
         check_fields(self, "distill")
@@ -163,10 +163,9 @@ class RunConfig:
     def __post_init__(self):
         check_fields(self, "run config")
         check_gated(self, "setting", SETTING_KEYS, "run config")
+        check_gated(self, "staged", dict.fromkeys(("online", "reinit", "distill"), (True,)), "run config")
         if self.stages > self.epochs:
             raise ConfigurationError(f"{self.stages} stages cannot fit in {self.epochs} epochs")
-        if self.online and self.stages < 2:
-            raise ConfigurationError(f"an online run needs at least 2 stages, got {self.stages}")
         if self.eta_min > self.lr:
             raise ConfigurationError(f"run config key eta_min must be <= lr, got eta_min={self.eta_min}, lr={self.lr}")
         k = self.network.num_blocks
@@ -183,6 +182,10 @@ class RunConfig:
     @property
     def cosine_enabled(self) -> bool:
         return self.setting in SETTING_KEYS["eta_min"]
+
+    @property
+    def staged(self) -> bool:  # the run reaches a stage boundary, where online, reinit and distill act
+        return self.stages >= 2
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -333,11 +336,9 @@ class RunResult:
 def run_experiment(cfg: RunConfig, bundle: DataBundle | None = None, out_dir=None) -> RunResult:
     """Algorithm: T stages of floor(N/T) epochs with re-init at boundaries.
 
-    Distillation, when enabled with beta > 0, snapshots a teacher at each
-    stage end and mixes beta * KL into the loss from stage 2 onward. A run
-    with beta == 0 skips the teacher machinery entirely and is bit-identical
-    to one with distillation disabled. Stage t of an online run trains on
-    the first t of T chunks of the training split (_stage_rows).
+    Distillation snapshots a teacher at each stage end but the last and mixes
+    beta * KL into the loss from stage 2 onward. Stage t of an online run
+    trains on the first t of T chunks of the training split (_stage_rows).
     """
     if bundle is None:
         bundle = prepare_data(cfg)
@@ -363,7 +364,6 @@ def run_experiment(cfg: RunConfig, bundle: DataBundle | None = None, out_dir=Non
     # the first rows stage 1 trains on: a view of the split unless the run is online
     stats_rows = slice(0, 256) if stage_rows[0] is None else stage_rows[0][:256]
     stats_batch = bundle.train.rows(stats_rows) if cfg.reinit.kind == "layer_wise" else None
-    distill_on = cfg.distill.enabled and cfg.distill.beta > 0
 
     shuffle_rng = np.random.Generator(np.random.PCG64(cfg.seeds.shuffle))
     augment_rng = np.random.Generator(np.random.PCG64(stage_seed(cfg.seeds.shuffle, AUGMENT_TAG)))
@@ -451,7 +451,7 @@ def run_experiment(cfg: RunConfig, bundle: DataBundle | None = None, out_dir=Non
                     np.copyto(values, params.values)
                     best_params = ParamVector(values, params.network, params.frozen_norm)
             del spare, opt  # freed before the teacher snapshot and the next fresh draw
-            if distill_on and stage < cfg.stages:
+            if cfg.distill.enabled and stage < cfg.stages:
                 teacher = snapshot_teacher(params, bundle.train, source_stage=stage)
                 if run_dir is not None:
                     save_teacher_cache(teacher, run_dir / f"teacher_stage{stage}.bin")
@@ -543,13 +543,13 @@ def grid_search(base_cfg: RunConfig, lr_grid, wd_grid, out_dir=None) -> dict:
 
 
 def stage_sweep(base_cfg: RunConfig, t_values, out_dir=None) -> dict:
-    """Equal-compute comparison across stage counts over shared data; T=1 is the baseline."""
+    """Equal-compute comparison across stage counts over shared data; T=1, plain training, is the baseline."""
     _check_offline(base_cfg)
     axes = {"t_values": list(t_values)}
     cells = []
     for t in axes["t_values"]:
-        reinit = ReinitSpec("none") if t == 1 else base_cfg.reinit
-        cfg = _cell_config(base_cfg, f"T{t}", stages=t, reinit=reinit)  # RunConfig checks t first
+        boundary = {"reinit": ReinitSpec("none"), "distill": DistillConfig()} if t == 1 else {}
+        cfg = _cell_config(base_cfg, f"T{t}", stages=t, **boundary)  # RunConfig checks t first
         if base_cfg.epochs % t != 0:
             raise ConfigurationError(
                 f"stage count {t} does not divide {base_cfg.epochs} epochs; compute parity breaks"
@@ -586,8 +586,6 @@ METHOD_TABLE = {
 def _method_config(base_cfg: RunConfig, method: str) -> RunConfig:
     if method not in METHOD_TABLE:
         raise ConfigurationError(f"unknown method {method!r}; expected one of {sorted(METHOD_TABLE)}")
-    if method != "standard" and base_cfg.stages == 1:
-        raise ConfigurationError(f"method {method!r} re-initializes between stages, but the base config has 1 stage")
     kind, distill = METHOD_TABLE[method]
     dist = replace(base_cfg.distill, enabled=True) if distill else DistillConfig()
     stages = 1 if method == "standard" else base_cfg.stages
@@ -616,7 +614,7 @@ def noise_study(base_cfg: RunConfig, q_values, methods, out_dir=None) -> dict:
             if method == "standard" and cfg.epochs > 1:
                 half = cfg.epochs // 2
                 arm = f"standard@{half}ep"
-                arm_cfg = _cell_config(method_cfg, f"q{q}-{arm}", epochs=half, stages=1)
+                arm_cfg = _cell_config(method_cfg, f"q{q}-{arm}", epochs=half)
                 cells.append(({"q": q, "method": arm, "epochs": half}, arm_cfg))
         groups.append((q_cfg, cells))
     return _study_file("noise_study", base_cfg, axes, _run_cells(groups, out_dir, _memorization), out_dir)

@@ -3,7 +3,8 @@ import json
 import math
 import shutil
 import subprocess
-from dataclasses import replace
+import typing
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,33 @@ def parse_args(argv):
     return make_parser().parse_args(argv)
 
 
+def numeric_keys(cls=RunConfig, path=()):
+    """Each int or float key of a config file, as its path of JSON keys."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            yield from numeric_keys(hints[f.name], (*path, f.name))
+        elif f.type.removesuffix(" | None") in ("int", "float"):
+            yield (*path, f.name)
+
+
+# a config that reads every key: setting dcw on images, 2 stages, a shrink-perturb rule and distillation
+READS_EVERY_KEY = RunConfig(
+    network=NetworkSpec(8, (10, 6), 4, block_boundaries=(1, 2)),
+    data=DataConfig(num_classes=4, dim=8, per_class=40, class_separation=3.0, image_hw=(2, 4)),
+    setting="dcw",
+    lr=0.05,
+    weight_decay=0.001,
+    eta_min=0.001,
+    epochs=4,
+    batch_size=25,
+    stages=2,
+    reinit=ReinitSpec("shrink_perturb"),
+    distill=DistillConfig(enabled=True, beta=0.5),
+    seeds=Seeds(1, 2, 3, 4),
+)
+
+
 def run_main(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -58,11 +86,11 @@ class TestBuildConfig:
             assert build_config(args).reinit.kind == kind
 
     def test_sp_defaults_and_overrides(self, tiny_config_file):
-        args = parse_args(["train", "--config", tiny_config_file, "--reinit", "sp"])
+        args = parse_args(["train", "--config", tiny_config_file, "--reinit", "sp", "--stages", "2"])
         cfg = build_config(args)
         assert (cfg.reinit.lam, cfg.reinit.gamma) == (0.4, 0.1)
         args = parse_args(
-            ["train", "--config", tiny_config_file, "--reinit", "sp", "--lambda", "0.3", "--gamma", "0.2"]
+            ["train", "--config", tiny_config_file, "--reinit", "sp", "--lambda", "0.3", "--gamma", "0.2", "--stages", "2"]
         )
         cfg = build_config(args)
         assert (cfg.reinit.lam, cfg.reinit.gamma) == (0.3, 0.2)
@@ -86,6 +114,7 @@ class TestBuildConfig:
     def test_lambda_or_gamma_alone_changes_only_its_own_factor(self, tmp_path):
         d = json.loads(json.dumps(RunConfig(network=NetworkSpec(8, (10, 6), 4)).to_dict()))
         d["reinit"] = {"kind": "shrink_perturb", "lam": 0.6, "gamma": 0.2}
+        d["stages"] = 2  # a 1-stage run reaches no boundary and takes no re-init rule
         path = tmp_path / "sp.json"
         path.write_text(json.dumps(d))
         for flags, want in [(["--gamma", "0.3"], (0.6, 0.3)), (["--lambda", "0.5"], (0.5, 0.2))]:
@@ -107,7 +136,7 @@ class TestBuildConfig:
         args = parse_args(["train", "--config", tiny_config_file, "--distill-beta", "0"])
         cfg = build_config(args)
         assert cfg.distill == DistillConfig()
-        args = parse_args(["train", "--config", tiny_config_file, "--distill-beta", "0.5"])
+        args = parse_args(["train", "--config", tiny_config_file, "--distill-beta", "0.5", "--stages", "2"])
         cfg = build_config(args)
         assert cfg.distill.enabled and cfg.distill.beta == 0.5
 
@@ -388,8 +417,8 @@ class TestMain:
         [
             ({"test_fraction": 0.0}, "data key test_fraction must lie strictly in (0, 1), got 0.0"),
             ({"val_fraction": 1.0}, "data key val_fraction must lie strictly in (0, 1), got 1.0"),
-            # a shape numpy cannot represent, so nothing is allocated
-            ({"num_classes": 10**20}, "num_classes x per_class x dim"),
+            # a shape numpy cannot represent, so nothing is allocated; 2**62 fits an integer field's 64 bits
+            ({"num_classes": 2**62}, "num_classes x per_class x dim"),
         ],
         ids=["test_fraction", "val_fraction", "unshapeable_num_classes"],
     )
@@ -441,8 +470,8 @@ class TestMain:
             ),
             (
                 [],
-                {"distill": {"enabled": False, "beta": 0.0}},
-                "distill key beta applies only to enabled True, not to enabled False; leave it at 1.0, got 0.0",
+                {"distill": {"enabled": False, "beta": 0.5}},
+                "distill key beta applies only to enabled True, not to enabled False; leave it at 1.0, got 0.5",
             ),
         ],
         ids=["wd_flag", "eta_min_in_d", "augment_in_none", "beta_of_disabled_distill"],
@@ -474,9 +503,25 @@ class TestMain:
         assert f"data key {key} 0.001 leaves one side of {left} examples empty" in payload["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("path", list(numeric_keys()), ids=".".join)
+    def test_an_integer_past_64_bits_leaves_no_run_directory(self, tmp_path, capsys, path):
+        # no float holds 10**400, and numpy, range() and the step count cannot take it as a size or a seed
+        config = json.loads(json.dumps(READS_EVERY_KEY.to_dict()))
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = 10**400
+        file, out = tmp_path / "huge.json", tmp_path / "runs"
+        file.write_text(json.dumps(config))
+        code, payload = run_main(["train", "--config", str(file), "--out", str(out)], capsys)
+        section = path[0] if len(path) > 1 else "run config"
+        message = f"{section} key {path[-1]} must fit in 64 bits as an integer, got 1329 bits"
+        assert (code, payload) == (2, {"error": "ConfigurationError", "message": message})
+        assert not out.exists()
+
     def test_network_too_large_to_shape_leaves_no_run_directory(self, tiny_config_file, tmp_path, capsys):
         config = json.loads(Path(tiny_config_file).read_text())
-        config["network"]["num_classes"] = 10**30
+        config["network"]["num_classes"] = 2**62  # within an integer field's 64 bits
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "runs"
@@ -629,9 +674,10 @@ class TestMain:
         "flags, phrase",
         [
             # the config file's 1 stage is the chunk count when no --stages gives one
-            ([], "an online run needs at least 2 stages, got 1"),
+            ([], "run config key online applies only to staged True, not to staged False"),
             (["--stages", "2", "--distill-beta", "0.5"], "online chunks train without distillation"),
-            (["--distill-beta", "0.5"], "online chunks train without distillation"),
+            # a 1-stage base reaches no boundary, so it takes no distillation
+            (["--distill-beta", "0.5"], "run config key distill applies only to staged True, not to staged False"),
         ],
         ids=["stages", "distill", "both"],
     )
@@ -671,7 +717,7 @@ class TestMain:
         "argv, study_file",
         [
             (["grid", "--lrs", "0.01,0.05", "--wds", "0"], "grid.json"),
-            (["stages", "--t-values", "1,2", "--reinit", "sp"], "stage_sweep.json"),
+            (["stages", "--t-values", "1,2", "--reinit", "sp", "--stages", "2"], "stage_sweep.json"),
             (["noise", "--q-values", "0,0.3", "--stages", "2"], "noise_study.json"),
             (["online", "--stages", "2"], "online_sim.json"),
         ],
@@ -739,6 +785,21 @@ def stage_counts(argv, tmp_path, capsys, stub_runs) -> dict:
 def test_noise_base_has_5_stages_unless_a_flag_or_the_config_gives_a_count(tmp_path, capsys, stub_runs):
     counts = stage_counts(["noise", "--q-values", "0", "--methods", "sp"], tmp_path, capsys, stub_runs)
     assert counts == {"default": [5], "flag": [2], "config": [3]}
+
+
+def test_stages_base_has_5_stages_unless_a_flag_or_the_config_gives_a_count(tmp_path, capsys, stub_runs):
+    # each arm sets its own stage count, but a 1-stage base reaches no boundary to hold --reinit sp
+    config = tmp_path / "three_stages.json"
+    write_json(RunConfig(network=cli.default_network(), stages=3).to_dict(), config)
+    bases = {}
+    for name, flags in (("default", []), ("flag", ["--stages", "2"]), ("config", ["--config", str(config)])):
+        stub_runs.clear()
+        argv = ["stages", "--t-values", "1,2", "--reinit", "sp", *flags, "--out", str(tmp_path / "runs")]
+        code, study = run_main(argv, capsys)
+        assert code == 0, study
+        bases[name] = (study["base"]["stages"], study["base"]["reinit"]["kind"])
+        assert [(cfg.stages, cfg.reinit.kind) for cfg in stub_runs] == [(1, "none"), (2, "shrink_perturb")]
+    assert bases == {"default": (5, "shrink_perturb"), "flag": (2, "shrink_perturb"), "config": (3, "shrink_perturb")}
 
 
 def test_online_chunk_count_is_the_base_stage_count(tmp_path, capsys, stub_runs):

@@ -11,7 +11,7 @@ import json
 import math
 import struct
 import weakref
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,8 @@ IDX = {"source": "idx", "images_path": "a.idx", "labels_path": "b.idx"}
 IDX_HELD_OUT = IDX | {"test_images_path": "t.idx", "test_labels_path": "u.idx"}
 CSV = {"source": "csv", "csv_path": "a.csv"}
 
-# every gated key: (section, a gate that does not read it, key, a value other than its default, the message's middle)
+# every gated key: (section, a gate that does not read it, key, a value other than its default, the message's middle);
+# the base config has 2 stages, so that it reaches a boundary
 GATED = [
     ("run config", {}, "weight_decay", 0.001, "setting dcw, not to setting 'none'"),
     ("run config", {"setting": "d"}, "eta_min", 0.001, "setting dc or dcw, not to setting 'd'"),
@@ -72,6 +73,9 @@ GATED = [
     ("distill", {"enabled": False}, "beta", 0.5, "enabled True, not to enabled False"),
     ("reinit", {"kind": "full"}, "lam", 0.3, "kind shrink_perturb, not to kind 'full'"),
     ("reinit", {"kind": "none"}, "gamma", 0.2, "kind shrink_perturb, not to kind 'none'"),
+    ("run config", {"stages": 1}, "online", True, "staged True, not to staged False"),
+    ("run config", {"stages": 1}, "reinit", {"kind": "full"}, "staged True, not to staged False"),
+    ("run config", {"stages": 1}, "distill", {"enabled": True}, "staged True, not to staged False"),
 ]
 
 
@@ -174,19 +178,18 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("key", ["weight_decay", "eta_min"])
     def test_an_integer_at_an_ignored_keys_default_keeps_the_defaults_id(self, key):
-        # 0 == 0.0 passes the ignored-key check, yet json writes 0 and 0.0 apart
+        # json writes 0 and 0.0 apart, so a float field stores 0 as 0.0, whether the setting reads it or not
         assert tiny_cfg(**{key: 0}).run_id == tiny_cfg().run_id
         assert type(getattr(tiny_cfg(**{key: 0}), key)) is float
         dcw = tiny_cfg(setting="dcw", **{key: 0})
-        assert type(getattr(dcw, key)) is int and dcw.run_id != tiny_cfg(setting="dcw").run_id
+        assert type(getattr(dcw, key)) is float and dcw.run_id == tiny_cfg(setting="dcw").run_id
 
     def test_a_disabled_distillation_keeps_the_default_beta(self):
         # beta is read only when distillation is enabled, yet it would change the run id
         assert DistillConfig(enabled=False, beta=1.0) == DistillConfig()
         assert tiny_cfg(distill=DistillConfig(False, 1)).run_id == tiny_cfg().run_id
-        assert DistillConfig(enabled=True, beta=0.0).beta == 0.0
         phrase = "distill key beta applies only to enabled True, not to enabled False; leave it at 1.0, got "
-        for beta in (0.5, 0.0):
+        for beta in (0.5, 2.0):
             with pytest.raises(ConfigurationError, match=phrase + str(beta)):
                 DistillConfig(enabled=False, beta=beta)
             d = json.loads(json.dumps(tiny_cfg().to_dict())) | {"distill": {"enabled": False, "beta": beta}}
@@ -197,7 +200,7 @@ class TestRunConfig:
     def test_a_key_its_config_ignores_must_hold_its_default(self, section, gate, key, value, reads):
         # a key its config ignores would still change the run id: one rule for every gated key
         def build(**given):
-            d = json.loads(json.dumps(tiny_cfg().to_dict()))
+            d = json.loads(json.dumps(tiny_cfg(stages=2).to_dict()))
             cfg = RunConfig.from_dict(d | gate | given if section == "run config" else d | {section: gate | given})
             return cfg, cfg if section == "run config" else getattr(cfg, section)
 
@@ -205,17 +208,18 @@ class TestRunConfig:
         default = getattr(part, key)
         # at its default, even as an int for a float, the key is stored as the default
         whole = isinstance(default, float) and default.is_integer()
-        cfg, part = build(**{key: asdict(default) if key == "augment" else int(default) if whole else default})
+        cfg, part = build(**{key: asdict(default) if is_dataclass(default) else int(default) if whole else default})
         assert getattr(part, key) == default and type(getattr(part, key)) is type(default)
         assert cfg.run_id == without.run_id and cfg.to_dict() == without.to_dict()
-        got = AugmentSpec(**value) if key == "augment" else value
+        got = type(default)(**value) if is_dataclass(default) else value
         with pytest.raises(ConfigurationError) as info:
             build(**{key: value})
         assert str(info.value) == f"{section} key {key} applies only to {reads}; leave it at {default!r}, got {got!r}"
 
     def test_every_gated_key_has_a_case(self):
+        staged = {"online", "reinit", "distill"}  # RunConfig's gate staged
         tables = set(harness.SETTING_KEYS) | set(harness.SOURCE_KEYS) | {"test_fraction", "beta", "lam", "gamma"}
-        assert sorted(case[2] for case in GATED) == sorted(tables)
+        assert sorted(case[2] for case in GATED) == sorted(tables | staged)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConfigurationError):
@@ -314,10 +318,10 @@ class TestRunConfig:
             tiny_cfg(**{key: value})
         assert phrase in str(info.value)
 
-    def test_numpy_ints_are_stored_as_int_and_ints_stay_int_in_float_fields(self):
+    def test_numpy_ints_are_stored_as_int_and_a_float_field_stores_a_float(self):
         cfg = tiny_cfg(epochs=np.int64(6), batch_size=np.int32(25), lr=1)
-        assert type(cfg.epochs) is int and type(cfg.batch_size) is int and type(cfg.lr) is int
-        assert cfg.run_id == tiny_cfg(lr=1).run_id != tiny_cfg(lr=1.0).run_id
+        assert type(cfg.epochs) is int and type(cfg.batch_size) is int and type(cfg.lr) is float
+        assert cfg.run_id == tiny_cfg(lr=1.0).run_id
 
     def test_numpy_int_seeds_pass_as_ints(self):
         seeds = Seeds(np.int64(5), np.uint32(6))
@@ -374,6 +378,63 @@ class TestRunConfig:
     def test_weight_decay_must_be_non_negative_in_every_setting(self, setting, wd):
         with pytest.raises(ConfigurationError, match="run config key weight_decay must be (>= 0|a finite number)"):
             tiny_cfg(setting=setting, weight_decay=wd)
+
+
+class TestOneRunOneId:
+    """Equal runs share one run id: a key a run never reads, an enabled
+    distillation that could not distill, or another spelling of one number
+    would each give one run two ids and two run directories."""
+
+    # two configs that trained equal records under two ids before a 1-stage run refused reinit and distill
+    ONE_STAGE = dict(
+        network=NetworkSpec(8, (10,), 4),
+        data=DataConfig(num_classes=4, dim=8, per_class=40, class_separation=3.0),
+        epochs=3,
+        batch_size=25,
+    )
+
+    @pytest.mark.parametrize(
+        "boundary, key",
+        [
+            ({"reinit": ReinitSpec("shrink_perturb")}, "reinit"),
+            ({"distill": DistillConfig(True, 0.5)}, "distill"),
+            ({"reinit": ReinitSpec("shrink_perturb"), "distill": DistillConfig(True, 0.5)}, "reinit"),
+            ({"online": True}, "online"),
+        ],
+        ids=["reinit", "distill", "both", "online"],
+    )
+    def test_a_one_stage_run_takes_no_boundary_key(self, boundary, key):
+        RunConfig(**self.ONE_STAGE)
+        with pytest.raises(ConfigurationError, match=f"run config key {key} applies only to staged True"):
+            RunConfig(**self.ONE_STAGE, **boundary)
+        assert RunConfig(**self.ONE_STAGE, stages=3, **boundary).staged
+
+    def test_an_int_and_its_float_share_one_id(self):
+        net = NetworkSpec(8, (10,), 4)
+        assert RunConfig(net, lr=1).run_id == RunConfig(net, lr=1.0).run_id
+        assert RunConfig(net, noise_q=1).to_dict() == RunConfig(net, noise_q=1.0).to_dict()
+        # -0.0 == 0.0, yet json writes them apart
+        assert RunConfig(net, setting="dcw", weight_decay=-0.0).run_id == RunConfig(net, setting="dcw").run_id
+
+    def test_a_sweeps_one_stage_arm_is_the_noise_studys_standard_arm(self):
+        base = tiny_cfg(
+            network=NetworkSpec(8, (10,), 4, block_boundaries=(1,)),
+            epochs=4,
+            stages=2,
+            reinit=ReinitSpec("layer_wise"),
+            distill=DistillConfig(enabled=True, beta=0.5),
+        )
+        [sweep_arm] = stage_sweep(base, (1,))["rows"]
+        standard = [r for r in noise_study(base, (0.0,), ("standard",))["rows"] if r["method"] == "standard"]
+        assert [sweep_arm["run_id"]] == [r["run_id"] for r in standard]
+
+    def test_every_seed_a_64_bit_generator_takes_is_accepted(self):
+        top = 2**64 - 1
+        assert Seeds(top, top, top, top).init == top
+        with pytest.raises(ConfigurationError, match="seeds key init must fit in 64 bits as an integer, got 65 bits"):
+            Seeds(2**64)
+        res = run_experiment(tiny_cfg(epochs=1, seeds=Seeds(top, top, top, top)))
+        assert not res.failed and res.total_steps == STEPS_PER_EPOCH
 
 
 class TestPrepareData:
@@ -720,15 +781,14 @@ class TestRunExperiment:
         # beta is the run's, recorded in config.json alone
         assert json.loads((tmp_path / "tch" / "config.json").read_text())["distill"]["beta"] == 0.7
 
-    def test_beta_zero_is_bitwise_disabled(self, tmp_path):
-        on = tiny_cfg(run_name="same", stages=2, distill=DistillConfig(enabled=True, beta=0.0))
-        off = tiny_cfg(run_name="same", stages=2)
-        run_experiment(on, out_dir=tmp_path / "a")
-        run_experiment(off, out_dir=tmp_path / "b")
-        a = (tmp_path / "a" / "same" / "metrics.jsonl").read_bytes()
-        b = (tmp_path / "b" / "same" / "metrics.jsonl").read_bytes()
-        assert a == b
-        assert not (tmp_path / "a" / "same" / "teacher_stage1.bin").exists()
+    @pytest.mark.parametrize("beta", [0.0, 0, -0.0])
+    def test_an_enabled_distillation_with_beta_zero_is_refused(self, beta):
+        # it would train bit for bit as a disabled one, under a second run id
+        with pytest.raises(ConfigurationError, match=r"distill key beta must be > 0, got -?0"):
+            tiny_cfg(stages=2, distill=DistillConfig(enabled=True, beta=beta))
+        d = json.loads(json.dumps(tiny_cfg(stages=2).to_dict())) | {"distill": {"enabled": True, "beta": beta}}
+        with pytest.raises(ConfigurationError, match=r"distill key beta must be > 0, got -?0"):
+            RunConfig.from_dict(d)
 
     def test_divergence_is_reported_not_raised(self):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -1240,7 +1300,8 @@ class TestNoiseStudy:
     def test_one_stage_base_rejects_the_methods_that_reinitialize(self, monkeypatch):
         monkeypatch.setattr(harness, "prepare_data", None)  # a cell that ran would fail on this
         for method in ("sp", "sp_distill", "full", "full_distill"):
-            with pytest.raises(ConfigurationError, match=f"method '{method}' re-initializes between stages"):
+            # a 1-stage run reaches no boundary, so it takes no re-init rule
+            with pytest.raises(ConfigurationError, match="run config key reinit applies only to staged True, not to staged False"):
                 noise_study(tiny_cfg(), (0.0,), ("standard", method))
 
     def test_earlier_data_is_dropped_before_the_next_q_is_prepared(self, monkeypatch):
@@ -1318,7 +1379,8 @@ class TestOnlineSim:
         assert configs[0] != configs[1]
 
     def test_an_online_run_needs_two_stages(self):
-        with pytest.raises(ConfigurationError, match="an online run needs at least 2 stages, got 1"):
+        phrase = "run config key online applies only to staged True, not to staged False; leave it at False, got True"
+        with pytest.raises(ConfigurationError, match=phrase):
             tiny_cfg(online=True, stages=1)
 
     def test_an_online_layer_wise_run_takes_its_stats_batch_from_chunk_one(self, monkeypatch):
@@ -1365,7 +1427,7 @@ class TestOnlineSim:
         "change, phrase",
         [
             # a 1-stage base holds one chunk, so no method reaches a boundary
-            ({"stages": 1}, "an online run needs at least 2 stages, got 1"),
+            ({"stages": 1}, "run config key online applies only to staged True, not to staged False"),
             ({"distill": DistillConfig(enabled=True, beta=0.5)}, "online chunks train without distillation"),
         ],
         ids=["stages", "distill"],
