@@ -46,7 +46,7 @@ from .nn import (
 )
 from .optim import LrSchedule, OptimState, lr_at, sgd_step
 from .reinit import ReinitSpec, apply_reinit, make_stage_plan, stage_seed
-from .runio import MetricsRecord, best_record, emit_metrics, save_checkpoint, write_json, write_summary_csv
+from .runio import MetricsRecord, best_record, emit_metrics, load_checkpoint, save_checkpoint, write_json, write_summary_csv
 
 SETTINGS = ("none", "d", "dc", "dcw")
 # the D / C / W composition: each setting-gated RunConfig key -> the settings that read it
@@ -342,8 +342,12 @@ def run_experiment(cfg: RunConfig, bundle: DataBundle | None = None, out_dir=Non
     """
     if bundle is None:
         bundle = prepare_data(cfg)
-    if cfg.augment_enabled and bundle.train.image_shape is None:
-        raise ConfigurationError("augmentation needs image geometry; this data has none")
+    if cfg.augment_enabled:
+        if bundle.train.image_shape is None:
+            raise ConfigurationError("augmentation needs image geometry; this data has none")
+        (h, w, ch), pad, rows = bundle.train.image_shape, cfg.augment.pad_pixels, min(cfg.batch_size, bundle.train.n)
+        if rows * (h + 2 * pad) * (w + 2 * pad) * ch * 4 > np.iinfo(np.intp).max:  # the padded batch's float32 bytes
+            raise ConfigurationError(f"augment key pad_pixels {pad} pads a batch of {rows} {h}x{w} images past np.intp")
     width = bundle.train.dim
     if width != cfg.network.input_dim:
         raise ConfigurationError(
@@ -446,10 +450,12 @@ def run_experiment(cfg: RunConfig, bundle: DataBundle | None = None, out_dir=Non
                 )
                 epoch_ms.append((time.monotonic() - t0) * 1000.0)
                 if best_record(records) is records[-1]:
-                    # one best buffer per run, overwritten by each new best, so two are never alive
-                    values = np.empty_like(params.values) if best_params is None else best_params.values
-                    np.copyto(values, params.values)
-                    best_params = ParamVector(values, params.network, params.frozen_norm)
+                    if run_dir is not None:  # the directory holds the best epoch, so memory keeps no copy
+                        save_checkpoint(run_dir / "best.ckpt", params, cfg.seeds.init, stage, records[-1].epoch)
+                    else:  # one best buffer per run, overwritten by each new best
+                        values = np.empty_like(params.values) if best_params is None else best_params.values
+                        np.copyto(values, params.values)
+                        best_params = ParamVector(values, params.network, params.frozen_norm)
             del spare, opt  # freed before the teacher snapshot and the next fresh draw
             if cfg.distill.enabled and stage < cfg.stages:
                 teacher = snapshot_teacher(params, bundle.train, source_stage=stage)
@@ -458,14 +464,12 @@ def run_experiment(cfg: RunConfig, bundle: DataBundle | None = None, out_dir=Non
     except NumericalError as exc:
         failure = str(exc)
 
-    result = RunResult(cfg, records, params, best_params, boundary_events, counters, failure, run_dir)
     if run_dir is not None:
         emit_metrics(records, run_dir / "metrics.jsonl")
         write_summary_csv(records, epoch_ms, run_dir / "summary.csv")
-        if best_params is not None:
-            best = result.best
-            save_checkpoint(run_dir / "best.ckpt", best_params, cfg.seeds.init, best.stage, best.epoch)
-    return result
+        if records:
+            best_params = load_checkpoint(run_dir / "best.ckpt")[0]
+    return RunResult(cfg, records, params, best_params, boundary_events, counters, failure, run_dir)
 
 
 def _row(fields: dict, res: RunResult) -> dict:
@@ -642,6 +646,8 @@ def online_sim(base_cfg: RunConfig, methods=tuple(ONLINE_METHODS), out_dir=None)
     methods by construction. Each chunk's row reads that stage's records.
     The base config must be 2 or more stages without distillation.
     """
+    if not base_cfg.staged:
+        raise ConfigurationError(f"online_sim needs a base config of 2 or more stages, one per chunk, got {base_cfg.stages}")
     if base_cfg.distill.enabled:
         raise ConfigurationError("online chunks train without distillation, but the base config enables it")
     axes = {"methods": list(methods)}

@@ -4,12 +4,15 @@ metrics.jsonl carries one record per epoch, all of its fields and no
 wall-clock time, so identical runs produce byte-identical files; per-stage
 wall time goes to summary.csv instead, which makes no byte-level promises.
 Binary files (checkpoints, teacher caches) are one JSON header line followed
-by a little-endian float32 payload.
+by a little-endian float32 payload. Every writer goes through _replacing, so
+no file under its final name is ever half written.
 """
 from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from itertools import groupby
 from pathlib import Path
@@ -38,13 +41,29 @@ class MetricsRecord:
         return json.dumps(asdict(self), sort_keys=True)
 
 
+@contextmanager
+def _replacing(path, mode: str = "w", **kwargs):
+    """The open file <name>.tmp beside path, moved onto path by os.replace
+    once the block finishes; a block that raises leaves path as it was and
+    no temporary behind."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def best_record(records: list[MetricsRecord]) -> MetricsRecord | None:
     """The first record of highest val_acc, or None when there are none."""
     return max(records, key=lambda r: r.val_acc, default=None)
 
 
 def emit_metrics(records, path) -> None:
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         for rec in records:
             fh.write(rec.to_json_line() + "\n")
 
@@ -82,7 +101,7 @@ def write_summary_csv(records: list[MetricsRecord], epoch_ms: list[float], path)
     optimizer steps, its last epoch's accuracies and weight norm, its best
     val_acc and its wall time, the sum of its epochs' epoch_ms (one per
     record)."""
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         header = "run_id stage epochs steps stage_val_acc stage_test_acc best_val_acc weight_norm wall_ms"
         writer.writerow(header.split())
@@ -102,14 +121,14 @@ def write_json(obj, path) -> None:
     """obj as sorted, indented JSON; creates the parent directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
 
 
 def write_framed(path, header: dict, values: np.ndarray) -> None:
     """One JSON header line, then values as little-endian float32, written
     from the array's own buffer when it already is that."""
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
         fh.write(memoryview(np.ascontiguousarray(values, dtype="<f4")).cast("B"))
 

@@ -14,6 +14,7 @@ import reinit_lab.cli as cli
 import reinit_lab.harness as harness
 import reinit_lab.reinit as reinit
 from reinit_lab.cli import DEFAULT_T_VALUES, build_config, main, make_parser
+from reinit_lab.data import AugmentSpec
 from reinit_lab.harness import DataConfig, DistillConfig, RunConfig, RunResult, Seeds, online_sim
 from reinit_lab.nn import NetworkSpec, init_params, weight_norm
 from reinit_lab.reinit import ReinitSpec
@@ -548,6 +549,23 @@ class TestMain:
         assert "image geometry" in payload["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("pad", [2**28, 2**40, 2**62], ids=["2**28", "2**40", "2**62"])
+    def test_augmentation_padded_past_numpys_size_limit_leaves_no_run_directory(self, tmp_path, capsys, pad):
+        cfg = RunConfig(
+            network=NetworkSpec(4, (5,), 2),
+            data=DataConfig(num_classes=2, dim=4, per_class=20, image_hw=(2, 2)),
+            setting="d",
+            augment=AugmentSpec(pad_pixels=pad),
+            epochs=1,
+            batch_size=10,
+        )
+        path, out = tmp_path / "padded.json", tmp_path / "runs"
+        path.write_text(json.dumps(cfg.to_dict()))
+        code, payload = run_main(["train", "--config", str(path), "--out", str(out)], capsys)
+        message = f"augment key pad_pixels {pad} pads a batch of 10 2x2 images past np.intp"
+        assert (code, payload) == (2, {"error": "ConfigurationError", "message": message})
+        assert not out.exists()
+
     def test_idx_test_files_on_a_csv_source_leave_no_run_directory(self, tmp_path, capsys):
         # the csv source never reads them: the run would report a test accuracy on a split of the csv
         rng = np.random.Generator(np.random.PCG64(4))
@@ -674,7 +692,7 @@ class TestMain:
         "flags, phrase",
         [
             # the config file's 1 stage is the chunk count when no --stages gives one
-            ([], "run config key online applies only to staged True, not to staged False"),
+            ([], "online_sim needs a base config of 2 or more stages, one per chunk, got 1"),
             (["--stages", "2", "--distill-beta", "0.5"], "online chunks train without distillation"),
             # a 1-stage base reaches no boundary, so it takes no distillation
             (["--distill-beta", "0.5"], "run config key distill applies only to staged True, not to staged False"),

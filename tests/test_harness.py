@@ -21,6 +21,7 @@ import reinit_lab.data as data_module
 import reinit_lab.distill as distill
 import reinit_lab.harness as harness
 import reinit_lab.reinit as reinit
+import reinit_lab.runio as runio
 from reinit_lab.data import AugmentSpec, Dataset, make_chunks, subset
 from reinit_lab.distill import load_teacher_cache
 from reinit_lab.errors import ConfigurationError, HarnessError, from_json
@@ -40,7 +41,7 @@ from reinit_lab.harness import (
 )
 from reinit_lab.nn import NO_GRAD_ROWS, NetworkSpec, init_params, weight_norm
 from reinit_lab.reinit import ReinitSpec, stage_seed
-from reinit_lab.runio import MetricsRecord, load_checkpoint, read_json, read_metrics
+from reinit_lab.runio import MetricsRecord, best_record, load_checkpoint, read_json, read_metrics
 from helpers import run_fresh_process, spy, traced_peak, write_idx
 
 
@@ -533,7 +534,9 @@ class TestRunExperiment:
         STEP_BLOCK scratch buffer, one NO_GRAD_ROWS decoded chunk with its
         forward pass, and the teacher: 5.37 vectors traced. It read 6.60
         with a separate gradient vector and float32 augmentation, and a
-        batch held into the next augmentation would add 0.4."""
+        batch held into the next augmentation would add 0.4. Given a run
+        directory, which holds the best epoch, it keeps three vectors and
+        reads 4.37."""
         rng = np.random.Generator(np.random.PCG64(4))
         images, labels = rng.integers(0, 256, size=(1200, 28, 28), dtype=np.uint8), np.arange(1200) % 10
         write_idx(tmp_path / "images.idx", tmp_path / "labels.idx", images, labels)
@@ -547,6 +550,8 @@ class TestRunExperiment:
         vector = net.param_count * 4
         peak = traced_peak(lambda: run_experiment(cfg, bundle))
         assert peak < 5.5 * vector, f"peak {peak / vector:.2f} parameter vectors"
+        peak = traced_peak(lambda: run_experiment(cfg, bundle, tmp_path / "runs"))
+        assert peak < 4.5 * vector, f"peak {peak / vector:.2f} parameter vectors with a run directory"
 
     def test_idx_run_decodes_batches_and_never_a_split(self, tmp_path, monkeypatch):
         """IDX splits stay uint8 pixels and the run decodes a batch or
@@ -759,6 +764,91 @@ class TestRunExperiment:
         assert (header["stage"], header["epoch"]) == (res.best.stage, res.best.epoch)
         assert params.frozen_norm.insert_after_block == res.best_params.frozen_norm.insert_after_block
         assert harness.evaluate_accuracy(params, bundle.test) == res.best_test_acc
+
+    @pytest.mark.parametrize(
+        "boundary",
+        [
+            {"reinit": ReinitSpec("shrink_perturb"), "distill": DistillConfig(enabled=True, beta=0.5)},
+            {"reinit": ReinitSpec("layer_wise")},
+        ],
+        ids=["sp_distill", "layer_wise"],
+    )
+    def test_best_params_read_back_from_the_run_directory_are_the_ones_kept_without_it(self, tmp_path, boundary):
+        cfg = tiny_cfg(run_name="best", epochs=6, stages=3, **boundary)
+        bundle = prepare_data(cfg)
+        kept, read = run_experiment(cfg, bundle).best_params, run_experiment(cfg, bundle, tmp_path).best_params
+        assert read.values.dtype == kept.values.dtype and read.values.tobytes() == kept.values.tobytes()
+        assert read.network == kept.network
+        if cfg.reinit.kind == "layer_wise":
+            assert kept.frozen_norm is not None  # the best epoch is past a boundary
+        if kept.frozen_norm is None:
+            assert read.frozen_norm is None
+        else:
+            assert read.frozen_norm.insert_after_block == kept.frozen_norm.insert_after_block
+            for key in ("mean", "std"):
+                a, b = getattr(read.frozen_norm, key), getattr(kept.frozen_norm, key)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
+
+    def test_a_run_stopped_mid_way_leaves_the_best_epoch_so_far(self, tmp_path, monkeypatch):
+        # 2 stages of 3 epochs; evaluation raises at epoch 5, in stage 2
+        cfg, stopped_at = tiny_cfg(run_name="stopped", stages=2), 5
+        records = run_experiment(cfg).records[: stopped_at - 1]
+        calls, evaluate = [], harness.evaluate_accuracy
+
+        def stopping(*args):
+            calls.append(None)
+            if len(calls) == 2 * stopped_at - 1:  # the epoch's val accuracy comes first
+                raise RuntimeError("stopped")
+            return evaluate(*args)
+
+        monkeypatch.setattr(harness, "evaluate_accuracy", stopping)
+        with pytest.raises(RuntimeError, match="stopped"):
+            run_experiment(cfg, out_dir=tmp_path)
+        params, header = load_checkpoint(tmp_path / "stopped" / "best.ckpt")
+        best = best_record(records)
+        assert (header["stage"], header["epoch"]) == (best.stage, best.epoch)
+        assert weight_norm(params.values) == best.weight_norm
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_a_failed_best_rewrite_leaves_the_earlier_best_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(run_name="rewrite")
+        records = run_experiment(cfg).records
+        bests = [r.epoch for i, r in enumerate(records) if best_record(records[: i + 1]) is r]
+        assert len(bests) > 1  # a rewrite to fail
+        writes, write_framed = [], runio.write_framed
+
+        class Unwritable:
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("disk full")
+
+        def failing(path, header, values):
+            # the second best fails after its header line went into the file
+            writes.append(header["epoch"])
+            write_framed(path, header, Unwritable() if len(writes) == 2 else values)
+
+        monkeypatch.setattr(runio, "write_framed", failing)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(cfg, out_dir=tmp_path)
+        params, header = load_checkpoint(tmp_path / "rewrite" / "best.ckpt")
+        assert writes == bests[:2] and header["epoch"] == bests[0]
+        assert weight_norm(params.values) == records[bests[0] - 1].weight_norm
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_a_failed_metrics_write_leaves_no_metrics_file(self, tmp_path, monkeypatch):
+        lines, to_json_line = [], MetricsRecord.to_json_line
+
+        def failing(record):
+            # the third line fails after two went into the file
+            lines.append(record.epoch)
+            if len(lines) == 3:
+                raise OSError("disk full")
+            return to_json_line(record)
+
+        monkeypatch.setattr(MetricsRecord, "to_json_line", failing)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(tiny_cfg(run_name="partial"), out_dir=tmp_path)
+        assert not (tmp_path / "partial" / "metrics.jsonl").exists()
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_distill_reads_only_after_stage_one(self, monkeypatch):
         cfg = tiny_cfg(stages=3, distill=DistillConfig(enabled=True, beta=0.5))
@@ -1427,7 +1517,7 @@ class TestOnlineSim:
         "change, phrase",
         [
             # a 1-stage base holds one chunk, so no method reaches a boundary
-            ({"stages": 1}, "run config key online applies only to staged True, not to staged False"),
+            ({"stages": 1}, "online_sim needs a base config of 2 or more stages, one per chunk, got 1"),
             ({"distill": DistillConfig(enabled=True, beta=0.5)}, "online chunks train without distillation"),
         ],
         ids=["stages", "distill"],

@@ -6,6 +6,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
+import reinit_lab.runio as runio
 from reinit_lab.errors import FormatError
 from reinit_lab.nn import (
     FrozenNormLayer,
@@ -19,6 +20,8 @@ from reinit_lab.runio import (
     load_checkpoint,
     read_metrics,
     save_checkpoint,
+    write_framed,
+    write_json,
     write_summary_csv,
 )
 from helpers import traced_peak
@@ -39,6 +42,33 @@ def make_record(epoch=1, **extra):
     )
     base.update(extra)
     return MetricsRecord(**base)
+
+
+# each writer, as (path, n) -> a file that depends on n
+WRITERS = {
+    "write_json": lambda path, n: write_json({"n": n}, path),
+    "emit_metrics": lambda path, n: emit_metrics([make_record(e) for e in range(1, n + 1)], path),
+    "write_summary_csv": lambda path, n: write_summary_csv([make_record(e) for e in range(1, n + 1)], [1.0] * n, path),
+    "write_framed": lambda path, n: write_framed(path, {"n": n}, np.zeros(n, dtype=np.float32)),
+}
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS)
+def test_every_writer_replaces_its_file_whole_or_not_at_all(tmp_path, monkeypatch, write):
+    path = tmp_path / "file"
+    write(path, 1)
+    before = path.read_bytes()
+    write(path, 2)
+    assert path.read_bytes() != before and list(tmp_path.iterdir()) == [path]
+    before = path.read_bytes()
+
+    def refusing(src, dst):
+        raise OSError("refused")
+
+    monkeypatch.setattr(runio.os, "replace", refusing)
+    with pytest.raises(OSError, match="refused"):
+        write(path, 3)
+    assert path.read_bytes() == before and list(tmp_path.iterdir()) == [path]
 
 
 class TestMetricsRecord:

@@ -16,7 +16,8 @@ Everything is written under OUT, which must not exist yet or be empty; CLI
 stdout goes to ``<command>.stdout`` files there. Prints a sorted
 JSON map from each file's path relative to OUT to its sha256;
 ``summary.csv`` is hashed without its ``wall_ms`` column, the one timing in
-the outputs.
+the outputs. A ``*.tmp`` file left under OUT is a writer's temporary that
+was never renamed into place: the script names each on stderr and exits 1.
 
 A change that should leave every output as it was is checked by running this
 script in a checkout of each commit with the same OUT (IDX run ids contain
@@ -162,6 +163,10 @@ def main(argv=None) -> int:
     studies(out)
     cli_runs(out)
     files = sorted(p for p in out.rglob("*") if p.is_file())
+    left = [p for p in files if p.suffix == ".tmp"]
+    if left:
+        print(f"temporaries left under {out}: {[str(p.relative_to(out)) for p in left]}", file=sys.stderr)
+        return 1
     print(json.dumps({str(p.relative_to(out)): digest(p) for p in files}, indent=2, sort_keys=True))
     return 0
 
